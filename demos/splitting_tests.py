@@ -2,7 +2,7 @@
 
 The criterion: R = S/I is F-split exactly when the colon ideal
 (I^[q] : I) escapes m^[q] = (x_0^q, ..., x_n^q), q = p^e.  Every verdict
-below comes with a witness or an exhausted search space.
+below comes with a witness or a ruled-out search space.
 """
 
 from frobcalc import CIIdeal, MonomialIdeal, PolyRing, is_f_split, parse_polynomial

@@ -34,7 +34,7 @@ from .koszul import (
     strand_check,
 )
 from .levels import f_level_bounds, generation_exponent
-from .polyring import PolyRing, parse_polynomial
+from .polyring import PolyRing, is_prime, parse_polynomial
 from .pushforward import (
     alpha,
     ci_filtration_check,
@@ -165,14 +165,24 @@ def _need_monomial(ideal):
     return ideal
 
 
+def _need_prime(p, flag):
+    if not is_prime(p):
+        raise ParseError(f"{flag} must be a prime: got {p}")
+
+
 def build_parser():
     parser = _Parser(prog="frobcalc", description=__doc__)
     parser.add_argument("--version", action="version", version=f"frobcalc {__version__}")
     common = _Parser(add_help=False)
     common.add_argument("--json", action="store_true", help="emit the JSON envelope")
-    common.add_argument("--threads", type=int, default=1, help="worker threads for searches")
     common.add_argument(
-        "--max-monomials", type=int, default=None, help="resource guard for enumerations"
+        "--threads", type=int, default=1, help="accepted for old command lines; ignored"
+    )
+    common.add_argument(
+        "--max-monomials",
+        type=int,
+        default=None,
+        help="resource guard for enumerations and for the terms of f^(q-1)",
     )
     subs = parser.add_subparsers(dest="subcommand", required=True, parser_class=_Parser)
 
@@ -234,7 +244,6 @@ def build_parser():
 
 def _dispatch(args):
     """Returns (input echo, result payload, warnings)."""
-    threads = args.threads
     guard = {}
     if args.max_monomials is not None:
         guard["max_monomials"] = args.max_monomials
@@ -266,16 +275,16 @@ def _dispatch(args):
             "class": "ci" if isinstance(ideal, CIIdeal) else "monomial",
         }
         if name == "fsplit":
-            cert = is_f_split(ideal, args.e, threads=threads)
+            cert = is_f_split(ideal, args.e, **guard)
             return echo | {"e": args.e}, {"certificate": cert.payload(ring)}, warnings
         if name == "summand":
-            cert = graded_summand_test(ideal, args.j, args.e, threads=threads, **guard)
+            cert = graded_summand_test(ideal, args.j, args.e, **guard)
             return echo | {"e": args.e, "j": args.j}, {"certificate": cert.payload(ring)}, warnings
         if name == "twists":
-            spectrum = twist_spectrum(ideal, args.e, args.jmax, threads=threads)
+            spectrum = twist_spectrum(ideal, args.e, args.jmax, **guard)
             return echo | {"e": args.e, "jmax": args.jmax}, spectrum.payload(ring), warnings
         if name == "witness":
-            chain = witness_from_proof(ideal, args.e)
+            chain = witness_from_proof(ideal, args.e, **guard)
             return echo | {"e": args.e}, chain.payload(ring), warnings
         if name == "codepth":
             value = codepth(_need_monomial(ideal), args.degree_bound, **guard)
@@ -292,7 +301,7 @@ def _dispatch(args):
             report = ci_filtration_check(ring, list(monomial.gens), **guard)
             return echo, report.payload(ring), warnings
         if name == "flevel":
-            report = f_level_bounds(ideal, e_max=args.emax, threads=threads, **guard)
+            report = f_level_bounds(ideal, e_max=args.emax, **guard)
             return echo | {"emax": args.emax}, report.payload(ring), warnings
         if name == "loewy":
             value = _need_monomial(ideal).loewy_length(**guard)
@@ -326,10 +335,13 @@ def _dispatch(args):
         return echo, payload, warnings
 
     if name == "strand":
+        _need_prime(args.char, "--char")
         report = strand_check(args.ell, args.j, steps=args.steps, char=args.char)
         echo = {"ell": args.ell, "j": args.j, "steps": args.steps, "char": args.char}
         return echo, report.payload(), []
 
+    if name in ("alpha", "pn", "veronese"):
+        _need_prime(args.p, "--p")
     if name == "alpha":
         if not (1 <= args.n):
             raise ParseError("need n >= 1")

@@ -61,7 +61,7 @@ class BoundReport:
         }
 
 
-def f_level_bounds(ideal, e_max=DEFAULT_E_MAX, threads=1, max_monomials=DEFAULT_MAX_MONOMIALS):
+def f_level_bounds(ideal, e_max=DEFAULT_E_MAX, max_monomials=DEFAULT_MAX_MONOMIALS):
     """Bound report for the pushforward-level of R = S/I.
 
     lower = 1 always; exact = 1 when a splitting witness exists; lower = 2
@@ -69,12 +69,14 @@ def f_level_bounds(ideal, e_max=DEFAULT_E_MAX, threads=1, max_monomials=DEFAULT_
     the report wording, although a splitting at any e restricts to one at
     e = 1).  Upper bounds: Loewy length for artinian quotients, p^codim
     for complete intersections, the smaller when both apply; otherwise
-    unknown (finite)."""
+    unknown (finite).  exact = lower when the bounds meet."""
+    if e_max < 1:
+        raise ValueError("e_max must be at least 1")
     ring = ideal.ring
     certs = {}
     split_at = None
     for e in range(1, e_max + 1):
-        cert = is_f_split(ideal, e, threads=threads)
+        cert = is_f_split(ideal, e, max_monomials=max_monomials)
         certs[e] = cert
         if cert.verdict:
             split_at = e
@@ -122,6 +124,8 @@ def f_level_bounds(ideal, e_max=DEFAULT_E_MAX, threads=1, max_monomials=DEFAULT_
             upper_candidates.sort(key=lambda t: t[1])
             upper = upper_candidates[0][1]
             status = "certified"
+            if upper == lower:
+                exact = lower
             provenance.extend(upper_candidates)
         else:
             upper = None

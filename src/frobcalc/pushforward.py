@@ -37,6 +37,8 @@ class FrobeniusModule:
     __slots__ = ("ideal", "e", "q", "basis", "index", "var_action")
 
     def __init__(self, ideal, e, max_monomials=DEFAULT_MAX_MONOMIALS):
+        if e < 1:
+            raise ValueError("e must be at least 1")
         if not ideal.is_artinian():
             raise NonArtinianError(
                 "pushforward modules are tabulated for artinian quotients"

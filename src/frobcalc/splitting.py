@@ -5,21 +5,26 @@ when the colon ideal (I^[q] : I) is not contained in m^[q].  More finely,
 R(-j) is a direct summand of the e-th Frobenius pushforward of R exactly
 when some element s of degree q*j satisfies s*(I^[q]:I) not in m^[q].
 
-Searching monomials s only is complete: m^[q] is a monomial ideal, so a
-polynomial s escapes via some term of some product s*c; fixing a single
-monomial sigma of s, the products sigma*gamma over terms gamma of c are
-pairwise distinct monomials (multiplication by a monomial is injective on
-monomials), so no cancellation can occur and sigma alone already escapes.
-This collapses the witness search from a vector space to a monomial list.
+Monomials s suffice: m^[q] is a monomial ideal, so a polynomial s escapes
+via some term of some product s*c; fixing a single monomial sigma of s,
+the products sigma*gamma over terms gamma of c are pairwise distinct
+monomials (multiplication by a monomial is injective on monomials), so no
+cancellation can occur and sigma alone already escapes.
+
+Slack criterion: call a term t of a colon generator live when every
+exponent of t is below q.  A monomial s escapes with c exactly when
+s <= (q-1) - t componentwise for some live term t of c, so R(-j) is a
+summand iff some live term has slack sum(q-1-t_i) >= q*j.  The test reads
+this off the live terms; no candidate s is enumerated.
 
 Every positive verdict carries a witness (s, c) that re-verifies by a
-termwise exponent check; every negative verdict records the exhausted
-search space.
+termwise exponent check; every negative verdict records the size of the
+capped search space it rules out and re-verifies by recomputing the slack
+criterion.
 """
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 from .errors import (
@@ -40,11 +45,12 @@ from .ideals import (
 from .polyring import (
     DEFAULT_MAX_MONOMIALS,
     Polynomial,
+    bounded_count,
+    drl_key,
     mono_degree,
     mono_mul,
     mono_sorted,
     mono_str,
-    monomials_of_degree,
 )
 
 DEFAULT_MAX_Q = 2**16
@@ -56,7 +62,7 @@ class SplitCertificate:
 
     For a true verdict, `witness_monomial` (s) times `colon_generator`
     escapes m^[q] through `witness_term`, a product term with every
-    exponent < q.  For a false verdict, the exhausted search space is
+    exponent < q.  For a false verdict, the ruled-out search space is
     recorded (`search_degree`, `search_count`).
     """
 
@@ -72,9 +78,15 @@ class SplitCertificate:
     search_count: int | None = None
 
     def verify(self, ideal):
-        """Recheck the stored evidence from scratch; True when consistent."""
+        """Recheck the stored evidence from scratch; True when consistent.
+
+        A false verdict is rechecked by recomputing it: the slack criterion
+        over the live colon terms, or the staircase scan for the socle test,
+        must give back this very certificate."""
         if not self.verdict:
-            return self.search_count is not None and self.search_degree is not None
+            if self.kind == "socle":
+                return self == k_summand_test(ideal, self.e)
+            return self == graded_summand_test(ideal, self.j, self.e)
         if self.kind == "socle":
             return _socle_witness_ok(ideal, self.witness_monomial, self.q)
         if self.witness_monomial is None or self.colon_generator is None:
@@ -115,87 +127,62 @@ class SplitCertificate:
         return out
 
 
-def colon_generators(ideal, q):
+def colon_generators(ideal, q, max_monomials=DEFAULT_MAX_MONOMIALS):
     """Generators of (I^[q] : I) for the supported ideal classes, in a
-    deterministic order, as polynomials."""
+    deterministic order, as polynomials.  For a complete intersection the
+    guard bounds the terms f^(q-1) can have before it is expanded."""
     if isinstance(ideal, MonomialIdeal):
         colon = monomial_colon(bracket_power(ideal, q), ideal)
         return [Polynomial.monomial(ideal.ring, g) for g in colon.gens]
     if isinstance(ideal, CIIdeal):
+        size = bounded_count(ideal.ring.nvars, ideal.degree() * (q - 1))
+        if size > max_monomials:
+            raise ResourceGuardError(
+                f"f^(q-1) may have {size} terms, over the guard {max_monomials}"
+            )
         return ci_colon(ideal, q)
     raise UnsupportedIdealClassError(f"unsupported ideal class {type(ideal).__name__}")
 
 
-def _surviving_term(candidate, colon_gen_terms, q):
-    """First term (largest first) of s*c with all exponents < q, or None.
-    `colon_gen_terms` are the monomials of c pre-sorted descending."""
-    for term in colon_gen_terms:
-        prod = tuple(a + b for a, b in zip(candidate, term))
-        if all(x < q for x in prod):
-            return prod
-    return None
+def live_terms(poly, q):
+    """Terms of `poly`, largest first, with every exponent < q: the only
+    terms that a monomial multiple can keep outside m^[q]."""
+    return mono_sorted(m for m in poly.terms if all(e < q for e in m))
 
 
-def _prepared_colon_terms(gens, q):
-    """Per-generator term lists with hopeless terms pruned (a term with an
-    exponent >= q can never escape, whatever s multiplies it)."""
-    prepared = []
-    for g in gens:
-        live = [m for m in mono_sorted(g.terms) if all(e < q for e in m)]
-        prepared.append(live)
-    return prepared
+def _fits(s, term, q):
+    """Does s*term keep every exponent below q?"""
+    return all(a + b < q for a, b in zip(s, term))
 
 
-def _scan_candidates(candidates, prepared, q, threads=1):
-    """First (candidate, generator index, surviving term) hit in candidate
-    order; parallel scans preserve the sequential answer via ordered
-    chunks."""
-
-    def probe(s):
-        for gi, terms in enumerate(prepared):
-            hit = _surviving_term(s, terms, q)
-            if hit is not None:
-                return (s, gi, hit)
-        return None
-
-    if threads <= 1 or len(candidates) < 64:
-        for s in candidates:
-            out = probe(s)
-            if out is not None:
-                return out
-        return None
-    chunk = 64
-    blocks = [candidates[i : i + chunk] for i in range(0, len(candidates), chunk)]
-
-    def probe_block(block):
-        for s in block:
-            out = probe(s)
-            if out is not None:
-                return out
-        return None
-
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        for result in pool.map(probe_block, blocks):
-            if result is not None:
-                return result
-    return None
+def _top_divisor(box, degree):
+    """The degrevlex-largest monomial of the given degree dividing `box`
+    (fill the degree in from x_0 on), or None when deg(box) < degree."""
+    s = []
+    for cap in box:
+        take = min(cap, degree)
+        s.append(take)
+        degree -= take
+    return None if degree else tuple(s)
 
 
 def graded_summand_test(
     ideal,
     j,
     e,
-    threads=1,
     max_monomials=DEFAULT_MAX_MONOMIALS,
     max_q=DEFAULT_MAX_Q,
 ):
     """Does R(-j) split off the e-th Frobenius pushforward of R = S/I?
 
     True iff some monomial s of degree q*j has s*(I^[q]:I) not inside
-    m^[q] (monomials suffice; see the module docstring).  Candidates are
-    scanned largest-first in degrevlex and the first witness is returned.
-    Only exponents < q can appear in a surviving product, so the search
-    runs over the capped candidate list.
+    m^[q] (monomials suffice; see the module docstring).  By the slack
+    criterion s escapes exactly when it divides the box (q-1) - t of some
+    live colon term t.  The witness is the degrevlex-largest such s: the
+    largest over the boxes of each box's top divisor of degree q*j.  Its
+    colon generator and surviving term are the first, in generator and
+    term order, that s fits.  A false verdict records the capped search
+    space it rules out: every monomial of degree q*j with exponents < q.
     """
     ring = ideal.ring
     q = ring.p**e
@@ -203,20 +190,21 @@ def graded_summand_test(
         raise ResourceGuardError(f"q = {q} exceeds the guard {max_q}")
     if j < 0:
         raise ValueError("twist j must be nonnegative")
-    gens = colon_generators(ideal, q)
-    prepared = _prepared_colon_terms(gens, q)
-    candidates = monomials_of_degree(ring, q * j, cap=q - 1, max_monomials=max_monomials)
-    hit = _scan_candidates(candidates, prepared, q, threads=threads)
-    if hit is None:
+    gens = colon_generators(ideal, q, max_monomials)
+    live = [live_terms(g, q) for g in gens]
+    tops = [_top_divisor([q - 1 - x for x in t], q * j) for terms in live for t in terms]
+    tops = [s for s in tops if s is not None]
+    if not tops:
         return SplitCertificate(
             verdict=False,
             q=q,
             e=e,
             j=j,
             search_degree=q * j,
-            search_count=len(candidates),
+            search_count=bounded_count(ring.nvars, q * j, q - 1),
         )
-    s, gi, term = hit
+    s = max(tops, key=drl_key)
+    gi, t = next((gi, t) for gi, terms in enumerate(live) for t in terms if _fits(s, t, q))
     return SplitCertificate(
         verdict=True,
         q=q,
@@ -224,13 +212,13 @@ def graded_summand_test(
         j=j,
         witness_monomial=s,
         colon_generator=gens[gi],
-        witness_term=term,
+        witness_term=mono_mul(s, t),
     )
 
 
-def is_f_split(ideal, e, threads=1, max_q=DEFAULT_MAX_Q):
+def is_f_split(ideal, e, max_monomials=DEFAULT_MAX_MONOMIALS, max_q=DEFAULT_MAX_Q):
     """Splitting test: true iff (I^[q] : I) is not inside m^[q], q = p^e."""
-    return graded_summand_test(ideal, 0, e, threads=threads, max_q=max_q)
+    return graded_summand_test(ideal, 0, e, max_monomials=max_monomials, max_q=max_q)
 
 
 def _socle_witness_ok(ideal, u, q):
@@ -305,7 +293,9 @@ class TwistSpectrum:
         }
 
 
-def twist_spectrum(ideal, e, j_max=None, threads=1, max_q=DEFAULT_MAX_Q):
+def twist_spectrum(
+    ideal, e, j_max=None, max_monomials=DEFAULT_MAX_MONOMIALS, max_q=DEFAULT_MAX_Q
+):
     """Run graded_summand_test for j = 0..j_max on a complete intersection.
 
     When the hypotheses hold (degree d <= n where n+1 = #variables, q > n-d,
@@ -322,6 +312,8 @@ def twist_spectrum(ideal, e, j_max=None, threads=1, max_q=DEFAULT_MAX_Q):
     q = ring.p**e
     if j_max is None:
         j_max = max(n - d, 0) + 1
+    if j_max < 0:
+        raise ValueError("j_max must be nonnegative")
     warnings = []
     if q <= n - d:
         warnings.append(
@@ -329,7 +321,7 @@ def twist_spectrum(ideal, e, j_max=None, threads=1, max_q=DEFAULT_MAX_Q):
         )
     entries = {}
     for j in range(j_max + 1):
-        entries[j] = graded_summand_test(ideal, j, e, threads=threads, max_q=max_q)
+        entries[j] = graded_summand_test(ideal, j, e, max_monomials, max_q)
     hypotheses = {
         "degree_at_most_n": d <= n,
         "q_exceeds_band": q > n - d,
@@ -386,9 +378,14 @@ class WitnessChain:
         }
 
 
-def witness_from_proof(ideal, e, max_q=DEFAULT_MAX_Q):
-    """Grow a maximal escape monomial for an F-split complete intersection
-    and extract one re-verified factor per twist in the band."""
+def witness_from_proof(ideal, e, max_monomials=DEFAULT_MAX_MONOMIALS, max_q=DEFAULT_MAX_Q):
+    """Take a maximal escape monomial for an F-split complete intersection
+    and extract one re-verified factor per twist in the band.
+
+    By the slack criterion the escape monomials are the divisors of the
+    boxes (q-1) - t over the live terms t of f^(q-1); the box of the
+    lexicographically least live term is the one a greedy growth from 1,
+    raising x_0 first, ends in."""
     if not isinstance(ideal, CIIdeal):
         raise UnsupportedIdealClassError("witness_from_proof needs a complete intersection")
     ring = ideal.ring
@@ -397,21 +394,12 @@ def witness_from_proof(ideal, e, max_q=DEFAULT_MAX_Q):
         raise ResourceGuardError(f"q = {q} exceeds the guard {max_q}")
     n = ring.nvars - 1
     d = ideal.degree()
-    fq1 = ideal.product() ** (q - 1)
-    live = [m for m in mono_sorted(fq1.terms) if all(x < q for x in m)]
+    fq1 = colon_generators(ideal, q, max_monomials)[0]
+    live = live_terms(fq1, q)
     if not live:
         raise NotFSplitError("no escape monomial exists: the quotient is not F-split")
 
-    g = ring.unit_monomial()
-    grew = True
-    while grew:
-        grew = False
-        for v in range(ring.nvars):
-            candidate = mono_mul(g, ring.variable_monomial(v))
-            if _surviving_term(candidate, live, q) is not None:
-                g = candidate
-                grew = True
-                break
+    g = tuple(q - 1 - x for x in min(live))
     expected = (n + 1) * (q - 1) - d * (q - 1)
     if mono_degree(g) != expected:
         raise VerificationError(
@@ -424,8 +412,8 @@ def witness_from_proof(ideal, e, max_q=DEFAULT_MAX_Q):
         target = j * q
         if target > mono_degree(g):
             break
-        s = _divisor_of_degree(g, target)
-        term = _surviving_term(s, live, q)
+        s = _top_divisor(g, target)
+        term = next((t for t in live if _fits(s, t, q)), None)
         if term is None:
             raise VerificationError(f"extracted factor of degree {target} does not escape")
         cert = SplitCertificate(
@@ -435,7 +423,7 @@ def witness_from_proof(ideal, e, max_q=DEFAULT_MAX_Q):
             j=j,
             witness_monomial=s,
             colon_generator=fq1,
-            witness_term=term,
+            witness_term=mono_mul(s, term),
         )
         factors.append((j, s, cert))
     return WitnessChain(
@@ -446,19 +434,3 @@ def witness_from_proof(ideal, e, max_q=DEFAULT_MAX_Q):
         expected_degree=expected,
         factors=factors,
     )
-
-
-def _divisor_of_degree(g, target):
-    """Deterministic divisor of g of the requested degree: take exponents
-    from the first variables on."""
-    s = [0] * len(g)
-    remaining = target
-    for v, e in enumerate(g):
-        take = min(e, remaining)
-        s[v] = take
-        remaining -= take
-        if not remaining:
-            break
-    if remaining:
-        raise ValueError(f"g has degree < {target}")
-    return tuple(s)

@@ -1,3 +1,5 @@
+import contextlib
+import io
 import json
 import subprocess
 import sys
@@ -128,6 +130,29 @@ class TestSubcommands:
         assert "depth: 1" in out
 
 
+@st.composite
+def numeric_flag_argv(draw):
+    """Small, possibly out-of-range numeric flags for the subcommands that
+    take no ideal, and for decompose and twists."""
+    def num(lo, hi):
+        return str(draw(st.integers(lo, hi)))
+
+    kind = draw(st.sampled_from(["alpha", "pn", "veronese", "strand", "decompose", "twists"]))
+    if kind == "alpha":
+        return ["alpha", "--n", num(-1, 4), "--p", num(-2, 12), "--l", num(-6, 6)]
+    if kind == "pn":
+        return ["pn", "--n", num(-1, 3), "--p", num(-2, 6), "-e", num(-1, 3), "--l", num(-4, 4)]
+    if kind == "veronese":
+        return ["veronese", "--ell", num(-1, 3), "--p", num(-2, 5), "-e", num(-1, 2),
+                "--degree-bound", num(-2, 2)]
+    if kind == "strand":
+        return ["strand", "--ell", num(-1, 5), "--j", num(-1, 5), "--steps", num(-2, 4),
+                "--char", num(-2, 6)]
+    if kind == "decompose":
+        return ["decompose", "-e", num(-2, 3)] + TWELVE
+    return ["twists", "-e", num(-1, 2), "--jmax", num(-3, 3)] + QUADRIC
+
+
 class TestExitCodes:
     def test_usage_error(self, capsys):
         assert run(["fsplit", "--char", "2"]) == EXIT_USAGE
@@ -146,6 +171,33 @@ class TestExitCodes:
         argv = ["loewy", "--char", "2", "--vars", "x,y", "--ideal", "x^90, y^90",
                 "--max-monomials", "10"]
         assert run(argv) == EXIT_GUARD
+
+    def test_power_guard_covers_fsplit(self, capsys):
+        argv = ["fsplit", "--char", "5", "--vars", "x,y,z", "--ideal", "x^3+y^3+z^3",
+                "-e", "4", "--max-monomials", "100"]
+        assert run(argv) == EXIT_GUARD
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["alpha", "--n", "1", "--p", "0"],
+            ["alpha", "--n", "1", "--p", "4"],
+            ["pn", "--n", "1", "--p", "0"],
+            ["veronese", "--ell", "2", "--p", "0"],
+            ["strand", "--ell", "3", "--j", "1", "--char", "4"],
+            ["decompose", "-e", "-1"] + TWELVE,
+            ["twists", "--jmax", "-1"] + QUADRIC,
+            ["flevel", "--char", "2", "--vars", "x,y", "--ideal", "x*y", "--emax", "0"],
+        ],
+    )
+    def test_out_of_range_numbers_are_usage_errors(self, capsys, argv):
+        assert run(argv) == EXIT_USAGE
+
+    @given(argv=numeric_flag_argv())
+    @settings(max_examples=150, deadline=None)
+    def test_numeric_flags_end_in_an_exit_code(self, argv):
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+            assert run(argv) in range(5)
 
     def test_verification_failure(self, capsys):
         # a degree bound below the homology support trips the runtime band

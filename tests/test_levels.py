@@ -55,6 +55,16 @@ class TestFLevelBounds:
         values = {v for _d, v, _c in report.provenance}
         assert {3, 4} <= values
 
+    def test_exact_when_bounds_meet(self, ring2):
+        # m^2 in 2 variables at p=2: not split, Loewy length 2
+        report = f_level_bounds(mi(ring2, (2, 0), (1, 1), (0, 2)), e_max=2)
+        assert report.lower == report.upper == report.exact == 2
+
+    def test_rejects_empty_test_range(self, ring2):
+        # with no split test run, nothing certifies lower = 2
+        with pytest.raises(ValueError):
+            f_level_bounds(mi(ring2, (1, 1)), e_max=0)
+
     def test_exact_one_iff_split_on_corpus(self):
         for I, _ci in corpus_ideals(p=2):
             if I.is_zero():

@@ -1,4 +1,8 @@
+import itertools
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from frobcalc import (
     CIIdeal,
@@ -6,6 +10,9 @@ from frobcalc import (
     NonArtinianError,
     NotFSplitError,
     PolyRing,
+    Polynomial,
+    ResourceGuardError,
+    SplitCertificate,
     UnsupportedIdealClassError,
     graded_summand_test,
     is_f_split,
@@ -14,7 +21,8 @@ from frobcalc import (
     twist_spectrum,
     witness_from_proof,
 )
-from frobcalc.polyring import mono_degree
+from frobcalc.polyring import drl_key, mono_degree, mono_sorted
+from frobcalc.splitting import colon_generators
 
 
 def mi(ring, *gens):
@@ -151,15 +159,6 @@ class TestGradedSummand:
             for dprime in range(8):
                 assert I.hilbert_function(q * dprime) >= I.hilbert_function(dprime - j)
 
-    def test_threads_agree_with_sequential(self):
-        _ring, I = quadric()
-        for j in (0, 1, 2):
-            seq = graded_summand_test(I, j, 1, threads=1)
-            par = graded_summand_test(I, j, 1, threads=8)
-            assert seq.verdict == par.verdict
-            assert seq.witness_monomial == par.witness_monomial
-            assert seq.witness_term == par.witness_term
-
 
 class TestTwistSpectrum:
     def test_quadric_band(self):
@@ -256,3 +255,98 @@ class TestCertificates:
         payload = is_f_split(I, 1).payload(ring)
         assert payload["verdict"] is True
         assert set(payload["witness"]) == {"s", "colon_generator", "surviving_term"}
+
+    def test_true_negative_certificates_reverify(self, ring2):
+        ring = PolyRing(5, ["x", "y", "z"])
+        cubic = ci(ring, "x^3 + y^3 + z^3")
+        assert is_f_split(cubic, 1).verify(cubic)
+        _ring, I = quadric()
+        assert graded_summand_test(I, 2, 1).verify(I)
+        twelve = mi(ring2, (4, 0), (2, 2), (0, 4))
+        assert k_summand_test(twelve, 1).verify(twelve)
+
+    def test_made_up_search_count_fails(self):
+        ring = PolyRing(3, ["x", "y", "z"])
+        cubic = ci(ring, "x^3 + y^3 + z^3")
+        cert = SplitCertificate(verdict=False, q=3, e=1, j=0, search_degree=0, search_count=999)
+        assert not cert.verify(cubic)
+
+    def test_negative_certificate_for_split_quadric_fails(self):
+        _ring, I = quadric()
+        cert = SplitCertificate(verdict=False, q=3, e=1, j=0, search_degree=0, search_count=1)
+        assert not cert.verify(I)
+
+    def test_negative_socle_certificate_for_split_ring_fails(self, ring2):
+        I = mi(ring2, (2, 0), (1, 1), (0, 2))
+        cert = SplitCertificate(
+            verdict=False, q=2, e=1, j=0, kind="socle", search_degree=1, search_count=3
+        )
+        assert not cert.verify(I)
+
+
+class TestColonGuard:
+    def test_power_guard_before_expansion(self):
+        # f^624 of the Fermat cubic has up to C(1874, 2) terms
+        ring = PolyRing(5, ["x", "y", "z"])
+        with pytest.raises(ResourceGuardError):
+            colon_generators(ci(ring, "x^3 + y^3 + z^3"), 625, max_monomials=100)
+
+
+def scan_oracle(ideal, j, e):
+    """The witness search by enumeration: every monomial of degree q*j with
+    exponents < q, largest first in degrevlex, tried against each colon
+    generator's terms (largest first) until a product keeps every exponent
+    below q."""
+    q = ideal.ring.p**e
+    gens = colon_generators(ideal, q)
+    term_lists = [[t for t in mono_sorted(g.terms) if max(t) < q] for g in gens]
+    candidates = sorted(
+        (s for s in itertools.product(range(q), repeat=ideal.ring.nvars) if sum(s) == q * j),
+        key=drl_key,
+        reverse=True,
+    )
+    for s in candidates:
+        for gi, terms in enumerate(term_lists):
+            for t in terms:
+                product = tuple(a + b for a, b in zip(s, t))
+                if max(product) < q:
+                    return s, gens[gi], product, len(candidates)
+    return None, None, None, len(candidates)
+
+
+@st.composite
+def small_ideals(draw):
+    p = draw(st.sampled_from([2, 3, 5]))
+    nvars = draw(st.integers(1, 3))
+    ring = PolyRing(p, ["x", "y", "z"][:nvars])
+    exponents = st.tuples(*[st.integers(0, 2)] * nvars).filter(any)
+    if draw(st.booleans()):
+        return MonomialIdeal(ring, draw(st.lists(exponents, max_size=3)))
+    gens = []
+    for _ in range(draw(st.integers(1, min(nvars, 2)))):
+        degree = draw(st.integers(1, 2))
+        monos = [m for m in itertools.product(range(degree + 1), repeat=nvars) if sum(m) == degree]
+        chosen = draw(st.lists(st.sampled_from(monos), min_size=1, max_size=3, unique=True))
+        coeffs = draw(st.lists(st.integers(1, p - 1), min_size=len(chosen), max_size=len(chosen)))
+        gens.append(Polynomial(ring, dict(zip(chosen, coeffs))))
+    try:
+        return CIIdeal(ring, gens)
+    except UnsupportedIdealClassError:  # monomials with overlapping supports
+        return MonomialIdeal(ring, [g.single_monomial() for g in gens])
+
+
+class TestSlackCriterionOracle:
+    @given(ideal=small_ideals(), e=st.integers(1, 2), j=st.integers(0, 2))
+    @settings(max_examples=150, deadline=None)
+    def test_closed_form_matches_enumeration(self, ideal, e, j):
+        cert = graded_summand_test(ideal, j, e)
+        s, gen, term, count = scan_oracle(ideal, j, e)
+        assert cert.verdict == (s is not None)
+        if cert.verdict:
+            assert cert.witness_monomial == s
+            assert cert.colon_generator == gen
+            assert cert.witness_term == term
+            assert cert.verify(ideal)
+        else:
+            assert cert.search_degree == ideal.ring.p**e * j
+            assert cert.search_count == count
