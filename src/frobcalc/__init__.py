@@ -53,6 +53,7 @@ from .polyring import (
     is_prime,
     monomials_of_degree,
     parse_polynomial,
+    truncated_lucas_power,
 )
 from .pushforward import (
     ConicDecomposition,

@@ -182,7 +182,7 @@ def build_parser():
         "--max-monomials",
         type=int,
         default=None,
-        help="resource guard for enumerations and for the terms of f^(q-1)",
+        help="resource guard for enumerations and for the terms of f^(q-1) mod m^[q]",
     )
     subs = parser.add_subparsers(dest="subcommand", required=True, parser_class=_Parser)
 

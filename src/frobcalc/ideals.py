@@ -256,7 +256,8 @@ class CIIdeal:
 # ---------------------------------------------------------------------------
 # operations
 
-def _validate_q(ring, q):
+def frobenius_exponent(ring, q):
+    """The e >= 1 with q = p^e; ParseError for any other q."""
     if q < 2:
         raise ParseError(f"q must be p^e with e >= 1, got {q}")
     t = q
@@ -272,10 +273,10 @@ def _validate_q(ring, q):
 def bracket_power(ideal, q):
     """I^[q] for either ideal class (q a power of p)."""
     if isinstance(ideal, MonomialIdeal):
-        _validate_q(ideal.ring, q)
+        frobenius_exponent(ideal.ring, q)
         return ideal.bracket(q)
     if isinstance(ideal, CIIdeal):
-        e = _validate_q(ideal.ring, q)
+        e = frobenius_exponent(ideal.ring, q)
         return CIIdeal(ideal.ring, [frobenius_power(f, e) for f in ideal.gens])
     raise UnsupportedIdealClassError(f"unsupported ideal class {type(ideal).__name__}")
 
@@ -297,10 +298,12 @@ def monomial_colon(J, I):
 
 def ci_colon(ideal, q):
     """(I^[q] : I) for a complete intersection, as the explicit generator
-    list [f^(q-1), f_1^q, ..., f_t^q] with f = f_1...f_t."""
+    list [f^(q-1), f_1^q, ..., f_t^q] with f = f_1...f_t.  This is the exact
+    colon, f^(q-1) in full; the splitting tests use only f^(q-1) mod m^[q]
+    (`splitting.colon_generators`)."""
     if not isinstance(ideal, CIIdeal):
         raise UnsupportedIdealClassError("ci_colon needs a CIIdeal")
-    e = _validate_q(ideal.ring, q)
+    e = frobenius_exponent(ideal.ring, q)
     f = ideal.product()
     return [f ** (q - 1)] + [frobenius_power(g, e) for g in ideal.gens]
 

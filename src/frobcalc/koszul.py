@@ -335,6 +335,8 @@ def strand_check(ell, j, steps=6, char=2):
     """
     if ell < 2 or not (1 <= j <= ell - 1):
         raise ValueError("need ell >= 2 and 1 <= j <= ell-1")
+    if steps < 0:
+        raise ValueError("need steps >= 0")
     p = char
     b1 = j + 1
     b2 = j

@@ -14,6 +14,7 @@ exponent is smaller is the larger one.
 from __future__ import annotations
 
 import math
+import operator
 import re
 
 from .errors import (
@@ -419,6 +420,36 @@ def frobenius_power(f, e):
         return f
     q = f.ring.p**e
     return Polynomial(f.ring, {mono_pow(m, q): c for m, c in f.terms.items()})
+
+
+def truncated_lucas_power(f, e):
+    """f^(q-1) mod m^[q], q = p^e: the terms of f^(q-1), with their
+    coefficients, whose exponents are all below q.
+
+    Since q-1 = (p-1)(1 + p + ... + p^(e-1)), f^(q-1) is the product of
+    the Frobenius powers (f^(p-1))^[p^i] for i < e.  The factors are
+    multiplied in that order and a product term with an exponent >= q is
+    dropped as soon as it is formed: exponents only grow, so no later
+    factor can bring it back, and every term kept gets its full
+    coefficient.  After k factors the product is f^(p^k - 1) mod m^[q].
+    """
+    if e < 0:
+        raise ValueError("e must be nonnegative")
+    ring = f.ring
+    p = ring.p
+    q = p**e
+    base = f ** (p - 1)
+    terms = {ring.unit_monomial(): 1}
+    for i in range(e):
+        factor = [(m, c) for m, c in frobenius_power(base, i).terms.items() if max(m) < q]
+        product = {}
+        for m1, c1 in terms.items():
+            for m2, c2 in factor:
+                m = tuple(map(operator.add, m1, m2))
+                if max(m) < q:
+                    product[m] = (product.get(m, 0) + c1 * c2) % p
+        terms = {m: c for m, c in product.items() if c}
+    return Polynomial(ring, terms)
 
 
 # ---------------------------------------------------------------------------

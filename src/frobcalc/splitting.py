@@ -11,6 +11,12 @@ the products sigma*gamma over terms gamma of c are pairwise distinct
 monomials (multiplication by a monomial is injective on monomials), so no
 cancellation can occur and sigma alone already escapes.
 
+For a complete intersection the colon is (f^(q-1)) + I^[q], f the product
+of the generators.  The generators of I^[q] lie in m^[q], and so do the
+terms of f^(q-1) with an exponent >= q, so the tests use the single
+generator f^(q-1) mod m^[q]; a Lucas-style product of Frobenius powers
+forms it without expanding f^(q-1) (`polyring.truncated_lucas_power`).
+
 Slack criterion: call a term t of a colon generator live when every
 exponent of t is below q.  A monomial s escapes with c exactly when
 s <= (q-1) - t componentwise for some live term t of c, so R(-j) is a
@@ -38,7 +44,7 @@ from .ideals import (
     CIIdeal,
     MonomialIdeal,
     bracket_power,
-    ci_colon,
+    frobenius_exponent,
     in_bracket_max,
     monomial_colon,
 )
@@ -51,6 +57,7 @@ from .polyring import (
     mono_mul,
     mono_sorted,
     mono_str,
+    truncated_lucas_power,
 )
 
 DEFAULT_MAX_Q = 2**16
@@ -62,8 +69,10 @@ class SplitCertificate:
 
     For a true verdict, `witness_monomial` (s) times `colon_generator`
     escapes m^[q] through `witness_term`, a product term with every
-    exponent < q.  For a false verdict, the ruled-out search space is
-    recorded (`search_degree`, `search_count`).
+    exponent < q.  For a complete intersection `colon_generator` is
+    f^(q-1) mod m^[q]: the terms of f^(q-1) inside m^[q] are left out, as
+    no multiple of them can escape.  For a false verdict, the ruled-out
+    search space is recorded (`search_degree`, `search_count`).
     """
 
     verdict: bool
@@ -129,18 +138,30 @@ class SplitCertificate:
 
 def colon_generators(ideal, q, max_monomials=DEFAULT_MAX_MONOMIALS):
     """Generators of (I^[q] : I) for the supported ideal classes, in a
-    deterministic order, as polynomials.  For a complete intersection the
-    guard bounds the terms f^(q-1) can have before it is expanded."""
+    deterministic order, as polynomials, up to terms inside m^[q].
+
+    For a monomial ideal these are the exact colon generators.  For a
+    complete intersection the only generator returned is f^(q-1) mod m^[q]
+    (`truncated_lucas_power`): the generators f_i^q of I^[q] and the terms
+    of f^(q-1) inside m^[q] have no live term, so no test reads them.  The
+    guard bounds the terms of the largest product formed on the way, before
+    any is formed; `ideals.ci_colon` gives the exact colon."""
     if isinstance(ideal, MonomialIdeal):
         colon = monomial_colon(bracket_power(ideal, q), ideal)
         return [Polynomial.monomial(ideal.ring, g) for g in colon.gens]
     if isinstance(ideal, CIIdeal):
-        size = bounded_count(ideal.ring.nvars, ideal.degree() * (q - 1))
+        ring = ideal.ring
+        e = frobenius_exponent(ring, q)
+        deg = ideal.degree()
+        size = max(
+            bounded_count(ring.nvars, deg * (ring.p - 1)),
+            *(bounded_count(ring.nvars, deg * (ring.p**k - 1), q - 1) for k in range(e + 1)),
+        )
         if size > max_monomials:
             raise ResourceGuardError(
-                f"f^(q-1) may have {size} terms, over the guard {max_monomials}"
+                f"f^(q-1) mod m^[q] may need {size} terms, over the guard {max_monomials}"
             )
-        return ci_colon(ideal, q)
+        return [truncated_lucas_power(ideal.product(), e)]
     raise UnsupportedIdealClassError(f"unsupported ideal class {type(ideal).__name__}")
 
 

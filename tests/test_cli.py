@@ -177,6 +177,13 @@ class TestExitCodes:
                 "-e", "4", "--max-monomials", "100"]
         assert run(argv) == EXIT_GUARD
 
+    def test_fsplit_p7_e4_fits_the_default_guard(self, capsys):
+        # f^2400 of the Fermat cubic is built only below m^[2401]
+        argv = ["fsplit", "--char", "7", "--vars", "x,y,z", "--ideal", "x^3+y^3+z^3", "-e", "4"]
+        certificate = run_json(capsys, argv)["result"]["certificate"]
+        assert certificate["verdict"] is True
+        assert certificate["witness"]["surviving_term"] == "x^2400*y^2400*z^2400"
+
     @pytest.mark.parametrize(
         "argv",
         [
@@ -188,6 +195,7 @@ class TestExitCodes:
             ["decompose", "-e", "-1"] + TWELVE,
             ["twists", "--jmax", "-1"] + QUADRIC,
             ["flevel", "--char", "2", "--vars", "x,y", "--ideal", "x*y", "--emax", "0"],
+            ["strand", "--ell", "3", "--j", "1", "--steps", "-2"],
         ],
     )
     def test_out_of_range_numbers_are_usage_errors(self, capsys, argv):

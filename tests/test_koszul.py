@@ -232,3 +232,7 @@ class TestStrandExactness:
             strand_check(3, 0)
         with pytest.raises(ValueError):
             strand_check(3, 3)
+
+    def test_rejects_negative_steps(self):
+        with pytest.raises(ValueError):
+            strand_check(3, 1, steps=-2)

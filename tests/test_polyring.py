@@ -16,6 +16,7 @@ from frobcalc.polyring import (
     mono_sorted,
     monomials_of_degree,
     parse_polynomial,
+    truncated_lucas_power,
 )
 
 
@@ -153,6 +154,37 @@ class TestFrobenius:
         ring = PolyRing(p, ["x", "y"])
         f = data.draw(small_polys(ring))
         assert frobenius_power(f, e) == naive_power(f, p**e)
+
+
+def homogeneous_polys(ring, degree, max_terms=3):
+    """Homogeneous polynomials of the given degree; a monomial is drawn as
+    the multiset of its variables."""
+    monos = st.lists(st.integers(0, ring.nvars - 1), min_size=degree, max_size=degree).map(
+        lambda vs: tuple(vs.count(i) for i in range(ring.nvars))
+    )
+    return st.dictionaries(monos, st.integers(1, ring.p - 1), min_size=1, max_size=max_terms).map(
+        lambda terms: Polynomial(ring, terms)
+    )
+
+
+class TestTruncatedLucasPower:
+    @given(data=st.data())
+    @settings(max_examples=40, deadline=None)
+    def test_live_terms_of_full_power(self, data):
+        p = data.draw(st.sampled_from([2, 3, 5, 7]))
+        e = data.draw(st.integers(0, max(k for k in range(6) if p**k <= 49)))
+        ring = PolyRing(p, [f"x{i}" for i in range(data.draw(st.integers(1, 4)))])
+        f = data.draw(homogeneous_polys(ring, data.draw(st.integers(1, 3))))
+        q = p**e
+        live = {m: c for m, c in (f ** (q - 1)).terms.items() if max(m) < q}
+        assert truncated_lucas_power(f, e).terms == live
+
+    def test_fermat_cubic_keeps_only_the_corner(self, ring5xyz):
+        # at p = 5 the corner coefficient of f^624 vanishes by Lucas' theorem
+        assert truncated_lucas_power(poly(ring5xyz, "x^3 + y^3 + z^3"), 4).is_zero()
+        ring = PolyRing(7, ["x", "y", "z"])
+        g = truncated_lucas_power(poly(ring, "x^3 + y^3 + z^3"), 4)
+        assert list(g.terms) == [(2400, 2400, 2400)]
 
 
 class TestCommutativityAssociativity:

@@ -276,6 +276,23 @@ class TestCertificates:
         cert = SplitCertificate(verdict=False, q=3, e=1, j=0, search_degree=0, search_count=1)
         assert not cert.verify(I)
 
+    @pytest.mark.parametrize("build", ["witness", "twists"])
+    def test_truncated_colon_generator_verifies(self, build):
+        ring = PolyRing(7, ["x", "y", "z"])
+        cubic = ci(ring, "x^3 + y^3 + z^3")
+        if build == "witness":
+            certs = [cert for _j, _s, cert in witness_from_proof(cubic, 2).factors]
+        else:
+            certs = list(twist_spectrum(cubic, 2).entries.values())
+        full = parse_polynomial(ring, "x^3 + y^3 + z^3") ** 48
+        positive = [cert for cert in certs if cert.verdict]
+        assert positive
+        for cert in positive:
+            generator = cert.colon_generator
+            assert generator.terms == {m: c for m, c in full.terms.items() if max(m) < 49}
+            assert generator != full
+            assert cert.verify(cubic)
+
     def test_negative_socle_certificate_for_split_ring_fails(self, ring2):
         I = mi(ring2, (2, 0), (1, 1), (0, 2))
         cert = SplitCertificate(
@@ -286,10 +303,18 @@ class TestCertificates:
 
 class TestColonGuard:
     def test_power_guard_before_expansion(self):
-        # f^624 of the Fermat cubic has up to C(1874, 2) terms
+        # the products that build f^624 mod m^[625] for the Fermat cubic may
+        # have up to C(374, 2) = 69751 terms (that of f^124)
         ring = PolyRing(5, ["x", "y", "z"])
         with pytest.raises(ResourceGuardError):
             colon_generators(ci(ring, "x^3 + y^3 + z^3"), 625, max_monomials=100)
+
+    def test_guard_sized_by_largest_product(self):
+        ring = PolyRing(5, ["x", "y", "z"])
+        cubic = ci(ring, "x^3 + y^3 + z^3")
+        assert colon_generators(cubic, 625, max_monomials=69751)[0].is_zero()
+        with pytest.raises(ResourceGuardError):
+            colon_generators(cubic, 625, max_monomials=69750)
 
 
 def scan_oracle(ideal, j, e):
