@@ -7,13 +7,13 @@ each a shifted copy of R/(x^2, xy, y^2).  Note the dimension count: four
 """
 
 from frobcalc import (
+    FrobeniusModule,
     MonomialIdeal,
     PolyRing,
     cyclic_decompose,
     f_level_bounds,
     is_f_split,
     k_summand_test,
-    pushforward_module,
     semisimple_pushforward_exponent,
 )
 from frobcalc.polyring import mono_str
@@ -26,7 +26,7 @@ print(f"residue field splits off F_*R: {k_summand_test(I, 1).verdict}")
 print(f"R splits off F_*R:            {is_f_split(I, 1).verdict}")
 
 print()
-module = pushforward_module(I, 1)
+module = FrobeniusModule(I, 1)
 dec = cyclic_decompose(module)
 print(f"greedy cyclic decomposition: {len(dec.pieces)} pieces, direct = {dec.direct}")
 for piece in dec.pieces:
@@ -44,5 +44,5 @@ print(f"level bounds: lower {report.lower}, upper {report.upper} (Loewy length)"
 print()
 ss = semisimple_pushforward_exponent(I)
 print(f"m^[2^e] lands in I at e = {ss.exponent}; after that every cyclic piece is a line:")
-dec2 = cyclic_decompose(pushforward_module(I, ss.exponent))
+dec2 = cyclic_decompose(FrobeniusModule(I, ss.exponent))
 print(f"  e = {ss.exponent}: piece dimensions {sorted(len(p.basis) for p in dec2.pieces)}")

@@ -64,7 +64,6 @@ from .pushforward import (
     ci_filtration_check,
     cyclic_decompose,
     pn_pushforward,
-    pushforward_module,
     strand_module,
     veronese_decompose,
 )

@@ -34,13 +34,13 @@ from .koszul import (
     strand_check,
 )
 from .levels import f_level_bounds, generation_exponent
-from .polyring import PolyRing, is_prime, parse_polynomial
+from .polyring import PolyRing, is_prime, mono_str, parse_polynomial
 from .pushforward import (
+    FrobeniusModule,
     alpha,
     ci_filtration_check,
     cyclic_decompose,
     pn_pushforward,
-    pushforward_module,
     veronese_decompose,
 )
 from .splitting import graded_summand_test, is_f_split, twist_spectrum, witness_from_proof
@@ -265,8 +265,6 @@ def _dispatch(args):
         if isinstance(ideal, CIIdeal):
             shown = [str(g) for g in ideal.gens]
         else:
-            from .polyring import mono_str
-
             shown = [mono_str(ring, g) for g in ideal.gens]
         echo = {
             "char": ring.p,
@@ -293,7 +291,7 @@ def _dispatch(args):
             value = generation_exponent(_need_monomial(ideal), args.degree_bound, **guard)
             return echo, {"generation_exponent": value}, warnings
         if name == "decompose":
-            module = pushforward_module(_need_monomial(ideal), args.e, **guard)
+            module = FrobeniusModule(_need_monomial(ideal), args.e, **guard)
             decomposition = cyclic_decompose(module)
             return echo | {"e": args.e}, decomposition.payload(ring), warnings
         if name == "filtration":
@@ -319,8 +317,6 @@ def _dispatch(args):
             echo = {"formula_nvars": d, "formula_power": j}
             return echo, {"betti": row, "generator_degrees": degrees}, []
         ring, ideal, warnings = _parse_ideal_args(args)
-        from .polyring import mono_str
-
         table = brute_betti(_need_monomial(ideal), args.degree_bound, **guard)
         echo = {
             "char": ring.p,

@@ -38,6 +38,18 @@ from .polyring import (
 )
 
 
+def pairwise_disjoint_supports(monos):
+    """True when no variable occurs in two of the monomials: for monomials,
+    the regular-sequence condition."""
+    seen = set()
+    for m in monos:
+        support = {i for i, e in enumerate(m) if e}
+        if support & seen:
+            return False
+        seen |= support
+    return True
+
+
 def _minimalize(monos):
     """Drop every monomial divisible by another; canonical descending order."""
     uniq = set(monos)
@@ -204,16 +216,11 @@ class CIIdeal:
         self.ring = ring
         self.gens = gens
         if all(f.is_monomial() for f in gens):
-            supports = [
-                {i for i, e in enumerate(f.single_monomial()) if e} for f in gens
-            ]
-            for a in range(len(supports)):
-                for b in range(a + 1, len(supports)):
-                    if supports[a] & supports[b]:
-                        raise UnsupportedIdealClassError(
-                            "monomial generators with overlapping supports are "
-                            "not a regular sequence"
-                        )
+            if not pairwise_disjoint_supports(f.single_monomial() for f in gens):
+                raise UnsupportedIdealClassError(
+                    "monomial generators with overlapping supports are "
+                    "not a regular sequence"
+                )
             self.regular_sequence_verified = True
         else:
             # semantic hypothesis recorded, not verified
@@ -321,8 +328,7 @@ def pushforward_min_generators(I, e, max_monomials=DEFAULT_MAX_MONOMIALS):
     one-dimensional vector space."""
     ring = I.ring
     q = ring.p**e
-    mq = MonomialIdeal(ring, [mono_pow(ring.variable_monomial(i), q) for i in range(ring.nvars)])
-    total = I + mq
+    total = I + max_bracket_ideal(ring, q)
     count = 0
     for d in range((q - 1) * ring.nvars + 1):
         count += total.hilbert_function(d, max_monomials=max_monomials)

@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .errors import NonArtinianError, UnsupportedIdealClassError
-from .ideals import CIIdeal, MonomialIdeal
+from .ideals import CIIdeal, MonomialIdeal, pairwise_disjoint_supports
 from .koszul import codepth as koszul_codepth
 from .polyring import DEFAULT_MAX_MONOMIALS, mono_degree
 from .splitting import is_f_split
@@ -24,12 +24,9 @@ DEFAULT_E_MAX = 4
 def _monomial_ci_codimension(I):
     """Number of generators when the monomial ideal is generated by a
     regular sequence (pairwise disjoint supports), else None."""
-    supports = [{i for i, e in enumerate(g) if e} for g in I.gens]
-    for a in range(len(supports)):
-        for b in range(a + 1, len(supports)):
-            if supports[a] & supports[b]:
-                return None
-    return len(I.gens) if I.gens else None
+    if I.gens and pairwise_disjoint_supports(I.gens):
+        return len(I.gens)
+    return None
 
 
 @dataclass

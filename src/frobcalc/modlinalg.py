@@ -11,14 +11,6 @@ from __future__ import annotations
 import numpy as np
 
 
-def as_matrix(rows, ncols):
-    """Build an int64 matrix from an iterable of rows (lists or arrays)."""
-    rows = list(rows)
-    if not rows:
-        return np.zeros((0, ncols), dtype=np.int64)
-    return np.array(rows, dtype=np.int64)
-
-
 def _inv(a, p):
     return pow(int(a), p - 2, p)
 

@@ -16,13 +16,14 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import NonArtinianError, VerificationError
-from .ideals import MonomialIdeal
+from .ideals import MonomialIdeal, pairwise_disjoint_supports
 from .polyring import (
     DEFAULT_MAX_MONOMIALS,
     PolyRing,
     bounded_count,
     drl_key,
     mono_degree,
+    mono_divides,
     mono_mul,
     mono_pow,
     mono_str,
@@ -104,11 +105,6 @@ class FrobeniusModule:
         return sorted(seen)
 
 
-def pushforward_module(I, e, max_monomials=DEFAULT_MAX_MONOMIALS):
-    """Tabulate the e-th Frobenius pushforward of S/I (artinian monomial)."""
-    return FrobeniusModule(I, e, max_monomials=max_monomials)
-
-
 @dataclass
 class CyclicPiece:
     generator: tuple
@@ -183,20 +179,12 @@ def _annihilator_of_generator(module, u):
         new = [
             w
             for w in layer
-            if annihilates(w) and not any(_divides(g, w) for g in gens)
+            if annihilates(w) and not any(mono_divides(g, w) for g in gens)
         ]
         gens.extend(new)
         if all(annihilates(w) for w in layer):
-            remaining_covered = all(
-                any(_divides(g, w) for g in gens) for w in layer
-            )
-            if remaining_covered:
-                break
+            break
     return MonomialIdeal(ring, gens)
-
-
-def _divides(a, b):
-    return all(x <= y for x, y in zip(a, b))
 
 
 def cyclic_decompose(module):
@@ -383,8 +371,10 @@ class ConicDecomposition:
     residues mod q and then by degree residue mod ell; each piece is a
     genuine submodule isomorphic to a G_j.  The Hilbert-series identity
     sum_j mult(j) * HS(G_j) = HS(F^e_* R) is verified degreewise through
-    the stated bound (shifts accounted), and the ambiguity of a pure
-    Hilbert-series solve is reported in `hs_solve_unique`."""
+    the stated bound (shifts accounted); a failure raises, so a
+    decomposition that exists is verified.  The ambiguity of a pure
+    Hilbert-series solve is reported in `hs_solve_unique`, each group's
+    alternatives counted as a Gaussian binomial coefficient."""
 
     ell: int
     p: int
@@ -392,9 +382,7 @@ class ConicDecomposition:
     q: int
     multiplicities: dict  # j -> count
     pieces: list  # (u, v, j, start S-degree)
-    hs_verified: bool
     hs_bound: int  # S-degree bound of the verification
-    hs_residual: list | None
     hs_solve_unique: bool
     ambiguity_notes: list
     has_free_summand: bool
@@ -410,9 +398,9 @@ class ConicDecomposition:
                 {"residues": [u, v], "class": j, "start_degree": start}
                 for u, v, j, start in self.pieces
             ],
-            "hilbert_series_verified": self.hs_verified,
+            "hilbert_series_verified": True,
             "hilbert_series_bound": self.hs_bound,
-            "hilbert_series_residual": self.hs_residual,
+            "hilbert_series_residual": None,
             "hilbert_solve_unique": self.hs_solve_unique,
             "ambiguity_notes": self.ambiguity_notes,
             "has_free_summand": self.has_free_summand,
@@ -428,7 +416,12 @@ def veronese_decompose(ell, p, e, degree_bound=12):
     map x^a y^b -> x^alpha y^beta identifies the subspace with fixed
     alpha+beta mod ell with the strand module G_j, compatibly with the
     twisted action.  Each admissible triple (u, v, j) contributes one
-    summand."""
+    summand.
+
+    Pieces with the same start degree that share a class count and a
+    total weight have the same Hilbert function; the number of class
+    multisets with that profile is a Gaussian binomial coefficient
+    (`_class_multiset_count`)."""
     if ell < 1 or e < 1:
         raise ValueError("need ell >= 1 and e >= 1")
     q = p**e
@@ -459,8 +452,7 @@ def veronese_decompose(ell, p, e, degree_bound=12):
         actual = deg + 1 if deg % ell == 0 else 0
         if recon[deg] != actual:
             residual.append({"degree": deg, "reconstructed": recon[deg], "actual": actual})
-    verified = not residual
-    if not verified:
+    if residual:
         raise VerificationError(
             f"Hilbert-series matching failed at {len(residual)} degrees; "
             f"first residuals: {residual[:3]}"
@@ -477,11 +469,11 @@ def veronese_decompose(ell, p, e, degree_bound=12):
     for start, js in sorted(groups.items()):
         count = len(js)
         total = sum(j + 1 for j in js)
-        alternatives = _class_multisets(count, total, ell)
-        if len(alternatives) > 1:
+        alternatives = _class_multiset_count(count, total, ell)
+        if alternatives > 1:
             unique = False
             notes.append(
-                f"start degree {start}: {len(alternatives)} class multisets share "
+                f"start degree {start}: {alternatives} class multisets share "
                 f"the Hilbert profile (count {count}, weight {total})"
             )
     return ConicDecomposition(
@@ -491,35 +483,30 @@ def veronese_decompose(ell, p, e, degree_bound=12):
         q=q,
         multiplicities=mult,
         pieces=pieces,
-        hs_verified=verified,
         hs_bound=bound,
-        hs_residual=None,
         hs_solve_unique=unique,
         ambiguity_notes=notes,
         has_free_summand=mult.get(0, 0) >= 1,
     )
 
 
-def _class_multisets(count, total, ell):
-    """Multisets of `count` classes in 0..ell-1 whose (j+1)-weights sum to
-    `total`; used only to probe Hilbert-solve uniqueness."""
-    out = []
-
-    def rec(remaining, minimum, acc, budget):
-        if remaining == 0:
-            if budget == 0:
-                out.append(tuple(acc))
-            return
-        for j in range(minimum, ell):
-            w = j + 1
-            if w > budget - (remaining - 1):
-                break
-            acc.append(j)
-            rec(remaining - 1, j, acc, budget - w)
-            acc.pop()
-
-    rec(count, 0, [], total)
-    return out
+def _class_multiset_count(count, total, ell):
+    """Number of multisets of `count` classes in 0..ell-1 whose
+    (j+1)-weights sum to `total`: the partitions of total-count that fit in
+    a count x (ell-1) box, i.e. the coefficient of x^(total-count) in the
+    Gaussian binomial [count+ell-1 choose ell-1]_x.  That polynomial is
+    the product over i = 1..ell-1 of (1 - x^(count+i)) / (1 - x^i), formed
+    here as a power series truncated at degree total-count."""
+    top = total - count
+    if top < 0:
+        return 0
+    coeffs = [1] + [0] * top
+    for i in range(1, ell):
+        for d in range(top, count + i - 1, -1):  # times 1 - x^(count+i)
+            coeffs[d] -= coeffs[d - count - i]
+        for d in range(i, top + 1):  # divided by 1 - x^i
+            coeffs[d] += coeffs[d - i]
+    return coeffs[top]
 
 
 # ---------------------------------------------------------------------------
@@ -577,19 +564,20 @@ class FiltrationReport:
 
 def ci_filtration_check(ring, f_monos, degree_bound=None, max_monomials=DEFAULT_MAX_MONOMIALS):
     """Verify the p^c-step filtration of R' = S/(f^p) with pushforward-sized
-    subquotients, for a monomial regular sequence f_1..f_c inside m^2."""
+    subquotients, for a monomial regular sequence f_1..f_c inside m^2.
+
+    Step t's subquotient is spanned by the standard monomials of R' whose
+    last dividing chain generator is the t-th, so all step dims come from
+    one histogram pass over the staircase."""
     p = ring.p
     f_monos = [tuple(m) for m in f_monos]
     c = len(f_monos)
     if c == 0 or c > ring.nvars:
         raise ValueError("need 1 <= c <= #variables monomials")
-    supports = [{i for i, e in enumerate(m) if e} for m in f_monos]
-    for a in range(c):
-        if mono_degree(f_monos[a]) < 2:
-            raise ValueError("each f_i must lie in m^2 (degree >= 2)")
-        for b in range(a + 1, c):
-            if supports[a] & supports[b]:
-                raise ValueError("supports must be pairwise disjoint (regular sequence)")
+    if any(mono_degree(m) < 2 for m in f_monos):
+        raise ValueError("each f_i must lie in m^2 (degree >= 2)")
+    if not pairwise_disjoint_supports(f_monos):
+        raise ValueError("supports must be pairwise disjoint (regular sequence)")
 
     big = MonomialIdeal(ring, [mono_pow(m, p) for m in f_monos])  # (f_i^p)
     small = MonomialIdeal(ring, f_monos)  # (f_1..f_c)
@@ -604,40 +592,28 @@ def ci_filtration_check(ring, f_monos, degree_bound=None, max_monomials=DEFAULT_
         complete = big.is_artinian() and degree_bound >= big.loewy_length(max_monomials=max_monomials) - 1
 
     exponent_tuples = _lex_tuples(c, p)
-    # basis counts of the submodule generated by the tail of the chain
-    def tail_dims(start):
-        gens = []
-        for a in exponent_tuples[start:]:
-            g = ring.unit_monomial()
-            for m, k in zip(f_monos, a):
-                g = mono_mul(g, mono_pow(m, k))
-            gens.append(g)
-        dims = []
-        for d in range(degree_bound + 1):
-            count = 0
-            for w in big.standard_monomials(d, max_monomials=max_monomials):
-                if any(_divides(g, w) for g in gens):
-                    count += 1
-            dims.append(count)
-        return dims
-
-    layer_dims = [tail_dims(t) for t in range(len(exponent_tuples))]
-    layer_dims.append([0] * (degree_bound + 1))
-
-    steps = []
-    all_match = True
-    for t, a in enumerate(exponent_tuples):
+    chain = []
+    for a in exponent_tuples:
         g = ring.unit_monomial()
         for m, k in zip(f_monos, a):
             g = mono_mul(g, mono_pow(m, k))
+        chain.append(g)
+    # w lies in the tail submodule generated by chain[t:] exactly when its
+    # last dividing generator has index >= t; chain[0] = 1 divides every w
+    step_dims = [[0] * (degree_bound + 1) for _ in chain]
+    for d in range(degree_bound + 1):
+        for w in big.standard_monomials(d, max_monomials=max_monomials):
+            t = next(t for t in reversed(range(len(chain))) if mono_divides(chain[t], w))
+            step_dims[t][d] += 1
+
+    small_hf = [
+        small.hilbert_function(d, max_monomials=max_monomials) for d in range(degree_bound + 1)
+    ]
+    steps = []
+    all_match = True
+    for a, g, dims in zip(exponent_tuples, chain, step_dims):
         shift = mono_degree(g)
-        dims = [x - y for x, y in zip(layer_dims[t], layer_dims[t + 1])]
-        expected = [
-            small.hilbert_function(d - shift, max_monomials=max_monomials)
-            if d - shift >= 0
-            else 0
-            for d in range(degree_bound + 1)
-        ]
+        expected = [small_hf[d - shift] if d >= shift else 0 for d in range(degree_bound + 1)]
         ok = dims == expected
         all_match = all_match and ok
         steps.append(

@@ -10,6 +10,7 @@ from conftest import corpus_ideals
 
 from frobcalc import (
     CIIdeal,
+    FrobeniusModule,
     MonomialIdeal,
     PolyRing,
     alpha,
@@ -26,7 +27,6 @@ from frobcalc import (
     parse_polynomial,
     pn_pushforward,
     pushforward_min_generators,
-    pushforward_module,
     strand_check,
     twist_spectrum,
     veronese_decompose,
@@ -170,7 +170,7 @@ def test_criterion_06_twelve_dimensional_example():
         assert I.loewy_length() == 5
         assert not k_summand_test(I, 1).verdict
         assert not is_f_split(I, 1).verdict
-        dec = cyclic_decompose(pushforward_module(I, 1))
+        dec = cyclic_decompose(FrobeniusModule(I, 1))
         assert dec.direct
         reference = mi(ring, (2, 0), (1, 1), (0, 2))
         for piece in dec.pieces:
@@ -202,7 +202,7 @@ def test_criterion_07_veronese():
         for ell in (2, 3):
             for p in (2, 3):
                 dec = veronese_decompose(ell, p, 1)
-                assert dec.hs_verified
+                assert dec.payload()["hilbert_series_verified"] is True
                 assert dec.hs_bound >= 12 * ell * p  # through degree 12 and beyond
                 assert dec.multiplicities.get(0, 0) >= 1
                 assert any(j != 0 and m >= 1 for j, m in dec.multiplicities.items())
@@ -269,3 +269,15 @@ def test_criterion_10_cli_determinism(capsys):
                     payload.pop("timing_seconds")
                     outputs.add(json.dumps(payload, indent=2))
             assert len(outputs) == 1, f"nondeterministic output for {argv}"
+
+
+def test_criterion_11_reference_cases():
+    # the two slow reference cases listed in bench/README.md
+    with budget("11 reference-cases", 5.0):
+        dec = veronese_decompose(5, 7, 2)
+        assert sum(dec.multiplicities.values()) == 49**2
+        assert len(dec.ambiguity_notes) == 39
+        ring = PolyRing(5, ["x", "y", "z"])
+        report = ci_filtration_check(ring, [(2, 0, 0), (0, 2, 0), (0, 0, 2)])
+        assert report.all_match and report.complete
+        assert len(report.steps) == 5**3

@@ -4,6 +4,7 @@ from conftest import corpus_ideals
 
 from frobcalc import (
     CIIdeal,
+    FrobeniusModule,
     MonomialIdeal,
     NonArtinianError,
     PolyRing,
@@ -13,7 +14,6 @@ from frobcalc import (
     generation_exponent,
     is_f_split,
     parse_polynomial,
-    pushforward_module,
     semisimple_pushforward_exponent,
 )
 
@@ -146,9 +146,9 @@ class TestSemisimpleExponent:
     def test_pushforward_becomes_semisimple(self, ring2):
         I = mi(ring2, (4, 0), (2, 2), (0, 4))
         e0 = semisimple_pushforward_exponent(I).exponent
-        dec = cyclic_decompose(pushforward_module(I, e0))
+        dec = cyclic_decompose(FrobeniusModule(I, e0))
         assert all(len(p.basis) == 1 for p in dec.pieces)
-        below = cyclic_decompose(pushforward_module(I, e0 - 1))
+        below = cyclic_decompose(FrobeniusModule(I, e0 - 1))
         assert any(len(p.basis) > 1 for p in below.pieces)
 
     def test_requires_artinian(self, ring2):

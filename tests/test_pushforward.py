@@ -1,8 +1,11 @@
+import itertools
+from collections import Counter
 from fractions import Fraction
 
 import pytest
 
 from frobcalc import (
+    FrobeniusModule,
     MonomialIdeal,
     NonArtinianError,
     PolyRing,
@@ -11,10 +14,11 @@ from frobcalc import (
     ci_filtration_check,
     cyclic_decompose,
     pn_pushforward,
-    pushforward_module,
     strand_module,
     veronese_decompose,
 )
+from frobcalc.polyring import mono_degree, monomials_of_degree
+from frobcalc.pushforward import _class_multiset_count
 
 
 def mi(ring, *gens):
@@ -24,14 +28,14 @@ def mi(ring, *gens):
 class TestPushforwardModule:
     def test_one_variable_square(self):
         ring = PolyRing(2, ["x"])
-        M = pushforward_module(MonomialIdeal(ring, [(2,)]), 1)
+        M = FrobeniusModule(MonomialIdeal(ring, [(2,)]), 1)
         assert M.basis == ((0,), (1,))
         # x acts by multiplication with x^2, which dies in R
         assert M.act_variable(0, 0) == -1
         assert M.act_variable(0, 1) == -1
 
     def test_twelve_dimensional_action(self, ring2):
-        M = pushforward_module(mi(ring2, (4, 0), (2, 2), (0, 4)), 1)
+        M = FrobeniusModule(mi(ring2, (4, 0), (2, 2), (0, 4)), 1)
         assert M.dimension() == 12
         i_x = M.index[(1, 0)]
         assert M.basis[M.act_variable(0, i_x)] == (3, 0)  # x . x = x^3
@@ -40,17 +44,17 @@ class TestPushforwardModule:
         for gens in [[(2, 0), (1, 1), (0, 2)], [(4, 0), (2, 2), (0, 4)], [(3, 0), (0, 2)]]:
             I = mi(ring2, *gens)
             for e in (1, 2):
-                assert pushforward_module(I, e).dimension() == I.total_dimension()
+                assert FrobeniusModule(I, e).dimension() == I.total_dimension()
 
     def test_fractional_degrees(self, ring2):
-        M = pushforward_module(mi(ring2, (4, 0), (2, 2), (0, 4)), 1)
+        M = FrobeniusModule(mi(ring2, (4, 0), (2, 2), (0, 4)), 1)
         degs = {M.degree_of(i) for i in range(M.dimension())}
         assert Fraction(1, 2) in degs
         assert max(degs) == Fraction(4, 2)
 
     def test_action_is_multiplicative(self, ring2):
         # (w w') . u = w . (w' . u) on sampled monomials
-        M = pushforward_module(mi(ring2, (4, 0), (2, 2), (0, 4)), 1)
+        M = FrobeniusModule(mi(ring2, (4, 0), (2, 2), (0, 4)), 1)
         samples = [(1, 0), (0, 1), (1, 1), (2, 0)]
         for w1 in samples:
             for w2 in samples:
@@ -62,13 +66,13 @@ class TestPushforwardModule:
 
     def test_requires_artinian(self, ring2):
         with pytest.raises(NonArtinianError):
-            pushforward_module(mi(ring2, (1, 1)), 1)
+            FrobeniusModule(mi(ring2, (1, 1)), 1)
 
 
 class TestCyclicDecompose:
     def test_twelve_dimensional_example(self, ring2):
         I = mi(ring2, (4, 0), (2, 2), (0, 4))
-        dec = cyclic_decompose(pushforward_module(I, 1))
+        dec = cyclic_decompose(FrobeniusModule(I, 1))
         assert dec.direct
         assert len(dec.pieces) == 4
         assert {p.generator for p in dec.pieces} == {(0, 0), (1, 0), (0, 1), (1, 1)}
@@ -84,19 +88,19 @@ class TestCyclicDecompose:
 
     def test_semisimple_case_gives_lines(self, ring2):
         I = mi(ring2, (2, 0), (1, 1), (0, 2))
-        dec = cyclic_decompose(pushforward_module(I, 1))
+        dec = cyclic_decompose(FrobeniusModule(I, 1))
         assert dec.direct
         assert sorted(len(p.basis) for p in dec.pieces) == [1, 1, 1]
 
     def test_piece_dimensions_sum(self, ring2):
         for gens in [[(3, 0), (0, 3)], [(4, 0), (2, 2), (0, 4)], [(2, 0), (1, 1), (0, 2)]]:
             I = mi(ring2, *gens)
-            dec = cyclic_decompose(pushforward_module(I, 1))
+            dec = cyclic_decompose(FrobeniusModule(I, 1))
             assert sum(len(p.basis) for p in dec.pieces) == I.total_dimension()
 
     def test_pieces_closed_under_action(self, ring2):
         I = mi(ring2, (4, 0), (2, 2), (0, 4))
-        M = pushforward_module(I, 1)
+        M = FrobeniusModule(I, 1)
         dec = cyclic_decompose(M)
         for piece in dec.pieces:
             members = set(piece.basis)
@@ -188,13 +192,13 @@ class TestVeroneseDecompose:
         for p, e in [(2, 1), (3, 1), (2, 2)]:
             dec = veronese_decompose(1, p, e)
             assert dec.multiplicities == {0: p ** (2 * e)}
-            assert dec.hs_verified
+            assert dec.payload()["hilbert_series_verified"] is True
 
     @pytest.mark.parametrize("ell", [2, 3])
     @pytest.mark.parametrize("p", [2, 3])
     def test_hilbert_series_identity(self, ell, p):
         dec = veronese_decompose(ell, p, 1)
-        assert dec.hs_verified
+        assert dec.payload()["hilbert_series_verified"] is True
         assert dec.hs_bound >= 12 * ell * p
 
     @pytest.mark.parametrize("ell", [2, 3, 4])
@@ -221,6 +225,16 @@ class TestVeroneseDecompose:
         assert dec.multiplicities == {0: 1, 1: 2, 2: 1}
         assert not dec.hs_solve_unique
         assert dec.ambiguity_notes
+
+    @pytest.mark.parametrize("ell", range(1, 7))
+    def test_multiset_count_matches_enumeration(self, ell):
+        for count in range(9):
+            weights = Counter(
+                sum(j + 1 for j in classes)
+                for classes in itertools.combinations_with_replacement(range(ell), count)
+            )
+            for total in range(count * ell + 2):
+                assert _class_multiset_count(count, total, ell) == weights[total], (count, total)
 
 
 class TestFiltration:
@@ -276,3 +290,40 @@ class TestFiltration:
         report = ci_filtration_check(ring, [(2, 0), (0, 2)])
         shifts = [s.shift for s in report.steps]
         assert shifts == [0, 2, 2, 4]
+
+    @pytest.mark.parametrize(
+        "p,gens,degree_bound",
+        [
+            (3, [(2, 0, 0), (0, 2, 0), (0, 0, 2)], None),  # artinian
+            (2, [(2, 0, 0, 0), (0, 2, 0, 0), (0, 0, 1, 1)], None),  # not artinian
+            (3, [(2, 0, 0), (0, 3, 0)], 6),  # explicit bound
+        ],
+    )
+    def test_step_dims_match_tail_counts(self, p, gens, degree_bound):
+        # reference: count each tail submodule (f^a for a from step t on)
+        # directly, and take differences of consecutive tails
+        ring = PolyRing(p, [f"x{i}" for i in range(len(gens[0]))])
+        report = ci_filtration_check(ring, gens, degree_bound=degree_bound)
+        chain = []
+        for a in itertools.product(range(p), repeat=len(gens)):
+            chain.append(tuple(sum(k * m[i] for k, m in zip(a, gens)) for i in range(ring.nvars)))
+        assert [s.generator for s in report.steps] == chain
+
+        def divides(g, w):
+            return all(x <= y for x, y in zip(g, w))
+
+        staircase = [
+            w
+            for d in range(report.degree_bound + 1)
+            for w in monomials_of_degree(ring, d)
+            if not any(divides(tuple(p * x for x in m), w) for m in gens)
+        ]
+        tails = [
+            [
+                sum(1 for w in staircase if mono_degree(w) == d and any(divides(g, w) for g in chain[t:]))
+                for d in range(report.degree_bound + 1)
+            ]
+            for t in range(len(chain) + 1)
+        ]
+        for t, step in enumerate(report.steps):
+            assert step.dims == [x - y for x, y in zip(tails[t], tails[t + 1])]
