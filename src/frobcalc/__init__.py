@@ -36,7 +36,6 @@ from .koszul import (
     brute_betti,
     codepth,
     depth_from_codepth,
-    koszul_differential,
     koszul_homology,
     strand_check,
 )

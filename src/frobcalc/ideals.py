@@ -4,8 +4,9 @@ MonomialIdeal carries a canonical minimal generator list (no generator
 divides another), so ideal equality is generator-list equality.  CIIdeal
 carries homogeneous polynomial generators asserted to form a regular
 sequence; for monomial generators the assertion is checked (pairwise
-disjoint supports are necessary and sufficient), otherwise it is recorded
-as a caller assertion.
+disjoint supports are necessary and sufficient), otherwise linearly
+dependent generators are rejected and the rest is recorded as a caller
+assertion.
 
 Colon ideals are supported exactly where the criteria need them: the
 combinatorial colon for monomial ideals, and the closed formula
@@ -20,6 +21,7 @@ from .errors import (
     RingMismatchError,
     UnsupportedIdealClassError,
 )
+from .modlinalg import Span
 from .polyring import (
     DEFAULT_MAX_MONOMIALS,
     Polynomial,
@@ -154,13 +156,15 @@ class MonomialIdeal:
             return 0
         return len(self.standard_monomials(d, max_monomials=max_monomials))
 
-    def lcm_degree(self):
-        if not self.gens:
-            return 0
-        acc = self.gens[0]
-        for g in self.gens[1:]:
+    def lcm(self):
+        """lcm of the generators; the unit monomial for the zero ideal."""
+        acc = self.ring.unit_monomial()
+        for g in self.gens:
             acc = mono_lcm(acc, g)
-        return mono_degree(acc)
+        return acc
+
+    def lcm_degree(self):
+        return mono_degree(self.lcm())
 
     def is_artinian(self):
         """S/I is artinian iff every variable has a pure-power generator."""
@@ -223,7 +227,13 @@ class CIIdeal:
                 )
             self.regular_sequence_verified = True
         else:
-            # semantic hypothesis recorded, not verified
+            # a regular sequence is linearly independent over F_p; beyond
+            # that the hypothesis is recorded, not verified
+            span = Span(ring.p)
+            if not all(span.add(f.terms) for f in gens):
+                raise UnsupportedIdealClassError(
+                    "generators linearly dependent over F_p are not a regular sequence"
+                )
             self.regular_sequence_verified = False
 
     @property
@@ -239,11 +249,6 @@ class CIIdeal:
         for f in self.gens:
             out = out * f
         return out
-
-    def as_monomial_ideal(self):
-        if not all(f.is_monomial() for f in self.gens):
-            raise UnsupportedIdealClassError("generators are not all monomials")
-        return MonomialIdeal(self.ring, [f.single_monomial() for f in self.gens])
 
     def hilbert_function(self, d):
         """dim_k (S/I)_d via inclusion-exclusion over the regular sequence."""

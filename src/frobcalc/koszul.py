@@ -1,20 +1,26 @@
 """Koszul complexes on the variables over R = S/I and graded invariants.
 
 For a monomial ideal I the Koszul complex K on the images of the variables
-satisfies H_i(K)_d = dim_k Tor_i^S(S/I, k)_d, the graded Betti numbers of
-S/I over S.  Both sides are computed here by independent routes:
+satisfies H_i(K)_b = dim_k Tor_i^S(S/I, k)_b, the multigraded Betti numbers
+of S/I over S.  Both complexes are Z^n-graded, so both sides are computed
+one multidegree b at a time, by independent routes:
 
-* `koszul_homology` builds the differentials of K degreewise and takes
-  kernel-rank minus image-rank over F_p;
-* `brute_betti` computes a minimal graded free resolution of S/I step by
-  step, finding minimal kernel generators by linear algebra on graded
-  pieces.
+* `koszul_homology` splits K into blocks: e_J (x) u has multidegree
+  u + 1_J, and the block at b is spanned by the subsets J of supp b with
+  x^(b - 1_J) outside I.  It is the relative chain complex of the simplex
+  on supp b modulo the upper Koszul simplicial complex K^b(I)
+  (Miller-Sturmfels, Combinatorial Commutative Algebra, ch. 1), with at
+  most 2^n cells, and its homology ranks are cell counts minus ranks over
+  F_p;
+* `brute_betti` computes a minimal multigraded free resolution of S/I
+  step by step, finding minimal kernel generators at each multidegree of
+  the box below the lcm of the generators.
 
 The codepth of R (embedding dimension minus depth) is the top nonvanishing
-homological degree of K.  Monomial ideals have all Betti numbers in
-internal degrees at most deg(lcm of the generators) -- the Taylor complex
-bound -- which makes the truncation below safe; a runtime verification
-band double-checks it anyway.
+homological degree of K.  Monomial ideals have all Betti numbers at
+multidegrees below lcm of the generators -- the Taylor complex bound --
+which makes the truncation below safe; a runtime verification band
+double-checks it anyway, on every multidegree of the two top degrees.
 """
 
 from __future__ import annotations
@@ -25,57 +31,69 @@ from itertools import combinations
 
 import numpy as np
 
-from .errors import UnsupportedIdealClassError, VerificationError
+from .errors import ResourceGuardError, UnsupportedIdealClassError, VerificationError
 from .ideals import MonomialIdeal
-from .modlinalg import RowSpace, nullspace_mod, rank_mod
+from .modlinalg import Span, kernel, rank_mod
 from .polyring import (
     DEFAULT_MAX_MONOMIALS,
     mono_degree,
-    mono_mul,
     monomials_of_degree,
 )
+
+
+def _check_bound(degree_bound):
+    if degree_bound is not None and degree_bound < 0:
+        raise ValueError(f"need degree bound >= 0: got {degree_bound}")
 
 
 # ---------------------------------------------------------------------------
 # Koszul homology
 
-def koszul_basis(I, i, d, std_cache, max_monomials=DEFAULT_MAX_MONOMIALS):
-    """Basis of the internal-degree-d piece of K_i: pairs (J, u) with J an
-    i-subset of the variables and u a standard monomial of degree d - i."""
-    nv = I.ring.nvars
-    if i < 0 or i > nv or d - i < 0:
-        return []
-    if d - i not in std_cache:
-        std_cache[d - i] = I.standard_monomials(d - i, max_monomials=max_monomials)
-    std = std_cache[d - i]
-    return [(J, u) for J in combinations(range(nv), i) for u in std]
-
-
-def koszul_differential(I, i, d, std_cache, max_monomials=DEFAULT_MAX_MONOMIALS):
-    """Matrix of d_i : (K_i)_d -> (K_{i-1})_d over F_p.
-
-    Rows are indexed by the (i-1, d) basis, columns by the (i, d) basis.
-    d(e_J (x) u) = sum over positions t of (-1)^t x_{j_t} e_{J minus j_t} (x) u,
-    with the product x_{j_t} u reduced in R (zero when it lands in I).
+def koszul_block(b, standard):
+    """Cells of the block of K at multidegree b: chains[i] lists the
+    i-subsets J of supp b, as sorted tuples of variables, with x^(b - 1_J)
+    in `standard` (a container of the standard monomials of degree <= |b|).
     """
-    p = I.ring.p
-    dom = koszul_basis(I, i, d, std_cache, max_monomials)
-    cod = koszul_basis(I, i - 1, d, std_cache, max_monomials)
-    A = np.zeros((len(cod), len(dom)), dtype=np.int64)
-    if not dom or not cod:
-        return A, dom, cod
-    cod_index = {key: r for r, key in enumerate(cod)}
-    nv = I.ring.nvars
-    for col, (J, u) in enumerate(dom):
-        for t, jt in enumerate(J):
-            target = list(u)
-            target[jt] += 1
-            target = tuple(target)
-            if I.contains_monomial(target):
-                continue
-            row = cod_index[(tuple(x for x in J if x != jt), target)]
-            A[row, col] = (A[row, col] + (-1) ** t) % p
-    return A, dom, cod
+    support = [v for v, e in enumerate(b) if e]
+    chains = []
+    for i in range(len(support) + 1):
+        cells = []
+        for J in combinations(support, i):
+            u = list(b)
+            for v in J:
+                u[v] -= 1
+            if tuple(u) in standard:
+                cells.append(J)
+        chains.append(cells)
+    return chains
+
+
+def block_differential(chains, i):
+    """d_i on a block, as columns {J: {J minus j_t: (-1)^t}} for J in
+    chains[i]; faces outside chains[i-1] have x^(b - 1_face) in I and
+    vanish in R."""
+    below = set(chains[i - 1])
+    columns = {}
+    for J in chains[i]:
+        col = {}
+        for t in range(len(J)):
+            face = J[:t] + J[t + 1 :]
+            if face in below:
+                col[face] = (-1) ** t
+        columns[J] = col
+    return columns
+
+
+def _block_homology(chains, p):
+    """Ranks of H_i of one block over F_p, for i = 0..len(chains)-1."""
+    top = len(chains)
+    ranks = [0] * (top + 1)
+    for i in range(1, top):
+        span = Span(p)
+        for col in block_differential(chains, i).values():
+            span.add(col)
+        ranks[i] = span.rank
+    return [len(chains[i]) - ranks[i] - ranks[i + 1] for i in range(top)]
 
 
 @dataclass
@@ -108,30 +126,26 @@ class HomologyTable:
 
 
 def koszul_homology(I, degree_bound, max_monomials=DEFAULT_MAX_MONOMIALS):
-    """Exact ranks of H_i(K^R)_d for all i and all d <= degree_bound."""
+    """Exact ranks of H_i(K^R)_d for all i and all d <= degree_bound: the
+    sum over every multidegree b with |b| = d of the block's homology."""
+    _check_bound(degree_bound)
     ring = I.ring
     if I.is_unit():
         raise UnsupportedIdealClassError("the quotient by the unit ideal is zero")
-    nv = ring.nvars
     p = ring.p
-    table = HomologyTable(nvars=nv, bound=degree_bound)
+    table = HomologyTable(nvars=ring.nvars, bound=degree_bound)
+    standard = set()
     for d in range(degree_bound + 1):
-        std_cache = {}
-        dims = {}
-        ranks = {}
-        for i in range(nv + 2):
-            dims[i] = len(koszul_basis(I, i, d, std_cache, max_monomials))
-        for i in range(1, nv + 2):
-            if dims[i] == 0 or dims[i - 1] == 0:
-                ranks[i] = 0
+        monos = monomials_of_degree(ring, d, max_monomials=max_monomials)
+        standard.update(m for m in monos if not I.contains_monomial(m))
+        for b in monos:
+            # the block is empty when x^(b - 1_supp b), which every
+            # x^(b - 1_J) divides, lies in I
+            if tuple(e - 1 if e else 0 for e in b) not in standard:
                 continue
-            A, _, _ = koszul_differential(I, i, d, std_cache, max_monomials)
-            ranks[i] = rank_mod(A, p)
-        ranks[0] = 0
-        for i in range(nv + 1):
-            h = dims[i] - ranks[i] - ranks.get(i + 1, 0)
-            if h:
-                table.entries[(i, d)] = h
+            for i, h in enumerate(_block_homology(koszul_block(b, standard), p)):
+                if h:
+                    table.entries[(i, d)] = table.entries.get((i, d), 0) + h
     return table
 
 
@@ -195,101 +209,81 @@ def betti_power_formula(d, j, i):
     return q
 
 
-def _column_times_monomial(col, u):
-    return {(h, mono_mul(m, u)): c for (h, m), c in col.items()}
-
-
 def brute_betti(I, degree_bound=None, max_monomials=DEFAULT_MAX_MONOMIALS):
     """Graded Betti table of the minimal free resolution of S/I over S.
 
-    Returns {(i, d): beta_{i,d}}.  Computed degreewise: at each homological
-    step, the kernel of the current presentation matrix is found in every
-    internal degree up to the bound, and minimal generators are the kernel
-    vectors independent of the span of the previous degree's kernel shifted
-    by the variables.
+    Returns {(i, d): beta_{i,d}}: every generator of I at i = 1, and the
+    higher steps through internal degree `degree_bound` (default: the
+    degree of the lcm L of the generators).  Every free module carries a
+    multigrading, and all its minimal generators lie in the box [0, L]
+    (Taylor bound).  Each step walks the box in order of |b|: the map at b
+    has one column per free generator of multidegree <= b, and the new
+    minimal generators at b are its kernel modulo the kernels at b - e_v
+    (multiplied by x_v, which keeps the coordinates).  `max_monomials`
+    bounds the number of points of the box.
     """
-    ring = I.ring
-    p = ring.p
+    _check_bound(degree_bound)
     betti = {(0, 0): 1}
     if I.is_zero():
         return betti
     if I.is_unit():
         raise UnsupportedIdealClassError("S/I is zero for the unit ideal")
-    bound = I.lcm_degree() if degree_bound is None else degree_bound
+    top = I.lcm()
+    box = math.prod(e + 1 for e in top)
+    if box > max_monomials:
+        raise ResourceGuardError(f"multidegree box of {box} points exceeds guard {max_monomials}")
+    bound = mono_degree(top) if degree_bound is None else min(degree_bound, mono_degree(top))
 
-    # step 1: columns of F_1 -> F_0 = S are the minimal generators of I
-    prev_degs = [0]
-    cur_degs = [mono_degree(g) for g in I.gens]
-    cur_cols = [{(0, g): 1} for g in I.gens]
-    for a in cur_degs:
-        betti[(1, a)] = betti.get((1, a), 0) + 1
-
+    # step 1: the columns of F_1 -> F_0 = S are the minimal generators of I
+    degs = list(I.gens)
+    cols = [{0: 1} for _ in degs]
+    for a in degs:
+        betti[(1, mono_degree(a))] = betti.get((1, mono_degree(a)), 0) + 1
     step = 1
-    while step <= ring.nvars + 1:
-        new_degs, new_cols = _minimal_syzygies(
-            ring, prev_degs, cur_degs, cur_cols, bound, max_monomials
-        )
-        if not new_degs:
-            break
+    while True:
+        degs, cols = _minimal_syzygies(top, bound, degs, cols, I.ring.p)
+        if not degs:
+            return betti
         step += 1
-        for a in new_degs:
-            betti[(step, a)] = betti.get((step, a), 0) + 1
-        prev_degs, cur_degs, cur_cols = cur_degs, new_degs, new_cols
-    return betti
+        for a in degs:
+            betti[(step, mono_degree(a))] = betti.get((step, mono_degree(a)), 0) + 1
 
 
-def _minimal_syzygies(ring, prev_degs, cur_degs, cur_cols, bound, max_monomials):
-    """Minimal generators of ker(F -> G) for the graded map with the given
-    column dictionaries, through internal degree `bound`."""
-    p = ring.p
+def _box_level(top, d):
+    """Points b of the box 0 <= b <= top with |b| = d."""
+    if not top:
+        if d == 0:
+            yield ()
+        return
+    rest = sum(top[1:])
+    for e in range(max(0, d - rest), min(top[0], d) + 1):
+        for tail in _box_level(top[1:], d - e):
+            yield (e,) + tail
+
+
+def _minimal_syzygies(top, bound, degs, cols, p):
+    """Minimal generators of the kernel of the map sending free generator g,
+    of multidegree degs[g], to cols[g], at every b <= top with |b| <= bound:
+    their multidegrees and their columns (dicts g -> coefficient)."""
     new_degs = []
     new_cols = []
-    prev_kernel = []  # kernel vectors at degree D-1, as dicts (gidx, mono) -> c
-    start = min(cur_degs) + 1
-    for D in range(start, bound + 1):
-        dom = [
-            (gidx, u)
-            for gidx, a in enumerate(cur_degs)
-            if D - a >= 0
-            for u in monomials_of_degree(ring, D - a, max_monomials=max_monomials)
-        ]
-        if not dom:
-            prev_kernel = []
-            continue
-        cod = [
-            (h, w)
-            for h, b in enumerate(prev_degs)
-            if D - b >= 0
-            for w in monomials_of_degree(ring, D - b, max_monomials=max_monomials)
-        ]
-        dom_index = {key: c for c, key in enumerate(dom)}
-        cod_index = {key: r for r, key in enumerate(cod)}
-        A = np.zeros((len(cod), len(dom)), dtype=np.int64)
-        for c, (gidx, u) in enumerate(dom):
-            for key, coeff in _column_times_monomial(cur_cols[gidx], u).items():
-                A[cod_index[key], c] = (A[cod_index[key], c] + coeff) % p
-        kernel = nullspace_mod(A, p)
-
-        # span of the module generated so far, in this degree
-        shifted_rows = []
-        for vec in prev_kernel:
-            for v in range(ring.nvars):
-                shifted = np.zeros(len(dom), dtype=np.int64)
-                xv = ring.variable_monomial(v)
-                for (gidx, u), c in vec.items():
-                    shifted[dom_index[(gidx, mono_mul(u, xv))]] = c
-                shifted_rows.append(shifted)
-        span = RowSpace.from_matrix(np.array(shifted_rows, dtype=np.int64), p) \
-            if shifted_rows else RowSpace(len(dom), p)
-        for k in kernel:
-            if span.add(k):
-                new_degs.append(D)
-                new_cols.append(
-                    {dom[c]: int(k[c]) for c in range(len(dom)) if k[c]}
-                )
-        prev_kernel = [
-            {dom[c]: int(k[c]) for c in range(len(dom)) if k[c]} for k in kernel
-        ]
+    below = {}  # b -> kernel basis at b, one degree down
+    for d in range(bound + 1):
+        level = {}
+        for b in _box_level(top, d):
+            present = {g: cols[g] for g, a in enumerate(degs) if all(x <= y for x, y in zip(a, b))}
+            ker = kernel(present, p)
+            span = Span(p)
+            for v, e in enumerate(b):
+                if e:
+                    for vec in below[b[:v] + (e - 1,) + b[v + 1 :]]:
+                        span.add(vec)
+            for vec in ker:
+                if span.add(vec):
+                    new_degs.append(b)
+                    new_cols.append(vec)
+            level[b] = ker
+        below = level
     return new_degs, new_cols
 
 

@@ -1,9 +1,17 @@
-"""Dense Gaussian elimination over F_p on numpy int64 matrices.
+"""Gaussian elimination over F_p.
 
-p < 2^31 keeps every intermediate product below 2^62, so int64 arithmetic
-is exact.  All routines are deterministic: pivots are chosen as the first
-nonzero entry in row-major scan order, which makes reduced echelon forms
-and nullspace bases canonical.
+Two eliminators live here:
+
+* `rank_mod` works on dense numpy int64 matrices (p < 2^31 keeps every
+  intermediate product below 2^62, so int64 arithmetic is exact); the
+  strand check uses it.
+* `Span` and `kernel` work on sparse vectors, dicts from comparable keys to
+  coefficients.  The Koszul and Betti blocks of a monomial ideal have at
+  most a few dozen columns, where a dict per row beats array set-up; the
+  complete-intersection generator check uses `Span` too.
+
+All routines are deterministic: pivots are chosen by a fixed order, so
+echelon forms and kernel bases depend only on the input order.
 """
 
 from __future__ import annotations
@@ -13,36 +21,6 @@ import numpy as np
 
 def _inv(a, p):
     return pow(int(a), p - 2, p)
-
-
-def rref_mod(A, p):
-    """Reduced row echelon form over F_p.
-
-    Returns (R, pivot_columns).  A is not modified.
-    """
-    R = np.array(A, dtype=np.int64) % p
-    nrows, ncols = R.shape
-    pivots = []
-    r = 0
-    for c in range(ncols):
-        if r >= nrows:
-            break
-        col = R[r:, c]
-        nz = np.nonzero(col)[0]
-        if nz.size == 0:
-            continue
-        i = r + int(nz[0])
-        if i != r:
-            R[[r, i]] = R[[i, r]]
-        inv = _inv(R[r, c], p)
-        R[r] = (R[r] * inv) % p
-        others = np.nonzero(R[:, c])[0]
-        others = others[others != r]
-        if others.size:
-            R[others] = (R[others] - R[others, c][:, None] * R[r][None, :]) % p
-        pivots.append(c)
-        r += 1
-    return R, pivots
 
 
 def rank_mod(A, p):
@@ -70,73 +48,66 @@ def rank_mod(A, p):
     return r
 
 
-def nullspace_mod(A, p):
-    """Canonical F_p kernel basis of A (as rows of the returned matrix).
+class Span:
+    """Incrementally maintained span of sparse vectors over F_p.
 
-    Basis vectors come from the free columns of the RREF, in column order,
-    each with a 1 in its free position.
-    """
-    A = np.asarray(A, dtype=np.int64)
-    nrows, ncols = A.shape
-    if nrows == 0:
-        return np.eye(ncols, dtype=np.int64) % p
-    R, pivots = rref_mod(A, p)
-    pivot_set = set(pivots)
-    free = [c for c in range(ncols) if c not in pivot_set]
-    basis = np.zeros((len(free), ncols), dtype=np.int64)
-    for k, fc in enumerate(free):
-        basis[k, fc] = 1
-        for r, pc in enumerate(pivots):
-            basis[k, pc] = (-R[r, fc]) % p
-    return basis
-
-
-class RowSpace:
-    """Incrementally maintained row space over F_p (echelon rows).
-
-    Used to pick out minimal generators: a vector is added only when it is
-    independent of the rows already present.
+    Rows are kept in echelon form by their least key: the row stored under
+    pivot k has coefficient 1 at k and no key below k.  Reducing a vector
+    by its least key therefore only ever introduces larger keys.
     """
 
-    def __init__(self, ncols, p):
+    def __init__(self, p):
         self.p = p
-        self.ncols = ncols
-        self.rows = []  # echelon rows, each with recorded pivot column
-        self.pivots = []
-
-    @classmethod
-    def from_matrix(cls, A, p):
-        """Seed from the RREF of A in one vectorized pass."""
-        A = np.asarray(A, dtype=np.int64)
-        space = cls(A.shape[1], p)
-        if A.shape[0]:
-            R, pivots = rref_mod(A, p)
-            space.rows = [R[i] for i in range(len(pivots))]
-            space.pivots = list(pivots)
-        return space
+        self.rows = {}  # pivot key -> row dict
 
     def reduce(self, vec):
-        v = np.array(vec, dtype=np.int64) % self.p
-        for row, c in zip(self.rows, self.pivots):
-            if v[c]:
-                v = (v - v[c] * row) % self.p
+        """vec minus a combination of the rows, with a least key that is
+        not a pivot (empty exactly when vec lies in the span)."""
+        p = self.p
+        v = {k: c % p for k, c in vec.items() if c % p}
+        while v:
+            k = min(v)
+            row = self.rows.get(k)
+            if row is None:
+                break
+            c = v[k]
+            for key, value in row.items():
+                new = (v.get(key, 0) - c * value) % p
+                if new:
+                    v[key] = new
+                else:
+                    del v[key]
         return v
 
-    def contains(self, vec):
-        return not self.reduce(vec).any()
-
     def add(self, vec):
-        """Insert vec's reduction; returns True when the rank grew."""
+        """Insert vec; returns True when the span grew."""
         v = self.reduce(vec)
-        nz = np.nonzero(v)[0]
-        if nz.size == 0:
+        if not v:
             return False
-        c = int(nz[0])
-        v = (v * _inv(v[c], self.p)) % self.p
-        self.rows.append(v)
-        self.pivots.append(c)
+        k = min(v)
+        inv = _inv(v[k], self.p)
+        self.rows[k] = {key: (c * inv) % self.p for key, c in v.items()}
         return True
 
     @property
     def rank(self):
         return len(self.rows)
+
+
+def kernel(columns, p):
+    """F_p basis of the kernel of the linear map sending basis vector g to
+    the sparse vector columns[g], as dicts g -> coefficient.
+
+    Row-reduces the columns, each tagged with the basis vector it came
+    from: a column whose image part cancels leaves a tag combination that
+    the map sends to zero.  Image keys sort before tags, so those rows are
+    the ones whose pivot is a tag.
+    """
+    space = Span(p)
+    for g, col in columns.items():
+        space.add({(0, h): c for h, c in col.items()} | {(1, g): 1})
+    return [
+        {g: c for (_, g), c in row.items()}
+        for (part, _), row in space.rows.items()
+        if part == 1
+    ]

@@ -366,14 +366,6 @@ class Polynomial:
                 base = base * base
         return result
 
-    def scale(self, c):
-        p = self.ring.p
-        c %= p
-        out = Polynomial.__new__(Polynomial)
-        out.ring = self.ring
-        out.terms = {m: (c * v) % p for m, v in self.terms.items()} if c else {}
-        return out
-
     def mul_monomial(self, mono):
         out = Polynomial.__new__(Polynomial)
         out.ring = self.ring

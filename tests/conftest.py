@@ -1,6 +1,8 @@
 import pytest
 
 from frobcalc import MonomialIdeal, PolyRing
+from frobcalc.koszul import block_differential, koszul_block
+from frobcalc.polyring import monomials_of_degree
 
 
 @pytest.fixture
@@ -55,3 +57,21 @@ def corpus_ideals(p=2):
         ring = PolyRing(p, ["x", "y", "z"][:nvars])
         out.append((MonomialIdeal(ring, gens), ci))
     return out
+
+
+def assert_blocks_square_to_zero(I, degree_bound):
+    """d_(i-1) d_i = 0 over F_p on the block of the Koszul complex at every
+    multidegree b with |b| <= degree_bound."""
+    p = I.ring.p
+    standard = {u for level in I.staircase(degree_bound) for u in level}
+    for d in range(degree_bound + 1):
+        for b in monomials_of_degree(I.ring, d):
+            chains = koszul_block(b, standard)
+            for i in range(2, len(chains)):
+                lower = block_differential(chains, i - 1)
+                for J, col in block_differential(chains, i).items():
+                    image = {}
+                    for face, c in col.items():
+                        for edge, c2 in lower[face].items():
+                            image[edge] = (image.get(edge, 0) + c * c2) % p
+                    assert not any(image.values()), (b, J)

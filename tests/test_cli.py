@@ -172,6 +172,22 @@ class TestExitCodes:
                 "--max-monomials", "10"]
         assert run(argv) == EXIT_GUARD
 
+    def test_betti_guard_bounds_the_multidegree_box(self, capsys):
+        # the box [0, lcm] of (x^2, y^2) has 3 * 3 points
+        argv = ["betti", "--char", "2", "--vars", "x,y", "--ideal", "x^2, y^2"]
+        assert run(argv + ["--max-monomials", "8"]) == EXIT_GUARD
+        assert run(argv + ["--max-monomials", "9"]) == EXIT_OK
+        # 4001^2 points under the default guard of 10^7
+        assert run(["betti", "--char", "2", "--vars", "x,y", "--ideal", "x^4000, y^4000"]) == EXIT_GUARD
+
+    def test_linearly_dependent_ci_generators_are_unsupported(self, capsys):
+        # (x*y + x*z, x*y + x*z) is the F-split hypersurface (x(y+z)), not a
+        # complete intersection of codimension 2
+        argv = ["fsplit", "--char", "3", "--vars", "x,y,z", "--ideal", "x*y+x*z, x*y+x*z"]
+        assert run(argv) == EXIT_UNSUPPORTED
+        single = run_json(capsys, ["fsplit", "--char", "3", "--vars", "x,y,z", "--ideal", "x*y+x*z"])
+        assert single["result"]["certificate"]["verdict"] is True
+
     def test_power_guard_covers_fsplit(self, capsys):
         argv = ["fsplit", "--char", "5", "--vars", "x,y,z", "--ideal", "x^3+y^3+z^3",
                 "-e", "4", "--max-monomials", "100"]
@@ -196,6 +212,9 @@ class TestExitCodes:
             ["twists", "--jmax", "-1"] + QUADRIC,
             ["flevel", "--char", "2", "--vars", "x,y", "--ideal", "x*y", "--emax", "0"],
             ["strand", "--ell", "3", "--j", "1", "--steps", "-2"],
+            ["codepth", "--char", "2", "--vars", "x,y", "--ideal", "x*y", "--degree-bound", "-2"],
+            ["genexp", "--char", "2", "--vars", "x,y", "--ideal", "x^2,y^2", "--degree-bound", "-3"],
+            ["betti", "--char", "2", "--vars", "x,y", "--ideal", "x^2,y^2", "--degree-bound", "-1"],
         ],
     )
     def test_out_of_range_numbers_are_usage_errors(self, capsys, argv):

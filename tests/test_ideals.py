@@ -189,6 +189,19 @@ class TestCIColon:
                 [parse_polynomial(ring2, "x*y"), parse_polynomial(ring2, "y^2")],
             )
 
+    @pytest.mark.parametrize(
+        "texts",
+        [
+            ["x*y + x*z", "x*y + x*z"],
+            ["x^2 + y*z", "2*x^2 + 2*y*z"],
+            # dependent over F_5 only: 3 = -2
+            ["x^2 + 2*y^2", "x^2 - 3*y^2", "z^3"],
+        ],
+    )
+    def test_rejects_linearly_dependent_generators(self, ring5xyz, texts):
+        with pytest.raises(UnsupportedIdealClassError):
+            CIIdeal(ring5xyz, [parse_polynomial(ring5xyz, t) for t in texts])
+
     def test_polynomial_generators_are_an_assertion(self, ring5xyz):
         I = CIIdeal(
             ring5xyz,

@@ -1,8 +1,10 @@
 import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from conftest import corpus_ideals
+from conftest import assert_blocks_square_to_zero, corpus_ideals
 
 from frobcalc import (
     MonomialIdeal,
@@ -16,7 +18,7 @@ from frobcalc import (
     koszul_homology,
     strand_check,
 )
-from frobcalc.koszul import default_codepth_bound, koszul_basis, koszul_differential
+from frobcalc.koszul import default_codepth_bound
 
 
 def mi(ring, *gens):
@@ -79,6 +81,15 @@ class TestCodepth:
         with pytest.raises(VerificationError):
             codepth(mi(ring2, (4, 0), (2, 2), (0, 4)), degree_bound=4)
 
+    def test_negative_bound_rejected(self, ring2):
+        I = mi(ring2, (1, 1))
+        with pytest.raises(ValueError):
+            koszul_homology(I, -1)
+        with pytest.raises(ValueError):
+            codepth(I, degree_bound=-2)
+        with pytest.raises(ValueError):
+            brute_betti(I, degree_bound=-1)
+
     def test_depth(self, ring2):
         ring3 = PolyRing(2, ["x", "y", "z"])
         assert depth_from_codepth(MonomialIdeal.zero(ring3)) == 3
@@ -103,14 +114,7 @@ class TestDifferentialSquaresToZero:
 
     @staticmethod
     def _check(I, degree_bound):
-        p = I.ring.p
-        for d in range(degree_bound + 1):
-            cache = {}
-            for i in range(2, I.ring.nvars + 1):
-                A, _, _ = koszul_differential(I, i, d, cache)
-                B, _, _ = koszul_differential(I, i - 1, d, cache)
-                if A.size and B.size:
-                    assert not ((B @ A) % p).any()
+        assert_blocks_square_to_zero(I, degree_bound)
 
 
 class TestEulerCharacteristic:
@@ -123,9 +127,10 @@ class TestEulerCharacteristic:
             bound = default_codepth_bound(I)
             table = koszul_homology(I, bound)
             for d in range(bound + 1):
-                cache = {}
+                # (K_i)_d has a basis e_J (x) u: an i-subset J times a
+                # standard monomial u of degree d - i
                 chain = sum(
-                    (-1) ** i * len(koszul_basis(I, i, d, cache))
+                    (-1) ** i * math.comb(I.ring.nvars, i) * I.hilbert_function(d - i)
                     for i in range(I.ring.nvars + 1)
                 )
                 hom = sum(
@@ -192,6 +197,26 @@ class TestBruteBetti:
             table = koszul_homology(I, bound)
             betti = brute_betti(I)
             assert {k: v for k, v in table.entries.items()} == betti
+
+    @given(data=st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_tor_symmetry_on_random_ideals(self, data):
+        # the two routes share only the F_p eliminator
+        p = data.draw(st.sampled_from([2, 3, 5]))
+        nvars = data.draw(st.integers(1, 4))
+        ring = PolyRing(p, ["x", "y", "z", "w"][:nvars])
+        degree = st.integers(2, 3).flatmap(
+            lambda d: st.lists(st.integers(0, nvars - 1), min_size=d, max_size=d)
+        )
+        gens = []
+        for support in data.draw(st.lists(degree, min_size=1, max_size=5)):
+            gens.append(tuple(support.count(v) for v in range(nvars)))
+        I = MonomialIdeal(ring, gens)
+        full = brute_betti(I)
+        assert koszul_homology(I, default_codepth_bound(I)).entries == full
+        for bound in {0, 1, I.lcm_degree() - 1}:
+            expected = {(i, d): v for (i, d), v in full.items() if i <= 1 or d <= bound}
+            assert brute_betti(I, bound) == expected
 
     def test_alternating_hilbert_identity(self, ring2):
         # sum_i (-1)^i sum_d beta_{i,d} dim S_{D-d} = dim (S/I)_D

@@ -356,8 +356,11 @@ def small_ideals(draw):
         gens.append(Polynomial(ring, dict(zip(chosen, coeffs))))
     try:
         return CIIdeal(ring, gens)
-    except UnsupportedIdealClassError:  # monomials with overlapping supports
-        return MonomialIdeal(ring, [g.single_monomial() for g in gens])
+    except UnsupportedIdealClassError:
+        # monomials with overlapping supports, or linearly dependent generators
+        if all(len(g.terms) == 1 for g in gens):
+            return MonomialIdeal(ring, [g.single_monomial() for g in gens])
+        return CIIdeal(ring, gens[:1])
 
 
 class TestSlackCriterionOracle:
