@@ -10,6 +10,7 @@ failure.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 import time
@@ -145,17 +146,17 @@ def _add_ring_args(sub, require_ideal=True):
     sub.require_ideal = require_ideal
 
 
-def _parse_ideal_args(args):
+def _parse_ideal_args(args, guard):
     if args.spec:
         if args.char or args.vars or args.ideal:
             raise ParseError("--spec replaces --char/--vars/--ideal")
-        ring, ideal, warnings = parse_ideal_spec(args.spec)
+        ring, ideal, warnings = parse_ideal_spec(args.spec, **guard)
         return ring, ideal, warnings
     if not (args.char and args.vars and args.ideal):
         raise ParseError("need --char, --vars and --ideal (or --spec)")
     ring = PolyRing(args.char, [v.strip() for v in args.vars.split(",")])
     polys = [parse_polynomial(ring, chunk) for chunk in args.ideal.split(",")]
-    ideal, warnings = build_ideal(ring, polys, args.ideal_class)
+    ideal, warnings = build_ideal(ring, polys, args.ideal_class, **guard)
     return ring, ideal, warnings
 
 
@@ -170,7 +171,10 @@ def _need_prime(p, flag):
         raise ParseError(f"{flag} must be a prime: got {p}")
 
 
+@functools.cache
 def build_parser():
+    """The argument parser; built once per process, since parsing leaves it
+    unchanged."""
     parser = _Parser(prog="frobcalc", description=__doc__)
     parser.add_argument("--version", action="version", version=f"frobcalc {__version__}")
     common = _Parser(add_help=False)
@@ -261,7 +265,7 @@ def _dispatch(args):
         "flevel",
         "loewy",
     ):
-        ring, ideal, warnings = _parse_ideal_args(args)
+        ring, ideal, warnings = _parse_ideal_args(args, guard)
         if isinstance(ideal, CIIdeal):
             shown = [str(g) for g in ideal.gens]
         else:
@@ -316,7 +320,7 @@ def _dispatch(args):
             degrees = {"0": 0} | {str(i): j + i - 1 for i in range(1, d + 1)}
             echo = {"formula_nvars": d, "formula_power": j}
             return echo, {"betti": row, "generator_degrees": degrees}, []
-        ring, ideal, warnings = _parse_ideal_args(args)
+        ring, ideal, warnings = _parse_ideal_args(args, guard)
         table = brute_betti(_need_monomial(ideal), args.degree_bound, **guard)
         echo = {
             "char": ring.p,

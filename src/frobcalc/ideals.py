@@ -3,10 +3,10 @@
 MonomialIdeal carries a canonical minimal generator list (no generator
 divides another), so ideal equality is generator-list equality.  CIIdeal
 carries homogeneous polynomial generators asserted to form a regular
-sequence; for monomial generators the assertion is checked (pairwise
-disjoint supports are necessary and sufficient), otherwise linearly
-dependent generators are rejected and the rest is recorded as a caller
-assertion.
+sequence.  The assertion is checked for monomial generators (pairwise
+disjoint supports are necessary and sufficient) and for two polynomial
+generators (they must be coprime); otherwise linearly dependent
+generators are rejected and the rest is recorded as a caller assertion.
 
 Colon ideals are supported exactly where the criteria need them: the
 combinatorial colon for monomial ideals, and the closed formula
@@ -18,10 +18,11 @@ from __future__ import annotations
 from .errors import (
     NonArtinianError,
     ParseError,
+    ResourceGuardError,
     RingMismatchError,
     UnsupportedIdealClassError,
 )
-from .modlinalg import Span
+from .modlinalg import Span, rank
 from .polyring import (
     DEFAULT_MAX_MONOMIALS,
     Polynomial,
@@ -197,12 +198,38 @@ class MonomialIdeal:
         return MonomialIdeal(self.ring, [mono_pow(g, q) for g in self.gens])
 
 
+def _coprime(f, g, max_monomials=DEFAULT_MAX_MONOMIALS):
+    """True when the homogeneous f, g (degrees d1, d2) have no common factor
+    of positive degree.
+
+    Coprime f, g have only the Koszul syzygy (g, -f), of degree d1 + d2, so
+    in degree d1 + d2 - 1 the products u*f (deg u = d2 - 1) and v*g
+    (deg v = d1 - 1) are linearly independent.  A common factor h of
+    degree k >= 1 gives the syzygy (g/h, -f/h) in degree d1 + d2 - k, and
+    its multiples by monomials reach degree d1 + d2 - 1.  So one rank
+    decides.
+    """
+    ring = f.ring
+    factors = [(f, g.degree() - 1), (g, f.degree() - 1)]
+    count = sum(bounded_count(ring.nvars, d) for _, d in factors)
+    if count > max_monomials:
+        raise ResourceGuardError(
+            f"regular-sequence check over {count} products exceeds guard {max_monomials}"
+        )
+    products = [
+        a.mul_monomial(u).terms
+        for a, d in factors
+        for u in monomials_of_degree(ring, d, max_monomials=max_monomials)
+    ]
+    return rank(products, ring.p) == count
+
+
 class CIIdeal:
     """Homogeneous ideal generated by an (asserted) regular sequence."""
 
     __slots__ = ("ring", "gens", "regular_sequence_verified")
 
-    def __init__(self, ring, gens):
+    def __init__(self, ring, gens, max_monomials=DEFAULT_MAX_MONOMIALS):
         gens = tuple(gens)
         if not gens:
             raise UnsupportedIdealClassError("a complete intersection needs generators")
@@ -227,14 +254,19 @@ class CIIdeal:
                 )
             self.regular_sequence_verified = True
         else:
-            # a regular sequence is linearly independent over F_p; beyond
-            # that the hypothesis is recorded, not verified
+            # a regular sequence is linearly independent over F_p, and two
+            # generators form one exactly when they are coprime; for three
+            # or more the hypothesis is recorded, not verified
             span = Span(ring.p)
             if not all(span.add(f.terms) for f in gens):
                 raise UnsupportedIdealClassError(
                     "generators linearly dependent over F_p are not a regular sequence"
                 )
-            self.regular_sequence_verified = False
+            if len(gens) == 2 and not _coprime(*gens, max_monomials=max_monomials):
+                raise UnsupportedIdealClassError(
+                    "generators with a common factor are not a regular sequence"
+                )
+            self.regular_sequence_verified = len(gens) == 2
 
     @property
     def codimension(self):
@@ -357,12 +389,13 @@ def detect_ideal_class(polys):
     return "monomial" if all(len(f.terms) <= 1 for f in polys) else "ci"
 
 
-def build_ideal(ring, polys, ideal_class=None):
+def build_ideal(ring, polys, ideal_class=None, max_monomials=DEFAULT_MAX_MONOMIALS):
     """Assemble an ideal object from parsed generators.
 
     Auto-detects the class when not given; non-monomial generators force
-    the complete-intersection class, whose regular-sequence hypothesis is a
-    caller assertion.  Returns (ideal, warnings).
+    the complete-intersection class, whose regular-sequence hypothesis is
+    checked for two generators (`max_monomials` bounds the check) and
+    otherwise a caller assertion.  Returns (ideal, warnings).
     """
     warnings = []
     detected = detect_ideal_class(polys)
@@ -373,22 +406,22 @@ def build_ideal(ring, polys, ideal_class=None):
         gens = [next(iter(f.terms)) for f in polys if f.terms]
         return MonomialIdeal(ring, gens), warnings
     if cls == "ci":
+        ideal = CIIdeal(ring, list(polys), max_monomials=max_monomials)
         if ideal_class is None:
-            warnings.append(
-                "ideal class auto-detected as a complete intersection; the "
-                "regular-sequence hypothesis is asserted, not verified"
-            )
-        ideal = CIIdeal(ring, list(polys))
+            note = "ideal class auto-detected as a complete intersection"
+            if not ideal.regular_sequence_verified:
+                note += "; the regular-sequence hypothesis is asserted, not verified"
+            warnings.append(note)
         if not ideal.regular_sequence_verified:
             warnings.append("regular-sequence assertion recorded for polynomial generators")
         return ideal, warnings
     raise UnsupportedIdealClassError(f"unknown ideal class {cls!r}")
 
 
-def parse_ideal_spec(text):
+def parse_ideal_spec(text, max_monomials=DEFAULT_MAX_MONOMIALS):
     """Parse `char <p>; vars <x,...>; ideal <poly>, ...; [class ...;]`.
 
-    Returns (ring, ideal, warnings).
+    Returns (ring, ideal, warnings); `max_monomials` as for `build_ideal`.
     """
     fields = {}
     for chunk in text.split(";"):
@@ -416,5 +449,5 @@ def parse_ideal_spec(text):
         ideal_class = fields["class"].lower()
         if ideal_class not in ("monomial", "ci"):
             raise ParseError(f"unknown class {ideal_class!r}")
-    ideal, warnings = build_ideal(ring, polys, ideal_class)
+    ideal, warnings = build_ideal(ring, polys, ideal_class, max_monomials=max_monomials)
     return ring, ideal, warnings

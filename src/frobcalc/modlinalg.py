@@ -1,51 +1,18 @@
-"""Gaussian elimination over F_p.
+"""Gaussian elimination over F_p on sparse vectors.
 
-Two eliminators live here:
-
-* `rank_mod` works on dense numpy int64 matrices (p < 2^31 keeps every
-  intermediate product below 2^62, so int64 arithmetic is exact); the
-  strand check uses it.
-* `Span` and `kernel` work on sparse vectors, dicts from comparable keys to
-  coefficients.  The Koszul and Betti blocks of a monomial ideal have at
-  most a few dozen columns, where a dict per row beats array set-up; the
-  complete-intersection generator check uses `Span` too.
+Vectors are dicts from comparable keys to coefficients.  `Span` keeps an
+incrementally reduced row space, `rank` counts its dimension and `kernel`
+solves for the relations among columns.  Every matrix frobcalc eliminates
+is sparse -- a Koszul or Betti block of at most a few dozen columns, a
+strand map with at most two nonzeros per column, the degree pieces of a
+two-generator ideal -- so a dict per row beats dense arrays, and the
+arithmetic is Python's exact integers.
 
 All routines are deterministic: pivots are chosen by a fixed order, so
 echelon forms and kernel bases depend only on the input order.
 """
 
 from __future__ import annotations
-
-import numpy as np
-
-
-def _inv(a, p):
-    return pow(int(a), p - 2, p)
-
-
-def rank_mod(A, p):
-    """Rank over F_p; forward elimination only."""
-    M = np.array(A, dtype=np.int64) % p
-    nrows, ncols = M.shape
-    r = 0
-    for c in range(ncols):
-        if r >= nrows:
-            break
-        col = M[r:, c]
-        nz = np.nonzero(col)[0]
-        if nz.size == 0:
-            continue
-        i = r + int(nz[0])
-        if i != r:
-            M[[r, i]] = M[[i, r]]
-        inv = _inv(M[r, c], p)
-        below = M[r + 1 :, c]
-        bnz = np.nonzero(below)[0]
-        if bnz.size:
-            factors = (below[bnz] * inv) % p
-            M[r + 1 + bnz] = (M[r + 1 + bnz] - factors[:, None] * M[r][None, :]) % p
-        r += 1
-    return r
 
 
 class Span:
@@ -85,13 +52,21 @@ class Span:
         if not v:
             return False
         k = min(v)
-        inv = _inv(v[k], self.p)
+        inv = pow(v[k], self.p - 2, self.p)
         self.rows[k] = {key: (c * inv) % self.p for key, c in v.items()}
         return True
 
     @property
     def rank(self):
         return len(self.rows)
+
+
+def rank(vectors, p):
+    """Dimension over F_p of the span of the sparse vectors."""
+    span = Span(p)
+    for vec in vectors:
+        span.add(vec)
+    return span.rank
 
 
 def kernel(columns, p):

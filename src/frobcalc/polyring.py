@@ -493,6 +493,8 @@ def parse_polynomial(ring, text):
         mono = [0] * ring.nvars
         saw_factor = False
         while True:
+            if i >= n:
+                raise ParseError("expected a factor after '*'")
             kind, val = tokens[i]
             if kind == "num":
                 coeff = coeff * val

@@ -273,3 +273,12 @@ def test_criterion_11_reference_cases():
         report = ci_filtration_check(ring, [(2, 0, 0), (0, 2, 0), (0, 0, 2)])
         assert report.all_match and report.complete
         assert len(report.steps) == 5**3
+
+
+def test_criterion_12_strand_reference_case():
+    # 31 degrees of the class-4 strand for ell = 9 over F_5; the largest
+    # middle term has dimension 5 * 271 (about 11 s with dense elimination)
+    with budget("12 strand-reference-case", 2.0):
+        report = strand_check(9, 4, steps=30, char=5)
+        assert report.exact and report.alternating_sums_zero
+        assert report.rows[-1]["dims"] == [1080, 1355, 275]

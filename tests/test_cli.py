@@ -14,6 +14,7 @@ from frobcalc.cli import (
     EXIT_UNSUPPORTED,
     EXIT_USAGE,
     EXIT_VERIFICATION,
+    build_parser,
     emit_json,
     render_text,
     run,
@@ -188,6 +189,19 @@ class TestExitCodes:
         single = run_json(capsys, ["fsplit", "--char", "3", "--vars", "x,y,z", "--ideal", "x*y+x*z"])
         assert single["result"]["certificate"]["verdict"] is True
 
+    def test_ci_generators_with_a_common_factor_are_unsupported(self, capsys):
+        # x*y + x*z and x^2 + x*y share the factor x: after u = x,
+        # v = x + y, w = y + z the ideal is (uv, uw), which is F-split
+        argv = ["fsplit", "--char", "3", "--vars", "x,y,z", "--ideal", "x*y+x*z, x^2+x*y"]
+        assert run(argv) == EXIT_UNSUPPORTED
+        assert "common factor" in capsys.readouterr().err
+        split = run_json(capsys, ["fsplit", "--char", "3", "--vars", "u,v,w", "--ideal", "u*v, u*w"])
+        assert split["result"]["certificate"]["verdict"] is True
+
+    def test_two_coprime_ci_generators_are_verified(self, capsys):
+        payload = run_json(capsys, ["fsplit", "--char", "3", "--vars", "x,y,z", "--ideal", "x*y+z^2, x^2+y*z"])
+        assert payload["notes"] == ["ideal class auto-detected as a complete intersection"]
+
     def test_power_guard_covers_fsplit(self, capsys):
         argv = ["fsplit", "--char", "5", "--vars", "x,y,z", "--ideal", "x^3+y^3+z^3",
                 "-e", "4", "--max-monomials", "100"]
@@ -230,6 +244,122 @@ class TestExitCodes:
         # a degree bound below the homology support trips the runtime band
         argv = ["codepth", "--degree-bound", "4"] + TWELVE
         assert run(argv) == EXIT_VERIFICATION
+
+
+def run_captured(argv):
+    """(exit code, stdout without the timing field, stderr) of one run()."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = run(argv)
+        except SystemExit as exc:  # --version and --help exit from argparse
+            code = exc.code
+    lines = [line for line in out.getvalue().splitlines() if "timing_seconds" not in line]
+    return code, lines, err.getvalue()
+
+
+class TestParserReuse:
+    ARGVS = [
+        ["codepth", "--char", "2", "--vars", "x,y", "--ideal", "x*y", "--json"],
+        ["fsplit", "--char", "2"],
+        ["alpha", "--n", "1", "--p", "2"],
+        ["--version"],
+        ["strand", "--ell", "3", "--j", "1", "--steps", "2", "--json"],
+        ["betti", "--char", "2", "--vars", "x,y", "--ideal", "x^2, y^2", "--max-monomials", "8"],
+        ["summand", "--j", "1", "--json"] + QUADRIC,
+        ["fsplit", "--no-such-flag"],
+        ["betti", "--formula-nvars", "3", "--formula-power", "2"],
+    ]
+
+    def test_interleaved_calls_match_single_calls(self):
+        alone = []
+        for argv in self.ARGVS:
+            build_parser.cache_clear()
+            alone.append(run_captured(argv))
+        assert [code for code, _out, _err in alone] == [0, 1, 0, 0, 0, 3, 0, 1, 0]
+        for argv, expected in zip(self.ARGVS + self.ARGVS[::-1], alone + alone[::-1]):
+            assert run_captured(argv) == expected, argv
+
+    def test_parser_is_built_once(self):
+        assert build_parser() is build_parser()
+
+
+IDEAL_COMMANDS = ["fsplit", "summand", "twists", "witness", "codepth", "genexp",
+                  "decompose", "filtration", "flevel", "loewy", "betti"]
+
+
+@st.composite
+def polynomial_text(draw, names):
+    """A generator: a sum of terms with small exponents, or a malformed one."""
+    if draw(st.sampled_from(range(10))) == 9:
+        return draw(st.sampled_from(["", "x^", "2*", "x**2", "w", "0", "1", "x^-1", "(x+y)", "x^99999999999"]))
+    terms = []
+    for _ in range(draw(st.integers(1, 3))):
+        coeff = draw(st.sampled_from(["", "2*", "-", "3*"]))
+        factors = [f"{v}^{draw(st.integers(0, 3))}" for v in names if draw(st.booleans())]
+        terms.append(coeff + ("*".join(factors) or "1"))
+    return " + ".join(terms)
+
+
+@st.composite
+def cli_argv(draw):
+    """Any subcommand with random flags, numbers and ideal specs; required
+    flags are usually present and the characteristic usually prime, so most
+    inputs reach the algebra."""
+    def num(lo, hi):
+        return str(draw(st.integers(lo, hi)))
+
+    def rarely():
+        return draw(st.sampled_from(range(10))) == 9
+
+    name = draw(st.sampled_from(IDEAL_COMMANDS + ["strand", "alpha", "pn", "veronese"]))
+    argv = [name]
+    if name in IDEAL_COMMANDS and not (name == "betti" and rarely()):
+        names = draw(st.sampled_from([["x"], ["x", "y"], ["x", "y", "z"]]))
+        char = num(-1, 9) if rarely() else draw(st.sampled_from(["2", "3", "5", "7"]))
+        ideal = ", ".join(draw(st.lists(polynomial_text(names), min_size=1, max_size=3)))
+        if rarely():
+            argv += ["--spec", f"char {char}; vars {','.join(names)}; ideal {ideal}"]
+        else:
+            argv += ["--char", char, "--vars", ",".join(names), "--ideal", ideal]
+        if draw(st.booleans()):
+            argv += ["--class", draw(st.sampled_from(["monomial", "ci"]))]
+    required, optional = {
+        "fsplit": ([], [["-e", num(-1, 3)]]),
+        "summand": ([["--j", num(-2, 3)]], [["-e", num(-1, 2)]]),
+        "twists": ([], [["-e", num(-1, 2)], ["--jmax", num(-2, 3)]]),
+        "witness": ([], [["-e", num(-1, 2)]]),
+        "codepth": ([], [["--degree-bound", num(-2, 8)]]),
+        "genexp": ([], [["--degree-bound", num(-2, 8)]]),
+        "decompose": ([], [["-e", num(-1, 2)]]),
+        "filtration": ([], []),
+        "flevel": ([], [["--emax", num(-1, 3)]]),
+        "loewy": ([], []),
+        "betti": ([], [["--degree-bound", num(-2, 6)], ["--formula-nvars", num(-1, 4)],
+                       ["--formula-power", num(-1, 4)]]),
+        "strand": ([["--ell", num(-1, 6)], ["--j", num(-1, 6)]],
+                   [["--steps", num(-2, 5)], ["--char", num(-2, 7)]]),
+        "alpha": ([["--n", num(-1, 4)], ["--p", num(-2, 7)]], [["--l", num(-4, 4)]]),
+        "pn": ([["--n", num(-1, 3)], ["--p", num(-2, 5)]], [["-e", num(-1, 2)], ["--l", num(-3, 3)]]),
+        "veronese": ([["--ell", num(-1, 4)], ["--p", num(-2, 5)]],
+                     [["-e", num(-1, 2)], ["--degree-bound", num(-2, 6)]]),
+    }[name]
+    for flag in required:
+        argv += [] if rarely() else flag
+    for flag in optional + [["--threads", num(-1, 4)], ["--json"]]:
+        argv += flag if draw(st.booleans()) else []
+    if rarely():
+        argv.append(draw(st.sampled_from(["--bogus", "-e", "--json=1", "extra"])))
+    return argv + ["--max-monomials", num(0, 400)]
+
+
+class TestGrammarFuzz:
+    @given(argv=cli_argv())
+    @settings(max_examples=150, deadline=None)
+    def test_every_input_ends_in_an_exit_code(self, argv):
+        code, _out, err = run_captured(argv)
+        assert code in range(5), argv
+        assert "Traceback" not in err
 
 
 class TestDeterminism:

@@ -10,6 +10,7 @@ from frobcalc import (
     NonArtinianError,
     ParseError,
     PolyRing,
+    ResourceGuardError,
     UnsupportedIdealClassError,
     bracket_power,
     ci_colon,
@@ -203,14 +204,52 @@ class TestCIColon:
             CIIdeal(ring5xyz, [parse_polynomial(ring5xyz, t) for t in texts])
 
     def test_polynomial_generators_are_an_assertion(self, ring5xyz):
+        # two generators are checked (below); three or more stay an assertion
         I = CIIdeal(
             ring5xyz,
             [
                 parse_polynomial(ring5xyz, "x^2 + y*z"),
                 parse_polynomial(ring5xyz, "y^3 + z^3"),
+                parse_polynomial(ring5xyz, "z^4 + x*y^3"),
             ],
         )
         assert not I.regular_sequence_verified
+
+    @pytest.mark.parametrize(
+        "texts",
+        [
+            ["x^2 + y*z", "y^3 + z^3"],
+            ["x*y + z^2", "x^2 + y*z"],
+            ["x + y", "y + z"],
+            ["x^3 + y^3 + z^3", "x*y*z"],
+        ],
+    )
+    def test_two_coprime_generators_verified(self, ring5xyz, texts):
+        I = CIIdeal(ring5xyz, [parse_polynomial(ring5xyz, t) for t in texts])
+        assert I.regular_sequence_verified
+
+    @pytest.mark.parametrize(
+        "texts",
+        [
+            ["x*y + x*z", "x^2 + x*y"],
+            # common factor x + y of degree 1, generator degrees 2 and 3
+            ["x^2 - y^2", "x^3 + y^3"],
+            # common quadratic factor, generators of degree 3 and 2
+            ["x^3 + x*y*z", "x^2 + y*z"],
+            # common factor over F_5 only: x^2 + y^2 = (x + 2y)(x - 2y)
+            ["x^2 + y^2", "x*z + 2*y*z"],
+        ],
+    )
+    def test_two_generators_with_common_factor_rejected(self, ring5xyz, texts):
+        with pytest.raises(UnsupportedIdealClassError, match="common factor"):
+            CIIdeal(ring5xyz, [parse_polynomial(ring5xyz, t) for t in texts])
+
+    def test_two_generator_check_is_guarded(self, ring5xyz):
+        gens = [parse_polynomial(ring5xyz, t) for t in ["x^4 + y^4", "z^5 + x*y^4"]]
+        # u*f with deg u = 4 and v*g with deg v = 3: 15 + 10 products
+        with pytest.raises(ResourceGuardError):
+            CIIdeal(ring5xyz, gens, max_monomials=24)
+        assert CIIdeal(ring5xyz, gens, max_monomials=25).regular_sequence_verified
 
     def test_monomial_generators_verified(self, ring5xyz):
         I = CIIdeal(

@@ -19,10 +19,54 @@ from frobcalc import (
     strand_check,
 )
 from frobcalc.koszul import default_codepth_bound
+from frobcalc.modlinalg import Span, rank
 
 
 def mi(ring, *gens):
     return MonomialIdeal(ring, list(gens))
+
+
+def dense_rank(rows, p):
+    """Rank over F_p by Gaussian elimination on a list of lists."""
+    m = [[x % p for x in row] for row in rows]
+    r = 0
+    for c in range(len(m[0]) if m else 0):
+        pivot = next((i for i in range(r, len(m)) if m[i][c]), None)
+        if pivot is None:
+            continue
+        m[r], m[pivot] = m[pivot], m[r]
+        inv = pow(m[r][c], p - 2, p)
+        for i in range(r + 1, len(m)):
+            f = m[i][c] * inv % p
+            if f:
+                m[i] = [(a - f * b) % p for a, b in zip(m[i], m[r])]
+        r += 1
+    return r
+
+
+@st.composite
+def small_matrices(draw):
+    p = draw(st.sampled_from([2, 3, 5, 7]))
+    nrows = draw(st.integers(0, 8))
+    ncols = draw(st.integers(1, 8))
+    entry = st.one_of(st.just(0), st.integers(-2 * p, 2 * p))
+    rows = draw(st.lists(st.lists(entry, min_size=ncols, max_size=ncols), min_size=nrows, max_size=nrows))
+    return p, rows
+
+
+class TestSparseRank:
+    @given(matrix=small_matrices())
+    @settings(max_examples=300, deadline=None)
+    def test_span_rank_matches_dense_elimination(self, matrix):
+        p, rows = matrix
+        expected = dense_rank(rows, p)
+        span = Span(p)
+        for row in rows:
+            span.add(dict(enumerate(row)))
+        assert span.rank == expected
+        # the rank of the columns is the same number
+        columns = [{i: row[c] for i, row in enumerate(rows)} for c in range(len(rows[0]) if rows else 0)]
+        assert rank(columns, p) == expected
 
 
 class TestKoszulHomology:
@@ -261,3 +305,15 @@ class TestStrandExactness:
     def test_rejects_negative_steps(self):
         with pytest.raises(ValueError):
             strand_check(3, 1, steps=-2)
+
+    @pytest.mark.parametrize("char", [2, 3, 5])
+    def test_ranks_fill_the_outer_terms(self, char):
+        for ell in range(2, 8):
+            for j in range(1, ell):
+                report = strand_check(ell, j, steps=8, char=char)
+                assert report.exact
+                for row in report.rows:
+                    left, _mid, right = row["dims"]
+                    assert row["rank_left"] == left
+                    assert row["rank_right"] == right
+                    assert row["composite_zero"]

@@ -250,6 +250,9 @@ class TestParsing:
             poly(ring2, "x +")
         with pytest.raises(ParseError):
             poly(ring2, "(x)")
+        for text in ("2*", "x*", "x^2*y*"):
+            with pytest.raises(ParseError):
+                poly(ring2, text)
 
     def test_minus_folds_into_coefficient(self, ring5xyz):
         assert poly(ring5xyz, "x - y") == poly(ring5xyz, "x + 4*y")

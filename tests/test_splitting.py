@@ -357,7 +357,7 @@ def small_ideals(draw):
     try:
         return CIIdeal(ring, gens)
     except UnsupportedIdealClassError:
-        # monomials with overlapping supports, or linearly dependent generators
+        # monomials with overlapping supports, or dependent or non-coprime generators
         if all(len(g.terms) == 1 for g in gens):
             return MonomialIdeal(ring, [g.single_monomial() for g in gens])
         return CIIdeal(ring, gens[:1])
