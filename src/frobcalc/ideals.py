@@ -4,9 +4,10 @@ MonomialIdeal carries a canonical minimal generator list (no generator
 divides another), so ideal equality is generator-list equality.  CIIdeal
 carries homogeneous polynomial generators asserted to form a regular
 sequence.  The assertion is checked for monomial generators (pairwise
-disjoint supports are necessary and sufficient) and for two polynomial
-generators (they must be coprime); otherwise linearly dependent
-generators are rejected and the rest is recorded as a caller assertion.
+disjoint supports are necessary and sufficient), for one polynomial
+generator (a nonzero form is regular on the domain S) and for two (they
+must be coprime); otherwise linearly dependent generators are rejected
+and the rest is recorded as a caller assertion.
 
 Colon ideals are supported exactly where the criteria need them: the
 combinatorial colon for monomial ideals, and the closed formula
@@ -254,9 +255,10 @@ class CIIdeal:
                 )
             self.regular_sequence_verified = True
         else:
-            # a regular sequence is linearly independent over F_p, and two
-            # generators form one exactly when they are coprime; for three
-            # or more the hypothesis is recorded, not verified
+            # a regular sequence is linearly independent over F_p; one
+            # nonzero form is regular on the domain S, and two form a
+            # regular sequence exactly when they are coprime; for three or
+            # more the hypothesis is recorded, not verified
             span = Span(ring.p)
             if not all(span.add(f.terms) for f in gens):
                 raise UnsupportedIdealClassError(
@@ -266,7 +268,7 @@ class CIIdeal:
                 raise UnsupportedIdealClassError(
                     "generators with a common factor are not a regular sequence"
                 )
-            self.regular_sequence_verified = len(gens) == 2
+            self.regular_sequence_verified = len(gens) <= 2
 
     @property
     def codimension(self):
@@ -321,7 +323,15 @@ def bracket_power(ideal, q):
         return ideal.bracket(q)
     if isinstance(ideal, CIIdeal):
         e = frobenius_exponent(ideal.ring, q)
-        return CIIdeal(ideal.ring, [frobenius_power(f, e) for f in ideal.gens])
+        # powers of a regular sequence are one (Matsumura, Thm 16.1), and
+        # f -> f^q is injective and F_p-linear, so every check CIIdeal made
+        # on the generators holds for their q-th powers: carry its outcome
+        # over instead of rerunning the coprimality test in degree ~q
+        out = object.__new__(CIIdeal)
+        out.ring = ideal.ring
+        out.gens = tuple(frobenius_power(f, e) for f in ideal.gens)
+        out.regular_sequence_verified = ideal.regular_sequence_verified
+        return out
     raise UnsupportedIdealClassError(f"unsupported ideal class {type(ideal).__name__}")
 
 
@@ -394,8 +404,8 @@ def build_ideal(ring, polys, ideal_class=None, max_monomials=DEFAULT_MAX_MONOMIA
 
     Auto-detects the class when not given; non-monomial generators force
     the complete-intersection class, whose regular-sequence hypothesis is
-    checked for two generators (`max_monomials` bounds the check) and
-    otherwise a caller assertion.  Returns (ideal, warnings).
+    checked for one and two generators (`max_monomials` bounds the check
+    for two) and otherwise a caller assertion.  Returns (ideal, warnings).
     """
     warnings = []
     detected = detect_ideal_class(polys)

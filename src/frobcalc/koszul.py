@@ -11,7 +11,10 @@ one multidegree b at a time, by independent routes:
   on supp b modulo the upper Koszul simplicial complex K^b(I)
   (Miller-Sturmfels, Combinatorial Commutative Algebra, ch. 1), with at
   most 2^n cells, and its homology ranks are cell counts minus ranks over
-  F_p;
+  F_p.  Only the blocks that can be nonzero are visited: b = u + 1_T with
+  u standard and T containing supp u, the standard monomials coming from
+  a degree-by-degree staircase walk; a block with x^b standard (b != 0)
+  is the full simplex, which is exact, and is skipped;
 * `brute_betti` computes a minimal multigraded free resolution of S/I
   step by step, finding minimal kernel generators at each multidegree of
   the box below the lcm of the generators.
@@ -20,7 +23,8 @@ The codepth of R (embedding dimension minus depth) is the top nonvanishing
 homological degree of K.  Monomial ideals have all Betti numbers at
 multidegrees below lcm of the generators -- the Taylor complex bound --
 which makes the truncation below safe; a runtime verification band
-double-checks it anyway, on every multidegree of the two top degrees.
+double-checks it anyway, on every multidegree of the two top degrees
+(the blocks `koszul_homology` skips are exact whatever the bound).
 
 `strand_check` verifies the degree-class strands of the linear
 resolution of m^j in k[x, y] degree by degree.  Its maps are sparse
@@ -32,16 +36,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from itertools import combinations
+from itertools import chain, combinations
 
 from .errors import ResourceGuardError, UnsupportedIdealClassError, VerificationError
 from .ideals import MonomialIdeal
 from .modlinalg import Span, kernel, rank
-from .polyring import (
-    DEFAULT_MAX_MONOMIALS,
-    mono_degree,
-    monomials_of_degree,
-)
+from .polyring import DEFAULT_MAX_MONOMIALS, guard_enumeration, mono_degree
 
 
 def _check_bound(degree_bound):
@@ -92,7 +92,8 @@ def _block_homology(chains, p):
     top = len(chains)
     ranks = [0] * (top + 1)
     for i in range(1, top):
-        ranks[i] = rank(block_differential(chains, i).values(), p)
+        if chains[i] and chains[i - 1]:
+            ranks[i] = rank(block_differential(chains, i).values(), p)
     return [len(chains[i]) - ranks[i] - ranks[i + 1] for i in range(top)]
 
 
@@ -127,25 +128,56 @@ class HomologyTable:
 
 def koszul_homology(I, degree_bound, max_monomials=DEFAULT_MAX_MONOMIALS):
     """Exact ranks of H_i(K^R)_d for all i and all d <= degree_bound: the
-    sum over every multidegree b with |b| = d of the block's homology."""
+    sum over every multidegree b with |b| = d of the block's homology.
+
+    Only blocks that can be nonzero are visited.  The block at b is empty
+    unless u = b - 1_supp b is standard, so b = u + 1_T runs over the
+    standard u and the variable sets T containing supp u, which is a
+    bijection.  When x^b itself is standard and b != 0, every J in supp b
+    is a cell: the block is the full simplex, which is exact, and is
+    skipped.  The standard monomials come from a staircase walk: the
+    degree-d ones are the candidates s + e_v (s standard of degree d - 1,
+    v at or after the last variable of supp s, which forms each monomial
+    once) outside I.  `max_monomials` bounds the number of monomials of
+    each degree <= degree_bound, standard or not, so the guard depends
+    on the ring and the bound alone."""
     _check_bound(degree_bound)
     ring = I.ring
     if I.is_unit():
         raise UnsupportedIdealClassError("the quotient by the unit ideal is zero")
-    p = ring.p
-    table = HomologyTable(nvars=ring.nvars, bound=degree_bound)
-    standard = set()
+    n = ring.nvars
+    table = HomologyTable(nvars=n, bound=degree_bound)
+    staircase = []  # staircase[d]: the standard monomials of degree d
     for d in range(degree_bound + 1):
-        monos = monomials_of_degree(ring, d, max_monomials=max_monomials)
-        standard.update(m for m in monos if not I.contains_monomial(m))
-        for b in monos:
-            # the block is empty when x^(b - 1_supp b), which every
-            # x^(b - 1_J) divides, lies in I
-            if tuple(e - 1 if e else 0 for e in b) not in standard:
-                continue
-            for i, h in enumerate(_block_homology(koszul_block(b, standard), p)):
-                if h:
-                    table.entries[(i, d)] = table.entries.get((i, d), 0) + h
+        guard_enumeration(n, d, max_monomials)
+        if d == 0:
+            staircase.append([(0,) * n])
+            continue
+        level = []
+        for s in staircase[-1]:
+            last = max((v for v, e in enumerate(s) if e), default=0)
+            for v in range(last, n):
+                m = s[:v] + (s[v] + 1,) + s[v + 1 :]
+                if not I.contains_monomial(m):
+                    level.append(m)
+        staircase.append(level)
+    standard = set(chain.from_iterable(staircase))
+    for du, level in enumerate(staircase):
+        for u in level:
+            support = [v for v, e in enumerate(u) if e]
+            free = [v for v, e in enumerate(u) if not e]
+            for k in range(min(len(free), degree_bound - du - len(support)) + 1):
+                for extra in combinations(free, k):
+                    b = list(u)
+                    for v in chain(support, extra):
+                        b[v] += 1
+                    b = tuple(b)
+                    if b in standard and (du or k):
+                        continue
+                    d = du + len(support) + k
+                    for i, h in enumerate(_block_homology(koszul_block(b, standard), ring.p)):
+                        if h:
+                            table.entries[(i, d)] = table.entries.get((i, d), 0) + h
     return table
 
 

@@ -195,6 +195,16 @@ def bounded_count(nparts, total, cap=None):
     return count
 
 
+def guard_enumeration(nvars, d, max_monomials, cap=None):
+    """Refuse an enumeration of the degree-d monomials in `nvars` variables
+    (exponents <= cap when given) when there are more than `max_monomials`."""
+    expected = bounded_count(nvars, d, cap)
+    if expected > max_monomials:
+        raise ResourceGuardError(
+            f"enumeration of {expected} monomials exceeds guard {max_monomials}"
+        )
+
+
 def monomials_of_degree(ring, d, cap=None, max_monomials=DEFAULT_MAX_MONOMIALS):
     """All monomials of total degree d, largest first in degrevlex.
 
@@ -204,11 +214,7 @@ def monomials_of_degree(ring, d, cap=None, max_monomials=DEFAULT_MAX_MONOMIALS):
     if d < 0:
         return []
     n = ring.nvars
-    expected = bounded_count(n, d, cap)
-    if expected > max_monomials:
-        raise ResourceGuardError(
-            f"enumeration of {expected} monomials exceeds guard {max_monomials}"
-        )
+    guard_enumeration(n, d, max_monomials, cap)
     out = []
     mono = [0] * n
 

@@ -282,3 +282,14 @@ def test_criterion_12_strand_reference_case():
         report = strand_check(9, 4, steps=30, char=5)
         assert report.exact and report.alternating_sums_zero
         assert report.rows[-1]["dims"] == [1080, 1355, 275]
+
+
+def test_criterion_13_codepth_reference_cases():
+    # m^j is artinian, so its codepth is the number of variables; the
+    # staircase has only the monomials of degree < j, while the degree
+    # bound (lcm degree + n) is 21 and 24 here
+    with budget("13 codepth-reference-cases", 2.0):
+        for nvars, j in [(7, 2), (6, 3)]:
+            ring = PolyRing(2, [f"x{i}" for i in range(nvars)])
+            I = MonomialIdeal(ring, monomials_of_degree(ring, j))
+            assert codepth(I) == nvars

@@ -202,6 +202,32 @@ class TestExitCodes:
         payload = run_json(capsys, ["fsplit", "--char", "3", "--vars", "x,y,z", "--ideal", "x*y+z^2, x^2+y*z"])
         assert payload["notes"] == ["ideal class auto-detected as a complete intersection"]
 
+    def test_one_ci_generator_is_verified(self, capsys):
+        # a nonzero form is a nonzerodivisor on the domain S
+        payload = run_json(capsys, ["fsplit"] + QUADRIC)
+        assert payload["notes"] == ["ideal class auto-detected as a complete intersection"]
+
+    def test_three_ci_generators_stay_an_assertion(self, capsys):
+        argv = ["fsplit", "--char", "3", "--vars", "x,y,z", "--ideal", "x^2+y*z, y^2+x*z, z^2+x*y"]
+        assert run_json(capsys, argv)["notes"] == [
+            "ideal class auto-detected as a complete intersection; "
+            "the regular-sequence hypothesis is asserted, not verified",
+            "regular-sequence assertion recorded for polynomial generators",
+        ]
+
+    @pytest.mark.parametrize(
+        "argv, err",
+        [
+            # 21 = #monomials of degree 5 in 3 variables, the first degree over the guard
+            (["codepth", "--char", "2", "--vars", "x,y,z", "--ideal", "x^2,y^3", "--max-monomials", "20"],
+             "error: enumeration of 21 monomials exceeds guard 20\n"),
+            (["genexp", "--char", "2", "--vars", "x,y,z", "--ideal", "x^2", "--max-monomials", "5"],
+             "error: enumeration of 6 monomials exceeds guard 5\n"),
+        ],
+    )
+    def test_koszul_guard_counts_every_monomial_of_a_degree(self, argv, err):
+        assert run_captured(argv) == (EXIT_GUARD, [], err)
+
     def test_power_guard_covers_fsplit(self, capsys):
         argv = ["fsplit", "--char", "5", "--vars", "x,y,z", "--ideal", "x^3+y^3+z^3",
                 "-e", "4", "--max-monomials", "100"]

@@ -251,6 +251,25 @@ class TestCIColon:
             CIIdeal(ring5xyz, gens, max_monomials=24)
         assert CIIdeal(ring5xyz, gens, max_monomials=25).regular_sequence_verified
 
+    @pytest.mark.parametrize("text", ["x^2 + y*z", "x + y", "x^3 + y^3 + z^3", "x*y*z"])
+    def test_one_generator_verified(self, ring5xyz, text):
+        assert CIIdeal(ring5xyz, [parse_polynomial(ring5xyz, text)]).regular_sequence_verified
+
+    def test_bracket_power_keeps_the_verified_flag(self):
+        ring = PolyRing(7, ["x", "y", "z"])
+        I = CIIdeal(ring, [parse_polynomial(ring, t) for t in ["x*y + z^2", "x^2 + y*z"]])
+        # the coprimality check in degree 4q - 1 would exceed the default guard
+        J = bracket_power(I, 7**4)
+        assert J.regular_sequence_verified
+        assert J.gens == tuple(frobenius_power(f, 4) for f in I.gens)
+
+    def test_bracket_power_keeps_an_assertion(self, ring5xyz):
+        texts = ["x^2 + y*z", "y^3 + z^3", "z^4 + x*y^3"]
+        I = CIIdeal(ring5xyz, [parse_polynomial(ring5xyz, t) for t in texts])
+        J = bracket_power(I, 5)
+        assert not J.regular_sequence_verified
+        assert J.gens == tuple(frobenius_power(f, 1) for f in I.gens)
+
     def test_monomial_generators_verified(self, ring5xyz):
         I = CIIdeal(
             ring5xyz,

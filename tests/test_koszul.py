@@ -9,6 +9,7 @@ from conftest import assert_blocks_square_to_zero, corpus_ideals
 from frobcalc import (
     MonomialIdeal,
     PolyRing,
+    ResourceGuardError,
     UnsupportedIdealClassError,
     VerificationError,
     betti_power_formula,
@@ -18,8 +19,9 @@ from frobcalc import (
     koszul_homology,
     strand_check,
 )
-from frobcalc.koszul import default_codepth_bound
+from frobcalc.koszul import HomologyTable, _block_homology, default_codepth_bound, koszul_block
 from frobcalc.modlinalg import Span, rank
+from frobcalc.polyring import DEFAULT_MAX_MONOMIALS, monomials_of_degree
 
 
 def mi(ring, *gens):
@@ -91,6 +93,64 @@ class TestKoszulHomology:
         table = koszul_homology(mi(ring2, (2, 0), (1, 1), (0, 2)), 6)
         h0 = {d: r for (i, d), r in table.entries.items() if i == 0}
         assert h0 == {0: 1}
+
+
+def all_monomials_homology(I, degree_bound, max_monomials=DEFAULT_MAX_MONOMIALS):
+    """Reference for `koszul_homology`: enumerate every monomial of degree
+    <= degree_bound and sum the homology of each block whose cell at
+    J = supp b, x^(b - 1_supp b), is standard."""
+    ring = I.ring
+    p = ring.p
+    table = HomologyTable(nvars=ring.nvars, bound=degree_bound)
+    standard = set()
+    for d in range(degree_bound + 1):
+        monos = monomials_of_degree(ring, d, max_monomials=max_monomials)
+        standard.update(m for m in monos if not I.contains_monomial(m))
+        for b in monos:
+            if tuple(e - 1 if e else 0 for e in b) not in standard:
+                continue
+            for i, h in enumerate(_block_homology(koszul_block(b, standard), p)):
+                if h:
+                    table.entries[(i, d)] = table.entries.get((i, d), 0) + h
+    return table
+
+
+@st.composite
+def small_monomial_ideals(draw):
+    """0-5 generators of degree 1-3 in at most 4 variables over F_2, F_3 or
+    F_5; artinian ones start with a pure power of every variable."""
+    p = draw(st.sampled_from([2, 3, 5]))
+    nvars = draw(st.integers(1, 4))
+    ring = PolyRing(p, ["x", "y", "z", "w"][:nvars])
+    gens = []
+    if draw(st.booleans()):
+        for v in range(nvars):
+            gens.append(tuple(draw(st.integers(1, 3)) if w == v else 0 for w in range(nvars)))
+    degree = st.integers(1, 3).flatmap(
+        lambda d: st.lists(st.integers(0, nvars - 1), min_size=d, max_size=d)
+    )
+    for support in draw(st.lists(degree, max_size=5 - len(gens))):
+        gens.append(tuple(support.count(v) for v in range(nvars)))
+    return MonomialIdeal(ring, gens)
+
+
+class TestStaircaseWalk:
+    @given(I=small_monomial_ideals())
+    @settings(max_examples=80, deadline=None)
+    def test_matches_the_all_monomials_sum(self, I):
+        for bound in sorted({0, 1, 2, I.lcm_degree(), default_codepth_bound(I)}):
+            expected = all_monomials_homology(I, bound)
+            table = koszul_homology(I, bound)
+            assert table.entries == expected.entries, bound
+            assert table.payload() == expected.payload()
+
+    def test_guard_counts_every_monomial_of_each_degree(self, ring2):
+        # three monomials of degree 2 in x, y, although only 1, x, y are
+        # standard for m^2
+        I = mi(ring2, (2, 0), (1, 1), (0, 2))
+        assert koszul_homology(I, 4, max_monomials=5).entries == koszul_homology(I, 4).entries
+        with pytest.raises(ResourceGuardError, match="enumeration of 6 monomials exceeds guard 5"):
+            koszul_homology(I, 5, max_monomials=5)
 
 
 class TestCodepth:
