@@ -12,9 +12,16 @@ and the rest is recorded as a caller assertion.
 Colon ideals are supported exactly where the criteria need them: the
 combinatorial colon for monomial ideals, and the closed formula
 (f^(q-1)) + I^[q] with f = f_1...f_t for complete intersections.
+
+The staircase of a monomial ideal (its standard monomials, a k-basis of
+S/I) comes from one degree-by-degree walk that tests membership only on
+the frontier of the previous degree; the Hilbert function, the Loewy
+length and every caller that needs the basis read from that walk.
 """
 
 from __future__ import annotations
+
+from itertools import count, islice, takewhile
 
 from .errors import (
     NonArtinianError,
@@ -30,6 +37,7 @@ from .polyring import (
     PolyRing,
     bounded_count,
     frobenius_power,
+    guard_enumeration,
     mono_degree,
     mono_div,
     mono_divides,
@@ -136,26 +144,59 @@ class MonomialIdeal:
 
     # -- staircase ----------------------------------------------------------
 
-    def standard_monomials(self, d, max_monomials=DEFAULT_MAX_MONOMIALS):
-        """Degree-d monomials of S not in the ideal, largest first."""
-        return [
-            m
-            for m in monomials_of_degree(self.ring, d, max_monomials=max_monomials)
-            if not self.contains_monomial(m)
-        ]
+    def _walk(self, max_monomials):
+        """Yield the standard monomials of degree 0, 1, 2, ..., one list per
+        degree, largest first in degrevlex; degree d is guarded (every
+        degree-d monomial of S counted) just before it is formed.
 
-    def staircase(self, bound, max_monomials=DEFAULT_MAX_MONOMIALS):
+        Degree d comes from degree d - 1: each standard s is extended by x_v
+        for every v at or before the first variable of supp s (every v when
+        s = 1).  That forms each monomial m once, from m / x_(first of m),
+        largest first when degree d - 1 is.  Only that frontier is tested,
+        and s * x_v lies in I exactly when a generator whose v-exponent is
+        s_v + 1 divides it, since no generator divides s."""
+        n = self.ring.nvars
+        cuts = {}
+        for g in self.gens:
+            for v, e in enumerate(g):
+                cuts.setdefault((v, e), []).append(g)
+        guard_enumeration(n, 0, max_monomials)
+        level = [] if self.is_unit() else [self.ring.unit_monomial()]
+        for d in count(1):
+            yield level
+            guard_enumeration(n, d, max_monomials)
+            frontier = []
+            for s in level:
+                for v in range(n):
+                    m = s[:v] + (s[v] + 1,) + s[v + 1 :]
+                    if not any(mono_divides(g, m) for g in cuts.get((v, m[v]), ())):
+                        frontier.append(m)
+                    if s[v]:
+                        break
+            level = frontier
+
+    def staircase(self, bound=None, max_monomials=DEFAULT_MAX_MONOMIALS):
         """Standard monomials for every degree through `bound`: a complete
-        k-basis of S/I in degrees 0..bound, as per-degree lists."""
-        return [
-            self.standard_monomials(d, max_monomials=max_monomials)
-            for d in range(bound + 1)
-        ]
+        k-basis of S/I in degrees 0..bound, as per-degree lists, largest
+        first.  With no bound the walk stops at the first empty degree, the
+        Loewy length, so for artinian I the lists hold the whole basis."""
+        walk = self._walk(max_monomials)
+        if bound is not None:
+            return list(islice(walk, max(bound + 1, 0)))
+        if not self.is_artinian():
+            raise NonArtinianError(f"{self!r} is not artinian")
+        return list(takewhile(bool, walk))
+
+    def standard_monomials(self, d, max_monomials=DEFAULT_MAX_MONOMIALS):
+        """Degree-d monomials of S not in the ideal, largest first.  Degree d
+        is guarded first, so a failure reports its count."""
+        if d < 0:
+            return []
+        guard_enumeration(self.ring.nvars, d, max_monomials)
+        return self.staircase(d, max_monomials=max_monomials)[d]
 
     def hilbert_function(self, d, max_monomials=DEFAULT_MAX_MONOMIALS):
         """dim_k (S/I)_d."""
-        if d < 0:
-            return 0
         return len(self.standard_monomials(d, max_monomials=max_monomials))
 
     def lcm(self):
@@ -179,18 +220,11 @@ class MonomialIdeal:
 
     def loewy_length(self, max_monomials=DEFAULT_MAX_MONOMIALS):
         """Least n with every degree-n monomial in the ideal (m^n subset I)."""
-        if not self.is_artinian():
-            raise NonArtinianError(f"{self!r} is not artinian")
-        ceiling = sum(max(g) for g in self.gens) + 1
-        for d in range(ceiling + 1):
-            if not self.standard_monomials(d, max_monomials=max_monomials):
-                return d
-        raise AssertionError("unreachable: artinian staircase did not terminate")
+        return len(self.staircase(max_monomials=max_monomials))
 
     def total_dimension(self, max_monomials=DEFAULT_MAX_MONOMIALS):
         """dim_k S/I for artinian I."""
-        ll = self.loewy_length(max_monomials=max_monomials)
-        return sum(self.hilbert_function(d, max_monomials=max_monomials) for d in range(ll))
+        return sum(map(len, self.staircase(max_monomials=max_monomials)))
 
     def bracket(self, q):
         """I^[q]: generated by g^q for each generator g.  Over F_p this
@@ -376,10 +410,7 @@ def pushforward_min_generators(I, e, max_monomials=DEFAULT_MAX_MONOMIALS):
     ring = I.ring
     q = ring.p**e
     total = I + max_bracket_ideal(ring, q)
-    count = 0
-    for d in range((q - 1) * ring.nvars + 1):
-        count += total.hilbert_function(d, max_monomials=max_monomials)
-    return count
+    return sum(map(len, total.staircase((q - 1) * ring.nvars, max_monomials=max_monomials)))
 
 
 def max_bracket_ideal(ring, q):

@@ -13,7 +13,7 @@ one multidegree b at a time, by independent routes:
   most 2^n cells, and its homology ranks are cell counts minus ranks over
   F_p.  Only the blocks that can be nonzero are visited: b = u + 1_T with
   u standard and T containing supp u, the standard monomials coming from
-  a degree-by-degree staircase walk; a block with x^b standard (b != 0)
+  the ideal's staircase walk; a block with x^b standard (b != 0)
   is the full simplex, which is exact, and is skipped;
 * `brute_betti` computes a minimal multigraded free resolution of S/I
   step by step, finding minimal kernel generators at each multidegree of
@@ -41,7 +41,7 @@ from itertools import chain, combinations
 from .errors import ResourceGuardError, UnsupportedIdealClassError, VerificationError
 from .ideals import MonomialIdeal
 from .modlinalg import Span, kernel, rank
-from .polyring import DEFAULT_MAX_MONOMIALS, guard_enumeration, mono_degree
+from .polyring import DEFAULT_MAX_MONOMIALS, mono_degree
 
 
 def _check_bound(degree_bound):
@@ -135,32 +135,16 @@ def koszul_homology(I, degree_bound, max_monomials=DEFAULT_MAX_MONOMIALS):
     standard u and the variable sets T containing supp u, which is a
     bijection.  When x^b itself is standard and b != 0, every J in supp b
     is a cell: the block is the full simplex, which is exact, and is
-    skipped.  The standard monomials come from a staircase walk: the
-    degree-d ones are the candidates s + e_v (s standard of degree d - 1,
-    v at or after the last variable of supp s, which forms each monomial
-    once) outside I.  `max_monomials` bounds the number of monomials of
-    each degree <= degree_bound, standard or not, so the guard depends
-    on the ring and the bound alone."""
+    skipped.  The standard monomials come from `MonomialIdeal.staircase`,
+    whose `max_monomials` guard counts every monomial of each degree
+    <= degree_bound, standard or not, so it depends on the ring and the
+    bound alone."""
     _check_bound(degree_bound)
     ring = I.ring
     if I.is_unit():
         raise UnsupportedIdealClassError("the quotient by the unit ideal is zero")
-    n = ring.nvars
-    table = HomologyTable(nvars=n, bound=degree_bound)
-    staircase = []  # staircase[d]: the standard monomials of degree d
-    for d in range(degree_bound + 1):
-        guard_enumeration(n, d, max_monomials)
-        if d == 0:
-            staircase.append([(0,) * n])
-            continue
-        level = []
-        for s in staircase[-1]:
-            last = max((v for v, e in enumerate(s) if e), default=0)
-            for v in range(last, n):
-                m = s[:v] + (s[v] + 1,) + s[v + 1 :]
-                if not I.contains_monomial(m):
-                    level.append(m)
-        staircase.append(level)
+    table = HomologyTable(nvars=ring.nvars, bound=degree_bound)
+    staircase = I.staircase(degree_bound, max_monomials=max_monomials)
     standard = set(chain.from_iterable(staircase))
     for du, level in enumerate(staircase):
         for u in level:

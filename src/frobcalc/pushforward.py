@@ -17,11 +17,11 @@ from fractions import Fraction
 
 from .errors import NonArtinianError, VerificationError
 from .ideals import MonomialIdeal, pairwise_disjoint_supports
+from .koszul import _check_bound
 from .polyring import (
     DEFAULT_MAX_MONOMIALS,
     PolyRing,
     bounded_count,
-    drl_key,
     mono_degree,
     mono_divides,
     mono_mul,
@@ -48,21 +48,15 @@ class FrobeniusModule:
         self.ideal = ideal
         self.e = e
         self.q = ring.p**e
-        ll = ideal.loewy_length(max_monomials=max_monomials)
-        basis = []
-        for d in range(ll):
-            basis.extend(ideal.standard_monomials(d, max_monomials=max_monomials))
-        basis.sort(key=drl_key)  # least element first: the greedy scan order
-        self.basis = tuple(basis)
-        self.index = {u: i for i, u in enumerate(basis)}
+        # least element first (the greedy scan order): each level reversed
+        levels = ideal.staircase(max_monomials=max_monomials)
+        self.basis = tuple(u for level in levels for u in reversed(level))
+        self.index = {u: i for i, u in enumerate(self.basis)}
+        # the basis is the whole staircase, so a product missing from it is in I
         self.var_action = []
         for v in range(ring.nvars):
             xq = mono_pow(ring.variable_monomial(v), self.q)
-            row = []
-            for u in basis:
-                target = mono_mul(xq, u)
-                row.append(-1 if ideal.contains_monomial(target) else self.index[target])
-            self.var_action.append(row)
+            self.var_action.append([self.index.get(mono_mul(xq, u), -1) for u in self.basis])
 
     @property
     def ring(self):
@@ -162,29 +156,16 @@ class CyclicDecomposition:
 
 def _annihilator_of_generator(module, u):
     """Monomial ideal of elements acting as zero on the cyclic generator u:
-    all w with w^q * u inside I.  Upward closed, so minimal elements are
-    found by a degree-by-degree scan (every monomial of degree >= the Loewy
-    length already lies in I, hence annihilates)."""
-    ideal = module.ideal
-    ring = ideal.ring
+    all w with w^q * u inside I, a Frobenius root of the colon (I : u)
+    (Blickle-Mustata-Smith 2008).  In closed form it is generated by
+    ceil((g - u)^+ / q), entrywise, over the generators g of I.  This is
+    exact: w^q * u lies in I exactly when some g <= q*w + u, i.e. when
+    w_i >= (g_i - u_i) / q for every i."""
     q = module.q
-    gens = []
-    ceiling = sum(max(g) for g in ideal.gens) + 1
-
-    def annihilates(w):
-        return ideal.contains_monomial(mono_mul(mono_pow(w, q), u))
-
-    for d in range(ceiling + 1):
-        layer = monomials_of_degree(ring, d)
-        new = [
-            w
-            for w in layer
-            if annihilates(w) and not any(mono_divides(g, w) for g in gens)
-        ]
-        gens.extend(new)
-        if all(annihilates(w) for w in layer):
-            break
-    return MonomialIdeal(ring, gens)
+    return MonomialIdeal(
+        module.ring,
+        [tuple(-(min(u_i - g_i, 0) // q) for g_i, u_i in zip(g, u)) for g in module.ideal.gens],
+    )
 
 
 def cyclic_decompose(module):
@@ -424,6 +405,7 @@ def veronese_decompose(ell, p, e, degree_bound=12):
     (`_class_multiset_count`)."""
     if ell < 1 or e < 1:
         raise ValueError("need ell >= 1 and e >= 1")
+    _check_bound(degree_bound)
     q = p**e
     pieces = []
     mult = {}
@@ -578,18 +560,22 @@ def ci_filtration_check(ring, f_monos, degree_bound=None, max_monomials=DEFAULT_
         raise ValueError("each f_i must lie in m^2 (degree >= 2)")
     if not pairwise_disjoint_supports(f_monos):
         raise ValueError("supports must be pairwise disjoint (regular sequence)")
+    _check_bound(degree_bound)
 
     big = MonomialIdeal(ring, [mono_pow(m, p) for m in f_monos])  # (f_i^p)
     small = MonomialIdeal(ring, f_monos)  # (f_1..f_c)
+    artinian = big.is_artinian()
+    if degree_bound is None and not artinian:
+        degree_bound = p * sum(mono_degree(m) for m in f_monos) + 2
+    # one guarded walk of big's staircase: through the bound and, for
+    # artinian big, on to its Loewy length (the first empty degree)
+    walk = big._walk(max_monomials)
+    levels = [next(walk)]
+    while len(levels) <= (degree_bound or 0) or (artinian and levels[-1]):
+        levels.append(next(walk))
     if degree_bound is None:
-        if big.is_artinian():
-            degree_bound = big.loewy_length(max_monomials=max_monomials) - 1
-            complete = True
-        else:
-            degree_bound = p * sum(mono_degree(m) for m in f_monos) + 2
-            complete = False
-    else:
-        complete = big.is_artinian() and degree_bound >= big.loewy_length(max_monomials=max_monomials) - 1
+        degree_bound = len(levels) - 2
+    complete = artinian and not any(levels[degree_bound + 1 :])
 
     exponent_tuples = _lex_tuples(c, p)
     chain = []
@@ -601,14 +587,12 @@ def ci_filtration_check(ring, f_monos, degree_bound=None, max_monomials=DEFAULT_
     # w lies in the tail submodule generated by chain[t:] exactly when its
     # last dividing generator has index >= t; chain[0] = 1 divides every w
     step_dims = [[0] * (degree_bound + 1) for _ in chain]
-    for d in range(degree_bound + 1):
-        for w in big.standard_monomials(d, max_monomials=max_monomials):
+    for d, level in enumerate(levels[: degree_bound + 1]):
+        for w in level:
             t = next(t for t in reversed(range(len(chain))) if mono_divides(chain[t], w))
             step_dims[t][d] += 1
 
-    small_hf = [
-        small.hilbert_function(d, max_monomials=max_monomials) for d in range(degree_bound + 1)
-    ]
+    small_hf = [len(level) for level in small.staircase(degree_bound, max_monomials=max_monomials)]
     steps = []
     all_match = True
     for a, g, dims in zip(exponent_tuples, chain, step_dims):

@@ -267,10 +267,10 @@ def k_summand_test(ideal, e, max_monomials=DEFAULT_MAX_MONOMIALS):
         raise NonArtinianError("k_summand_test needs an artinian quotient")
     ring = ideal.ring
     q = ring.p**e
-    ll = ideal.loewy_length(max_monomials=max_monomials)
+    levels = ideal.staircase(max_monomials=max_monomials)
     checked = 0
-    for d in range(ll):
-        for u in ideal.standard_monomials(d, max_monomials=max_monomials):
+    for level in levels:
+        for u in level:
             checked += 1
             if _socle_witness_ok(ideal, u, q):
                 return SplitCertificate(
@@ -282,7 +282,7 @@ def k_summand_test(ideal, e, max_monomials=DEFAULT_MAX_MONOMIALS):
         e=e,
         j=0,
         kind="socle",
-        search_degree=ll - 1,
+        search_degree=len(levels) - 1,
         search_count=checked,
     )
 

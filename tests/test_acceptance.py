@@ -293,3 +293,18 @@ def test_criterion_13_codepth_reference_cases():
             ring = PolyRing(2, [f"x{i}" for i in range(nvars)])
             I = MonomialIdeal(ring, monomials_of_degree(ring, j))
             assert codepth(I) == nvars
+
+
+def test_criterion_14_staircase_reference_cases(capsys):
+    # a long thin staircase: 30 * 2^4 = 480 standard monomials, while the
+    # degrees up to the Loewy length 34 hold about 5.8 * 10^5 monomials of S
+    argv = ["--char", "2", "--vars", "x,y,z,w,u", "--ideal", "x^30, y^2, z^2, w^2, u^2", "--json"]
+    with budget("14 loewy-thin-staircase", 2.0):
+        assert run(["loewy"] + argv) == EXIT_OK
+        assert json.loads(capsys.readouterr().out)["result"]["loewy_length"] == 34
+    capsys.readouterr()  # the budget's pass line
+    with budget("14 decompose-thin-staircase", 2.0):
+        assert run(["decompose", "-e", "1"] + argv) == EXIT_OK
+        result = json.loads(capsys.readouterr().out)["result"]
+        assert result["direct"] and result["module_dimension"] == 480
+        assert sum(piece["dimension"] for piece in result["pieces"]) == 480

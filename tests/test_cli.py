@@ -1,6 +1,7 @@
 import contextlib
 import io
 import json
+import math
 import subprocess
 import sys
 
@@ -227,6 +228,41 @@ class TestExitCodes:
     )
     def test_koszul_guard_counts_every_monomial_of_a_degree(self, argv, err):
         assert run_captured(argv) == (EXIT_GUARD, [], err)
+
+    @pytest.mark.parametrize(
+        "argv, nvars, top",
+        [
+            # the staircase walk runs through the Loewy length 7
+            (["loewy", "--char", "2", "--vars", "x,y,z", "--ideal", "x^3, y^3, z^3"], 3, 7),
+            (["decompose"] + TWELVE, 2, 5),
+            # (x^6, y^6) has Loewy length 11; (x^4, y^4) in three variables
+            # is not artinian, so the default band 2 * 4 + 2 is walked
+            (["filtration", "--char", "3", "--vars", "x,y", "--ideal", "x^2, y^2"], 2, 11),
+            (["filtration", "--char", "2", "--vars", "x,y,z", "--ideal", "x^2, y^2"], 3, 10),
+            # the default codepth bound: lcm degree 5 plus 3 variables
+            (["codepth", "--char", "2", "--vars", "x,y,z", "--ideal", "x^2,y^3"], 3, 8),
+        ],
+    )
+    def test_guard_pins_at_every_threshold(self, argv, nvars, top):
+        # every degree 0..top is guarded by its count of monomials, standard
+        # or not; the first degree over the guard is the one reported
+        counts = [math.comb(d + nvars - 1, nvars - 1) for d in range(top + 1)]
+        for count in counts:
+            for guard in (count - 1, count):
+                over = [c for c in counts if c > guard]
+                code, lines, err = run_captured(argv + ["--json", "--max-monomials", str(guard)])
+                if over:
+                    assert (code, lines, err) == (
+                        EXIT_GUARD,
+                        [],
+                        f"error: enumeration of {over[0]} monomials exceeds guard {guard}\n",
+                    )
+                else:
+                    assert (code, err) == (EXIT_OK, "")
+
+    def test_veronese_rejects_a_negative_degree_bound(self):
+        argv = ["veronese", "--ell", "2", "--p", "3", "--degree-bound", "-1"]
+        assert run_captured(argv) == (EXIT_USAGE, [], "error: need degree bound >= 0: got -1\n")
 
     def test_power_guard_covers_fsplit(self, capsys):
         argv = ["fsplit", "--char", "5", "--vars", "x,y,z", "--ideal", "x^3+y^3+z^3",

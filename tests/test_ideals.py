@@ -21,7 +21,7 @@ from frobcalc import (
     parse_polynomial,
     pushforward_min_generators,
 )
-from frobcalc.ideals import build_ideal
+from frobcalc.ideals import build_ideal, max_bracket_ideal
 from frobcalc.polyring import monomials_of_degree
 
 
@@ -320,6 +320,85 @@ class TestHilbertAndLoewy:
             ll = I.loewy_length()
             for d in range(ll, ll + 4):
                 assert I.hilbert_function(d) == 0
+
+
+# The enumerate-and-filter staircase that the frontier walk replaced, kept
+# as an oracle: list every monomial of a degree, drop those in I.
+
+def filtered_level(I, d):
+    return [m for m in monomials_of_degree(I.ring, d) if not I.contains_monomial(m)]
+
+
+def filtered_loewy_length(I):
+    ceiling = sum(max(g) for g in I.gens) + 1
+    for d in range(ceiling + 1):
+        if not filtered_level(I, d):
+            return d
+    raise AssertionError("artinian staircase did not terminate")
+
+
+def filtered_min_generators(I, e):
+    q = I.ring.p**e
+    total = I + max_bracket_ideal(I.ring, q)
+    return sum(len(filtered_level(total, d)) for d in range((q - 1) * I.ring.nvars + 1))
+
+
+@st.composite
+def oracle_ideals(draw):
+    """Monomial ideals in 1..4 variables: zero, unit, artinian (a pure power
+    of every variable among the generators) or arbitrary."""
+    n = draw(st.integers(1, 4))
+    ring = PolyRing(draw(st.sampled_from([2, 3])), ["x", "y", "z", "w"][:n])
+    kind = draw(st.sampled_from(["zero", "unit", "artinian", "any"]))
+    if kind == "zero":
+        return MonomialIdeal.zero(ring)
+    if kind == "unit":
+        return MonomialIdeal(ring, [ring.unit_monomial()])
+    gens = draw(st.lists(st.tuples(*[st.integers(0, 3)] * n), max_size=4))
+    if kind == "artinian":
+        for v in range(n):
+            gens.append(tuple(draw(st.integers(1, 4)) if i == v else 0 for i in range(n)))
+    return MonomialIdeal(ring, gens)
+
+
+class TestStaircaseOracle:
+    @given(data=st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_staircase_matches_enumerate_and_filter(self, data):
+        I = data.draw(oracle_ideals())
+        bound = data.draw(st.integers(0, I.lcm_degree() + 2))
+        want = [filtered_level(I, d) for d in range(bound + 1)]
+        assert I.staircase(bound) == want
+        assert [I.standard_monomials(d) for d in range(bound + 1)] == want
+        assert [I.hilbert_function(d) for d in range(-1, bound + 1)] == [0] + [len(w) for w in want]
+        if I.is_artinian():
+            ll = filtered_loewy_length(I)
+            assert I.loewy_length() == ll
+            assert I.staircase() == [filtered_level(I, d) for d in range(ll)]
+            assert I.total_dimension() == sum(len(filtered_level(I, d)) for d in range(ll))
+        else:
+            for method in (I.loewy_length, I.total_dimension, I.staircase):
+                with pytest.raises(NonArtinianError):
+                    method()
+
+    @given(data=st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_min_generators_match_enumerate_and_filter(self, data):
+        I = data.draw(oracle_ideals())
+        e = data.draw(st.sampled_from([1, 2] if I.ring.p == 2 else [1]))
+        assert pushforward_min_generators(I, e) == filtered_min_generators(I, e)
+
+    def test_guard_counts_every_monomial_of_each_walked_degree(self, ring2):
+        I = mi(ring2, (2, 0), (0, 2))  # the staircase is empty from degree 3 on
+        with pytest.raises(ResourceGuardError, match="enumeration of 6 monomials exceeds guard 5"):
+            I.staircase(5, max_monomials=5)
+        assert I.staircase(4, max_monomials=5)[3:] == [[], []]
+        # the default walk stops at the Loewy length, whose degree is guarded
+        with pytest.raises(ResourceGuardError, match="enumeration of 4 monomials exceeds guard 3"):
+            I.loewy_length(max_monomials=3)
+        # a single degree reports its own count, not that of a lower degree
+        with pytest.raises(ResourceGuardError, match="enumeration of 8 monomials exceeds guard 5"):
+            I.standard_monomials(7, max_monomials=5)
 
 
 class TestPushforwardGenerators:

@@ -3,6 +3,8 @@ from collections import Counter
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from frobcalc import (
     FrobeniusModule,
@@ -17,8 +19,8 @@ from frobcalc import (
     strand_module,
     veronese_decompose,
 )
-from frobcalc.polyring import mono_degree, monomials_of_degree
-from frobcalc.pushforward import _class_multiset_count
+from frobcalc.polyring import mono_degree, mono_divides, mono_mul, mono_pow, monomials_of_degree
+from frobcalc.pushforward import _annihilator_of_generator, _class_multiset_count
 
 
 def mi(ring, *gens):
@@ -110,6 +112,40 @@ class TestCyclicDecompose:
                     t = M.act_variable(v, i)
                     if t >= 0:
                         assert M.basis[t] in members
+
+
+def scanned_annihilator(module, u):
+    """The degree-by-degree scan that the closed-form annihilator replaced,
+    kept as an oracle: the minimal w with w^q * u in I, degree by degree,
+    until a whole degree annihilates."""
+    ideal = module.ideal
+    gens = []
+
+    def annihilates(w):
+        return ideal.contains_monomial(mono_mul(mono_pow(w, module.q), u))
+
+    for d in range(sum(max(g) for g in ideal.gens) + 2):
+        layer = monomials_of_degree(ideal.ring, d)
+        gens.extend(w for w in layer if annihilates(w) and not any(mono_divides(g, w) for g in gens))
+        if all(annihilates(w) for w in layer):
+            break
+    return MonomialIdeal(ideal.ring, gens)
+
+
+class TestAnnihilatorOracle:
+    @given(data=st.data())
+    @settings(max_examples=80, deadline=None)
+    def test_closed_form_matches_the_degree_scan(self, data):
+        n = data.draw(st.integers(1, 3))
+        p = data.draw(st.sampled_from([2, 3, 5]))
+        e = data.draw(st.sampled_from([1, 2]))
+        ring = PolyRing(p, ["x", "y", "z"][:n])
+        gens = data.draw(st.lists(st.tuples(*[st.integers(0, 5)] * n), max_size=3))
+        gens = [g for g in gens if any(g)]
+        gens += [tuple(data.draw(st.integers(1, 6)) if i == v else 0 for i in range(n)) for v in range(n)]
+        M = FrobeniusModule(MonomialIdeal(ring, gens), e)
+        for u in M.basis:
+            assert _annihilator_of_generator(M, u) == scanned_annihilator(M, u), u
 
 
 class TestAlpha:
