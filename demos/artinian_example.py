@@ -28,7 +28,10 @@ print(f"R splits off F_*R:            {is_f_split(I, 1).verdict}")
 print()
 module = FrobeniusModule(I, 1)
 dec = cyclic_decompose(module)
-print(f"greedy cyclic decomposition: {len(dec.pieces)} pieces, direct = {dec.direct}")
+print(
+    f"cyclic decomposition by exponent residues mod {module.q}: {len(dec.pieces)} pieces "
+    f"partitioning the {module.dimension()} basis monomials"
+)
 for piece in dec.pieces:
     ann = ", ".join(mono_str(ring, g) for g in piece.annihilator.gens)
     basis = ", ".join(mono_str(ring, u) for u in piece.basis)

@@ -38,7 +38,6 @@ from .levels import f_level_bounds, generation_exponent
 from .polyring import PolyRing, is_prime, mono_str, parse_polynomial
 from .pushforward import (
     FrobeniusModule,
-    alpha,
     ci_filtration_check,
     cyclic_decompose,
     pn_pushforward,
@@ -134,7 +133,7 @@ def render_text(value, indent=0):
     return lines if indent else "\n".join(lines) + "\n"
 
 
-def _add_ring_args(sub, require_ideal=True):
+def _add_ring_args(sub):
     sub.add_argument("--char", type=int, help="prime characteristic")
     sub.add_argument("--vars", help="comma-separated variable names")
     sub.add_argument("--ideal", help="comma-separated generators")
@@ -143,7 +142,6 @@ def _add_ring_args(sub, require_ideal=True):
         "--spec",
         help="alternative input: `char <p>; vars <x,..>; ideal <f>, ..; [class ..;]`",
     )
-    sub.require_ideal = require_ideal
 
 
 def _parse_ideal_args(args, guard):
@@ -180,9 +178,6 @@ def build_parser():
     common = _Parser(add_help=False)
     common.add_argument("--json", action="store_true", help="emit the JSON envelope")
     common.add_argument(
-        "--threads", type=int, default=1, help="accepted for old command lines; ignored"
-    )
-    common.add_argument(
         "--max-monomials",
         type=int,
         default=None,
@@ -215,7 +210,7 @@ def build_parser():
     ring_subs["flevel"].add_argument("--emax", type=int, default=4)
 
     betti = subs.add_parser("betti", help="graded Betti table, or the power formula", parents=[common])
-    _add_ring_args(betti, require_ideal=False)
+    _add_ring_args(betti)
     betti.add_argument("--degree-bound", type=int, default=None)
     betti.add_argument("--formula-nvars", type=int, help="closed form: number of variables")
     betti.add_argument("--formula-power", type=int, help="closed form: power of the maximal ideal")
@@ -345,13 +340,7 @@ def _dispatch(args):
     if name == "alpha":
         if not (1 <= args.n):
             raise ParseError("need n >= 1")
-        table = {}
-        i = -(args.l // args.p)
-        while args.l + i * args.p <= (args.n + 1) * (args.p - 1):
-            value = alpha(args.n, args.p, i, args.l)
-            if value:
-                table[str(i)] = value
-            i += 1
+        table = {str(-t): m for t, m in pn_pushforward(args.n, args.p, 1, args.l).twists.items()}
         echo = {"n": args.n, "p": args.p, "l": args.l}
         return echo, {"alpha": table, "sum": sum(table.values())}, []
 
@@ -361,7 +350,7 @@ def _dispatch(args):
         return echo, report.payload(), []
 
     if name == "veronese":
-        report = veronese_decompose(args.ell, args.p, args.e, degree_bound=args.degree_bound)
+        report = veronese_decompose(args.ell, args.p, args.e, args.degree_bound, **guard)
         echo = {"ell": args.ell, "p": args.p, "e": args.e}
         return echo, report.payload(), []
 
@@ -379,9 +368,6 @@ def run(argv):
     start = time.perf_counter()
     try:
         echo, result, warnings = _dispatch(args)
-    except _UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
     except (ParseError, RingMismatchError, ExponentOverflowError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

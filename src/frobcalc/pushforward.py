@@ -6,16 +6,17 @@ r acts as multiplication by r^q (q = p^e), and the grading takes values in
 `fractions.Fraction` values, never floats.
 
 Over the prime field the action of a polynomial r = sum c_w w on the
-pushforward is sum c_w (w^q * u), so the action tables of the variables
-determine everything.
+pushforward is sum c_w (w^q * u), so the action of the monomials
+determines everything, and it keeps every exponent's residue mod q.
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import NonArtinianError, VerificationError
+from .errors import NonArtinianError, ResourceGuardError, VerificationError
 from .ideals import MonomialIdeal, pairwise_disjoint_supports
 from .koszul import _check_bound
 from .polyring import (
@@ -32,10 +33,10 @@ from .polyring import (
 
 
 class FrobeniusModule:
-    """The e-th Frobenius pushforward of an artinian monomial quotient,
-    with its twisted action tabulated on the staircase basis."""
+    """The e-th Frobenius pushforward of an artinian monomial quotient on
+    its staircase basis, least degree first."""
 
-    __slots__ = ("ideal", "e", "q", "basis", "index", "var_action")
+    __slots__ = ("ideal", "e", "q", "basis", "index")
 
     def __init__(self, ideal, e, max_monomials=DEFAULT_MAX_MONOMIALS):
         if e < 1:
@@ -44,19 +45,12 @@ class FrobeniusModule:
             raise NonArtinianError(
                 "pushforward modules are tabulated for artinian quotients"
             )
-        ring = ideal.ring
         self.ideal = ideal
         self.e = e
-        self.q = ring.p**e
-        # least element first (the greedy scan order): each level reversed
+        self.q = ideal.ring.p**e
         levels = ideal.staircase(max_monomials=max_monomials)
         self.basis = tuple(u for level in levels for u in reversed(level))
         self.index = {u: i for i, u in enumerate(self.basis)}
-        # the basis is the whole staircase, so a product missing from it is in I
-        self.var_action = []
-        for v in range(ring.nvars):
-            xq = mono_pow(ring.variable_monomial(v), self.q)
-            self.var_action.append([self.index.get(mono_mul(xq, u), -1) for u in self.basis])
 
     @property
     def ring(self):
@@ -71,32 +65,13 @@ class FrobeniusModule:
 
     def act_variable(self, v, i):
         """Index of x_v acting on basis element i, or -1 when it dies."""
-        return self.var_action[v][i]
+        return self.act_monomial(self.ring.variable_monomial(v), i)
 
     def act_monomial(self, w, i):
-        """w acting on basis element i (w a monomial of S), or -1."""
-        for v, exp in enumerate(w):
-            for _ in range(exp):
-                i = self.var_action[v][i]
-                if i < 0:
-                    return -1
-        return i
-
-    def cyclic_orbit(self, i):
-        """Indices of the cyclic submodule generated by basis element i:
-        all nonzero monomial actions w . u = w^q u."""
-        seen = {i}
-        frontier = [i]
-        while frontier:
-            nxt = []
-            for t in frontier:
-                for v in range(self.ring.nvars):
-                    s = self.var_action[v][t]
-                    if s >= 0 and s not in seen:
-                        seen.add(s)
-                        nxt.append(s)
-            frontier = nxt
-        return sorted(seen)
+        """w acting on basis element i (w a monomial of S), or -1.  The
+        basis is the whole staircase, so a product missing from it is in I."""
+        product = tuple(u_i + self.q * w_i for u_i, w_i in zip(self.basis[i], w))
+        return self.index.get(product, -1)
 
 
 @dataclass
@@ -123,26 +98,25 @@ class CyclicPiece:
 
 @dataclass
 class CyclicDecomposition:
-    """Greedy cyclic decomposition of a pushforward module.
+    """Decomposition of a pushforward module into cyclic pieces, one per
+    residue class of exponent vectors mod q.
 
-    Pieces are generated by the least (degrevlex) basis monomial not yet
-    covered; directness holds when the piece bases are pairwise disjoint
-    and partition the full basis.  Pieces are grouped into isomorphism
-    classes by annihilator ideal plus shift-normalized Hilbert function,
-    which identifies cyclic modules over these quotients."""
+    The pieces partition the basis, so the sum is always direct; the
+    report still carries `"direct": true` and an empty `"overlaps"` list.
+    Pieces are grouped into isomorphism classes by annihilator ideal plus
+    shift-normalized Hilbert function, which identifies cyclic modules
+    over these quotients."""
 
     module_dimension: int
     pieces: list
-    direct: bool
-    overlaps: list
     iso_classes: list  # (annihilator gens, relative hilbert, multiplicity)
 
     def payload(self, ring):
         return {
             "module_dimension": self.module_dimension,
-            "direct": self.direct,
+            "direct": True,
             "pieces": [piece.payload(ring) for piece in self.pieces],
-            "overlaps": self.overlaps,
+            "overlaps": [],
             "iso_classes": [
                 {
                     "annihilator": [mono_str(ring, g) for g in ann],
@@ -169,57 +143,43 @@ def _annihilator_of_generator(module, u):
 
 
 def cyclic_decompose(module):
-    """Greedy cyclic decomposition; overlap between pieces is reported, not
-    fatal (directness simply fails)."""
-    ring = module.ring
-    covered = set()
+    """Split the pushforward by exponent residues mod q.
+
+    x_v acts as x_v^q, which keeps every exponent mod q, and the staircase
+    is closed under division; so the standard monomials w congruent to a
+    standard u with every exponent below q span the cyclic submodule
+    generated by u, and these classes partition the basis.  u is the
+    least-degree member of its class, so it comes first in basis order and
+    the pieces come out in the order of their generators."""
+    q = module.q
+    classes = {}
+    for w in module.basis:
+        classes.setdefault(tuple(x % q for x in w), []).append(w)
     pieces = []
-    overlaps = []
-    direct = True
-    for i, u in enumerate(module.basis):
-        if i in covered:
-            continue
-        orbit = module.cyclic_orbit(i)
-        clash = sorted(set(orbit) & covered)
-        if clash:
-            direct = False
-            overlaps.append(
-                {
-                    "generator": mono_str(ring, u),
-                    "overlap": [mono_str(ring, module.basis[t]) for t in clash],
-                }
-            )
-        covered.update(orbit)
-        basis = tuple(module.basis[t] for t in orbit)
-        ann = _annihilator_of_generator(module, u)
+    for members in classes.values():
+        u = members[0]
         gen_degree = mono_degree(u)
         rel = {}
-        for w in basis:
-            offset = (mono_degree(w) - gen_degree) // module.q
+        for w in members:
+            offset = (mono_degree(w) - gen_degree) // q
             rel[offset] = rel.get(offset, 0) + 1
-        hilbert = tuple(rel.get(t, 0) for t in range(max(rel) + 1))
         pieces.append(
             CyclicPiece(
                 generator=u,
-                basis=basis,
-                annihilator=ann,
-                relative_hilbert=hilbert,
-                degree_offset=Fraction(gen_degree, module.q),
+                basis=tuple(members),
+                annihilator=_annihilator_of_generator(module, u),
+                relative_hilbert=tuple(rel.get(t, 0) for t in range(max(rel) + 1)),
+                degree_offset=Fraction(gen_degree, q),
             )
         )
-    if direct and sum(len(piece.basis) for piece in pieces) != module.dimension():
-        direct = False
-    classes = {}
+    iso = {}
     for piece in pieces:
         key = (piece.annihilator.gens, piece.relative_hilbert)
-        classes[key] = classes.get(key, 0) + 1
-    iso = [(ann, hf, mult) for (ann, hf), mult in sorted(classes.items())]
+        iso[key] = iso.get(key, 0) + 1
     return CyclicDecomposition(
         module_dimension=module.dimension(),
         pieces=pieces,
-        direct=direct,
-        overlaps=overlaps,
-        iso_classes=iso,
+        iso_classes=[(ann, hf, mult) for (ann, hf), mult in sorted(iso.items())],
     )
 
 
@@ -388,7 +348,7 @@ class ConicDecomposition:
         }
 
 
-def veronese_decompose(ell, p, e, degree_bound=12):
+def veronese_decompose(ell, p, e, degree_bound=12, max_monomials=DEFAULT_MAX_MONOMIALS):
     """Decompose the e-th Frobenius pushforward of the index-ell Veronese
     subring of k[x, y] into strand modules.
 
@@ -402,11 +362,19 @@ def veronese_decompose(ell, p, e, degree_bound=12):
     Pieces with the same start degree that share a class count and a
     total weight have the same Hilbert function; the number of class
     multisets with that profile is a Gaussian binomial coefficient
-    (`_class_multiset_count`)."""
+    (`_class_multiset_count`).
+
+    The verification holds one dimension per S-degree through
+    max(degree_bound, 4) * ell * q; `max_monomials` guards that count."""
     if ell < 1 or e < 1:
         raise ValueError("need ell >= 1 and e >= 1")
     _check_bound(degree_bound)
     q = p**e
+    bound = max(degree_bound * ell * q, 4 * ell * q)
+    if bound + 1 > max_monomials:
+        raise ResourceGuardError(
+            f"Hilbert-series check over {bound + 1} degrees exceeds guard {max_monomials}"
+        )
     pieces = []
     mult = {}
     for u in range(q):
@@ -419,7 +387,6 @@ def veronese_decompose(ell, p, e, degree_bound=12):
                     mult[j] = mult.get(j, 0) + 1
     # Hilbert-series verification through an S-degree bound: reconstruct
     # the dimension of every fractional degree layer from the pieces.
-    bound = max(degree_bound * ell * q, 4 * ell * q)
     recon = [0] * (bound + 1)
     for u, v, j, start in pieces:
         s = 0
@@ -577,7 +544,7 @@ def ci_filtration_check(ring, f_monos, degree_bound=None, max_monomials=DEFAULT_
         degree_bound = len(levels) - 2
     complete = artinian and not any(levels[degree_bound + 1 :])
 
-    exponent_tuples = _lex_tuples(c, p)
+    exponent_tuples = list(itertools.product(range(p), repeat=c))
     chain = []
     for a in exponent_tuples:
         g = ring.unit_monomial()
@@ -618,11 +585,3 @@ def ci_filtration_check(ring, f_monos, degree_bound=None, max_monomials=DEFAULT_
         complete=complete,
         all_match=all_match,
     )
-
-
-def _lex_tuples(c, p):
-    """{0..p-1}^c in ascending lexicographic order."""
-    out = [()]
-    for _ in range(c):
-        out = [t + (k,) for t in out for k in range(p)]
-    return sorted(out)

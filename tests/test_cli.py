@@ -2,8 +2,10 @@ import contextlib
 import io
 import json
 import math
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -260,6 +262,18 @@ class TestExitCodes:
                 else:
                     assert (code, err) == (EXIT_OK, "")
 
+    def test_veronese_guards_its_hilbert_series_check(self):
+        # 200000 * 2 * 3 + 1 degrees would be checked
+        argv = ["veronese", "--ell", "2", "--p", "3", "--degree-bound", "200000",
+                "--max-monomials", "10"]
+        message = "error: Hilbert-series check over 1200001 degrees exceeds guard 10\n"
+        assert run_captured(argv) == (EXIT_GUARD, [], message)
+
+    def test_threads_is_not_an_option(self):
+        code, lines, err = run_captured(["pn", "--n", "2", "--p", "2", "--threads", "1"])
+        assert (code, lines) == (EXIT_USAGE, [])
+        assert "unrecognized arguments: --threads 1" in err
+
     def test_veronese_rejects_a_negative_degree_bound(self):
         argv = ["veronese", "--ell", "2", "--p", "3", "--degree-bound", "-1"]
         assert run_captured(argv) == (EXIT_USAGE, [], "error: need degree bound >= 0: got -1\n")
@@ -408,7 +422,7 @@ def cli_argv(draw):
     }[name]
     for flag in required:
         argv += [] if rarely() else flag
-    for flag in optional + [["--threads", num(-1, 4)], ["--json"]]:
+    for flag in optional + [["--json"]]:
         argv += flag if draw(st.booleans()) else []
     if rarely():
         argv.append(draw(st.sampled_from(["--bogus", "-e", "--json=1", "extra"])))
@@ -436,14 +450,13 @@ class TestDeterminism:
     )
     def test_byte_identical_across_runs_and_threads(self, capsys, argv):
         outputs = []
-        for threads in ("1", "8"):
-            for _ in range(2):
-                code = run(argv + ["--json", "--threads", threads])
-                raw = capsys.readouterr().out
-                assert code == EXIT_OK
-                payload = json.loads(raw)
-                payload.pop("timing_seconds")
-                outputs.append(json.dumps(payload, indent=2))
+        for _ in range(4):
+            code = run(argv + ["--json"])
+            raw = capsys.readouterr().out
+            assert code == EXIT_OK
+            payload = json.loads(raw)
+            payload.pop("timing_seconds")
+            outputs.append(json.dumps(payload, indent=2))
         assert len(set(outputs)) == 1
 
 
@@ -521,10 +534,13 @@ def test_staircase_view(ring2):
 
 
 def test_module_entry_point():
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     proc = subprocess.run(
         [sys.executable, "-m", "frobcalc", "alpha", "--n", "1", "--p", "2", "--json"],
         capture_output=True,
         text=True,
+        env=dict(os.environ, PYTHONPATH=path),
     )
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["result"]["sum"] == 2

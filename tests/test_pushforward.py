@@ -16,6 +16,7 @@ from frobcalc import (
     ci_filtration_check,
     cyclic_decompose,
     pn_pushforward,
+    pushforward_min_generators,
     strand_module,
     veronese_decompose,
 )
@@ -25,6 +26,13 @@ from frobcalc.pushforward import _annihilator_of_generator, _class_multiset_coun
 
 def mi(ring, *gens):
     return MonomialIdeal(ring, list(gens))
+
+
+def assert_partitions(dec, module):
+    """The piece bases are disjoint and together give the module basis."""
+    union = [u for piece in dec.pieces for u in piece.basis]
+    assert len(union) == len(set(union)) == module.dimension()
+    assert set(union) == set(module.basis)
 
 
 class TestPushforwardModule:
@@ -74,8 +82,9 @@ class TestPushforwardModule:
 class TestCyclicDecompose:
     def test_twelve_dimensional_example(self, ring2):
         I = mi(ring2, (4, 0), (2, 2), (0, 4))
-        dec = cyclic_decompose(FrobeniusModule(I, 1))
-        assert dec.direct
+        M = FrobeniusModule(I, 1)
+        dec = cyclic_decompose(M)
+        assert_partitions(dec, M)
         assert len(dec.pieces) == 4
         assert {p.generator for p in dec.pieces} == {(0, 0), (1, 0), (0, 1), (1, 1)}
         target_ann = mi(ring2, (2, 0), (1, 1), (0, 2))
@@ -90,8 +99,9 @@ class TestCyclicDecompose:
 
     def test_semisimple_case_gives_lines(self, ring2):
         I = mi(ring2, (2, 0), (1, 1), (0, 2))
-        dec = cyclic_decompose(FrobeniusModule(I, 1))
-        assert dec.direct
+        M = FrobeniusModule(I, 1)
+        dec = cyclic_decompose(M)
+        assert_partitions(dec, M)
         assert sorted(len(p.basis) for p in dec.pieces) == [1, 1, 1]
 
     def test_piece_dimensions_sum(self, ring2):
@@ -132,20 +142,75 @@ def scanned_annihilator(module, u):
     return MonomialIdeal(ideal.ring, gens)
 
 
+def greedy_orbits(module):
+    """The greedy orbit search that the residue-class split replaced, kept
+    as an oracle: from each basis element not yet covered, least degree
+    first, the breadth-first orbit under x_v . u = x_v^q * u.  Returns
+    (generator, orbit basis in basis order, orbit size by BFS level) for
+    each orbit, and whether the orbits partition the basis."""
+    ring, basis = module.ring, module.basis
+    powers = [mono_pow(ring.variable_monomial(v), module.q) for v in range(ring.nvars)]
+    action = [[module.index.get(mono_mul(xq, u), -1) for u in basis] for xq in powers]
+    covered = set()
+    orbits = []
+    direct = True
+    for i, u in enumerate(basis):
+        if i in covered:
+            continue
+        seen = {i}
+        frontier = [i]
+        levels = []
+        while frontier:
+            levels.append(len(frontier))
+            nxt = []
+            for t in frontier:
+                for v in range(ring.nvars):
+                    s = action[v][t]
+                    if s >= 0 and s not in seen:
+                        seen.add(s)
+                        nxt.append(s)
+            frontier = nxt
+        direct = direct and not seen & covered
+        covered |= seen
+        orbits.append((u, tuple(basis[t] for t in sorted(seen)), tuple(levels)))
+    return orbits, direct and len(covered) == len(basis)
+
+
+def artinian_module(data):
+    """F^e_* of a random artinian monomial quotient: at most 3 variables,
+    p <= 5, e <= 2."""
+    n = data.draw(st.integers(1, 3))
+    p = data.draw(st.sampled_from([2, 3, 5]))
+    e = data.draw(st.sampled_from([1, 2]))
+    ring = PolyRing(p, ["x", "y", "z"][:n])
+    gens = data.draw(st.lists(st.tuples(*[st.integers(0, 5)] * n), max_size=3))
+    gens = [g for g in gens if any(g)]
+    gens += [tuple(data.draw(st.integers(1, 6)) if i == v else 0 for i in range(n)) for v in range(n)]
+    return FrobeniusModule(MonomialIdeal(ring, gens), e)
+
+
 class TestAnnihilatorOracle:
     @given(data=st.data())
     @settings(max_examples=80, deadline=None)
     def test_closed_form_matches_the_degree_scan(self, data):
-        n = data.draw(st.integers(1, 3))
-        p = data.draw(st.sampled_from([2, 3, 5]))
-        e = data.draw(st.sampled_from([1, 2]))
-        ring = PolyRing(p, ["x", "y", "z"][:n])
-        gens = data.draw(st.lists(st.tuples(*[st.integers(0, 5)] * n), max_size=3))
-        gens = [g for g in gens if any(g)]
-        gens += [tuple(data.draw(st.integers(1, 6)) if i == v else 0 for i in range(n)) for v in range(n)]
-        M = FrobeniusModule(MonomialIdeal(ring, gens), e)
+        M = artinian_module(data)
         for u in M.basis:
             assert _annihilator_of_generator(M, u) == scanned_annihilator(M, u), u
+
+
+class TestOrbitOracle:
+    @given(data=st.data())
+    @settings(max_examples=80, deadline=None)
+    def test_residue_classes_match_the_greedy_orbits(self, data):
+        M = artinian_module(data)
+        dec = cyclic_decompose(M)
+        orbits, direct = greedy_orbits(M)
+        assert direct
+        assert_partitions(dec, M)
+        assert [(p.generator, p.basis, p.relative_hilbert) for p in dec.pieces] == orbits
+        for piece in dec.pieces:
+            assert piece.annihilator == scanned_annihilator(M, piece.generator)
+        assert len(dec.pieces) == pushforward_min_generators(M.ideal, M.e)
 
 
 class TestAlpha:
