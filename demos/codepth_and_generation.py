@@ -3,17 +3,17 @@
 codepth R = (number of variables) - depth R is the top homological degree
 where the Koszul complex on the variables has homology.  Once p^e exceeds
 it, the e-th pushforward of anything with full support generates everything
-bounded.  The graded homology ranks double as the Betti table of S/I, which
-the brute-force resolution recomputes independently.
+bounded.  The graded homology ranks double as the Betti table of S/I
+(Koszul homology of S/I is Tor(S/I, k)), which `betti_table` reads from
+the blocks inside the lcm box.
 """
 
 from frobcalc import (
     MonomialIdeal,
     PolyRing,
     betti_power_formula,
-    brute_betti,
+    betti_table,
     codepth,
-    depth_from_codepth,
     generation_exponent,
     koszul_homology,
 )
@@ -31,7 +31,7 @@ for label, gens in examples.items():
     I = MonomialIdeal(ring, gens)
     c = codepth(I)
     print(
-        f"  {label:>20}: codepth {c}, depth {depth_from_codepth(I)}, "
+        f"  {label:>20}: codepth {c}, depth {ring.nvars - c}, "
         f"e = {generation_exponent(I)} (2^e > {c})"
     )
 
@@ -42,8 +42,8 @@ for (i, d), r in sorted(table.entries.items()):
     print(f"  H_{i} in degree {d}: rank {r}")
 
 print()
-print("the same numbers from the minimal free resolution:")
-print(" ", brute_betti(MonomialIdeal(ring, [(2, 0), (1, 1), (0, 2)])))
+print("the same numbers as a graded Betti table {(i, degree): rank}:")
+print(" ", betti_table(MonomialIdeal(ring, [(2, 0), (1, 1), (0, 2)])))
 
 print()
 print("closed form for powers of the maximal ideal, three variables:")

@@ -1,9 +1,8 @@
 """frobcalc: exact characteristic-p commutative algebra over prime fields.
 
 Frobenius splitting tests with re-verifiable certificates, pushforward
-module decompositions, Koszul-homology codepth, graded Betti tables with a
-brute-force oracle, and bound reports for pushforward levels and
-generation exponents.
+module decompositions, Koszul-homology codepth and graded Betti tables, and
+bound reports for pushforward levels and generation exponents.
 """
 
 __version__ = "0.1.0"
@@ -33,9 +32,8 @@ from .ideals import (
 )
 from .koszul import (
     betti_power_formula,
-    brute_betti,
+    betti_table,
     codepth,
-    depth_from_codepth,
     koszul_homology,
     strand_check,
 )

@@ -30,7 +30,7 @@ from .errors import (
 from .ideals import CIIdeal, MonomialIdeal, build_ideal, parse_ideal_spec
 from .koszul import (
     betti_power_formula,
-    brute_betti,
+    betti_table,
     codepth,
     strand_check,
 )
@@ -316,7 +316,7 @@ def _dispatch(args):
             echo = {"formula_nvars": d, "formula_power": j}
             return echo, {"betti": row, "generator_degrees": degrees}, []
         ring, ideal, warnings = _parse_ideal_args(args, guard)
-        table = brute_betti(_need_monomial(ideal), args.degree_bound, **guard)
+        table = betti_table(_need_monomial(ideal), args.degree_bound, **guard)
         echo = {
             "char": ring.p,
             "vars": list(ring.variables),

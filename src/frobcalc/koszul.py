@@ -2,29 +2,24 @@
 
 For a monomial ideal I the Koszul complex K on the images of the variables
 satisfies H_i(K)_b = dim_k Tor_i^S(S/I, k)_b, the multigraded Betti numbers
-of S/I over S.  Both complexes are Z^n-graded, so both sides are computed
-one multidegree b at a time, by independent routes:
+of S/I over S, so one computation gives the Koszul homology, the codepth
+and the graded Betti table.  K is Z^n-graded and splits into blocks:
+e_J (x) u has multidegree u + 1_J, and the block at b is spanned by the
+subsets J of supp b with x^(b - 1_J) outside I.  It is the relative chain
+complex of the simplex on supp b modulo the upper Koszul simplicial
+complex K^b(I) (Miller-Sturmfels, Combinatorial Commutative Algebra,
+ch. 1), with at most 2^n cells, and its homology ranks are cell counts
+minus ranks over F_p.  Only the blocks that can be nonzero are visited:
+b = u + 1_T with u standard and T containing supp u, the standard
+monomials coming from the ideal's staircase walk; a block with x^b
+standard (b != 0) is the full simplex, which is exact, and is skipped.
 
-* `koszul_homology` splits K into blocks: e_J (x) u has multidegree
-  u + 1_J, and the block at b is spanned by the subsets J of supp b with
-  x^(b - 1_J) outside I.  It is the relative chain complex of the simplex
-  on supp b modulo the upper Koszul simplicial complex K^b(I)
-  (Miller-Sturmfels, Combinatorial Commutative Algebra, ch. 1), with at
-  most 2^n cells, and its homology ranks are cell counts minus ranks over
-  F_p.  Only the blocks that can be nonzero are visited: b = u + 1_T with
-  u standard and T containing supp u, the standard monomials coming from
-  the ideal's staircase walk; a block with x^b standard (b != 0)
-  is the full simplex, which is exact, and is skipped;
-* `brute_betti` computes a minimal multigraded free resolution of S/I
-  step by step, finding minimal kernel generators at each multidegree of
-  the box below the lcm of the generators.
-
-The codepth of R (embedding dimension minus depth) is the top nonvanishing
-homological degree of K.  Monomial ideals have all Betti numbers at
-multidegrees below lcm of the generators -- the Taylor complex bound --
-which makes the truncation below safe; a runtime verification band
-double-checks it anyway, on every multidegree of the two top degrees
-(the blocks `koszul_homology` skips are exact whatever the bound).
+Every nonzero block lies in the box [0, L] below the lcm L of the
+generators (Taylor bound).  `betti_table` visits only the blocks in that
+box.  `codepth` (embedding dimension minus depth, the top nonvanishing
+homological degree) does the same below its two-row verification band,
+and computes the band rows in full, so a block the bound would wrongly
+skip shows up there.  `koszul_homology` is the unrestricted table.
 
 `strand_check` verifies the degree-class strands of the linear
 resolution of m^j in k[x, y] degree by degree.  Its maps are sparse
@@ -35,12 +30,13 @@ and ranked with the same dict-row eliminator as the blocks.
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass, field
 from itertools import chain, combinations
 
 from .errors import ResourceGuardError, UnsupportedIdealClassError, VerificationError
 from .ideals import MonomialIdeal
-from .modlinalg import Span, kernel, rank
+from .modlinalg import rank
 from .polyring import DEFAULT_MAX_MONOMIALS, mono_degree
 
 
@@ -126,6 +122,42 @@ class HomologyTable:
         }
 
 
+def _block_sum(I, levels, bound, boxed_below):
+    """Homology table of the blocks b = u + 1_T with |b| <= bound, where u
+    runs over `levels` (standard monomials of I, one list per degree) and
+    T over the variable sets containing supp u.  A block of degree below
+    `boxed_below` is visited only when b <= L = lcm(I): b_v = u_v + 1 <= L_v
+    on supp u, and L_v >= 1 on the rest of T."""
+    top = I.lcm()
+    p = I.ring.p
+    table = HomologyTable(nvars=I.ring.nvars, bound=bound)
+    standard = set(chain.from_iterable(levels))
+    for du, level in enumerate(levels):
+        for u in level:
+            support = [v for v, e in enumerate(u) if e]
+            free = [v for v, e in enumerate(u) if not e]
+            boxed = [v for v in free if top[v]] if all(u[v] < top[v] for v in support) else None
+            base = du + len(support)
+            for k in range(min(len(free), bound - base) + 1):
+                if base + k >= boxed_below:
+                    extras = free
+                elif boxed is None:
+                    continue
+                else:
+                    extras = boxed
+                for extra in combinations(extras, k):
+                    b = list(u)
+                    for v in chain(support, extra):
+                        b[v] += 1
+                    b = tuple(b)
+                    if b in standard and (du or k):
+                        continue
+                    for i, h in enumerate(_block_homology(koszul_block(b, standard), p)):
+                        if h:
+                            table.entries[(i, base + k)] = table.entries.get((i, base + k), 0) + h
+    return table
+
+
 def koszul_homology(I, degree_bound, max_monomials=DEFAULT_MAX_MONOMIALS):
     """Exact ranks of H_i(K^R)_d for all i and all d <= degree_bound: the
     sum over every multidegree b with |b| = d of the block's homology.
@@ -135,34 +167,23 @@ def koszul_homology(I, degree_bound, max_monomials=DEFAULT_MAX_MONOMIALS):
     standard u and the variable sets T containing supp u, which is a
     bijection.  When x^b itself is standard and b != 0, every J in supp b
     is a cell: the block is the full simplex, which is exact, and is
-    skipped.  The standard monomials come from `MonomialIdeal.staircase`,
-    whose `max_monomials` guard counts every monomial of each degree
-    <= degree_bound, standard or not, so it depends on the ring and the
-    bound alone."""
+    skipped.
+
+    This table is unrestricted: it also visits the blocks outside the lcm
+    box, which the Taylor bound makes zero.  `codepth` skips those in
+    every degree below its verification band, and `betti_table` skips
+    them in every degree.
+
+    Guards: here and in `codepth` the standard monomials come from
+    `MonomialIdeal.staircase`, whose `max_monomials` guard counts every
+    monomial of each degree <= degree_bound, standard or not, so it
+    depends on the ring and the bound alone.  `betti_table` walks only
+    the box and guards its number of points instead."""
     _check_bound(degree_bound)
-    ring = I.ring
     if I.is_unit():
         raise UnsupportedIdealClassError("the quotient by the unit ideal is zero")
-    table = HomologyTable(nvars=ring.nvars, bound=degree_bound)
-    staircase = I.staircase(degree_bound, max_monomials=max_monomials)
-    standard = set(chain.from_iterable(staircase))
-    for du, level in enumerate(staircase):
-        for u in level:
-            support = [v for v, e in enumerate(u) if e]
-            free = [v for v, e in enumerate(u) if not e]
-            for k in range(min(len(free), degree_bound - du - len(support)) + 1):
-                for extra in combinations(free, k):
-                    b = list(u)
-                    for v in chain(support, extra):
-                        b[v] += 1
-                    b = tuple(b)
-                    if b in standard and (du or k):
-                        continue
-                    d = du + len(support) + k
-                    for i, h in enumerate(_block_homology(koszul_block(b, standard), ring.p)):
-                        if h:
-                            table.entries[(i, d)] = table.entries.get((i, d), 0) + h
-    return table
+    levels = I.staircase(degree_bound, max_monomials=max_monomials)
+    return _block_sum(I, levels, degree_bound, 0)
 
 
 def default_codepth_bound(I):
@@ -176,7 +197,11 @@ def codepth(I, degree_bound=None, max_monomials=DEFAULT_MAX_MONOMIALS):
     Requires I inside the square of the maximal ideal (a minimal
     presentation); callers must pre-reduce linear forms.  The truncation
     bound is verified at runtime: the two top degree rows of the computed
-    table must vanish, otherwise the bound is flagged insufficient.
+    table must vanish, otherwise the bound is flagged insufficient.  Those
+    two rows are computed in full, as `koszul_homology` would; every row
+    below them visits only the blocks inside the lcm box, the others being
+    zero by the Taylor bound, and the band is what would see a block that
+    bound wrongly skipped.  The guard is that of `koszul_homology`.
     """
     if not isinstance(I, MonomialIdeal):
         raise UnsupportedIdealClassError("codepth is computed for monomial ideals")
@@ -185,7 +210,8 @@ def codepth(I, degree_bound=None, max_monomials=DEFAULT_MAX_MONOMIALS):
             "codepth needs I inside m^2; reduce linear generators first"
         )
     bound = default_codepth_bound(I) if degree_bound is None else degree_bound
-    table = koszul_homology(I, bound, max_monomials=max_monomials)
+    _check_bound(bound)
+    table = _block_sum(I, I.staircase(bound, max_monomials=max_monomials), bound, bound - 1)
     if not (table.row_is_zero(bound) and table.row_is_zero(bound - 1)):
         raise VerificationError(
             f"truncation bound {bound} insufficient: homology persists in the "
@@ -194,9 +220,37 @@ def codepth(I, degree_bound=None, max_monomials=DEFAULT_MAX_MONOMIALS):
     return table.top_degree()
 
 
-def depth_from_codepth(I, degree_bound=None, max_monomials=DEFAULT_MAX_MONOMIALS):
-    """depth R = #variables - codepth R."""
-    return I.ring.nvars - codepth(I, degree_bound, max_monomials=max_monomials)
+def betti_table(I, degree_bound=None, max_monomials=DEFAULT_MAX_MONOMIALS):
+    """Graded Betti table {(i, d): beta_{i,d}} of S/I over S.
+
+    Koszul homology of S/I is Tor^S(S/I, k), so beta_{i,d} is the rank of
+    H_i(K^R)_d.  Every nonzero block lies in the box [0, L] below the lcm
+    L of the generators (Taylor bound), so only the blocks b <= L with
+    |b| <= min(degree_bound, |L|) are visited (default bound: |L|).  They
+    need only the standard monomials inside the box, which are the
+    standard monomials of I + (x_v^(L_v + 1) : v).  Row i = 1 lists every
+    generator of I whatever the bound.
+
+    `max_monomials` bounds the number of points of the box, prod(L_v + 1),
+    checked before the walk; it bounds every standard monomial the walk
+    keeps, so the walk's per-degree count is not applied.
+    """
+    _check_bound(degree_bound)
+    if I.is_zero():
+        return {(0, 0): 1}
+    if I.is_unit():
+        raise UnsupportedIdealClassError("S/I is zero for the unit ideal")
+    top = I.lcm()
+    box = math.prod(e + 1 for e in top)
+    if box > max_monomials:
+        raise ResourceGuardError(f"multidegree box of {box} points exceeds guard {max_monomials}")
+    bound = mono_degree(top) if degree_bound is None else min(degree_bound, mono_degree(top))
+    n = I.ring.nvars
+    walls = [tuple(e + 1 if w == v else 0 for w in range(n)) for v, e in enumerate(top)]
+    levels = (I + MonomialIdeal(I.ring, walls)).staircase(bound, max_monomials=math.inf)
+    betti = _block_sum(I, levels, bound, bound + 1).entries
+    betti.update(Counter((1, mono_degree(g)) for g in I.gens))
+    return dict(sorted(betti.items()))
 
 
 # ---------------------------------------------------------------------------
@@ -223,84 +277,6 @@ def betti_power_formula(d, j, i):
     q, r = divmod(num, den)
     assert r == 0, "formula should be an exact integer"
     return q
-
-
-def brute_betti(I, degree_bound=None, max_monomials=DEFAULT_MAX_MONOMIALS):
-    """Graded Betti table of the minimal free resolution of S/I over S.
-
-    Returns {(i, d): beta_{i,d}}: every generator of I at i = 1, and the
-    higher steps through internal degree `degree_bound` (default: the
-    degree of the lcm L of the generators).  Every free module carries a
-    multigrading, and all its minimal generators lie in the box [0, L]
-    (Taylor bound).  Each step walks the box in order of |b|: the map at b
-    has one column per free generator of multidegree <= b, and the new
-    minimal generators at b are its kernel modulo the kernels at b - e_v
-    (multiplied by x_v, which keeps the coordinates).  `max_monomials`
-    bounds the number of points of the box.
-    """
-    _check_bound(degree_bound)
-    betti = {(0, 0): 1}
-    if I.is_zero():
-        return betti
-    if I.is_unit():
-        raise UnsupportedIdealClassError("S/I is zero for the unit ideal")
-    top = I.lcm()
-    box = math.prod(e + 1 for e in top)
-    if box > max_monomials:
-        raise ResourceGuardError(f"multidegree box of {box} points exceeds guard {max_monomials}")
-    bound = mono_degree(top) if degree_bound is None else min(degree_bound, mono_degree(top))
-
-    # step 1: the columns of F_1 -> F_0 = S are the minimal generators of I
-    degs = list(I.gens)
-    cols = [{0: 1} for _ in degs]
-    for a in degs:
-        betti[(1, mono_degree(a))] = betti.get((1, mono_degree(a)), 0) + 1
-    step = 1
-    while True:
-        degs, cols = _minimal_syzygies(top, bound, degs, cols, I.ring.p)
-        if not degs:
-            return betti
-        step += 1
-        for a in degs:
-            betti[(step, mono_degree(a))] = betti.get((step, mono_degree(a)), 0) + 1
-
-
-def _box_level(top, d):
-    """Points b of the box 0 <= b <= top with |b| = d."""
-    if not top:
-        if d == 0:
-            yield ()
-        return
-    rest = sum(top[1:])
-    for e in range(max(0, d - rest), min(top[0], d) + 1):
-        for tail in _box_level(top[1:], d - e):
-            yield (e,) + tail
-
-
-def _minimal_syzygies(top, bound, degs, cols, p):
-    """Minimal generators of the kernel of the map sending free generator g,
-    of multidegree degs[g], to cols[g], at every b <= top with |b| <= bound:
-    their multidegrees and their columns (dicts g -> coefficient)."""
-    new_degs = []
-    new_cols = []
-    below = {}  # b -> kernel basis at b, one degree down
-    for d in range(bound + 1):
-        level = {}
-        for b in _box_level(top, d):
-            present = {g: cols[g] for g, a in enumerate(degs) if all(x <= y for x, y in zip(a, b))}
-            ker = kernel(present, p)
-            span = Span(p)
-            for v, e in enumerate(b):
-                if e:
-                    for vec in below[b[:v] + (e - 1,) + b[v + 1 :]]:
-                        span.add(vec)
-            for vec in ker:
-                if span.add(vec):
-                    new_degs.append(b)
-                    new_cols.append(vec)
-            level[b] = ker
-        below = level
-    return new_degs, new_cols
 
 
 # ---------------------------------------------------------------------------

@@ -1,15 +1,14 @@
 """Gaussian elimination over F_p on sparse vectors.
 
 Vectors are dicts from comparable keys to coefficients.  `Span` keeps an
-incrementally reduced row space, `rank` counts its dimension and `kernel`
-solves for the relations among columns.  Every matrix frobcalc eliminates
-is sparse -- a Koszul or Betti block of at most a few dozen columns, a
-strand map with at most two nonzeros per column, the degree pieces of a
-two-generator ideal -- so a dict per row beats dense arrays, and the
-arithmetic is Python's exact integers.
+incrementally reduced row space and `rank` counts its dimension.  Every
+matrix frobcalc eliminates is sparse -- a Koszul block of at most a few
+dozen columns, a strand map with at most two nonzeros per column, the
+degree pieces of a two-generator ideal -- so a dict per row beats dense
+arrays, and the arithmetic is Python's exact integers.
 
 All routines are deterministic: pivots are chosen by a fixed order, so
-echelon forms and kernel bases depend only on the input order.
+echelon forms depend only on the input order.
 """
 
 from __future__ import annotations
@@ -67,22 +66,3 @@ def rank(vectors, p):
     for vec in vectors:
         span.add(vec)
     return span.rank
-
-
-def kernel(columns, p):
-    """F_p basis of the kernel of the linear map sending basis vector g to
-    the sparse vector columns[g], as dicts g -> coefficient.
-
-    Row-reduces the columns, each tagged with the basis vector it came
-    from: a column whose image part cancels leaves a tag combination that
-    the map sends to zero.  Image keys sort before tags, so those rows are
-    the ones whose pivot is a tag.
-    """
-    space = Span(p)
-    for g, col in columns.items():
-        space.add({(0, h): c for h, c in col.items()} | {(1, g): 1})
-    return [
-        {g: c for (_, g), c in row.items()}
-        for (part, _), row in space.rows.items()
-        if part == 1
-    ]

@@ -365,7 +365,8 @@ def veronese_decompose(ell, p, e, degree_bound=12, max_monomials=DEFAULT_MAX_MON
     (`_class_multiset_count`).
 
     The verification holds one dimension per S-degree through
-    max(degree_bound, 4) * ell * q; `max_monomials` guards that count."""
+    max(degree_bound, 4) * ell * q, and the pieces are at most q^2 * ell
+    triples; `max_monomials` guards both counts."""
     if ell < 1 or e < 1:
         raise ValueError("need ell >= 1 and e >= 1")
     _check_bound(degree_bound)
@@ -374,6 +375,10 @@ def veronese_decompose(ell, p, e, degree_bound=12, max_monomials=DEFAULT_MAX_MON
     if bound + 1 > max_monomials:
         raise ResourceGuardError(
             f"Hilbert-series check over {bound + 1} degrees exceeds guard {max_monomials}"
+        )
+    if q * q * ell > max_monomials:
+        raise ResourceGuardError(
+            f"{q * q * ell} candidate pieces (q^2 * ell) exceed guard {max_monomials}"
         )
     pieces = []
     mult = {}

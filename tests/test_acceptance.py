@@ -16,7 +16,7 @@ from frobcalc import (
     alpha,
     alpha_by_enumeration,
     betti_power_formula,
-    brute_betti,
+    betti_table,
     ci_filtration_check,
     codepth,
     cyclic_decompose,
@@ -122,7 +122,7 @@ def test_criterion_04_betti_oracle():
             ring = PolyRing(2, [f"x{i}" for i in range(d)])
             for j in powers:
                 power = MonomialIdeal(ring, monomials_of_degree(ring, j))
-                table = brute_betti(power)
+                table = betti_table(power)
                 expected = {(0, 0): 1}
                 for i in range(1, d + 1):
                     b = betti_power_formula(d, j, i)

@@ -184,6 +184,24 @@ class TestExitCodes:
         # 4001^2 points under the default guard of 10^7
         assert run(["betti", "--char", "2", "--vars", "x,y", "--ideal", "x^4000, y^4000"]) == EXIT_GUARD
 
+    def test_betti_walks_only_the_box(self, capsys):
+        # the box of x^200*y^200 in x, y, z has 201 * 201 * 1 points; degree
+        # 400 alone holds 401 monomials of S in x, y and 80601 in x, y, z
+        argv = ["betti", "--char", "2", "--vars", "x,y,z", "--ideal", "x^200*y^200"]
+        payload = run_json(capsys, argv + ["--max-monomials", "40401"])
+        assert payload["result"]["betti"] == [
+            {"i": 0, "degree": 0, "value": 1},
+            {"i": 1, "degree": 400, "value": 1},
+        ]
+        assert run_captured(argv + ["--max-monomials", "40400"]) == (
+            EXIT_GUARD, [], "error: multidegree box of 40401 points exceeds guard 40400\n"
+        )
+
+    def test_betti_of_the_unit_and_zero_ideals(self, capsys):
+        assert run(["betti", "--char", "2", "--vars", "x,y", "--ideal", "1"]) == EXIT_UNSUPPORTED
+        payload = run_json(capsys, ["betti", "--char", "2", "--vars", "x,y", "--ideal", "0"])
+        assert payload["result"]["betti"] == [{"i": 0, "degree": 0, "value": 1}]
+
     def test_linearly_dependent_ci_generators_are_unsupported(self, capsys):
         # (x*y + x*z, x*y + x*z) is the F-split hypersurface (x(y+z)), not a
         # complete intersection of codimension 2
@@ -268,6 +286,13 @@ class TestExitCodes:
                 "--max-monomials", "10"]
         message = "error: Hilbert-series check over 1200001 degrees exceeds guard 10\n"
         assert run_captured(argv) == (EXIT_GUARD, [], message)
+
+    def test_veronese_guards_its_pieces(self, capsys):
+        # one piece per admissible (u, v, j) with u, v < q: q^2 * ell candidates
+        argv = ["veronese", "--ell", "1", "--p", "2", "--max-monomials", "10000"]
+        message = "error: 262144 candidate pieces (q^2 * ell) exceed guard 10000\n"
+        assert run_captured(argv + ["-e", "9"]) == (EXIT_GUARD, [], message)
+        assert len(run_json(capsys, argv + ["-e", "6"])["result"]["pieces"]) == 64 * 64
 
     def test_threads_is_not_an_option(self):
         code, lines, err = run_captured(["pn", "--n", "2", "--p", "2", "--threads", "1"])

@@ -1,3 +1,4 @@
+import json
 import math
 
 import pytest
@@ -13,15 +14,21 @@ from frobcalc import (
     UnsupportedIdealClassError,
     VerificationError,
     betti_power_formula,
-    brute_betti,
+    betti_table,
     codepth,
-    depth_from_codepth,
     koszul_homology,
     strand_check,
 )
-from frobcalc.koszul import HomologyTable, _block_homology, default_codepth_bound, koszul_block
+from frobcalc.cli import run
+from frobcalc.koszul import (
+    HomologyTable,
+    _block_homology,
+    _block_sum,
+    default_codepth_bound,
+    koszul_block,
+)
 from frobcalc.modlinalg import Span, rank
-from frobcalc.polyring import DEFAULT_MAX_MONOMIALS, monomials_of_degree
+from frobcalc.polyring import DEFAULT_MAX_MONOMIALS, mono_degree, monomials_of_degree
 
 
 def mi(ring, *gens):
@@ -192,13 +199,36 @@ class TestCodepth:
         with pytest.raises(ValueError):
             codepth(I, degree_bound=-2)
         with pytest.raises(ValueError):
-            brute_betti(I, degree_bound=-1)
+            betti_table(I, degree_bound=-1)
 
-    def test_depth(self, ring2):
-        ring3 = PolyRing(2, ["x", "y", "z"])
-        assert depth_from_codepth(MonomialIdeal.zero(ring3)) == 3
-        assert depth_from_codepth(mi(ring2, (2, 0), (1, 1), (0, 2))) == 0
-        assert depth_from_codepth(mi(ring2, (1, 1))) == 1
+    def test_depth(self, capsys):
+        # the CLI reports depth = #variables - codepth
+        cases = [("x,y,z", "0", 3), ("x,y", "x^2, x*y, y^2", 0), ("x,y", "x*y", 1)]
+        for vars_, ideal, depth in cases:
+            assert run(["codepth", "--char", "2", "--vars", vars_, "--ideal", ideal, "--json"]) == 0
+            result = json.loads(capsys.readouterr().out)["result"]
+            assert result == {"codepth": len(vars_.split(",")) - depth, "depth": depth}
+
+    @given(I=small_monomial_ideals())
+    @settings(max_examples=80, deadline=None)
+    def test_boxed_rows_match_the_unrestricted_table(self, I):
+        # below its band codepth visits only the blocks inside the lcm box;
+        # one full table predicts its value or its verification error at
+        # every bound up to the default
+        if any(mono_degree(g) < 2 for g in I.gens):
+            with pytest.raises(UnsupportedIdealClassError):
+                codepth(I)
+            return
+        top = default_codepth_bound(I)
+        full = koszul_homology(I, top).entries
+        for bound in range(top + 1):
+            rows = {(i, d): r for (i, d), r in full.items() if d <= bound}
+            assert _block_sum(I, I.staircase(bound), bound, bound - 1).entries == rows, bound
+            if any(d >= bound - 1 for (_i, d) in rows):
+                with pytest.raises(VerificationError):
+                    codepth(I, bound)
+            else:
+                assert codepth(I, bound) == max([i for (i, _d) in rows if i >= 1], default=0)
 
 
 class TestDifferentialSquaresToZero:
@@ -270,26 +300,114 @@ def power_ideal(ring, j):
     return MonomialIdeal(ring, monomials_of_degree(ring, j))
 
 
+def kernel(columns, p):
+    """F_p basis of the kernel of the linear map sending basis vector g to
+    the sparse vector columns[g], as dicts g -> coefficient: the columns are
+    row-reduced, each tagged with the basis vector it came from, and a row
+    whose pivot is a tag is a relation (image keys sort before tags)."""
+    space = Span(p)
+    for g, col in columns.items():
+        space.add({(0, h): c for h, c in col.items()} | {(1, g): 1})
+    return [
+        {g: c for (_, g), c in row.items()}
+        for (part, _), row in space.rows.items()
+        if part == 1
+    ]
+
+
+def brute_betti(I, degree_bound=None):
+    """Oracle for `betti_table`: the graded Betti table of a minimal free
+    resolution of S/I over S, computed step by step.
+
+    Returns {(i, d): beta_{i,d}}: every generator of I at i = 1, and the
+    higher steps through internal degree `degree_bound` (default: the
+    degree of the lcm L of the generators).  Every free module carries a
+    multigrading, and all its minimal generators lie in the box [0, L]
+    (Taylor bound).  Each step walks the box in order of |b|: the map at b
+    has one column per free generator of multidegree <= b, and the new
+    minimal generators at b are its kernel modulo the kernels at b - e_v
+    (multiplied by x_v, which keeps the coordinates).
+    """
+    betti = {(0, 0): 1}
+    top = I.lcm()
+    bound = mono_degree(top) if degree_bound is None else min(degree_bound, mono_degree(top))
+
+    # step 1: the columns of F_1 -> F_0 = S are the minimal generators of I
+    degs = list(I.gens)
+    cols = [{0: 1} for _ in degs]
+    for a in degs:
+        betti[(1, mono_degree(a))] = betti.get((1, mono_degree(a)), 0) + 1
+    step = 1
+    while True:
+        degs, cols = _minimal_syzygies(top, bound, degs, cols, I.ring.p)
+        if not degs:
+            return betti
+        step += 1
+        for a in degs:
+            betti[(step, mono_degree(a))] = betti.get((step, mono_degree(a)), 0) + 1
+
+
+def _box_level(top, d):
+    """Points b of the box 0 <= b <= top with |b| = d."""
+    if not top:
+        if d == 0:
+            yield ()
+        return
+    rest = sum(top[1:])
+    for e in range(max(0, d - rest), min(top[0], d) + 1):
+        for tail in _box_level(top[1:], d - e):
+            yield (e,) + tail
+
+
+def _minimal_syzygies(top, bound, degs, cols, p):
+    """Minimal generators of the kernel of the map sending free generator g,
+    of multidegree degs[g], to cols[g], at every b <= top with |b| <= bound:
+    their multidegrees and their columns (dicts g -> coefficient)."""
+    new_degs = []
+    new_cols = []
+    below = {}  # b -> kernel basis at b, one degree down
+    for d in range(bound + 1):
+        level = {}
+        for b in _box_level(top, d):
+            present = {g: cols[g] for g, a in enumerate(degs) if all(x <= y for x, y in zip(a, b))}
+            ker = kernel(present, p)
+            span = Span(p)
+            for v, e in enumerate(b):
+                if e:
+                    for vec in below[b[:v] + (e - 1,) + b[v + 1 :]]:
+                        span.add(vec)
+            for vec in ker:
+                if span.add(vec):
+                    new_degs.append(b)
+                    new_cols.append(vec)
+            level[b] = ker
+        below = level
+    return new_degs, new_cols
+
+
 class TestBruteBetti:
+    """`betti_table` (Koszul blocks in the lcm box) against known tables
+    and the minimal-resolution oracle `brute_betti`."""
+
     def test_principal_ideal_single_step(self):
         ring = PolyRing(2, ["x"])
-        assert brute_betti(MonomialIdeal(ring, [(1,)])) == {(0, 0): 1, (1, 1): 1}
+        assert betti_table(MonomialIdeal(ring, [(1,)])) == {(0, 0): 1, (1, 1): 1}
 
     def test_square_of_max_ideal(self, ring2):
-        table = brute_betti(mi(ring2, (2, 0), (1, 1), (0, 2)))
+        table = betti_table(mi(ring2, (2, 0), (1, 1), (0, 2)))
         assert table == {(0, 0): 1, (1, 2): 3, (2, 3): 2}
 
     @pytest.mark.parametrize("d", [1, 2, 3])
     @pytest.mark.parametrize("j", [1, 2, 3, 4])
     def test_matches_formula_with_twists(self, d, j):
         ring = PolyRing(2, [f"x{i}" for i in range(d)])
-        table = brute_betti(power_ideal(ring, j))
         expected = {(0, 0): 1}
         for i in range(1, d + 1):
             b = betti_power_formula(d, j, i)
             if b:
                 expected[(i, j + i - 1)] = b
-        assert table == expected
+        assert betti_table(power_ideal(ring, j)) == expected
+        assert brute_betti(power_ideal(ring, j)) == expected
 
     def test_koszul_homology_equals_betti_table(self):
         # Tor commutes: Koszul homology ranks of R equal the graded Betti
@@ -299,8 +417,7 @@ class TestBruteBetti:
             I = MonomialIdeal(ring, gens)
             bound = default_codepth_bound(I)
             table = koszul_homology(I, bound)
-            betti = brute_betti(I)
-            assert {k: v for k, v in table.entries.items()} == betti
+            assert table.entries == brute_betti(I) == betti_table(I)
 
     @given(data=st.data())
     @settings(max_examples=60, deadline=None)
@@ -322,10 +439,16 @@ class TestBruteBetti:
             expected = {(i, d): v for (i, d), v in full.items() if i <= 1 or d <= bound}
             assert brute_betti(I, bound) == expected
 
+    @given(I=small_monomial_ideals())
+    @settings(max_examples=150, deadline=None)
+    def test_matches_the_resolution_oracle_at_every_bound(self, I):
+        for bound in [None, *range(I.lcm_degree() + 2)]:
+            assert betti_table(I, bound) == brute_betti(I, bound), bound
+
     def test_alternating_hilbert_identity(self, ring2):
         # sum_i (-1)^i sum_d beta_{i,d} dim S_{D-d} = dim (S/I)_D
         I = mi(ring2, (4, 0), (2, 2), (0, 4))
-        betti = brute_betti(I)
+        betti = betti_table(I)
         for D in range(13):
             lhs = sum(
                 (-1) ** i * v * math.comb(D - d + 1, 1)
