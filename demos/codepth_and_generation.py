@@ -15,7 +15,6 @@ from frobcalc import (
     betti_table,
     codepth,
     generation_exponent,
-    koszul_homology,
 )
 
 ring = PolyRing(2, ["x", "y"])
@@ -36,14 +35,9 @@ for label, gens in examples.items():
     )
 
 print()
-print("graded Koszul homology of R = S/(x^2, xy, y^2):")
-table = koszul_homology(MonomialIdeal(ring, [(2, 0), (1, 1), (0, 2)]), 6)
-for (i, d), r in sorted(table.entries.items()):
+print("graded Koszul homology of R = S/(x^2, xy, y^2), the Betti table of S/I:")
+for (i, d), r in betti_table(MonomialIdeal(ring, [(2, 0), (1, 1), (0, 2)])).items():
     print(f"  H_{i} in degree {d}: rank {r}")
-
-print()
-print("the same numbers as a graded Betti table {(i, degree): rank}:")
-print(" ", betti_table(MonomialIdeal(ring, [(2, 0), (1, 1), (0, 2)])))
 
 print()
 print("closed form for powers of the maximal ideal, three variables:")

@@ -8,12 +8,11 @@ and the pushforward F^e_* R splits into strand modules with multiplicities
 computed from exponent residues.
 """
 
-from frobcalc import strand_check, strand_module, veronese_decompose
+from frobcalc import strand_check, veronese_decompose
 
-print("strand modules for ell = 3:")
+print("strand modules for ell = 3 (G_j in degree t is the S-degree 3t + j piece):")
 for j in range(3):
-    G = strand_module(3, j)
-    print(f"  G_{j}: Hilbert function {G.hilbert_series(5)}")
+    print(f"  G_{j}: Hilbert function {[3 * t + j + 1 for t in range(6)]}")
 
 print()
 print("strand exact sequences (graded rank verification):")

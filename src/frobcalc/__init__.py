@@ -21,27 +21,21 @@ from .errors import (
 from .ideals import (
     CIIdeal,
     MonomialIdeal,
-    bracket_power,
     build_ideal,
-    ci_colon,
     in_bracket_max,
-    max_bracket_ideal,
     monomial_colon,
     parse_ideal_spec,
-    pushforward_min_generators,
 )
 from .koszul import (
     betti_power_formula,
     betti_table,
     codepth,
-    koszul_homology,
     strand_check,
 )
 from .levels import (
     BoundReport,
     f_level_bounds,
     generation_exponent,
-    semisimple_pushforward_exponent,
 )
 from .polyring import (
     Polynomial,
@@ -57,11 +51,9 @@ from .pushforward import (
     CyclicDecomposition,
     FrobeniusModule,
     alpha,
-    alpha_by_enumeration,
     ci_filtration_check,
     cyclic_decompose,
     pn_pushforward,
-    strand_module,
     veronese_decompose,
 )
 from .splitting import (

@@ -34,9 +34,10 @@ from .koszul import (
     codepth,
     strand_check,
 )
-from .levels import f_level_bounds, generation_exponent
+from .levels import DEFAULT_E_MAX, f_level_bounds, generation_exponent
 from .polyring import PolyRing, is_prime, mono_str, parse_polynomial
 from .pushforward import (
+    DEFAULT_VERONESE_BOUND,
     FrobeniusModule,
     ci_filtration_check,
     cyclic_decompose,
@@ -207,7 +208,7 @@ def build_parser():
     ring_subs["twists"].add_argument("--jmax", type=int, default=None)
     ring_subs["codepth"].add_argument("--degree-bound", type=int, default=None)
     ring_subs["genexp"].add_argument("--degree-bound", type=int, default=None)
-    ring_subs["flevel"].add_argument("--emax", type=int, default=4)
+    ring_subs["flevel"].add_argument("--emax", type=int, default=DEFAULT_E_MAX)
 
     betti = subs.add_parser("betti", help="graded Betti table, or the power formula", parents=[common])
     _add_ring_args(betti)
@@ -236,7 +237,7 @@ def build_parser():
     veronese.add_argument("--ell", type=int, required=True)
     veronese.add_argument("--p", type=int, required=True)
     veronese.add_argument("-e", type=int, default=1)
-    veronese.add_argument("--degree-bound", type=int, default=12)
+    veronese.add_argument("--degree-bound", type=int, default=DEFAULT_VERONESE_BOUND)
 
     return parser
 
@@ -331,7 +332,7 @@ def _dispatch(args):
 
     if name == "strand":
         _need_prime(args.char, "--char")
-        report = strand_check(args.ell, args.j, steps=args.steps, char=args.char)
+        report = strand_check(args.ell, args.j, args.steps, args.char, **guard)
         echo = {"ell": args.ell, "j": args.j, "steps": args.steps, "char": args.char}
         return echo, report.payload(), []
 

@@ -9,9 +9,10 @@ generator (a nonzero form is regular on the domain S) and for two (they
 must be coprime); otherwise linearly dependent generators are rejected
 and the rest is recorded as a caller assertion.
 
-Colon ideals are supported exactly where the criteria need them: the
-combinatorial colon for monomial ideals, and the closed formula
-(f^(q-1)) + I^[q] with f = f_1...f_t for complete intersections.
+The colon (I^[q] : I) of a monomial ideal is combinatorial
+(`monomial_colon`).  For a complete intersection it is (f^(q-1)) + I^[q]
+with f = f_1...f_t, and the splitting tests read only f^(q-1) mod m^[q]
+(`splitting.colon_generators`).
 
 The staircase of a monomial ideal (its standard monomials, a k-basis of
 S/I) comes from one degree-by-degree walk that tests membership only on
@@ -36,7 +37,6 @@ from .polyring import (
     Polynomial,
     PolyRing,
     bounded_count,
-    frobenius_power,
     guard_enumeration,
     mono_degree,
     mono_div,
@@ -134,13 +134,6 @@ class MonomialIdeal:
 
         inside = ", ".join(mono_str(self.ring, g) for g in self.gens) or "0"
         return f"MonomialIdeal({inside})"
-
-    def equals_by_membership(self, other):
-        """Ideal equality via mutual generator membership (no normal forms)."""
-        self._check_ring(other)
-        return all(other.contains_monomial(g) for g in self.gens) and all(
-            self.contains_monomial(g) for g in other.gens
-        )
 
     # -- staircase ----------------------------------------------------------
 
@@ -336,39 +329,6 @@ class CIIdeal:
 # ---------------------------------------------------------------------------
 # operations
 
-def frobenius_exponent(ring, q):
-    """The e >= 1 with q = p^e; ParseError for any other q."""
-    if q < 2:
-        raise ParseError(f"q must be p^e with e >= 1, got {q}")
-    t = q
-    e = 0
-    while t % ring.p == 0:
-        t //= ring.p
-        e += 1
-    if t != 1 or e < 1:
-        raise ParseError(f"{q} is not a positive power of p={ring.p}")
-    return e
-
-
-def bracket_power(ideal, q):
-    """I^[q] for either ideal class (q a power of p)."""
-    if isinstance(ideal, MonomialIdeal):
-        frobenius_exponent(ideal.ring, q)
-        return ideal.bracket(q)
-    if isinstance(ideal, CIIdeal):
-        e = frobenius_exponent(ideal.ring, q)
-        # powers of a regular sequence are one (Matsumura, Thm 16.1), and
-        # f -> f^q is injective and F_p-linear, so every check CIIdeal made
-        # on the generators holds for their q-th powers: carry its outcome
-        # over instead of rerunning the coprimality test in degree ~q
-        out = object.__new__(CIIdeal)
-        out.ring = ideal.ring
-        out.gens = tuple(frobenius_power(f, e) for f in ideal.gens)
-        out.regular_sequence_verified = ideal.regular_sequence_verified
-        return out
-    raise UnsupportedIdealClassError(f"unsupported ideal class {type(ideal).__name__}")
-
-
 def monomial_colon(J, I):
     """(J : I) for monomial ideals: intersect (J : g) over generators g of I,
     where (J : g) is generated by the J-generators divided by their gcd
@@ -384,40 +344,10 @@ def monomial_colon(J, I):
     return result
 
 
-def ci_colon(ideal, q):
-    """(I^[q] : I) for a complete intersection, as the explicit generator
-    list [f^(q-1), f_1^q, ..., f_t^q] with f = f_1...f_t.  This is the exact
-    colon, f^(q-1) in full; the splitting tests use only f^(q-1) mod m^[q]
-    (`splitting.colon_generators`)."""
-    if not isinstance(ideal, CIIdeal):
-        raise UnsupportedIdealClassError("ci_colon needs a CIIdeal")
-    e = frobenius_exponent(ideal.ring, q)
-    f = ideal.product()
-    return [f ** (q - 1)] + [frobenius_power(g, e) for g in ideal.gens]
-
-
 def in_bracket_max(f, q):
     """Membership of f in m^[q] = (x_0^q, ..., x_n^q).  A monomial ideal, so
     membership is termwise: every monomial needs some exponent >= q."""
     return all(any(e >= q for e in m) for m in f.terms)
-
-
-def pushforward_min_generators(I, e, max_monomials=DEFAULT_MAX_MONOMIALS):
-    """Minimal number of generators of the e-th Frobenius pushforward of
-    S/I as a module over itself: dim_k S/(I + m^[q]) with q = p^e.  Valid
-    over the prime field, where the residue field pushes forward to a
-    one-dimensional vector space."""
-    ring = I.ring
-    q = ring.p**e
-    total = I + max_bracket_ideal(ring, q)
-    return sum(map(len, total.staircase((q - 1) * ring.nvars, max_monomials=max_monomials)))
-
-
-def max_bracket_ideal(ring, q):
-    """m^[q] as a monomial ideal."""
-    return MonomialIdeal(
-        ring, [mono_pow(ring.variable_monomial(i), q) for i in range(ring.nvars)]
-    )
 
 
 # ---------------------------------------------------------------------------

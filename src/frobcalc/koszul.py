@@ -19,7 +19,7 @@ generators (Taylor bound).  `betti_table` visits only the blocks in that
 box.  `codepth` (embedding dimension minus depth, the top nonvanishing
 homological degree) does the same below its two-row verification band,
 and computes the band rows in full, so a block the bound would wrongly
-skip shows up there.  `koszul_homology` is the unrestricted table.
+skip shows up there.
 
 `strand_check` verifies the degree-class strands of the linear
 resolution of m^j in k[x, y] degree by degree.  Its maps are sparse
@@ -31,7 +31,7 @@ from __future__ import annotations
 
 import math
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import chain, combinations
 
 from .errors import ResourceGuardError, UnsupportedIdealClassError, VerificationError
@@ -93,44 +93,21 @@ def _block_homology(chains, p):
     return [len(chains[i]) - ranks[i] - ranks[i + 1] for i in range(top)]
 
 
-@dataclass
-class HomologyTable:
-    """Ranks of H_i(K^R) indexed by (homological degree, internal degree)."""
-
-    nvars: int
-    bound: int
-    entries: dict = field(default_factory=dict)  # (i, d) -> rank, only nonzero kept
-
-    def rank(self, i, d):
-        return self.entries.get((i, d), 0)
-
-    def row_is_zero(self, d):
-        return not any(key[1] == d for key in self.entries)
-
-    def top_degree(self):
-        """Largest homological i with nonzero homology (0 when only H_0)."""
-        positive = [i for (i, _d) in self.entries if i >= 1]
-        return max(positive) if positive else 0
-
-    def payload(self):
-        return {
-            "bound": self.bound,
-            "entries": [
-                {"i": i, "degree": d, "rank": r}
-                for (i, d), r in sorted(self.entries.items())
-            ],
-        }
-
-
 def _block_sum(I, levels, bound, boxed_below):
-    """Homology table of the blocks b = u + 1_T with |b| <= bound, where u
-    runs over `levels` (standard monomials of I, one list per degree) and
-    T over the variable sets containing supp u.  A block of degree below
-    `boxed_below` is visited only when b <= L = lcm(I): b_v = u_v + 1 <= L_v
-    on supp u, and L_v >= 1 on the rest of T."""
+    """Nonzero ranks {(i, d): dim H_i(K^R)_d} summed over the blocks
+    b = u + 1_T with |b| = d <= bound, where u runs over `levels` (standard
+    monomials of I, one list per degree) and T over the variable sets
+    containing supp u.
+
+    Every block that can be nonzero is among these: the block at b is empty
+    unless u = b - 1_supp b is standard, and b -> (u, T) is a bijection.
+    When x^b itself is standard and b != 0, every J in supp b is a cell:
+    the block is the full simplex, which is exact, and is skipped.  A block
+    of degree below `boxed_below` is visited only when b <= L = lcm(I):
+    b_v = u_v + 1 <= L_v on supp u, and L_v >= 1 on the rest of T."""
     top = I.lcm()
     p = I.ring.p
-    table = HomologyTable(nvars=I.ring.nvars, bound=bound)
+    table = {}
     standard = set(chain.from_iterable(levels))
     for du, level in enumerate(levels):
         for u in level:
@@ -154,36 +131,8 @@ def _block_sum(I, levels, bound, boxed_below):
                         continue
                     for i, h in enumerate(_block_homology(koszul_block(b, standard), p)):
                         if h:
-                            table.entries[(i, base + k)] = table.entries.get((i, base + k), 0) + h
+                            table[(i, base + k)] = table.get((i, base + k), 0) + h
     return table
-
-
-def koszul_homology(I, degree_bound, max_monomials=DEFAULT_MAX_MONOMIALS):
-    """Exact ranks of H_i(K^R)_d for all i and all d <= degree_bound: the
-    sum over every multidegree b with |b| = d of the block's homology.
-
-    Only blocks that can be nonzero are visited.  The block at b is empty
-    unless u = b - 1_supp b is standard, so b = u + 1_T runs over the
-    standard u and the variable sets T containing supp u, which is a
-    bijection.  When x^b itself is standard and b != 0, every J in supp b
-    is a cell: the block is the full simplex, which is exact, and is
-    skipped.
-
-    This table is unrestricted: it also visits the blocks outside the lcm
-    box, which the Taylor bound makes zero.  `codepth` skips those in
-    every degree below its verification band, and `betti_table` skips
-    them in every degree.
-
-    Guards: here and in `codepth` the standard monomials come from
-    `MonomialIdeal.staircase`, whose `max_monomials` guard counts every
-    monomial of each degree <= degree_bound, standard or not, so it
-    depends on the ring and the bound alone.  `betti_table` walks only
-    the box and guards its number of points instead."""
-    _check_bound(degree_bound)
-    if I.is_unit():
-        raise UnsupportedIdealClassError("the quotient by the unit ideal is zero")
-    levels = I.staircase(degree_bound, max_monomials=max_monomials)
-    return _block_sum(I, levels, degree_bound, 0)
 
 
 def default_codepth_bound(I):
@@ -198,10 +147,14 @@ def codepth(I, degree_bound=None, max_monomials=DEFAULT_MAX_MONOMIALS):
     presentation); callers must pre-reduce linear forms.  The truncation
     bound is verified at runtime: the two top degree rows of the computed
     table must vanish, otherwise the bound is flagged insufficient.  Those
-    two rows are computed in full, as `koszul_homology` would; every row
-    below them visits only the blocks inside the lcm box, the others being
-    zero by the Taylor bound, and the band is what would see a block that
-    bound wrongly skipped.  The guard is that of `koszul_homology`.
+    two rows are computed in full, over every block; every row below them
+    visits only the blocks inside the lcm box, the others being zero by the
+    Taylor bound, and the band is what would see a block that bound wrongly
+    skipped.
+
+    The standard monomials come from `MonomialIdeal.staircase`, whose
+    `max_monomials` guard counts every monomial of each degree <= the
+    bound, standard or not, so it depends on the ring and the bound alone.
     """
     if not isinstance(I, MonomialIdeal):
         raise UnsupportedIdealClassError("codepth is computed for monomial ideals")
@@ -212,12 +165,12 @@ def codepth(I, degree_bound=None, max_monomials=DEFAULT_MAX_MONOMIALS):
     bound = default_codepth_bound(I) if degree_bound is None else degree_bound
     _check_bound(bound)
     table = _block_sum(I, I.staircase(bound, max_monomials=max_monomials), bound, bound - 1)
-    if not (table.row_is_zero(bound) and table.row_is_zero(bound - 1)):
+    if any(d >= bound - 1 for _i, d in table):
         raise VerificationError(
             f"truncation bound {bound} insufficient: homology persists in the "
             "verification band; rerun with a larger degree bound"
         )
-    return table.top_degree()
+    return max((i for i, _d in table), default=0)
 
 
 def betti_table(I, degree_bound=None, max_monomials=DEFAULT_MAX_MONOMIALS):
@@ -248,7 +201,7 @@ def betti_table(I, degree_bound=None, max_monomials=DEFAULT_MAX_MONOMIALS):
     n = I.ring.nvars
     walls = [tuple(e + 1 if w == v else 0 for w in range(n)) for v, e in enumerate(top)]
     levels = (I + MonomialIdeal(I.ring, walls)).staircase(bound, max_monomials=math.inf)
-    betti = _block_sum(I, levels, bound, bound + 1).entries
+    betti = _block_sum(I, levels, bound, bound + 1)
     betti.update(Counter((1, mono_degree(g)) for g in I.gens))
     return dict(sorted(betti.items()))
 
@@ -309,7 +262,7 @@ class StrandCheck:
         }
 
 
-def strand_check(ell, j, steps=6, char=2):
+def strand_check(ell, j, steps=6, char=2, max_monomials=DEFAULT_MAX_MONOMIALS):
     """Verify exactness of 0 -> G_{ell-1}^b2 -> R^b1 -> G_j -> 0 in k[x,y].
 
     The sequence is the degree-class-j strand of the linear resolution of
@@ -318,6 +271,9 @@ def strand_check(ell, j, steps=6, char=2):
     in every S-degree m = j + ell*s for s = 0..steps, over F_char: the
     composite vanishes, the left map is injective, the right map is
     surjective, and the ranks fill the middle dimension.
+
+    `max_monomials` bounds the columns of both maps over all the degrees,
+    the sum over s of b1*(k+1) + b2*k with k = ell*s, checked first.
     """
     if ell < 2 or not (1 <= j <= ell - 1):
         raise ValueError("need ell >= 2 and 1 <= j <= ell-1")
@@ -326,6 +282,9 @@ def strand_check(ell, j, steps=6, char=2):
     p = char
     b1 = j + 1
     b2 = j
+    columns = b1 * (steps + 1) + (b1 + b2) * ell * steps * (steps + 1) // 2
+    if columns > max_monomials:
+        raise ResourceGuardError(f"strand maps with {columns} columns exceed guard {max_monomials}")
     rows = []
     exact = True
     alt_zero = True

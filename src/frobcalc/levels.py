@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .errors import NonArtinianError, UnsupportedIdealClassError
+from .errors import UnsupportedIdealClassError
 from .ideals import CIIdeal, MonomialIdeal, pairwise_disjoint_supports
 from .koszul import codepth as koszul_codepth
 from .polyring import DEFAULT_MAX_MONOMIALS, mono_degree
@@ -150,46 +150,3 @@ def generation_exponent(I, degree_bound=None, max_monomials=DEFAULT_MAX_MONOMIAL
         power *= p
         e += 1
     return e
-
-
-@dataclass
-class SemisimpleExponent:
-    exponent: int
-    loewy_length: int
-    log_bound: int  # ceil(log_p of the Loewy length)
-
-    def payload(self):
-        return {
-            "exponent": self.exponent,
-            "loewy_length": self.loewy_length,
-            "ceil_log_p_loewy": self.log_bound,
-        }
-
-
-def semisimple_pushforward_exponent(I, max_monomials=DEFAULT_MAX_MONOMIALS):
-    """Least e with m^[p^e] inside I: beyond it the twisted action of the
-    maximal ideal on the pushforward is zero, so the module is a direct
-    sum of shifted copies of the residue field.  Reported alongside
-    ceil(log_p Loewy length) for comparison."""
-    if not isinstance(I, MonomialIdeal):
-        raise UnsupportedIdealClassError("needs a monomial ideal")
-    if not I.is_artinian():
-        raise NonArtinianError("the quotient must be artinian")
-    ring = I.ring
-    p = ring.p
-    ll = I.loewy_length(max_monomials=max_monomials)
-    e = 1
-    while True:
-        q = p**e
-        if all(
-            I.contains_monomial(tuple(q if k == v else 0 for k in range(ring.nvars)))
-            for v in range(ring.nvars)
-        ):
-            break
-        e += 1
-    log_bound = 0
-    power = 1
-    while power < ll:
-        power *= p
-        log_bound += 1
-    return SemisimpleExponent(exponent=e, loewy_length=ll, log_bound=log_bound)

@@ -27,8 +27,6 @@ from .errors import (
 EXPONENT_LIMIT = 2**31
 DEFAULT_MAX_MONOMIALS = 10**7
 
-Mono = tuple  # exponent vector, one nonnegative int per variable
-
 
 def is_prime(n):
     """Deterministic Miller-Rabin; exact for every n < 3_215_031_751."""

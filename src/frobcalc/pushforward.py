@@ -21,22 +21,22 @@ from .ideals import MonomialIdeal, pairwise_disjoint_supports
 from .koszul import _check_bound
 from .polyring import (
     DEFAULT_MAX_MONOMIALS,
-    PolyRing,
     bounded_count,
     mono_degree,
     mono_divides,
     mono_mul,
     mono_pow,
     mono_str,
-    monomials_of_degree,
 )
+
+DEFAULT_VERONESE_BOUND = 12
 
 
 class FrobeniusModule:
     """The e-th Frobenius pushforward of an artinian monomial quotient on
     its staircase basis, least degree first."""
 
-    __slots__ = ("ideal", "e", "q", "basis", "index")
+    __slots__ = ("ideal", "e", "q", "basis")
 
     def __init__(self, ideal, e, max_monomials=DEFAULT_MAX_MONOMIALS):
         if e < 1:
@@ -50,7 +50,6 @@ class FrobeniusModule:
         self.q = ideal.ring.p**e
         levels = ideal.staircase(max_monomials=max_monomials)
         self.basis = tuple(u for level in levels for u in reversed(level))
-        self.index = {u: i for i, u in enumerate(self.basis)}
 
     @property
     def ring(self):
@@ -58,20 +57,6 @@ class FrobeniusModule:
 
     def dimension(self):
         return len(self.basis)
-
-    def degree_of(self, i):
-        """Fractional degree of the i-th basis element."""
-        return Fraction(mono_degree(self.basis[i]), self.q)
-
-    def act_variable(self, v, i):
-        """Index of x_v acting on basis element i, or -1 when it dies."""
-        return self.act_monomial(self.ring.variable_monomial(v), i)
-
-    def act_monomial(self, w, i):
-        """w acting on basis element i (w a monomial of S), or -1.  The
-        basis is the whole staircase, so a product missing from it is in I."""
-        product = tuple(u_i + self.q * w_i for u_i, w_i in zip(self.basis[i], w))
-        return self.index.get(product, -1)
 
 
 @dataclass
@@ -201,15 +186,6 @@ def alpha(n, p, i, l):
     return bounded_count(n + 1, degree, p - 1)
 
 
-def alpha_by_enumeration(n, p, i, l, max_monomials=DEFAULT_MAX_MONOMIALS):
-    """Brute-force companion to `alpha`: enumerate and count."""
-    degree = l + i * p
-    if degree < 0:
-        return 0
-    ring = PolyRing(p, [f"t{k}" for k in range(n + 1)])
-    return len(monomials_of_degree(ring, degree, cap=p - 1, max_monomials=max_monomials))
-
-
 @dataclass
 class TwistMultiset:
     """Pushforward of O(l) on P^n: twists with multiplicities."""
@@ -263,50 +239,13 @@ def pn_pushforward(n, p, e, l=0):
 
 
 # ---------------------------------------------------------------------------
-# strand modules and the Veronese decomposition for k[x, y]
-
-@dataclass
-class StrandModule:
-    """G_j: the span of monomials of k[x,y] with total degree congruent to
-    j mod ell, as a module over the index-ell Veronese subring.
-
-    Grading convention: the piece of S-degree ell*t + j sits in internal
-    degree t (i.e. internal degree = (S-degree - j)/ell), so
-    dim (G_j)_t = ell*t + j + 1."""
-
-    ell: int
-    j: int
-
-    def hilbert(self, t):
-        return self.ell * t + self.j + 1 if t >= 0 else 0
-
-    def hilbert_series(self, through):
-        return [self.hilbert(t) for t in range(through + 1)]
-
-    def basis_layer(self, t):
-        """Monomials (xdeg, ydeg) of S-degree ell*t + j, x-power descending."""
-        d = self.ell * t + self.j
-        return [(d - k, k) for k in range(d + 1)]
-
-    def payload(self, through=8):
-        return {
-            "ell": self.ell,
-            "class": self.j,
-            "grading": "internal degree t holds the S-degree ell*t + class piece",
-            "hilbert_series": self.hilbert_series(through),
-        }
-
-
-def strand_module(ell, j):
-    if not (0 <= j <= ell - 1):
-        raise ValueError("need 0 <= j <= ell-1")
-    return StrandModule(ell=ell, j=j)
-
+# the Veronese decomposition for k[x, y] into strand modules
 
 @dataclass
 class ConicDecomposition:
     """Decomposition of the e-th pushforward of the index-ell Veronese
-    subring of k[x,y] into strand modules G_j.
+    subring of k[x,y] into strand modules G_j: the span of the monomials of
+    degree congruent to j mod ell, a module over the Veronese subring.
 
     Pieces come from the exact partition of the monomial basis by exponent
     residues mod q and then by degree residue mod ell; each piece is a
@@ -348,7 +287,9 @@ class ConicDecomposition:
         }
 
 
-def veronese_decompose(ell, p, e, degree_bound=12, max_monomials=DEFAULT_MAX_MONOMIALS):
+def veronese_decompose(
+    ell, p, e, degree_bound=DEFAULT_VERONESE_BOUND, max_monomials=DEFAULT_MAX_MONOMIALS
+):
     """Decompose the e-th Frobenius pushforward of the index-ell Veronese
     subring of k[x, y] into strand modules.
 

@@ -40,14 +40,7 @@ from .errors import (
     UnsupportedIdealClassError,
     VerificationError,
 )
-from .ideals import (
-    CIIdeal,
-    MonomialIdeal,
-    bracket_power,
-    frobenius_exponent,
-    in_bracket_max,
-    monomial_colon,
-)
+from .ideals import CIIdeal, MonomialIdeal, in_bracket_max, monomial_colon
 from .polyring import (
     DEFAULT_MAX_MONOMIALS,
     Polynomial,
@@ -60,7 +53,7 @@ from .polyring import (
     truncated_lucas_power,
 )
 
-DEFAULT_MAX_Q = 2**16
+MAX_Q = 2**16
 
 
 @dataclass(frozen=True)
@@ -136,22 +129,29 @@ class SplitCertificate:
         return out
 
 
-def colon_generators(ideal, q, max_monomials=DEFAULT_MAX_MONOMIALS):
-    """Generators of (I^[q] : I) for the supported ideal classes, in a
-    deterministic order, as polynomials, up to terms inside m^[q].
+def _frobenius_q(ring, e):
+    """q = p^e for an exponent e >= 1."""
+    if e < 1:
+        raise ValueError("e must be at least 1")
+    return ring.p**e
+
+
+def colon_generators(ideal, e, max_monomials=DEFAULT_MAX_MONOMIALS):
+    """Generators of (I^[q] : I), q = p^e, for the supported ideal classes,
+    in a deterministic order, as polynomials, up to terms inside m^[q].
 
     For a monomial ideal these are the exact colon generators.  For a
     complete intersection the only generator returned is f^(q-1) mod m^[q]
     (`truncated_lucas_power`): the generators f_i^q of I^[q] and the terms
     of f^(q-1) inside m^[q] have no live term, so no test reads them.  The
     guard bounds the terms of the largest product formed on the way, before
-    any is formed; `ideals.ci_colon` gives the exact colon."""
+    any is formed."""
+    ring = ideal.ring
+    q = _frobenius_q(ring, e)
     if isinstance(ideal, MonomialIdeal):
-        colon = monomial_colon(bracket_power(ideal, q), ideal)
-        return [Polynomial.monomial(ideal.ring, g) for g in colon.gens]
+        colon = monomial_colon(ideal.bracket(q), ideal)
+        return [Polynomial.monomial(ring, g) for g in colon.gens]
     if isinstance(ideal, CIIdeal):
-        ring = ideal.ring
-        e = frobenius_exponent(ring, q)
         deg = ideal.degree()
         size = max(
             bounded_count(ring.nvars, deg * (ring.p - 1)),
@@ -187,13 +187,7 @@ def _top_divisor(box, degree):
     return None if degree else tuple(s)
 
 
-def graded_summand_test(
-    ideal,
-    j,
-    e,
-    max_monomials=DEFAULT_MAX_MONOMIALS,
-    max_q=DEFAULT_MAX_Q,
-):
+def graded_summand_test(ideal, j, e, max_monomials=DEFAULT_MAX_MONOMIALS):
     """Does R(-j) split off the e-th Frobenius pushforward of R = S/I?
 
     True iff some monomial s of degree q*j has s*(I^[q]:I) not inside
@@ -206,12 +200,12 @@ def graded_summand_test(
     space it rules out: every monomial of degree q*j with exponents < q.
     """
     ring = ideal.ring
-    q = ring.p**e
-    if q > max_q:
-        raise ResourceGuardError(f"q = {q} exceeds the guard {max_q}")
+    q = _frobenius_q(ring, e)
+    if q > MAX_Q:
+        raise ResourceGuardError(f"q = {q} exceeds the guard {MAX_Q}")
     if j < 0:
         raise ValueError("twist j must be nonnegative")
-    gens = colon_generators(ideal, q, max_monomials)
+    gens = colon_generators(ideal, e, max_monomials)
     live = [live_terms(g, q) for g in gens]
     tops = [_top_divisor([q - 1 - x for x in t], q * j) for terms in live for t in terms]
     tops = [s for s in tops if s is not None]
@@ -237,9 +231,9 @@ def graded_summand_test(
     )
 
 
-def is_f_split(ideal, e, max_monomials=DEFAULT_MAX_MONOMIALS, max_q=DEFAULT_MAX_Q):
+def is_f_split(ideal, e, max_monomials=DEFAULT_MAX_MONOMIALS):
     """Splitting test: true iff (I^[q] : I) is not inside m^[q], q = p^e."""
-    return graded_summand_test(ideal, 0, e, max_monomials=max_monomials, max_q=max_q)
+    return graded_summand_test(ideal, 0, e, max_monomials=max_monomials)
 
 
 def _socle_witness_ok(ideal, u, q):
@@ -265,8 +259,7 @@ def k_summand_test(ideal, e, max_monomials=DEFAULT_MAX_MONOMIALS):
         raise UnsupportedIdealClassError("k_summand_test needs a monomial ideal")
     if not ideal.is_artinian():
         raise NonArtinianError("k_summand_test needs an artinian quotient")
-    ring = ideal.ring
-    q = ring.p**e
+    q = _frobenius_q(ideal.ring, e)
     levels = ideal.staircase(max_monomials=max_monomials)
     checked = 0
     for level in levels:
@@ -314,27 +307,30 @@ class TwistSpectrum:
         }
 
 
-def twist_spectrum(
-    ideal, e, j_max=None, max_monomials=DEFAULT_MAX_MONOMIALS, max_q=DEFAULT_MAX_Q
-):
+def twist_spectrum(ideal, e, j_max=None, max_monomials=DEFAULT_MAX_MONOMIALS):
     """Run graded_summand_test for j = 0..j_max on a complete intersection.
 
     When the hypotheses hold (degree d <= n where n+1 = #variables, q > n-d,
     and the j = 0 test passes), the theory predicts summands exactly for
     0 <= j <= n-d; the report checks the computed entries against that band.
     Outside the hypotheses the computed values are reported without any
-    band assertion.
+    band assertion.  `max_monomials` also bounds the j_max + 1
+    certificates the spectrum holds.
     """
     if not isinstance(ideal, CIIdeal):
         raise UnsupportedIdealClassError("twist_spectrum needs a complete intersection")
     ring = ideal.ring
     n = ring.nvars - 1
     d = ideal.degree()
-    q = ring.p**e
+    q = _frobenius_q(ring, e)
     if j_max is None:
         j_max = max(n - d, 0) + 1
     if j_max < 0:
         raise ValueError("j_max must be nonnegative")
+    if j_max + 1 > max_monomials:
+        raise ResourceGuardError(
+            f"{j_max + 1} twist certificates exceed guard {max_monomials}"
+        )
     warnings = []
     if q <= n - d:
         warnings.append(
@@ -342,7 +338,7 @@ def twist_spectrum(
         )
     entries = {}
     for j in range(j_max + 1):
-        entries[j] = graded_summand_test(ideal, j, e, max_monomials, max_q)
+        entries[j] = graded_summand_test(ideal, j, e, max_monomials)
     hypotheses = {
         "degree_at_most_n": d <= n,
         "q_exceeds_band": q > n - d,
@@ -399,7 +395,7 @@ class WitnessChain:
         }
 
 
-def witness_from_proof(ideal, e, max_monomials=DEFAULT_MAX_MONOMIALS, max_q=DEFAULT_MAX_Q):
+def witness_from_proof(ideal, e, max_monomials=DEFAULT_MAX_MONOMIALS):
     """Take a maximal escape monomial for an F-split complete intersection
     and extract one re-verified factor per twist in the band.
 
@@ -410,12 +406,12 @@ def witness_from_proof(ideal, e, max_monomials=DEFAULT_MAX_MONOMIALS, max_q=DEFA
     if not isinstance(ideal, CIIdeal):
         raise UnsupportedIdealClassError("witness_from_proof needs a complete intersection")
     ring = ideal.ring
-    q = ring.p**e
-    if q > max_q:
-        raise ResourceGuardError(f"q = {q} exceeds the guard {max_q}")
+    q = _frobenius_q(ring, e)
+    if q > MAX_Q:
+        raise ResourceGuardError(f"q = {q} exceeds the guard {MAX_Q}")
     n = ring.nvars - 1
     d = ideal.degree()
-    fq1 = colon_generators(ideal, q, max_monomials)[0]
+    fq1 = colon_generators(ideal, e, max_monomials)[0]
     live = live_terms(fq1, q)
     if not live:
         raise NotFSplitError("no escape monomial exists: the quotient is not F-split")

@@ -7,6 +7,8 @@ import time
 from contextlib import contextmanager
 
 from conftest import assert_blocks_square_to_zero, corpus_ideals
+from test_ideals import pushforward_min_generators
+from test_pushforward import alpha_by_enumeration
 
 from frobcalc import (
     CIIdeal,
@@ -14,7 +16,6 @@ from frobcalc import (
     MonomialIdeal,
     PolyRing,
     alpha,
-    alpha_by_enumeration,
     betti_power_formula,
     betti_table,
     ci_filtration_check,
@@ -26,7 +27,6 @@ from frobcalc import (
     k_summand_test,
     parse_polynomial,
     pn_pushforward,
-    pushforward_min_generators,
     strand_check,
     twist_spectrum,
     veronese_decompose,

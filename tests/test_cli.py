@@ -22,6 +22,8 @@ from frobcalc.cli import (
     render_text,
     run,
 )
+from frobcalc.levels import DEFAULT_E_MAX
+from frobcalc.pushforward import DEFAULT_VERONESE_BOUND, veronese_decompose
 
 QUADRIC = ["--char", "3", "--vars", "x0,x1,x2,x3", "--ideal", "x0*x1 + x2*x3"]
 TWELVE = ["--char", "2", "--vars", "x,y", "--ideal", "x^4, x^2*y^2, y^4"]
@@ -132,6 +134,14 @@ class TestSubcommands:
         assert code == EXIT_OK
         assert "codepth: 1" in out
         assert "depth: 1" in out
+
+    def test_flag_defaults_are_the_library_defaults(self, capsys):
+        parser = build_parser()
+        assert parser.parse_args(["flevel"]).emax == DEFAULT_E_MAX
+        veronese = parser.parse_args(["veronese", "--ell", "2", "--p", "3"])
+        assert veronese.degree_bound == DEFAULT_VERONESE_BOUND
+        report = run_json(capsys, ["veronese", "--ell", "2", "--p", "3"])["result"]
+        assert report == veronese_decompose(2, 3, 1).payload()
 
 
 @st.composite
@@ -293,6 +303,39 @@ class TestExitCodes:
         message = "error: 262144 candidate pieces (q^2 * ell) exceed guard 10000\n"
         assert run_captured(argv + ["-e", "9"]) == (EXIT_GUARD, [], message)
         assert len(run_json(capsys, argv + ["-e", "6"])["result"]["pieces"]) == 64 * 64
+
+    def test_strand_guards_its_columns(self, capsys):
+        # sum over s = 0..5 of b1*(k+1) + b2*k columns with k = 2s, b1 = 2, b2 = 1
+        argv = ["strand", "--ell", "2", "--j", "1", "--steps", "5", "--max-monomials"]
+        message = "error: strand maps with 102 columns exceed guard 101\n"
+        assert run_captured(argv + ["101"]) == (EXIT_GUARD, [], message)
+        assert len(run_json(capsys, argv + ["102"])["result"]["rows"]) == 6
+        code, _lines, _err = run_captured(["strand", "--ell", "2", "--j", "1", "--steps", "100000"])
+        assert code == EXIT_GUARD
+
+    def test_twists_guards_its_certificates(self, capsys):
+        argv = ["twists", "--char", "2", "--vars", "x,y,z", "--ideal", "x^2+y*z"]
+        message = "error: 10 twist certificates exceed guard 9\n"
+        over = run_captured(argv + ["--jmax", "9", "--max-monomials", "9"])
+        assert over == (EXIT_GUARD, [], message)
+        payload = run_json(capsys, argv + ["--jmax", "9", "--max-monomials", "10"])
+        assert len(payload["result"]["entries"]) == 10
+        assert run_captured(argv + ["--jmax", "100000000"])[0] == EXIT_GUARD
+
+    @pytest.mark.parametrize("e", ["0", "-1"])
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["fsplit"] + QUADRIC,
+            ["fsplit"] + TWELVE,
+            ["summand", "--j", "0"] + QUADRIC,
+            ["summand", "--j", "1"] + TWELVE,
+            ["twists"] + QUADRIC,
+            ["witness"] + QUADRIC,
+        ],
+    )
+    def test_exponent_below_one_is_a_usage_error(self, argv, e):
+        assert run_captured(argv + ["-e", e]) == (EXIT_USAGE, [], "error: e must be at least 1\n")
 
     def test_threads_is_not_an_option(self):
         code, lines, err = run_captured(["pn", "--n", "2", "--p", "2", "--threads", "1"])

@@ -124,6 +124,11 @@ class TestKSummand:
         with pytest.raises(UnsupportedIdealClassError):
             k_summand_test(ci(ring, "x*y"), 1)
 
+    @pytest.mark.parametrize("e", [0, -1])
+    def test_requires_a_positive_exponent(self, ring2, e):
+        with pytest.raises(ValueError, match="e must be at least 1"):
+            k_summand_test(mi(ring2, (4, 0), (2, 2), (0, 4)), e)
+
 
 class TestGradedSummand:
     def test_j_zero_reduces_to_fsplit(self):
@@ -307,14 +312,14 @@ class TestColonGuard:
         # have up to C(374, 2) = 69751 terms (that of f^124)
         ring = PolyRing(5, ["x", "y", "z"])
         with pytest.raises(ResourceGuardError):
-            colon_generators(ci(ring, "x^3 + y^3 + z^3"), 625, max_monomials=100)
+            colon_generators(ci(ring, "x^3 + y^3 + z^3"), 4, max_monomials=100)
 
     def test_guard_sized_by_largest_product(self):
         ring = PolyRing(5, ["x", "y", "z"])
         cubic = ci(ring, "x^3 + y^3 + z^3")
-        assert colon_generators(cubic, 625, max_monomials=69751)[0].is_zero()
+        assert colon_generators(cubic, 4, max_monomials=69751)[0].is_zero()
         with pytest.raises(ResourceGuardError):
-            colon_generators(cubic, 625, max_monomials=69750)
+            colon_generators(cubic, 4, max_monomials=69750)
 
 
 def scan_oracle(ideal, j, e):
@@ -323,7 +328,7 @@ def scan_oracle(ideal, j, e):
     generator's terms (largest first) until a product keeps every exponent
     below q."""
     q = ideal.ring.p**e
-    gens = colon_generators(ideal, q)
+    gens = colon_generators(ideal, e)
     term_lists = [[t for t in mono_sorted(g.terms) if max(t) < q] for g in gens]
     candidates = sorted(
         (s for s in itertools.product(range(q), repeat=ideal.ring.nvars) if sum(s) == q * j),
