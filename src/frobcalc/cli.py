@@ -66,29 +66,81 @@ class _UsageError(Exception):
     pass
 
 
-def _jsonable(value):
-    """Stable-field-order payload normalization: Fractions become
-    {num, den}, integers beyond 2^53 become decimal strings."""
-    if isinstance(value, Fraction):
-        return {"num": _jsonable(value.numerator), "den": _jsonable(value.denominator)}
-    if isinstance(value, bool) or value is None:
-        return value
+_encode_str = json.encoder.encode_basestring_ascii
+_INFINITY = float("inf")
+
+
+def _encode(value, pad):
+    """`value` as json.dumps(value, indent=2) writes it at the depth whose
+    lines start with `pad`, normalized in the same walk: Fractions become
+    {num, den}, integers with |v| >= 2^53 become decimal strings, tuples
+    become lists, keys become str(key), and subclasses of int, str, float,
+    dict and list are written as their base values."""
+    kind = type(value)
+    if kind is dict:
+        if not value:
+            return "{}"
+        inner = pad + "  "
+        parts = []
+        for key, item in value.items():
+            key = _encode_str(key if type(key) is str else str(key))
+            kind = type(item)
+            if kind is int and -JSON_INT_LIMIT < item < JSON_INT_LIMIT:
+                parts.append(f"{key}: {item!r}")
+            elif kind is str:
+                parts.append(f"{key}: {_encode_str(item)}")
+            else:
+                parts.append(f"{key}: {_encode(item, inner)}")
+        sep = ",\n" + inner
+        return f"{{\n{inner}{sep.join(parts)}\n{pad}}}"
+    if kind is list or kind is tuple:
+        if not value:
+            return "[]"
+        inner = pad + "  "
+        parts = []
+        for item in value:
+            kind = type(item)
+            if kind is int and -JSON_INT_LIMIT < item < JSON_INT_LIMIT:
+                parts.append(repr(item))
+            elif kind is str:
+                parts.append(_encode_str(item))
+            else:
+                parts.append(_encode(item, inner))
+        sep = ",\n" + inner
+        return f"[\n{inner}{sep.join(parts)}\n{pad}]"
+    if value is None:
+        return "null"
+    if value is True:
+        return "true"
+    if value is False:
+        return "false"
     if isinstance(value, int):
-        return value if -JSON_INT_LIMIT < value < JSON_INT_LIMIT else str(value)
-    if isinstance(value, float):
-        return value
+        digits = int.__repr__(value)
+        return digits if -JSON_INT_LIMIT < value < JSON_INT_LIMIT else f'"{digits}"'
     if isinstance(value, str):
-        return value
+        return _encode_str(value)
+    if isinstance(value, float):
+        if value != value:
+            return "NaN"
+        if value == _INFINITY:
+            return "Infinity"
+        if value == -_INFINITY:
+            return "-Infinity"
+        return float.__repr__(value)
+    # each branch below hands on a value of an exact type, so the walk
+    # cannot come back here with it
+    if isinstance(value, Fraction):
+        return _encode({"num": value.numerator, "den": value.denominator}, pad)
     if isinstance(value, dict):
-        return {str(k): _jsonable(v) for k, v in value.items()}
+        return _encode(dict(value.items()), pad)
     if isinstance(value, (list, tuple)):
-        return [_jsonable(v) for v in value]
+        return _encode(list(value), pad)
     raise TypeError(f"cannot serialize {type(value).__name__}")
 
 
 def emit_json(envelope):
     """Serialize the report envelope; field order is insertion order."""
-    return json.dumps(_jsonable(envelope), indent=2) + "\n"
+    return _encode(envelope, "") + "\n"
 
 
 def collect_certificates(result):
@@ -96,17 +148,19 @@ def collect_certificates(result):
     the verdict/kind field pair), in document order."""
     found = []
 
-    def walk(node):
-        if isinstance(node, dict):
-            if "verdict" in node and "kind" in node:
-                found.append(node)
-            for value in node.values():
-                walk(value)
-        elif isinstance(node, list):
-            for value in node:
+    def walk(values):
+        for value in values:
+            kind = type(value)
+            if kind is int or kind is str:
+                continue
+            if isinstance(value, dict):
+                if "verdict" in value and "kind" in value:
+                    found.append(value)
+                walk(value.values())
+            elif isinstance(value, list):
                 walk(value)
 
-    walk(result)
+    walk((result,))
     return found
 
 
@@ -394,7 +448,7 @@ def run(argv):
     if args.json:
         sys.stdout.write(emit_json(envelope))
     else:
-        sys.stdout.write(render_text(_jsonable(envelope)))
+        sys.stdout.write(render_text(json.loads(emit_json(envelope))))
     return EXIT_OK
 
 

@@ -3,8 +3,12 @@ import io
 import json
 import math
 import os
+import re
 import subprocess
 import sys
+from collections import OrderedDict, namedtuple
+from enum import IntEnum
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -17,6 +21,7 @@ from frobcalc.cli import (
     EXIT_UNSUPPORTED,
     EXIT_USAGE,
     EXIT_VERIFICATION,
+    JSON_INT_LIMIT,
     build_parser,
     emit_json,
     render_text,
@@ -528,6 +533,97 @@ class TestDeterminism:
         assert len(set(outputs)) == 1
 
 
+def jsonable(value):
+    """Oracle for `emit_json`: the payload normalization it replaced.
+    Fractions become {num, den}, integers with |v| >= 2^53 become decimal
+    strings; `oracle_emit` then writes the copy with json.dumps."""
+    if isinstance(value, Fraction):
+        return {"num": jsonable(value.numerator), "den": jsonable(value.denominator)}
+    if isinstance(value, bool) or value is None:
+        return value
+    if isinstance(value, int):
+        return value if -JSON_INT_LIMIT < value < JSON_INT_LIMIT else str(value)
+    if isinstance(value, float):
+        return value
+    if isinstance(value, str):
+        return value
+    if isinstance(value, dict):
+        return {str(k): jsonable(v) for k, v in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [jsonable(v) for v in value]
+    raise TypeError(f"cannot serialize {type(value).__name__}")
+
+
+def oracle_emit(value):
+    return json.dumps(jsonable(value), indent=2) + "\n"
+
+
+BOUNDARY_INTS = [
+    sign * magnitude
+    for sign in (1, -1)
+    for magnitude in (0, 2**53 - 1, 2**53, 2**53 + 1, 2**60)
+]
+# control characters, non-ASCII (including astral, written as a surrogate pair)
+# and the characters JSON escapes
+TRICKY_TEXT = st.text(
+    alphabet=st.characters(max_codepoint=0x1F, categories=["Cc"])
+    | st.sampled_from('"\\/\u00e9\u2028\u03c0\U0001F600 ab')
+    | st.characters(),
+    max_size=6,
+)
+SCALARS = (
+    st.none()
+    | st.booleans()
+    | st.integers()
+    | st.sampled_from(BOUNDARY_INTS)
+    | st.floats()
+    | st.sampled_from([math.nan, math.inf, -math.inf, -0.0, 1e16, 5e-324])
+    | TRICKY_TEXT
+    | st.fractions()
+    | st.builds(Fraction, st.sampled_from(BOUNDARY_INTS), st.sampled_from(BOUNDARY_INTS[1:5]))
+    | st.just({})
+    | st.just([])
+    | st.just(())
+)
+KEYS = TRICKY_TEXT | st.integers() | st.sampled_from(BOUNDARY_INTS)
+
+
+def without_colliding_keys(value):
+    """True when no dict in `value` has two keys with the same str()."""
+    if isinstance(value, dict):
+        return len({str(k) for k in value}) == len(value) and all(
+            map(without_colliding_keys, value.values())
+        )
+    if isinstance(value, (list, tuple)):
+        return all(map(without_colliding_keys, value))
+    return True
+
+
+PAYLOADS = st.recursive(
+    SCALARS,
+    lambda children: st.lists(children, max_size=4)
+    | st.lists(children, max_size=3).map(tuple)
+    | st.dictionaries(KEYS, children, max_size=4),
+    max_leaves=25,
+).filter(without_colliding_keys)
+
+
+class Colour(IntEnum):
+    RED = 1
+    HUGE = 2**60
+
+
+class Tag(str):
+    pass
+
+
+class Count(int):
+    def __repr__(self):
+        return f"Count({int(self)})"
+
+    __str__ = __repr__
+
+
 class TestJsonEncoding:
     def test_round_trip(self):
         payload = {"a": 1, "b": [1, 2, {"c": None}], "d": "x"}
@@ -560,9 +656,71 @@ class TestJsonEncoding:
     def test_round_trip_random_payloads(self, payload):
         assert json.loads(emit_json(payload)) == payload
 
+    @given(payload=PAYLOADS)
+    @settings(max_examples=400, deadline=None)
+    def test_bytes_match_the_oracle(self, payload):
+        """Byte for byte as json.dumps(jsonable(x), indent=2): floats, tuples,
+        int keys, escapes and non-ASCII, empty containers at every depth,
+        Fractions and the 2^53 boundary.  Keys that collide after str(),
+        such as {1: a, "1": b}, are outside the contract: the oracle merged
+        them silently, and emit_json writes both."""
+        assert emit_json(payload) == oracle_emit(payload)
+
+    def test_the_string_threshold_is_two_to_the_53(self):
+        out = emit_json([2**53 - 1, 2**53, -(2**53 - 1), -(2**53)])
+        assert json.loads(out) == [
+            2**53 - 1, "9007199254740992", -(2**53 - 1), "-9007199254740992"
+        ]
+
+    def test_unsupported_objects_raise(self):
+        with pytest.raises(TypeError, match="cannot serialize object"):
+            emit_json({"a": [object()]})
+        with pytest.raises(TypeError, match="cannot serialize set"):
+            emit_json({1, 2})
+
+    def test_subclasses_serialize_as_their_base_values(self):
+        payload = {
+            Tag("k"): [Colour.RED, Colour.HUGE, Count(7), Count(2**60), Tag("v"), True],
+            "od": OrderedDict(b=1, a=Fraction(1, 3)),
+            "nt": namedtuple("Pair", "x y")(1.5, ()),
+        }
+        base = {
+            "k": [1, 2**60, 7, 2**60, "v", True],
+            "od": {"b": 1, "a": Fraction(1, 3)},
+            "nt": [1.5, []],
+        }
+        assert emit_json(payload) == emit_json(base)
+        assert json.loads(emit_json(payload))["k"] == [1, str(2**60), 7, str(2**60), "v", True]
+
     def test_render_text_covers_payload(self):
         text = render_text({"a": {"b": [1, 2]}, "c": "x"})
         assert "a:" in text and "b:" in text and "- 1" in text and "c: x" in text
+
+
+GOLDEN = Path(__file__).resolve().parent / "golden"
+DECOMPOSE_FRACTIONAL = [
+    "decompose", "--char", "3", "--vars", "x,y,z", "--ideal", "x^5, y^5, z^5, x^2*y^2"
+]
+GOLDEN_REPORTS = {
+    "veronese_ell2_p3_e2.json": ["veronese", "--ell", "2", "--p", "3", "-e", "2", "--json"],
+    # every certificate appears twice: in the result and in the envelope
+    "twists_quadric_jmax2.json": ["twists", "--jmax", "2"] + QUADRIC + ["--json"],
+    # the echoed --l and the alpha keys beyond 2^53 become strings
+    "alpha_big_l.json": ["alpha", "--n", "1", "--p", "2", "--l", "100000000000000000000", "--json"],
+    # degree_offset fractions
+    "decompose_fractional_offsets.json": DECOMPOSE_FRACTIONAL + ["--json"],
+    "decompose_fractional_offsets.txt": DECOMPOSE_FRACTIONAL,
+}
+TIMING_LINE = re.compile(r',\n  "timing_seconds": .*|\ntiming_seconds: .*')
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_REPORTS))
+def test_golden_report_bytes(capsys, name):
+    """The whole report, timing aside, byte for byte as tests/golden holds it."""
+    assert run(GOLDEN_REPORTS[name]) == EXIT_OK
+    report, timing_lines = TIMING_LINE.subn("", capsys.readouterr().out)
+    assert timing_lines == 1
+    assert report == (GOLDEN / name).read_text()
 
 
 class TestCertificateReverification:
