@@ -395,12 +395,13 @@ def _dispatch(args):
     if name == "alpha":
         if not (1 <= args.n):
             raise ParseError("need n >= 1")
-        table = {str(-t): m for t, m in pn_pushforward(args.n, args.p, 1, args.l).twists.items()}
+        twists = pn_pushforward(args.n, args.p, 1, args.l, **guard).twists
+        table = {str(-t): m for t, m in twists.items()}
         echo = {"n": args.n, "p": args.p, "l": args.l}
         return echo, {"alpha": table, "sum": sum(table.values())}, []
 
     if name == "pn":
-        report = pn_pushforward(args.n, args.p, args.e, args.l)
+        report = pn_pushforward(args.n, args.p, args.e, args.l, **guard)
         echo = {"n": args.n, "p": args.p, "e": args.e, "l": args.l}
         return echo, report.payload(), []
 

@@ -6,17 +6,20 @@ the certified bounds with machine-checkable certificates: a splitting
 witness pins the value to 1, the Loewy length bounds artinian quotients,
 and p^codim bounds complete intersections.  When no certified upper bound
 applies, the report says "unknown" (the quantity is known to be finite).
+
+Only the splitting test at e = 1 is run: a splitting at any e restricts
+to one at e = 1, so once that test fails the certificate at each e >= 2
+comes from an empty colon table (`splitting.not_split_certificate`).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .errors import UnsupportedIdealClassError
-from .ideals import CIIdeal, MonomialIdeal, pairwise_disjoint_supports
+from .ideals import MonomialIdeal, pairwise_disjoint_supports
 from .koszul import codepth as koszul_codepth
 from .polyring import DEFAULT_MAX_MONOMIALS, mono_degree
-from .splitting import is_f_split
+from .splitting import is_f_split, not_split_certificate
 
 DEFAULT_E_MAX = 4
 
@@ -61,82 +64,43 @@ class BoundReport:
 def f_level_bounds(ideal, e_max=DEFAULT_E_MAX, max_monomials=DEFAULT_MAX_MONOMIALS):
     """Bound report for the pushforward-level of R = S/I.
 
-    lower = 1 always; exact = 1 when a splitting witness exists; lower = 2
-    when every tested e <= e_max fails (conditional on the tested range in
-    the report wording, although a splitting at any e restricts to one at
-    e = 1).  Upper bounds: Loewy length for artinian quotients, p^codim
-    for complete intersections, the smaller when both apply; otherwise
-    unknown (finite).  exact = lower when the bounds meet."""
+    lower = 1 always; exact = 1 when the splitting test at e = 1 finds a
+    witness.  Otherwise lower = 2 at every e, since a splitting at any e
+    restricts to one at e = 1, and the report holds the failed certificate
+    for each e <= e_max.  Upper bounds: Loewy length for artinian
+    quotients, p^codim for complete intersections, the smaller when both
+    apply; otherwise unknown (finite).  exact = lower when the bounds
+    meet."""
     if e_max < 1:
         raise ValueError("e_max must be at least 1")
-    ring = ideal.ring
-    certs = {}
-    split_at = None
-    for e in range(1, e_max + 1):
-        cert = is_f_split(ideal, e, max_monomials=max_monomials)
-        certs[e] = cert
-        if cert.verdict:
-            split_at = e
-            break
-
-    provenance = []
-    notes = []
-    if split_at is not None:
-        lower = 1
-        exact = 1
-        upper = 1
-        status = "certified"
-        provenance.append(("splitting witness", 1, f"split test at e={split_at}"))
-    else:
-        lower = 2
-        exact = None
-        provenance.append(
-            ("no splitting witness", 2, f"split tests failed for e <= {e_max}")
-        )
-        notes.append(
-            f"lower bound 2 is certified for the tested range e <= {e_max}"
-        )
-        if isinstance(ideal, MonomialIdeal) and len(ideal.gens) == 1:
+    certs = {1: is_f_split(ideal, 1, max_monomials=max_monomials)}
+    if certs[1].verdict:
+        provenance = [("splitting witness", 1, "split test at e=1")]
+        return BoundReport(1, 1, 1, "certified", provenance, split_certificates=certs)
+    certs.update((e, not_split_certificate(ideal, e)) for e in range(2, e_max + 1))
+    provenance = [("no splitting witness", 2, f"split tests failed for e <= {e_max}")]
+    notes = [f"lower bound 2 is certified for the tested range e <= {e_max}"]
+    p = ideal.ring.p
+    uppers = []
+    if isinstance(ideal, MonomialIdeal):
+        if len(ideal.gens) == 1:
             notes.append("hypersurface: the e = 1 test is decisive")
-
-        upper_candidates = []
-        if isinstance(ideal, MonomialIdeal):
-            if ideal.is_artinian():
-                ll = ideal.loewy_length(max_monomials=max_monomials)
-                upper_candidates.append(("artinian Loewy-length bound", ll, f"loewy_length = {ll}"))
-            c = _monomial_ci_codimension(ideal)
-            if c is not None and all(mono_degree(g) >= 2 for g in ideal.gens):
-                upper_candidates.append(
-                    ("complete-intersection bound p^codim", ring.p**c, f"codimension = {c}")
-                )
-        elif isinstance(ideal, CIIdeal):
-            c = ideal.codimension
-            upper_candidates.append(
-                ("complete-intersection bound p^codim", ring.p**c, f"codimension = {c}")
-            )
-        else:
-            raise UnsupportedIdealClassError(f"unsupported ideal class {type(ideal).__name__}")
-
-        if upper_candidates:
-            upper_candidates.sort(key=lambda t: t[1])
-            upper = upper_candidates[0][1]
-            status = "certified"
-            if upper == lower:
-                exact = lower
-            provenance.extend(upper_candidates)
-        else:
-            upper = None
-            status = "unknown-finite"
-            notes.append("no certified upper bound applies; the value is finite")
-    return BoundReport(
-        lower=lower,
-        upper=upper,
-        exact=exact,
-        upper_status=status,
-        provenance=provenance,
-        split_certificates=certs,
-        notes=notes,
-    )
+        if ideal.is_artinian():
+            ll = ideal.loewy_length(max_monomials=max_monomials)
+            uppers.append(("artinian Loewy-length bound", ll, f"loewy_length = {ll}"))
+        c = _monomial_ci_codimension(ideal)
+        if c is not None and all(mono_degree(g) >= 2 for g in ideal.gens):
+            uppers.append(("complete-intersection bound p^codim", p**c, f"codimension = {c}"))
+    else:  # a complete intersection: the splitting test refuses every other class
+        c = ideal.codimension
+        uppers.append(("complete-intersection bound p^codim", p**c, f"codimension = {c}"))
+    if not uppers:
+        notes.append("no certified upper bound applies; the value is finite")
+        return BoundReport(2, None, None, "unknown-finite", provenance, certs, notes)
+    uppers.sort(key=lambda t: t[1])
+    upper = uppers[0][1]
+    exact = 2 if upper == 2 else None
+    return BoundReport(2, upper, exact, "certified", provenance + uppers, certs, notes)
 
 
 def generation_exponent(I, degree_bound=None, max_monomials=DEFAULT_MAX_MONOMIALS):

@@ -28,21 +28,28 @@ EXPONENT_LIMIT = 2**31
 DEFAULT_MAX_MONOMIALS = 10**7
 
 
+# Miller-Rabin with the first 12 prime bases is exact below this bound
+# (Sorenson and Webster, 2015)
+PRIME_TEST_LIMIT = 318665857834031151167461
+_PRIME_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+
+
 def is_prime(n):
-    """Deterministic Miller-Rabin; exact for every n < 3_215_031_751."""
+    """Deterministic Miller-Rabin, exact for every n < PRIME_TEST_LIMIT
+    (about 3.18e23); a larger n raises ValueError."""
+    if n >= PRIME_TEST_LIMIT:
+        raise ValueError(f"primality is decided only below {PRIME_TEST_LIMIT}: got {n}")
     if n < 2:
         return False
-    for small in (2, 3, 5, 7):
-        if n == small:
-            return True
-        if n % small == 0:
-            return False
+    for a in _PRIME_BASES:
+        if n % a == 0:
+            return n == a
     d = n - 1
     r = 0
     while d % 2 == 0:
         d //= 2
         r += 1
-    for a in (2, 3, 5, 7):
+    for a in _PRIME_BASES:
         x = pow(a, d, n)
         if x in (1, n - 1):
             continue

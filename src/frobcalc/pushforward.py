@@ -212,22 +212,34 @@ class TwistMultiset:
         }
 
 
-def pn_pushforward(n, p, e, l=0):
+def pn_pushforward(n, p, e, l=0, max_monomials=DEFAULT_MAX_MONOMIALS):
     """Iterate the one-step decomposition of Frobenius pushforwards of line
     bundles on projective n-space e times, starting from O(l).
 
     Reports whether every twist 0..-n occurs, the criterion for the
-    pushforward to generate everything built from those twists."""
+    pushforward to generate everything built from those twists.  Before
+    each step the guard bounds the inclusion-exclusion terms of all steps
+    so far: n + 2 for each `alpha` evaluation, one per i with
+    0 <= twist + i*p <= (n+1)(p-1)."""
     if e < 1:
         raise ValueError("e must be at least 1")
+    if n < 1:
+        raise ValueError("n must be at least 1")
+    top = (n + 1) * (p - 1)
+    terms = 0
     current = {l: 1}
     for _ in range(e):
+        terms += (n + 2) * sum((top - t) // p + t // p + 1 for t in current)
+        if terms > max_monomials:
+            raise ResourceGuardError(
+                f"alpha counts may need {terms} terms, over the guard {max_monomials}"
+            )
         nxt = {}
         for twist, mult in current.items():
             i = -(twist // p)  # least i with twist + i*p >= 0 (floor-division ceil)
             while True:
                 degree = twist + i * p
-                if degree > (n + 1) * (p - 1):
+                if degree > top:
                     break
                 a = alpha(n, p, i, twist)
                 if a:

@@ -23,6 +23,9 @@ s <= (q-1) - t componentwise for some live term t of c, so R(-j) is a
 summand iff some live term has slack sum(q-1-t_i) >= q*j.  The test reads
 this off the live terms; no candidate s is enumerated.
 
+Each test call forms one table of live terms per (ideal, e) and reads
+every twist it needs from it.
+
 Every positive verdict carries a witness (s, c) that re-verifies by a
 termwise exponent check; every negative verdict records the size of the
 capped search space it rules out and re-verifies by recomputing the slack
@@ -165,12 +168,6 @@ def colon_generators(ideal, e, max_monomials=DEFAULT_MAX_MONOMIALS):
     raise UnsupportedIdealClassError(f"unsupported ideal class {type(ideal).__name__}")
 
 
-def live_terms(poly, q):
-    """Terms of `poly`, largest first, with every exponent < q: the only
-    terms that a monomial multiple can keep outside m^[q]."""
-    return mono_sorted(m for m in poly.terms if all(e < q for e in m))
-
-
 def _fits(s, term, q):
     """Does s*term keep every exponent below q?"""
     return all(a + b < q for a, b in zip(s, term))
@@ -187,6 +184,53 @@ def _top_divisor(box, degree):
     return None if degree else tuple(s)
 
 
+@dataclass(frozen=True)
+class _ColonTable:
+    """(I^[q] : I) at one e as the tests read it: its live terms, each with
+    its generator, in generator order and largest term first."""
+
+    e: int
+    q: int
+    nvars: int
+    live: list  # (colon generator, live term)
+
+    def escape(self, s, j):
+        """The certificate that s, of degree q*j, escapes m^[q] through the
+        first live term it fits; None when it fits none."""
+        for gen, t in self.live:
+            if _fits(s, t, self.q):
+                return SplitCertificate(True, self.q, self.e, j, witness_monomial=s,
+                                        colon_generator=gen, witness_term=mono_mul(s, t))
+        return None
+
+    def certificate(self, j):
+        """The graded-summand certificate for R(-j): the degrevlex-largest s
+        of degree q*j dividing some box (q-1) - t, or else the capped
+        search space ruled out."""
+        q = self.q
+        tops = [_top_divisor([q - 1 - x for x in t], q * j) for _gen, t in self.live]
+        tops = [s for s in tops if s is not None]
+        if tops:
+            return self.escape(max(tops, key=drl_key), j)
+        return SplitCertificate(False, q, self.e, j, search_degree=q * j,
+                                search_count=bounded_count(self.nvars, q * j, q - 1))
+
+
+def _colon_table(ideal, e, j=0, max_monomials=DEFAULT_MAX_MONOMIALS, gens=None):
+    """The colon table at e, after the checks in their fixed order: e >= 1,
+    q <= MAX_Q, j >= 0, then the colon-term guard.  `gens` stands in for
+    colon generators known without forming them."""
+    q = _frobenius_q(ideal.ring, e)
+    if q > MAX_Q:
+        raise ResourceGuardError(f"q = {q} exceeds the guard {MAX_Q}")
+    if j < 0:
+        raise ValueError("twist j must be nonnegative")
+    if gens is None:
+        gens = colon_generators(ideal, e, max_monomials)
+    live = [(g, t) for g in gens for t in mono_sorted(m for m in g.terms if max(m) < q)]
+    return _ColonTable(e, q, ideal.ring.nvars, live)
+
+
 def graded_summand_test(ideal, j, e, max_monomials=DEFAULT_MAX_MONOMIALS):
     """Does R(-j) split off the e-th Frobenius pushforward of R = S/I?
 
@@ -199,41 +243,20 @@ def graded_summand_test(ideal, j, e, max_monomials=DEFAULT_MAX_MONOMIALS):
     term order, that s fits.  A false verdict records the capped search
     space it rules out: every monomial of degree q*j with exponents < q.
     """
-    ring = ideal.ring
-    q = _frobenius_q(ring, e)
-    if q > MAX_Q:
-        raise ResourceGuardError(f"q = {q} exceeds the guard {MAX_Q}")
-    if j < 0:
-        raise ValueError("twist j must be nonnegative")
-    gens = colon_generators(ideal, e, max_monomials)
-    live = [live_terms(g, q) for g in gens]
-    tops = [_top_divisor([q - 1 - x for x in t], q * j) for terms in live for t in terms]
-    tops = [s for s in tops if s is not None]
-    if not tops:
-        return SplitCertificate(
-            verdict=False,
-            q=q,
-            e=e,
-            j=j,
-            search_degree=q * j,
-            search_count=bounded_count(ring.nvars, q * j, q - 1),
-        )
-    s = max(tops, key=drl_key)
-    gi, t = next((gi, t) for gi, terms in enumerate(live) for t in terms if _fits(s, t, q))
-    return SplitCertificate(
-        verdict=True,
-        q=q,
-        e=e,
-        j=j,
-        witness_monomial=s,
-        colon_generator=gens[gi],
-        witness_term=mono_mul(s, t),
-    )
+    return _colon_table(ideal, e, j, max_monomials).certificate(j)
 
 
 def is_f_split(ideal, e, max_monomials=DEFAULT_MAX_MONOMIALS):
     """Splitting test: true iff (I^[q] : I) is not inside m^[q], q = p^e."""
     return graded_summand_test(ideal, 0, e, max_monomials=max_monomials)
+
+
+def not_split_certificate(ideal, e):
+    """`is_f_split(ideal, e)` for a quotient not F-split at e = 1, from an
+    empty colon table: f^(p-1) in m^[p] puts f^(q-1) = f^(q/p-1) *
+    (f^(p-1))^[q/p] in m^[q], and a monomial colon escapes m^[q] exactly
+    when I is squarefree, at every e.  Only e and q <= MAX_Q are checked."""
+    return _colon_table(ideal, e, gens=[]).certificate(0)
 
 
 def _socle_witness_ok(ideal, u, q):
@@ -286,7 +309,6 @@ class TwistSpectrum:
 
     e: int
     q: int
-    nvars: int
     degree: int | None  # sum of generator degrees for a complete intersection
     entries: dict  # j -> SplitCertificate
     band: tuple | None  # (0, n - d) when the hypotheses hold
@@ -308,7 +330,8 @@ class TwistSpectrum:
 
 
 def twist_spectrum(ideal, e, j_max=None, max_monomials=DEFAULT_MAX_MONOMIALS):
-    """Run graded_summand_test for j = 0..j_max on a complete intersection.
+    """The graded_summand_test certificates for j = 0..j_max on a complete
+    intersection, all read from one colon table.
 
     When the hypotheses hold (degree d <= n where n+1 = #variables, q > n-d,
     and the j = 0 test passes), the theory predicts summands exactly for
@@ -336,9 +359,8 @@ def twist_spectrum(ideal, e, j_max=None, max_monomials=DEFAULT_MAX_MONOMIALS):
         warnings.append(
             f"q = {q} <= n - d = {n - d}: the band prediction needs q > n - d"
         )
-    entries = {}
-    for j in range(j_max + 1):
-        entries[j] = graded_summand_test(ideal, j, e, max_monomials)
+    table = _colon_table(ideal, e, max_monomials=max_monomials)
+    entries = {j: table.certificate(j) for j in range(j_max + 1)}
     hypotheses = {
         "degree_at_most_n": d <= n,
         "q_exceeds_band": q > n - d,
@@ -354,7 +376,6 @@ def twist_spectrum(ideal, e, j_max=None, max_monomials=DEFAULT_MAX_MONOMIALS):
     return TwistSpectrum(
         e=e,
         q=q,
-        nvars=ring.nvars,
         degree=d,
         entries=entries,
         band=band,
@@ -405,18 +426,14 @@ def witness_from_proof(ideal, e, max_monomials=DEFAULT_MAX_MONOMIALS):
     raising x_0 first, ends in."""
     if not isinstance(ideal, CIIdeal):
         raise UnsupportedIdealClassError("witness_from_proof needs a complete intersection")
-    ring = ideal.ring
-    q = _frobenius_q(ring, e)
-    if q > MAX_Q:
-        raise ResourceGuardError(f"q = {q} exceeds the guard {MAX_Q}")
-    n = ring.nvars - 1
-    d = ideal.degree()
-    fq1 = colon_generators(ideal, e, max_monomials)[0]
-    live = live_terms(fq1, q)
-    if not live:
+    table = _colon_table(ideal, e, max_monomials=max_monomials)
+    if not table.live:
         raise NotFSplitError("no escape monomial exists: the quotient is not F-split")
 
-    g = tuple(q - 1 - x for x in min(live))
+    q = table.q
+    n = ideal.ring.nvars - 1
+    d = ideal.degree()
+    g = tuple(q - 1 - x for x in min(t for _gen, t in table.live))
     expected = (n + 1) * (q - 1) - d * (q - 1)
     if mono_degree(g) != expected:
         raise VerificationError(
@@ -424,24 +441,14 @@ def witness_from_proof(ideal, e, max_monomials=DEFAULT_MAX_MONOMIALS):
         )
 
     factors = []
-    top = max(n - d, 0)
-    for j in range(top + 1):
+    for j in range(max(n - d, 0) + 1):
         target = j * q
         if target > mono_degree(g):
             break
         s = _top_divisor(g, target)
-        term = next((t for t in live if _fits(s, t, q)), None)
-        if term is None:
+        cert = table.escape(s, j)
+        if cert is None:
             raise VerificationError(f"extracted factor of degree {target} does not escape")
-        cert = SplitCertificate(
-            verdict=True,
-            q=q,
-            e=e,
-            j=j,
-            witness_monomial=s,
-            colon_generator=fq1,
-            witness_term=mono_mul(s, term),
-        )
         factors.append((j, s, cert))
     return WitnessChain(
         e=e,

@@ -327,6 +327,62 @@ class TestExitCodes:
         assert len(payload["result"]["entries"]) == 10
         assert run_captured(argv + ["--jmax", "100000000"])[0] == EXIT_GUARD
 
+    def test_pn_guards_its_alpha_terms(self, capsys):
+        # n + 2 = 402 terms for each of the 268 alpha counts of the first step
+        argv = ["pn", "--n", "400", "--p", "3", "-e", "2", "--max-monomials", "10"]
+        message = "error: alpha counts may need 107736 terms, over the guard 10\n"
+        assert run_captured(argv) == (EXIT_GUARD, [], message)
+        # 2 counts of 4 terms at the first step, then 4 more: 8 + 16
+        argv = ["pn", "--n", "2", "--p", "2", "-e", "2", "--max-monomials"]
+        assert run_captured(argv + ["23"])[0] == EXIT_GUARD
+        assert run_json(capsys, argv + ["24"])["result"]["total_rank"] == 16
+        # the default guard refuses what would take over a minute
+        assert run_captured(["pn", "--n", "300", "--p", "3", "-e", "2"])[0] == EXIT_GUARD
+
+    def test_alpha_guards_its_terms(self, capsys):
+        # 4 counts (i = 0..3, degrees 7i <= 24) of 5 terms each
+        argv = ["alpha", "--n", "3", "--p", "7", "--max-monomials"]
+        assert run_captured(argv + ["19"])[0] == EXIT_GUARD
+        assert run_json(capsys, argv + ["20"])["result"]["sum"] == 7**3
+
+    @pytest.mark.parametrize("n", ["0", "-1", "-2"])
+    def test_pn_needs_a_positive_dimension(self, n):
+        # projective n-space needs n >= 1, whether or not an alpha count is reached
+        for l in ("0", "1"):
+            argv = ["pn", "--n", n, "--p", "2", "--l", l]
+            assert run_captured(argv) == (EXIT_USAGE, [], "error: n must be at least 1\n")
+
+    @pytest.mark.parametrize(
+        "flag,sub", [("--p", ["alpha", "--n", "1"]), ("--char", ["strand", "--ell", "2", "--j", "1"])]
+    )
+    @pytest.mark.parametrize("n", ["3215031751", "3825123056546413051", "318665857834031151167461"])
+    def test_strong_pseudoprimes_and_huge_numbers_are_usage_errors(self, flag, sub, n):
+        # 3215031751 = 151 * 751 * 28351 passes Miller-Rabin to the bases 2, 3, 5, 7;
+        # the last number is where the 12-base test stops being exact
+        code, lines, _err = run_captured(sub + [flag, n])
+        assert (code, lines) == (EXIT_USAGE, [])
+
+    def test_summand_checks_q_before_the_twist(self):
+        # q = 2^17 is over MAX_Q: the guard speaks before the negative twist
+        argv = ["summand", "--char", "2", "--vars", "x,y", "--ideal", "x*y", "-e", "17", "--j", "-1"]
+        assert run_captured(argv) == (EXIT_GUARD, [], "error: q = 131072 exceeds the guard 65536\n")
+
+    def test_flevel_checks_q_at_every_exponent(self):
+        # not split at e = 1, so e = 2..17 come from empty colon tables; q = 2^17 is still refused
+        argv = ["flevel", "--char", "2", "--vars", "x,y", "--ideal", "x^2,y^2", "--emax", "17"]
+        assert run_captured(argv) == (EXIT_GUARD, [], "error: q = 131072 exceeds the guard 65536\n")
+
+    def test_flevel_forms_no_colon_after_e_one_fails(self, capsys):
+        # only f^4 is formed: f^24 and f^124 cannot escape once f^4 does not,
+        # so the guard has nothing to bound at e = 2, 3
+        argv = ["flevel", "--char", "5", "--vars", "x,y,z", "--ideal", "x^3+y^3+z^3",
+                "--emax", "3", "--max-monomials", "1000"]
+        result = run_json(capsys, argv)["result"]
+        assert (result["lower"], result["upper"]) == (2, 5)
+        for e, q in [("1", 5), ("2", 25), ("3", 125)]:
+            cert = result["split_tests"][e]
+            assert (cert["verdict"], cert["q"], cert["search"]) == (False, q, {"degree": 0, "candidates": 1})
+
     @pytest.mark.parametrize("e", ["0", "-1"])
     @pytest.mark.parametrize(
         "argv",
@@ -710,6 +766,13 @@ GOLDEN_REPORTS = {
     # degree_offset fractions
     "decompose_fractional_offsets.json": DECOMPOSE_FRACTIONAL + ["--json"],
     "decompose_fractional_offsets.txt": DECOMPOSE_FRACTIONAL,
+    # the certificates at e = 2, 3 after the failed test at e = 1
+    "flevel_cubic_p5_emax3.json": ["flevel", "--char", "5", "--vars", "x,y,z", "--ideal", "x^3+y^3+z^3",
+                                   "--emax", "3", "--json"],
+    "witness_quartic_p5.json": ["witness", "--char", "5", "--vars", "x,y,z,w", "--ideal", "x^4+y^4+z^4+w^4",
+                                "--json"],
+    "twists_cubic_p7_e2.json": ["twists", "--char", "7", "--vars", "x,y,z", "--ideal", "x^3+y^3+z^3",
+                                "-e", "2", "--json"],
 }
 TIMING_LINE = re.compile(r',\n  "timing_seconds": .*|\ntiming_seconds: .*')
 

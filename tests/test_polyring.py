@@ -11,6 +11,7 @@ from frobcalc.errors import (
     RingMismatchError,
 )
 from frobcalc.polyring import (
+    PRIME_TEST_LIMIT,
     bounded_count,
     drl_key,
     mono_sorted,
@@ -32,6 +33,11 @@ def naive_power(f, n):
     return out
 
 
+def trial_division(n):
+    """Oracle for is_prime."""
+    return n >= 2 and all(n % d for d in range(2, math.isqrt(n) + 1))
+
+
 def small_polys(ring, max_terms=4, max_exp=3):
     monos = st.tuples(*[st.integers(0, max_exp) for _ in range(ring.nvars)])
     return st.dictionaries(monos, st.integers(0, ring.p - 1), max_size=max_terms).map(
@@ -47,6 +53,41 @@ class TestPrimality:
     @pytest.mark.parametrize("n", [0, 1, 4, 6, 9, 91, 32000, 2**31 - 3])
     def test_composites(self, n):
         assert not is_prime(n)
+
+    @pytest.mark.parametrize(
+        "n,factors",
+        [
+            # strong pseudoprimes to the bases 2..7, 2..17 and 2..23
+            (3215031751, [151, 751, 28351]),
+            (341550071728321, [10670053, 32010157]),
+            (3825123056546413051, [149491, 747451, 34233211]),
+        ],
+    )
+    def test_strong_pseudoprimes(self, n, factors):
+        assert math.prod(factors) == n
+        assert not is_prime(n)
+
+    # the last one is the largest prime below PRIME_TEST_LIMIT
+    @pytest.mark.parametrize("p", [2**61 - 1, 2**64 - 59, PRIME_TEST_LIMIT - 20])
+    def test_large_primes(self, p):
+        assert is_prime(p)
+
+    def test_large_composite(self):
+        assert 193707721 * 761838257287 == 2**67 - 1
+        assert not is_prime(2**67 - 1)
+
+    def test_undecided_beyond_the_limit(self):
+        with pytest.raises(ValueError, match="primality is decided only below"):
+            is_prime(PRIME_TEST_LIMIT)
+
+    def test_matches_trial_division(self):
+        for n in range(-3, 20000):
+            assert is_prime(n) == trial_division(n), n
+
+    @given(st.integers(2, 10**12))
+    @settings(max_examples=60, deadline=None)
+    def test_matches_trial_division_on_large_numbers(self, n):
+        assert is_prime(n) == trial_division(n)
 
     def test_ring_rejects_composite(self):
         with pytest.raises(ParseError):

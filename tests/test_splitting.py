@@ -1,6 +1,7 @@
 import itertools
 
 import pytest
+from conftest import corpus_ideals
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -21,6 +22,8 @@ from frobcalc import (
     twist_spectrum,
     witness_from_proof,
 )
+from frobcalc import splitting
+from frobcalc.levels import f_level_bounds
 from frobcalc.polyring import drl_key, mono_degree, mono_sorted
 from frobcalc.splitting import colon_generators
 
@@ -383,3 +386,86 @@ class TestSlackCriterionOracle:
         else:
             assert cert.search_degree == ideal.ring.p**e * j
             assert cert.search_count == count
+
+
+def ci_fixtures():
+    """Complete intersections: the corpus ideals with disjoint supports as
+    CIIdeals at p = 2 and 3, and the hypersurfaces and quadrics used above."""
+    out = []
+    for p in (2, 3):
+        for I, codim in corpus_ideals(p):
+            if codim is not None:
+                out.append(CIIdeal(I.ring, [Polynomial.monomial(I.ring, g) for g in I.gens]))
+    for p, names, texts in [
+        (3, "x0,x1,x2,x3", ["x0*x1 + x2*x3"]),
+        (5, "x0,x1,x2,x3", ["x0*x1 + x2*x3"]),
+        (3, "x0,x1,x2,x3", ["x0*x1", "x2*x3"]),
+        (5, "x,y,z", ["x^3 + y^3 + z^3"]),
+        (7, "x,y,z", ["x^3 + y^3 + z^3"]),
+        (7, "x0,x1,x2,x3", ["x0^3 + x1^3 + x2^3 + x3^3"]),
+        (3, "x,y,z,w", ["x^4 + y^4 + z^4 + w^4"]),
+        (5, "x,y,z,w", ["x^4 + y^4 + z^4 + w^4"]),
+        (2, "x,y", ["x*y"]),
+    ]:
+        ring = PolyRing(p, names.split(","))
+        out.append(ci(ring, *texts))
+    return out
+
+
+class TestOneColonTable:
+    """twist_spectrum, witness_from_proof and f_level_bounds read one colon
+    table per call and agree with the single tests run directly."""
+
+    @pytest.mark.parametrize("e", [1, 2])
+    def test_twist_spectrum_entries_are_the_graded_tests(self, e):
+        for I in ci_fixtures():
+            spectrum = twist_spectrum(I, e, 3)
+            assert spectrum.entries == {j: graded_summand_test(I, j, e) for j in range(4)}
+
+    def test_level_certificates_are_the_split_tests(self):
+        ideals = [I for p in (2, 3) for I, _codim in corpus_ideals(p)] + ci_fixtures()
+        for I in ideals:
+            report = f_level_bounds(I, e_max=3)
+            assert report.split_certificates
+            for e, cert in report.split_certificates.items():
+                assert cert == is_f_split(I, e)
+                assert cert.verify(I)
+
+    def test_each_call_forms_the_colon_once(self, monkeypatch):
+        calls = []
+        original = splitting.colon_generators
+
+        def counted(*args, **kwargs):
+            calls.append(args[1])
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(splitting, "colon_generators", counted)
+        _ring, quadric_ideal = quadric()
+        cubic = ci(PolyRing(5, ["x", "y", "z"]), "x^3 + y^3 + z^3")
+        twelve = mi(PolyRing(2, ["x", "y"]), (4, 0), (2, 2), (0, 4))
+        for run in [
+            lambda: twist_spectrum(quadric_ideal, 2, 4),
+            lambda: witness_from_proof(quadric_ideal, 2),
+            lambda: f_level_bounds(quadric_ideal, e_max=4),
+            lambda: f_level_bounds(cubic, e_max=4),
+            lambda: f_level_bounds(twelve, e_max=4),
+        ]:
+            calls.clear()
+            run()
+            assert len(calls) == 1
+
+    def test_not_split_certificate_matches_the_test_at_every_e(self):
+        cubic = ci(PolyRing(5, ["x", "y", "z"]), "x^3 + y^3 + z^3")
+        twelve = mi(PolyRing(2, ["x", "y"]), (4, 0), (2, 2), (0, 4))
+        for I in (cubic, twelve):
+            assert not is_f_split(I, 1).verdict
+            for e in (2, 3):
+                assert splitting.not_split_certificate(I, e) == is_f_split(I, e)
+
+    def test_not_split_certificate_keeps_the_q_guard(self):
+        twelve = mi(PolyRing(2, ["x", "y"]), (4, 0), (2, 2), (0, 4))
+        assert splitting.not_split_certificate(twelve, 16).q == 2**16
+        with pytest.raises(ResourceGuardError, match="q = 131072 exceeds the guard 65536"):
+            splitting.not_split_certificate(twelve, 17)
+        with pytest.raises(ValueError, match="e must be at least 1"):
+            splitting.not_split_certificate(twelve, 0)
