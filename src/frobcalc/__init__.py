@@ -40,7 +40,6 @@ from .levels import (
 from .polyring import (
     Polynomial,
     PolyRing,
-    frobenius_power,
     is_prime,
     monomials_of_degree,
     parse_polynomial,

@@ -115,7 +115,13 @@ def _encode(value, pad):
     if value is False:
         return "false"
     if isinstance(value, int):
-        digits = int.__repr__(value)
+        try:
+            digits = int.__repr__(value)
+        except ValueError:
+            raise ResourceGuardError(
+                f"a report integer of {value.bit_length()} bits exceeds the interpreter's "
+                f"limit of {sys.get_int_max_str_digits()} decimal digits"
+            ) from None
         return digits if -JSON_INT_LIMIT < value < JSON_INT_LIMIT else f'"{digits}"'
     if isinstance(value, str):
         return _encode_str(value)
@@ -424,6 +430,16 @@ def run(argv):
     start = time.perf_counter()
     try:
         echo, result, warnings = _dispatch(args)
+        elapsed = time.perf_counter() - start
+        report = emit_json({
+            "tool": {"name": "frobcalc", "version": __version__},
+            "subcommand": args.subcommand,
+            "input": echo,
+            "result": result,
+            "certificates": collect_certificates(result),
+            "notes": warnings,
+            "timing_seconds": round(elapsed, 6),
+        })
     except (ParseError, RingMismatchError, ExponentOverflowError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
@@ -436,20 +452,7 @@ def run(argv):
     except VerificationError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VERIFICATION
-    elapsed = time.perf_counter() - start
-    envelope = {
-        "tool": {"name": "frobcalc", "version": __version__},
-        "subcommand": args.subcommand,
-        "input": echo,
-        "result": result,
-        "certificates": collect_certificates(result),
-        "notes": warnings,
-        "timing_seconds": round(elapsed, 6),
-    }
-    if args.json:
-        sys.stdout.write(emit_json(envelope))
-    else:
-        sys.stdout.write(render_text(json.loads(emit_json(envelope))))
+    sys.stdout.write(report if args.json else render_text(json.loads(report)))
     return EXIT_OK
 
 

@@ -14,7 +14,6 @@ exponent is smaller is the larger one.
 from __future__ import annotations
 
 import math
-import operator
 import re
 
 from .errors import (
@@ -362,21 +361,6 @@ class Polynomial:
         out.terms = terms
         return out
 
-    def __pow__(self, n):
-        """Repeated squaring; f**0 is the unit."""
-        if n < 0:
-            raise ValueError("negative power")
-        result = Polynomial.one(self.ring)
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base_needed = n > 1
-            n >>= 1
-            if base_needed:
-                base = base * base
-        return result
-
     def mul_monomial(self, mono):
         out = Polynomial.__new__(Polynomial)
         out.ring = self.ring
@@ -410,49 +394,72 @@ class Polynomial:
         return f"Polynomial({self})"
 
 
-def frobenius_power(f, e):
-    """f^(p^e), computed termwise as sum of c * m^(p^e).
-
-    Over the prime field every coefficient satisfies c^p = c, so raising a
-    polynomial to the q-th power (q = p^e) raises each monomial to the q-th
-    power and keeps the coefficients.
-    """
-    if e < 0:
-        raise ValueError("e must be nonnegative")
-    if e == 0:
-        return f
-    q = f.ring.p**e
-    return Polynomial(f.ring, {mono_pow(m, q): c for m, c in f.terms.items()})
-
-
 def truncated_lucas_power(f, e):
     """f^(q-1) mod m^[q], q = p^e: the terms of f^(q-1), with their
     coefficients, whose exponents are all below q.
 
     Since q-1 = (p-1)(1 + p + ... + p^(e-1)), f^(q-1) is the product of
-    the Frobenius powers (f^(p-1))^[p^i] for i < e.  The factors are
-    multiplied in that order and a product term with an exponent >= q is
-    dropped as soon as it is formed: exponents only grow, so no later
-    factor can bring it back, and every term kept gets its full
-    coefficient.  After k factors the product is f^(p^k - 1) mod m^[q].
+    the Frobenius powers (f^(p-1))^[p^i] for i < e.  Every term with an
+    exponent >= q is dropped as soon as it is formed, while f^(p-1) is
+    formed and while the factors are multiplied: exponents only grow, so
+    no later product can bring it back, and every term kept gets its full
+    coefficient.
+
+    The factors are multiplied from i = e-1 down to 0.  After k of them
+    the product is (f^(p^k-1) mod m^[p^k])^[p^(e-k)], so the loop stops
+    once it is empty: an f with f^(p-1) in m^[p] is settled by the first
+    factor.
+
+    A monomial is packed into one int, w = q.bit_length() + 1 bits per
+    exponent, so a product of monomials is one addition.  "Every exponent
+    below c" is one mask test, (m + below(c)) & high == 0: below(c) adds
+    2^(w-1) - c to each slot and high masks each slot's top bit.  Operands
+    with exponents below q keep each slot of the sum below 2q <= 2^w, so
+    no carry crosses slots.  Coefficients are reduced mod p once per
+    product, and the monomials unpacked once at the end.
     """
     if e < 0:
         raise ValueError("e must be nonnegative")
     ring = f.ring
     p = ring.p
     q = p**e
-    base = f ** (p - 1)
-    terms = {ring.unit_monomial(): 1}
-    for i in range(e):
-        factor = [(m, c) for m, c in frobenius_power(base, i).terms.items() if max(m) < q]
+    w = q.bit_length() + 1
+    ones = sum(1 << (w * v) for v in range(ring.nvars))
+    high = ones << (w - 1)
+
+    def below(c):
+        return ((1 << (w - 1)) - c) * ones
+
+    off = below(q)
+
+    def times(terms, factor):
         product = {}
         for m1, c1 in terms.items():
             for m2, c2 in factor:
-                m = tuple(map(operator.add, m1, m2))
-                if max(m) < q:
-                    product[m] = (product.get(m, 0) + c1 * c2) % p
-        terms = {m: c for m, c in product.items() if c}
-    return Polynomial(ring, terms)
+                m = m1 + m2
+                if not (m + off) & high:
+                    product[m] = product.get(m, 0) + c1 * c2
+        return {m: r for m, c in product.items() if (r := c % p)}
+
+    f_terms = [
+        (sum(x << (w * v) for v, x in enumerate(m)), c)
+        for m, c in f.terms.items()
+        if max(m) < q
+    ]
+    base = {0: 1}
+    for _ in range(p - 1):
+        base = times(base, f_terms)
+    terms = {0: 1}
+    for i in range(e - 1, -1, -1):
+        if not terms:
+            break
+        scale = p**i
+        cap = below(q // scale)
+        terms = times(terms, [(m * scale, c) for m, c in base.items() if not (m + cap) & high])
+    mask = (1 << w) - 1
+    return Polynomial(ring, {
+        tuple((m >> (w * v)) & mask for v in range(ring.nvars)): c for m, c in terms.items()
+    })
 
 
 # ---------------------------------------------------------------------------

@@ -14,8 +14,11 @@ cancellation can occur and sigma alone already escapes.
 For a complete intersection the colon is (f^(q-1)) + I^[q], f the product
 of the generators.  The generators of I^[q] lie in m^[q], and so do the
 terms of f^(q-1) with an exponent >= q, so the tests use the single
-generator f^(q-1) mod m^[q]; a Lucas-style product of Frobenius powers
-forms it without expanding f^(q-1) (`polyring.truncated_lucas_power`).
+generator f^(q-1) mod m^[q].  A Lucas-style product of Frobenius powers
+(f^(p-1))^[p^i], from the top factor down, forms it without expanding
+f^(q-1) or f^(p-1), and ends at the first factor that leaves nothing: a
+quotient with f^(p-1) in m^[p] costs one factor at every e
+(`polyring.truncated_lucas_power`).
 
 Slack criterion: call a term t of a colon generator live when every
 exponent of t is below q.  A monomial s escapes with c exactly when
@@ -146,9 +149,13 @@ def colon_generators(ideal, e, max_monomials=DEFAULT_MAX_MONOMIALS):
     For a monomial ideal these are the exact colon generators.  For a
     complete intersection the only generator returned is f^(q-1) mod m^[q]
     (`truncated_lucas_power`): the generators f_i^q of I^[q] and the terms
-    of f^(q-1) inside m^[q] have no live term, so no test reads them.  The
-    guard bounds the terms of the largest product formed on the way, before
-    any is formed."""
+    of f^(q-1) inside m^[q] have no live term, so no test reads them.
+
+    The guard bounds, before any is formed, the terms of every polynomial
+    formed on the way.  For f of degree deg in n variables, a power f^j,
+    j < p, has at most bounded_count(n, deg*(p-1)) terms, and the product
+    of the top k Frobenius factors, (f^(p^k-1) mod m^[p^k])^[p^(e-k)], at
+    most bounded_count(n, deg*(p^k-1), p^k-1)."""
     ring = ideal.ring
     q = _frobenius_q(ring, e)
     if isinstance(ideal, MonomialIdeal):
@@ -156,9 +163,10 @@ def colon_generators(ideal, e, max_monomials=DEFAULT_MAX_MONOMIALS):
         return [Polynomial.monomial(ring, g) for g in colon.gens]
     if isinstance(ideal, CIIdeal):
         deg = ideal.degree()
+        p = ring.p
         size = max(
-            bounded_count(ring.nvars, deg * (ring.p - 1)),
-            *(bounded_count(ring.nvars, deg * (ring.p**k - 1), q - 1) for k in range(e + 1)),
+            bounded_count(ring.nvars, deg * (p - 1)),
+            *(bounded_count(ring.nvars, deg * (p**k - 1), p**k - 1) for k in range(e + 1)),
         )
         if size > max_monomials:
             raise ResourceGuardError(

@@ -1,6 +1,6 @@
 import pytest
 
-from frobcalc import MonomialIdeal, PolyRing
+from frobcalc import MonomialIdeal, Polynomial, PolyRing
 from frobcalc.koszul import block_differential, koszul_block
 from frobcalc.polyring import monomials_of_degree
 
@@ -48,6 +48,21 @@ CORPUS = [
     (3, [(2, 0, 0), (1, 1, 0), (1, 0, 1), (0, 2, 0), (0, 1, 1), (0, 0, 2)], None),
     (3, [(2, 0, 0), (0, 2, 0), (0, 0, 2), (1, 1, 1)], None),
 ]
+
+
+def naive_power(f, n):
+    """f^n by plain repeated multiplication: the oracle for powers."""
+    out = Polynomial.one(f.ring)
+    for _ in range(n):
+        out = out * f
+    return out
+
+
+def frobenius(f, e):
+    """f^(p^e) termwise: every monomial raised to the power p^e, the
+    coefficients kept (c^p = c over F_p)."""
+    q = f.ring.p**e
+    return Polynomial(f.ring, {tuple(x * q for x in m): c for m, c in f.terms.items()})
 
 
 def corpus_ideals(p=2):

@@ -345,6 +345,16 @@ class TestExitCodes:
         assert run_captured(argv + ["19"])[0] == EXIT_GUARD
         assert run_json(capsys, argv + ["20"])["result"]["sum"] == 7**3
 
+    @pytest.mark.parametrize("mode", [["--json"], []])
+    def test_report_integer_past_the_digit_limit_is_a_guard_exit(self, mode):
+        # the total rank 2^16000 has 4817 digits, over the interpreter's 4300
+        code, lines, err = run_captured(["pn", "--n", "2", "--p", "2", "-e", "8000"] + mode)
+        assert (code, lines) == (EXIT_GUARD, [])
+        assert err == (
+            "error: a report integer of 16000 bits exceeds the interpreter's "
+            f"limit of {sys.get_int_max_str_digits()} decimal digits\n"
+        )
+
     @pytest.mark.parametrize("n", ["0", "-1", "-2"])
     def test_pn_needs_a_positive_dimension(self, n):
         # projective n-space needs n >= 1, whether or not an alpha count is reached
@@ -408,9 +418,11 @@ class TestExitCodes:
         assert run_captured(argv) == (EXIT_USAGE, [], "error: need degree bound >= 0: got -1\n")
 
     def test_power_guard_covers_fsplit(self, capsys):
+        # f^4 of the Fermat cubic may have C(14, 2) = 91 terms, the monomials of degree 12
         argv = ["fsplit", "--char", "5", "--vars", "x,y,z", "--ideal", "x^3+y^3+z^3",
-                "-e", "4", "--max-monomials", "100"]
+                "-e", "4", "--max-monomials", "90"]
         assert run(argv) == EXIT_GUARD
+        assert run(argv[:-1] + ["91"]) == EXIT_OK
 
     def test_fsplit_p7_e4_fits_the_default_guard(self, capsys):
         # f^2400 of the Fermat cubic is built only below m^[2401]
@@ -418,6 +430,12 @@ class TestExitCodes:
         certificate = run_json(capsys, argv)["result"]["certificate"]
         assert certificate["verdict"] is True
         assert certificate["witness"]["surviving_term"] == "x^2400*y^2400*z^2400"
+
+    def test_fsplit_forms_no_exponent_past_q(self, capsys):
+        # every term of f lies in m^[q]: nothing is kept, so no exponent
+        # reaches 70000 * 2^15 > 2^31
+        argv = ["fsplit", "--char", "2", "--vars", "x,y", "--ideal", "x^70000+y^70000", "-e", "16"]
+        assert run_json(capsys, argv)["result"]["certificate"]["verdict"] is False
 
     @pytest.mark.parametrize(
         "argv",
@@ -773,6 +791,20 @@ GOLDEN_REPORTS = {
                                 "--json"],
     "twists_cubic_p7_e2.json": ["twists", "--char", "7", "--vars", "x,y,z", "--ideal", "x^3+y^3+z^3",
                                 "-e", "2", "--json"],
+    # f^(q-1) mod m^[q]: one live term of the 455 in f^12, the corner of
+    # f^2400, none at p = 2 (settled by the top factor), and a whole
+    # colon generator with many live terms
+    "fsplit_quartic_p13_e1.json": ["fsplit", "--char", "13", "--vars", "x,y,z,w",
+                                   "--ideal", "x^4+y^4+z^4+w^4", "-e", "1", "--json"],
+    "fsplit_cubic_p7_e4.json": ["fsplit", "--char", "7", "--vars", "x,y,z", "--ideal", "x^3+y^3+z^3",
+                                "-e", "4", "--json"],
+    "summand_cubic_p2_e8.json": ["summand", "--char", "2", "--vars", "x,y,z", "--ideal", "x^3+y^3+z^3",
+                                 "--j", "0", "-e", "8", "--json"],
+    "twists_quadric_p3_e3.json": ["twists", "-e", "3"] + QUADRIC + ["--json"],
+    # fits the default guard (190 terms, the monomials of degree 18, that of
+    # f^6); captured under --max-monomials 10^8 when the guard counted 25930801
+    "fsplit_cubic_p7_e5.json": ["fsplit", "--char", "7", "--vars", "x,y,z", "--ideal", "x^3+y^3+z^3",
+                                "-e", "5", "--json"],
 }
 TIMING_LINE = re.compile(r',\n  "timing_seconds": .*|\ntiming_seconds: .*')
 

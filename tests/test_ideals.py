@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import frobenius, naive_power
 from frobcalc import (
     CIIdeal,
     MonomialIdeal,
@@ -12,7 +13,6 @@ from frobcalc import (
     PolyRing,
     ResourceGuardError,
     UnsupportedIdealClassError,
-    frobenius_power,
     in_bracket_max,
     monomial_colon,
     parse_ideal_spec,
@@ -39,7 +39,7 @@ def ci_colon(ideal, e):
     exact colon, f^(q-1) in full, of which the splitting tests read only
     f^(q-1) mod m^[q]."""
     q = ideal.ring.p**e
-    return [ideal.product() ** (q - 1)] + [frobenius_power(g, e) for g in ideal.gens]
+    return [naive_power(ideal.product(), q - 1)] + [frobenius(g, e) for g in ideal.gens]
 
 
 def max_bracket_ideal(ring, q):
@@ -198,8 +198,8 @@ class TestCIColon:
         f = parse_polynomial(ring, "x0*x1 + x2*x3")
         I = CIIdeal(ring, [f])
         gens = ci_colon(I, 1)
-        assert gens[0] == f**2
-        assert gens[1] == frobenius_power(f, 1)
+        assert gens[0] == f * f
+        assert gens[1] == parse_polynomial(ring, "x0^3*x1^3 + x2^3*x3^3")
 
     def test_rejects_overlapping_monomial_supports(self, ring2):
         with pytest.raises(UnsupportedIdealClassError):
@@ -293,7 +293,7 @@ class TestBracketMaxMembership:
 
     def test_fermat_fourth_power_p5(self, ring5xyz):
         f = parse_polynomial(ring5xyz, "x^3 + y^3 + z^3")
-        assert in_bracket_max(f**4, 5)
+        assert in_bracket_max(naive_power(f, 4), 5)
 
 
 class TestHilbertAndLoewy:

@@ -1,10 +1,12 @@
+import itertools
 import math
 
 import pytest
+from conftest import frobenius, naive_power
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from frobcalc import ParseError, Polynomial, PolyRing, frobenius_power, is_prime
+from frobcalc import ParseError, Polynomial, PolyRing, is_prime
 from frobcalc.errors import (
     ExponentOverflowError,
     ResourceGuardError,
@@ -25,12 +27,38 @@ def poly(ring, text):
     return parse_polynomial(ring, text)
 
 
-def naive_power(f, n):
-    """Oracle for repeated squaring: plain repeated multiplication."""
+def multinomial_power(f, n):
+    """Oracle for repeated multiplication: f^n by the multinomial theorem,
+    a sum over the compositions k of n into one part per term of f."""
+    items = list(f.terms.items())
+    if not items:
+        return Polynomial.one(f.ring) if n == 0 else f
+    terms = {}
+    for bars in itertools.combinations(range(n + len(items) - 1), len(items) - 1):
+        parts = [b - a - 1 for a, b in zip((-1,) + bars, bars + (n + len(items) - 1,))]
+        coeff = math.factorial(n)
+        mono = [0] * f.ring.nvars
+        for (m, c), k in zip(items, parts):
+            coeff = coeff // math.factorial(k) * c**k
+            mono = [x + k * y for x, y in zip(mono, m)]
+        terms[tuple(mono)] = terms.get(tuple(mono), 0) + coeff
+    return Polynomial(f.ring, terms)
+
+
+def full_lucas_power(f, e):
+    """f^(q-1), q = p^e, in full: the product of the Frobenius powers
+    (f^(p-1))^[p^i] for i < e, with nothing dropped (the identity
+    f^(p^e) = f^[p^e] is checked against naive_power in TestFrobenius)."""
+    base = naive_power(f, f.ring.p - 1)
     out = Polynomial.one(f.ring)
-    for _ in range(n):
-        out = out * f
+    for i in range(e):
+        out = out * frobenius(base, i)
     return out
+
+
+def live_terms(f, q):
+    """The terms of f with every exponent below q, i.e. f mod m^[q]."""
+    return {m: c for m, c in f.terms.items() if max(m) < q}
 
 
 def trial_division(n):
@@ -142,23 +170,29 @@ class TestMultiplication:
 
 
 class TestPowers:
+    """Powers by repeated multiplication, against independent expansions."""
+
     def test_cube(self, ring2):
-        assert poly(ring2, "x") ** 3 == poly(ring2, "x^3")
+        assert naive_power(poly(ring2, "x"), 3) == poly(ring2, "x^3")
 
     def test_matches_naive_multiplication(self):
+        # f^(q-1) for q = 9, term by term from the multinomial theorem
         ring = PolyRing(3, ["x0", "x1", "x2", "x3"])
         f = poly(ring, "x0*x1 + x2*x3")
-        assert f**2 == naive_power(f, 2)
+        assert naive_power(f, 8) == multinomial_power(f, 8)
 
     def test_multinomial_shape(self, ring5xyz):
         f = poly(ring5xyz, "x^3 + y^3 + z^3")
-        g = f**4
+        g = naive_power(f, 4)
         for mono in g.terms:
             assert all(e % 3 == 0 for e in mono)
             assert sum(e // 3 for e in mono) == 4
 
     def test_power_zero_is_unit(self, ring2):
-        assert poly(ring2, "x + y") ** 0 == Polynomial.one(ring2)
+        # f^(q-1) mod m^[q] at q = 1 is f^0 = 1, the zero polynomial's too
+        for f in (poly(ring2, "x + y"), Polynomial.zero(ring2)):
+            assert naive_power(f, 0) == Polynomial.one(ring2)
+            assert truncated_lucas_power(f, 0) == Polynomial.one(ring2)
 
     @pytest.mark.parametrize("p", [2, 3, 5])
     @given(data=st.data())
@@ -167,7 +201,7 @@ class TestPowers:
         ring = PolyRing(p, ["x", "y"])
         f = data.draw(small_polys(ring))
         n = data.draw(st.integers(0, 5))
-        assert f**n == naive_power(f, n)
+        assert naive_power(f, n) == multinomial_power(f, n)
 
     @given(data=st.data())
     @settings(max_examples=25, deadline=None)
@@ -176,16 +210,18 @@ class TestPowers:
         f = data.draw(small_polys(ring, max_terms=3, max_exp=2))
         g = data.draw(small_polys(ring, max_terms=3, max_exp=2))
         n = data.draw(st.integers(0, 6))
-        assert (f * g) ** n == (f**n) * (g**n)
+        assert naive_power(f * g, n) == naive_power(f, n) * naive_power(g, n)
 
 
 class TestFrobenius:
+    """f^(p^e) = f^[p^e]: the identity the Lucas power rests on."""
+
     def test_char_two(self, ring2):
-        assert frobenius_power(poly(ring2, "x + y"), 1) == poly(ring2, "x^2 + y^2")
+        assert naive_power(poly(ring2, "x + y"), 4) == poly(ring2, "x^4 + y^4")
 
     def test_coefficients_are_fixed(self, ring3):
         # 2^3 = 8 = 2 mod 3, so the coefficient survives untouched
-        assert frobenius_power(poly(ring3, "2*x + y"), 1) == poly(ring3, "2*x^3 + y^3")
+        assert naive_power(poly(ring3, "2*x + y"), 3) == poly(ring3, "2*x^3 + y^3")
 
     @pytest.mark.parametrize("p", [2, 3, 5])
     @pytest.mark.parametrize("e", [1, 2])
@@ -194,7 +230,7 @@ class TestFrobenius:
     def test_against_poly_power(self, p, e, data):
         ring = PolyRing(p, ["x", "y"])
         f = data.draw(small_polys(ring))
-        assert frobenius_power(f, e) == naive_power(f, p**e)
+        assert frobenius(f, e) == naive_power(f, p**e)
 
 
 def homogeneous_polys(ring, degree, max_terms=3):
@@ -217,8 +253,35 @@ class TestTruncatedLucasPower:
         ring = PolyRing(p, [f"x{i}" for i in range(data.draw(st.integers(1, 4)))])
         f = data.draw(homogeneous_polys(ring, data.draw(st.integers(1, 3))))
         q = p**e
-        live = {m: c for m, c in (f ** (q - 1)).terms.items() if max(m) < q}
-        assert truncated_lucas_power(f, e).terms == live
+        assert truncated_lucas_power(f, e).terms == live_terms(naive_power(f, q - 1), q)
+
+    @given(data=st.data())
+    @settings(max_examples=120, deadline=None)
+    def test_live_terms_up_to_q_128(self, data):
+        # e >= 1, largest first, capped where the full power could pass 50000 terms
+        p = data.draw(st.sampled_from([2, 3, 5, 7, 11, 13]))
+        ring = PolyRing(p, [f"x{i}" for i in range(data.draw(st.integers(1, 4)))])
+        f = data.draw(homogeneous_polys(ring, data.draw(st.integers(1, 4)), max_terms=5))
+        base = len(naive_power(f, p - 1).terms)
+        e = data.draw(st.sampled_from([k for k in range(7, 0, -1) if p**k <= 128 and base**k <= 50000]))
+        q = p**e
+        assert truncated_lucas_power(f, e).terms == live_terms(full_lucas_power(f, e), q)
+
+    @pytest.mark.parametrize("e", range(8))
+    def test_slot_width_jumps_at_powers_of_two(self, e):
+        # q = 2^e: the slot width q.bit_length() + 1 grows at every e
+        ring = PolyRing(2, ["x0", "x1", "x2", "x3"])
+        f = poly(ring, "x0*x1 + x2*x3 + x0*x2 + x1^2")
+        got = truncated_lucas_power(f, e).terms
+        assert got == live_terms(full_lucas_power(f, e), 2**e)
+        assert got
+
+    @pytest.mark.parametrize("p", [2, 5, 11])
+    def test_zero_at_e_one_stays_zero(self, p):
+        # f^(p-1) in m^[p] puts every f^(q-1) in m^[q]
+        f = poly(PolyRing(p, ["x", "y", "z"]), "x^3 + y^3 + z^3")
+        for e in range(1, 9):
+            assert truncated_lucas_power(f, e).is_zero(), e
 
     def test_fermat_cubic_keeps_only_the_corner(self, ring5xyz):
         # at p = 5 the corner coefficient of f^624 vanishes by Lucas' theorem
@@ -226,6 +289,12 @@ class TestTruncatedLucasPower:
         ring = PolyRing(7, ["x", "y", "z"])
         g = truncated_lucas_power(poly(ring, "x^3 + y^3 + z^3"), 4)
         assert list(g.terms) == [(2400, 2400, 2400)]
+
+    def test_fermat_cubic_corner_at_p7_e5(self):
+        # one corner per factor: 90^5 = (-1)^5 mod 7, 90 = 6!/(2!)^3 the
+        # coefficient of (x*y*z)^6 in f^6
+        f = poly(PolyRing(7, ["x", "y", "z"]), "x^3 + y^3 + z^3")
+        assert truncated_lucas_power(f, 5).terms == {(16806, 16806, 16806): 6}
 
 
 class TestCommutativityAssociativity:

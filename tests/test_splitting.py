@@ -1,7 +1,7 @@
 import itertools
 
 import pytest
-from conftest import corpus_ideals
+from conftest import corpus_ideals, naive_power
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -292,7 +292,7 @@ class TestCertificates:
             certs = [cert for _j, _s, cert in witness_from_proof(cubic, 2).factors]
         else:
             certs = list(twist_spectrum(cubic, 2).entries.values())
-        full = parse_polynomial(ring, "x^3 + y^3 + z^3") ** 48
+        full = naive_power(parse_polynomial(ring, "x^3 + y^3 + z^3"), 48)
         positive = [cert for cert in certs if cert.verdict]
         assert positive
         for cert in positive:
@@ -311,18 +311,29 @@ class TestCertificates:
 
 class TestColonGuard:
     def test_power_guard_before_expansion(self):
-        # the products that build f^624 mod m^[625] for the Fermat cubic may
-        # have up to C(374, 2) = 69751 terms (that of f^124)
+        # the polynomials that build f^624 mod m^[625] for the Fermat cubic
+        # may have up to C(14, 2) = 91 terms, the monomials of degree 12
+        # (that of f^4); each product of top Frobenius factors has at most
+        # one, (x*y*z)^(p^k-1) scaled
         ring = PolyRing(5, ["x", "y", "z"])
         with pytest.raises(ResourceGuardError):
-            colon_generators(ci(ring, "x^3 + y^3 + z^3"), 4, max_monomials=100)
+            colon_generators(ci(ring, "x^3 + y^3 + z^3"), 4, max_monomials=90)
 
     def test_guard_sized_by_largest_product(self):
         ring = PolyRing(5, ["x", "y", "z"])
         cubic = ci(ring, "x^3 + y^3 + z^3")
-        assert colon_generators(cubic, 4, max_monomials=69751)[0].is_zero()
+        assert colon_generators(cubic, 4, max_monomials=91)[0].is_zero()
         with pytest.raises(ResourceGuardError):
-            colon_generators(cubic, 4, max_monomials=69750)
+            colon_generators(cubic, 4, max_monomials=90)
+
+    def test_guard_sized_by_top_factors(self):
+        # the product of all three factors for x0*x1 + x2*x3 at q = 27 may
+        # have bounded_count(4, 52, 26) = 13131 terms, more than f^2 has (35)
+        ring = PolyRing(3, ["x0", "x1", "x2", "x3"])
+        quadric = ci(ring, "x0*x1 + x2*x3")
+        assert len(colon_generators(quadric, 3, max_monomials=13131)[0].terms) == 27
+        with pytest.raises(ResourceGuardError):
+            colon_generators(quadric, 3, max_monomials=13130)
 
 
 def scan_oracle(ideal, j, e):
