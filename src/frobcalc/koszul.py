@@ -15,11 +15,10 @@ monomials coming from the ideal's staircase walk; a block with x^b
 standard (b != 0) is the full simplex, which is exact, and is skipped.
 
 Every nonzero block lies in the box [0, L] below the lcm L of the
-generators (Taylor bound).  `betti_table` visits only the blocks in that
-box.  `codepth` (embedding dimension minus depth, the top nonvanishing
-homological degree) does the same below its two-row verification band,
-and computes the band rows in full, so a block the bound would wrongly
-skip shows up there.
+generators (Taylor bound), and only the blocks in that box are visited.
+`betti_table` reads the graded Betti table from them, and `codepth`
+(embedding dimension minus depth, the top nonvanishing homological
+degree) is the top row of that table.
 
 `strand_check` verifies the degree-class strands of the linear
 resolution of m^j in k[x, y] degree by degree.  Its maps are sparse
@@ -93,18 +92,17 @@ def _block_homology(chains, p):
     return [len(chains[i]) - ranks[i] - ranks[i + 1] for i in range(top)]
 
 
-def _block_sum(I, levels, bound, boxed_below):
+def _block_sum(I, levels, bound):
     """Nonzero ranks {(i, d): dim H_i(K^R)_d} summed over the blocks
-    b = u + 1_T with |b| = d <= bound, where u runs over `levels` (standard
-    monomials of I, one list per degree) and T over the variable sets
-    containing supp u.
+    b = u + 1_T <= L = lcm(I) with |b| = d <= bound, where u runs over
+    `levels` (standard monomials of I inside the box, one list per degree)
+    and T over the variable sets containing supp u.
 
-    Every block that can be nonzero is among these: the block at b is empty
-    unless u = b - 1_supp b is standard, and b -> (u, T) is a bijection.
-    When x^b itself is standard and b != 0, every J in supp b is a cell:
-    the block is the full simplex, which is exact, and is skipped.  A block
-    of degree below `boxed_below` is visited only when b <= L = lcm(I):
-    b_v = u_v + 1 <= L_v on supp u, and L_v >= 1 on the rest of T."""
+    Every nonzero block is among these: the block at b is empty unless
+    u = b - 1_supp b is standard, b -> (u, T) is a bijection, and b <= L
+    means u_v < L_v on supp u and L_v >= 1 on the rest of T.  When x^b
+    itself is standard and b != 0, every J in supp b is a cell: the block
+    is the full simplex, which is exact, and is skipped."""
     top = I.lcm()
     p = I.ring.p
     table = {}
@@ -112,16 +110,11 @@ def _block_sum(I, levels, bound, boxed_below):
     for du, level in enumerate(levels):
         for u in level:
             support = [v for v, e in enumerate(u) if e]
-            free = [v for v, e in enumerate(u) if not e]
-            boxed = [v for v in free if top[v]] if all(u[v] < top[v] for v in support) else None
+            if any(u[v] >= top[v] for v in support):
+                continue
+            extras = [v for v, e in enumerate(u) if not e and top[v]]
             base = du + len(support)
-            for k in range(min(len(free), bound - base) + 1):
-                if base + k >= boxed_below:
-                    extras = free
-                elif boxed is None:
-                    continue
-                else:
-                    extras = boxed
+            for k in range(min(len(extras), bound - base) + 1):
                 for extra in combinations(extras, k):
                     b = list(u)
                     for v in chain(support, extra):
@@ -135,26 +128,18 @@ def _block_sum(I, levels, bound, boxed_below):
     return table
 
 
-def default_codepth_bound(I):
-    """deg(lcm of generators) plus enough headroom for a two-row zero band."""
-    return I.lcm_degree() + max(2, I.ring.nvars)
-
-
 def codepth(I, degree_bound=None, max_monomials=DEFAULT_MAX_MONOMIALS):
     """Largest i with H_i(K^R) != 0; zero exactly when R is regular.
 
     Requires I inside the square of the maximal ideal (a minimal
-    presentation); callers must pre-reduce linear forms.  The truncation
-    bound is verified at runtime: the two top degree rows of the computed
-    table must vanish, otherwise the bound is flagged insufficient.  Those
-    two rows are computed in full, over every block; every row below them
-    visits only the blocks inside the lcm box, the others being zero by the
-    Taylor bound, and the band is what would see a block that bound wrongly
-    skipped.
+    presentation); callers must pre-reduce linear forms.  Koszul homology
+    of R is Tor^S(R, k), so the codepth is the top row of `betti_table`,
+    which is complete: every nonzero block lies in the lcm box.  A
+    `degree_bound` B is verified on that table: rows B - 1 and B must
+    vanish and every generator must have degree below B - 1, otherwise
+    the bound is flagged insufficient.
 
-    The standard monomials come from `MonomialIdeal.staircase`, whose
-    `max_monomials` guard counts every monomial of each degree <= the
-    bound, standard or not, so it depends on the ring and the bound alone.
+    `max_monomials` bounds the points of the lcm box, as in `betti_table`.
     """
     if not isinstance(I, MonomialIdeal):
         raise UnsupportedIdealClassError("codepth is computed for monomial ideals")
@@ -162,15 +147,16 @@ def codepth(I, degree_bound=None, max_monomials=DEFAULT_MAX_MONOMIALS):
         raise UnsupportedIdealClassError(
             "codepth needs I inside m^2; reduce linear generators first"
         )
-    bound = default_codepth_bound(I) if degree_bound is None else degree_bound
-    _check_bound(bound)
-    table = _block_sum(I, I.staircase(bound, max_monomials=max_monomials), bound, bound - 1)
-    if any(d >= bound - 1 for _i, d in table):
+    _check_bound(degree_bound)
+    table = betti_table(I, max_monomials=max_monomials)
+    if degree_bound is not None and any(
+        d >= degree_bound - 1 and (i == 1 or d <= degree_bound) for i, d in table
+    ):
         raise VerificationError(
-            f"truncation bound {bound} insufficient: homology persists in the "
+            f"truncation bound {degree_bound} insufficient: homology persists in the "
             "verification band; rerun with a larger degree bound"
         )
-    return max((i for i, _d in table), default=0)
+    return max(i for i, _d in table)
 
 
 def betti_table(I, degree_bound=None, max_monomials=DEFAULT_MAX_MONOMIALS):
@@ -180,9 +166,9 @@ def betti_table(I, degree_bound=None, max_monomials=DEFAULT_MAX_MONOMIALS):
     H_i(K^R)_d.  Every nonzero block lies in the box [0, L] below the lcm
     L of the generators (Taylor bound), so only the blocks b <= L with
     |b| <= min(degree_bound, |L|) are visited (default bound: |L|).  They
-    need only the standard monomials inside the box, which are the
-    standard monomials of I + (x_v^(L_v + 1) : v).  Row i = 1 lists every
-    generator of I whatever the bound.
+    need only the standard monomials inside the box, which are those of
+    I plus a wall x_v^(L_v + 1) for every variable with no pure-power
+    generator.  Row i = 1 lists every generator of I whatever the bound.
 
     `max_monomials` bounds the number of points of the box, prod(L_v + 1),
     checked before the walk; it bounds every standard monomial the walk
@@ -199,9 +185,10 @@ def betti_table(I, degree_bound=None, max_monomials=DEFAULT_MAX_MONOMIALS):
         raise ResourceGuardError(f"multidegree box of {box} points exceeds guard {max_monomials}")
     bound = mono_degree(top) if degree_bound is None else min(degree_bound, mono_degree(top))
     n = I.ring.nvars
-    walls = [tuple(e + 1 if w == v else 0 for w in range(n)) for v, e in enumerate(top)]
-    levels = (I + MonomialIdeal(I.ring, walls)).staircase(bound, max_monomials=math.inf)
-    betti = _block_sum(I, levels, bound, bound + 1)
+    powers = {v for g in I.gens for v, e in enumerate(g) if e == mono_degree(g)}
+    walls = [tuple(e + 1 if w == v else 0 for w in range(n)) for v, e in enumerate(top) if v not in powers]
+    boxed = I + MonomialIdeal(I.ring, walls) if walls else I
+    betti = _block_sum(I, boxed.staircase(bound, max_monomials=math.inf), bound)
     betti.update(Counter((1, mono_degree(g)) for g in I.gens))
     return dict(sorted(betti.items()))
 

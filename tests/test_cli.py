@@ -252,17 +252,31 @@ class TestExitCodes:
         ]
 
     @pytest.mark.parametrize(
-        "argv, err",
+        "argv, box",
         [
-            # 21 = #monomials of degree 5 in 3 variables, the first degree over the guard
-            (["codepth", "--char", "2", "--vars", "x,y,z", "--ideal", "x^2,y^3", "--max-monomials", "20"],
-             "error: enumeration of 21 monomials exceeds guard 20\n"),
-            (["genexp", "--char", "2", "--vars", "x,y,z", "--ideal", "x^2", "--max-monomials", "5"],
-             "error: enumeration of 6 monomials exceeds guard 5\n"),
+            # (x^2, y^3) in x, y, z: (2 + 1) * (3 + 1) * (0 + 1) points
+            (["codepth", "--char", "2", "--vars", "x,y,z", "--ideal", "x^2,y^3"], 12),
+            (["genexp", "--char", "2", "--vars", "x,y,z", "--ideal", "x^2"], 3),
+            # the degree bound does not shrink the box
+            (["codepth", "--char", "2", "--vars", "x,y,z", "--ideal", "x^2,y^3", "--degree-bound", "9"], 12),
+            (["codepth", "--char", "2", "--vars", "x", "--ideal", "x^5"], 6),
         ],
     )
-    def test_koszul_guard_counts_every_monomial_of_a_degree(self, argv, err):
-        assert run_captured(argv) == (EXIT_GUARD, [], err)
+    def test_koszul_guard_counts_the_lcm_box(self, argv, box):
+        # codepth and genexp walk the lcm box of betti, guarded by its points
+        assert run_captured(argv + ["--max-monomials", str(box - 1)]) == (
+            EXIT_GUARD, [], f"error: multidegree box of {box} points exceeds guard {box - 1}\n"
+        )
+        code, _lines, err = run_captured(argv + ["--max-monomials", str(box)])
+        assert (code, err) == (EXIT_OK, "")
+
+    def test_codepth_of_m2_in_nine_variables_fits_the_default_guard(self, capsys):
+        # box 3^9 = 19683 points; a walk over every monomial of each degree
+        # would meet 10518300 of them in degree 24
+        names = [f"x{v}" for v in range(9)]
+        square = ", ".join(f"{a}*{b}" for i, a in enumerate(names) for b in names[i:])
+        payload = run_json(capsys, ["codepth", "--char", "2", "--vars", ",".join(names), "--ideal", square])
+        assert payload["result"] == {"codepth": 9, "depth": 0}
 
     @pytest.mark.parametrize(
         "argv, nvars, top",
@@ -274,8 +288,8 @@ class TestExitCodes:
             # is not artinian, so the default band 2 * 4 + 2 is walked
             (["filtration", "--char", "3", "--vars", "x,y", "--ideal", "x^2, y^2"], 2, 11),
             (["filtration", "--char", "2", "--vars", "x,y,z", "--ideal", "x^2, y^2"], 3, 10),
-            # the default codepth bound: lcm degree 5 plus 3 variables
-            (["codepth", "--char", "2", "--vars", "x,y,z", "--ideal", "x^2,y^3"], 3, 8),
+            # socle degree 3 + 2 + 2, so the walk runs through degree 8
+            (["decompose", "--char", "2", "--vars", "x,y,z", "--ideal", "x^4, y^3, z^3"], 3, 8),
         ],
     )
     def test_guard_pins_at_every_threshold(self, argv, nvars, top):
@@ -467,6 +481,16 @@ class TestExitCodes:
         # a degree bound below the homology support trips the runtime band
         argv = ["codepth", "--degree-bound", "4"] + TWELVE
         assert run(argv) == EXIT_VERIFICATION
+
+    @pytest.mark.parametrize("command", ["codepth", "genexp"])
+    def test_generator_above_the_band_fails_verification(self, command):
+        # (x^2, y^5) is a complete intersection of codepth 2; its only
+        # entry of degree >= 3 is the generator y^5, above the rows 3, 4
+        # that a degree bound of 4 claims to vanish
+        argv = [command, "--char", "2", "--vars", "x,y", "--ideal", "x^2,y^5", "--degree-bound", "4"]
+        code, lines, err = run_captured(argv)
+        assert (code, lines) == (EXIT_VERIFICATION, [])
+        assert err.startswith("error: truncation bound 4 insufficient")
 
 
 def run_captured(argv):
@@ -775,6 +799,12 @@ GOLDEN = Path(__file__).resolve().parent / "golden"
 DECOMPOSE_FRACTIONAL = [
     "decompose", "--char", "3", "--vars", "x,y,z", "--ideal", "x^5, y^5, z^5, x^2*y^2"
 ]
+SIX_VARS = ["--char", "2", "--vars", "a,b,c,d,e,f",
+            "--ideal", "a^2*b^2*d*f^2, a^2*b^2*e^2, a*b^2*d^2, a^2*c*d*f, c*d*f^2, d*e", "--json"]
+EIGHT_NAMES = [f"x{v}" for v in range(8)]
+M2_EIGHT_VARS = ["--char", "2", "--vars", ",".join(EIGHT_NAMES), "--ideal",
+                 ", ".join(f"{a}^2" if a == b else f"{a}*{b}"
+                           for i, a in enumerate(EIGHT_NAMES) for b in EIGHT_NAMES[i:]), "--json"]
 GOLDEN_REPORTS = {
     "veronese_ell2_p3_e2.json": ["veronese", "--ell", "2", "--p", "3", "-e", "2", "--json"],
     # every certificate appears twice: in the result and in the envelope
@@ -805,6 +835,11 @@ GOLDEN_REPORTS = {
     # f^6); captured under --max-monomials 10^8 when the guard counted 25930801
     "fsplit_cubic_p7_e5.json": ["fsplit", "--char", "7", "--vars", "x,y,z", "--ideal", "x^3+y^3+z^3",
                                 "-e", "5", "--json"],
+    # a non-artinian ideal in six variables: lcm box of 486 points
+    "codepth_six_vars_p2.json": ["codepth"] + SIX_VARS,
+    "genexp_six_vars_p2.json": ["genexp"] + SIX_VARS,
+    "betti_six_vars_p2.json": ["betti"] + SIX_VARS,
+    "codepth_m2_eight_vars.json": ["codepth"] + M2_EIGHT_VARS,
 }
 TIMING_LINE = re.compile(r',\n  "timing_seconds": .*|\ntiming_seconds: .*')
 

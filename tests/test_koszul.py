@@ -1,5 +1,6 @@
 import json
 import math
+from itertools import chain, combinations
 
 import pytest
 from hypothesis import given, settings
@@ -19,12 +20,7 @@ from frobcalc import (
     strand_check,
 )
 from frobcalc.cli import run
-from frobcalc.koszul import (
-    _block_homology,
-    _block_sum,
-    default_codepth_bound,
-    koszul_block,
-)
+from frobcalc.koszul import _block_homology, koszul_block
 from frobcalc.modlinalg import Span, rank
 from frobcalc.polyring import DEFAULT_MAX_MONOMIALS, mono_degree, monomials_of_degree
 
@@ -34,10 +30,39 @@ def mi(ring, *gens):
 
 
 def koszul_homology(I, degree_bound):
-    """The unrestricted Koszul homology table {(i, d): rank of H_i(K^R)_d}
-    for d <= degree_bound: every block that can be nonzero, inside the lcm
-    box or not.  `codepth` and `betti_table` skip the blocks outside it."""
-    return _block_sum(I, I.staircase(degree_bound), degree_bound, 0)
+    """Oracle for the lcm-box restriction: the unrestricted Koszul homology
+    table {(i, d): rank of H_i(K^R)_d} for d <= degree_bound, summed over
+    every block b = u + 1_T that can be nonzero, inside the lcm box or not
+    (u a standard monomial, T a variable set containing supp u).
+    `betti_table` and `codepth` visit only the blocks inside the box."""
+    p = I.ring.p
+    levels = I.staircase(degree_bound)
+    standard = set(chain.from_iterable(levels))
+    table = {}
+    for du, level in enumerate(levels):
+        for u in level:
+            support = [v for v, e in enumerate(u) if e]
+            free = [v for v, e in enumerate(u) if not e]
+            base = du + len(support)
+            for k in range(min(len(free), degree_bound - base) + 1):
+                for extra in combinations(free, k):
+                    b = list(u)
+                    for v in chain(support, extra):
+                        b[v] += 1
+                    b = tuple(b)
+                    if b in standard and (du or k):
+                        continue
+                    for i, h in enumerate(_block_homology(koszul_block(b, standard), p)):
+                        if h:
+                            table[(i, base + k)] = table.get((i, base + k), 0) + h
+    return table
+
+
+def past_the_box(I):
+    """A degree bound past every nonzero block: the lcm degree plus a band
+    of max(2, number of variables) rows, where `koszul_homology` checks
+    that the box restriction leaves nothing out."""
+    return I.lcm_degree() + max(2, I.ring.nvars)
 
 
 def dense_rank(rows, p):
@@ -148,18 +173,19 @@ class TestStaircaseWalk:
     @given(I=small_monomial_ideals())
     @settings(max_examples=80, deadline=None)
     def test_matches_the_all_monomials_sum(self, I):
-        for bound in sorted({0, 1, 2, I.lcm_degree(), default_codepth_bound(I)}):
+        for bound in sorted({0, 1, 2, I.lcm_degree(), past_the_box(I)}):
             expected = all_monomials_homology(I, bound)
             table = koszul_homology(I, bound)
             assert table == expected, bound
 
-    def test_guard_counts_every_monomial_of_each_degree(self, ring2):
-        # codepth walks the staircase: six monomials of degree 5 in x, y,
-        # although only 1, x, y are standard for m^2
+    def test_guard_counts_the_lcm_box(self, ring2):
+        # codepth walks the lcm box of m^2 in x, y, (2 + 1) * (2 + 1)
+        # points, whatever the degree bound
         I = mi(ring2, (2, 0), (1, 1), (0, 2))
-        assert codepth(I, 5, max_monomials=6) == codepth(I, 5) == 2
-        with pytest.raises(ResourceGuardError, match="enumeration of 7 monomials exceeds guard 6"):
-            codepth(I, 6, max_monomials=6)
+        assert codepth(I, 5, max_monomials=9) == codepth(I, 5) == 2
+        for bound in (None, 5, 50):
+            with pytest.raises(ResourceGuardError, match="multidegree box of 9 points exceeds guard 8"):
+                codepth(I, bound, max_monomials=8)
 
 
 class TestCodepth:
@@ -183,7 +209,7 @@ class TestCodepth:
 
     def test_cross_check_against_table(self, ring2):
         I = mi(ring2, (2, 0), (0, 3))
-        table = koszul_homology(I, default_codepth_bound(I))
+        table = koszul_homology(I, past_the_box(I))
         assert codepth(I) == max(i for (i, _d) in table)
 
     def test_rejects_linear_generators(self, ring2):
@@ -193,6 +219,11 @@ class TestCodepth:
     def test_insufficient_bound_flagged(self, ring2):
         with pytest.raises(VerificationError):
             codepth(mi(ring2, (4, 0), (2, 2), (0, 4)), degree_bound=4)
+
+    def test_value_comes_from_the_whole_table(self, ring2):
+        # (x^3, y^4): rows 5 and 6 vanish and both generators lie below 5,
+        # but the syzygy in degree 7 above the bound is the top row
+        assert codepth(mi(ring2, (3, 0), (0, 4)), degree_bound=6) == 2
 
     def test_negative_bound_rejected(self, ring2):
         I = mi(ring2, (1, 1))
@@ -212,23 +243,40 @@ class TestCodepth:
     @given(I=small_monomial_ideals())
     @settings(max_examples=80, deadline=None)
     def test_boxed_rows_match_the_unrestricted_table(self, I):
-        # below its band codepth visits only the blocks inside the lcm box;
-        # one full table predicts its value or its verification error at
-        # every bound up to the default
+        # codepth visits only the blocks inside the lcm box; the oracle's
+        # full table predicts its value, and its rows through the bound
+        # plus the generator degrees predict its verification error, at
+        # every bound up to past the box
         if any(mono_degree(g) < 2 for g in I.gens):
             with pytest.raises(UnsupportedIdealClassError):
                 codepth(I)
             return
-        top = default_codepth_bound(I)
+        top = past_the_box(I)
         full = koszul_homology(I, top)
+        top_row = max(i for (i, _d) in full)
+        assert codepth(I) == top_row
         for bound in range(top + 1):
-            rows = {(i, d): r for (i, d), r in full.items() if d <= bound}
-            assert _block_sum(I, I.staircase(bound), bound, bound - 1) == rows, bound
-            if any(d >= bound - 1 for (_i, d) in rows):
+            seen = [d for (_i, d) in full if d <= bound] + [mono_degree(g) for g in I.gens]
+            if any(d >= bound - 1 for d in seen):
                 with pytest.raises(VerificationError):
                     codepth(I, bound)
             else:
-                assert codepth(I, bound) == max([i for (i, _d) in rows if i >= 1], default=0)
+                assert codepth(I, bound) == top_row
+
+    @pytest.mark.parametrize("nvars, gens, expected", [
+        (5, [(1, 1, 0, 0, 0), (0, 1, 1, 0, 0), (0, 0, 1, 1, 0), (0, 0, 0, 1, 1)], 3),
+        (5, [(2, 0, 0, 0, 0), (0, 1, 0, 1, 0), (0, 0, 1, 0, 2)], 3),
+        (5, [(1, 0, 1, 0, 0), (0, 2, 0, 0, 1), (1, 1, 0, 1, 0), (0, 0, 2, 1, 0)], 3),
+        (6, [(1, 1, 0, 0, 0, 0), (0, 0, 1, 1, 0, 0), (0, 0, 0, 0, 1, 1), (1, 0, 1, 0, 1, 0)], 3),
+        (6, [(2, 1, 0, 0, 0, 0), (0, 1, 1, 0, 0, 0), (0, 0, 0, 2, 0, 1), (1, 0, 0, 0, 1, 0)], 4),
+        (6, [(1, 0, 0, 1, 0, 0), (0, 1, 0, 0, 1, 0), (0, 0, 1, 0, 0, 1), (1, 1, 1, 0, 0, 0)], 3),
+    ])
+    def test_non_artinian_ideals_match_the_oracle(self, nvars, gens, expected):
+        # the oracle walks every block through two degrees past the box
+        I = MonomialIdeal(PolyRing(2, [f"x{v}" for v in range(nvars)]), gens)
+        full = koszul_homology(I, I.lcm_degree() + 2)
+        assert full == betti_table(I)
+        assert max(i for (i, _d) in full) == codepth(I) == expected
 
 
 class TestDifferentialSquaresToZero:
@@ -258,7 +306,7 @@ class TestEulerCharacteristic:
         for I, _ci in corpus_ideals(p=3):
             if I.is_zero():
                 continue
-            bound = default_codepth_bound(I)
+            bound = past_the_box(I)
             table = koszul_homology(I, bound)
             for d in range(bound + 1):
                 # (K_i)_d has a basis e_J (x) u: an i-subset J times a
@@ -415,7 +463,7 @@ class TestBruteBetti:
         for gens in [[(1, 1)], [(2, 0), (1, 1), (0, 2)], [(2, 0), (0, 3)]]:
             ring = PolyRing(3, ["x", "y"])
             I = MonomialIdeal(ring, gens)
-            bound = default_codepth_bound(I)
+            bound = past_the_box(I)
             table = koszul_homology(I, bound)
             assert table == brute_betti(I) == betti_table(I)
 
@@ -434,7 +482,7 @@ class TestBruteBetti:
             gens.append(tuple(support.count(v) for v in range(nvars)))
         I = MonomialIdeal(ring, gens)
         full = brute_betti(I)
-        assert koszul_homology(I, default_codepth_bound(I)) == full
+        assert koszul_homology(I, past_the_box(I)) == full
         for bound in {0, 1, I.lcm_degree() - 1}:
             expected = {(i, d): v for (i, d), v in full.items() if i <= 1 or d <= bound}
             assert brute_betti(I, bound) == expected
