@@ -149,6 +149,10 @@ def emit_json(envelope):
     return _encode(envelope, "") + "\n"
 
 
+# the subcommands whose payloads embed SplitCertificate payloads
+CERTIFYING = frozenset({"fsplit", "summand", "twists", "witness", "flevel"})
+
+
 def collect_certificates(result):
     """Pull every certificate object out of a result payload (recognized by
     the verdict/kind field pair), in document order."""
@@ -436,7 +440,7 @@ def run(argv):
             "subcommand": args.subcommand,
             "input": echo,
             "result": result,
-            "certificates": collect_certificates(result),
+            "certificates": collect_certificates(result) if args.subcommand in CERTIFYING else [],
             "notes": warnings,
             "timing_seconds": round(elapsed, 6),
         })

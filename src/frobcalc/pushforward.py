@@ -21,9 +21,7 @@ from .ideals import MonomialIdeal, pairwise_disjoint_supports
 from .koszul import _check_bound
 from .polyring import (
     DEFAULT_MAX_MONOMIALS,
-    bounded_count,
     mono_degree,
-    mono_divides,
     mono_mul,
     mono_pow,
     mono_str,
@@ -171,19 +169,49 @@ def cyclic_decompose(module):
 # ---------------------------------------------------------------------------
 # pushforwards of line bundles on projective n-space
 
+def _step_counts(n, p):
+    """Coefficients a_0..a_top of A = g^(n+1), g = 1 + x + ... + x^(p-1),
+    top = (n+1)(p-1): a_k counts the monomials of degree k in n+1
+    variables with every exponent at most p-1.
+
+    J. C. P. Miller's recurrence for the power of a polynomial comes from
+    g * A' = (n+1) * g' * A.  Written for g = (1 - x^p) / (1 - x), that
+    identity is (1-x)(1-x^p) A' = (n+1) A (1 - p x^(p-1) + (p-1) x^p), so
+    every coefficient takes three earlier ones, whatever p:
+    k a_k = (k+n) a_{k-1} + (k-p-(n+1)p) a_{k-p} + ((n+2)p - n - k) a_{k-p-1},
+    with a_0 = 1, terms of negative index zero, and every division exact."""
+    top = (n + 1) * (p - 1)
+    counts = [1]
+    for k in range(1, top + 1):
+        total = (k + n) * counts[k - 1]
+        if k >= p:
+            total += (k - p - (n + 1) * p) * counts[k - p]
+        if k > p:
+            total += ((n + 2) * p - n - k) * counts[k - p - 1]
+        counts.append(total // k)
+    return counts
+
+
+def _words(p, k):
+    """64-bit words of 2^(b*k), b the bit length of p - 1: a bound on the
+    words of p^k, exact for p = 2."""
+    return (p - 1).bit_length() * k // 64 + 1
+
+
 def alpha(n, p, i, l):
     """Multiplicity of the twist -i in the Frobenius pushforward of O(l) on
     projective n-space: the number of monomials in n+1 variables of total
-    degree l + i*p with every exponent at most p-1 (zero when l + i*p < 0).
+    degree l + i*p with every exponent at most p-1 (zero outside
+    0 <= l + i*p <= (n+1)(p-1)).
 
-    Computed by inclusion-exclusion over the variables whose exponent would
-    exceed p-1."""
+    Read from the coefficients of (1 + x + ... + x^(p-1))^(n+1), the list
+    `pn_pushforward` reads at every step."""
     if n < 1:
         raise ValueError("n must be at least 1")
     degree = l + i * p
-    if degree < 0:
+    if not 0 <= degree <= (n + 1) * (p - 1):
         return 0
-    return bounded_count(n + 1, degree, p - 1)
+    return _step_counts(n, p)[degree]
 
 
 @dataclass
@@ -216,34 +244,43 @@ def pn_pushforward(n, p, e, l=0, max_monomials=DEFAULT_MAX_MONOMIALS):
     """Iterate the one-step decomposition of Frobenius pushforwards of line
     bundles on projective n-space e times, starting from O(l).
 
-    Reports whether every twist 0..-n occurs, the criterion for the
-    pushforward to generate everything built from those twists.  Before
-    each step the guard bounds the inclusion-exclusion terms of all steps
-    so far: n + 2 for each `alpha` evaluation, one per i with
-    0 <= twist + i*p <= (n+1)(p-1)."""
+    A twist t with multiplicity m contributes m * a[t + i*p] to the twist
+    -i, for every i with 0 <= t + i*p <= (n+1)(p-1), where a is the list of
+    `alpha` counts: the coefficients of (1 + x + ... + x^(p-1))^(n+1),
+    formed once per call.  Reports whether every twist 0..-n occurs, the
+    criterion for the pushforward to generate everything built from those
+    twists.
+
+    The guard counts word operations before they are done: the three
+    updates of each of the (n+1)(p-1)+1 coefficients, on numbers of the
+    size of p^(n+1) (the coefficients sum to it), and then at each step its
+    (twist, i) products, each of the size of that step's total rank
+    p^(n*step); sizes are counted in 64-bit words (`_words`)."""
     if e < 1:
         raise ValueError("e must be at least 1")
     if n < 1:
         raise ValueError("n must be at least 1")
     top = (n + 1) * (p - 1)
-    terms = 0
-    current = {l: 1}
-    for _ in range(e):
-        terms += (n + 2) * sum((top - t) // p + t // p + 1 for t in current)
-        if terms > max_monomials:
+    work = 0
+
+    def guard(more):
+        nonlocal work
+        work += more
+        if work > max_monomials:
             raise ResourceGuardError(
-                f"alpha counts may need {terms} terms, over the guard {max_monomials}"
+                f"twist counts may need {work} word operations, over the guard {max_monomials}"
             )
+
+    guard(3 * (top + 1) * _words(p, n + 1))
+    counts = _step_counts(n, p)
+    current = {l: 1}
+    for step in range(1, e + 1):
+        guard(_words(p, n * step) * sum((top - t) // p + t // p + 1 for t in current))
         nxt = {}
         for twist, mult in current.items():
             i = -(twist // p)  # least i with twist + i*p >= 0 (floor-division ceil)
-            while True:
-                degree = twist + i * p
-                if degree > top:
-                    break
-                a = alpha(n, p, i, twist)
-                if a:
-                    nxt[-i] = nxt.get(-i, 0) + mult * a
+            for degree in range(twist + i * p, top + 1, p):
+                nxt[-i] = nxt.get(-i, 0) + mult * counts[degree]
                 i += 1
         current = nxt
     generates = all(-t in current for t in range(0, n + 1))
@@ -312,10 +349,14 @@ def veronese_decompose(
     twisted action.  Each admissible triple (u, v, j) contributes one
     summand.
 
-    Pieces with the same start degree that share a class count and a
-    total weight have the same Hilbert function; the number of class
-    multisets with that profile is a Gaussian binomial coefficient
-    (`_class_multiset_count`).
+    The piece (u, v, j) starts in S-degree q*j + u + v, and its Hilbert
+    function is ell*s + j + 1 in S-degree start + q*ell*s.  The pieces are
+    gathered by start degree into (count, sum of j+1); each group's
+    Hilbert function is count*ell*s + total there, so the check fills one
+    series per group.  Pieces with the same start degree that share a
+    class count and a total weight have the same Hilbert function; the
+    number of class multisets with that profile is a Gaussian binomial
+    coefficient (`_class_multiset_count`).
 
     The verification holds one dimension per S-degree through
     max(degree_bound, 4) * ell * q, and the pieces are at most q^2 * ell
@@ -333,27 +374,16 @@ def veronese_decompose(
         raise ResourceGuardError(
             f"{q * q * ell} candidate pieces (q^2 * ell) exceed guard {max_monomials}"
         )
-    pieces = []
-    mult = {}
-    for u in range(q):
-        for v in range(q):
-            for j in range(ell):
-                if (q * j + u + v) % ell == 0:
-                    # S-degree of the piece's bottom basis element
-                    start = q * j + u + v
-                    pieces.append((u, v, j, start))
-                    mult[j] = mult.get(j, 0) + 1
+    admissible, mult, groups = _start_groups(ell, q)
+    pieces = [
+        (u, v, j, q * j + u + v)
+        for u in range(q)
+        for v in range(q)
+        for j in admissible[(u + v) % ell]
+    ]
     # Hilbert-series verification through an S-degree bound: reconstruct
-    # the dimension of every fractional degree layer from the pieces.
-    recon = [0] * (bound + 1)
-    for u, v, j, start in pieces:
-        s = 0
-        while True:
-            deg = start + q * ell * s
-            if deg > bound:
-                break
-            recon[deg] += ell * s + j + 1
-            s += 1
+    # the dimension of every fractional degree layer from the groups.
+    recon = _group_series(groups, ell, q, bound)
     residual = []
     for deg in range(bound + 1):
         actual = deg + 1 if deg % ell == 0 else 0
@@ -368,14 +398,9 @@ def veronese_decompose(
     # Ambiguity of a numeric Hilbert-series solve: within one start-degree
     # group, any multiset of classes with the same (count, sum of j+1) has
     # an identical Hilbert function.
-    groups = {}
-    for u, v, j, start in pieces:
-        groups.setdefault(start, []).append(j)
     unique = True
     notes = []
-    for start, js in sorted(groups.items()):
-        count = len(js)
-        total = sum(j + 1 for j in js)
+    for start, (count, total) in sorted(groups.items()):
         alternatives = _class_multiset_count(count, total, ell)
         if alternatives > 1:
             unique = False
@@ -395,6 +420,35 @@ def veronese_decompose(
         ambiguity_notes=notes,
         has_free_summand=mult.get(0, 0) >= 1,
     )
+
+
+def _start_groups(ell, q):
+    """The classes j with q*j + r = 0 mod ell for each residue r of u + v;
+    the number of pieces of each class; and, per start S-degree q*j + u + v,
+    the [count, sum of j+1] of its pieces.  The last two depend on u + v
+    only, which takes the value s for min(s, 2q-2-s) + 1 pairs (u, v)."""
+    admissible = [[j for j in range(ell) if (q * j + r) % ell == 0] for r in range(ell)]
+    mult = {}
+    groups = {}
+    for s in range(2 * q - 1):
+        pairs = min(s, 2 * q - 2 - s) + 1
+        for j in admissible[s % ell]:
+            mult[j] = mult.get(j, 0) + pairs
+            group = groups.setdefault(q * j + s, [0, 0])
+            group[0] += pairs
+            group[1] += pairs * (j + 1)
+    return admissible, mult, groups
+
+
+def _group_series(groups, ell, q, bound):
+    """Dimensions in S-degrees 0..bound of the sum of the pieces: a group
+    of `count` pieces of weight `total` at `start` adds count*ell*s + total
+    in S-degree start + q*ell*s."""
+    recon = [0] * (bound + 1)
+    for start, (count, total) in groups.items():
+        for s, deg in enumerate(range(start, bound + 1, q * ell)):
+            recon[deg] += count * ell * s + total
+    return recon
 
 
 def _class_multiset_count(count, total, ell):
@@ -475,7 +529,11 @@ def ci_filtration_check(ring, f_monos, degree_bound=None, max_monomials=DEFAULT_
 
     Step t's subquotient is spanned by the standard monomials of R' whose
     last dividing chain generator is the t-th, so all step dims come from
-    one histogram pass over the staircase."""
+    one histogram pass over the staircase.  The supports are disjoint, so
+    f^a divides w exactly when a_i <= k_i(w) for every i, with k_i(w) the
+    f_i-adic order of w: the least w_v // f_i,v over the support of f_i.
+    k_i(w) < p as w is standard, so the last dividing a is (k_i(w))_i, at
+    index sum_i k_i(w) p^(c-1-i) of the lexicographic chain."""
     p = ring.p
     f_monos = [tuple(m) for m in f_monos]
     c = len(f_monos)
@@ -510,11 +568,14 @@ def ci_filtration_check(ring, f_monos, degree_bound=None, max_monomials=DEFAULT_
             g = mono_mul(g, mono_pow(m, k))
         chain.append(g)
     # w lies in the tail submodule generated by chain[t:] exactly when its
-    # last dividing generator has index >= t; chain[0] = 1 divides every w
+    # last dividing generator has index >= t
+    supports = [[(v, k) for v, k in enumerate(m) if k] for m in f_monos]
     step_dims = [[0] * (degree_bound + 1) for _ in chain]
     for d, level in enumerate(levels[: degree_bound + 1]):
         for w in level:
-            t = next(t for t in reversed(range(len(chain))) if mono_divides(chain[t], w))
+            t = 0
+            for support in supports:
+                t = t * p + min(w[v] // k for v, k in support)
             step_dims[t][d] += 1
 
     small_hf = [len(level) for level in small.staircase(degree_bound, max_monomials=max_monomials)]

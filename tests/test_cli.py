@@ -6,6 +6,7 @@ import os
 import re
 import subprocess
 import sys
+import time
 from collections import OrderedDict, namedtuple
 from enum import IntEnum
 from fractions import Fraction
@@ -23,6 +24,7 @@ from frobcalc.cli import (
     EXIT_VERIFICATION,
     JSON_INT_LIMIT,
     build_parser,
+    collect_certificates,
     emit_json,
     render_text,
     run,
@@ -342,22 +344,43 @@ class TestExitCodes:
         assert run_captured(argv + ["--jmax", "100000000"])[0] == EXIT_GUARD
 
     def test_pn_guards_its_alpha_terms(self, capsys):
-        # n + 2 = 402 terms for each of the 268 alpha counts of the first step
+        # 3 updates of each of the 803 coefficients of g^401, g = 1 + x + x^2,
+        # each of 13 words (2^802 bounds 3^401), before the list is formed
         argv = ["pn", "--n", "400", "--p", "3", "-e", "2", "--max-monomials", "10"]
-        message = "error: alpha counts may need 107736 terms, over the guard 10\n"
+        message = "error: twist counts may need 31317 word operations, over the guard 10\n"
         assert run_captured(argv) == (EXIT_GUARD, [], message)
-        # 2 counts of 4 terms at the first step, then 4 more: 8 + 16
+        # 3 * 4 one-word coefficient updates, then 2 and 4 one-word products
         argv = ["pn", "--n", "2", "--p", "2", "-e", "2", "--max-monomials"]
-        assert run_captured(argv + ["23"])[0] == EXIT_GUARD
-        assert run_json(capsys, argv + ["24"])["result"]["total_rank"] == 16
-        # the default guard refuses what would take over a minute
-        assert run_captured(["pn", "--n", "300", "--p", "3", "-e", "2"])[0] == EXIT_GUARD
+        assert run_captured(argv + ["17"])[0] == EXIT_GUARD
+        assert run_json(capsys, argv + ["18"])["result"]["total_rank"] == 16
+        # the default guard refuses 16 million products of 16000-bit numbers
+        # at the second step
+        code, _lines, err = run_captured(["pn", "--n", "8000", "--p", "2", "-e", "2"])
+        assert code == EXIT_GUARD
+        assert err == "error: twist counts may need 4021537133 word operations, over the guard 10000000\n"
 
     def test_alpha_guards_its_terms(self, capsys):
-        # 4 counts (i = 0..3, degrees 7i <= 24) of 5 terms each
+        # 3 updates of each of the 25 one-word coefficients of g^4, then the
+        # 4 products of the step (i = 0..3, degrees 7i <= 24)
         argv = ["alpha", "--n", "3", "--p", "7", "--max-monomials"]
-        assert run_captured(argv + ["19"])[0] == EXIT_GUARD
-        assert run_json(capsys, argv + ["20"])["result"]["sum"] == 7**3
+        assert run_captured(argv + ["78"])[0] == EXIT_GUARD
+        assert run_json(capsys, argv + ["79"])["result"]["sum"] == 7**3
+
+    def test_alpha_at_large_n_answers_within_the_default_guard(self, capsys):
+        # inclusion-exclusion over 900-digit binomials once ran for minutes here
+        start = time.perf_counter()
+        payload = run_json(capsys, ["alpha", "--n", "3000", "--p", "2"])
+        assert time.perf_counter() - start < 5
+        assert payload["result"]["sum"] == str(2**3000)
+        assert len(payload["result"]["alpha"]) == 1501
+
+    def test_alpha_refuses_a_coefficient_list_past_the_guard(self):
+        # 3 * 1000002 updates on numbers of 15626 words, refused before any is done
+        start = time.perf_counter()
+        code, lines, err = run_captured(["alpha", "--n", "1000000", "--p", "2"])
+        assert time.perf_counter() - start < 1
+        assert (code, lines) == (EXIT_GUARD, [])
+        assert err == "error: twist counts may need 46878093756 word operations, over the guard 10000000\n"
 
     @pytest.mark.parametrize("mode", [["--json"], []])
     def test_report_integer_past_the_digit_limit_is_a_guard_exit(self, mode):
@@ -840,6 +863,17 @@ GOLDEN_REPORTS = {
     "genexp_six_vars_p2.json": ["genexp"] + SIX_VARS,
     "betti_six_vars_p2.json": ["betti"] + SIX_VARS,
     "codepth_m2_eight_vars.json": ["codepth"] + M2_EIGHT_VARS,
+    # gcd(q, ell) = 4: a residue of u + v admits four classes or none
+    "veronese_ell4_p2_e2.json": ["veronese", "--ell", "4", "--p", "2", "-e", "2", "--json"],
+    # the 4 * ell * q floor of the checked degrees
+    "veronese_ell6_p3_e1_bound0.json": ["veronese", "--ell", "6", "--p", "3", "-e", "1", "--degree-bound", "0",
+                                        "--json"],
+    "filtration_x2_y2_zw_p2.json": ["filtration", "--char", "2", "--vars", "x,y,z,w", "--ideal", "x^2,y^2,z*w",
+                                    "--json"],
+    # not artinian: the default degree bound
+    "filtration_x2_y3_p3.json": ["filtration", "--char", "3", "--vars", "x,y,z", "--ideal", "x^2,y^3", "--json"],
+    "pn_n40_p5_e3.json": ["pn", "--n", "40", "--p", "5", "-e", "3", "--json"],
+    "alpha_n50_p3_l2.json": ["alpha", "--n", "50", "--p", "3", "--l", "2", "--json"],
 }
 TIMING_LINE = re.compile(r',\n  "timing_seconds": .*|\ntiming_seconds: .*')
 
@@ -851,6 +885,37 @@ def test_golden_report_bytes(capsys, name):
     report, timing_lines = TIMING_LINE.subn("", capsys.readouterr().out)
     assert timing_lines == 1
     assert report == (GOLDEN / name).read_text()
+
+
+ONE_PER_SUBCOMMAND = [
+    ["fsplit", "--char", "7", "--vars", "x,y,z", "--ideal", "x^3+y^3+z^3"],
+    ["summand", "--j", "1"] + QUADRIC,
+    ["twists", "--jmax", "2"] + QUADRIC,
+    ["witness"] + QUADRIC,
+    ["flevel"] + TWELVE,
+    ["codepth"] + TWELVE,
+    ["genexp"] + TWELVE,
+    ["decompose"] + TWELVE,
+    ["loewy"] + TWELVE,
+    ["betti"] + TWELVE,
+    ["filtration", "--char", "2", "--vars", "x,y", "--ideal", "x^2, y^2"],
+    ["strand", "--ell", "3", "--j", "1"],
+    ["alpha", "--n", "2", "--p", "3"],
+    ["pn", "--n", "2", "--p", "3", "-e", "2"],
+    ["veronese", "--ell", "3", "--p", "2", "-e", "1"],
+]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [[a for a in argv if a != "--json"] for _, argv in sorted(GOLDEN_REPORTS.items())] + ONE_PER_SUBCOMMAND,
+    ids=lambda argv: argv[0],
+)
+def test_envelope_certificates_are_those_of_the_result(capsys, argv):
+    """The envelope walks for certificates only under the subcommands that
+    make them; no other payload holds one."""
+    payload = run_json(capsys, argv)
+    assert payload["certificates"] == collect_certificates(payload["result"])
 
 
 class TestCertificateReverification:

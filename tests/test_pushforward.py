@@ -17,8 +17,22 @@ from frobcalc import (
     pn_pushforward,
     veronese_decompose,
 )
-from frobcalc.polyring import mono_degree, mono_divides, mono_mul, mono_pow, monomials_of_degree
-from frobcalc.pushforward import _annihilator_of_generator, _class_multiset_count
+from frobcalc.errors import ResourceGuardError
+from frobcalc.polyring import (
+    bounded_count,
+    mono_degree,
+    mono_divides,
+    mono_mul,
+    mono_pow,
+    monomials_of_degree,
+)
+from frobcalc.pushforward import (
+    _annihilator_of_generator,
+    _class_multiset_count,
+    _group_series,
+    _start_groups,
+    _step_counts,
+)
 from test_ideals import pushforward_min_generators
 
 
@@ -267,7 +281,75 @@ class TestAlpha:
                 assert alpha(n, p, i, l) == alpha_by_enumeration(n, p, i, l)
 
 
+def alpha_by_inclusion_exclusion(n, p, i, l):
+    """Companion to `alpha`: inclusion-exclusion over the variables whose
+    exponent would exceed p-1."""
+    degree = l + i * p
+    return 0 if degree < 0 else bounded_count(n + 1, degree, p - 1)
+
+
+def pn_by_iteration(n, p, e, l):
+    """Companion to `pn_pushforward`: every count of every step a fresh
+    inclusion-exclusion, twists in the order the steps find them."""
+    top = (n + 1) * (p - 1)
+    current = {l: 1}
+    for _ in range(e):
+        nxt = {}
+        for twist, mult in current.items():
+            i = -(twist // p)
+            while twist + i * p <= top:
+                a = alpha_by_inclusion_exclusion(n, p, i, twist)
+                if a:
+                    nxt[-i] = nxt.get(-i, 0) + mult * a
+                i += 1
+        current = nxt
+    return current
+
+
+class TestStepCounts:
+    @pytest.mark.parametrize("n", [1, 2, 3, 7, 12])
+    @pytest.mark.parametrize("p", [2, 3, 5, 7, 11, 13])
+    def test_recurrence_matches_inclusion_exclusion(self, n, p):
+        top = (n + 1) * (p - 1)
+        assert _step_counts(n, p) == [bounded_count(n + 1, k, p - 1) for k in range(top + 1)]
+
+    @given(n=st.integers(1, 12), p=st.sampled_from([2, 3, 5, 7, 11]), i=st.integers(-3, 30),
+           l=st.integers(-20, 20))
+    @settings(max_examples=200, deadline=None)
+    def test_alpha_matches_inclusion_exclusion(self, n, p, i, l):
+        assert alpha(n, p, i, l) == alpha_by_inclusion_exclusion(n, p, i, l)
+
+    def test_alpha_at_a_huge_twist(self):
+        l = 10**20
+        for i in (-(l // 3) - 1, -(l // 3), -(l // 3) + 1, -(l // 3) + 2):
+            assert alpha(2, 3, i, l) == alpha_by_inclusion_exclusion(2, 3, i, l)
+
+
 class TestPnPushforward:
+    @given(n=st.integers(1, 12), p=st.sampled_from([2, 3, 5, 7, 11]), e=st.integers(1, 3),
+           l=st.integers(-20, 20))
+    @settings(max_examples=150, deadline=None)
+    def test_matches_the_inclusion_exclusion_iteration(self, n, p, e, l):
+        twists = pn_pushforward(n, p, e, l).twists
+        assert list(twists.items()) == list(pn_by_iteration(n, p, e, l).items())
+
+    @pytest.mark.parametrize("l", [10**20, -(10**20), 10**20 + 1])
+    def test_huge_twists_match_the_iteration(self, l):
+        for n, p, e in [(1, 2, 2), (2, 3, 2), (3, 5, 1)]:
+            assert pn_pushforward(n, p, e, l).twists == pn_by_iteration(n, p, e, l)
+
+    def test_guard_counts_words_of_updates_and_products(self):
+        # 3 updates of 4 one-word coefficients, then 2, 4 and 6 one-word
+        # products at steps 1, 2 and 3
+        assert pn_pushforward(2, 2, 3, max_monomials=24).total_rank() == 2**6
+        with pytest.raises(ResourceGuardError, match="need 24 word operations"):
+            pn_pushforward(2, 2, 3, max_monomials=23)
+        with pytest.raises(ResourceGuardError, match="need 12 word operations"):
+            pn_pushforward(2, 2, 1, max_monomials=11)
+        # p^(n+1) = 2^3001 takes 47 words: 3 * 3002 * 47 before the list
+        with pytest.raises(ResourceGuardError, match="need 423282 word operations"):
+            pn_pushforward(3000, 2, 1, max_monomials=423281)
+
     def test_projective_line(self):
         report = pn_pushforward(1, 2, 1, 0)
         assert report.twists == {0: 1, -1: 1}
@@ -295,6 +377,48 @@ class TestPnPushforward:
         report = pn_pushforward(1, 2, 1, 3)
         assert report.total_rank() == 2
         assert set(report.twists) == {1, 0} or sum(report.twists.values()) == 2
+
+
+def veronese_by_triples(ell, q, bound):
+    """Companion to `veronese_decompose`: every (u, v, j) tested, the
+    Hilbert series filled piece by piece.  Returns the pieces, the class
+    multiplicities, the start-degree groups and the series."""
+    pieces = []
+    mult = {}
+    for u in range(q):
+        for v in range(q):
+            for j in range(ell):
+                if (q * j + u + v) % ell == 0:
+                    pieces.append((u, v, j, q * j + u + v))
+                    mult[j] = mult.get(j, 0) + 1
+    recon = [0] * (bound + 1)
+    groups = {}
+    for u, v, j, start in pieces:
+        s = 0
+        while start + q * ell * s <= bound:
+            recon[start + q * ell * s] += ell * s + j + 1
+            s += 1
+        group = groups.setdefault(start, [0, 0])
+        group[0] += 1
+        group[1] += j + 1
+    return pieces, mult, groups, recon
+
+
+class TestVeroneseOracle:
+    @pytest.mark.parametrize("ell", range(1, 7))
+    @pytest.mark.parametrize("p,e", [(2, 1), (3, 1), (2, 2), (5, 1), (7, 1), (2, 3), (3, 2), (2, 4),
+                                     (5, 2), (3, 3), (2, 5), (7, 2)])
+    def test_groups_and_series_match_the_triples(self, ell, p, e):
+        q = p**e
+        dec = veronese_decompose(ell, p, e)
+        pieces, mult, groups, recon = veronese_by_triples(ell, q, dec.hs_bound)
+        assert dec.pieces == pieces
+        assert dec.multiplicities == mult
+        _admissible, mult_by_sums, groups_by_sums = _start_groups(ell, q)
+        assert mult_by_sums == mult
+        assert groups_by_sums == groups
+        assert _group_series(groups, ell, q, dec.hs_bound) == recon
+        assert recon == [d + 1 if d % ell == 0 else 0 for d in range(dec.hs_bound + 1)]
 
 
 class TestVeroneseDecompose:
@@ -347,6 +471,47 @@ class TestVeroneseDecompose:
                 assert _class_multiset_count(count, total, ell) == weights[total], (count, total)
 
 
+@st.composite
+def disjoint_filtration(draw):
+    """`ci_filtration_check` on a random monomial sequence in m^2 with
+    pairwise disjoint supports: 1-5 variables, p in {2, 3, 5}, artinian
+    or not."""
+    n = draw(st.integers(1, 5))
+    p = draw(st.sampled_from([2, 3, 5]))
+    owner = draw(st.lists(st.integers(0, n - 1), min_size=n, max_size=n))  # f_i per variable
+    gens = []
+    for i in sorted(set(owner)):
+        exps = [draw(st.integers(1, 3)) if owner[v] == i and draw(st.booleans()) else 0 for v in range(n)]
+        if sum(exps) < 2:
+            exps[owner.index(i)] = 2
+        gens.append(tuple(exps))
+    ring = PolyRing(p, [f"x{v}" for v in range(n)])
+    try:
+        return ring, gens, ci_filtration_check(ring, gens, max_monomials=2000)
+    except ResourceGuardError:
+        return draw(st.nothing())
+
+
+def step_dims_by_chain_scan(ring, f_monos, degree_bound):
+    """Companion to `ci_filtration_check`: each standard monomial of
+    S/(f^p) through the bound goes to the last lexicographic f^a dividing
+    it, found by scanning the chain from the end."""
+    p = ring.p
+    chain = []
+    for a in itertools.product(range(p), repeat=len(f_monos)):
+        g = ring.unit_monomial()
+        for m, k in zip(f_monos, a):
+            g = mono_mul(g, mono_pow(m, k))
+        chain.append(g)
+    big = MonomialIdeal(ring, [mono_pow(m, p) for m in f_monos])
+    dims = [[0] * (degree_bound + 1) for _ in chain]
+    for d, level in enumerate(big.staircase(degree_bound)):
+        for w in level:
+            t = next(t for t in reversed(range(len(chain))) if mono_divides(chain[t], w))
+            dims[t][d] += 1
+    return dims
+
+
 class TestFiltration:
     def test_one_variable_char_two(self):
         ring = PolyRing(2, ["x"])
@@ -384,6 +549,13 @@ class TestFiltration:
         assert len(report.steps) == 2
         assert report.all_match
         assert not report.complete
+
+    @given(data=st.data())
+    @settings(max_examples=100, deadline=None)
+    def test_step_dims_match_the_chain_scan(self, data):
+        ring, gens, report = data.draw(disjoint_filtration())
+        dims = step_dims_by_chain_scan(ring, gens, report.degree_bound)
+        assert [step.dims for step in report.steps] == dims
 
     def test_rejects_overlapping_supports(self):
         ring = PolyRing(2, ["x", "y"])
