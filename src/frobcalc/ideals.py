@@ -31,7 +31,7 @@ from .errors import (
     RingMismatchError,
     UnsupportedIdealClassError,
 )
-from .modlinalg import Span, rank
+from .modlinalg import rank
 from .polyring import (
     DEFAULT_MAX_MONOMIALS,
     Polynomial,
@@ -286,8 +286,7 @@ class CIIdeal:
             # nonzero form is regular on the domain S, and two form a
             # regular sequence exactly when they are coprime; for three or
             # more the hypothesis is recorded, not verified
-            span = Span(ring.p)
-            if not all(span.add(f.terms) for f in gens):
+            if rank([f.terms for f in gens], ring.p) < len(gens):
                 raise UnsupportedIdealClassError(
                     "generators linearly dependent over F_p are not a regular sequence"
                 )
@@ -305,9 +304,17 @@ class CIIdeal:
         """Sum of generator degrees (the degree of the cut-out subscheme)."""
         return sum(f.degree() for f in self.gens)
 
-    def product(self):
+    def product(self, max_monomials=DEFAULT_MAX_MONOMIALS):
+        """f_1 * ... * f_t; `max_monomials` bounds the term pairs multiplied,
+        summed over the products, checked before each product is formed."""
         out = Polynomial.one(self.ring)
+        pairs = 0
         for f in self.gens:
+            pairs += len(out.terms) * len(f.terms)
+            if pairs > max_monomials:
+                raise ResourceGuardError(
+                    f"the product of the generators takes {pairs} term products, over the guard {max_monomials}"
+                )
             out = out * f
         return out
 

@@ -23,7 +23,9 @@ degree) is the top row of that table.
 `strand_check` verifies the degree-class strands of the linear
 resolution of m^j in k[x, y] degree by degree.  Its maps are sparse
 columns (two nonzeros on the left, one on the right), composed directly
-and ranked with the same dict-row eliminator as the blocks.
+and ranked by the same `rank` as the blocks, which reads both ranks off
+the matrices: the left columns have distinct least keys, and the right
+map, ranked on its shorter side, has rows with disjoint supports.
 """
 
 from __future__ import annotations

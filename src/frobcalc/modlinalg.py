@@ -1,17 +1,24 @@
-"""Gaussian elimination over F_p on sparse vectors.
+"""Exact rank over F_p of sparse vectors.
 
-Vectors are dicts from comparable keys to coefficients.  `Span` keeps an
-incrementally reduced row space and `rank` counts its dimension.  Every
-matrix frobcalc eliminates is sparse -- a Koszul block of at most a few
-dozen columns, a strand map with at most two nonzeros per column, the
-degree pieces of a two-generator ideal -- so a dict per row beats dense
-arrays, and the arithmetic is Python's exact integers.
+Vectors are dicts from comparable keys to coefficients.  `rank` reads the
+rank off the matrix itself when it can and eliminates only when it must:
+it ranks the shorter side (the transpose when the vectors have fewer keys
+than there are vectors, since rank M = rank M^T), returns the number of
+vectors at once when they are already in echelon form (pairwise distinct
+least keys, each with a coefficient nonzero mod p), and otherwise feeds
+them to `Span`, an incrementally reduced row space.  Every matrix
+frobcalc ranks is sparse -- a Koszul block of at most a few dozen columns,
+a strand map with at most two nonzeros per column, the degree pieces of a
+two-generator ideal -- so a dict per row beats dense arrays, and the
+arithmetic is Python's exact integers.
 
 All routines are deterministic: pivots are chosen by a fixed order, so
 echelon forms depend only on the input order.
 """
 
 from __future__ import annotations
+
+from collections import defaultdict
 
 
 class Span:
@@ -61,7 +68,24 @@ class Span:
 
 
 def rank(vectors, p):
-    """Dimension over F_p of the span of the sparse vectors."""
+    """Dimension over F_p of the span of the sparse vectors.
+
+    Empty vectors are dropped.  When the rest have fewer keys than there
+    are vectors, their transpose is ranked instead.  Vectors whose least
+    keys are pairwise distinct, each with a coefficient nonzero mod p, are
+    triangular and so independent: their number is the rank.  Otherwise
+    they are reduced one by one in a `Span`."""
+    vectors = [vec for vec in vectors if vec]
+    keys = set().union(*vectors)
+    if len(keys) < len(vectors):
+        columns = defaultdict(dict)
+        for i, vec in enumerate(vectors):
+            for key, c in vec.items():
+                columns[key][i] = c
+        vectors = list(columns.values())
+    leads = {min(vec): vec for vec in vectors}
+    if len(leads) == len(vectors) and all(vec[key] % p for key, vec in leads.items()):
+        return len(vectors)
     span = Span(p)
     for vec in vectors:
         span.add(vec)

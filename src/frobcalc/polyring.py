@@ -394,7 +394,7 @@ class Polynomial:
         return f"Polynomial({self})"
 
 
-def truncated_lucas_power(f, e):
+def truncated_lucas_power(f, e, max_monomials=DEFAULT_MAX_MONOMIALS):
     """f^(q-1) mod m^[q], q = p^e: the terms of f^(q-1), with their
     coefficients, whose exponents are all below q.
 
@@ -417,6 +417,10 @@ def truncated_lucas_power(f, e):
     with exponents below q keep each slot of the sum below 2q <= 2^w, so
     no carry crosses slots.  Coefficients are reduced mod p once per
     product, and the monomials unpacked once at the end.
+
+    `max_monomials` bounds the term pairs multiplied, summed over the
+    products: each product of a by b terms adds |a|*|b| to the running
+    count, checked before the product is formed.
     """
     if e < 0:
         raise ValueError("e must be nonnegative")
@@ -432,7 +436,15 @@ def truncated_lucas_power(f, e):
 
     off = below(q)
 
+    pairs = 0
+
     def times(terms, factor):
+        nonlocal pairs
+        pairs += len(terms) * len(factor)
+        if pairs > max_monomials:
+            raise ResourceGuardError(
+                f"f^(q-1) mod m^[q] takes at least {pairs} term products, over the guard {max_monomials}"
+            )
         product = {}
         for m1, c1 in terms.items():
             for m2, c2 in factor:

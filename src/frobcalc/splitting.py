@@ -151,28 +151,16 @@ def colon_generators(ideal, e, max_monomials=DEFAULT_MAX_MONOMIALS):
     (`truncated_lucas_power`): the generators f_i^q of I^[q] and the terms
     of f^(q-1) inside m^[q] have no live term, so no test reads them.
 
-    The guard bounds, before any is formed, the terms of every polynomial
-    formed on the way.  For f of degree deg in n variables, a power f^j,
-    j < p, has at most bounded_count(n, deg*(p-1)) terms, and the product
-    of the top k Frobenius factors, (f^(p^k-1) mod m^[p^k])^[p^(e-k)], at
-    most bounded_count(n, deg*(p^k-1), p^k-1)."""
+    `max_monomials` bounds the term pairs multiplied on the way, once for
+    the product of the generators and once for `truncated_lucas_power`,
+    each checked before a product is formed."""
     ring = ideal.ring
     q = _frobenius_q(ring, e)
     if isinstance(ideal, MonomialIdeal):
         colon = monomial_colon(ideal.bracket(q), ideal)
         return [Polynomial.monomial(ring, g) for g in colon.gens]
     if isinstance(ideal, CIIdeal):
-        deg = ideal.degree()
-        p = ring.p
-        size = max(
-            bounded_count(ring.nvars, deg * (p - 1)),
-            *(bounded_count(ring.nvars, deg * (p**k - 1), p**k - 1) for k in range(e + 1)),
-        )
-        if size > max_monomials:
-            raise ResourceGuardError(
-                f"f^(q-1) mod m^[q] may need {size} terms, over the guard {max_monomials}"
-            )
-        return [truncated_lucas_power(ideal.product(), e)]
+        return [truncated_lucas_power(ideal.product(max_monomials), e, max_monomials)]
     raise UnsupportedIdealClassError(f"unsupported ideal class {type(ideal).__name__}")
 
 

@@ -455,11 +455,11 @@ class TestExitCodes:
         assert run_captured(argv) == (EXIT_USAGE, [], "error: need degree bound >= 0: got -1\n")
 
     def test_power_guard_covers_fsplit(self, capsys):
-        # f^4 of the Fermat cubic may have C(14, 2) = 91 terms, the monomials of degree 12
+        # f^4 of the Fermat cubic takes 3 + 9 + 18 + 30 term pairs
         argv = ["fsplit", "--char", "5", "--vars", "x,y,z", "--ideal", "x^3+y^3+z^3",
-                "-e", "4", "--max-monomials", "90"]
+                "-e", "4", "--max-monomials", "59"]
         assert run(argv) == EXIT_GUARD
-        assert run(argv[:-1] + ["91"]) == EXIT_OK
+        assert run(argv[:-1] + ["60"]) == EXIT_OK
 
     def test_fsplit_p7_e4_fits_the_default_guard(self, capsys):
         # f^2400 of the Fermat cubic is built only below m^[2401]
@@ -874,6 +874,12 @@ GOLDEN_REPORTS = {
     "filtration_x2_y3_p3.json": ["filtration", "--char", "3", "--vars", "x,y,z", "--ideal", "x^2,y^3", "--json"],
     "pn_n40_p5_e3.json": ["pn", "--n", "40", "--p", "5", "-e", "3", "--json"],
     "alpha_n50_p3_l2.json": ["alpha", "--n", "50", "--p", "3", "--l", "2", "--json"],
+    # the strand maps' ranks at every degree
+    "strand_ell5_j3_steps12_p3.json": ["strand", "--ell", "5", "--j", "3", "--steps", "12", "--char", "3", "--json"],
+    "strand_ell3_j1_steps8_p2.json": ["strand", "--ell", "3", "--j", "1", "--steps", "8", "--char", "2", "--json"],
+    # a monomial complete intersection: the Koszul complex on the squares
+    "betti_squares_four_vars_p7.json": ["betti", "--char", "7", "--vars", "a,b,c,d", "--ideal", "a^2,b^2,c^2,d^2",
+                                        "--json"],
 }
 TIMING_LINE = re.compile(r',\n  "timing_seconds": .*|\ntiming_seconds: .*')
 

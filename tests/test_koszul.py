@@ -83,14 +83,69 @@ def dense_rank(rows, p):
     return r
 
 
+PRIMES = st.sampled_from([2, 3, 5, 7])
+
+
 @st.composite
 def small_matrices(draw):
-    p = draw(st.sampled_from([2, 3, 5, 7]))
-    nrows = draw(st.integers(0, 8))
-    ncols = draw(st.integers(1, 8))
+    """Dense rows, 0-12 of them, 1-12 wide: tall and wide shapes."""
+    p = draw(PRIMES)
+    nrows = draw(st.integers(0, 12))
+    ncols = draw(st.integers(1, 12))
     entry = st.one_of(st.just(0), st.integers(-2 * p, 2 * p))
     rows = draw(st.lists(st.lists(entry, min_size=ncols, max_size=ncols), min_size=nrows, max_size=nrows))
     return p, rows
+
+
+@st.composite
+def unit_columns(draw):
+    """Columns with one entry each, many of them repeated: more vectors
+    than keys, so `rank` takes the transpose."""
+    p = draw(PRIMES)
+    nkeys = draw(st.integers(1, 6))
+    entry = st.tuples(st.integers(0, nkeys - 1), st.integers(-2 * p, 2 * p))
+    return p, [{k: c} for k, c in draw(st.lists(entry, max_size=12))]
+
+
+@st.composite
+def echelon_vectors(draw):
+    """Vectors with pairwise distinct least keys.  The leading coefficient
+    may be a multiple of p, which leaves the vectors echelon only in their
+    keys, so `rank` has to eliminate."""
+    p = draw(PRIMES)
+    ncols = draw(st.integers(1, 12))
+    leads = draw(st.lists(st.integers(0, ncols - 1), unique=True, max_size=ncols))
+    lead_coeff = st.one_of(st.integers(1, p - 1), st.sampled_from([0, p, -p, 2 * p]))
+    vectors = []
+    for k in leads:
+        vec = {k: draw(lead_coeff)}
+        for key in draw(st.lists(st.integers(k + 1, ncols), max_size=3)):
+            vec[key] = draw(st.integers(-2 * p, 2 * p))
+        vectors.append(vec)
+    return p, vectors
+
+
+@st.composite
+def sparse_matrices(draw):
+    """Any of the above as dict vectors, with empty dicts and vectors whose
+    entries are all multiples of p mixed in."""
+    p, vectors = draw(st.one_of(
+        small_matrices().map(lambda m: (m[0], [{c: x for c, x in enumerate(row) if x} for row in m[1]])),
+        unit_columns(),
+        echelon_vectors(),
+    ))
+    zero = st.one_of(
+        st.just({}),
+        st.dictionaries(st.integers(0, 12), st.sampled_from([0, p, -p, 3 * p]), min_size=1, max_size=3),
+    )
+    for _ in range(draw(st.integers(0, 3))):
+        vectors.insert(draw(st.integers(0, len(vectors))), draw(zero))
+    return p, vectors
+
+
+def dense_rows(vectors):
+    keys = sorted(set().union(*vectors))
+    return [[vec.get(k, 0) for k in keys] for vec in vectors]
 
 
 class TestSparseRank:
@@ -106,6 +161,43 @@ class TestSparseRank:
         # the rank of the columns is the same number
         columns = [{i: row[c] for i, row in enumerate(rows)} for c in range(len(rows[0]) if rows else 0)]
         assert rank(columns, p) == expected
+
+    @given(matrix=sparse_matrices())
+    @settings(max_examples=300, deadline=None)
+    def test_rank_matches_dense_elimination(self, matrix):
+        p, vectors = matrix
+        assert rank(vectors, p) == dense_rank(dense_rows(vectors), p)
+        assert rank(iter(vectors), p) == rank(vectors[::-1], p)
+
+    def test_each_path(self, monkeypatch):
+        calls = []
+
+        class CountingSpan(Span):
+            def __init__(self, p):
+                calls.append(p)
+                super().__init__(p)
+
+        monkeypatch.setattr("frobcalc.modlinalg.Span", CountingSpan)
+        # more vectors than keys: the transpose {0: {0: 1, 1: 2, 2: 1}} is echelon
+        assert rank([{0: 1}, {0: 2}, {0: 4}], 3) == 1
+        # distinct least keys with units there
+        assert rank([{0: 1, 3: 1}, {}, {1: 2, 2: 1}, {2: 4}], 5) == 3
+        assert calls == []
+        # a leading coefficient divisible by p
+        assert rank([{0: 3, 1: 1}, {1: 1}], 3) == 1
+        # a repeated least key
+        assert rank([{0: 1, 1: 1}, {0: 1, 2: 1}, {1: 1, 2: 1}], 2) == 2
+        assert calls == [3, 2]
+
+    def test_strand_maps_need_no_elimination(self, monkeypatch):
+        # the left map is echelon and the transposed right map has
+        # disjoint rows, so no strand degree builds a Span
+        def no_span(p):
+            raise AssertionError("rank eliminated")
+
+        monkeypatch.setattr("frobcalc.modlinalg.Span", no_span)
+        for ell, j, steps, char in [(3, 1, 8, 2), (5, 3, 12, 3), (6, 2, 12, 5)]:
+            assert strand_check(ell, j, steps, char).exact
 
 
 class TestKoszulHomology:

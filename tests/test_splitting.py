@@ -310,30 +310,51 @@ class TestCertificates:
 
 
 class TestColonGuard:
+    """The colon guard counts the term pairs |a|*|b| of every product that
+    forms f^(q-1) mod m^[q], summed, and refuses before a product that
+    would take the count past it."""
+
     def test_power_guard_before_expansion(self):
-        # the polynomials that build f^624 mod m^[625] for the Fermat cubic
-        # may have up to C(14, 2) = 91 terms, the monomials of degree 12
-        # (that of f^4); each product of top Frobenius factors has at most
-        # one, (x*y*z)^(p^k-1) scaled
+        # f^4 for the Fermat cubic takes 3 + 9 + 18 + 30 pairs; the last
+        # product, f^3 (10 terms) by f (3 terms), is refused under 59
         ring = PolyRing(5, ["x", "y", "z"])
-        with pytest.raises(ResourceGuardError):
-            colon_generators(ci(ring, "x^3 + y^3 + z^3"), 4, max_monomials=90)
+        with pytest.raises(ResourceGuardError, match="takes at least 60 term products, over the guard 59"):
+            colon_generators(ci(ring, "x^3 + y^3 + z^3"), 4, max_monomials=59)
 
     def test_guard_sized_by_largest_product(self):
+        # the top Frobenius factor (f^4)^[125] keeps no term below 625, so
+        # forming f^4 is all the work
         ring = PolyRing(5, ["x", "y", "z"])
         cubic = ci(ring, "x^3 + y^3 + z^3")
-        assert colon_generators(cubic, 4, max_monomials=91)[0].is_zero()
+        assert colon_generators(cubic, 4, max_monomials=60)[0].is_zero()
         with pytest.raises(ResourceGuardError):
-            colon_generators(cubic, 4, max_monomials=90)
+            colon_generators(cubic, 4, max_monomials=59)
 
     def test_guard_sized_by_top_factors(self):
-        # the product of all three factors for x0*x1 + x2*x3 at q = 27 may
-        # have bounded_count(4, 52, 26) = 13131 terms, more than f^2 has (35)
+        # x0*x1 + x2*x3 at q = 27: f^2 takes 2 + 4 pairs, the three factors
+        # 1*3 + 3*3 + 9*3 = 39 more
         ring = PolyRing(3, ["x0", "x1", "x2", "x3"])
         quadric = ci(ring, "x0*x1 + x2*x3")
-        assert len(colon_generators(quadric, 3, max_monomials=13131)[0].terms) == 27
-        with pytest.raises(ResourceGuardError):
-            colon_generators(quadric, 3, max_monomials=13130)
+        assert len(colon_generators(quadric, 3, max_monomials=45)[0].terms) == 27
+        with pytest.raises(ResourceGuardError, match="at least 45 term products"):
+            colon_generators(quadric, 3, max_monomials=44)
+
+    def test_sparse_power_fits_the_default_guard(self):
+        # 2^16 live terms from 2 * (2^16 - 1) + 2 pairs; counting every
+        # monomial of degree 2(q - 1) with exponents < q would have asked
+        # for about 1.9e14
+        ring = PolyRing(2, ["x0", "x1", "x2", "x3"])
+        quadric = ci(ring, "x0*x1 + x2*x3")
+        assert len(colon_generators(quadric, 16)[0].terms) == 2**16
+        with pytest.raises(ResourceGuardError, match="at least 131072 term products"):
+            colon_generators(quadric, 16, max_monomials=2**17 - 1)
+
+    def test_generator_product_guarded(self):
+        ring = PolyRing(3, ["x", "y", "z"])
+        pair = ci(ring, "x^2 + y^2 + z^2", "x*y + y*z + x*z")
+        assert len(pair.product(12).terms) == 9
+        with pytest.raises(ResourceGuardError, match="generators takes 12 term products"):
+            colon_generators(pair, 1, max_monomials=11)
 
 
 def scan_oracle(ideal, j, e):
