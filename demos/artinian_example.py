@@ -22,7 +22,7 @@ from frobcalc.polyring import mono_str
 ring = PolyRing(2, ["x", "y"])
 I = MonomialIdeal(ring, [(4, 0), (2, 2), (0, 4)])
 
-print(f"dim_k R = {I.total_dimension()}, Loewy length = {I.loewy_length()}")
+print(f"dim_k R = {sum(map(len, I.staircase()))}, Loewy length = {I.loewy_length()}")
 print(f"residue field splits off F_*R: {k_summand_test(I, 1).verdict}")
 print(f"R splits off F_*R:            {is_f_split(I, 1).verdict}")
 

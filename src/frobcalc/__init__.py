@@ -41,7 +41,6 @@ from .polyring import (
     Polynomial,
     PolyRing,
     is_prime,
-    monomials_of_degree,
     parse_polynomial,
     truncated_lucas_power,
 )

@@ -149,31 +149,6 @@ def emit_json(envelope):
     return _encode(envelope, "") + "\n"
 
 
-# the subcommands whose payloads embed SplitCertificate payloads
-CERTIFYING = frozenset({"fsplit", "summand", "twists", "witness", "flevel"})
-
-
-def collect_certificates(result):
-    """Pull every certificate object out of a result payload (recognized by
-    the verdict/kind field pair), in document order."""
-    found = []
-
-    def walk(values):
-        for value in values:
-            kind = type(value)
-            if kind is int or kind is str:
-                continue
-            if isinstance(value, dict):
-                if "verdict" in value and "kind" in value:
-                    found.append(value)
-                walk(value.values())
-            elif isinstance(value, list):
-                walk(value)
-
-    walk((result,))
-    return found
-
-
 def render_text(value, indent=0):
     """Human-readable rendering of the JSON payload (same data source)."""
     pad = "  " * indent
@@ -210,12 +185,13 @@ def _add_ring_args(sub):
 
 
 def _parse_ideal_args(args, guard):
-    if args.spec:
-        if args.char or args.vars or args.ideal:
+    given = [flag is not None for flag in (args.char, args.vars, args.ideal)]
+    if args.spec is not None:
+        if any(given):
             raise ParseError("--spec replaces --char/--vars/--ideal")
         ring, ideal, warnings = parse_ideal_spec(args.spec, **guard)
         return ring, ideal, warnings
-    if not (args.char and args.vars and args.ideal):
+    if not all(given):
         raise ParseError("need --char, --vars and --ideal (or --spec)")
     ring = PolyRing(args.char, [v.strip() for v in args.vars.split(",")])
     polys = [parse_polynomial(ring, chunk) for chunk in args.ideal.split(",")]
@@ -307,7 +283,8 @@ def build_parser():
 
 
 def _dispatch(args):
-    """Returns (input echo, result payload, warnings)."""
+    """Returns (input echo, result payload, certificates, warnings); the
+    certificates are the SplitCertificate payloads the result holds."""
     guard = {}
     if args.max_monomials is not None:
         guard["max_monomials"] = args.max_monomials
@@ -337,49 +314,52 @@ def _dispatch(args):
             "class": "ci" if isinstance(ideal, CIIdeal) else "monomial",
         }
         if name == "fsplit":
-            cert = is_f_split(ideal, args.e, **guard)
-            return echo | {"e": args.e}, {"certificate": cert.payload(ring)}, warnings
+            cert = is_f_split(ideal, args.e, **guard).payload(ring)
+            return echo | {"e": args.e}, {"certificate": cert}, [cert], warnings
         if name == "summand":
-            cert = graded_summand_test(ideal, args.j, args.e, **guard)
-            return echo | {"e": args.e, "j": args.j}, {"certificate": cert.payload(ring)}, warnings
+            cert = graded_summand_test(ideal, args.j, args.e, **guard).payload(ring)
+            return echo | {"e": args.e, "j": args.j}, {"certificate": cert}, [cert], warnings
         if name == "twists":
-            spectrum = twist_spectrum(ideal, args.e, args.jmax, **guard)
-            return echo | {"e": args.e, "jmax": args.jmax}, spectrum.payload(ring), warnings
+            payload = twist_spectrum(ideal, args.e, args.jmax, **guard).payload(ring)
+            certs = list(payload["entries"].values())
+            return echo | {"e": args.e, "jmax": args.jmax}, payload, certs, warnings
         if name == "witness":
-            chain = witness_from_proof(ideal, args.e, **guard)
-            return echo | {"e": args.e}, chain.payload(ring), warnings
+            payload = witness_from_proof(ideal, args.e, **guard).payload(ring)
+            certs = [factor["certificate"] for factor in payload["factors"]]
+            return echo | {"e": args.e}, payload, certs, warnings
         if name == "codepth":
             value = codepth(_need_monomial(ideal), args.degree_bound, **guard)
-            return echo, {"codepth": value, "depth": ring.nvars - value}, warnings
+            return echo, {"codepth": value, "depth": ring.nvars - value}, [], warnings
         if name == "genexp":
             value = generation_exponent(_need_monomial(ideal), args.degree_bound, **guard)
-            return echo, {"generation_exponent": value}, warnings
+            return echo, {"generation_exponent": value}, [], warnings
         if name == "decompose":
             module = FrobeniusModule(_need_monomial(ideal), args.e, **guard)
             decomposition = cyclic_decompose(module)
-            return echo | {"e": args.e}, decomposition.payload(ring), warnings
+            return echo | {"e": args.e}, decomposition.payload(ring), [], warnings
         if name == "filtration":
             monomial = _need_monomial(ideal)
             report = ci_filtration_check(ring, list(monomial.gens), **guard)
-            return echo, report.payload(ring), warnings
+            return echo, report.payload(ring), [], warnings
         if name == "flevel":
-            report = f_level_bounds(ideal, e_max=args.emax, **guard)
-            return echo | {"emax": args.emax}, report.payload(ring), warnings
+            payload = f_level_bounds(ideal, e_max=args.emax, **guard).payload(ring)
+            certs = list(payload["split_tests"].values())
+            return echo | {"emax": args.emax}, payload, certs, warnings
         if name == "loewy":
             value = _need_monomial(ideal).loewy_length(**guard)
-            return echo, {"loewy_length": value}, warnings
+            return echo, {"loewy_length": value}, [], warnings
 
     if name == "betti":
         if args.formula_nvars is not None or args.formula_power is not None:
             if args.formula_nvars is None or args.formula_power is None:
                 raise ParseError("formula mode needs both --formula-nvars and --formula-power")
-            if args.char or args.vars or args.ideal or args.spec:
+            if any(flag is not None for flag in (args.char, args.vars, args.ideal, args.spec)):
                 raise ParseError("formula mode takes no ideal")
             d, j = args.formula_nvars, args.formula_power
             row = {str(i): betti_power_formula(d, j, i) for i in range(d + 1)}
             degrees = {"0": 0} | {str(i): j + i - 1 for i in range(1, d + 1)}
             echo = {"formula_nvars": d, "formula_power": j}
-            return echo, {"betti": row, "generator_degrees": degrees}, []
+            return echo, {"betti": row, "generator_degrees": degrees}, [], []
         ring, ideal, warnings = _parse_ideal_args(args, guard)
         table = betti_table(_need_monomial(ideal), args.degree_bound, **guard)
         echo = {
@@ -392,13 +372,13 @@ def _dispatch(args):
                 {"i": i, "degree": d, "value": v} for (i, d), v in sorted(table.items())
             ]
         }
-        return echo, payload, warnings
+        return echo, payload, [], warnings
 
     if name == "strand":
         _need_prime(args.char, "--char")
         report = strand_check(args.ell, args.j, args.steps, args.char, **guard)
         echo = {"ell": args.ell, "j": args.j, "steps": args.steps, "char": args.char}
-        return echo, report.payload(), []
+        return echo, report.payload(), [], []
 
     if name in ("alpha", "pn", "veronese"):
         _need_prime(args.p, "--p")
@@ -408,17 +388,17 @@ def _dispatch(args):
         twists = pn_pushforward(args.n, args.p, 1, args.l, **guard).twists
         table = {str(-t): m for t, m in twists.items()}
         echo = {"n": args.n, "p": args.p, "l": args.l}
-        return echo, {"alpha": table, "sum": sum(table.values())}, []
+        return echo, {"alpha": table, "sum": sum(table.values())}, [], []
 
     if name == "pn":
         report = pn_pushforward(args.n, args.p, args.e, args.l, **guard)
         echo = {"n": args.n, "p": args.p, "e": args.e, "l": args.l}
-        return echo, report.payload(), []
+        return echo, report.payload(), [], []
 
     if name == "veronese":
         report = veronese_decompose(args.ell, args.p, args.e, args.degree_bound, **guard)
         echo = {"ell": args.ell, "p": args.p, "e": args.e}
-        return echo, report.payload(), []
+        return echo, report.payload(), [], []
 
     raise AssertionError(f"unhandled subcommand {name}")
 
@@ -433,14 +413,14 @@ def run(argv):
         return EXIT_USAGE
     start = time.perf_counter()
     try:
-        echo, result, warnings = _dispatch(args)
+        echo, result, certificates, warnings = _dispatch(args)
         elapsed = time.perf_counter() - start
         report = emit_json({
             "tool": {"name": "frobcalc", "version": __version__},
             "subcommand": args.subcommand,
             "input": echo,
             "result": result,
-            "certificates": collect_certificates(result) if args.subcommand in CERTIFYING else [],
+            "certificates": certificates,
             "notes": warnings,
             "timing_seconds": round(elapsed, 6),
         })

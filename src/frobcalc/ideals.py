@@ -16,8 +16,10 @@ with f = f_1...f_t, and the splitting tests read only f^(q-1) mod m^[q]
 
 The staircase of a monomial ideal (its standard monomials, a k-basis of
 S/I) comes from one degree-by-degree walk that tests membership only on
-the frontier of the previous degree; the Hilbert function, the Loewy
-length and every caller that needs the basis read from that walk.
+the frontier of the previous degree.  It is the only enumeration of
+monomials: the Loewy length, the regular-sequence check (the walk of the
+zero ideal lists every monomial of a degree) and every caller that needs
+the basis read from it.
 """
 
 from __future__ import annotations
@@ -37,7 +39,6 @@ from .polyring import (
     Polynomial,
     PolyRing,
     bounded_count,
-    guard_enumeration,
     mono_degree,
     mono_div,
     mono_divides,
@@ -45,7 +46,6 @@ from .polyring import (
     mono_lcm,
     mono_pow,
     mono_sorted,
-    monomials_of_degree,
     parse_polynomial,
 )
 
@@ -140,7 +140,8 @@ class MonomialIdeal:
     def _walk(self, max_monomials):
         """Yield the standard monomials of degree 0, 1, 2, ..., one list per
         degree, largest first in degrevlex; degree d is guarded (every
-        degree-d monomial of S counted) just before it is formed.
+        degree-d monomial of S counted, C(d+n-1, n-1) of them) just before
+        it is formed.
 
         Degree d comes from degree d - 1: each standard s is extended by x_v
         for every v at or before the first variable of supp s (every v when
@@ -153,20 +154,24 @@ class MonomialIdeal:
         for g in self.gens:
             for v, e in enumerate(g):
                 cuts.setdefault((v, e), []).append(g)
-        guard_enumeration(n, 0, max_monomials)
         level = [] if self.is_unit() else [self.ring.unit_monomial()]
-        for d in count(1):
+        for d in count():
+            expected = bounded_count(n, d)
+            if expected > max_monomials:
+                raise ResourceGuardError(
+                    f"enumeration of {expected} monomials exceeds guard {max_monomials}"
+                )
+            if d:
+                frontier = []
+                for s in level:
+                    for v in range(n):
+                        m = s[:v] + (s[v] + 1,) + s[v + 1 :]
+                        if not any(mono_divides(g, m) for g in cuts.get((v, m[v]), ())):
+                            frontier.append(m)
+                        if s[v]:
+                            break
+                level = frontier
             yield level
-            guard_enumeration(n, d, max_monomials)
-            frontier = []
-            for s in level:
-                for v in range(n):
-                    m = s[:v] + (s[v] + 1,) + s[v + 1 :]
-                    if not any(mono_divides(g, m) for g in cuts.get((v, m[v]), ())):
-                        frontier.append(m)
-                    if s[v]:
-                        break
-            level = frontier
 
     def staircase(self, bound=None, max_monomials=DEFAULT_MAX_MONOMIALS):
         """Standard monomials for every degree through `bound`: a complete
@@ -179,18 +184,6 @@ class MonomialIdeal:
         if not self.is_artinian():
             raise NonArtinianError(f"{self!r} is not artinian")
         return list(takewhile(bool, walk))
-
-    def standard_monomials(self, d, max_monomials=DEFAULT_MAX_MONOMIALS):
-        """Degree-d monomials of S not in the ideal, largest first.  Degree d
-        is guarded first, so a failure reports its count."""
-        if d < 0:
-            return []
-        guard_enumeration(self.ring.nvars, d, max_monomials)
-        return self.staircase(d, max_monomials=max_monomials)[d]
-
-    def hilbert_function(self, d, max_monomials=DEFAULT_MAX_MONOMIALS):
-        """dim_k (S/I)_d."""
-        return len(self.standard_monomials(d, max_monomials=max_monomials))
 
     def lcm(self):
         """lcm of the generators; the unit monomial for the zero ideal."""
@@ -214,10 +207,6 @@ class MonomialIdeal:
     def loewy_length(self, max_monomials=DEFAULT_MAX_MONOMIALS):
         """Least n with every degree-n monomial in the ideal (m^n subset I)."""
         return len(self.staircase(max_monomials=max_monomials))
-
-    def total_dimension(self, max_monomials=DEFAULT_MAX_MONOMIALS):
-        """dim_k S/I for artinian I."""
-        return sum(map(len, self.staircase(max_monomials=max_monomials)))
 
     def bracket(self, q):
         """I^[q]: generated by g^q for each generator g.  Over F_p this
@@ -244,10 +233,11 @@ def _coprime(f, g, max_monomials=DEFAULT_MAX_MONOMIALS):
         raise ResourceGuardError(
             f"regular-sequence check over {count} products exceeds guard {max_monomials}"
         )
+    zero = MonomialIdeal.zero(ring)
     products = [
         a.mul_monomial(u).terms
         for a, d in factors
-        for u in monomials_of_degree(ring, d, max_monomials=max_monomials)
+        for u in zero.staircase(d, max_monomials=max_monomials)[d]
     ]
     return rank(products, ring.p) == count
 

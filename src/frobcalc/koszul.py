@@ -38,12 +38,7 @@ from itertools import chain, combinations
 from .errors import ResourceGuardError, UnsupportedIdealClassError, VerificationError
 from .ideals import MonomialIdeal
 from .modlinalg import rank
-from .polyring import DEFAULT_MAX_MONOMIALS, mono_degree
-
-
-def _check_bound(degree_bound):
-    if degree_bound is not None and degree_bound < 0:
-        raise ValueError(f"need degree bound >= 0: got {degree_bound}")
+from .polyring import DEFAULT_MAX_MONOMIALS, check_degree_bound, mono_degree
 
 
 # ---------------------------------------------------------------------------
@@ -149,7 +144,7 @@ def codepth(I, degree_bound=None, max_monomials=DEFAULT_MAX_MONOMIALS):
         raise UnsupportedIdealClassError(
             "codepth needs I inside m^2; reduce linear generators first"
         )
-    _check_bound(degree_bound)
+    check_degree_bound(degree_bound)
     table = betti_table(I, max_monomials=max_monomials)
     if degree_bound is not None and any(
         d >= degree_bound - 1 and (i == 1 or d <= degree_bound) for i, d in table
@@ -176,7 +171,7 @@ def betti_table(I, degree_bound=None, max_monomials=DEFAULT_MAX_MONOMIALS):
     checked before the walk; it bounds every standard monomial the walk
     keeps, so the walk's per-degree count is not applied.
     """
-    _check_bound(degree_bound)
+    check_degree_bound(degree_bound)
     if I.is_zero():
         return {(0, 0): 1}
     if I.is_unit():

@@ -199,45 +199,10 @@ def bounded_count(nparts, total, cap=None):
     return count
 
 
-def guard_enumeration(nvars, d, max_monomials, cap=None):
-    """Refuse an enumeration of the degree-d monomials in `nvars` variables
-    (exponents <= cap when given) when there are more than `max_monomials`."""
-    expected = bounded_count(nvars, d, cap)
-    if expected > max_monomials:
-        raise ResourceGuardError(
-            f"enumeration of {expected} monomials exceeds guard {max_monomials}"
-        )
-
-
-def monomials_of_degree(ring, d, cap=None, max_monomials=DEFAULT_MAX_MONOMIALS):
-    """All monomials of total degree d, largest first in degrevlex.
-
-    `cap` bounds every exponent when given.  Refuses enumerations larger
-    than `max_monomials`.
-    """
-    if d < 0:
-        return []
-    n = ring.nvars
-    guard_enumeration(n, d, max_monomials, cap)
-    out = []
-    mono = [0] * n
-
-    def rec(i, remaining):
-        if i == n - 1:
-            if cap is None or remaining <= cap:
-                mono[i] = remaining
-                out.append(tuple(mono))
-                mono[i] = 0
-            return
-        top = remaining if cap is None else min(remaining, cap)
-        for e in range(top, -1, -1):
-            mono[i] = e
-            rec(i + 1, remaining - e)
-        mono[i] = 0
-
-    rec(0, d)
-    out.sort(key=drl_key, reverse=True)
-    return out
+def check_degree_bound(degree_bound):
+    """Refuse a negative degree bound; None means no bound."""
+    if degree_bound is not None and degree_bound < 0:
+        raise ValueError(f"need degree bound >= 0: got {degree_bound}")
 
 
 # ---------------------------------------------------------------------------

@@ -18,9 +18,10 @@ from fractions import Fraction
 
 from .errors import NonArtinianError, ResourceGuardError, VerificationError
 from .ideals import MonomialIdeal, pairwise_disjoint_supports
-from .koszul import _check_bound
 from .polyring import (
     DEFAULT_MAX_MONOMIALS,
+    bounded_count,
+    check_degree_bound,
     mono_degree,
     mono_mul,
     mono_pow,
@@ -204,14 +205,15 @@ def alpha(n, p, i, l):
     degree l + i*p with every exponent at most p-1 (zero outside
     0 <= l + i*p <= (n+1)(p-1)).
 
-    Read from the coefficients of (1 + x + ... + x^(p-1))^(n+1), the list
-    `pn_pushforward` reads at every step."""
+    One coefficient of (1 + x + ... + x^(p-1))^(n+1), the list
+    `pn_pushforward` reads at every step, counted by inclusion-exclusion
+    over the exponents that pass p - 1."""
     if n < 1:
         raise ValueError("n must be at least 1")
     degree = l + i * p
     if not 0 <= degree <= (n + 1) * (p - 1):
         return 0
-    return _step_counts(n, p)[degree]
+    return bounded_count(n + 1, degree, p - 1)
 
 
 @dataclass
@@ -363,7 +365,7 @@ def veronese_decompose(
     triples; `max_monomials` guards both counts."""
     if ell < 1 or e < 1:
         raise ValueError("need ell >= 1 and e >= 1")
-    _check_bound(degree_bound)
+    check_degree_bound(degree_bound)
     q = p**e
     bound = max(degree_bound * ell * q, 4 * ell * q)
     if bound + 1 > max_monomials:
@@ -543,22 +545,18 @@ def ci_filtration_check(ring, f_monos, degree_bound=None, max_monomials=DEFAULT_
         raise ValueError("each f_i must lie in m^2 (degree >= 2)")
     if not pairwise_disjoint_supports(f_monos):
         raise ValueError("supports must be pairwise disjoint (regular sequence)")
-    _check_bound(degree_bound)
+    check_degree_bound(degree_bound)
 
     big = MonomialIdeal(ring, [mono_pow(m, p) for m in f_monos])  # (f_i^p)
     small = MonomialIdeal(ring, f_monos)  # (f_1..f_c)
     artinian = big.is_artinian()
     if degree_bound is None and not artinian:
         degree_bound = p * sum(mono_degree(m) for m in f_monos) + 2
-    # one guarded walk of big's staircase: through the bound and, for
-    # artinian big, on to its Loewy length (the first empty degree)
-    walk = big._walk(max_monomials)
-    levels = [next(walk)]
-    while len(levels) <= (degree_bound or 0) or (artinian and levels[-1]):
-        levels.append(next(walk))
+    # artinian: the whole staircase, which settles `complete` at any bound
+    levels = big.staircase(None if artinian else degree_bound, max_monomials=max_monomials)
     if degree_bound is None:
-        degree_bound = len(levels) - 2
-    complete = artinian and not any(levels[degree_bound + 1 :])
+        degree_bound = len(levels) - 1
+    complete = artinian and len(levels) <= degree_bound + 1
 
     exponent_tuples = list(itertools.product(range(p), repeat=c))
     chain = []

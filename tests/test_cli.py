@@ -24,7 +24,6 @@ from frobcalc.cli import (
     EXIT_VERIFICATION,
     JSON_INT_LIMIT,
     build_parser,
-    collect_certificates,
     emit_json,
     render_text,
     run,
@@ -184,6 +183,20 @@ class TestExitCodes:
         # codepth needs a monomial ideal
         argv = ["codepth", "--char", "2", "--vars", "x,y", "--ideal", "x^2 + x*y"]
         assert run(argv) == EXIT_UNSUPPORTED
+
+    @pytest.mark.parametrize(
+        "argv,message",
+        [
+            (["codepth", "--spec", "char 2; vars x,y; ideal x^2,y^2", "--char", "0"],
+             "--spec replaces --char/--vars/--ideal"),
+            (["betti", "--formula-nvars", "2", "--formula-power", "2", "--char", "0"],
+             "formula mode takes no ideal"),
+            (["loewy", "--char", "0", "--vars", "x", "--ideal", "x"],
+             "characteristic must be a prime in [2, 2^31): got 0"),
+        ],
+    )
+    def test_a_flag_given_as_zero_is_given(self, argv, message):
+        assert run_captured(argv) == (EXIT_USAGE, [], f"error: {message}\n")
 
     def test_non_artinian_maps_to_unsupported(self, capsys):
         assert run(["loewy", "--char", "2", "--vars", "x,y", "--ideal", "x*y"]) == EXIT_UNSUPPORTED
@@ -912,14 +925,33 @@ ONE_PER_SUBCOMMAND = [
 ]
 
 
+def collect_certificates(result):
+    """Oracle for the envelope's certificates: every object of a result
+    payload with a verdict and a kind field, in document order."""
+    found = []
+
+    def walk(value):
+        if isinstance(value, dict):
+            if "verdict" in value and "kind" in value:
+                found.append(value)
+            for item in value.values():
+                walk(item)
+        elif isinstance(value, list):
+            for item in value:
+                walk(item)
+
+    walk(result)
+    return found
+
+
 @pytest.mark.parametrize(
     "argv",
     [[a for a in argv if a != "--json"] for _, argv in sorted(GOLDEN_REPORTS.items())] + ONE_PER_SUBCOMMAND,
     ids=lambda argv: argv[0],
 )
 def test_envelope_certificates_are_those_of_the_result(capsys, argv):
-    """The envelope walks for certificates only under the subcommands that
-    make them; no other payload holds one."""
+    """Each subcommand returns the certificates its result holds, and no
+    others."""
     payload = run_json(capsys, argv)
     assert payload["certificates"] == collect_certificates(payload["result"])
 

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import frobenius, naive_power
+from conftest import frobenius, monomials_of_degree, naive_power
 from frobcalc import (
     CIIdeal,
     MonomialIdeal,
@@ -19,7 +19,7 @@ from frobcalc import (
     parse_polynomial,
 )
 from frobcalc.ideals import build_ideal
-from frobcalc.polyring import mono_pow, monomials_of_degree
+from frobcalc.polyring import mono_pow
 
 
 def mi(ring, *gens):
@@ -298,15 +298,14 @@ class TestBracketMaxMembership:
 
 class TestHilbertAndLoewy:
     def test_hilbert_of_square(self, ring2):
-        assert mi(ring2, (2, 0), (1, 1), (0, 2)).hilbert_function(1) == 2
+        assert len(mi(ring2, (2, 0), (1, 1), (0, 2)).staircase(1)[1]) == 2
 
     def test_hilbert_of_zero_ideal(self, ring5xyz):
-        I = MonomialIdeal.zero(ring5xyz)
-        for d in range(6):
-            assert I.hilbert_function(d) == math.comb(d + 2, 2)
+        levels = MonomialIdeal.zero(ring5xyz).staircase(5)
+        assert [len(level) for level in levels] == [math.comb(d + 2, 2) for d in range(6)]
 
     def test_total_dimension_twelve(self, ring2):
-        assert mi(ring2, (4, 0), (2, 2), (0, 4)).total_dimension() == 12
+        assert sum(map(len, mi(ring2, (4, 0), (2, 2), (0, 4)).staircase())) == 12
 
     def test_loewy_lengths(self, ring2):
         assert mi(ring2, (2, 0), (1, 1), (0, 2)).loewy_length() == 2
@@ -321,8 +320,7 @@ class TestHilbertAndLoewy:
         for gens in [[(2, 0), (1, 1), (0, 2)], [(4, 0), (2, 2), (0, 4)], [(3, 0), (0, 2)]]:
             I = mi(ring2, *gens)
             ll = I.loewy_length()
-            for d in range(ll, ll + 4):
-                assert I.hilbert_function(d) == 0
+            assert I.staircase(ll + 3)[ll:] == [[]] * 4
 
 
 # The enumerate-and-filter staircase that the frontier walk replaced, kept
@@ -372,15 +370,12 @@ class TestStaircaseOracle:
         bound = data.draw(st.integers(0, I.lcm_degree() + 2))
         want = [filtered_level(I, d) for d in range(bound + 1)]
         assert I.staircase(bound) == want
-        assert [I.standard_monomials(d) for d in range(bound + 1)] == want
-        assert [I.hilbert_function(d) for d in range(-1, bound + 1)] == [0] + [len(w) for w in want]
         if I.is_artinian():
             ll = filtered_loewy_length(I)
             assert I.loewy_length() == ll
             assert I.staircase() == [filtered_level(I, d) for d in range(ll)]
-            assert I.total_dimension() == sum(len(filtered_level(I, d)) for d in range(ll))
         else:
-            for method in (I.loewy_length, I.total_dimension, I.staircase):
+            for method in (I.loewy_length, I.staircase):
                 with pytest.raises(NonArtinianError):
                     method()
 
@@ -399,9 +394,6 @@ class TestStaircaseOracle:
         # the default walk stops at the Loewy length, whose degree is guarded
         with pytest.raises(ResourceGuardError, match="enumeration of 4 monomials exceeds guard 3"):
             I.loewy_length(max_monomials=3)
-        # a single degree reports its own count, not that of a lower degree
-        with pytest.raises(ResourceGuardError, match="enumeration of 8 monomials exceeds guard 5"):
-            I.standard_monomials(7, max_monomials=5)
 
 
 class TestPushforwardGenerators:

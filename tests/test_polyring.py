@@ -2,22 +2,22 @@ import itertools
 import math
 
 import pytest
-from conftest import frobenius, naive_power
+from conftest import frobenius, monomials_of_degree, naive_power
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from frobcalc import ParseError, Polynomial, PolyRing, is_prime
+from frobcalc import MonomialIdeal, ParseError, Polynomial, PolyRing, is_prime
 from frobcalc.errors import (
     ExponentOverflowError,
     ResourceGuardError,
     RingMismatchError,
 )
 from frobcalc.polyring import (
+    DEFAULT_MAX_MONOMIALS,
     PRIME_TEST_LIMIT,
     bounded_count,
     drl_key,
     mono_sorted,
-    monomials_of_degree,
     parse_polynomial,
     truncated_lucas_power,
 )
@@ -309,35 +309,49 @@ class TestCommutativityAssociativity:
         assert (f * g) * h == f * (g * h)
 
 
+def walked_level(ring, d, cap=None, max_monomials=DEFAULT_MAX_MONOMIALS):
+    """The degree-d level of the staircase walk of the zero ideal, or of
+    m^[cap + 1] when cap is given: every monomial of degree d, each
+    exponent at most cap."""
+    n = ring.nvars
+    gens = [] if cap is None else [tuple(cap + 1 if w == v else 0 for w in range(n)) for v in range(n)]
+    return MonomialIdeal(ring, gens).staircase(d, max_monomials=max_monomials)[d]
+
+
 class TestMonomialEnumeration:
+    """The staircase walk is the only enumeration of monomials; the brute
+    force scan of the exponent box is its oracle."""
+
     def test_two_vars_degree_two(self, ring2):
-        assert monomials_of_degree(ring2, 2) == [(2, 0), (1, 1), (0, 2)]
+        assert walked_level(ring2, 2) == [(2, 0), (1, 1), (0, 2)]
 
     def test_cap_excludes_squares(self, ring2):
-        assert monomials_of_degree(ring2, 2, cap=1) == [(1, 1)]
+        assert walked_level(ring2, 2, cap=1) == [(1, 1)]
 
     @pytest.mark.parametrize("nvars", [1, 2, 3, 4])
     @pytest.mark.parametrize("d", [0, 1, 2, 5, 8])
     def test_count_is_stars_and_bars(self, nvars, d):
         ring = PolyRing(2, [f"x{i}" for i in range(nvars)])
-        got = monomials_of_degree(ring, d)
+        got = walked_level(ring, d)
         assert len(got) == math.comb(d + nvars - 1, nvars - 1)
+        assert got == monomials_of_degree(ring, d)
 
     def test_strictly_sorted(self, ring5xyz):
-        got = monomials_of_degree(ring5xyz, 4)
+        got = walked_level(ring5xyz, 4)
         keys = [drl_key(m) for m in got]
         assert all(a > b for a, b in zip(keys, keys[1:]))
 
     def test_resource_guard(self, ring2):
-        with pytest.raises(ResourceGuardError):
-            monomials_of_degree(ring2, 10**8, max_monomials=1000)
+        # the walk stops at degree 100, the first with over 100 monomials
+        with pytest.raises(ResourceGuardError, match="^enumeration of 101 monomials exceeds guard 100$"):
+            walked_level(ring2, 10**8, max_monomials=100)
 
     def test_bounded_count_matches_enumeration(self, ring5xyz):
         for d in range(8):
             for cap in (None, 1, 2, 3):
-                assert bounded_count(3, d, cap) == len(
-                    monomials_of_degree(ring5xyz, d, cap=cap)
-                )
+                got = walked_level(ring5xyz, d, cap=cap)
+                assert got == monomials_of_degree(ring5xyz, d, cap=cap)
+                assert bounded_count(3, d, cap) == len(got)
 
 
 class TestParsing:

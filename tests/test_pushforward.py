@@ -1,8 +1,10 @@
 import itertools
+import math
 from collections import Counter
 from fractions import Fraction
 
 import pytest
+from conftest import monomials_of_degree
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -24,7 +26,6 @@ from frobcalc.polyring import (
     mono_divides,
     mono_mul,
     mono_pow,
-    monomials_of_degree,
 )
 from frobcalc.pushforward import (
     _annihilator_of_generator,
@@ -97,7 +98,7 @@ class TestPushforwardModule:
         for gens in [[(2, 0), (1, 1), (0, 2)], [(4, 0), (2, 2), (0, 4)], [(3, 0), (0, 2)]]:
             I = mi(ring2, *gens)
             for e in (1, 2):
-                assert FrobeniusModule(I, e).dimension() == I.total_dimension()
+                assert FrobeniusModule(I, e).dimension() == sum(map(len, I.staircase()))
 
     def test_fractional_degrees(self, ring2):
         M = FrobeniusModule(mi(ring2, (4, 0), (2, 2), (0, 4)), 1)
@@ -151,7 +152,7 @@ class TestCyclicDecompose:
         for gens in [[(3, 0), (0, 3)], [(4, 0), (2, 2), (0, 4)], [(2, 0), (1, 1), (0, 2)]]:
             I = mi(ring2, *gens)
             dec = cyclic_decompose(FrobeniusModule(I, 1))
-            assert sum(len(p.basis) for p in dec.pieces) == I.total_dimension()
+            assert sum(len(p.basis) for p in dec.pieces) == sum(map(len, I.staircase()))
 
     def test_pieces_closed_under_action(self, ring2):
         I = mi(ring2, (4, 0), (2, 2), (0, 4))
@@ -317,7 +318,18 @@ class TestStepCounts:
            l=st.integers(-20, 20))
     @settings(max_examples=200, deadline=None)
     def test_alpha_matches_inclusion_exclusion(self, n, p, i, l):
-        assert alpha(n, p, i, l) == alpha_by_inclusion_exclusion(n, p, i, l)
+        # Miller's recurrence, the list `pn_pushforward` reads, against the
+        # one count `alpha` takes by inclusion-exclusion
+        counts = _step_counts(n, p)
+        degree = l + i * p
+        expected = counts[degree] if 0 <= degree < len(counts) else 0
+        assert alpha(n, p, i, l) == expected == alpha_by_inclusion_exclusion(n, p, i, l)
+
+    def test_alpha_at_a_large_prime(self):
+        # degree p in 4 parts below p: every composition of p but the 4
+        # that put all of p in one part
+        p = 1000003
+        assert alpha(3, p, 1, 0) == math.comb(p + 3, 3) - 4
 
     def test_alpha_at_a_huge_twist(self):
         l = 10**20
@@ -579,6 +591,11 @@ class TestFiltration:
             (3, [(2, 0, 0), (0, 2, 0), (0, 0, 2)], None),  # artinian
             (2, [(2, 0, 0, 0), (0, 2, 0, 0), (0, 0, 1, 1)], None),  # not artinian
             (3, [(2, 0, 0), (0, 3, 0)], 6),  # explicit bound
+            # artinian, explicit bounds below, at and above the top degree
+            # 10 of the staircase of (x^6, y^6): complete False, True, True
+            (3, [(2, 0), (0, 2)], 9),
+            (3, [(2, 0), (0, 2)], 10),
+            (3, [(2, 0), (0, 2)], 11),
         ],
     )
     def test_step_dims_match_tail_counts(self, p, gens, degree_bound):
@@ -594,12 +611,13 @@ class TestFiltration:
         def divides(g, w):
             return all(x <= y for x, y in zip(g, w))
 
-        staircase = [
-            w
-            for d in range(report.degree_bound + 1)
-            for w in monomials_of_degree(ring, d)
-            if not any(divides(tuple(p * x for x in m), w) for m in gens)
-        ]
+        def standard(d):
+            powers = [tuple(p * x for x in m) for m in gens]
+            return [w for w in monomials_of_degree(ring, d) if not any(divides(g, w) for g in powers)]
+
+        staircase = [w for d in range(report.degree_bound + 1) for w in standard(d)]
+        # the band is complete when the staircase ends inside it
+        assert report.complete == (not standard(report.degree_bound + 1))
         tails = [
             [
                 sum(1 for w in staircase if mono_degree(w) == d and any(divides(g, w) for g in chain[t:]))

@@ -111,8 +111,8 @@ class TestKSummand:
         # oracle: direct annihilator enumeration over the staircase
         escapes = [
             u
-            for d in range(q)
-            for u in I.standard_monomials(d)
+            for level in I.staircase(q - 1)
+            for u in level
             if u[0] + q >= q and I.contains_monomial((u[0] + q,)) and u[0] < q
         ]
         assert cert.verdict == bool(escapes)
