@@ -12,9 +12,9 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import numbers
 import sys
 import time
-from fractions import Fraction
 
 from . import __version__
 from .errors import (
@@ -72,7 +72,8 @@ _INFINITY = float("inf")
 
 def _encode(value, pad):
     """`value` as json.dumps(value, indent=2) writes it at the depth whose
-    lines start with `pad`, normalized in the same walk: Fractions become
+    lines start with `pad`, normalized in the same walk: rationals other
+    than ints (`numbers.Rational`, such as `fractions.Fraction`) become
     {num, den}, integers with |v| >= 2^53 become decimal strings, tuples
     become lists, keys become str(key), and subclasses of int, str, float,
     dict and list are written as their base values."""
@@ -135,7 +136,7 @@ def _encode(value, pad):
         return float.__repr__(value)
     # each branch below hands on a value of an exact type, so the walk
     # cannot come back here with it
-    if isinstance(value, Fraction):
+    if isinstance(value, numbers.Rational):
         return _encode({"num": value.numerator, "den": value.denominator}, pad)
     if isinstance(value, dict):
         return _encode(dict(value.items()), pad)
@@ -189,6 +190,8 @@ def _parse_ideal_args(args, guard):
     if args.spec is not None:
         if any(given):
             raise ParseError("--spec replaces --char/--vars/--ideal")
+        if args.ideal_class is not None:
+            raise ParseError("--spec replaces --class: the spec has its own class clause")
         ring, ideal, warnings = parse_ideal_spec(args.spec, **guard)
         return ring, ideal, warnings
     if not all(given):
@@ -355,6 +358,9 @@ def _dispatch(args):
                 raise ParseError("formula mode needs both --formula-nvars and --formula-power")
             if any(flag is not None for flag in (args.char, args.vars, args.ideal, args.spec)):
                 raise ParseError("formula mode takes no ideal")
+            for flag, value in (("--degree-bound", args.degree_bound), ("--class", args.ideal_class)):
+                if value is not None:
+                    raise ParseError(f"formula mode takes no {flag}")
             d, j = args.formula_nvars, args.formula_power
             row = {str(i): betti_power_formula(d, j, i) for i in range(d + 1)}
             degrees = {"0": 0} | {str(i): j + i - 1 for i in range(1, d + 1)}

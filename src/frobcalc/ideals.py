@@ -46,6 +46,7 @@ from .polyring import (
     mono_lcm,
     mono_pow,
     mono_sorted,
+    mono_str,
     parse_polynomial,
 )
 
@@ -130,8 +131,6 @@ class MonomialIdeal:
         return hash((self.ring, self.gens))
 
     def __repr__(self):
-        from .polyring import mono_str
-
         inside = ", ".join(mono_str(self.ring, g) for g in self.gens) or "0"
         return f"MonomialIdeal({inside})"
 

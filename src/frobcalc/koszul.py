@@ -31,8 +31,7 @@ map, ranked on its shorter side, has rows with disjoint supports.
 from __future__ import annotations
 
 import math
-from collections import Counter
-from dataclasses import dataclass
+from collections import Counter, namedtuple
 from itertools import chain, combinations
 
 from .errors import ResourceGuardError, UnsupportedIdealClassError, VerificationError
@@ -219,19 +218,13 @@ def betti_power_formula(d, j, i):
 # ---------------------------------------------------------------------------
 # strand exact sequences for the two-variable Veronese story
 
-@dataclass
-class StrandCheck:
+class StrandCheck(
+    namedtuple("StrandCheck", "ell j char b1 b2 rows exact alternating_sums_zero")
+):
     """Exactness report for the degree-class strand of the linear resolution
     of m^j in k[x, y] over the index-ell Veronese subring."""
 
-    ell: int
-    j: int
-    char: int
-    b1: int
-    b2: int
-    rows: list
-    exact: bool
-    alternating_sums_zero: bool
+    __slots__ = ()
 
     def payload(self):
         return {

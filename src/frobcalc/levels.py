@@ -14,7 +14,7 @@ comes from an empty colon table (`splitting.not_split_certificate`).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from collections import namedtuple
 
 from .ideals import MonomialIdeal, pairwise_disjoint_supports
 from .koszul import codepth as koszul_codepth
@@ -32,17 +32,19 @@ def _monomial_ci_codimension(I):
     return None
 
 
-@dataclass
-class BoundReport:
-    """Certified lower/upper bounds, with `exact` set when they meet."""
+class BoundReport(
+    namedtuple(
+        "BoundReport", "lower upper exact upper_status provenance split_certificates notes"
+    )
+):
+    """Certified lower/upper bounds, with `exact` set when they meet.
 
-    lower: int
-    upper: int | None
-    exact: int | None
-    upper_status: str  # "certified" or "unknown-finite"
-    provenance: list  # (bound description, value, certificate kind)
-    split_certificates: dict = field(default_factory=dict)  # e -> SplitCertificate
-    notes: list = field(default_factory=list)
+    `upper` and `exact` are None when unknown; `upper_status` is
+    "certified" or "unknown-finite"; `provenance` lists the triples (bound
+    description, value, certificate kind); `split_certificates` maps e to
+    its SplitCertificate."""
+
+    __slots__ = ()
 
     def payload(self, ring):
         return {
@@ -76,7 +78,7 @@ def f_level_bounds(ideal, e_max=DEFAULT_E_MAX, max_monomials=DEFAULT_MAX_MONOMIA
     certs = {1: is_f_split(ideal, 1, max_monomials=max_monomials)}
     if certs[1].verdict:
         provenance = [("splitting witness", 1, "split test at e=1")]
-        return BoundReport(1, 1, 1, "certified", provenance, split_certificates=certs)
+        return BoundReport(1, 1, 1, "certified", provenance, certs, [])
     certs.update((e, not_split_certificate(ideal, e)) for e in range(2, e_max + 1))
     provenance = [("no splitting witness", 2, f"split tests failed for e <= {e_max}")]
     notes = [f"lower bound 2 is certified for the tested range e <= {e_max}"]

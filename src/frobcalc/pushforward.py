@@ -3,7 +3,7 @@
 The e-th pushforward of R = S/I has the same underlying k-space as R but
 r acts as multiplication by r^q (q = p^e), and the grading takes values in
 (1/q)Z: a basis monomial u sits in degree deg(u)/q.  Degrees are exact
-`fractions.Fraction` values, never floats.
+reduced (numerator, denominator) pairs, never floats.
 
 Over the prime field the action of a polynomial r = sum c_w w on the
 pushforward is sum c_w (w^q * u), so the action of the monomials
@@ -13,8 +13,8 @@ determines everything, and it keeps every exponent's residue mod q.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
-from fractions import Fraction
+import math
+from collections import namedtuple
 
 from .errors import NonArtinianError, ResourceGuardError, VerificationError
 from .ideals import MonomialIdeal, pairwise_disjoint_supports
@@ -58,30 +58,33 @@ class FrobeniusModule:
         return len(self.basis)
 
 
-@dataclass
-class CyclicPiece:
-    generator: tuple
-    basis: tuple  # monomials
-    annihilator: MonomialIdeal
-    relative_hilbert: tuple  # dims by degree offset from the generator
-    degree_offset: Fraction
+class CyclicPiece(
+    namedtuple(
+        "CyclicPiece", "generator basis annihilator relative_hilbert degree_offset"
+    )
+):
+    """One cyclic summand: its generator monomial, its basis monomials, the
+    MonomialIdeal annihilating it, its dimensions by degree offset from the
+    generator, and the generator's degree deg(u)/q as a reduced
+    (numerator, denominator) pair."""
+
+    __slots__ = ()
 
     def payload(self, ring):
+        num, den = self.degree_offset
         return {
             "generator": mono_str(ring, self.generator),
             "dimension": len(self.basis),
             "basis": [mono_str(ring, u) for u in self.basis],
             "annihilator": [mono_str(ring, g) for g in self.annihilator.gens],
             "relative_hilbert": list(self.relative_hilbert),
-            "degree_offset": {
-                "num": self.degree_offset.numerator,
-                "den": self.degree_offset.denominator,
-            },
+            "degree_offset": {"num": num, "den": den},
         }
 
 
-@dataclass
-class CyclicDecomposition:
+class CyclicDecomposition(
+    namedtuple("CyclicDecomposition", "module_dimension pieces iso_classes")
+):
     """Decomposition of a pushforward module into cyclic pieces, one per
     residue class of exponent vectors mod q.
 
@@ -89,11 +92,10 @@ class CyclicDecomposition:
     report still carries `"direct": true` and an empty `"overlaps"` list.
     Pieces are grouped into isomorphism classes by annihilator ideal plus
     shift-normalized Hilbert function, which identifies cyclic modules
-    over these quotients."""
+    over these quotients.  `iso_classes` lists the triples (annihilator
+    gens, relative hilbert, multiplicity)."""
 
-    module_dimension: int
-    pieces: list
-    iso_classes: list  # (annihilator gens, relative hilbert, multiplicity)
+    __slots__ = ()
 
     def payload(self, ring):
         return {
@@ -143,6 +145,7 @@ def cyclic_decompose(module):
     for members in classes.values():
         u = members[0]
         gen_degree = mono_degree(u)
+        common = math.gcd(gen_degree, q)
         rel = {}
         for w in members:
             offset = (mono_degree(w) - gen_degree) // q
@@ -153,7 +156,7 @@ def cyclic_decompose(module):
                 basis=tuple(members),
                 annihilator=_annihilator_of_generator(module, u),
                 relative_hilbert=tuple(rel.get(t, 0) for t in range(max(rel) + 1)),
-                degree_offset=Fraction(gen_degree, q),
+                degree_offset=(gen_degree // common, q // common),
             )
         )
     iso = {}
@@ -216,16 +219,13 @@ def alpha(n, p, i, l):
     return bounded_count(n + 1, degree, p - 1)
 
 
-@dataclass
-class TwistMultiset:
-    """Pushforward of O(l) on P^n: twists with multiplicities."""
+class TwistMultiset(namedtuple("TwistMultiset", "n p e l twists generates")):
+    """Pushforward of O(l) on P^n: twists with multiplicities.
 
-    n: int
-    p: int
-    e: int
-    l: int
-    twists: dict  # twist (<= 0 ... may include positive for l > 0) -> multiplicity
-    generates: bool  # all of 0, -1, ..., -n occur
+    `twists` maps each twist (positive ones occur for l > 0) to its
+    multiplicity; `generates` says whether all of 0, -1, ..., -n occur."""
+
+    __slots__ = ()
 
     def total_rank(self):
         return sum(self.twists.values())
@@ -257,7 +257,15 @@ def pn_pushforward(n, p, e, l=0, max_monomials=DEFAULT_MAX_MONOMIALS):
     updates of each of the (n+1)(p-1)+1 coefficients, on numbers of the
     size of p^(n+1) (the coefficients sum to it), and then at each step its
     (twist, i) products, each of the size of that step's total rank
-    p^(n*step); sizes are counted in 64-bit words (`_words`)."""
+    p^(n*step).  Sizes are counted in 64-bit words (`_words`).
+
+    A single step (e = 1) reads only the about n+1 entries a[l + i*p].
+    Counted one by one (`alpha`), the k-th of them takes k
+    inclusion-exclusion terms, each a binomial below (top+n)^n formed by n
+    one-word multiplications and n exact divisions: about (n+1)^2 terms
+    against the (n+1)(p-1) coefficients of the list, which pays when p is
+    large against n.  A single step takes whichever way the guard counts
+    fewer word operations for."""
     if e < 1:
         raise ValueError("e must be at least 1")
     if n < 1:
@@ -273,18 +281,27 @@ def pn_pushforward(n, p, e, l=0, max_monomials=DEFAULT_MAX_MONOMIALS):
                 f"twist counts may need {work} word operations, over the guard {max_monomials}"
             )
 
-    guard(3 * (top + 1) * _words(p, n + 1))
-    counts = _step_counts(n, p)
-    current = {l: 1}
-    for step in range(1, e + 1):
-        guard(_words(p, n * step) * sum((top - t) // p + t // p + 1 for t in current))
-        nxt = {}
-        for twist, mult in current.items():
-            i = -(twist // p)  # least i with twist + i*p >= 0 (floor-division ceil)
-            for degree in range(twist + i * p, top + 1, p):
-                nxt[-i] = nxt.get(-i, 0) + mult * counts[degree]
-                i += 1
-        current = nxt
+    least = -(l // p)  # least i with l + i*p >= 0, where l + i*p = l % p
+    entries = (top - l % p) // p + 1
+    # entries (entries + 1) / 2 terms of 2n operations each
+    by_entry = entries * (entries + 1) * n * _words(top + n + 1, n)
+    by_list = 3 * (top + 1) * _words(p, n + 1)
+    if e == 1 and by_entry < by_list:
+        guard(by_entry)
+        current = {-i: alpha(n, p, i, l) for i in range(least, least + entries)}
+    else:
+        guard(by_list)
+        counts = _step_counts(n, p)
+        current = {l: 1}
+        for step in range(1, e + 1):
+            guard(_words(p, n * step) * sum((top - t) // p + t // p + 1 for t in current))
+            nxt = {}
+            for twist, mult in current.items():
+                i = -(twist // p)  # least i with twist + i*p >= 0 (floor-division ceil)
+                for degree in range(twist + i * p, top + 1, p):
+                    nxt[-i] = nxt.get(-i, 0) + mult * counts[degree]
+                    i += 1
+            current = nxt
     generates = all(-t in current for t in range(0, n + 1))
     return TwistMultiset(n=n, p=p, e=e, l=l, twists=current, generates=generates)
 
@@ -292,8 +309,12 @@ def pn_pushforward(n, p, e, l=0, max_monomials=DEFAULT_MAX_MONOMIALS):
 # ---------------------------------------------------------------------------
 # the Veronese decomposition for k[x, y] into strand modules
 
-@dataclass
-class ConicDecomposition:
+class ConicDecomposition(
+    namedtuple(
+        "ConicDecomposition",
+        "ell p e q multiplicities pieces hs_bound hs_solve_unique ambiguity_notes has_free_summand",
+    )
+):
     """Decomposition of the e-th pushforward of the index-ell Veronese
     subring of k[x,y] into strand modules G_j: the span of the monomials of
     degree congruent to j mod ell, a module over the Veronese subring.
@@ -305,18 +326,12 @@ class ConicDecomposition:
     the stated bound (shifts accounted); a failure raises, so a
     decomposition that exists is verified.  The ambiguity of a pure
     Hilbert-series solve is reported in `hs_solve_unique`, each group's
-    alternatives counted as a Gaussian binomial coefficient."""
+    alternatives counted as a Gaussian binomial coefficient.
+    `multiplicities` maps j to its count, `pieces` lists the quadruples
+    (u, v, j, start S-degree), and `hs_bound` is the S-degree bound of the
+    verification."""
 
-    ell: int
-    p: int
-    e: int
-    q: int
-    multiplicities: dict  # j -> count
-    pieces: list  # (u, v, j, start S-degree)
-    hs_bound: int  # S-degree bound of the verification
-    hs_solve_unique: bool
-    ambiguity_notes: list
-    has_free_summand: bool
+    __slots__ = ()
 
     def payload(self):
         return {
@@ -475,14 +490,13 @@ def _class_multiset_count(count, total, ell):
 # ---------------------------------------------------------------------------
 # the complete-intersection filtration of the first pushforward
 
-@dataclass
-class FiltrationStep:
-    exponents: tuple
-    generator: tuple  # the product monomial f^a
-    shift: int
-    dims: list
-    expected: list
-    matches: bool
+class FiltrationStep(
+    namedtuple("FiltrationStep", "exponents generator shift dims expected matches")
+):
+    """One step of the filtration: the exponents a, the product monomial
+    f^a, its degree, and the subquotient dimensions found and expected."""
+
+    __slots__ = ()
 
     def payload(self, ring):
         return {
@@ -495,21 +509,18 @@ class FiltrationStep:
         }
 
 
-@dataclass
-class FiltrationReport:
+class FiltrationReport(
+    namedtuple("FiltrationReport", "p c steps degree_bound complete all_match")
+):
     """Chain of submodules of R' = S/(f_1^p, ..., f_c^p) generated by the
     products f^a, a in {0..p-1}^c in lexicographic order; each subquotient
     should have the Hilbert series of the pushforward of R = S/(f_1..f_c)
     after rescaling degrees by p and shifting by deg f^a.  Hilbert-series
     equality is a necessary, not sufficient, isomorphism check and the
-    report says so."""
+    report says so.  `complete` is True when the band covers the whole
+    (artinian) module."""
 
-    p: int
-    c: int
-    steps: list
-    degree_bound: int
-    complete: bool  # True when the band covers the whole (artinian) module
-    all_match: bool
+    __slots__ = ()
 
     def payload(self, ring):
         return {

@@ -37,7 +37,7 @@ criterion.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from collections import namedtuple
 
 from .errors import (
     NonArtinianError,
@@ -62,8 +62,13 @@ from .polyring import (
 MAX_Q = 2**16
 
 
-@dataclass(frozen=True)
-class SplitCertificate:
+class SplitCertificate(
+    namedtuple(
+        "SplitCertificate",
+        "verdict q e j kind witness_monomial colon_generator witness_term search_degree search_count",
+        defaults=("colon", None, None, None, None, None),
+    )
+):
     """Verdict plus re-verifiable evidence for one splitting test.
 
     For a true verdict, `witness_monomial` (s) times `colon_generator`
@@ -71,19 +76,11 @@ class SplitCertificate:
     exponent < q.  For a complete intersection `colon_generator` is
     f^(q-1) mod m^[q]: the terms of f^(q-1) inside m^[q] are left out, as
     no multiple of them can escape.  For a false verdict, the ruled-out
-    search space is recorded (`search_degree`, `search_count`).
+    search space is recorded (`search_degree`, `search_count`).  `kind`
+    is "colon", or "socle" for the residue-field summand test.
     """
 
-    verdict: bool
-    q: int
-    e: int
-    j: int
-    kind: str = "colon"  # or "socle" for the residue-field summand test
-    witness_monomial: tuple | None = None
-    colon_generator: Polynomial | None = None
-    witness_term: tuple | None = None
-    search_degree: int | None = None
-    search_count: int | None = None
+    __slots__ = ()
 
     def verify(self, ideal):
         """Recheck the stored evidence from scratch; True when consistent.
@@ -180,22 +177,20 @@ def _top_divisor(box, degree):
     return None if degree else tuple(s)
 
 
-@dataclass(frozen=True)
-class _ColonTable:
-    """(I^[q] : I) at one e as the tests read it: its live terms, each with
-    its generator, in generator order and largest term first."""
+class _ColonTable(namedtuple("_ColonTable", "e q nvars live")):
+    """(I^[q] : I) at one e as the tests read it: its live terms, each a
+    (colon generator, live term) pair, in generator order and largest term
+    first."""
 
-    e: int
-    q: int
-    nvars: int
-    live: list  # (colon generator, live term)
+    __slots__ = ()
 
     def escape(self, s, j):
         """The certificate that s, of degree q*j, escapes m^[q] through the
         first live term it fits; None when it fits none."""
+        q = self.q
         for gen, t in self.live:
-            if _fits(s, t, self.q):
-                return SplitCertificate(True, self.q, self.e, j, witness_monomial=s,
+            if _fits(s, t, q):
+                return SplitCertificate(True, q, self.e, j, witness_monomial=s,
                                         colon_generator=gen, witness_term=mono_mul(s, t))
         return None
 
@@ -299,18 +294,16 @@ def k_summand_test(ideal, e, max_monomials=DEFAULT_MAX_MONOMIALS):
     )
 
 
-@dataclass
-class TwistSpectrum:
-    """Graded-summand certificates for the twists R(-j), j = 0..j_max."""
+class TwistSpectrum(
+    namedtuple("TwistSpectrum", "e q degree entries band hypotheses band_consistent warnings")
+):
+    """Graded-summand certificates for the twists R(-j), j = 0..j_max.
 
-    e: int
-    q: int
-    degree: int | None  # sum of generator degrees for a complete intersection
-    entries: dict  # j -> SplitCertificate
-    band: tuple | None  # (0, n - d) when the hypotheses hold
-    hypotheses: dict
-    band_consistent: bool | None
-    warnings: list = field(default_factory=list)
+    `degree` is the sum of the generator degrees of the complete
+    intersection, `entries` maps j to its SplitCertificate, and `band` is
+    (0, n - d) when the hypotheses hold, else None."""
+
+    __slots__ = ()
 
     def payload(self, ring):
         return {
@@ -381,22 +374,17 @@ def twist_spectrum(ideal, e, j_max=None, max_monomials=DEFAULT_MAX_MONOMIALS):
     )
 
 
-@dataclass
-class WitnessChain:
+class WitnessChain(namedtuple("WitnessChain", "e q g degree expected_degree factors")):
     """A divisibility-maximal escape monomial g and its degree-jq factors.
 
     g satisfies g*f^(q-1) not in m^[q] while x_v*g*f^(q-1) lands in m^[q]
     for every variable; maximality forces the single surviving term of
     g*f^(q-1) to be (x_0...x_n)^(q-1), which pins deg(g) to
     (n+1)(q-1) - d(q-1).  Any divisor s_j of g of degree j*q then also
-    escapes, certifying the twist R(-j)."""
+    escapes, certifying the twist R(-j).  `factors` lists the triples
+    (j, s_j, SplitCertificate)."""
 
-    e: int
-    q: int
-    g: tuple
-    degree: int
-    expected_degree: int
-    factors: list  # (j, s_j monomial, SplitCertificate)
+    __slots__ = ()
 
     def payload(self, ring):
         return {

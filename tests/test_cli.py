@@ -16,6 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from frobcalc import pushforward
 from frobcalc.cli import (
     EXIT_GUARD,
     EXIT_OK,
@@ -198,6 +199,28 @@ class TestExitCodes:
     def test_a_flag_given_as_zero_is_given(self, argv, message):
         assert run_captured(argv) == (EXIT_USAGE, [], f"error: {message}\n")
 
+    @pytest.mark.parametrize(
+        "argv,message",
+        [
+            (["loewy", "--spec", "char 2; vars x,y; ideal x^2,y^2", "--class", "ci"],
+             "--spec replaces --class: the spec has its own class clause"),
+            (["betti", "--formula-nvars", "2", "--formula-power", "2", "--degree-bound", "0",
+              "--class", "ci"], "formula mode takes no --degree-bound"),
+            (["betti", "--formula-nvars", "2", "--formula-power", "2", "--class", "ci"],
+             "formula mode takes no --class"),
+        ],
+    )
+    def test_a_flag_the_input_mode_does_not_read_is_refused(self, argv, message):
+        assert run_captured(argv) == (EXIT_USAGE, [], f"error: {message}\n")
+
+    def test_class_goes_into_the_spec(self, capsys):
+        # the class --spec refuses is read from its own clause, as --class
+        # is read next to the ideal flags
+        spec = run_json(capsys, ["fsplit", "--spec", "char 2; vars x,y; ideal x^2,y^2; class ci"])
+        argv = ["fsplit", "--char", "2", "--vars", "x,y", "--ideal", "x^2,y^2", "--class", "ci"]
+        assert stripped(spec) == stripped(run_json(capsys, argv))
+        assert spec["input"]["class"] == "ci"
+
     def test_non_artinian_maps_to_unsupported(self, capsys):
         assert run(["loewy", "--char", "2", "--vars", "x,y", "--ideal", "x*y"]) == EXIT_UNSUPPORTED
 
@@ -373,11 +396,54 @@ class TestExitCodes:
         assert err == "error: twist counts may need 4021537133 word operations, over the guard 10000000\n"
 
     def test_alpha_guards_its_terms(self, capsys):
-        # 3 updates of each of the 25 one-word coefficients of g^4, then the
-        # 4 products of the step (i = 0..3, degrees 7i <= 24)
+        # entry by entry: the entries i = 0..3 (degrees 7i <= 24) take 1, 2,
+        # 3 and 4 inclusion-exclusion terms, each a one-word binomial formed
+        # by 3 multiplications and 3 divisions; the list would take 3 * 25
         argv = ["alpha", "--n", "3", "--p", "7", "--max-monomials"]
-        assert run_captured(argv + ["78"])[0] == EXIT_GUARD
-        assert run_json(capsys, argv + ["79"])["result"]["sum"] == 7**3
+        assert run_captured(argv + ["59"]) == (
+            EXIT_GUARD, [], "error: twist counts may need 60 word operations, over the guard 59\n"
+        )
+        assert run_json(capsys, argv + ["60"])["result"]["sum"] == 7**3
+        # by the list: 3 updates of each of the 11 one-word coefficients of
+        # g^5, then the 4 products of the step (i = 0..3, degrees 3i <= 10);
+        # entry by entry would take 10 terms of 8 operations
+        argv = ["alpha", "--n", "4", "--p", "3", "--max-monomials"]
+        assert run_captured(argv + ["36"])[0] == EXIT_GUARD
+        assert run_json(capsys, argv + ["37"])["result"]["sum"] == 3**4
+
+    def test_alpha_at_a_large_prime_answers_at_once(self, capsys):
+        # the list would hold 4000009 coefficients; the 4 entries take 10
+        # inclusion-exclusion terms
+        p = 1000003
+        for argv, total in ((["alpha", "--n", "3", "--p", str(p)], "sum"),
+                            (["pn", "--n", "3", "--p", str(p)], "total_rank")):
+            start = time.perf_counter()
+            result = run_json(capsys, argv)["result"]
+            assert time.perf_counter() - start < 1
+            assert result[total] == str(p**3)
+
+    def test_alpha_tables_are_those_of_the_recurrence(self, capsys, monkeypatch):
+        # both ways of counting, entry by entry for p large against n and by
+        # Miller's recurrence otherwise, give the recurrence's table
+        recurrence = pushforward._step_counts
+        by_list = []
+
+        def spy(n, p):
+            by_list.append((n, p))
+            return recurrence(n, p)
+
+        monkeypatch.setattr(pushforward, "_step_counts", spy)
+        grid = [(n, p, l) for n in (1, 2, 3, 5, 9) for p in (2, 3, 5, 7, 13, 101)
+                for l in (-23, -1, 0, 4, 50)]
+        for n, p, l in grid:
+            counts = recurrence(n, p)
+            top = len(counts) - 1
+            expected = {str(i): counts[l + i * p] for i in range(-(l // p), (top - l) // p + 1)}
+            argv = ["alpha", "--n", str(n), "--p", str(p), "--l", str(l)]
+            table = run_json(capsys, argv)["result"]["alpha"]
+            assert [(i, int(m)) for i, m in table.items()] == list(expected.items()), (n, p, l)
+        both_ways = {(n, p) in by_list for n, p, _l in grid}
+        assert both_ways == {True, False}
 
     def test_alpha_at_large_n_answers_within_the_default_guard(self, capsys):
         # inclusion-exclusion over 900-digit binomials once ran for minutes here

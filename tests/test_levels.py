@@ -95,6 +95,13 @@ class TestFLevelBounds:
         for cert in report.split_certificates.values():
             assert cert.verify(I)
 
+    @pytest.mark.parametrize("gens", [[(1, 1)], [(4, 0), (2, 2), (0, 4)], [(2, 0), (0, 2)]])
+    def test_reports_share_no_mutable_field(self, ring2, gens):
+        first, second = (f_level_bounds(mi(ring2, *gens)) for _ in range(2))
+        assert first == second
+        assert first.notes is not second.notes
+        assert first.split_certificates is not second.split_certificates
+
 
 class TestGenerationExponent:
     def test_regular_ring(self, ring2):

@@ -273,6 +273,15 @@ class TestCertificates:
         twelve = mi(ring2, (4, 0), (2, 2), (0, 4))
         assert k_summand_test(twelve, 1).verify(twelve)
 
+    def test_certificates_are_immutable_values(self):
+        _ring, I = quadric()
+        cert = is_f_split(I, 1)
+        with pytest.raises(AttributeError):
+            cert.verdict = False
+        assert cert == is_f_split(I, 1)
+        assert cert != cert._replace(j=1)
+        assert SplitCertificate(True, 3, 1, 0).kind == "colon"
+
     def test_made_up_search_count_fails(self):
         ring = PolyRing(3, ["x", "y", "z"])
         cubic = ci(ring, "x^3 + y^3 + z^3")

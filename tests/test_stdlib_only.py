@@ -1,4 +1,5 @@
-"""frobcalc runs on the standard library alone."""
+"""frobcalc runs on the standard library alone, and its start-up imports
+only what the CLI uses."""
 
 import json
 import os
@@ -6,16 +7,19 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 ROOT = Path(__file__).resolve().parent.parent
 
 # A None entry in sys.modules makes every later `import numpy` raise
 # ImportError, including a lazy import inside a function that only one
-# subcommand reaches.
+# subcommand reaches.  The modules left loaded are reported after the runs.
 SCRIPT = """
 import json, sys
 sys.modules["numpy"] = None
 from frobcalc.cli import run
-print(json.dumps([run(argv + ["--json"]) for argv in json.loads(sys.argv[1])]))
+codes = [run(argv + ["--json"]) for argv in json.loads(sys.argv[1])]
+print(json.dumps({"codes": codes, "modules": sorted(sys.modules)}))
 """
 
 ARGVS = [
@@ -24,10 +28,25 @@ ARGVS = [
     ["codepth", "--char", "3", "--vars", "x,y", "--ideal", "x^4, x^2*y^2, y^4"],
     ["fsplit", "--char", "5", "--vars", "x,y,z", "--ideal", "x^3+y^3+z^3", "-e", "2"],
     ["decompose", "--char", "2", "--vars", "x,y", "--ideal", "x^4, x^2*y^2, y^4"],
+    ["summand", "--char", "3", "--vars", "x0,x1,x2,x3", "--ideal", "x0*x1 + x2*x3", "--j", "1"],
+    ["twists", "--char", "3", "--vars", "x0,x1,x2,x3", "--ideal", "x0*x1 + x2*x3"],
+    ["witness", "--char", "3", "--vars", "x0,x1,x2,x3", "--ideal", "x0*x1 + x2*x3"],
+    ["genexp", "--char", "2", "--vars", "x,y", "--ideal", "x^2, y^2"],
+    ["filtration", "--char", "2", "--vars", "x,y,z,w", "--ideal", "x^2, y^2, z*w"],
+    ["flevel", "--char", "2", "--vars", "x,y", "--ideal", "x^4, x^2*y^2, y^4"],
+    ["loewy", "--spec", "char 2; vars x,y; ideal x^4, x^2*y^2, y^4"],
+    ["alpha", "--n", "3", "--p", "7"],
+    ["pn", "--n", "2", "--p", "3", "-e", "2"],
+    ["veronese", "--ell", "2", "--p", "3"],
 ]
 
+# dataclasses pulls in inspect, ast, dis and tokenize; fractions pulls in
+# decimal.  typing is left off: the interpreter's site hook may load it.
+UNUSED_AT_STARTUP = ["dataclasses", "inspect", "fractions", "decimal", "ast", "dis", "tokenize"]
 
-def test_subcommands_run_without_numpy():
+
+@pytest.fixture(scope="module")
+def fresh_run():
     path = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
     proc = subprocess.run(
         [sys.executable, "-c", SCRIPT, json.dumps(ARGVS)],
@@ -38,4 +57,12 @@ def test_subcommands_run_without_numpy():
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stderr == ""
-    assert json.loads(proc.stdout.splitlines()[-1]) == [0] * len(ARGVS)
+    return json.loads(proc.stdout.splitlines()[-1])
+
+
+def test_subcommands_run_without_numpy(fresh_run):
+    assert fresh_run["codes"] == [0] * len(ARGVS)
+
+
+def test_startup_imports_no_record_or_fraction_machinery(fresh_run):
+    assert [name for name in UNUSED_AT_STARTUP if name in fresh_run["modules"]] == []
