@@ -28,12 +28,7 @@ from .errors import (
     VerificationError,
 )
 from .ideals import CIIdeal, MonomialIdeal, build_ideal, parse_ideal_spec
-from .koszul import (
-    betti_power_formula,
-    betti_table,
-    codepth,
-    strand_check,
-)
+from .koszul import betti_power_row, betti_table, codepth, strand_check
 from .levels import DEFAULT_E_MAX, f_level_bounds, generation_exponent
 from .polyring import PolyRing, is_prime, mono_str, parse_polynomial
 from .pushforward import (
@@ -174,31 +169,97 @@ def render_text(value, indent=0):
     return lines if indent else "\n".join(lines) + "\n"
 
 
-def _add_ring_args(sub):
-    sub.add_argument("--char", type=int, help="prime characteristic")
-    sub.add_argument("--vars", help="comma-separated variable names")
-    sub.add_argument("--ideal", help="comma-separated generators")
-    sub.add_argument("--class", dest="ideal_class", choices=["monomial", "ci"])
-    sub.add_argument(
-        "--spec",
-        help="alternative input: `char <p>; vars <x,..>; ideal <f>, ..; [class ..;]`",
-    )
+# ---------------------------------------------------------------------------
+# the command line as data: `build_parser` and `_dispatch` read these tables
+
+REQUIRED = "required"
+
+# every flag: its type (a tuple lists its choices) and its help text
+FLAGS = {
+    "--char": (int, "prime characteristic"),
+    "--vars": (str, "comma-separated variable names"),
+    "--ideal": (str, "comma-separated generators"),
+    "--class": (("monomial", "ci"), "ideal class, auto-detected when not given"),
+    "--spec": (str, "alternative input: `char <p>; vars <x,..>; ideal <f>, ..; [class ..;]`"),
+    "-e": (int, "pushforward exponent"),
+    "--j": (int, "twist to test"),
+    "--jmax": (int, "largest twist to test"),
+    "--degree-bound": (int, "degree bound of the table or of the check"),
+    "--emax": (int, "largest exponent to test"),
+    "--formula-nvars": (int, "closed form: number of variables"),
+    "--formula-power": (int, "closed form: power of the maximal ideal"),
+    "--ell": (int, "Veronese index"),
+    "--steps": (int, "strand degrees to check"),
+    "--n": (int, "dimension of projective space"),
+    "--p": (int, "prime characteristic"),
+    "--l": (int, "line bundle twist"),
+}
+
+# the flags of every subcommand that takes an ideal, read before its own
+IDEAL_FLAGS = {"--char": None, "--vars": None, "--ideal": None, "--class": None, "--spec": None}
+
+# every subcommand: its help text, whether it takes an ideal, and each of
+# its own flags with its default or REQUIRED
+SUBCOMMANDS = {
+    "fsplit": ("Frobenius splitting test", True, {"-e": 1}),
+    "summand": ("graded summand test for one twist", True, {"-e": 1, "--j": REQUIRED}),
+    "twists": ("summand tests across a twist range", True, {"-e": 1, "--jmax": None}),
+    "witness": ("maximal escape monomial and its twist factors", True, {"-e": 1}),
+    "codepth": ("top nonvanishing Koszul homology degree", True, {"--degree-bound": None}),
+    "genexp": ("least e with p^e above the codepth", True, {"--degree-bound": None}),
+    "decompose": ("cyclic decomposition of a pushforward module", True, {"-e": 1}),
+    "filtration": ("p^c-step filtration check for a regular sequence", True, {}),
+    "flevel": ("bound report for the pushforward level", True, {"--emax": DEFAULT_E_MAX}),
+    "loewy": ("Loewy length of an artinian monomial quotient", True, {}),
+    "betti": ("graded Betti table, or the power formula", True,
+              {"--degree-bound": None, "--formula-nvars": None, "--formula-power": None}),
+    "strand": ("strand exact-sequence verification", False,
+               {"--ell": REQUIRED, "--j": REQUIRED, "--steps": 6, "--char": 2}),
+    "alpha": ("twist multiplicities on projective space", False,
+              {"--n": REQUIRED, "--p": REQUIRED, "--l": 0}),
+    "pn": ("iterated pushforward of a line bundle on P^n", False,
+           {"--n": REQUIRED, "--p": REQUIRED, "-e": 1, "--l": 0}),
+    "veronese": ("strand decomposition of a Veronese pushforward", False,
+                 {"--ell": REQUIRED, "--p": REQUIRED, "-e": 1, "--degree-bound": DEFAULT_VERONESE_BOUND}),
+}
+
+# every input mode: the flags that switch it on, and the flags it does
+# not read, refused in this order
+INPUT_MODES = {
+    "formula mode": (("--formula-nvars", "--formula-power"),
+                     ("--char", "--vars", "--ideal", "--spec", "--degree-bound", "--class")),
+    "--spec": (("--spec",), ("--char", "--vars", "--ideal", "--class")),
+}
+
+
+def _given(args, flag):
+    # argparse stores --a-b under a_b and -e under e
+    return getattr(args, flag.lstrip("-").replace("-", "_"), None) is not None
+
+
+def _input_mode(args):
+    """The input mode the command line switches on, or None.  A mode given
+    in part, or next to a flag it does not read, is a usage error."""
+    for mode, (switches, unread) in INPUT_MODES.items():
+        on = [_given(args, flag) for flag in switches]
+        if any(on):
+            if not all(on):
+                raise ParseError(f"{mode} needs both {' and '.join(switches)}")
+            for flag in unread:
+                if _given(args, flag):
+                    raise ParseError(f"{mode} takes no {flag}")
+            return mode
+    return None
 
 
 def _parse_ideal_args(args, guard):
-    given = [flag is not None for flag in (args.char, args.vars, args.ideal)]
     if args.spec is not None:
-        if any(given):
-            raise ParseError("--spec replaces --char/--vars/--ideal")
-        if args.ideal_class is not None:
-            raise ParseError("--spec replaces --class: the spec has its own class clause")
-        ring, ideal, warnings = parse_ideal_spec(args.spec, **guard)
-        return ring, ideal, warnings
-    if not all(given):
+        return parse_ideal_spec(args.spec, **guard)
+    if None in (args.char, args.vars, args.ideal):
         raise ParseError("need --char, --vars and --ideal (or --spec)")
     ring = PolyRing(args.char, [v.strip() for v in args.vars.split(",")])
     polys = [parse_polynomial(ring, chunk) for chunk in args.ideal.split(",")]
-    ideal, warnings = build_ideal(ring, polys, args.ideal_class, **guard)
+    ideal, warnings = build_ideal(ring, polys, getattr(args, "class"), **guard)
     return ring, ideal, warnings
 
 
@@ -228,60 +289,13 @@ def build_parser():
         help="resource guard for enumerations and for the terms of f^(q-1) mod m^[q]",
     )
     subs = parser.add_subparsers(dest="subcommand", required=True, parser_class=_Parser)
-
-    ring_subs = {}
-    for name, helptext in [
-        ("fsplit", "Frobenius splitting test"),
-        ("summand", "graded summand test for one twist"),
-        ("twists", "summand tests across a twist range"),
-        ("witness", "maximal escape monomial and its twist factors"),
-        ("codepth", "top nonvanishing Koszul homology degree"),
-        ("genexp", "least e with p^e above the codepth"),
-        ("decompose", "cyclic decomposition of a pushforward module"),
-        ("filtration", "p^c-step filtration check for a regular sequence"),
-        ("flevel", "bound report for the pushforward level"),
-        ("loewy", "Loewy length of an artinian monomial quotient"),
-    ]:
+    for name, (helptext, takes_ideal, own) in SUBCOMMANDS.items():
         sub = subs.add_parser(name, help=helptext, parents=[common])
-        _add_ring_args(sub)
-        ring_subs[name] = sub
-    for name in ("fsplit", "summand", "twists", "witness", "decompose"):
-        ring_subs[name].add_argument("-e", type=int, default=1, help="pushforward exponent")
-    ring_subs["summand"].add_argument("--j", type=int, required=True, help="twist to test")
-    ring_subs["twists"].add_argument("--jmax", type=int, default=None)
-    ring_subs["codepth"].add_argument("--degree-bound", type=int, default=None)
-    ring_subs["genexp"].add_argument("--degree-bound", type=int, default=None)
-    ring_subs["flevel"].add_argument("--emax", type=int, default=DEFAULT_E_MAX)
-
-    betti = subs.add_parser("betti", help="graded Betti table, or the power formula", parents=[common])
-    _add_ring_args(betti)
-    betti.add_argument("--degree-bound", type=int, default=None)
-    betti.add_argument("--formula-nvars", type=int, help="closed form: number of variables")
-    betti.add_argument("--formula-power", type=int, help="closed form: power of the maximal ideal")
-
-    strand = subs.add_parser("strand", help="strand exact-sequence verification", parents=[common])
-    strand.add_argument("--ell", type=int, required=True)
-    strand.add_argument("--j", type=int, required=True)
-    strand.add_argument("--steps", type=int, default=6)
-    strand.add_argument("--char", type=int, default=2)
-
-    alpha_sub = subs.add_parser("alpha", help="twist multiplicities on projective space", parents=[common])
-    alpha_sub.add_argument("--n", type=int, required=True)
-    alpha_sub.add_argument("--p", type=int, required=True)
-    alpha_sub.add_argument("--l", type=int, default=0)
-
-    pn = subs.add_parser("pn", help="iterated pushforward of a line bundle on P^n", parents=[common])
-    pn.add_argument("--n", type=int, required=True)
-    pn.add_argument("--p", type=int, required=True)
-    pn.add_argument("-e", type=int, default=1)
-    pn.add_argument("--l", type=int, default=0)
-
-    veronese = subs.add_parser("veronese", help="strand decomposition of a Veronese pushforward", parents=[common])
-    veronese.add_argument("--ell", type=int, required=True)
-    veronese.add_argument("--p", type=int, required=True)
-    veronese.add_argument("-e", type=int, default=1)
-    veronese.add_argument("--degree-bound", type=int, default=DEFAULT_VERONESE_BOUND)
-
+        for flag, default in ((IDEAL_FLAGS | own) if takes_ideal else own).items():
+            kind, flag_help = FLAGS[flag]
+            spec = {"choices": kind} if type(kind) is tuple else {"type": kind}
+            spec |= {"required": True} if default == REQUIRED else {"default": default}
+            sub.add_argument(flag, help=flag_help, **spec)
     return parser
 
 
@@ -293,29 +307,24 @@ def _dispatch(args):
         guard["max_monomials"] = args.max_monomials
 
     name = args.subcommand
-    if name in (
-        "fsplit",
-        "summand",
-        "twists",
-        "witness",
-        "codepth",
-        "genexp",
-        "decompose",
-        "filtration",
-        "flevel",
-        "loewy",
-    ):
+    if _input_mode(args) == "formula mode":
+        d, j = args.formula_nvars, args.formula_power
+        row = {str(i): b for i, b in enumerate(betti_power_row(d, j, **guard))}
+        degrees = {"0": 0} | {str(i): j + i - 1 for i in range(1, d + 1)}
+        echo = {"formula_nvars": d, "formula_power": j}
+        return echo, {"betti": row, "generator_degrees": degrees}, [], []
+
+    _help, takes_ideal, own = SUBCOMMANDS[name]
+    if takes_ideal:
         ring, ideal, warnings = _parse_ideal_args(args, guard)
-        if isinstance(ideal, CIIdeal):
-            shown = [str(g) for g in ideal.gens]
-        else:
-            shown = [mono_str(ring, g) for g in ideal.gens]
-        echo = {
-            "char": ring.p,
-            "vars": list(ring.variables),
-            "ideal": shown,
-            "class": "ci" if isinstance(ideal, CIIdeal) else "monomial",
-        }
+        ci = isinstance(ideal, CIIdeal)
+        shown = [str(g) if ci else mono_str(ring, g) for g in ideal.gens]
+        echo = {"char": ring.p, "vars": list(ring.variables), "ideal": shown}
+        if name == "betti":
+            table = betti_table(_need_monomial(ideal), args.degree_bound, **guard)
+            rows = [{"i": i, "degree": d, "value": v} for (i, d), v in sorted(table.items())]
+            return echo, {"betti": rows}, [], warnings
+        echo["class"] = "ci" if ci else "monomial"
         if name == "fsplit":
             cert = is_f_split(ideal, args.e, **guard).payload(ring)
             return echo | {"e": args.e}, {"certificate": cert}, [cert], warnings
@@ -352,41 +361,13 @@ def _dispatch(args):
             value = _need_monomial(ideal).loewy_length(**guard)
             return echo, {"loewy_length": value}, [], warnings
 
-    if name == "betti":
-        if args.formula_nvars is not None or args.formula_power is not None:
-            if args.formula_nvars is None or args.formula_power is None:
-                raise ParseError("formula mode needs both --formula-nvars and --formula-power")
-            if any(flag is not None for flag in (args.char, args.vars, args.ideal, args.spec)):
-                raise ParseError("formula mode takes no ideal")
-            for flag, value in (("--degree-bound", args.degree_bound), ("--class", args.ideal_class)):
-                if value is not None:
-                    raise ParseError(f"formula mode takes no {flag}")
-            d, j = args.formula_nvars, args.formula_power
-            row = {str(i): betti_power_formula(d, j, i) for i in range(d + 1)}
-            degrees = {"0": 0} | {str(i): j + i - 1 for i in range(1, d + 1)}
-            echo = {"formula_nvars": d, "formula_power": j}
-            return echo, {"betti": row, "generator_degrees": degrees}, [], []
-        ring, ideal, warnings = _parse_ideal_args(args, guard)
-        table = betti_table(_need_monomial(ideal), args.degree_bound, **guard)
-        echo = {
-            "char": ring.p,
-            "vars": list(ring.variables),
-            "ideal": [mono_str(ring, g) for g in ideal.gens],
-        }
-        payload = {
-            "betti": [
-                {"i": i, "degree": d, "value": v} for (i, d), v in sorted(table.items())
-            ]
-        }
-        return echo, payload, [], warnings
-
     if name == "strand":
         _need_prime(args.char, "--char")
         report = strand_check(args.ell, args.j, args.steps, args.char, **guard)
         echo = {"ell": args.ell, "j": args.j, "steps": args.steps, "char": args.char}
         return echo, report.payload(), [], []
 
-    if name in ("alpha", "pn", "veronese"):
+    if "--p" in own:
         _need_prime(args.p, "--p")
     if name == "alpha":
         if not (1 <= args.n):

@@ -138,38 +138,42 @@ class MonomialIdeal:
 
     def _walk(self, max_monomials):
         """Yield the standard monomials of degree 0, 1, 2, ..., one list per
-        degree, largest first in degrevlex; degree d is guarded (every
-        degree-d monomial of S counted, C(d+n-1, n-1) of them) just before
-        it is formed.
+        degree, largest first in degrevlex; degree d is guarded (the
+        candidates it is formed from counted) just before it is formed.
 
         Degree d comes from degree d - 1: each standard s is extended by x_v
         for every v at or before the first variable of supp s (every v when
         s = 1).  That forms each monomial m once, from m / x_(first of m),
         largest first when degree d - 1 is.  Only that frontier is tested,
         and s * x_v lies in I exactly when a generator whose v-exponent is
-        s_v + 1 divides it, since no generator divides s."""
+        s_v + 1 divides it, since no generator divides s.  The first
+        variable of a kept s * x_v is v, so the candidates of the next
+        degree are counted as the frontier grows."""
         n = self.ring.nvars
         cuts = {}
         for g in self.gens:
             for v, e in enumerate(g):
                 cuts.setdefault((v, e), []).append(g)
         level = [] if self.is_unit() else [self.ring.unit_monomial()]
+        candidates = len(level)
         for d in count():
-            expected = bounded_count(n, d)
-            if expected > max_monomials:
+            if candidates > max_monomials:
                 raise ResourceGuardError(
-                    f"enumeration of {expected} monomials exceeds guard {max_monomials}"
+                    f"enumeration of {candidates} monomials exceeds guard {max_monomials}"
                 )
             if d:
-                frontier = []
+                frontier, candidates = [], 0
                 for s in level:
                     for v in range(n):
                         m = s[:v] + (s[v] + 1,) + s[v + 1 :]
                         if not any(mono_divides(g, m) for g in cuts.get((v, m[v]), ())):
                             frontier.append(m)
+                            candidates += v + 1
                         if s[v]:
                             break
                 level = frontier
+            else:
+                candidates = n * len(level)
             yield level
 
     def staircase(self, bound=None, max_monomials=DEFAULT_MAX_MONOMIALS):
@@ -375,10 +379,7 @@ def build_ideal(ring, polys, ideal_class=None, max_monomials=DEFAULT_MAX_MONOMIA
     if cls == "ci":
         ideal = CIIdeal(ring, list(polys), max_monomials=max_monomials)
         if ideal_class is None:
-            note = "ideal class auto-detected as a complete intersection"
-            if not ideal.regular_sequence_verified:
-                note += "; the regular-sequence hypothesis is asserted, not verified"
-            warnings.append(note)
+            warnings.append("ideal class auto-detected as a complete intersection")
         if not ideal.regular_sequence_verified:
             warnings.append("regular-sequence assertion recorded for polynomial generators")
         return ideal, warnings

@@ -195,8 +195,8 @@ def betti_table(I, degree_bound=None, max_monomials=DEFAULT_MAX_MONOMIALS):
 def betti_power_formula(d, j, i):
     """Betti number b_i of S/m^j for S a polynomial ring in d variables.
 
-    b_0 = 1, b_i(j) = (j+d-1)! / ((j-1)! (d-i)! (i-1)! (j+i-1)) for
-    1 <= i <= d, and 0 beyond; exact integer arithmetic throughout.
+    b_0 = 1, b_i = C(j+i-2, i-1) * C(d+j-1, j+i-1) for 1 <= i <= d (the
+    Eagon-Northcott count), and 0 beyond; exact integer arithmetic.
     The resolution is linear after the first step: the i-th free module
     (i >= 1) is generated in internal degree j + i - 1.
     """
@@ -206,13 +206,25 @@ def betti_power_formula(d, j, i):
         return 1
     if i > d:
         return 0
-    num = 1
-    for t in range(j, j + d):  # (j+d-1)! / (j-1)!
-        num *= t
-    den = math.factorial(d - i) * math.factorial(i - 1) * (j + i - 1)
-    q, r = divmod(num, den)
-    assert r == 0, "formula should be an exact integer"
-    return q
+    return math.comb(j + i - 2, i - 1) * math.comb(d + j - 1, j + i - 1)
+
+
+def betti_power_row(d, j, max_monomials=DEFAULT_MAX_MONOMIALS):
+    """[b_0, ..., b_d] of S/m^j by `betti_power_formula`; empty for d < 0.
+
+    The guard counts 64-bit word operations once d and j are checked and
+    before any other entry is formed: each of the d entries takes at most
+    d multiplications and divisions, on numbers below 2^(2(d+j)) and
+    below (d+j)^d."""
+    if d < 0:
+        return []
+    row = [betti_power_formula(d, j, 0)]
+    work = d * d * (min(2 * (d + j), d * (d + j).bit_length()) // 64 + 1)
+    if work > max_monomials:
+        raise ResourceGuardError(
+            f"the Betti row may need {work} word operations, over the guard {max_monomials}"
+        )
+    return row + [betti_power_formula(d, j, i) for i in range(1, d + 1)]
 
 
 # ---------------------------------------------------------------------------

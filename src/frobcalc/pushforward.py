@@ -89,7 +89,7 @@ class CyclicDecomposition(
     residue class of exponent vectors mod q.
 
     The pieces partition the basis, so the sum is always direct; the
-    report still carries `"direct": true` and an empty `"overlaps"` list.
+    report still carries `"direct": true`.
     Pieces are grouped into isomorphism classes by annihilator ideal plus
     shift-normalized Hilbert function, which identifies cyclic modules
     over these quotients.  `iso_classes` lists the triples (annihilator
@@ -102,7 +102,6 @@ class CyclicDecomposition(
             "module_dimension": self.module_dimension,
             "direct": True,
             "pieces": [piece.payload(ring) for piece in self.pieces],
-            "overlaps": [],
             "iso_classes": [
                 {
                     "annihilator": [mono_str(ring, g) for g in ann],
@@ -259,13 +258,16 @@ def pn_pushforward(n, p, e, l=0, max_monomials=DEFAULT_MAX_MONOMIALS):
     (twist, i) products, each of the size of that step's total rank
     p^(n*step).  Sizes are counted in 64-bit words (`_words`).
 
-    A single step (e = 1) reads only the about n+1 entries a[l + i*p].
-    Counted one by one (`alpha`), the k-th of them takes k
-    inclusion-exclusion terms, each a binomial below (top+n)^n formed by n
-    one-word multiplications and n exact divisions: about (n+1)^2 terms
-    against the (n+1)(p-1) coefficients of the list, which pays when p is
-    large against n.  A single step takes whichever way the guard counts
-    fewer word operations for."""
+    The e steps together are one step with p replaced by q = p^e: the
+    twist -i has multiplicity `alpha(n, q, i, l)`, and only the about n+1
+    entries with 0 <= l + i*q <= (n+1)(q-1) are nonzero.  Counted one by
+    one, the k-th of them takes k inclusion-exclusion terms, each a
+    binomial below (top_q+n)^n formed by n one-word multiplications and n
+    exact divisions: about (n+1)^2 terms against the (n+1)(p-1)
+    coefficients of the list, which pays when p is large against n.  The
+    call takes whichever way the guard counts fewer word operations for:
+    by entry, or the list.  A q of more than 64 words is left to the list,
+    whose steps the guard charges one by one."""
     if e < 1:
         raise ValueError("e must be at least 1")
     if n < 1:
@@ -281,14 +283,18 @@ def pn_pushforward(n, p, e, l=0, max_monomials=DEFAULT_MAX_MONOMIALS):
                 f"twist counts may need {work} word operations, over the guard {max_monomials}"
             )
 
-    least = -(l // p)  # least i with l + i*p >= 0, where l + i*p = l % p
-    entries = (top - l % p) // p + 1
-    # entries (entries + 1) / 2 terms of 2n operations each
-    by_entry = entries * (entries + 1) * n * _words(top + n + 1, n)
     by_list = 3 * (top + 1) * _words(p, n + 1)
-    if e == 1 and by_entry < by_list:
+    by_entry = by_list
+    if _words(p, e) <= 64:  # forming a larger q costs more than the count charges
+        q = p**e
+        top_q = (n + 1) * (q - 1)
+        least = -(l // q)  # least i with l + i*q >= 0, where l + i*q = l % q
+        entries = (top_q - l % q) // q + 1
+        # entries (entries + 1) / 2 terms of 2n operations each
+        by_entry = entries * (entries + 1) * n * _words(top_q + n + 1, n)
+    if by_entry < by_list:
         guard(by_entry)
-        current = {-i: alpha(n, p, i, l) for i in range(least, least + entries)}
+        current = {-i: alpha(n, q, i, l) for i in range(least, least + entries)}
     else:
         guard(by_list)
         counts = _step_counts(n, p)
@@ -346,7 +352,6 @@ class ConicDecomposition(
             ],
             "hilbert_series_verified": True,
             "hilbert_series_bound": self.hs_bound,
-            "hilbert_series_residual": None,
             "hilbert_solve_unique": self.hs_solve_unique,
             "ambiguity_notes": self.ambiguity_notes,
             "has_free_summand": self.has_free_summand,

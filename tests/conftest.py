@@ -61,6 +61,19 @@ def monomials_of_degree(ring, d, cap=None):
     return mono_sorted(m for m in box if sum(m) == d)
 
 
+def walk_candidates(I, top):
+    """The candidates the staircase walk forms for degrees 0..top: the
+    unit monomial, then for each standard s of the degree below one per
+    variable up to the first of supp s (every variable for s = 1), from
+    the brute-force staircase."""
+    n = I.ring.nvars
+    counts = [0 if I.contains_monomial(I.ring.unit_monomial()) else 1]
+    for d in range(1, top + 1):
+        below = [s for s in monomials_of_degree(I.ring, d - 1) if not I.contains_monomial(s)]
+        counts.append(sum(next((v + 1 for v, e in enumerate(s) if e), n) for s in below))
+    return counts
+
+
 def naive_power(f, n):
     """f^n by plain repeated multiplication: the oracle for powers."""
     out = Polynomial.one(f.ring)

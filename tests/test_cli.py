@@ -16,14 +16,20 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from frobcalc import pushforward
+from conftest import walk_candidates
+from frobcalc import MonomialIdeal, PolyRing, parse_polynomial, pushforward
 from frobcalc.cli import (
     EXIT_GUARD,
     EXIT_OK,
     EXIT_UNSUPPORTED,
     EXIT_USAGE,
     EXIT_VERIFICATION,
+    FLAGS,
+    IDEAL_FLAGS,
+    INPUT_MODES,
     JSON_INT_LIMIT,
+    REQUIRED,
+    SUBCOMMANDS,
     build_parser,
     emit_json,
     render_text,
@@ -189,9 +195,9 @@ class TestExitCodes:
         "argv,message",
         [
             (["codepth", "--spec", "char 2; vars x,y; ideal x^2,y^2", "--char", "0"],
-             "--spec replaces --char/--vars/--ideal"),
+             "--spec takes no --char"),
             (["betti", "--formula-nvars", "2", "--formula-power", "2", "--char", "0"],
-             "formula mode takes no ideal"),
+             "formula mode takes no --char"),
             (["loewy", "--char", "0", "--vars", "x", "--ideal", "x"],
              "characteristic must be a prime in [2, 2^31): got 0"),
         ],
@@ -203,7 +209,7 @@ class TestExitCodes:
         "argv,message",
         [
             (["loewy", "--spec", "char 2; vars x,y; ideal x^2,y^2", "--class", "ci"],
-             "--spec replaces --class: the spec has its own class clause"),
+             "--spec takes no --class"),
             (["betti", "--formula-nvars", "2", "--formula-power", "2", "--degree-bound", "0",
               "--class", "ci"], "formula mode takes no --degree-bound"),
             (["betti", "--formula-nvars", "2", "--formula-power", "2", "--class", "ci"],
@@ -212,6 +218,14 @@ class TestExitCodes:
     )
     def test_a_flag_the_input_mode_does_not_read_is_refused(self, argv, message):
         assert run_captured(argv) == (EXIT_USAGE, [], f"error: {message}\n")
+
+    def test_betti_formula_mode_is_guarded(self, capsys):
+        # 3 entries of at most 3 one-word operations each
+        argv = ["betti", "--formula-nvars", "3", "--formula-power", "2", "--max-monomials"]
+        message = "error: the Betti row may need 9 word operations, over the guard 8\n"
+        assert run_captured(argv + ["8"]) == (EXIT_GUARD, [], message)
+        assert run(argv + ["0"]) == EXIT_GUARD
+        assert run_json(capsys, argv + ["9"])["result"]["betti"] == {"0": 1, "1": 6, "2": 8, "3": 3}
 
     def test_class_goes_into_the_spec(self, capsys):
         # the class --spec refuses is read from its own clause, as --class
@@ -284,8 +298,7 @@ class TestExitCodes:
     def test_three_ci_generators_stay_an_assertion(self, capsys):
         argv = ["fsplit", "--char", "3", "--vars", "x,y,z", "--ideal", "x^2+y*z, y^2+x*z, z^2+x*y"]
         assert run_json(capsys, argv)["notes"] == [
-            "ideal class auto-detected as a complete intersection; "
-            "the regular-sequence hypothesis is asserted, not verified",
+            "ideal class auto-detected as a complete intersection",
             "regular-sequence assertion recorded for polynomial generators",
         ]
 
@@ -307,6 +320,17 @@ class TestExitCodes:
         )
         code, _lines, err = run_captured(argv + ["--max-monomials", str(box)])
         assert (code, err) == (EXIT_OK, "")
+
+    def test_loewy_of_twelve_squares_fits_below_its_widest_degree(self, capsys):
+        # degree 9 holds C(20, 11) = 167960 monomials of S; the walk forms at
+        # most 1716 candidates in any degree, one per variable up to the
+        # first of each squarefree standard monomial
+        names = [f"x{v}" for v in range(12)]
+        argv = ["loewy", "--char", "2", "--vars", ",".join(names),
+                "--ideal", ", ".join(f"{x}^2" for x in names)]
+        payload = run_json(capsys, argv + ["--max-monomials", "1716"])
+        assert payload["result"] == {"loewy_length": 13}
+        assert run(argv + ["--max-monomials", "1715"]) == EXIT_GUARD
 
     def test_codepth_of_m2_in_nine_variables_fits_the_default_guard(self, capsys):
         # box 3^9 = 19683 points; a walk over every monomial of each degree
@@ -331,9 +355,15 @@ class TestExitCodes:
         ],
     )
     def test_guard_pins_at_every_threshold(self, argv, nvars, top):
-        # every degree 0..top is guarded by its count of monomials, standard
-        # or not; the first degree over the guard is the one reported
-        counts = [math.comb(d + nvars - 1, nvars - 1) for d in range(top + 1)]
+        # every degree 0..top is guarded by the candidates the walk forms
+        # for it, over I for loewy and decompose and over I^[p] for
+        # filtration (whose later walk of I forms fewer); the first degree
+        # over the guard is the one reported
+        ring = PolyRing(int(argv[2]), argv[4].split(","))
+        I = MonomialIdeal(ring, [parse_polynomial(ring, g).single_monomial() for g in argv[6].split(",")])
+        walked = I.bracket(ring.p) if argv[0] == "filtration" else I
+        assert ring.nvars == nvars
+        counts = walk_candidates(walked, top)
         for count in counts:
             for guard in (count - 1, count):
                 over = [c for c in counts if c > guard]
@@ -421,6 +451,14 @@ class TestExitCodes:
             result = run_json(capsys, argv)["result"]
             assert time.perf_counter() - start < 1
             assert result[total] == str(p**3)
+
+    def test_pn_at_a_large_prime_answers_at_every_e(self, capsys):
+        # one step at q = p^2 reads 4 entries; the list would take
+        # 24000054 word operations
+        p = 1000003
+        result = run_json(capsys, ["pn", "--n", "3", "--p", str(p), "-e", "2"])["result"]
+        assert result["total_rank"] == str(p**6)
+        assert result["generates"]
 
     def test_alpha_tables_are_those_of_the_recurrence(self, capsys, monkeypatch):
         # both ways of counting, entry by entry for p large against n and by
@@ -709,6 +747,50 @@ class TestGrammarFuzz:
         code, _out, err = run_captured(argv)
         assert code in range(5), argv
         assert "Traceback" not in err
+
+
+@st.composite
+def unread_flag_argv(draw):
+    """A subcommand in one of its input modes, its required flags, some
+    flags the mode reads, and one flag it does not read; returns (argv,
+    mode, flag)."""
+    def value(flag):
+        kind, _help = FLAGS[flag]
+        if type(kind) is tuple:
+            return draw(st.sampled_from(kind))
+        if kind is int:
+            return str(draw(st.integers(-3, 3)))
+        return draw(st.sampled_from(["", "x", "x,y", "x^2"]))
+
+    mode = draw(st.sampled_from(sorted(INPUT_MODES)))
+    switches, unread = INPUT_MODES[mode]
+    tables = {name: (IDEAL_FLAGS | own) if takes_ideal else own
+              for name, (_help, takes_ideal, own) in SUBCOMMANDS.items()}
+    name = draw(st.sampled_from([name for name, flags in tables.items() if set(switches) <= set(flags)]))
+    flags = tables[name]
+    flag = draw(st.sampled_from([f for f in unread if f in flags]))
+    pairs = [[f, "char 2; vars x,y; ideal x^2, y^2" if f == "--spec" else "2"] for f in switches]
+    pairs += [[f, "1"] for f, default in flags.items() if default == REQUIRED]
+    switching = {f for other, _unread in INPUT_MODES.values() for f in other}
+    read = [f for f in flags if f not in switching | set(unread) and flags[f] != REQUIRED]
+    pairs += [[f, value(f)] for f in draw(st.lists(st.sampled_from(read), unique=True))] if read else []
+    pairs += [[flag, value(flag)]]
+    argv = [name] + [word for pair in draw(st.permutations(pairs)) for word in pair]
+    return argv + (["--json"] if draw(st.booleans()) else []), mode, flag
+
+
+class TestInputModes:
+    @given(case=unread_flag_argv())
+    @settings(max_examples=150, deadline=None)
+    def test_a_flag_the_mode_does_not_read_is_named(self, case):
+        argv, mode, flag = case
+        assert run_captured(argv) == (EXIT_USAGE, [], f"error: {mode} takes no {flag}\n"), argv
+
+    def test_readme_names_every_subcommand(self):
+        readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+        paragraph = readme[readme.index("Subcommands:"):].split("\n\n")[0]
+        named = [text.split()[0] for text in re.findall(r"`([^`]+)`", paragraph)]
+        assert sorted(named) == sorted(SUBCOMMANDS)
 
 
 class TestDeterminism:

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import frobenius, monomials_of_degree, naive_power
+from conftest import corpus_ideals, frobenius, monomials_of_degree, naive_power, walk_candidates
 from frobcalc import (
     CIIdeal,
     MonomialIdeal,
@@ -386,14 +386,31 @@ class TestStaircaseOracle:
         e = data.draw(st.sampled_from([1, 2] if I.ring.p == 2 else [1]))
         assert pushforward_min_generators(I, e) == filtered_min_generators(I, e)
 
-    def test_guard_counts_every_monomial_of_each_walked_degree(self, ring2):
+    def test_guard_counts_the_candidates_of_each_walked_degree(self, ring2):
         I = mi(ring2, (2, 0), (0, 2))  # the staircase is empty from degree 3 on
-        with pytest.raises(ResourceGuardError, match="enumeration of 6 monomials exceeds guard 5"):
-            I.staircase(5, max_monomials=5)
-        assert I.staircase(4, max_monomials=5)[3:] == [[], []]
+        # 1; x, y from 1; x^2 from x and x*y, y^2 from y; x^2*y from x*y
+        assert walk_candidates(I, 5) == [1, 2, 3, 1, 0, 0]
+        with pytest.raises(ResourceGuardError, match="enumeration of 3 monomials exceeds guard 2"):
+            I.staircase(5, max_monomials=2)
+        assert I.staircase(5, max_monomials=3)[3:] == [[], [], []]
         # the default walk stops at the Loewy length, whose degree is guarded
-        with pytest.raises(ResourceGuardError, match="enumeration of 4 monomials exceeds guard 3"):
-            I.loewy_length(max_monomials=3)
+        with pytest.raises(ResourceGuardError, match="enumeration of 3 monomials exceeds guard 2"):
+            I.loewy_length(max_monomials=2)
+        assert I.loewy_length(max_monomials=3) == 3
+
+    def test_guard_fires_at_the_first_degree_over_it(self):
+        for I, _ci in corpus_ideals():
+            counts = walk_candidates(I, 6)
+            # never more than every monomial of the degree
+            n = I.ring.nvars
+            assert all(c <= math.comb(d + n - 1, n - 1) for d, c in enumerate(counts))
+            for guard in sorted({c - 1 for c in counts} | set(counts)):
+                over = [c for c in counts if c > guard]
+                if over:
+                    with pytest.raises(ResourceGuardError, match=f"^enumeration of {over[0]} "):
+                        I.staircase(6, max_monomials=guard)
+                else:
+                    assert len(I.staircase(6, max_monomials=guard)) == 7
 
 
 class TestPushforwardGenerators:

@@ -20,7 +20,7 @@ from frobcalc import (
     strand_check,
 )
 from frobcalc.cli import run
-from frobcalc.koszul import _block_homology, koszul_block
+from frobcalc.koszul import _block_homology, betti_power_row, koszul_block
 from frobcalc.modlinalg import Span, rank
 from frobcalc.polyring import mono_degree
 
@@ -433,6 +433,35 @@ class TestBettiFormula:
         for d in (1, 2, 3):
             for j in (1, 2, 3, 4):
                 assert betti_power_formula(d, j, 1) == math.comb(j + d - 1, d - 1)
+
+    def test_matches_the_factorial_product(self):
+        for d in range(1, 30):
+            for j in range(1, 8):
+                for i in range(d + 2):
+                    assert betti_power_formula(d, j, i) == betti_by_factorials(d, j, i), (d, j, i)
+
+    def test_row_guard_counts_word_operations(self):
+        # 3 entries of at most 3 one-word operations each
+        assert betti_power_row(3, 2, max_monomials=9) == [1, 6, 8, 3]
+        with pytest.raises(ResourceGuardError, match="^the Betti row may need 9 word operations, over the guard 8$"):
+            betti_power_row(3, 2, max_monomials=8)
+        # 2000^2 operations on numbers of 4004 bits, refused before any entry
+        with pytest.raises(ResourceGuardError, match="need 252000000 word operations"):
+            betti_power_row(2000, 2)
+        assert betti_power_row(-1, 2, max_monomials=-1) == []
+
+
+def betti_by_factorials(d, j, i):
+    """b_i of S/m^j as (j+d-1)! / ((j-1)! (d-i)! (i-1)! (j+i-1)) for
+    1 <= i <= d: the product formula the binomial form replaced."""
+    if i == 0:
+        return 1
+    if i > d:
+        return 0
+    num = math.prod(range(j, j + d))
+    den = math.factorial(d - i) * math.factorial(i - 1) * (j + i - 1)
+    assert num % den == 0
+    return num // den
 
 
 def power_ideal(ring, j):

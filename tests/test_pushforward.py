@@ -19,6 +19,7 @@ from frobcalc import (
     pn_pushforward,
     veronese_decompose,
 )
+from frobcalc import pushforward
 from frobcalc.errors import ResourceGuardError
 from frobcalc.polyring import (
     bounded_count,
@@ -349,6 +350,29 @@ class TestPnPushforward:
     def test_huge_twists_match_the_iteration(self, l):
         for n, p, e in [(1, 2, 2), (2, 3, 2), (3, 5, 1)]:
             assert pn_pushforward(n, p, e, l).twists == pn_by_iteration(n, p, e, l)
+
+    def test_e_steps_are_one_step_at_q(self, monkeypatch):
+        # F^e_* O(l) has the twist -i with multiplicity
+        # bounded_count(n+1, l + i*q, q-1), q = p^e; pn_pushforward takes
+        # that way or the list, whichever its guard counts as cheaper
+        by_list = []
+        monkeypatch.setattr(
+            pushforward, "_step_counts", lambda n, p: by_list.append((n, p)) or _step_counts(n, p)
+        )
+        ways = set()
+        for n in range(1, 5):
+            for p in (2, 3, 5, 7):
+                for e in (1, 2, 3):
+                    q, top = p**e, (n + 1) * (p**e - 1)
+                    for l in range(-2 * p, 2 * p + 1):
+                        expected = list(pn_by_iteration(n, p, e, l).items())
+                        at_q = [(-i, bounded_count(n + 1, l + i * q, q - 1))
+                                for i in range(-(l // q), (top - l) // q + 1)]
+                        assert at_q == expected, (n, p, e, l)
+                        by_list.clear()
+                        assert list(pn_pushforward(n, p, e, l).twists.items()) == expected
+                        ways.add((e > 1, bool(by_list)))
+        assert ways == {(False, False), (False, True), (True, False), (True, True)}
 
     def test_guard_counts_words_of_updates_and_products(self):
         # 3 updates of 4 one-word coefficients, then 2, 4 and 6 one-word
