@@ -12,7 +12,6 @@ from __future__ import annotations
 import argparse
 import functools
 import json
-import numbers
 import sys
 import time
 
@@ -62,16 +61,14 @@ class _UsageError(Exception):
 
 
 _encode_str = json.encoder.encode_basestring_ascii
-_INFINITY = float("inf")
 
 
 def _encode(value, pad):
     """`value` as json.dumps(value, indent=2) writes it at the depth whose
-    lines start with `pad`, normalized in the same walk: rationals other
-    than ints (`numbers.Rational`, such as `fractions.Fraction`) become
-    {num, den}, integers with |v| >= 2^53 become decimal strings, tuples
-    become lists, keys become str(key), and subclasses of int, str, float,
-    dict and list are written as their base values."""
+    lines start with `pad`, for the types reports hold: dicts with str
+    keys, lists, str, int, bool, None and float.  Integers with
+    |v| >= 2^53 become decimal strings.  Any other type, a subclass of
+    these included, raises TypeError."""
     kind = type(value)
     if kind is dict:
         if not value:
@@ -79,7 +76,7 @@ def _encode(value, pad):
         inner = pad + "  "
         parts = []
         for key, item in value.items():
-            key = _encode_str(key if type(key) is str else str(key))
+            key = _encode_str(key)
             kind = type(item)
             if kind is int and -JSON_INT_LIMIT < item < JSON_INT_LIMIT:
                 parts.append(f"{key}: {item!r}")
@@ -89,7 +86,7 @@ def _encode(value, pad):
                 parts.append(f"{key}: {_encode(item, inner)}")
         sep = ",\n" + inner
         return f"{{\n{inner}{sep.join(parts)}\n{pad}}}"
-    if kind is list or kind is tuple:
+    if kind is list:
         if not value:
             return "[]"
         inner = pad + "  "
@@ -110,34 +107,20 @@ def _encode(value, pad):
         return "true"
     if value is False:
         return "false"
-    if isinstance(value, int):
+    if kind is int:
         try:
-            digits = int.__repr__(value)
+            digits = repr(value)
         except ValueError:
             raise ResourceGuardError(
                 f"a report integer of {value.bit_length()} bits exceeds the interpreter's "
                 f"limit of {sys.get_int_max_str_digits()} decimal digits"
             ) from None
         return digits if -JSON_INT_LIMIT < value < JSON_INT_LIMIT else f'"{digits}"'
-    if isinstance(value, str):
+    if kind is str:
         return _encode_str(value)
-    if isinstance(value, float):
-        if value != value:
-            return "NaN"
-        if value == _INFINITY:
-            return "Infinity"
-        if value == -_INFINITY:
-            return "-Infinity"
-        return float.__repr__(value)
-    # each branch below hands on a value of an exact type, so the walk
-    # cannot come back here with it
-    if isinstance(value, numbers.Rational):
-        return _encode({"num": value.numerator, "den": value.denominator}, pad)
-    if isinstance(value, dict):
-        return _encode(dict(value.items()), pad)
-    if isinstance(value, (list, tuple)):
-        return _encode(list(value), pad)
-    raise TypeError(f"cannot serialize {type(value).__name__}")
+    if kind is float:
+        return repr(value)
+    raise TypeError(f"cannot serialize {kind.__name__}")
 
 
 def emit_json(envelope):

@@ -9,10 +9,12 @@ generator (a nonzero form is regular on the domain S) and for two (they
 must be coprime); otherwise linearly dependent generators are rejected
 and the rest is recorded as a caller assertion.
 
-The colon (I^[q] : I) of a monomial ideal is combinatorial
-(`monomial_colon`).  For a complete intersection it is (f^(q-1)) + I^[q]
-with f = f_1...f_t, and the splitting tests read only f^(q-1) mod m^[q]
-(`splitting.colon_generators`).
+The splitting tests read only the live part of the colon (I^[q] : I),
+the terms with every exponent below q, and both classes give it in closed
+form (`splitting.colon_generators`): x_S^(q-1) for a squarefree monomial
+ideal with S the union of the supports, nothing for any other monomial
+ideal, and f^(q-1) mod m^[q] with f = f_1...f_t for a complete
+intersection.
 
 The staircase of a monomial ideal (its standard monomials, a k-basis of
 S/I) comes from one degree-by-degree walk that tests membership only on
@@ -40,11 +42,8 @@ from .polyring import (
     PolyRing,
     bounded_count,
     mono_degree,
-    mono_div,
     mono_divides,
-    mono_gcd,
     mono_lcm,
-    mono_pow,
     mono_sorted,
     mono_str,
     parse_polynomial,
@@ -112,13 +111,6 @@ class MonomialIdeal:
     def __add__(self, other):
         self._check_ring(other)
         return MonomialIdeal(self.ring, self.gens + other.gens)
-
-    def intersection(self, other):
-        self._check_ring(other)
-        if self.is_zero() or other.is_zero():
-            return MonomialIdeal.zero(self.ring)
-        pairs = [mono_lcm(a, b) for a in self.gens for b in other.gens]
-        return MonomialIdeal(self.ring, pairs)
 
     def __eq__(self, other):
         return (
@@ -210,12 +202,6 @@ class MonomialIdeal:
     def loewy_length(self, max_monomials=DEFAULT_MAX_MONOMIALS):
         """Least n with every degree-n monomial in the ideal (m^n subset I)."""
         return len(self.staircase(max_monomials=max_monomials))
-
-    def bracket(self, q):
-        """I^[q]: generated by g^q for each generator g.  Over F_p this
-        generates the full bracket power, since q-th powers of generators
-        generate the ideal of q-th powers of elements."""
-        return MonomialIdeal(self.ring, [mono_pow(g, q) for g in self.gens])
 
 
 def _coprime(f, g, max_monomials=DEFAULT_MAX_MONOMIALS):
@@ -328,21 +314,6 @@ class CIIdeal:
 
 # ---------------------------------------------------------------------------
 # operations
-
-def monomial_colon(J, I):
-    """(J : I) for monomial ideals: intersect (J : g) over generators g of I,
-    where (J : g) is generated by the J-generators divided by their gcd
-    with g."""
-    J._check_ring(I)
-    ring = J.ring
-    if I.is_zero():
-        return MonomialIdeal(ring, [ring.unit_monomial()])
-    result = None
-    for g in I.gens:
-        quotient = MonomialIdeal(ring, [mono_div(j, mono_gcd(j, g)) for j in J.gens])
-        result = quotient if result is None else result.intersection(quotient)
-    return result
-
 
 def in_bracket_max(f, q):
     """Membership of f in m^[q] = (x_0^q, ..., x_n^q).  A monomial ideal, so

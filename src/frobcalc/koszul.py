@@ -210,14 +210,13 @@ def betti_power_formula(d, j, i):
 
 
 def betti_power_row(d, j, max_monomials=DEFAULT_MAX_MONOMIALS):
-    """[b_0, ..., b_d] of S/m^j by `betti_power_formula`; empty for d < 0.
+    """[b_0, ..., b_d] of S/m^j by `betti_power_formula`, which raises
+    ValueError unless d >= 1 and j >= 1.
 
     The guard counts 64-bit word operations once d and j are checked and
     before any other entry is formed: each of the d entries takes at most
     d multiplications and divisions, on numbers below 2^(2(d+j)) and
     below (d+j)^d."""
-    if d < 0:
-        return []
     row = [betti_power_formula(d, j, 0)]
     work = d * d * (min(2 * (d + j), d * (d + j).bit_length()) // 64 + 1)
     if work > max_monomials:

@@ -144,15 +144,6 @@ def mono_divides(a, b):
     return all(x <= y for x, y in zip(a, b))
 
 
-def mono_div(a, b):
-    """a / b; caller guarantees divisibility."""
-    return tuple(x - y for x, y in zip(a, b))
-
-
-def mono_gcd(a, b):
-    return tuple(min(x, y) for x, y in zip(a, b))
-
-
 def mono_lcm(a, b):
     return tuple(max(x, y) for x, y in zip(a, b))
 

@@ -11,6 +11,10 @@ the products sigma*gamma over terms gamma of c are pairwise distinct
 monomials (multiplication by a monomial is injective on monomials), so no
 cancellation can occur and sigma alone already escapes.
 
+For a monomial ideal with minimal generators G the live part of the
+colon has a closed form (`colon_generators`): x_S^(q-1), S the union of
+the supports of G, when I is squarefree, and nothing otherwise.
+
 For a complete intersection the colon is (f^(q-1)) + I^[q], f the product
 of the generators.  The generators of I^[q] lie in m^[q], and so do the
 terms of f^(q-1) with an exponent >= q, so the tests use the single
@@ -46,7 +50,7 @@ from .errors import (
     UnsupportedIdealClassError,
     VerificationError,
 )
-from .ideals import CIIdeal, MonomialIdeal, in_bracket_max, monomial_colon
+from .ideals import CIIdeal, MonomialIdeal, in_bracket_max
 from .polyring import (
     DEFAULT_MAX_MONOMIALS,
     Polynomial,
@@ -141,21 +145,30 @@ def _frobenius_q(ring, e):
 
 def colon_generators(ideal, e, max_monomials=DEFAULT_MAX_MONOMIALS):
     """Generators of (I^[q] : I), q = p^e, for the supported ideal classes,
-    in a deterministic order, as polynomials, up to terms inside m^[q].
+    in a deterministic order, as polynomials, up to generators and terms
+    with no live term (an exponent >= q): no test reads those.
 
-    For a monomial ideal these are the exact colon generators.  For a
-    complete intersection the only generator returned is f^(q-1) mod m^[q]
-    (`truncated_lucas_power`): the generators f_i^q of I^[q] and the terms
-    of f^(q-1) inside m^[q] have no live term, so no test reads them.
+    For a monomial ideal with minimal generators G, a live monomial t
+    (every exponent below q) has t*g in I^[q] exactly when q*h <= t + g
+    for some h in G.  Such an h has h_v <= floor((q-1+g_v)/q) <= g_v, so
+    h | g and h = g by minimality; but h_v < g_v where g_v >= 2, so a
+    generator with an exponent >= 2 leaves no live t at all.  For
+    squarefree I, h = g asks t_v = q-1 on supp g, so the live part of the
+    colon is generated by x_S^(q-1), S the union of the supports (1 for
+    the zero and the unit ideal).  Nothing is enumerated.
 
+    For a complete intersection the only generator returned is
+    f^(q-1) mod m^[q] (`truncated_lucas_power`): the generators f_i^q of
+    I^[q] and the terms of f^(q-1) inside m^[q] have no live term.
     `max_monomials` bounds the term pairs multiplied on the way, once for
     the product of the generators and once for `truncated_lucas_power`,
     each checked before a product is formed."""
     ring = ideal.ring
     q = _frobenius_q(ring, e)
     if isinstance(ideal, MonomialIdeal):
-        colon = monomial_colon(ideal.bracket(q), ideal)
-        return [Polynomial.monomial(ring, g) for g in colon.gens]
+        if any(max(g) > 1 for g in ideal.gens):
+            return []
+        return [Polynomial.monomial(ring, tuple((q - 1) * x for x in ideal.lcm()))]
     if isinstance(ideal, CIIdeal):
         return [truncated_lucas_power(ideal.product(max_monomials), e, max_monomials)]
     raise UnsupportedIdealClassError(f"unsupported ideal class {type(ideal).__name__}")
@@ -245,8 +258,9 @@ def is_f_split(ideal, e, max_monomials=DEFAULT_MAX_MONOMIALS):
 def not_split_certificate(ideal, e):
     """`is_f_split(ideal, e)` for a quotient not F-split at e = 1, from an
     empty colon table: f^(p-1) in m^[p] puts f^(q-1) = f^(q/p-1) *
-    (f^(p-1))^[q/p] in m^[q], and a monomial colon escapes m^[q] exactly
-    when I is squarefree, at every e.  Only e and q <= MAX_Q are checked."""
+    (f^(p-1))^[q/p] in m^[q], and a monomial colon has a live term exactly
+    when I is squarefree, at every e (`colon_generators`).  Only e and
+    q <= MAX_Q are checked."""
     return _colon_table(ideal, e, gens=[]).certificate(0)
 
 

@@ -74,6 +74,35 @@ def walk_candidates(I, top):
     return counts
 
 
+def bracket(I, q):
+    """I^[q]: generated by g^q for each generator g.  Over F_p this
+    generates the full bracket power, since q-th powers of generators
+    generate the ideal of q-th powers of elements."""
+    return MonomialIdeal(I.ring, [tuple(q * x for x in g) for g in I.gens])
+
+
+def intersection(I, J):
+    """I cap J for monomial ideals: generated by the pairwise lcms."""
+    if I.is_zero() or J.is_zero():
+        return MonomialIdeal.zero(I.ring)
+    return MonomialIdeal(I.ring, [tuple(map(max, a, b)) for a in I.gens for b in J.gens])
+
+
+def monomial_colon(J, I):
+    """(J : I) for monomial ideals, the oracle for the closed form of
+    `splitting.colon_generators`: intersect (J : g) over generators g of I,
+    where (J : g) is generated by the J-generators divided by their gcd
+    with g."""
+    ring = J.ring
+    if I.is_zero():
+        return MonomialIdeal(ring, [ring.unit_monomial()])
+    result = None
+    for g in I.gens:
+        quotient = MonomialIdeal(ring, [tuple(max(a - b, 0) for a, b in zip(j, g)) for j in J.gens])
+        result = quotient if result is None else intersection(result, quotient)
+    return result
+
+
 def naive_power(f, n):
     """f^n by plain repeated multiplication: the oracle for powers."""
     out = Polynomial.one(f.ring)

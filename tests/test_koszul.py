@@ -448,7 +448,9 @@ class TestBettiFormula:
         # 2000^2 operations on numbers of 4004 bits, refused before any entry
         with pytest.raises(ResourceGuardError, match="need 252000000 word operations"):
             betti_power_row(2000, 2)
-        assert betti_power_row(-1, 2, max_monomials=-1) == []
+        # d is checked before the guard: a negative d is a usage error
+        with pytest.raises(ValueError, match="need d >= 1"):
+            betti_power_row(-1, 2, max_monomials=-1)
 
 
 def betti_by_factorials(d, j, i):

@@ -1,7 +1,7 @@
 import itertools
 
 import pytest
-from conftest import corpus_ideals, naive_power
+from conftest import bracket, corpus_ideals, monomial_colon, naive_power
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -366,13 +366,49 @@ class TestColonGuard:
             colon_generators(pair, 1, max_monomials=11)
 
 
+def oracle_colon_generators(ideal, e):
+    """`colon_generators`, with the colon of a monomial ideal formed in full
+    by the combinatorial oracle: every minimal generator of
+    (I^[q] : I), live or not."""
+    if isinstance(ideal, MonomialIdeal):
+        q = ideal.ring.p**e
+        colon = monomial_colon(bracket(ideal, q), ideal)
+        return [Polynomial.monomial(ideal.ring, g) for g in colon.gens]
+    return colon_generators(ideal, e)
+
+
+class TestMonomialColonClosedForm:
+    """The live part of (I^[q] : I) for a monomial ideal is x_S^(q-1) when
+    I is squarefree and empty otherwise; the oracle forms the whole colon
+    as an intersection of lcm pairs."""
+
+    @given(data=st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_live_generators_match_the_combinatorial_colon(self, data):
+        p, e = data.draw(st.sampled_from([(2, 1), (3, 1), (2, 2), (5, 1), (2, 3), (3, 2)]))
+        q = p**e
+        nvars = data.draw(st.integers(1, 5))
+        ring = PolyRing(p, [f"x{v}" for v in range(nvars)])
+        # squarefree draws, which have a live colon term, half of the time
+        top = data.draw(st.sampled_from([1, q + 1]))
+        exponents = st.tuples(*[st.integers(0, top)] * nvars)
+        I = MonomialIdeal(ring, data.draw(st.lists(exponents, max_size=6)))
+        live = [g for g in monomial_colon(bracket(I, q), I).gens if max(g) < q]
+        assert [g.single_monomial() for g in colon_generators(I, e)] == live
+
+    @pytest.mark.parametrize("gens", [[], [(0, 0, 0)]], ids=["zero", "unit"])
+    def test_zero_and_unit_ideals_give_one(self, gens):
+        I = mi(PolyRing(3, ["x", "y", "z"]), *gens)
+        assert colon_generators(I, 2) == [Polynomial.one(I.ring)]
+
+
 def scan_oracle(ideal, j, e):
     """The witness search by enumeration: every monomial of degree q*j with
     exponents < q, largest first in degrevlex, tried against each colon
     generator's terms (largest first) until a product keeps every exponent
     below q."""
     q = ideal.ring.p**e
-    gens = colon_generators(ideal, e)
+    gens = oracle_colon_generators(ideal, e)
     term_lists = [[t for t in mono_sorted(g.terms) if max(t) < q] for g in gens]
     candidates = sorted(
         (s for s in itertools.product(range(q), repeat=ideal.ring.nvars) if sum(s) == q * j),

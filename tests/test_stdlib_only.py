@@ -42,7 +42,7 @@ ARGVS = [
 
 # dataclasses pulls in inspect, ast, dis and tokenize; fractions pulls in
 # decimal.  typing is left off: the interpreter's site hook may load it.
-UNUSED_AT_STARTUP = ["dataclasses", "inspect", "fractions", "decimal", "ast", "dis", "tokenize"]
+UNUSED_AT_STARTUP = ["dataclasses", "inspect", "fractions", "numbers", "decimal", "ast", "dis", "tokenize"]
 
 
 @pytest.fixture(scope="module")
