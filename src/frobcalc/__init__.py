@@ -23,7 +23,6 @@ from .ideals import (
     MonomialIdeal,
     build_ideal,
     in_bracket_max,
-    parse_ideal_spec,
 )
 from .koszul import (
     betti_power_formula,

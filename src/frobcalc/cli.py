@@ -26,7 +26,7 @@ from .errors import (
     UnsupportedIdealClassError,
     VerificationError,
 )
-from .ideals import CIIdeal, MonomialIdeal, build_ideal, parse_ideal_spec
+from .ideals import CIIdeal, MonomialIdeal, build_ideal
 from .koszul import betti_power_row, betti_table, codepth, strand_check
 from .levels import DEFAULT_E_MAX, f_level_bounds, generation_exponent
 from .polyring import PolyRing, is_prime, mono_str, parse_polynomial
@@ -163,7 +163,6 @@ FLAGS = {
     "--vars": (str, "comma-separated variable names"),
     "--ideal": (str, "comma-separated generators"),
     "--class": (("monomial", "ci"), "ideal class, auto-detected when not given"),
-    "--spec": (str, "alternative input: `char <p>; vars <x,..>; ideal <f>, ..; [class ..;]`"),
     "-e": (int, "pushforward exponent"),
     "--j": (int, "twist to test"),
     "--jmax": (int, "largest twist to test"),
@@ -179,7 +178,7 @@ FLAGS = {
 }
 
 # the flags of every subcommand that takes an ideal, read before its own
-IDEAL_FLAGS = {"--char": None, "--vars": None, "--ideal": None, "--class": None, "--spec": None}
+IDEAL_FLAGS = {"--char": None, "--vars": None, "--ideal": None, "--class": None}
 
 # every subcommand: its help text, whether it takes an ideal, and each of
 # its own flags with its default or REQUIRED
@@ -188,8 +187,8 @@ SUBCOMMANDS = {
     "summand": ("graded summand test for one twist", True, {"-e": 1, "--j": REQUIRED}),
     "twists": ("summand tests across a twist range", True, {"-e": 1, "--jmax": None}),
     "witness": ("maximal escape monomial and its twist factors", True, {"-e": 1}),
-    "codepth": ("top nonvanishing Koszul homology degree", True, {"--degree-bound": None}),
-    "genexp": ("least e with p^e above the codepth", True, {"--degree-bound": None}),
+    "codepth": ("top nonvanishing Koszul homology degree", True, {}),
+    "genexp": ("least e with p^e above the codepth", True, {}),
     "decompose": ("cyclic decomposition of a pushforward module", True, {"-e": 1}),
     "filtration": ("p^c-step filtration check for a regular sequence", True, {}),
     "flevel": ("bound report for the pushforward level", True, {"--emax": DEFAULT_E_MAX}),
@@ -210,8 +209,7 @@ SUBCOMMANDS = {
 # not read, refused in this order
 INPUT_MODES = {
     "formula mode": (("--formula-nvars", "--formula-power"),
-                     ("--char", "--vars", "--ideal", "--spec", "--degree-bound", "--class")),
-    "--spec": (("--spec",), ("--char", "--vars", "--ideal", "--class")),
+                     ("--char", "--vars", "--ideal", "--degree-bound", "--class")),
 }
 
 
@@ -236,10 +234,8 @@ def _input_mode(args):
 
 
 def _parse_ideal_args(args, guard):
-    if args.spec is not None:
-        return parse_ideal_spec(args.spec, **guard)
     if None in (args.char, args.vars, args.ideal):
-        raise ParseError("need --char, --vars and --ideal (or --spec)")
+        raise ParseError("need --char, --vars and --ideal")
     ring = PolyRing(args.char, [v.strip() for v in args.vars.split(",")])
     polys = [parse_polynomial(ring, chunk) for chunk in args.ideal.split(",")]
     ideal, warnings = build_ideal(ring, polys, getattr(args, "class"), **guard)
@@ -269,7 +265,8 @@ def build_parser():
         "--max-monomials",
         type=int,
         default=None,
-        help="resource guard for enumerations and for the terms of f^(q-1) mod m^[q]",
+        help="resource guard, checked before the work it counts: term pairs multiplied "
+        "for f^(q-1) mod m^[q], staircase candidates, lcm-box points, word operations",
     )
     subs = parser.add_subparsers(dest="subcommand", required=True, parser_class=_Parser)
     for name, (helptext, takes_ideal, own) in SUBCOMMANDS.items():
@@ -323,10 +320,10 @@ def _dispatch(args):
             certs = [factor["certificate"] for factor in payload["factors"]]
             return echo | {"e": args.e}, payload, certs, warnings
         if name == "codepth":
-            value = codepth(_need_monomial(ideal), args.degree_bound, **guard)
+            value = codepth(_need_monomial(ideal), **guard)
             return echo, {"codepth": value, "depth": ring.nvars - value}, [], warnings
         if name == "genexp":
-            value = generation_exponent(_need_monomial(ideal), args.degree_bound, **guard)
+            value = generation_exponent(_need_monomial(ideal), **guard)
             return echo, {"generation_exponent": value}, [], warnings
         if name == "decompose":
             module = FrobeniusModule(_need_monomial(ideal), args.e, **guard)

@@ -39,14 +39,12 @@ from .modlinalg import rank
 from .polyring import (
     DEFAULT_MAX_MONOMIALS,
     Polynomial,
-    PolyRing,
     bounded_count,
     mono_degree,
     mono_divides,
     mono_lcm,
     mono_sorted,
     mono_str,
-    parse_polynomial,
 )
 
 
@@ -95,10 +93,6 @@ class MonomialIdeal:
     def is_unit(self):
         return len(self.gens) == 1 and not any(self.gens[0])
 
-    def _check_ring(self, other):
-        if self.ring != other.ring:
-            raise RingMismatchError(f"{self.ring!r} vs {other.ring!r}")
-
     def contains_monomial(self, m):
         return any(mono_divides(g, m) for g in self.gens)
 
@@ -107,10 +101,6 @@ class MonomialIdeal:
         if self.ring != f.ring:
             raise RingMismatchError(f"{self.ring!r} vs {f.ring!r}")
         return all(self.contains_monomial(m) for m in f.terms)
-
-    def __add__(self, other):
-        self._check_ring(other)
-        return MonomialIdeal(self.ring, self.gens + other.gens)
 
     def __eq__(self, other):
         return (
@@ -322,8 +312,7 @@ def in_bracket_max(f, q):
 
 
 # ---------------------------------------------------------------------------
-# ideal text grammar:
-#   char <p>; vars <x,y,...>; ideal <poly>, <poly>, ...; [class monomial|ci;]
+# assembling an ideal from parsed generators
 
 def detect_ideal_class(polys):
     """'monomial' when every generator is a single-term monomial multiple
@@ -355,38 +344,3 @@ def build_ideal(ring, polys, ideal_class=None, max_monomials=DEFAULT_MAX_MONOMIA
             warnings.append("regular-sequence assertion recorded for polynomial generators")
         return ideal, warnings
     raise UnsupportedIdealClassError(f"unknown ideal class {cls!r}")
-
-
-def parse_ideal_spec(text, max_monomials=DEFAULT_MAX_MONOMIALS):
-    """Parse `char <p>; vars <x,...>; ideal <poly>, ...; [class ...;]`.
-
-    Returns (ring, ideal, warnings); `max_monomials` as for `build_ideal`.
-    """
-    fields = {}
-    for chunk in text.split(";"):
-        chunk = chunk.strip()
-        if not chunk:
-            continue
-        parts = chunk.split(None, 1)
-        if len(parts) != 2:
-            raise ParseError(f"malformed clause {chunk!r}")
-        key, value = parts[0].lower(), parts[1].strip()
-        if key in fields:
-            raise ParseError(f"duplicate clause {key!r}")
-        fields[key] = value
-    for required in ("char", "vars", "ideal"):
-        if required not in fields:
-            raise ParseError(f"missing `{required}` clause")
-    try:
-        p = int(fields["char"])
-    except ValueError:
-        raise ParseError(f"bad characteristic {fields['char']!r}") from None
-    ring = PolyRing(p, [v.strip() for v in fields["vars"].split(",")])
-    polys = [parse_polynomial(ring, part) for part in fields["ideal"].split(",")]
-    ideal_class = None
-    if "class" in fields:
-        ideal_class = fields["class"].lower()
-        if ideal_class not in ("monomial", "ci"):
-            raise ParseError(f"unknown class {ideal_class!r}")
-    ideal, warnings = build_ideal(ring, polys, ideal_class, max_monomials=max_monomials)
-    return ring, ideal, warnings

@@ -34,7 +34,7 @@ import math
 from collections import Counter, namedtuple
 from itertools import chain, combinations
 
-from .errors import ResourceGuardError, UnsupportedIdealClassError, VerificationError
+from .errors import ResourceGuardError, UnsupportedIdealClassError
 from .ideals import MonomialIdeal
 from .modlinalg import rank
 from .polyring import DEFAULT_MAX_MONOMIALS, check_degree_bound, mono_degree
@@ -124,16 +124,13 @@ def _block_sum(I, levels, bound):
     return table
 
 
-def codepth(I, degree_bound=None, max_monomials=DEFAULT_MAX_MONOMIALS):
+def codepth(I, max_monomials=DEFAULT_MAX_MONOMIALS):
     """Largest i with H_i(K^R) != 0; zero exactly when R is regular.
 
     Requires I inside the square of the maximal ideal (a minimal
     presentation); callers must pre-reduce linear forms.  Koszul homology
     of R is Tor^S(R, k), so the codepth is the top row of `betti_table`,
-    which is complete: every nonzero block lies in the lcm box.  A
-    `degree_bound` B is verified on that table: rows B - 1 and B must
-    vanish and every generator must have degree below B - 1, otherwise
-    the bound is flagged insufficient.
+    which is complete: every nonzero block lies in the lcm box.
 
     `max_monomials` bounds the points of the lcm box, as in `betti_table`.
     """
@@ -143,16 +140,7 @@ def codepth(I, degree_bound=None, max_monomials=DEFAULT_MAX_MONOMIALS):
         raise UnsupportedIdealClassError(
             "codepth needs I inside m^2; reduce linear generators first"
         )
-    check_degree_bound(degree_bound)
-    table = betti_table(I, max_monomials=max_monomials)
-    if degree_bound is not None and any(
-        d >= degree_bound - 1 and (i == 1 or d <= degree_bound) for i, d in table
-    ):
-        raise VerificationError(
-            f"truncation bound {degree_bound} insufficient: homology persists in the "
-            "verification band; rerun with a larger degree bound"
-        )
-    return max(i for i, _d in table)
+    return max(i for i, _d in betti_table(I, max_monomials=max_monomials))
 
 
 def betti_table(I, degree_bound=None, max_monomials=DEFAULT_MAX_MONOMIALS):
@@ -183,7 +171,7 @@ def betti_table(I, degree_bound=None, max_monomials=DEFAULT_MAX_MONOMIALS):
     n = I.ring.nvars
     powers = {v for g in I.gens for v, e in enumerate(g) if e == mono_degree(g)}
     walls = [tuple(e + 1 if w == v else 0 for w in range(n)) for v, e in enumerate(top) if v not in powers]
-    boxed = I + MonomialIdeal(I.ring, walls) if walls else I
+    boxed = MonomialIdeal(I.ring, I.gens + tuple(walls)) if walls else I
     betti = _block_sum(I, boxed.staircase(bound, max_monomials=math.inf), bound)
     betti.update(Counter((1, mono_degree(g)) for g in I.gens))
     return dict(sorted(betti.items()))

@@ -105,10 +105,10 @@ def f_level_bounds(ideal, e_max=DEFAULT_E_MAX, max_monomials=DEFAULT_MAX_MONOMIA
     return BoundReport(2, upper, exact, "certified", provenance + uppers, certs, notes)
 
 
-def generation_exponent(I, degree_bound=None, max_monomials=DEFAULT_MAX_MONOMIALS):
+def generation_exponent(I, max_monomials=DEFAULT_MAX_MONOMIALS):
     """Least e >= 1 with p^e > codepth(S/I); pushforwards beyond this
     exponent generate everything of full support."""
-    c = koszul_codepth(I, degree_bound, max_monomials=max_monomials)
+    c = koszul_codepth(I, max_monomials=max_monomials)
     p = I.ring.p
     e = 1
     power = p

@@ -541,7 +541,7 @@ class FiltrationReport(
         }
 
 
-def ci_filtration_check(ring, f_monos, degree_bound=None, max_monomials=DEFAULT_MAX_MONOMIALS):
+def ci_filtration_check(ring, f_monos, max_monomials=DEFAULT_MAX_MONOMIALS):
     """Verify the p^c-step filtration of R' = S/(f^p) with pushforward-sized
     subquotients, for a monomial regular sequence f_1..f_c inside m^2.
 
@@ -551,7 +551,10 @@ def ci_filtration_check(ring, f_monos, degree_bound=None, max_monomials=DEFAULT_
     f^a divides w exactly when a_i <= k_i(w) for every i, with k_i(w) the
     f_i-adic order of w: the least w_v // f_i,v over the support of f_i.
     k_i(w) < p as w is standard, so the last dividing a is (k_i(w))_i, at
-    index sum_i k_i(w) p^(c-1-i) of the lexicographic chain."""
+    index sum_i k_i(w) p^(c-1-i) of the lexicographic chain.
+
+    An artinian R' is read through its whole staircase, so the report is
+    complete; otherwise the dims stop at degree p * sum_i deg f_i + 2."""
     p = ring.p
     f_monos = [tuple(m) for m in f_monos]
     c = len(f_monos)
@@ -561,18 +564,13 @@ def ci_filtration_check(ring, f_monos, degree_bound=None, max_monomials=DEFAULT_
         raise ValueError("each f_i must lie in m^2 (degree >= 2)")
     if not pairwise_disjoint_supports(f_monos):
         raise ValueError("supports must be pairwise disjoint (regular sequence)")
-    check_degree_bound(degree_bound)
 
     big = MonomialIdeal(ring, [mono_pow(m, p) for m in f_monos])  # (f_i^p)
     small = MonomialIdeal(ring, f_monos)  # (f_1..f_c)
     artinian = big.is_artinian()
-    if degree_bound is None and not artinian:
-        degree_bound = p * sum(mono_degree(m) for m in f_monos) + 2
-    # artinian: the whole staircase, which settles `complete` at any bound
-    levels = big.staircase(None if artinian else degree_bound, max_monomials=max_monomials)
-    if degree_bound is None:
-        degree_bound = len(levels) - 1
-    complete = artinian and len(levels) <= degree_bound + 1
+    window = None if artinian else p * sum(mono_degree(m) for m in f_monos) + 2
+    levels = big.staircase(window, max_monomials=max_monomials)
+    degree_bound = len(levels) - 1
 
     exponent_tuples = list(itertools.product(range(p), repeat=c))
     chain = []
@@ -585,7 +583,7 @@ def ci_filtration_check(ring, f_monos, degree_bound=None, max_monomials=DEFAULT_
     # last dividing generator has index >= t
     supports = [[(v, k) for v, k in enumerate(m) if k] for m in f_monos]
     step_dims = [[0] * (degree_bound + 1) for _ in chain]
-    for d, level in enumerate(levels[: degree_bound + 1]):
+    for d, level in enumerate(levels):
         for w in level:
             t = 0
             for support in supports:
@@ -615,6 +613,6 @@ def ci_filtration_check(ring, f_monos, degree_bound=None, max_monomials=DEFAULT_
         c=c,
         steps=steps,
         degree_bound=degree_bound,
-        complete=complete,
+        complete=artinian,
         all_match=all_match,
     )

@@ -23,7 +23,6 @@ from frobcalc.cli import (
     EXIT_OK,
     EXIT_UNSUPPORTED,
     EXIT_USAGE,
-    EXIT_VERIFICATION,
     FLAGS,
     IDEAL_FLAGS,
     INPUT_MODES,
@@ -135,12 +134,6 @@ class TestSubcommands:
         payload = run_json(capsys, ["loewy"] + TWELVE)
         assert payload["result"] == {"loewy_length": 5}
 
-    def test_spec_grammar_input(self, capsys):
-        payload = run_json(
-            capsys, ["loewy", "--spec", "char 2; vars x,y; ideal x^4, x^2*y^2, y^4;"]
-        )
-        assert payload["result"] == {"loewy_length": 5}
-
     def test_text_mode_renders_same_payload(self, capsys):
         code = run(["codepth", "--char", "2", "--vars", "x,y", "--ideal", "x*y"])
         out = capsys.readouterr().out
@@ -194,8 +187,8 @@ class TestExitCodes:
     @pytest.mark.parametrize(
         "argv,message",
         [
-            (["codepth", "--spec", "char 2; vars x,y; ideal x^2,y^2", "--char", "0"],
-             "--spec takes no --char"),
+            (["betti", "--formula-nvars", "2", "--formula-power", "0"],
+             "need d >= 1, j >= 1, i >= 0"),
             (["betti", "--formula-nvars", "2", "--formula-power", "2", "--char", "0"],
              "formula mode takes no --char"),
             (["loewy", "--char", "0", "--vars", "x", "--ideal", "x"],
@@ -208,8 +201,8 @@ class TestExitCodes:
     @pytest.mark.parametrize(
         "argv,message",
         [
-            (["loewy", "--spec", "char 2; vars x,y; ideal x^2,y^2", "--class", "ci"],
-             "--spec takes no --class"),
+            (["betti", "--formula-nvars", "2", "--formula-power", "2", "--ideal", "x^2", "--vars", "x"],
+             "formula mode takes no --vars"),
             (["betti", "--formula-nvars", "2", "--formula-power", "2", "--degree-bound", "0",
               "--class", "ci"], "formula mode takes no --degree-bound"),
             (["betti", "--formula-nvars", "2", "--formula-power", "2", "--class", "ci"],
@@ -226,14 +219,6 @@ class TestExitCodes:
         assert run_captured(argv + ["8"]) == (EXIT_GUARD, [], message)
         assert run(argv + ["0"]) == EXIT_GUARD
         assert run_json(capsys, argv + ["9"])["result"]["betti"] == {"0": 1, "1": 6, "2": 8, "3": 3}
-
-    def test_class_goes_into_the_spec(self, capsys):
-        # the class --spec refuses is read from its own clause, as --class
-        # is read next to the ideal flags
-        spec = run_json(capsys, ["fsplit", "--spec", "char 2; vars x,y; ideal x^2,y^2; class ci"])
-        argv = ["fsplit", "--char", "2", "--vars", "x,y", "--ideal", "x^2,y^2", "--class", "ci"]
-        assert stripped(spec) == stripped(run_json(capsys, argv))
-        assert spec["input"]["class"] == "ci"
 
     def test_non_artinian_maps_to_unsupported(self, capsys):
         assert run(["loewy", "--char", "2", "--vars", "x,y", "--ideal", "x*y"]) == EXIT_UNSUPPORTED
@@ -308,8 +293,8 @@ class TestExitCodes:
             # (x^2, y^3) in x, y, z: (2 + 1) * (3 + 1) * (0 + 1) points
             (["codepth", "--char", "2", "--vars", "x,y,z", "--ideal", "x^2,y^3"], 12),
             (["genexp", "--char", "2", "--vars", "x,y,z", "--ideal", "x^2"], 3),
-            # the degree bound does not shrink the box
-            (["codepth", "--char", "2", "--vars", "x,y,z", "--ideal", "x^2,y^3", "--degree-bound", "9"], 12),
+            # the row cut does not shrink the box
+            (["betti", "--char", "2", "--vars", "x,y,z", "--ideal", "x^2,y^3", "--degree-bound", "2"], 12),
             (["codepth", "--char", "2", "--vars", "x", "--ideal", "x^5"], 6),
         ],
     )
@@ -616,8 +601,8 @@ class TestExitCodes:
             ["twists", "--jmax", "-1"] + QUADRIC,
             ["flevel", "--char", "2", "--vars", "x,y", "--ideal", "x*y", "--emax", "0"],
             ["strand", "--ell", "3", "--j", "1", "--steps", "-2"],
-            ["codepth", "--char", "2", "--vars", "x,y", "--ideal", "x*y", "--degree-bound", "-2"],
-            ["genexp", "--char", "2", "--vars", "x,y", "--ideal", "x^2,y^2", "--degree-bound", "-3"],
+            ["alpha", "--n", "0", "--p", "2"],
+            ["pn", "--n", "0", "--p", "2"],
             ["betti", "--char", "2", "--vars", "x,y", "--ideal", "x^2,y^2", "--degree-bound", "-1"],
             ["betti", "--formula-nvars", "-1", "--formula-power", "2"],
         ],
@@ -631,20 +616,20 @@ class TestExitCodes:
         with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
             assert run(argv) in range(5)
 
-    def test_verification_failure(self, capsys):
-        # a degree bound below the homology support trips the runtime band
-        argv = ["codepth", "--degree-bound", "4"] + TWELVE
-        assert run(argv) == EXIT_VERIFICATION
-
-    @pytest.mark.parametrize("command", ["codepth", "genexp"])
-    def test_generator_above_the_band_fails_verification(self, command):
-        # (x^2, y^5) is a complete intersection of codepth 2; its only
-        # entry of degree >= 3 is the generator y^5, above the rows 3, 4
-        # that a degree bound of 4 claims to vanish
-        argv = [command, "--char", "2", "--vars", "x,y", "--ideal", "x^2,y^5", "--degree-bound", "4"]
+    @pytest.mark.parametrize(
+        "argv,flag",
+        [
+            (["fsplit", "--spec", "char 2; vars x,y; ideal x*y"], "--spec char 2; vars x,y; ideal x*y"),
+            (["codepth", "--degree-bound", "4"] + TWELVE, "--degree-bound 4"),
+            (["genexp", "--degree-bound", "4"] + TWELVE, "--degree-bound 4"),
+        ],
+    )
+    def test_flags_no_answer_depends_on_are_not_options(self, argv, flag):
+        # one ideal grammar; codepth reads the complete Betti table, so a
+        # degree bound could not change its answer
         code, lines, err = run_captured(argv)
-        assert (code, lines) == (EXIT_VERIFICATION, [])
-        assert err.startswith("error: truncation bound 4 insufficient")
+        assert (code, lines) == (EXIT_USAGE, [])
+        assert err.endswith(f"error: unrecognized arguments: {flag}\n")
 
 
 def run_captured(argv):
@@ -704,7 +689,7 @@ def polynomial_text(draw, names):
 
 @st.composite
 def cli_argv(draw):
-    """Any subcommand with random flags, numbers and ideal specs; required
+    """Any subcommand with random flags, numbers and ideals; required
     flags are usually present and the characteristic usually prime, so most
     inputs reach the algebra."""
     def num(lo, hi):
@@ -719,10 +704,7 @@ def cli_argv(draw):
         names = draw(st.sampled_from([["x"], ["x", "y"], ["x", "y", "z"]]))
         char = num(-1, 9) if rarely() else draw(st.sampled_from(["2", "3", "5", "7"]))
         ideal = ", ".join(draw(st.lists(polynomial_text(names), min_size=1, max_size=3)))
-        if rarely():
-            argv += ["--spec", f"char {char}; vars {','.join(names)}; ideal {ideal}"]
-        else:
-            argv += ["--char", char, "--vars", ",".join(names), "--ideal", ideal]
+        argv += ["--char", char, "--vars", ",".join(names), "--ideal", ideal]
         if draw(st.booleans()):
             argv += ["--class", draw(st.sampled_from(["monomial", "ci"]))]
     required, optional = {
@@ -730,8 +712,8 @@ def cli_argv(draw):
         "summand": ([["--j", num(-2, 3)]], [["-e", num(-1, 2)]]),
         "twists": ([], [["-e", num(-1, 2)], ["--jmax", num(-2, 3)]]),
         "witness": ([], [["-e", num(-1, 2)]]),
-        "codepth": ([], [["--degree-bound", num(-2, 8)]]),
-        "genexp": ([], [["--degree-bound", num(-2, 8)]]),
+        "codepth": ([], []),
+        "genexp": ([], []),
         "decompose": ([], [["-e", num(-1, 2)]]),
         "filtration": ([], []),
         "flevel": ([], [["--emax", num(-1, 3)]]),
@@ -783,7 +765,7 @@ def unread_flag_argv(draw):
     name = draw(st.sampled_from([name for name, flags in tables.items() if set(switches) <= set(flags)]))
     flags = tables[name]
     flag = draw(st.sampled_from([f for f in unread if f in flags]))
-    pairs = [[f, "char 2; vars x,y; ideal x^2, y^2" if f == "--spec" else "2"] for f in switches]
+    pairs = [[f, "2"] for f in switches]
     pairs += [[f, "1"] for f, default in flags.items() if default == REQUIRED]
     switching = {f for other, _unread in INPUT_MODES.values() for f in other}
     read = [f for f in flags if f not in switching | set(unread) and flags[f] != REQUIRED]
@@ -799,6 +781,15 @@ class TestInputModes:
     def test_a_flag_the_mode_does_not_read_is_named(self, case):
         argv, mode, flag = case
         assert run_captured(argv) == (EXIT_USAGE, [], f"error: {mode} takes no {flag}\n"), argv
+
+    def test_flag_tables_agree(self):
+        # every FLAGS row is declared by IDEAL_FLAGS or a SUBCOMMANDS row,
+        # every declared flag has a row, and the input modes name only
+        # declared flags: a flag removed from one table leaves no orphan
+        declared = set(IDEAL_FLAGS).union(*(own for _help, _ideal, own in SUBCOMMANDS.values()))
+        assert declared == set(FLAGS)
+        for switches, unread in INPUT_MODES.values():
+            assert set(switches) | set(unread) <= declared
 
     def test_readme_names_every_subcommand(self):
         readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()

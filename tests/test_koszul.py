@@ -13,7 +13,6 @@ from frobcalc import (
     PolyRing,
     ResourceGuardError,
     UnsupportedIdealClassError,
-    VerificationError,
     betti_power_formula,
     betti_table,
     codepth,
@@ -272,12 +271,14 @@ class TestStaircaseWalk:
 
     def test_guard_counts_the_lcm_box(self, ring2):
         # codepth walks the lcm box of m^2 in x, y, (2 + 1) * (2 + 1)
-        # points, whatever the degree bound
+        # points, and betti walks the same box whatever its degree bound
         I = mi(ring2, (2, 0), (1, 1), (0, 2))
-        assert codepth(I, 5, max_monomials=9) == codepth(I, 5) == 2
-        for bound in (None, 5, 50):
+        assert codepth(I, max_monomials=9) == codepth(I) == 2
+        with pytest.raises(ResourceGuardError, match="multidegree box of 9 points exceeds guard 8"):
+            codepth(I, max_monomials=8)
+        for bound in (None, 2, 50):
             with pytest.raises(ResourceGuardError, match="multidegree box of 9 points exceeds guard 8"):
-                codepth(I, bound, max_monomials=8)
+                betti_table(I, bound, max_monomials=8)
 
 
 class TestCodepth:
@@ -308,19 +309,15 @@ class TestCodepth:
         with pytest.raises(UnsupportedIdealClassError):
             codepth(mi(ring2, (1, 0)))
 
-    def test_insufficient_bound_flagged(self, ring2):
-        with pytest.raises(VerificationError):
-            codepth(mi(ring2, (4, 0), (2, 2), (0, 4)), degree_bound=4)
-
     def test_value_comes_from_the_whole_table(self, ring2):
         # (x^3, y^4): rows 5 and 6 vanish and both generators lie below 5,
-        # but the syzygy in degree 7 above the bound is the top row
-        assert codepth(mi(ring2, (3, 0), (0, 4)), degree_bound=6) == 2
+        # but the syzygy in degree 7, the lcm degree, is the top row
+        I = mi(ring2, (3, 0), (0, 4))
+        assert betti_table(I)[(2, 7)] == 1
+        assert codepth(I) == 2
 
     def test_negative_bound_rejected(self, ring2):
         I = mi(ring2, (1, 1))
-        with pytest.raises(ValueError):
-            codepth(I, degree_bound=-2)
         with pytest.raises(ValueError):
             betti_table(I, degree_bound=-1)
 
@@ -336,24 +333,13 @@ class TestCodepth:
     @settings(max_examples=80, deadline=None)
     def test_boxed_rows_match_the_unrestricted_table(self, I):
         # codepth visits only the blocks inside the lcm box; the oracle's
-        # full table predicts its value, and its rows through the bound
-        # plus the generator degrees predict its verification error, at
-        # every bound up to past the box
+        # table, summed up to past the box, predicts its value
         if any(mono_degree(g) < 2 for g in I.gens):
             with pytest.raises(UnsupportedIdealClassError):
                 codepth(I)
             return
-        top = past_the_box(I)
-        full = koszul_homology(I, top)
-        top_row = max(i for (i, _d) in full)
-        assert codepth(I) == top_row
-        for bound in range(top + 1):
-            seen = [d for (_i, d) in full if d <= bound] + [mono_degree(g) for g in I.gens]
-            if any(d >= bound - 1 for d in seen):
-                with pytest.raises(VerificationError):
-                    codepth(I, bound)
-            else:
-                assert codepth(I, bound) == top_row
+        full = koszul_homology(I, past_the_box(I))
+        assert codepth(I) == max(i for (i, _d) in full)
 
     @pytest.mark.parametrize("nvars, gens, expected", [
         (5, [(1, 1, 0, 0, 0), (0, 1, 1, 0, 0), (0, 0, 1, 1, 0), (0, 0, 0, 1, 1)], 3),

@@ -34,7 +34,7 @@ ARGVS = [
     ["genexp", "--char", "2", "--vars", "x,y", "--ideal", "x^2, y^2"],
     ["filtration", "--char", "2", "--vars", "x,y,z,w", "--ideal", "x^2, y^2, z*w"],
     ["flevel", "--char", "2", "--vars", "x,y", "--ideal", "x^4, x^2*y^2, y^4"],
-    ["loewy", "--spec", "char 2; vars x,y; ideal x^4, x^2*y^2, y^4"],
+    ["loewy", "--char", "2", "--vars", "x,y", "--ideal", "x^4, x^2*y^2, y^4"],
     ["alpha", "--n", "3", "--p", "7"],
     ["pn", "--n", "2", "--p", "3", "-e", "2"],
     ["veronese", "--ell", "2", "--p", "3"],
