@@ -303,7 +303,7 @@ def _dispatch(args):
         if name == "betti":
             table = betti_table(_need_monomial(ideal), args.degree_bound, **guard)
             rows = [{"i": i, "degree": d, "value": v} for (i, d), v in sorted(table.items())]
-            return echo, {"betti": rows}, [], warnings
+            return echo | {"degree_bound": args.degree_bound}, {"betti": rows}, [], warnings
         echo["class"] = "ci" if ci else "monomial"
         if name == "fsplit":
             cert = is_f_split(ideal, args.e, **guard).payload(ring)

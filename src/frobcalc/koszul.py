@@ -9,16 +9,20 @@ subsets J of supp b with x^(b - 1_J) outside I.  It is the relative chain
 complex of the simplex on supp b modulo the upper Koszul simplicial
 complex K^b(I) (Miller-Sturmfels, Combinatorial Commutative Algebra,
 ch. 1), with at most 2^n cells, and its homology ranks are cell counts
-minus ranks over F_p.  Only the blocks that can be nonzero are visited:
-b = u + 1_T with u standard and T containing supp u, the standard
-monomials coming from the ideal's staircase walk; a block with x^b
-standard (b != 0) is the full simplex, which is exact, and is skipped.
+minus ranks over F_p.  The block at b is empty unless x^(b - 1_supp b) is
+standard.
 
 Every nonzero block lies in the box [0, L] below the lcm L of the
-generators (Taylor bound), and only the blocks in that box are visited.
-`betti_table` reads the graded Betti table from them, and `codepth`
-(embedding dimension minus depth, the top nonvanishing homological
-degree) is the top row of that table.
+generators (Taylor bound), and more narrowly on the lcm lattice, the lcms
+of sets of generators (Gasharov-Peeva-Welker, "The lcm-lattice in monomial
+resolutions", 1999): k generators give at most 2^k such points.
+`betti_table` reads the graded Betti table from the blocks at the lattice
+points when 2^k is below the box's prod(L_v + 1) points, and otherwise
+from the blocks b = u + 1_T of the box, u running over the ideal's
+staircase and T over the variable sets containing supp u; the walk not
+taken is the other's test oracle.  `codepth` (embedding dimension minus
+depth, the top nonvanishing homological degree) is the top row of that
+table.
 
 `strand_check` verifies the degree-class strands of the linear
 resolution of m^j in k[x, y] degree by degree.  Its maps are sparse
@@ -46,7 +50,8 @@ from .polyring import DEFAULT_MAX_MONOMIALS, check_degree_bound, mono_degree
 def koszul_block(b, standard):
     """Cells of the block of K at multidegree b: chains[i] lists the
     i-subsets J of supp b, as sorted tuples of variables, with x^(b - 1_J)
-    in `standard` (a container of the standard monomials of degree <= |b|).
+    in `standard`, any container that holds the exponent tuples of the
+    standard monomials below b (a staircase set, or `_Standard`).
     """
     support = [v for v, e in enumerate(b) if e]
     chains = []
@@ -88,19 +93,73 @@ def _block_homology(chains, p):
     return [len(chains[i]) - ranks[i] - ranks[i + 1] for i in range(top)]
 
 
-def _block_sum(I, levels, bound):
+class _Standard:
+    """Membership container of the standard monomials of I: u is in it when
+    no generator divides x^u, decided against the generators once per u.
+    The test is `mono_divides` written with `map`, since the lattice walk
+    spends much of its time here."""
+
+    __slots__ = ("gens", "memo")
+
+    def __init__(self, gens):
+        self.gens = gens
+        self.memo = {}
+
+    def __contains__(self, u):
+        hit = self.memo.get(u)
+        if hit is None:
+            hit = self.memo[u] = not any(all(map(int.__le__, g, u)) for g in self.gens)
+        return hit
+
+
+def _add_block(table, b, standard, p):
+    """Add the homology ranks of the block at b to table[(i, |b|)]."""
+    d = sum(b)
+    for i, h in enumerate(_block_homology(koszul_block(b, standard), p)):
+        if h:
+            table[(i, d)] = table.get((i, d), 0) + h
+
+
+def _lattice_sum(I, bound):
+    """Nonzero ranks {(i, d): dim H_i(K^R)_d} summed over the blocks at the
+    points b of the lcm lattice of I with |b| <= bound.
+
+    The lattice is {0} closed under lcm with each generator; a point past
+    the bound only has points past it above it, so it is dropped as it
+    appears.  The block at b is empty unless x^(b - 1_supp b) is standard,
+    and x^b is never standard for b != 0, so no full simplex is visited."""
+    p = I.ring.p
+    points = {I.ring.unit_monomial()}
+    for g in I.gens:
+        points |= {m for m in (tuple(map(max, b, g)) for b in points) if sum(m) <= bound}
+    standard = _Standard(I.gens)
+    table = {}
+    for b in points:
+        if tuple(e - 1 if e else 0 for e in b) in standard:
+            _add_block(table, b, standard, p)
+    return table
+
+
+def _box_sum(I, bound):
     """Nonzero ranks {(i, d): dim H_i(K^R)_d} summed over the blocks
-    b = u + 1_T <= L = lcm(I) with |b| = d <= bound, where u runs over
-    `levels` (standard monomials of I inside the box, one list per degree)
-    and T over the variable sets containing supp u.
+    b = u + 1_T <= L = lcm(I) with |b| = d <= bound, where u runs over the
+    standard monomials of I inside the box and T over the variable sets
+    containing supp u.
 
     Every nonzero block is among these: the block at b is empty unless
     u = b - 1_supp b is standard, b -> (u, T) is a bijection, and b <= L
     means u_v < L_v on supp u and L_v >= 1 on the rest of T.  When x^b
     itself is standard and b != 0, every J in supp b is a cell: the block
-    is the full simplex, which is exact, and is skipped."""
+    is the full simplex, which is exact, and is skipped.  The standard
+    monomials inside the box are those of I plus a wall x_v^(L_v + 1) for
+    every variable with no pure-power generator."""
     top = I.lcm()
     p = I.ring.p
+    n = I.ring.nvars
+    powers = {v for g in I.gens for v, e in enumerate(g) if e == mono_degree(g)}
+    walls = [tuple(e + 1 if w == v else 0 for w in range(n)) for v, e in enumerate(top) if v not in powers]
+    boxed = MonomialIdeal(I.ring, I.gens + tuple(walls)) if walls else I
+    levels = boxed.staircase(bound, max_monomials=math.inf)
     table = {}
     standard = set(chain.from_iterable(levels))
     for du, level in enumerate(levels):
@@ -109,8 +168,7 @@ def _block_sum(I, levels, bound):
             if any(u[v] >= top[v] for v in support):
                 continue
             extras = [v for v, e in enumerate(u) if not e and top[v]]
-            base = du + len(support)
-            for k in range(min(len(extras), bound - base) + 1):
+            for k in range(min(len(extras), bound - du - len(support)) + 1):
                 for extra in combinations(extras, k):
                     b = list(u)
                     for v in chain(support, extra):
@@ -118,9 +176,7 @@ def _block_sum(I, levels, bound):
                     b = tuple(b)
                     if b in standard and (du or k):
                         continue
-                    for i, h in enumerate(_block_homology(koszul_block(b, standard), p)):
-                        if h:
-                            table[(i, base + k)] = table.get((i, base + k), 0) + h
+                    _add_block(table, b, standard, p)
     return table
 
 
@@ -147,16 +203,18 @@ def betti_table(I, degree_bound=None, max_monomials=DEFAULT_MAX_MONOMIALS):
     """Graded Betti table {(i, d): beta_{i,d}} of S/I over S.
 
     Koszul homology of S/I is Tor^S(S/I, k), so beta_{i,d} is the rank of
-    H_i(K^R)_d.  Every nonzero block lies in the box [0, L] below the lcm
-    L of the generators (Taylor bound), so only the blocks b <= L with
-    |b| <= min(degree_bound, |L|) are visited (default bound: |L|).  They
-    need only the standard monomials inside the box, which are those of
-    I plus a wall x_v^(L_v + 1) for every variable with no pure-power
-    generator.  Row i = 1 lists every generator of I whatever the bound.
+    H_i(K^R)_d.  Only the blocks b with |b| <= min(degree_bound, |L|) are
+    visited (default bound: |L|), L the lcm of the generators.  With k
+    minimal generators and a box [0, L] of prod(L_v + 1) points, the walk
+    visits the lcm-lattice points when 2^k is below the box count
+    (`_lattice_sum`), and the box's staircase otherwise (`_box_sum`); both
+    give the same table.  Row i = 1 lists every generator of I whatever
+    the bound.
 
-    `max_monomials` bounds the number of points of the box, prod(L_v + 1),
-    checked before the walk; it bounds every standard monomial the walk
-    keeps, so the walk's per-degree count is not applied.
+    `max_monomials` bounds the number of points of the box, checked first
+    for both walks.  It bounds every standard monomial the box walk keeps,
+    the at most 2^k < box lattice points, and the 2^|supp b| <= box
+    subsets of each block, so no per-degree count is applied.
     """
     check_degree_bound(degree_bound)
     if I.is_zero():
@@ -168,11 +226,8 @@ def betti_table(I, degree_bound=None, max_monomials=DEFAULT_MAX_MONOMIALS):
     if box > max_monomials:
         raise ResourceGuardError(f"multidegree box of {box} points exceeds guard {max_monomials}")
     bound = mono_degree(top) if degree_bound is None else min(degree_bound, mono_degree(top))
-    n = I.ring.nvars
-    powers = {v for g in I.gens for v, e in enumerate(g) if e == mono_degree(g)}
-    walls = [tuple(e + 1 if w == v else 0 for w in range(n)) for v, e in enumerate(top) if v not in powers]
-    boxed = MonomialIdeal(I.ring, I.gens + tuple(walls)) if walls else I
-    betti = _block_sum(I, boxed.staircase(bound, max_monomials=math.inf), bound)
+    walk = _lattice_sum if 2 ** len(I.gens) < box else _box_sum
+    betti = walk(I, bound)
     betti.update(Counter((1, mono_degree(g)) for g in I.gens))
     return dict(sorted(betti.items()))
 

@@ -97,6 +97,16 @@ class TestSubcommands:
         rows = {(r["i"], r["degree"]): r["value"] for r in payload["result"]["betti"]}
         assert rows == {(0, 0): 1, (1, 2): 3, (2, 3): 2}
 
+    def test_betti_echoes_its_degree_bound(self, capsys):
+        # a table cut at degree 3 lacks the syzygy of degree 4, and says so
+        argv = ["betti", "--char", "2", "--vars", "x,y", "--ideal", "x^2,y^2"]
+        cut = run_json(capsys, argv + ["--degree-bound", "3"])
+        assert cut["input"]["degree_bound"] == 3
+        assert [(r["i"], r["degree"]) for r in cut["result"]["betti"]] == [(0, 0), (1, 2)]
+        whole = run_json(capsys, argv)
+        assert whole["input"]["degree_bound"] is None
+        assert [(r["i"], r["degree"]) for r in whole["result"]["betti"]] == [(0, 0), (1, 2), (2, 4)]
+
     def test_betti_formula_mode(self, capsys):
         payload = run_json(capsys, ["betti", "--formula-nvars", "2", "--formula-power", "2"])
         assert payload["result"]["betti"] == {"0": 1, "1": 3, "2": 2}
@@ -305,6 +315,15 @@ class TestExitCodes:
         )
         code, _lines, err = run_captured(argv + ["--max-monomials", str(box)])
         assert (code, err) == (EXIT_OK, "")
+
+    def test_lattice_walk_is_guarded_by_the_box(self):
+        # one generator has the lattice {0, L}, but its block at L has 2^30
+        # subsets: the box count refuses it before any block is formed
+        names = [f"x{v}" for v in range(30)]
+        argv = ["codepth", "--char", "2", "--vars", ",".join(names), "--ideal", "*".join(names)]
+        assert run_captured(argv) == (
+            EXIT_GUARD, [], "error: multidegree box of 1073741824 points exceeds guard 10000000\n"
+        )
 
     def test_loewy_of_twelve_squares_fits_below_its_widest_degree(self, capsys):
         # degree 9 holds C(20, 11) = 167960 monomials of S; the walk forms at
@@ -1009,6 +1028,13 @@ GOLDEN_REPORTS = {
     "genexp_six_vars_p2.json": ["genexp"] + SIX_VARS,
     "betti_six_vars_p2.json": ["betti"] + SIX_VARS,
     "codepth_m2_eight_vars.json": ["codepth"] + M2_EIGHT_VARS,
+    # 8 generators in 8 variables: a box of 312,500 points, and the blocks
+    # at the lcm-lattice points only; captured from the box walk
+    "betti_eight_vars_p2.json": ["betti", "--char", "2", "--vars", ",".join(EIGHT_NAMES), "--json", "--ideal",
+                                 "x0^4*x1*x2^3*x3^3*x4^4*x5*x6^2*x7,x0^2*x2^2*x3^4*x4^3*x5^4*x6*x7^2,"
+                                 "x0^3*x1*x3^3*x5^3*x6^3*x7^4,x0*x1^3*x2^3*x3*x4^2*x5^4*x6^2,"
+                                 "x0*x1^4*x3^2*x5^3*x6^3*x7^3,x0*x1^3*x2^2*x4^3*x5^4*x7,"
+                                 "x1^3*x2^2*x3*x4^4*x6^2,x2^4*x4^3*x5*x6^3"],
     # gcd(q, ell) = 4: a residue of u + v admits four classes or none
     "veronese_ell4_p2_e2.json": ["veronese", "--ell", "4", "--p", "2", "-e", "2", "--json"],
     # the 4 * ell * q floor of the checked degrees

@@ -1,5 +1,6 @@
 import json
 import math
+from functools import reduce
 from itertools import chain, combinations
 
 import pytest
@@ -19,9 +20,9 @@ from frobcalc import (
     strand_check,
 )
 from frobcalc.cli import run
-from frobcalc.koszul import _block_homology, betti_power_row, koszul_block
+from frobcalc.koszul import _block_homology, _box_sum, _lattice_sum, betti_power_row, koszul_block
 from frobcalc.modlinalg import Span, rank
-from frobcalc.polyring import mono_degree
+from frobcalc.polyring import mono_degree, mono_divides, mono_lcm
 
 
 def mi(ring, *gens):
@@ -221,23 +222,28 @@ class TestKoszulHomology:
         assert h0 == {0: 1}
 
 
-def all_monomials_homology(I, degree_bound):
-    """Reference for `koszul_homology`: enumerate every monomial of degree
-    <= degree_bound and sum the homology of each block whose cell at
-    J = supp b, x^(b - 1_supp b), is standard."""
+def all_monomials_blocks(I, degree_bound):
+    """Enumerate every monomial b of degree <= degree_bound and yield
+    (b, homology ranks of its block) for each b whose cell at J = supp b,
+    x^(b - 1_supp b), is standard."""
     ring = I.ring
-    p = ring.p
-    table = {}
     standard = set()
     for d in range(degree_bound + 1):
         monos = monomials_of_degree(ring, d)
         standard.update(m for m in monos if not I.contains_monomial(m))
         for b in monos:
-            if tuple(e - 1 if e else 0 for e in b) not in standard:
-                continue
-            for i, h in enumerate(_block_homology(koszul_block(b, standard), p)):
-                if h:
-                    table[(i, d)] = table.get((i, d), 0) + h
+            if tuple(e - 1 if e else 0 for e in b) in standard:
+                yield b, _block_homology(koszul_block(b, standard), ring.p)
+
+
+def all_monomials_homology(I, degree_bound):
+    """Reference for `koszul_homology`: the block homology of every
+    monomial of degree <= degree_bound, summed by degree."""
+    table = {}
+    for b, ranks in all_monomials_blocks(I, degree_bound):
+        for i, h in enumerate(ranks):
+            if h:
+                table[(i, sum(b))] = table.get((i, sum(b)), 0) + h
     return table
 
 
@@ -268,6 +274,42 @@ class TestStaircaseWalk:
             expected = all_monomials_homology(I, bound)
             table = koszul_homology(I, bound)
             assert table == expected, bound
+
+    @given(I=small_monomial_ideals())
+    @settings(max_examples=80, deadline=None)
+    def test_nonzero_blocks_lie_on_the_lcm_lattice(self, I):
+        # Gasharov-Peeva-Welker: a nonzero block sits at the lcm of the
+        # generators dividing x^b, whatever the degree
+        for b, ranks in all_monomials_blocks(I, past_the_box(I)):
+            if any(ranks):
+                below = [g for g in I.gens if mono_divides(g, b)]
+                assert b == reduce(mono_lcm, below, I.ring.unit_monomial()), b
+
+    @given(I=small_monomial_ideals())
+    @settings(max_examples=80, deadline=None)
+    def test_lattice_and_box_walks_agree(self, I):
+        # each walk is the other's oracle, at every bound either may get
+        for bound in sorted({0, 1, 2, I.lcm_degree(), past_the_box(I)}):
+            assert _lattice_sum(I, bound) == _box_sum(I, bound), bound
+
+    def test_walk_follows_the_smaller_count(self, monkeypatch):
+        # the four squares: 2^4 lattice points against a box of 3^4; m^2 in
+        # four variables: 2^10 against the same box
+        ring = PolyRing(2, ["x", "y", "z", "w"])
+        squares = MonomialIdeal(ring, [(2, 0, 0, 0), (0, 2, 0, 0), (0, 0, 2, 0), (0, 0, 0, 2)])
+        walked = []
+
+        def spy(walk):
+            def spied(I, bound):
+                walked.append(walk.__name__)
+                return walk(I, bound)
+            return spied
+
+        monkeypatch.setattr("frobcalc.koszul._lattice_sum", spy(_lattice_sum))
+        monkeypatch.setattr("frobcalc.koszul._box_sum", spy(_box_sum))
+        assert codepth(squares) == 4
+        assert codepth(power_ideal(ring, 2)) == 4
+        assert walked == ["_lattice_sum", "_box_sum"]
 
     def test_guard_counts_the_lcm_box(self, ring2):
         # codepth walks the lcm box of m^2 in x, y, (2 + 1) * (2 + 1)
