@@ -5,7 +5,8 @@ where the Koszul complex on the variables has homology.  Once p^e exceeds
 it, the e-th pushforward of anything with full support generates everything
 bounded.  The graded homology ranks double as the Betti table of S/I
 (Koszul homology of S/I is Tor(S/I, k)), which `betti_table` reads from
-the blocks inside the lcm box.
+the blocks inside the lcm box, or, for a stable ideal such as
+(x^2, xy, y^2), from the Eliahou-Kervaire formula.
 """
 
 from frobcalc import (

@@ -128,6 +128,11 @@ def emit_json(envelope):
     return _encode(envelope, "") + "\n"
 
 
+def _scalar_text(value):
+    # JSON null reads null in text too, not Python's None
+    return "null" if value is None else value
+
+
 def render_text(value, indent=0):
     """Human-readable rendering of the JSON payload (same data source)."""
     pad = "  " * indent
@@ -138,7 +143,7 @@ def render_text(value, indent=0):
                 lines.append(f"{pad}{k}:")
                 lines.extend(render_text(v, indent + 1))
             else:
-                shown = v if not isinstance(v, (dict, list)) else "(none)"
+                shown = _scalar_text(v) if not isinstance(v, (dict, list)) else "(none)"
                 lines.append(f"{pad}{k}: {shown}")
     elif isinstance(value, list):
         for item in value:
@@ -146,9 +151,9 @@ def render_text(value, indent=0):
                 lines.append(f"{pad}-")
                 lines.extend(render_text(item, indent + 1))
             else:
-                lines.append(f"{pad}- {item}")
+                lines.append(f"{pad}- {_scalar_text(item)}")
     else:
-        lines.append(f"{pad}{value}")
+        lines.append(f"{pad}{_scalar_text(value)}")
     return lines if indent else "\n".join(lines) + "\n"
 
 
@@ -271,6 +276,7 @@ def build_parser():
     subs = parser.add_subparsers(dest="subcommand", required=True, parser_class=_Parser)
     for name, (helptext, takes_ideal, own) in SUBCOMMANDS.items():
         sub = subs.add_parser(name, help=helptext, parents=[common])
+        sub.set_defaults(parser=sub)
         for flag, default in ((IDEAL_FLAGS | own) if takes_ideal else own).items():
             kind, flag_help = FLAGS[flag]
             spec = {"choices": kind} if type(kind) is tuple else {"type": kind}
@@ -374,7 +380,12 @@ def run(argv):
     """Parse, dispatch, and print a report; returns the exit code."""
     parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args, unknown = parser.parse_known_args(argv)
+        if unknown:
+            # a flag after the subcommand is refused with the subcommand's
+            # usage line; any token before it is one the top level refuses
+            owner = parser if argv.index(args.subcommand) else args.parser
+            owner.error(f"unrecognized arguments: {' '.join(unknown)}")
     except _UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -16,13 +16,22 @@ Every nonzero block lies in the box [0, L] below the lcm L of the
 generators (Taylor bound), and more narrowly on the lcm lattice, the lcms
 of sets of generators (Gasharov-Peeva-Welker, "The lcm-lattice in monomial
 resolutions", 1999): k generators give at most 2^k such points.
-`betti_table` reads the graded Betti table from the blocks at the lattice
-points when 2^k is below the box's prod(L_v + 1) points, and otherwise
-from the blocks b = u + 1_T of the box, u running over the ideal's
-staircase and T over the variable sets containing supp u; the walk not
-taken is the other's test oracle.  `codepth` (embedding dimension minus
-depth, the top nonvanishing homological degree) is the top row of that
-table.
+
+`betti_table` reads the graded Betti table by the first route that
+applies, after the box guard:
+- a stable ideal (Eliahou-Kervaire, "Minimal resolutions of some monomial
+  ideals", 1990) in closed form, beta_{i+1, i+j}(S/I) the sum over the
+  degree-j generators u of C(m(u) - 1, i), m(u) the last variable of u;
+- the blocks at the lattice points when 2^k is below the box's
+  prod(L_v + 1) points (`_lattice_sum`);
+- the blocks b = u + 1_T of the box, u running over the ideal's staircase
+  and T over the variable sets containing supp u (`_box_sum`).
+The walks are each other's test oracle, and both are the oracle of the
+closed form.  `codepth` (embedding dimension minus depth, the top
+nonvanishing homological degree) is N for an artinian quotient
+(Auslander-Buchsbaum: depth 0), the number of generators for a monomial
+regular sequence (the Koszul complex on it resolves S/I), and the top row
+of the table otherwise.
 
 `strand_check` verifies the degree-class strands of the linear
 resolution of m^j in k[x, y] degree by degree.  Its maps are sparse
@@ -39,7 +48,7 @@ from collections import Counter, namedtuple
 from itertools import chain, combinations
 
 from .errors import ResourceGuardError, UnsupportedIdealClassError
-from .ideals import MonomialIdeal
+from .ideals import MonomialIdeal, pairwise_disjoint_supports
 from .modlinalg import rank
 from .polyring import DEFAULT_MAX_MONOMIALS, check_degree_bound, mono_degree
 
@@ -184,11 +193,16 @@ def codepth(I, max_monomials=DEFAULT_MAX_MONOMIALS):
     """Largest i with H_i(K^R) != 0; zero exactly when R is regular.
 
     Requires I inside the square of the maximal ideal (a minimal
-    presentation); callers must pre-reduce linear forms.  Koszul homology
-    of R is Tor^S(R, k), so the codepth is the top row of `betti_table`,
-    which is complete: every nonzero block lies in the lcm box.
+    presentation); callers must pre-reduce linear forms.  Then the codepth
+    is pd_S(S/I), read by the first route that applies:
+    - N when S/I is artinian: its depth is 0 (Auslander-Buchsbaum);
+    - the number of generators when they have pairwise disjoint supports:
+      they form a regular sequence, resolved by their Koszul complex;
+    - otherwise the top row of `betti_table`, which is complete: every
+      nonzero block lies in the lcm box.
 
-    `max_monomials` bounds the points of the lcm box, as in `betti_table`.
+    `max_monomials` bounds the points of the lcm box, as in `betti_table`;
+    the two closed forms enumerate nothing and answer before it.
     """
     if not isinstance(I, MonomialIdeal):
         raise UnsupportedIdealClassError("codepth is computed for monomial ideals")
@@ -196,25 +210,77 @@ def codepth(I, max_monomials=DEFAULT_MAX_MONOMIALS):
         raise UnsupportedIdealClassError(
             "codepth needs I inside m^2; reduce linear generators first"
         )
+    if I.is_artinian():
+        return I.ring.nvars
+    if pairwise_disjoint_supports(I.gens):
+        return len(I.gens)
     return max(i for i, _d in betti_table(I, max_monomials=max_monomials))
+
+
+def _last_variable(u):
+    """m(u) - 1: the index of the last variable dividing x^u, u != 0."""
+    return max(v for v, e in enumerate(u) if e)
+
+
+def _is_stable(I):
+    """True when I is stable in the ring's variable order: x_v u / x_m
+    lies in I for every minimal generator u, m = `_last_variable(u)` and
+    every v < m.  Testing the generators suffices (Eliahou-Kervaire 1990).
+    Each test is a set lookup when x_v u / x_m is itself a generator, as
+    for every power of the maximal ideal, and a scan of the generators
+    otherwise: at most k^2 N divisibility tests for k generators in N
+    variables."""
+    gens = set(I.gens)
+    for u in I.gens:
+        m = _last_variable(u)
+        for v in range(m):
+            w = list(u)
+            w[v] += 1
+            w[m] -= 1
+            w = tuple(w)
+            if w not in gens and not I.contains_monomial(w):
+                return False
+    return True
+
+
+def _eliahou_kervaire(I, bound):
+    """Nonzero ranks {(i, d): beta_{i,d}(S/I)} with d <= bound for a stable
+    I: beta_{i+1, i+j} is the sum over the generators u of degree j of
+    C(m(u) - 1, i), where m(u) - 1 = `_last_variable(u)`.  The formula
+    holds over every field."""
+    table = {(0, 0): 1}
+    for u in I.gens:
+        j = mono_degree(u)
+        m = _last_variable(u)
+        for i in range(min(m, bound - j) + 1):
+            table[(i + 1, i + j)] = table.get((i + 1, i + j), 0) + math.comb(m, i)
+    return table
 
 
 def betti_table(I, degree_bound=None, max_monomials=DEFAULT_MAX_MONOMIALS):
     """Graded Betti table {(i, d): beta_{i,d}} of S/I over S.
 
     Koszul homology of S/I is Tor^S(S/I, k), so beta_{i,d} is the rank of
-    H_i(K^R)_d.  Only the blocks b with |b| <= min(degree_bound, |L|) are
-    visited (default bound: |L|), L the lcm of the generators.  With k
-    minimal generators and a box [0, L] of prod(L_v + 1) points, the walk
-    visits the lcm-lattice points when 2^k is below the box count
-    (`_lattice_sum`), and the box's staircase otherwise (`_box_sum`); both
-    give the same table.  Row i = 1 lists every generator of I whatever
-    the bound.
+    H_i(K^R)_d.  Only degrees d <= min(degree_bound, |L|) are read
+    (default bound: |L|), L the lcm of the generators; no Betti number
+    lies past |L| (Taylor).  With k minimal generators in N variables and
+    a box [0, L] of prod(L_v + 1) points, the table comes from the first
+    route that applies:
+    - when k^2 N <= max_monomials and I is stable in the given variable
+      order, the Eliahou-Kervaire formula (`_eliahou_kervaire`);
+    - when 2^k is below the box count, the blocks at the lcm-lattice
+      points (`_lattice_sum`);
+    - otherwise the blocks over the box's staircase (`_box_sum`).
+    All three give the same table.  Row i = 1 lists every generator of I
+    whatever the bound.
 
     `max_monomials` bounds the number of points of the box, checked first
-    for both walks.  It bounds every standard monomial the box walk keeps,
-    the at most 2^k < box lattice points, and the 2^|supp b| <= box
-    subsets of each block, so no per-degree count is applied.
+    for every route, so the route never decides whether a table is
+    refused.  It bounds every standard monomial the box walk keeps, the at
+    most 2^k < box lattice points, and the 2^|supp b| <= box subsets of
+    each block, so no per-degree count is applied.  The k^2 N test is a
+    choice by cost, like 2^k < box: the stability test takes at most that
+    many steps.
     """
     check_degree_bound(degree_bound)
     if I.is_zero():
@@ -226,8 +292,12 @@ def betti_table(I, degree_bound=None, max_monomials=DEFAULT_MAX_MONOMIALS):
     if box > max_monomials:
         raise ResourceGuardError(f"multidegree box of {box} points exceeds guard {max_monomials}")
     bound = mono_degree(top) if degree_bound is None else min(degree_bound, mono_degree(top))
-    walk = _lattice_sum if 2 ** len(I.gens) < box else _box_sum
-    betti = walk(I, bound)
+    k = len(I.gens)
+    if k * k * I.ring.nvars <= max_monomials and _is_stable(I):
+        betti = _eliahou_kervaire(I, bound)
+    else:
+        walk = _lattice_sum if 2**k < box else _box_sum
+        betti = walk(I, bound)
     betti.update(Counter((1, mono_degree(g)) for g in I.gens))
     return dict(sorted(betti.items()))
 

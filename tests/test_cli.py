@@ -144,6 +144,16 @@ class TestSubcommands:
         payload = run_json(capsys, ["loewy"] + TWELVE)
         assert payload["result"] == {"loewy_length": 5}
 
+    @pytest.mark.parametrize("argv, line", [
+        (["twists", "--char", "3", "--vars", "x,y,z", "--ideal", "x^2+y^2+z^2"], "  jmax: null"),
+        (["betti", "--char", "2", "--vars", "x,y", "--ideal", "x*y"], "  degree_bound: null"),
+    ])
+    def test_text_mode_prints_json_null(self, argv, line):
+        code, out, _err = run_captured(argv)
+        assert code == EXIT_OK
+        assert line in out
+        assert not any("None" in shown for shown in out)
+
     def test_text_mode_renders_same_payload(self, capsys):
         code = run(["codepth", "--char", "2", "--vars", "x,y", "--ideal", "x*y"])
         out = capsys.readouterr().out
@@ -300,16 +310,19 @@ class TestExitCodes:
     @pytest.mark.parametrize(
         "argv, box",
         [
-            # (x^2, y^3) in x, y, z: (2 + 1) * (3 + 1) * (0 + 1) points
-            (["codepth", "--char", "2", "--vars", "x,y,z", "--ideal", "x^2,y^3"], 12),
-            (["genexp", "--char", "2", "--vars", "x,y,z", "--ideal", "x^2"], 3),
+            # (x^2 y, y^3) in x, y, z, neither artinian, nor a regular
+            # sequence, nor stable: (2 + 1) * (3 + 1) * (0 + 1) points
+            (["codepth", "--char", "2", "--vars", "x,y,z", "--ideal", "x^2*y,y^3"], 12),
+            (["betti", "--char", "2", "--vars", "x,y,z", "--ideal", "x^2"], 3),
             # the row cut does not shrink the box
             (["betti", "--char", "2", "--vars", "x,y,z", "--ideal", "x^2,y^3", "--degree-bound", "2"], 12),
-            (["codepth", "--char", "2", "--vars", "x", "--ideal", "x^5"], 6),
+            # (x y, y^2) is not stable: x y -> x^2 leaves it
+            (["genexp", "--char", "2", "--vars", "x,y", "--ideal", "x*y,y^2"], 6),
         ],
     )
     def test_koszul_guard_counts_the_lcm_box(self, argv, box):
-        # codepth and genexp walk the lcm box of betti, guarded by its points
+        # betti, and codepth and genexp where no closed form applies, walk
+        # the lcm box, guarded by its points
         assert run_captured(argv + ["--max-monomials", str(box - 1)]) == (
             EXIT_GUARD, [], f"error: multidegree box of {box} points exceeds guard {box - 1}\n"
         )
@@ -320,10 +333,33 @@ class TestExitCodes:
         # one generator has the lattice {0, L}, but its block at L has 2^30
         # subsets: the box count refuses it before any block is formed
         names = [f"x{v}" for v in range(30)]
-        argv = ["codepth", "--char", "2", "--vars", ",".join(names), "--ideal", "*".join(names)]
+        argv = ["betti", "--char", "2", "--vars", ",".join(names), "--ideal", "*".join(names)]
         assert run_captured(argv) == (
             EXIT_GUARD, [], "error: multidegree box of 1073741824 points exceeds guard 10000000\n"
         )
+
+    def test_closed_form_codepth_answers_before_the_box_guard(self, capsys):
+        # one generator is a regular sequence of length 1; twelve squares
+        # make an artinian quotient, with a box of 3^12 points
+        names = [f"x{v}" for v in range(30)]
+        argv = ["codepth", "--char", "2", "--vars", ",".join(names), "--ideal", "*".join(names)]
+        assert run_json(capsys, argv)["result"] == {"codepth": 1, "depth": 29}
+        names = names[:12]
+        argv = ["genexp", "--char", "3", "--vars", ",".join(names),
+                "--ideal", ", ".join(f"{x}^2" for x in names), "--max-monomials", "1"]
+        assert run_json(capsys, argv)["result"] == {"generation_exponent": 3}
+
+    def test_an_unknown_flag_prints_the_subcommand_usage(self):
+        argv = ["fsplit", "--char", "3", "--vars", "x,y", "--ideal", "x^2", "--exponent", "6"]
+        code, out, err = run_captured(argv)
+        assert (code, out) == (EXIT_USAGE, [])
+        assert err.startswith("usage: frobcalc fsplit [-h]")
+        assert err.endswith("\nerror: unrecognized arguments: --exponent 6\n")
+        # a flag before the subcommand is the top level's to refuse
+        code, out, err = run_captured(["--bogus"] + argv[:-2])
+        assert (code, out) == (EXIT_USAGE, [])
+        assert err.startswith("usage: frobcalc [-h] [--version]")
+        assert err.endswith("\nerror: unrecognized arguments: --bogus\n")
 
     def test_loewy_of_twelve_squares_fits_below_its_widest_degree(self, capsys):
         # degree 9 holds C(20, 11) = 167960 monomials of S; the walk forms at
@@ -981,6 +1017,7 @@ class TestJsonEncoding:
     def test_render_text_covers_payload(self):
         text = render_text({"a": {"b": [1, 2]}, "c": "x"})
         assert "a:" in text and "b:" in text and "- 1" in text and "c: x" in text
+        assert render_text({"a": None, "b": [None, 1]}) == "a: null\nb:\n  - null\n  - 1\n"
 
 
 GOLDEN = Path(__file__).resolve().parent / "golden"

@@ -1,5 +1,7 @@
 import json
 import math
+import random
+from collections import Counter
 from functools import reduce
 from itertools import chain, combinations
 
@@ -17,10 +19,19 @@ from frobcalc import (
     betti_power_formula,
     betti_table,
     codepth,
+    generation_exponent,
     strand_check,
 )
 from frobcalc.cli import run
-from frobcalc.koszul import _block_homology, _box_sum, _lattice_sum, betti_power_row, koszul_block
+from frobcalc.koszul import (
+    _block_homology,
+    _box_sum,
+    _eliahou_kervaire,
+    _is_stable,
+    _lattice_sum,
+    betti_power_row,
+    koszul_block,
+)
 from frobcalc.modlinalg import Span, rank
 from frobcalc.polyring import mono_degree, mono_divides, mono_lcm
 
@@ -293,10 +304,12 @@ class TestStaircaseWalk:
             assert _lattice_sum(I, bound) == _box_sum(I, bound), bound
 
     def test_walk_follows_the_smaller_count(self, monkeypatch):
-        # the four squares: 2^4 lattice points against a box of 3^4; m^2 in
-        # four variables: 2^10 against the same box
+        # neither ideal is stable, so betti walks: the four squares give 2^4
+        # lattice points against a box of 3^4, the six squarefree quadrics
+        # in four variables 2^6 against a box of 2^4
         ring = PolyRing(2, ["x", "y", "z", "w"])
         squares = MonomialIdeal(ring, [(2, 0, 0, 0), (0, 2, 0, 0), (0, 0, 2, 0), (0, 0, 0, 2)])
+        edges = MonomialIdeal(ring, [m for m in monomials_of_degree(ring, 2) if max(m) == 1])
         walked = []
 
         def spy(walk):
@@ -307,20 +320,188 @@ class TestStaircaseWalk:
 
         monkeypatch.setattr("frobcalc.koszul._lattice_sum", spy(_lattice_sum))
         monkeypatch.setattr("frobcalc.koszul._box_sum", spy(_box_sum))
-        assert codepth(squares) == 4
-        assert codepth(power_ideal(ring, 2)) == 4
+        assert max(i for i, _d in betti_table(squares)) == 4
+        assert max(i for i, _d in betti_table(edges)) == 3
         assert walked == ["_lattice_sum", "_box_sum"]
 
     def test_guard_counts_the_lcm_box(self, ring2):
-        # codepth walks the lcm box of m^2 in x, y, (2 + 1) * (2 + 1)
-        # points, and betti walks the same box whatever its degree bound
-        I = mi(ring2, (2, 0), (1, 1), (0, 2))
-        assert codepth(I, max_monomials=9) == codepth(I) == 2
+        # codepth of (x^2 y, x y^2), neither artinian, nor a regular
+        # sequence, nor stable, walks its lcm box, (2 + 1) * (2 + 1)
+        # points; betti walks or reads the same box of m^2 in x, y whatever
+        # its degree bound
+        J = mi(ring2, (2, 1), (1, 2))
+        assert codepth(J, max_monomials=9) == codepth(J) == 2
         with pytest.raises(ResourceGuardError, match="multidegree box of 9 points exceeds guard 8"):
-            codepth(I, max_monomials=8)
+            codepth(J, max_monomials=8)
+        I = mi(ring2, (2, 0), (1, 1), (0, 2))
         for bound in (None, 2, 50):
             with pytest.raises(ResourceGuardError, match="multidegree box of 9 points exceeds guard 8"):
                 betti_table(I, bound, max_monomials=8)
+
+
+def walked_table(I, bound=None):
+    """The Betti table of the walk `betti_table` takes when it does not
+    read a closed form, row 1 cut at the bound as the walks cut it."""
+    bound = I.lcm_degree() if bound is None else bound
+    walk = _lattice_sum if 2 ** len(I.gens) < math.prod(e + 1 for e in I.lcm()) else _box_sum
+    return walk(I, bound)
+
+
+def borel_closure(ring, monos):
+    """The least strongly stable (Borel-fixed in characteristic 0) monomial
+    ideal containing the monomials: closed under x^u -> x_i x^u / x_j for
+    i < j with x_j dividing x^u.  Every such ideal is stable."""
+    seen = set(monos)
+    todo = list(monos)
+    while todo:
+        u = todo.pop()
+        for j, e in enumerate(u):
+            for i in range(j if e else 0):
+                w = u[:i] + (u[i] + 1,) + u[i + 1 : j] + (e - 1,) + u[j + 1 :]
+                if w not in seen:
+                    seen.add(w)
+                    todo.append(w)
+    return MonomialIdeal(ring, list(seen))
+
+
+@st.composite
+def borel_fixed_ideals(draw):
+    """The Borel closure of 1-3 monomials of degree 1-4 in 2-4 variables
+    over F_2 or F_3."""
+    p = draw(st.sampled_from([2, 3]))
+    nvars = draw(st.integers(2, 4))
+    ring = PolyRing(p, ["x", "y", "z", "w"][:nvars])
+    degree = st.integers(1, 4).flatmap(
+        lambda d: st.lists(st.integers(0, nvars - 1), min_size=d, max_size=d)
+    )
+    seeds = draw(st.lists(degree, min_size=1, max_size=3))
+    return borel_closure(ring, [tuple(s.count(v) for v in range(nvars)) for s in seeds])
+
+
+def stable_by_definition(I):
+    """Stability tested on every monomial of I up to the lcm degree, not
+    only on the generators: x_i x^w / x_m(w) in I for each i < m(w)."""
+    for d in range(I.lcm_degree() + 1):
+        for w in monomials_of_degree(I.ring, d):
+            if any(w) and I.contains_monomial(w):
+                m = max(v for v, e in enumerate(w) if e)
+                for i in range(m):
+                    moved = w[:i] + (w[i] + 1,) + w[i + 1 : m] + (w[m] - 1,) + w[m + 1 :]
+                    if not I.contains_monomial(moved):
+                        return False
+    return True
+
+
+class TestEliahouKervaire:
+    @given(I=borel_fixed_ideals())
+    @settings(max_examples=200, deadline=None)
+    def test_matches_both_walks_on_borel_fixed_ideals(self, I):
+        assert _is_stable(I)
+        for bound in sorted({0, 1, 2, 3, I.lcm_degree()}):
+            table = _eliahou_kervaire(I, bound)
+            assert table == _lattice_sum(I, bound) == _box_sum(I, bound), bound
+
+    @given(I=small_monomial_ideals())
+    @settings(max_examples=150, deadline=None)
+    def test_stability_test_reads_the_generators_only(self, I):
+        if not I.is_zero() and not I.is_unit():
+            assert _is_stable(I) == stable_by_definition(I)
+
+    @given(I=small_monomial_ideals())
+    @settings(max_examples=150, deadline=None)
+    def test_betti_table_matches_the_walk_on_every_route(self, I):
+        # a non-stable ideal read by the formula would differ from its walk
+        if I.is_zero():
+            return
+        for bound in sorted({0, 1, 2, I.lcm_degree()}):
+            walked = walked_table(I, bound)
+            walked.update(Counter((1, mono_degree(g)) for g in I.gens))
+            assert betti_table(I, bound) == walked, bound
+
+    @pytest.mark.parametrize("d", [1, 2, 3, 4, 5])
+    @pytest.mark.parametrize("j", [1, 2, 3, 4])
+    def test_matches_the_formula_mode_on_powers_of_the_maximal_ideal(self, d, j):
+        ring = PolyRing(3, [f"x{v}" for v in range(d)])
+        table = betti_table(power_ideal(ring, j))
+        rows = [0] * (d + 1)
+        for (i, degree), value in table.items():
+            assert degree == (j + i - 1 if i else 0)
+            rows[i] += value
+        assert rows == betti_power_row(d, j)
+
+    def test_stability_follows_the_variable_order(self):
+        # (x^2, x y) is stable in the order x, y; in the order y, x the
+        # move x y -> y^2 leaves it.  The table does not depend on the order
+        xy = PolyRing(2, ["x", "y"])
+        yx = PolyRing(2, ["y", "x"])
+        assert _is_stable(MonomialIdeal(xy, [(2, 0), (1, 1)]))
+        assert not _is_stable(MonomialIdeal(yx, [(0, 2), (1, 1)]))
+        assert betti_table(MonomialIdeal(xy, [(2, 0), (1, 1)])) == betti_table(
+            MonomialIdeal(yx, [(0, 2), (1, 1)])
+        )
+
+
+def random_artinian_ideal(rng):
+    """A pure power of each of 1-4 variables, of degree 2-4, and up to four
+    more generators of degree 2-4."""
+    nvars = rng.randint(1, 4)
+    ring = PolyRing(rng.choice([2, 3, 5]), ["x", "y", "z", "w"][:nvars])
+    gens = [tuple(rng.randint(2, 4) if w == v else 0 for w in range(nvars)) for v in range(nvars)]
+    for _ in range(rng.randint(0, 4)):
+        u = [0] * nvars
+        for _ in range(rng.randint(2, 4)):
+            u[rng.randrange(nvars)] += 1
+        gens.append(tuple(u))
+    return MonomialIdeal(ring, gens)
+
+
+class TestClosedFormCodepth:
+    def test_matches_the_walk_on_the_corpus(self):
+        for I, _ci in corpus_ideals(p=2):
+            if not I.is_zero():
+                assert codepth(I) == max(i for i, _d in walked_table(I)), I
+
+    def test_matches_the_walk_on_random_artinian_ideals(self):
+        rng = random.Random(26)
+        for _ in range(300):
+            I = random_artinian_ideal(rng)
+            assert I.is_artinian()
+            assert codepth(I) == max(i for i, _d in walked_table(I)) == I.ring.nvars, I
+
+
+class TestWalkSpy:
+    """Inputs a theorem answers never enter either Koszul walk."""
+
+    @pytest.fixture(autouse=True)
+    def no_walk(self, monkeypatch):
+        def refuse(I, bound):
+            raise AssertionError(f"walked {I!r}")
+
+        monkeypatch.setattr("frobcalc.koszul._lattice_sum", refuse)
+        monkeypatch.setattr("frobcalc.koszul._box_sum", refuse)
+
+    @pytest.mark.parametrize("d, j", [(2, 2), (3, 3), (4, 2), (6, 2), (3, 5)])
+    def test_powers_of_the_maximal_ideal(self, d, j):
+        I = power_ideal(PolyRing(2, [f"x{v}" for v in range(d)]), j)
+        assert max(i for i, _d in betti_table(I)) == codepth(I) == d
+
+    def test_monomial_complete_intersections(self):
+        for I, ci in corpus_ideals(p=3):
+            if ci is not None:
+                assert codepth(I) == ci
+                assert generation_exponent(I) == (2 if ci >= 3 else 1)
+
+    @pytest.mark.parametrize("subcommand, vars_, ideal, result", [
+        ("codepth", "x,y,z", "x^2, y^3, z^2", {"codepth": 3, "depth": 0}),
+        ("codepth", "x,y,z", "x^2, x*y, y^2, z^9", {"codepth": 3, "depth": 0}),
+        ("codepth", "x,y,z,w", "x*y, z^3*w", {"codepth": 2, "depth": 2}),
+        ("genexp", "x,y,z", "x^2, y^2, z^2", {"generation_exponent": 2}),
+        ("genexp", "x,y,z,w", "x*y*z*w", {"generation_exponent": 1}),
+    ])
+    def test_codepth_and_genexp_answer_under_any_guard(self, capsys, subcommand, vars_, ideal, result):
+        argv = [subcommand, "--char", "2", "--vars", vars_, "--ideal", ideal, "--max-monomials", "1"]
+        assert run(argv + ["--json"]) == 0
+        assert json.loads(capsys.readouterr().out)["result"] == result
 
 
 class TestCodepth:
