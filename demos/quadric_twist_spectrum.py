@@ -18,7 +18,7 @@ from frobcalc.polyring import mono_str
 ring = PolyRing(3, ["x0", "x1", "x2", "x3"])
 quadric = CIIdeal(ring, [parse_polynomial(ring, "x0*x1 + x2*x3")])
 
-spectrum = twist_spectrum(quadric, e=1, j_max=3)
+spectrum = twist_spectrum(quadric, e=1)
 print("twist spectrum at q = 3:")
 for j, cert in sorted(spectrum.entries.items()):
     marker = "summand" if cert.verdict else "no summand"

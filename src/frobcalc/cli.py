@@ -31,7 +31,6 @@ from .koszul import betti_power_row, betti_table, codepth, strand_check
 from .levels import DEFAULT_E_MAX, f_level_bounds, generation_exponent
 from .polyring import PolyRing, is_prime, mono_str, parse_polynomial
 from .pushforward import (
-    DEFAULT_VERONESE_BOUND,
     FrobeniusModule,
     ci_filtration_check,
     cyclic_decompose,
@@ -167,11 +166,9 @@ FLAGS = {
     "--char": (int, "prime characteristic"),
     "--vars": (str, "comma-separated variable names"),
     "--ideal": (str, "comma-separated generators"),
-    "--class": (("monomial", "ci"), "ideal class, auto-detected when not given"),
     "-e": (int, "pushforward exponent"),
     "--j": (int, "twist to test"),
-    "--jmax": (int, "largest twist to test"),
-    "--degree-bound": (int, "degree bound of the table or of the check"),
+    "--degree-bound": (int, "degree bound of the table"),
     "--emax": (int, "largest exponent to test"),
     "--formula-nvars": (int, "closed form: number of variables"),
     "--formula-power": (int, "closed form: power of the maximal ideal"),
@@ -183,14 +180,14 @@ FLAGS = {
 }
 
 # the flags of every subcommand that takes an ideal, read before its own
-IDEAL_FLAGS = {"--char": None, "--vars": None, "--ideal": None, "--class": None}
+IDEAL_FLAGS = {"--char": None, "--vars": None, "--ideal": None}
 
 # every subcommand: its help text, whether it takes an ideal, and each of
 # its own flags with its default or REQUIRED
 SUBCOMMANDS = {
     "fsplit": ("Frobenius splitting test", True, {"-e": 1}),
     "summand": ("graded summand test for one twist", True, {"-e": 1, "--j": REQUIRED}),
-    "twists": ("summand tests across a twist range", True, {"-e": 1, "--jmax": None}),
+    "twists": ("summand tests across a twist range", True, {"-e": 1}),
     "witness": ("maximal escape monomial and its twist factors", True, {"-e": 1}),
     "codepth": ("top nonvanishing Koszul homology degree", True, {}),
     "genexp": ("least e with p^e above the codepth", True, {}),
@@ -207,14 +204,14 @@ SUBCOMMANDS = {
     "pn": ("iterated pushforward of a line bundle on P^n", False,
            {"--n": REQUIRED, "--p": REQUIRED, "-e": 1, "--l": 0}),
     "veronese": ("strand decomposition of a Veronese pushforward", False,
-                 {"--ell": REQUIRED, "--p": REQUIRED, "-e": 1, "--degree-bound": DEFAULT_VERONESE_BOUND}),
+                 {"--ell": REQUIRED, "--p": REQUIRED, "-e": 1}),
 }
 
 # every input mode: the flags that switch it on, and the flags it does
 # not read, refused in this order
 INPUT_MODES = {
     "formula mode": (("--formula-nvars", "--formula-power"),
-                     ("--char", "--vars", "--ideal", "--degree-bound", "--class")),
+                     ("--char", "--vars", "--ideal", "--degree-bound")),
 }
 
 
@@ -243,7 +240,7 @@ def _parse_ideal_args(args, guard):
         raise ParseError("need --char, --vars and --ideal")
     ring = PolyRing(args.char, [v.strip() for v in args.vars.split(",")])
     polys = [parse_polynomial(ring, chunk) for chunk in args.ideal.split(",")]
-    ideal, warnings = build_ideal(ring, polys, getattr(args, "class"), **guard)
+    ideal, warnings = build_ideal(ring, polys, **guard)
     return ring, ideal, warnings
 
 
@@ -318,9 +315,9 @@ def _dispatch(args):
             cert = graded_summand_test(ideal, args.j, args.e, **guard).payload(ring)
             return echo | {"e": args.e, "j": args.j}, {"certificate": cert}, [cert], warnings
         if name == "twists":
-            payload = twist_spectrum(ideal, args.e, args.jmax, **guard).payload(ring)
+            payload = twist_spectrum(ideal, args.e, **guard).payload(ring)
             certs = list(payload["entries"].values())
-            return echo | {"e": args.e, "jmax": args.jmax}, payload, certs, warnings
+            return echo | {"e": args.e}, payload, certs, warnings
         if name == "witness":
             payload = witness_from_proof(ideal, args.e, **guard).payload(ring)
             certs = [factor["certificate"] for factor in payload["factors"]]
@@ -369,7 +366,7 @@ def _dispatch(args):
         return echo, report.payload(), [], []
 
     if name == "veronese":
-        report = veronese_decompose(args.ell, args.p, args.e, args.degree_bound, **guard)
+        report = veronese_decompose(args.ell, args.p, args.e, **guard)
         echo = {"ell": args.ell, "p": args.p, "e": args.e}
         return echo, report.payload(), [], []
 

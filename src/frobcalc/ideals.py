@@ -96,12 +96,6 @@ class MonomialIdeal:
     def contains_monomial(self, m):
         return any(mono_divides(g, m) for g in self.gens)
 
-    def contains_polynomial(self, f):
-        """Membership of a polynomial in a monomial ideal is termwise."""
-        if self.ring != f.ring:
-            raise RingMismatchError(f"{self.ring!r} vs {f.ring!r}")
-        return all(self.contains_monomial(m) for m in f.terms)
-
     def __eq__(self, other):
         return (
             isinstance(other, MonomialIdeal)
@@ -176,9 +170,6 @@ class MonomialIdeal:
         for g in self.gens:
             acc = mono_lcm(acc, g)
         return acc
-
-    def lcm_degree(self):
-        return mono_degree(self.lcm())
 
     def is_artinian(self):
         """S/I is artinian iff every variable has a pure-power generator."""
@@ -265,14 +256,6 @@ class CIIdeal:
                 )
             self.regular_sequence_verified = len(gens) <= 2
 
-    @property
-    def codimension(self):
-        return len(self.gens)
-
-    def degree(self):
-        """Sum of generator degrees (the degree of the cut-out subscheme)."""
-        return sum(f.degree() for f in self.gens)
-
     def product(self, max_monomials=DEFAULT_MAX_MONOMIALS):
         """f_1 * ... * f_t; `max_monomials` bounds the term pairs multiplied,
         summed over the products, checked before each product is formed."""
@@ -314,33 +297,32 @@ def in_bracket_max(f, q):
 # ---------------------------------------------------------------------------
 # assembling an ideal from parsed generators
 
-def detect_ideal_class(polys):
-    """'monomial' when every generator is a single-term monomial multiple
-    (zero generators are ignored)."""
-    return "monomial" if all(len(f.terms) <= 1 for f in polys) else "ci"
+def build_ideal(ring, polys, max_monomials=DEFAULT_MAX_MONOMIALS):
+    """Assemble an ideal object from parsed generators; the class is read
+    from them.
 
-
-def build_ideal(ring, polys, ideal_class=None, max_monomials=DEFAULT_MAX_MONOMIALS):
-    """Assemble an ideal object from parsed generators.
-
-    Auto-detects the class when not given; non-monomial generators force
-    the complete-intersection class, whose regular-sequence hypothesis is
-    checked for one and two generators (`max_monomials` bounds the check
-    for two) and otherwise a caller assertion.  Returns (ideal, warnings).
+    Every generator a single term (zero generators are dropped) gives a
+    MonomialIdeal; anything else a CIIdeal, whose regular-sequence
+    hypothesis is checked for one and two generators (`max_monomials`
+    bounds the check for two) and otherwise a caller assertion.  Returns
+    (ideal, warnings).
     """
-    warnings = []
-    detected = detect_ideal_class(polys)
-    cls = ideal_class or detected
-    if cls == "monomial":
-        if detected != "monomial":
-            raise UnsupportedIdealClassError("non-monomial generator in a monomial ideal")
-        gens = [next(iter(f.terms)) for f in polys if f.terms]
-        return MonomialIdeal(ring, gens), warnings
-    if cls == "ci":
-        ideal = CIIdeal(ring, list(polys), max_monomials=max_monomials)
-        if ideal_class is None:
-            warnings.append("ideal class auto-detected as a complete intersection")
-        if not ideal.regular_sequence_verified:
-            warnings.append("regular-sequence assertion recorded for polynomial generators")
-        return ideal, warnings
-    raise UnsupportedIdealClassError(f"unknown ideal class {cls!r}")
+    if all(len(f.terms) <= 1 for f in polys):
+        return MonomialIdeal(ring, [next(iter(f.terms)) for f in polys if f.terms]), []
+    ideal = CIIdeal(ring, polys, max_monomials=max_monomials)
+    if ideal.regular_sequence_verified:
+        return ideal, []
+    return ideal, ["regular-sequence assertion recorded for polynomial generators"]
+
+
+def regular_sequence_degrees(ideal):
+    """The generator degrees when the ideal is generated by a regular
+    sequence of forms of degree >= 1, else None: always for a CIIdeal, and
+    for a monomial ideal, neither zero nor the unit ideal, whose
+    generators have pairwise disjoint supports."""
+    if isinstance(ideal, CIIdeal):
+        return [f.degree() for f in ideal.gens]
+    if isinstance(ideal, MonomialIdeal) and ideal.gens and not ideal.is_unit():
+        if pairwise_disjoint_supports(ideal.gens):
+            return [mono_degree(g) for g in ideal.gens]
+    return None

@@ -16,20 +16,12 @@ from __future__ import annotations
 
 from collections import namedtuple
 
-from .ideals import MonomialIdeal, pairwise_disjoint_supports
+from .ideals import MonomialIdeal, regular_sequence_degrees
 from .koszul import codepth as koszul_codepth
-from .polyring import DEFAULT_MAX_MONOMIALS, mono_degree
+from .polyring import DEFAULT_MAX_MONOMIALS
 from .splitting import is_f_split, not_split_certificate
 
 DEFAULT_E_MAX = 4
-
-
-def _monomial_ci_codimension(I):
-    """Number of generators when the monomial ideal is generated by a
-    regular sequence (pairwise disjoint supports), else None."""
-    if I.gens and pairwise_disjoint_supports(I.gens):
-        return len(I.gens)
-    return None
 
 
 class BoundReport(
@@ -72,7 +64,11 @@ def f_level_bounds(ideal, e_max=DEFAULT_E_MAX, max_monomials=DEFAULT_MAX_MONOMIA
     for each e <= e_max.  Upper bounds: Loewy length for artinian
     quotients, p^codim for complete intersections, the smaller when both
     apply; otherwise unknown (finite).  exact = lower when the bounds
-    meet."""
+    meet.
+
+    p^c needs no generator in m^2: S/I^[p] is filtered by the f^a,
+    a in {0..p-1}^c, with p^c subquotients isomorphic to shifts of S/I,
+    and F_* of S/I^[p] is free over R (Kunz)."""
     if e_max < 1:
         raise ValueError("e_max must be at least 1")
     certs = {1: is_f_split(ideal, 1, max_monomials=max_monomials)}
@@ -90,11 +86,9 @@ def f_level_bounds(ideal, e_max=DEFAULT_E_MAX, max_monomials=DEFAULT_MAX_MONOMIA
         if ideal.is_artinian():
             ll = ideal.loewy_length(max_monomials=max_monomials)
             uppers.append(("artinian Loewy-length bound", ll, f"loewy_length = {ll}"))
-        c = _monomial_ci_codimension(ideal)
-        if c is not None and all(mono_degree(g) >= 2 for g in ideal.gens):
-            uppers.append(("complete-intersection bound p^codim", p**c, f"codimension = {c}"))
-    else:  # a complete intersection: the splitting test refuses every other class
-        c = ideal.codimension
+    degrees = regular_sequence_degrees(ideal)
+    if degrees is not None:
+        c = len(degrees)
         uppers.append(("complete-intersection bound p^codim", p**c, f"codimension = {c}"))
     if not uppers:
         notes.append("no certified upper bound applies; the value is finite")

@@ -21,14 +21,11 @@ from .ideals import MonomialIdeal, pairwise_disjoint_supports
 from .polyring import (
     DEFAULT_MAX_MONOMIALS,
     bounded_count,
-    check_degree_bound,
     mono_degree,
     mono_mul,
     mono_pow,
     mono_str,
 )
-
-DEFAULT_VERONESE_BOUND = 12
 
 
 class FrobeniusModule:
@@ -358,9 +355,7 @@ class ConicDecomposition(
         }
 
 
-def veronese_decompose(
-    ell, p, e, degree_bound=DEFAULT_VERONESE_BOUND, max_monomials=DEFAULT_MAX_MONOMIALS
-):
+def veronese_decompose(ell, p, e, max_monomials=DEFAULT_MAX_MONOMIALS):
     """Decompose the e-th Frobenius pushforward of the index-ell Veronese
     subring of k[x, y] into strand modules.
 
@@ -380,14 +375,17 @@ def veronese_decompose(
     number of class multisets with that profile is a Gaussian binomial
     coefficient (`_class_multiset_count`).
 
-    The verification holds one dimension per S-degree through
-    max(degree_bound, 4) * ell * q, and the pieces are at most q^2 * ell
-    triples; `max_monomials` guards both counts."""
+    Every start degree is below q * (ell + 2), and past the last one each
+    group's Hilbert function is linear along its progression mod q*ell,
+    so a check through 4 * ell * q is already a proof.  The check runs
+    through 12 * ell * q all the same, so that reports keep their
+    `hilbert_series_bound` and the check reaches S-degree 12 * ell * p at
+    every e.  It holds one dimension per S-degree, and the pieces are at
+    most q^2 * ell triples; `max_monomials` guards both counts."""
     if ell < 1 or e < 1:
         raise ValueError("need ell >= 1 and e >= 1")
-    check_degree_bound(degree_bound)
     q = p**e
-    bound = max(degree_bound * ell * q, 4 * ell * q)
+    bound = 12 * ell * q
     if bound + 1 > max_monomials:
         raise ResourceGuardError(
             f"Hilbert-series check over {bound + 1} degrees exceeds guard {max_monomials}"

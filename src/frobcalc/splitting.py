@@ -50,7 +50,7 @@ from .errors import (
     UnsupportedIdealClassError,
     VerificationError,
 )
-from .ideals import CIIdeal, MonomialIdeal, in_bracket_max
+from .ideals import CIIdeal, MonomialIdeal, in_bracket_max, regular_sequence_degrees
 from .polyring import (
     DEFAULT_MAX_MONOMIALS,
     Polynomial,
@@ -311,7 +311,8 @@ def k_summand_test(ideal, e, max_monomials=DEFAULT_MAX_MONOMIALS):
 class TwistSpectrum(
     namedtuple("TwistSpectrum", "e q degree entries band hypotheses band_consistent warnings")
 ):
-    """Graded-summand certificates for the twists R(-j), j = 0..j_max.
+    """Graded-summand certificates for the twists R(-j),
+    j = 0..max(n - d, 0) + 1.
 
     `degree` is the sum of the generator degrees of the complete
     intersection, `entries` maps j to its SplitCertificate, and `band` is
@@ -332,38 +333,40 @@ class TwistSpectrum(
         }
 
 
-def twist_spectrum(ideal, e, j_max=None, max_monomials=DEFAULT_MAX_MONOMIALS):
-    """The graded_summand_test certificates for j = 0..j_max on a complete
-    intersection, all read from one colon table.
+def _ci_degree(ideal, name):
+    """d, the sum of the generator degrees of a complete intersection: a
+    CIIdeal, or a monomial ideal whose generators form a regular sequence
+    (`ideals.regular_sequence_degrees`)."""
+    degrees = regular_sequence_degrees(ideal)
+    if degrees is None:
+        raise UnsupportedIdealClassError(f"{name} needs a complete intersection")
+    return sum(degrees)
 
-    When the hypotheses hold (degree d <= n where n+1 = #variables, q > n-d,
-    and the j = 0 test passes), the theory predicts summands exactly for
-    0 <= j <= n-d; the report checks the computed entries against that band.
-    Outside the hypotheses the computed values are reported without any
-    band assertion.  `max_monomials` also bounds the j_max + 1
-    certificates the spectrum holds.
+
+def twist_spectrum(ideal, e, max_monomials=DEFAULT_MAX_MONOMIALS):
+    """The graded_summand_test certificates for j = 0..max(n - d, 0) + 1
+    on a complete intersection, all read from one colon table.
+
+    Every live term of f^(q-1) mod m^[q] has degree d(q-1), so its slack
+    is (n + 1 - d)(q-1) and no twist past n - d is a summand; the range
+    ends one twist past the band.  When the hypotheses hold (degree
+    d <= n where n+1 = #variables, q > n-d, and the j = 0 test passes),
+    the theory predicts summands exactly for 0 <= j <= n-d; the report
+    checks the computed entries against that band.  Outside the
+    hypotheses the computed values are reported without any band
+    assertion.
     """
-    if not isinstance(ideal, CIIdeal):
-        raise UnsupportedIdealClassError("twist_spectrum needs a complete intersection")
+    d = _ci_degree(ideal, "twist_spectrum")
     ring = ideal.ring
     n = ring.nvars - 1
-    d = ideal.degree()
     q = _frobenius_q(ring, e)
-    if j_max is None:
-        j_max = max(n - d, 0) + 1
-    if j_max < 0:
-        raise ValueError("j_max must be nonnegative")
-    if j_max + 1 > max_monomials:
-        raise ResourceGuardError(
-            f"{j_max + 1} twist certificates exceed guard {max_monomials}"
-        )
     warnings = []
     if q <= n - d:
         warnings.append(
             f"q = {q} <= n - d = {n - d}: the band prediction needs q > n - d"
         )
     table = _colon_table(ideal, e, max_monomials=max_monomials)
-    entries = {j: table.certificate(j) for j in range(j_max + 1)}
+    entries = {j: table.certificate(j) for j in range(max(n - d, 0) + 2)}
     hypotheses = {
         "degree_at_most_n": d <= n,
         "q_exceeds_band": q > n - d,
@@ -422,15 +425,13 @@ def witness_from_proof(ideal, e, max_monomials=DEFAULT_MAX_MONOMIALS):
     boxes (q-1) - t over the live terms t of f^(q-1); the box of the
     lexicographically least live term is the one a greedy growth from 1,
     raising x_0 first, ends in."""
-    if not isinstance(ideal, CIIdeal):
-        raise UnsupportedIdealClassError("witness_from_proof needs a complete intersection")
+    d = _ci_degree(ideal, "witness_from_proof")
     table = _colon_table(ideal, e, max_monomials=max_monomials)
     if not table.live:
         raise NotFSplitError("no escape monomial exists: the quotient is not F-split")
 
     q = table.q
     n = ideal.ring.nvars - 1
-    d = ideal.degree()
     g = tuple(q - 1 - x for x in min(t for _gen, t in table.live))
     expected = (n + 1) * (q - 1) - d * (q - 1)
     if mono_degree(g) != expected:

@@ -91,7 +91,8 @@ def test_criterion_02_twist_spectrum_band():
             assert cert.verdict == (j <= 1)
             if cert.verdict:
                 assert cert.verify(quadric)
-        spectrum = twist_spectrum(quadric, 1, 3)
+        spectrum = twist_spectrum(quadric, 1)
+        assert sorted(spectrum.entries) == [0, 1, 2]
         assert spectrum.band == (0, 1) and spectrum.band_consistent
         chain = witness_from_proof(quadric, 1)
         assert chain.degree == chain.expected_degree == 4  # (n+1)(q-1) - d(q-1)
@@ -150,7 +151,7 @@ def test_criterion_05_codepth_suite():
             if ci_codim is not None:
                 assert c == ci_codim
             # d compose d = 0 on every multidegree block of the Koszul complex
-            assert_blocks_square_to_zero(I, min(6, I.lcm_degree() + 2))
+            assert_blocks_square_to_zero(I, min(6, mono_degree(I.lcm()) + 2))
             assert pushforward_min_generators(I, 1) >= I.ring.nvars
 
 
@@ -228,11 +229,15 @@ def test_criterion_09_flevel_reports():
                 provenance = {desc: value for desc, value, _c in report.provenance}
                 if I.is_artinian():
                     assert provenance["artinian Loewy-length bound"] == I.loewy_length()
-                if ci_codim is not None and all(mono_degree(g) >= 2 for g in I.gens):
+                if ci_codim is not None:
                     assert (
                         provenance["complete-intersection bound p^codim"]
                         == I.ring.p ** codepth(I)
                     )
+        # a monomial regular sequence with a linear generator: p^codim too
+        x2_z = mi(PolyRing(2, ["x", "y", "z"]), (2, 0, 0), (0, 0, 1))
+        report = f_level_bounds(x2_z)
+        assert (report.upper, report.upper_status) == (4, "certified")
         # complete-intersection upper bound p^codepth on a polynomial example
         ring5 = PolyRing(5, ["x", "y", "z"])
         fermat = ci(ring5, "x^3 + y^3 + z^3")
@@ -244,8 +249,7 @@ def test_criterion_10_cli_determinism(capsys):
     with budget("10 cli-determinism", 30.0):
         commands = [
             ["fsplit", "--char", "7", "--vars", "x,y,z", "--ideal", "x^3+y^3+z^3"],
-            ["twists", "--jmax", "2", "--char", "3", "--vars", "x0,x1,x2,x3",
-             "--ideal", "x0*x1 + x2*x3"],
+            ["twists", "--char", "3", "--vars", "x0,x1,x2,x3", "--ideal", "x0*x1 + x2*x3"],
             ["decompose", "--char", "2", "--vars", "x,y", "--ideal", "x^4, x^2*y^2, y^4"],
             ["flevel", "--char", "2", "--vars", "x,y", "--ideal", "x^4, x^2*y^2, y^4"],
             ["alpha", "--n", "2", "--p", "3"],

@@ -35,7 +35,7 @@ from frobcalc.cli import (
     run,
 )
 from frobcalc.levels import DEFAULT_E_MAX
-from frobcalc.pushforward import DEFAULT_VERONESE_BOUND, veronese_decompose
+from frobcalc.pushforward import veronese_decompose
 
 QUADRIC = ["--char", "3", "--vars", "x0,x1,x2,x3", "--ideal", "x0*x1 + x2*x3"]
 TWELVE = ["--char", "2", "--vars", "x,y", "--ideal", "x^4, x^2*y^2, y^4"]
@@ -46,12 +46,6 @@ def run_json(capsys, argv):
     out = capsys.readouterr().out
     assert code == EXIT_OK, out
     return json.loads(out)
-
-
-def stripped(payload):
-    payload = dict(payload)
-    payload.pop("timing_seconds", None)
-    return payload
 
 
 class TestSubcommands:
@@ -75,7 +69,7 @@ class TestSubcommands:
         assert payload["result"]["certificate"]["verdict"] is True
 
     def test_twists(self, capsys):
-        payload = run_json(capsys, ["twists", "--jmax", "2"] + QUADRIC)
+        payload = run_json(capsys, ["twists"] + QUADRIC)
         assert payload["result"]["band"] == [0, 1]
         assert payload["result"]["band_consistent"] is True
 
@@ -145,7 +139,8 @@ class TestSubcommands:
         assert payload["result"] == {"loewy_length": 5}
 
     @pytest.mark.parametrize("argv, line", [
-        (["twists", "--char", "3", "--vars", "x,y,z", "--ideal", "x^2+y^2+z^2"], "  jmax: null"),
+        # (x + y + z)^2 in characteristic 2 is not F-split: no band
+        (["twists", "--char", "2", "--vars", "x,y,z", "--ideal", "x^2+y^2+z^2"], "  band: null"),
         (["betti", "--char", "2", "--vars", "x,y", "--ideal", "x*y"], "  degree_bound: null"),
     ])
     def test_text_mode_prints_json_null(self, argv, line):
@@ -164,8 +159,6 @@ class TestSubcommands:
     def test_flag_defaults_are_the_library_defaults(self, capsys):
         parser = build_parser()
         assert parser.parse_args(["flevel"]).emax == DEFAULT_E_MAX
-        veronese = parser.parse_args(["veronese", "--ell", "2", "--p", "3"])
-        assert veronese.degree_bound == DEFAULT_VERONESE_BOUND
         report = run_json(capsys, ["veronese", "--ell", "2", "--p", "3"])["result"]
         assert report == veronese_decompose(2, 3, 1).payload()
 
@@ -183,14 +176,13 @@ def numeric_flag_argv(draw):
     if kind == "pn":
         return ["pn", "--n", num(-1, 3), "--p", num(-2, 6), "-e", num(-1, 3), "--l", num(-4, 4)]
     if kind == "veronese":
-        return ["veronese", "--ell", num(-1, 3), "--p", num(-2, 5), "-e", num(-1, 2),
-                "--degree-bound", num(-2, 2)]
+        return ["veronese", "--ell", num(-1, 3), "--p", num(-2, 5), "-e", num(-1, 2)]
     if kind == "strand":
         return ["strand", "--ell", num(-1, 5), "--j", num(-1, 5), "--steps", num(-2, 4),
                 "--char", num(-2, 6)]
     if kind == "decompose":
         return ["decompose", "-e", num(-2, 3)] + TWELVE
-    return ["twists", "-e", num(-1, 2), "--jmax", num(-3, 3)] + QUADRIC
+    return ["twists", "-e", num(-1, 2)] + QUADRIC
 
 
 class TestExitCodes:
@@ -223,10 +215,8 @@ class TestExitCodes:
         [
             (["betti", "--formula-nvars", "2", "--formula-power", "2", "--ideal", "x^2", "--vars", "x"],
              "formula mode takes no --vars"),
-            (["betti", "--formula-nvars", "2", "--formula-power", "2", "--degree-bound", "0",
-              "--class", "ci"], "formula mode takes no --degree-bound"),
-            (["betti", "--formula-nvars", "2", "--formula-power", "2", "--class", "ci"],
-             "formula mode takes no --class"),
+            (["betti", "--formula-nvars", "2", "--formula-power", "2", "--degree-bound", "0"],
+             "formula mode takes no --degree-bound"),
         ],
     )
     def test_a_flag_the_input_mode_does_not_read_is_refused(self, argv, message):
@@ -293,17 +283,16 @@ class TestExitCodes:
 
     def test_two_coprime_ci_generators_are_verified(self, capsys):
         payload = run_json(capsys, ["fsplit", "--char", "3", "--vars", "x,y,z", "--ideal", "x*y+z^2, x^2+y*z"])
-        assert payload["notes"] == ["ideal class auto-detected as a complete intersection"]
+        assert payload["notes"] == []
 
     def test_one_ci_generator_is_verified(self, capsys):
         # a nonzero form is a nonzerodivisor on the domain S
         payload = run_json(capsys, ["fsplit"] + QUADRIC)
-        assert payload["notes"] == ["ideal class auto-detected as a complete intersection"]
+        assert payload["notes"] == []
 
     def test_three_ci_generators_stay_an_assertion(self, capsys):
         argv = ["fsplit", "--char", "3", "--vars", "x,y,z", "--ideal", "x^2+y*z, y^2+x*z, z^2+x*y"]
         assert run_json(capsys, argv)["notes"] == [
-            "ideal class auto-detected as a complete intersection",
             "regular-sequence assertion recorded for polynomial generators",
         ]
 
@@ -417,12 +406,12 @@ class TestExitCodes:
                 else:
                     assert (code, err) == (EXIT_OK, "")
 
-    def test_veronese_guards_its_hilbert_series_check(self):
-        # 200000 * 2 * 3 + 1 degrees would be checked
-        argv = ["veronese", "--ell", "2", "--p", "3", "--degree-bound", "200000",
-                "--max-monomials", "10"]
-        message = "error: Hilbert-series check over 1200001 degrees exceeds guard 10\n"
-        assert run_captured(argv) == (EXIT_GUARD, [], message)
+    def test_veronese_guards_its_hilbert_series_check(self, capsys):
+        # 12 * 2 * 3 + 1 degrees are checked; the 3^2 * 2 pieces fit either guard
+        argv = ["veronese", "--ell", "2", "--p", "3", "--max-monomials"]
+        message = "error: Hilbert-series check over 73 degrees exceeds guard 72\n"
+        assert run_captured(argv + ["72"]) == (EXIT_GUARD, [], message)
+        assert run_json(capsys, argv + ["73"])["result"]["hilbert_series_bound"] == 72
 
     def test_veronese_guards_its_pieces(self, capsys):
         # one piece per admissible (u, v, j) with u, v < q: q^2 * ell candidates
@@ -439,15 +428,6 @@ class TestExitCodes:
         assert len(run_json(capsys, argv + ["102"])["result"]["rows"]) == 6
         code, _lines, _err = run_captured(["strand", "--ell", "2", "--j", "1", "--steps", "100000"])
         assert code == EXIT_GUARD
-
-    def test_twists_guards_its_certificates(self, capsys):
-        argv = ["twists", "--char", "2", "--vars", "x,y,z", "--ideal", "x^2+y*z"]
-        message = "error: 10 twist certificates exceed guard 9\n"
-        over = run_captured(argv + ["--jmax", "9", "--max-monomials", "9"])
-        assert over == (EXIT_GUARD, [], message)
-        payload = run_json(capsys, argv + ["--jmax", "9", "--max-monomials", "10"])
-        assert len(payload["result"]["entries"]) == 10
-        assert run_captured(argv + ["--jmax", "100000000"])[0] == EXIT_GUARD
 
     def test_pn_guards_its_alpha_terms(self, capsys):
         # 3 updates of each of the 803 coefficients of g^401, g = 1 + x + x^2,
@@ -607,10 +587,6 @@ class TestExitCodes:
         assert (code, lines) == (EXIT_USAGE, [])
         assert "unrecognized arguments: --threads 1" in err
 
-    def test_veronese_rejects_a_negative_degree_bound(self):
-        argv = ["veronese", "--ell", "2", "--p", "3", "--degree-bound", "-1"]
-        assert run_captured(argv) == (EXIT_USAGE, [], "error: need degree bound >= 0: got -1\n")
-
     def test_power_guard_covers_fsplit(self, capsys):
         # f^4 of the Fermat cubic takes 3 + 9 + 18 + 30 term pairs
         argv = ["fsplit", "--char", "5", "--vars", "x,y,z", "--ideal", "x^3+y^3+z^3",
@@ -653,7 +629,7 @@ class TestExitCodes:
             ["veronese", "--ell", "2", "--p", "0"],
             ["strand", "--ell", "3", "--j", "1", "--char", "4"],
             ["decompose", "-e", "-1"] + TWELVE,
-            ["twists", "--jmax", "-1"] + QUADRIC,
+            ["twists", "-e", "-1"] + QUADRIC,
             ["flevel", "--char", "2", "--vars", "x,y", "--ideal", "x*y", "--emax", "0"],
             ["strand", "--ell", "3", "--j", "1", "--steps", "-2"],
             ["alpha", "--n", "0", "--p", "2"],
@@ -677,13 +653,21 @@ class TestExitCodes:
             (["fsplit", "--spec", "char 2; vars x,y; ideal x*y"], "--spec char 2; vars x,y; ideal x*y"),
             (["codepth", "--degree-bound", "4"] + TWELVE, "--degree-bound 4"),
             (["genexp", "--degree-bound", "4"] + TWELVE, "--degree-bound 4"),
+            (["fsplit", "--class", "ci"] + QUADRIC, "--class ci"),
+            (["summand", "--j", "1", "--class", "monomial"] + TWELVE, "--class monomial"),
+            (["betti", "--formula-nvars", "2", "--formula-power", "2", "--class", "ci"], "--class ci"),
+            (["twists", "--jmax", "2"] + QUADRIC, "--jmax 2"),
+            (["veronese", "--ell", "2", "--p", "3", "--degree-bound", "0"], "--degree-bound 0"),
         ],
     )
     def test_flags_no_answer_depends_on_are_not_options(self, argv, flag):
-        # one ideal grammar; codepth reads the complete Betti table, so a
-        # degree bound could not change its answer
+        # one ideal grammar, and the class read from the generators; codepth
+        # reads the complete Betti table, no twist past max(n - d, 0) is a
+        # summand, and the Veronese check is a proof from 4 * ell * q on,
+        # so none of these flags could change an answer
         code, lines, err = run_captured(argv)
         assert (code, lines) == (EXIT_USAGE, [])
+        assert err.startswith(f"usage: frobcalc {argv[0]} ")
         assert err.endswith(f"error: unrecognized arguments: {flag}\n")
 
 
@@ -760,12 +744,10 @@ def cli_argv(draw):
         char = num(-1, 9) if rarely() else draw(st.sampled_from(["2", "3", "5", "7"]))
         ideal = ", ".join(draw(st.lists(polynomial_text(names), min_size=1, max_size=3)))
         argv += ["--char", char, "--vars", ",".join(names), "--ideal", ideal]
-        if draw(st.booleans()):
-            argv += ["--class", draw(st.sampled_from(["monomial", "ci"]))]
     required, optional = {
         "fsplit": ([], [["-e", num(-1, 3)]]),
         "summand": ([["--j", num(-2, 3)]], [["-e", num(-1, 2)]]),
-        "twists": ([], [["-e", num(-1, 2)], ["--jmax", num(-2, 3)]]),
+        "twists": ([], [["-e", num(-1, 2)]]),
         "witness": ([], [["-e", num(-1, 2)]]),
         "codepth": ([], []),
         "genexp": ([], []),
@@ -780,7 +762,7 @@ def cli_argv(draw):
         "alpha": ([["--n", num(-1, 4)], ["--p", num(-2, 7)]], [["--l", num(-4, 4)]]),
         "pn": ([["--n", num(-1, 3)], ["--p", num(-2, 5)]], [["-e", num(-1, 2)], ["--l", num(-3, 3)]]),
         "veronese": ([["--ell", num(-1, 4)], ["--p", num(-2, 5)]],
-                     [["-e", num(-1, 2)], ["--degree-bound", num(-2, 6)]]),
+                     [["-e", num(-1, 2)]]),
     }[name]
     for flag in required:
         argv += [] if rarely() else flag
@@ -858,7 +840,7 @@ class TestDeterminism:
         "argv",
         [
             ["fsplit"] + QUADRIC,
-            ["twists", "--jmax", "2"] + QUADRIC,
+            ["twists"] + QUADRIC,
             ["decompose"] + TWELVE,
             ["flevel"] + TWELVE,
         ],
@@ -941,23 +923,6 @@ class Count(int):
     pass
 
 
-class TestMonomialRegularSequence:
-    """A monomial regular sequence is both a complete intersection and a
-    monomial ideal; the two closed forms of the colon give one report."""
-
-    @pytest.mark.parametrize("ideal", ["x*y, z", "x*y", "x^2*y, z"])
-    @pytest.mark.parametrize("char", ["2", "3"])
-    @pytest.mark.parametrize("test", [["fsplit"], ["fsplit", "-e", "2"], ["summand", "--j", "1"]])
-    def test_ci_and_monomial_reports_agree(self, capsys, test, char, ideal):
-        argv = test + ["--char", char, "--vars", "x,y,z,w", "--ideal", ideal]
-        reports = {}
-        for cls in ("ci", "monomial"):
-            payload = stripped(run_json(capsys, argv + ["--class", cls]))
-            assert payload["input"].pop("class") == cls
-            reports[cls] = payload
-        assert reports["ci"] == reports["monomial"]
-
-
 class TestJsonEncoding:
     def test_round_trip(self):
         payload = {"a": 1, "b": [1, 2, {"c": None}], "d": "x"}
@@ -1033,7 +998,8 @@ M2_EIGHT_VARS = ["--char", "2", "--vars", ",".join(EIGHT_NAMES), "--ideal",
 GOLDEN_REPORTS = {
     "veronese_ell2_p3_e2.json": ["veronese", "--ell", "2", "--p", "3", "-e", "2", "--json"],
     # every certificate appears twice: in the result and in the envelope
-    "twists_quadric_jmax2.json": ["twists", "--jmax", "2"] + QUADRIC + ["--json"],
+    # the default twist range of the quadric ends at j = 2
+    "twists_quadric_jmax2.json": ["twists"] + QUADRIC + ["--json"],
     # the echoed --l and the alpha keys beyond 2^53 become strings
     "alpha_big_l.json": ["alpha", "--n", "1", "--p", "2", "--l", "100000000000000000000", "--json"],
     # degree_offset fractions
@@ -1074,9 +1040,8 @@ GOLDEN_REPORTS = {
                                  "x1^3*x2^2*x3*x4^4*x6^2,x2^4*x4^3*x5*x6^3"],
     # gcd(q, ell) = 4: a residue of u + v admits four classes or none
     "veronese_ell4_p2_e2.json": ["veronese", "--ell", "4", "--p", "2", "-e", "2", "--json"],
-    # the 4 * ell * q floor of the checked degrees
-    "veronese_ell6_p3_e1_bound0.json": ["veronese", "--ell", "6", "--p", "3", "-e", "1", "--degree-bound", "0",
-                                        "--json"],
+    # gcd(q, ell) = 3, checked through 12 * ell * q = 216
+    "veronese_ell6_p3_e1.json": ["veronese", "--ell", "6", "--p", "3", "-e", "1", "--json"],
     "filtration_x2_y2_zw_p2.json": ["filtration", "--char", "2", "--vars", "x,y,z,w", "--ideal", "x^2,y^2,z*w",
                                     "--json"],
     # not artinian: the default degree bound
@@ -1105,7 +1070,7 @@ def test_golden_report_bytes(capsys, name):
 ONE_PER_SUBCOMMAND = [
     ["fsplit", "--char", "7", "--vars", "x,y,z", "--ideal", "x^3+y^3+z^3"],
     ["summand", "--j", "1"] + QUADRIC,
-    ["twists", "--jmax", "2"] + QUADRIC,
+    ["twists"] + QUADRIC,
     ["witness"] + QUADRIC,
     ["flevel"] + TWELVE,
     ["codepth"] + TWELVE,
@@ -1154,7 +1119,7 @@ def test_envelope_certificates_are_those_of_the_result(capsys, argv):
 
 class TestCertificateReverification:
     def test_envelope_collects_certificates(self, capsys):
-        payload = run_json(capsys, ["twists", "--jmax", "2"] + QUADRIC)
+        payload = run_json(capsys, ["twists"] + QUADRIC)
         certs = payload["certificates"]
         assert len(certs) == 3
         assert [c["verdict"] for c in certs] == [True, True, False]

@@ -24,7 +24,7 @@ from frobcalc import (
     parse_polynomial,
 )
 from frobcalc.ideals import build_ideal
-from frobcalc.polyring import mono_pow
+from frobcalc.polyring import mono_degree, mono_pow
 
 
 def mi(ring, *gens):
@@ -113,8 +113,11 @@ class TestMonomialIdealBasics:
         I = mi(ring2, (1, 1))
         assert I.contains_monomial((2, 3))
         assert not I.contains_monomial((4, 0))
-        assert I.contains_polynomial(parse_polynomial(ring2, "x*y + x^2*y^2"))
-        assert not I.contains_polynomial(parse_polynomial(ring2, "x*y + x^2"))
+        # membership of a polynomial in a monomial ideal is termwise
+        inside = parse_polynomial(ring2, "x*y + x^2*y^2")
+        outside = parse_polynomial(ring2, "x*y + x^2")
+        assert all(I.contains_monomial(m) for m in inside.terms)
+        assert not all(I.contains_monomial(m) for m in outside.terms)
 
 
 class TestBracketPowers:
@@ -377,7 +380,7 @@ class TestStaircaseOracle:
     @settings(max_examples=150, deadline=None)
     def test_staircase_matches_enumerate_and_filter(self, data):
         I = data.draw(oracle_ideals())
-        bound = data.draw(st.integers(0, I.lcm_degree() + 2))
+        bound = data.draw(st.integers(0, mono_degree(I.lcm()) + 2))
         want = [filtered_level(I, d) for d in range(bound + 1)]
         assert I.staircase(bound) == want
         if I.is_artinian():
@@ -448,20 +451,36 @@ class TestCIHilbert:
 
 
 class TestIdealGrammar:
-    def test_class_auto_detection_warns(self):
+    """The class is read from the generators: all single terms give a
+    MonomialIdeal, anything else a CIIdeal."""
+
+    @staticmethod
+    def build(ring, text):
+        return build_ideal(ring, [parse_polynomial(ring, g) for g in text.split(",")])
+
+    def test_a_polynomial_generator_gives_a_complete_intersection(self):
         ring = PolyRing(3, ["x", "y", "z"])
-        ideal, warnings = build_ideal(ring, [parse_polynomial(ring, "x^3+y^3+z^3")])
+        ideal, warnings = self.build(ring, "x^3+y^3+z^3")
         assert isinstance(ideal, CIIdeal)
-        assert warnings
-
-    def test_explicit_ci_class_for_monomials(self):
-        ring = PolyRing(2, ["x", "y"])
-        ideal, warnings = build_ideal(ring, [parse_polynomial(ring, "x*y")], "ci")
+        assert ideal.regular_sequence_verified and warnings == []
+        ideal, _warnings = self.build(ring, "x*y, x+z")
         assert isinstance(ideal, CIIdeal)
-        assert ideal.regular_sequence_verified
 
-    def test_monomial_class_rejects_polynomials(self):
+    def test_single_terms_give_a_monomial_ideal(self):
+        ring = PolyRing(2, ["x", "y", "z"])
+        # 2*x*y is zero over F_2 and drops out
+        ideal, warnings = self.build(ring, "x*y, 3*z, 2*x*y")
+        assert ideal == mi(ring, (1, 1, 0), (0, 0, 1))
+        assert warnings == []
+        assert self.build(ring, "0")[0] == MonomialIdeal.zero(ring)
+
+    def test_three_polynomial_generators_are_an_assertion(self):
+        ring = PolyRing(3, ["x", "y", "z"])
+        ideal, warnings = self.build(ring, "x^2+y*z, y^2+x*z, z^2+x*y")
+        assert not ideal.regular_sequence_verified
+        assert warnings == ["regular-sequence assertion recorded for polynomial generators"]
+
+    def test_a_polynomial_among_monomials_is_checked_as_a_regular_sequence(self):
         ring = PolyRing(2, ["x", "y"])
-        f = parse_polynomial(ring, "x + y")
-        with pytest.raises(UnsupportedIdealClassError):
-            build_ideal(ring, [f], "monomial")
+        with pytest.raises(UnsupportedIdealClassError, match="common factor"):
+            self.build(ring, "x*y, x^2+x*y")

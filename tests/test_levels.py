@@ -55,6 +55,16 @@ class TestFLevelBounds:
         values = {v for _d, v, _c in report.provenance}
         assert {3, 4} <= values
 
+    @pytest.mark.parametrize("p", [2, 3])
+    def test_monomial_regular_sequence_with_a_linear_generator(self, p):
+        # (x^2, z): not artinian, codimension 2; the bound p^2 needs no
+        # generator in m^2, and the CIIdeal of the same generators agrees
+        ring = PolyRing(p, ["x", "y", "z"])
+        report = f_level_bounds(mi(ring, (2, 0, 0), (0, 0, 1)))
+        as_ci = CIIdeal(ring, [parse_polynomial(ring, t) for t in ("x^2", "z")])
+        assert (report.lower, report.upper, report.upper_status) == (2, p**2, "certified")
+        assert report == f_level_bounds(as_ci)
+
     def test_exact_when_bounds_meet(self, ring2):
         # m^2 in 2 variables at p=2: not split, Loewy length 2
         report = f_level_bounds(mi(ring2, (2, 0), (1, 1), (0, 2)), e_max=2)

@@ -171,38 +171,38 @@ class TestGradedSummand:
 class TestTwistSpectrum:
     def test_quadric_band(self):
         _ring, I = quadric()
-        spectrum = twist_spectrum(I, 1, 3)
+        spectrum = twist_spectrum(I, 1)
         verdicts = {j: c.verdict for j, c in spectrum.entries.items()}
-        assert verdicts == {0: True, 1: True, 2: False, 3: False}
+        assert verdicts == {0: True, 1: True, 2: False}
         assert spectrum.band == (0, 1)
         assert spectrum.band_consistent
 
     def test_fermat_cubic_plane_no_band_asserted(self):
         # degree 3 > n = 2: hypotheses fail, values reported without assertion
         ring = PolyRing(7, ["x", "y", "z"])
-        spectrum = twist_spectrum(ci(ring, "x^3 + y^3 + z^3"), 1, 1)
+        spectrum = twist_spectrum(ci(ring, "x^3 + y^3 + z^3"), 1)
+        assert sorted(spectrum.entries) == [0, 1]
         assert spectrum.band is None
         assert spectrum.band_consistent is None
         assert spectrum.entries[0].verdict
 
     def test_space_cubic_band_is_origin(self):
         ring = PolyRing(7, ["x0", "x1", "x2", "x3"])
-        spectrum = twist_spectrum(ci(ring, "x0^3 + x1^3 + x2^3 + x3^3"), 1, 2)
+        spectrum = twist_spectrum(ci(ring, "x0^3 + x1^3 + x2^3 + x3^3"), 1)
         assert spectrum.band == (0, 0)
         assert spectrum.band_consistent
-        assert {j: c.verdict for j, c in spectrum.entries.items()} == {
-            0: True,
-            1: False,
-            2: False,
-        }
+        assert {j: c.verdict for j, c in spectrum.entries.items()} == {0: True, 1: False}
 
-    def test_requires_complete_intersection(self, ring2):
-        with pytest.raises(UnsupportedIdealClassError):
-            twist_spectrum(mi(ring2, (1, 1)), 1)
+    @pytest.mark.parametrize("gens", [[(2, 0), (1, 1)], [(0, 0)], []])
+    def test_requires_complete_intersection(self, ring2, gens):
+        # overlapping supports, the unit ideal, the zero ideal
+        for run in (twist_spectrum, witness_from_proof):
+            with pytest.raises(UnsupportedIdealClassError, match="needs a complete intersection"):
+                run(mi(ring2, *gens), 1)
 
     def test_every_true_certificate_reverifies(self):
         _ring, I = quadric()
-        spectrum = twist_spectrum(I, 1, 2)
+        spectrum = twist_spectrum(I, 1)
         for cert in spectrum.entries.values():
             if cert.verdict:
                 assert cert.verify(I)
@@ -496,8 +496,9 @@ class TestOneColonTable:
     @pytest.mark.parametrize("e", [1, 2])
     def test_twist_spectrum_entries_are_the_graded_tests(self, e):
         for I in ci_fixtures():
-            spectrum = twist_spectrum(I, e, 3)
-            assert spectrum.entries == {j: graded_summand_test(I, j, e) for j in range(4)}
+            spectrum = twist_spectrum(I, e)
+            top = max(I.ring.nvars - 1 - spectrum.degree, 0) + 1
+            assert spectrum.entries == {j: graded_summand_test(I, j, e) for j in range(top + 1)}
 
     def test_level_certificates_are_the_split_tests(self):
         ideals = [I for p in (2, 3) for I, _codim in corpus_ideals(p)] + ci_fixtures()
@@ -521,7 +522,7 @@ class TestOneColonTable:
         cubic = ci(PolyRing(5, ["x", "y", "z"]), "x^3 + y^3 + z^3")
         twelve = mi(PolyRing(2, ["x", "y"]), (4, 0), (2, 2), (0, 4))
         for run in [
-            lambda: twist_spectrum(quadric_ideal, 2, 4),
+            lambda: twist_spectrum(quadric_ideal, 2),
             lambda: witness_from_proof(quadric_ideal, 2),
             lambda: f_level_bounds(quadric_ideal, e_max=4),
             lambda: f_level_bounds(cubic, e_max=4),
@@ -546,3 +547,41 @@ class TestOneColonTable:
             splitting.not_split_certificate(twelve, 17)
         with pytest.raises(ValueError, match="e must be at least 1"):
             splitting.not_split_certificate(twelve, 0)
+
+
+class TestMonomialRegularSequence:
+    """A monomial regular sequence is both a complete intersection and a
+    monomial ideal: the closed form x_S^(q-1) of the monomial colon and
+    f^(q-1) mod m^[q], f the product of the generators, give the same
+    certificates."""
+
+    @pytest.mark.parametrize("texts", [["x*y", "z"], ["x*y"], ["x^2*y", "z"], ["x*y", "z*w"]])
+    @pytest.mark.parametrize("p", [2, 3])
+    @pytest.mark.parametrize("e", [1, 2])
+    def test_both_classes_agree(self, e, p, texts):
+        ring = PolyRing(p, ["x", "y", "z", "w"])
+        as_ci = ci(ring, *texts)
+        as_monomial = MonomialIdeal(ring, [parse_polynomial(ring, t).single_monomial() for t in texts])
+        assert is_f_split(as_ci, e) == is_f_split(as_monomial, e)
+        assert graded_summand_test(as_ci, 1, e) == graded_summand_test(as_monomial, 1, e)
+        assert twist_spectrum(as_ci, e) == twist_spectrum(as_monomial, e)
+        if is_f_split(as_ci, e).verdict:
+            assert witness_from_proof(as_ci, e) == witness_from_proof(as_monomial, e)
+        else:
+            for ideal in (as_ci, as_monomial):
+                with pytest.raises(NotFSplitError):
+                    witness_from_proof(ideal, e)
+        assert f_level_bounds(as_monomial).upper <= f_level_bounds(as_ci).upper
+
+    def test_the_twist_range_ends_past_the_band(self):
+        # no live term of f^(q-1) has slack for a twist past n - d, so the
+        # spectrum stops at max(n - d, 0) + 1
+        for p in (2, 3, 5):
+            ring = PolyRing(p, ["x", "y", "z", "w", "v"])
+            for gens in ([(1, 1, 0, 0, 0)], [(1, 0, 0, 0, 0), (0, 1, 1, 0, 0)], [(1, 1, 1, 1, 1)]):
+                I = MonomialIdeal(ring, gens)
+                spectrum = twist_spectrum(I, 1)
+                d = spectrum.degree
+                assert d == sum(map(sum, gens))
+                assert sorted(spectrum.entries) == list(range(max(4 - d, 0) + 2))
+                assert not spectrum.entries[max(4 - d, 0) + 1].verdict
