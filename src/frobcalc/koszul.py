@@ -33,12 +33,12 @@ nonvanishing homological degree) is N for an artinian quotient
 regular sequence (the Koszul complex on it resolves S/I), and the top row
 of the table otherwise.
 
-`strand_check` verifies the degree-class strands of the linear
-resolution of m^j in k[x, y] degree by degree.  Its maps are sparse
-columns (two nonzeros on the left, one on the right), composed directly
-and ranked by the same `rank` as the blocks, which reads both ranks off
-the matrices: the left columns have distinct least keys, and the right
-map, ranked on its shorter side, has rows with disjoint supports.
+`strand_check` verifies the degree-class strands of the linear resolution
+of m^j in k[x, y] degree by degree.  Its maps are ranked from their column
+targets, with no matrix formed: each right column is a unit vector, kept
+as its row, and each left column as its two rows.  The composite is summed
+column by column, the right rank is the number of distinct targets, and
+the left columns have distinct least keys, the echelon exit of `rank`.
 """
 
 from __future__ import annotations
@@ -46,11 +46,12 @@ from __future__ import annotations
 import math
 from collections import Counter, namedtuple
 from itertools import chain, combinations
+from operator import eq, lt
 
 from .errors import ResourceGuardError, UnsupportedIdealClassError
 from .ideals import MonomialIdeal, pairwise_disjoint_supports
 from .modlinalg import rank
-from .polyring import DEFAULT_MAX_MONOMIALS, check_degree_bound, mono_degree
+from .polyring import DEFAULT_MAX_MONOMIALS, PolyRing, check_degree_bound, mono_degree
 
 
 # ---------------------------------------------------------------------------
@@ -206,6 +207,8 @@ def codepth(I, max_monomials=DEFAULT_MAX_MONOMIALS):
     """
     if not isinstance(I, MonomialIdeal):
         raise UnsupportedIdealClassError("codepth is computed for monomial ideals")
+    if I.is_unit():
+        raise UnsupportedIdealClassError("S/I is zero for the unit ideal")
     if any(mono_degree(g) < 2 for g in I.gens):
         raise UnsupportedIdealClassError(
             "codepth needs I inside m^2; reduce linear generators first"
@@ -243,6 +246,24 @@ def _is_stable(I):
     return True
 
 
+def _stable_order(I):
+    """I when it is stable, else I with its variables ordered by their
+    exponent sums over the generators of each degree, lowest degree first,
+    larger sums first and ties in the given order, when that is stable,
+    else None.  The Betti table does not see the order.  The sums take
+    k N steps, and each stability test at most k^2 N."""
+    if _is_stable(I):
+        return I
+    groups = {}
+    for g in I.gens:
+        groups.setdefault(mono_degree(g), []).append(g)
+    sums = [[-sum(g[v] for g in groups[d]) for d in sorted(groups)] for v in range(I.ring.nvars)]
+    order = sorted(range(I.ring.nvars), key=sums.__getitem__)
+    ring = PolyRing(I.ring.p, [I.ring.variables[v] for v in order])
+    J = MonomialIdeal(ring, [tuple(g[v] for v in order) for g in I.gens])
+    return J if order != sorted(order) and _is_stable(J) else None
+
+
 def _eliahou_kervaire(I, bound):
     """Nonzero ranks {(i, d): beta_{i,d}(S/I)} with d <= bound for a stable
     I: beta_{i+1, i+j} is the sum over the generators u of degree j of
@@ -267,7 +288,8 @@ def betti_table(I, degree_bound=None, max_monomials=DEFAULT_MAX_MONOMIALS):
     a box [0, L] of prod(L_v + 1) points, the table comes from the first
     route that applies:
     - when k^2 N <= max_monomials and I is stable in the given variable
-      order, the Eliahou-Kervaire formula (`_eliahou_kervaire`);
+      order or the one `_stable_order` tries next, the Eliahou-Kervaire
+      formula (`_eliahou_kervaire`);
     - when 2^k is below the box count, the blocks at the lcm-lattice
       points (`_lattice_sum`);
     - otherwise the blocks over the box's staircase (`_box_sum`).
@@ -293,8 +315,9 @@ def betti_table(I, degree_bound=None, max_monomials=DEFAULT_MAX_MONOMIALS):
         raise ResourceGuardError(f"multidegree box of {box} points exceeds guard {max_monomials}")
     bound = mono_degree(top) if degree_bound is None else min(degree_bound, mono_degree(top))
     k = len(I.gens)
-    if k * k * I.ring.nvars <= max_monomials and _is_stable(I):
-        betti = _eliahou_kervaire(I, bound)
+    stable = k * k * I.ring.nvars <= max_monomials and _stable_order(I)
+    if stable:
+        betti = _eliahou_kervaire(stable, bound)
     else:
         walk = _lattice_sum if 2**k < box else _box_sum
         betti = walk(I, bound)
@@ -342,25 +365,15 @@ def betti_power_row(d, j, max_monomials=DEFAULT_MAX_MONOMIALS):
 # ---------------------------------------------------------------------------
 # strand exact sequences for the two-variable Veronese story
 
-class StrandCheck(
-    namedtuple("StrandCheck", "ell j char b1 b2 rows exact alternating_sums_zero")
-):
+class StrandCheck(namedtuple("StrandCheck", "ell j char b1 b2 rows exact alternating_sums_zero")):
     """Exactness report for the degree-class strand of the linear resolution
     of m^j in k[x, y] over the index-ell Veronese subring."""
 
     __slots__ = ()
 
     def payload(self):
-        return {
-            "ell": self.ell,
-            "class": self.j,
-            "char": self.char,
-            "b1": self.b1,
-            "b2": self.b2,
-            "exact": self.exact,
-            "alternating_sums_zero": self.alternating_sums_zero,
-            "rows": self.rows,
-        }
+        return {"ell": self.ell, "class": self.j, "char": self.char, "b1": self.b1, "b2": self.b2,
+                "exact": self.exact, "alternating_sums_zero": self.alternating_sums_zero, "rows": self.rows}
 
 
 def strand_check(ell, j, steps=6, char=2, max_monomials=DEFAULT_MAX_MONOMIALS):
@@ -371,7 +384,9 @@ def strand_check(ell, j, steps=6, char=2, max_monomials=DEFAULT_MAX_MONOMIALS):
     y mu_t - x mu_{t+1}.  Exactness is checked by graded rank computations
     in every S-degree m = j + ell*s for s = 0..steps, over F_char: the
     composite vanishes, the left map is injective, the right map is
-    surjective, and the ranks fill the middle dimension.
+    surjective, and the ranks fill the middle dimension.  Both ranks are
+    read from the column targets; `rank` decides only a left map that is
+    not already in echelon form.
 
     `max_monomials` bounds the columns of both maps over all the degrees,
     the sum over s of b1*(k+1) + b2*k with k = ell*s, checked first.
@@ -386,61 +401,41 @@ def strand_check(ell, j, steps=6, char=2, max_monomials=DEFAULT_MAX_MONOMIALS):
     columns = b1 * (steps + 1) + (b1 + b2) * ell * steps * (steps + 1) // 2
     if columns > max_monomials:
         raise ResourceGuardError(f"strand maps with {columns} columns exceed guard {max_monomials}")
+    c1, c2 = 1, p - 1                           # the left map's two coefficients
     rows = []
-    exact = True
-    alt_zero = True
+    exact = alt_zero = True
     for s in range(steps + 1):
         m = j + ell * s
         k = m - j
         dim_left = b2 * k                       # coefficients in S_{m-j-1}
         dim_mid = b1 * (k + 1)                  # coefficients in S_{m-j}
         dim_right = m + 1                       # (G_j)_m = S_m
-
-        def mid(t, xdeg):
-            # the middle basis (t, u), u = x^xdeg y^(k-xdeg), grouped by t
-            # with xdeg descending
-            return t * (k + 1) + (k - xdeg)
-
-        # right map: (t, u) -> u * x^(j-t) y^t, keyed by the y-degree
-        right = {mid(t, a): {m - a - (j - t): 1} for t in range(b1) for a in range(k + 1)}
-        # left map: (r, w) -> w*y e_r - w*x e_{r+1}, w = x^a y^(k-1-a)
-        left = [{mid(r, a): 1, mid(r + 1, a + 1): p - 1} for r in range(b2) for a in range(k)]
-        composite_zero = True
-        for col in left:
-            image = {}
-            for key, c in col.items():
-                for row, v in right[key].items():
-                    image[row] = (image.get(row, 0) + c * v) % p
-            composite_zero = composite_zero and not any(image.values())
-        rank_a = rank(left, p)
-        rank_b = rank(right.values(), p)
-        ok = (
-            composite_zero
-            and rank_a == dim_left
-            and rank_b == dim_right
-            and rank_a + rank_b == dim_mid
+        # right map: the middle basis (t, u), u = x^a y^(k-a), grouped by t
+        # with a descending, sends column t(k+1) + (k-a) to u * x^(j-t) y^t,
+        # the unit vector at its y-degree
+        target = [m - a - (j - t) for t in range(b1) for a in range(k, -1, -1)]
+        # left map: (r, w) -> w*y e_r - w*x e_{r+1}, w = x^a y^(k-1-a), the
+        # middle columns first = (r, a) and second = (r+1, a+1)
+        first = [r * (k + 1) + k - a for r in range(b2) for a in range(k)]
+        second = [(r + 1) * (k + 1) + k - a - 1 for r in range(b2) for a in range(k)]
+        # a column's image: its two coefficients add where the targets
+        # coincide, and each stands alone elsewhere
+        coincide = sum(map(eq, map(target.__getitem__, first), map(target.__getitem__, second)))
+        composite_zero = (coincide == 0 or (c1 + c2) % p == 0) and (
+            coincide == len(first) or c1 % p == c2 % p == 0
         )
+        # unit columns span one row per distinct target; left columns whose
+        # least keys, all `first` with coefficient c1, are pairwise distinct
+        # are in echelon form, the exit `rank` takes first
+        rank_b = len(set(target))
+        if all(map(lt, first, second)) and c1 % p and len(set(first)) == len(first):
+            rank_a = len(first)
+        else:
+            rank_a = rank([{u: c1, v: c2} for u, v in zip(first, second)], p)
+        ok = composite_zero and rank_a == dim_left and rank_b == dim_right and rank_a + rank_b == dim_mid
         alt = dim_left - dim_mid + dim_right
         exact = exact and ok
         alt_zero = alt_zero and alt == 0
-        rows.append(
-            {
-                "degree": m,
-                "dims": [dim_left, dim_mid, dim_right],
-                "rank_left": rank_a,
-                "rank_right": rank_b,
-                "composite_zero": composite_zero,
-                "exact": ok,
-                "alternating_sum": alt,
-            }
-        )
-    return StrandCheck(
-        ell=ell,
-        j=j,
-        char=char,
-        b1=b1,
-        b2=b2,
-        rows=rows,
-        exact=exact,
-        alternating_sums_zero=alt_zero,
-    )
+        rows.append({"degree": m, "dims": [dim_left, dim_mid, dim_right], "rank_left": rank_a,
+                     "rank_right": rank_b, "composite_zero": composite_zero, "exact": ok, "alternating_sum": alt})
+    return StrandCheck(ell, j, char, b1, b2, rows, exact, alt_zero)

@@ -8,9 +8,10 @@ vectors at once when they are already in echelon form (pairwise distinct
 least keys, each with a coefficient nonzero mod p), and otherwise feeds
 them to `Span`, an incrementally reduced row space.  Every matrix
 frobcalc ranks is sparse -- a Koszul block of at most a few dozen columns,
-a strand map with at most two nonzeros per column, the degree pieces of a
-two-generator ideal -- so a dict per row beats dense arrays, and the
-arithmetic is Python's exact integers.
+the degree pieces of a two-generator ideal -- so a dict per row beats
+dense arrays, and the arithmetic is Python's exact integers.  The strand
+maps of `koszul.strand_check` are ranked from their column targets and
+come here only if the left map is not already in echelon form.
 
 All routines are deterministic: pivots are chosen by a fixed order, so
 echelon forms depend only on the input order.

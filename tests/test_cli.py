@@ -264,6 +264,13 @@ class TestExitCodes:
         payload = run_json(capsys, ["betti", "--char", "2", "--vars", "x,y", "--ideal", "0"])
         assert payload["result"]["betti"] == [{"i": 0, "degree": 0, "value": 1}]
 
+    @pytest.mark.parametrize("subcommand", ["betti", "codepth", "genexp"])
+    def test_the_unit_ideal_is_named(self, subcommand):
+        # the generator 1 has degree 0, but S/I is zero rather than badly
+        # presented
+        argv = [subcommand, "--char", "2", "--vars", "x,y", "--ideal", "1"]
+        assert run_captured(argv) == (EXIT_UNSUPPORTED, [], "error: S/I is zero for the unit ideal\n")
+
     def test_linearly_dependent_ci_generators_are_unsupported(self, capsys):
         # (x*y + x*z, x*y + x*z) is the F-split hypersurface (x(y+z)), not a
         # complete intersection of codimension 2
@@ -305,7 +312,8 @@ class TestExitCodes:
             (["betti", "--char", "2", "--vars", "x,y,z", "--ideal", "x^2"], 3),
             # the row cut does not shrink the box
             (["betti", "--char", "2", "--vars", "x,y,z", "--ideal", "x^2,y^3", "--degree-bound", "2"], 12),
-            # (x y, y^2) is not stable: x y -> x^2 leaves it
+            # (x y, y^2) is stable only with y first, and k^2 N = 8 is over
+            # the guard, so no order is tried
             (["genexp", "--char", "2", "--vars", "x,y", "--ideal", "x*y,y^2"], 6),
         ],
     )

@@ -24,6 +24,7 @@ from frobcalc import (
 )
 from frobcalc.cli import run
 from frobcalc.koszul import (
+    StrandCheck,
     _block_homology,
     _box_sum,
     _eliahou_kervaire,
@@ -201,12 +202,17 @@ class TestSparseRank:
         assert calls == [3, 2]
 
     def test_strand_maps_need_no_elimination(self, monkeypatch):
-        # the left map is echelon and the transposed right map has
-        # disjoint rows, so no strand degree builds a Span
+        # the left map is echelon and the right map's columns are unit
+        # vectors, so no strand degree builds a Span, nor forms a matrix
+        # for `rank`
         def no_span(p):
             raise AssertionError("rank eliminated")
 
+        def no_rank(vectors, p):
+            raise AssertionError("strand map ranked as a matrix")
+
         monkeypatch.setattr("frobcalc.modlinalg.Span", no_span)
+        monkeypatch.setattr("frobcalc.koszul.rank", no_rank)
         for ell, j, steps, char in [(3, 1, 8, 2), (5, 3, 12, 3), (6, 2, 12, 5)]:
             assert strand_check(ell, j, steps, char).exact
 
@@ -439,6 +445,71 @@ class TestEliahouKervaire:
         assert betti_table(MonomialIdeal(xy, [(2, 0), (1, 1)])) == betti_table(
             MonomialIdeal(yx, [(0, 2), (1, 1)])
         )
+
+
+@st.composite
+def permuted_lex_ideals(draw):
+    """A lex-segment ideal in 2-4 variables over F_2 or F_3: the first r1
+    monomials of degree d1 and the first r2 of degree d2 > d1 in lex order,
+    which together span a lex segment in every degree, written in a drawn
+    order of the variables."""
+    p = draw(st.sampled_from([2, 3]))
+    nvars = draw(st.integers(2, 4))
+    order = draw(st.permutations(range(nvars)))
+    ring = PolyRing(p, [["x", "y", "z", "w"][v] for v in order])
+    plain = PolyRing(p, ["x", "y", "z", "w"][:nvars])
+    d1 = draw(st.integers(1, 3))
+    d2 = draw(st.integers(d1 + 1, 4))
+    gens = []
+    for d in (d1, d2):
+        segment = sorted(monomials_of_degree(plain, d), reverse=True)
+        gens += segment[: draw(st.integers(1, len(segment)))]
+    return MonomialIdeal(ring, [tuple(g[v] for v in order) for g in gens])
+
+
+class TestStableVariableOrder:
+    """`betti_table` tries the given variable order, then the variables by
+    their exponent sums per generator degree; the walks are the oracle."""
+
+    def assert_formula_matches_both_walks(self, I):
+        def refuse(I, bound):
+            raise AssertionError(f"walked {I!r}")
+
+        bounds = sorted({0, 1, 2, mono_degree(I.lcm())})
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr("frobcalc.koszul._lattice_sum", refuse)
+            patch.setattr("frobcalc.koszul._box_sum", refuse)
+            tables = [betti_table(I, bound) for bound in bounds]
+        for bound, table in zip(bounds, tables):
+            for walk in (_lattice_sum, _box_sum):
+                walked = walk(I, bound)
+                walked.update(Counter((1, mono_degree(g)) for g in I.gens))
+                assert table == walked, (walk.__name__, bound)
+
+    def test_stable_once_y_comes_first(self):
+        # (y^2, x y) is not stable in the order x, y: x y -> x^2 leaves it
+        I = MonomialIdeal(PolyRing(2, ["x", "y"]), [(0, 2), (1, 1)])
+        assert not _is_stable(I)
+        self.assert_formula_matches_both_walks(I)
+
+    def test_the_given_order_is_tried_first(self):
+        # (x^2, x y, y^3) is stable as given, but y has the larger exponent
+        # sum, 4 against 3, and (y^2, x y, x^3) with y first is not stable
+        I = MonomialIdeal(PolyRing(3, ["x", "y"]), [(2, 0), (1, 1), (0, 3)])
+        assert not _is_stable(MonomialIdeal(PolyRing(3, ["y", "x"]), [(0, 2), (1, 1), (3, 0)]))
+        self.assert_formula_matches_both_walks(I)
+
+    def test_degrees_are_compared_lowest_first(self):
+        # (x^3, x^2 y^3, x y^4, y^5) written y, x: the total exponent sums,
+        # 12 for y against 6 for x, would keep y first, which is not stable
+        I = MonomialIdeal(PolyRing(2, ["y", "x"]), [(0, 3), (3, 2), (4, 1), (5, 0)])
+        assert not _is_stable(I)
+        self.assert_formula_matches_both_walks(I)
+
+    @given(I=permuted_lex_ideals())
+    @settings(max_examples=150, deadline=None)
+    def test_lex_segment_ideals_in_any_order(self, I):
+        self.assert_formula_matches_both_walks(I)
 
 
 def random_artinian_ideal(rng):
@@ -838,7 +909,71 @@ class TestBruteBetti:
             assert lhs == hf[D]
 
 
+def dict_matrix_strand_check(ell, j, steps, char):
+    """Oracle for `strand_check`: both maps of every degree built as dict
+    columns, the composite formed by nested loops over them and both ranks
+    taken by `rank`.  No argument checks and no guard."""
+    p = char
+    b1 = j + 1
+    b2 = j
+    rows = []
+    exact = True
+    alt_zero = True
+    for s in range(steps + 1):
+        m = j + ell * s
+        k = m - j
+        dim_left = b2 * k
+        dim_mid = b1 * (k + 1)
+        dim_right = m + 1
+
+        def mid(t, xdeg):
+            # the middle basis (t, u), u = x^xdeg y^(k-xdeg), grouped by t
+            # with xdeg descending
+            return t * (k + 1) + (k - xdeg)
+
+        # right map: (t, u) -> u * x^(j-t) y^t, keyed by the y-degree
+        right = {mid(t, a): {m - a - (j - t): 1} for t in range(b1) for a in range(k + 1)}
+        # left map: (r, w) -> w*y e_r - w*x e_{r+1}, w = x^a y^(k-1-a)
+        left = [{mid(r, a): 1, mid(r + 1, a + 1): p - 1} for r in range(b2) for a in range(k)]
+        composite_zero = True
+        for col in left:
+            image = {}
+            for key, c in col.items():
+                for row, v in right[key].items():
+                    image[row] = (image.get(row, 0) + c * v) % p
+            composite_zero = composite_zero and not any(image.values())
+        rank_a = rank(left, p)
+        rank_b = rank(right.values(), p)
+        ok = composite_zero and rank_a == dim_left and rank_b == dim_right and rank_a + rank_b == dim_mid
+        alt = dim_left - dim_mid + dim_right
+        exact = exact and ok
+        alt_zero = alt_zero and alt == 0
+        rows.append(
+            {
+                "degree": m,
+                "dims": [dim_left, dim_mid, dim_right],
+                "rank_left": rank_a,
+                "rank_right": rank_b,
+                "composite_zero": composite_zero,
+                "exact": ok,
+                "alternating_sum": alt,
+            }
+        )
+    return StrandCheck(ell, j, char, b1, b2, rows, exact, alt_zero)
+
+
 class TestStrandExactness:
+    def test_matches_the_dict_matrix_oracle(self):
+        # every ell in 2..7, every class j, steps 0..8 and four primes
+        cases = 0
+        for ell in range(2, 8):
+            for j in range(1, ell):
+                for steps in range(9):
+                    for char in (2, 3, 5, 7):
+                        assert strand_check(ell, j, steps, char) == dict_matrix_strand_check(ell, j, steps, char)
+                        cases += 1
+        assert cases == 756
+
     @pytest.mark.parametrize("ell,j", [(2, 1), (3, 1), (3, 2), (4, 2)])
     def test_exactness(self, ell, j):
         report = strand_check(ell, j)
