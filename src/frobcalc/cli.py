@@ -128,8 +128,8 @@ def emit_json(envelope):
 
 
 def _scalar_text(value):
-    # JSON null reads null in text too, not Python's None
-    return "null" if value is None else value
+    # JSON null and booleans read as in JSON, not as Python's None, True, False
+    return json.dumps(value) if value is None or isinstance(value, bool) else value
 
 
 def render_text(value, indent=0):
@@ -161,7 +161,7 @@ def render_text(value, indent=0):
 
 REQUIRED = "required"
 
-# every flag: its type (a tuple lists its choices) and its help text
+# every flag: its type and its help text
 FLAGS = {
     "--char": (int, "prime characteristic"),
     "--vars": (str, "comma-separated variable names"),
@@ -268,7 +268,8 @@ def build_parser():
         type=int,
         default=None,
         help="resource guard, checked before the work it counts: term pairs multiplied "
-        "for f^(q-1) mod m^[q], staircase candidates, lcm-box points, word operations",
+        "for f^(q-1) mod m^[q], staircase candidates, lcm-box points, word operations, "
+        "matrix cells per degree of the regular-sequence check",
     )
     subs = parser.add_subparsers(dest="subcommand", required=True, parser_class=_Parser)
     for name, (helptext, takes_ideal, own) in SUBCOMMANDS.items():
@@ -276,9 +277,8 @@ def build_parser():
         sub.set_defaults(parser=sub)
         for flag, default in ((IDEAL_FLAGS | own) if takes_ideal else own).items():
             kind, flag_help = FLAGS[flag]
-            spec = {"choices": kind} if type(kind) is tuple else {"type": kind}
-            spec |= {"required": True} if default == REQUIRED else {"default": default}
-            sub.add_argument(flag, help=flag_help, **spec)
+            spec = {"required": True} if default == REQUIRED else {"default": default}
+            sub.add_argument(flag, type=kind, help=flag_help, **spec)
     return parser
 
 

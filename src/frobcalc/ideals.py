@@ -2,12 +2,12 @@
 
 MonomialIdeal carries a canonical minimal generator list (no generator
 divides another), so ideal equality is generator-list equality.  CIIdeal
-carries homogeneous polynomial generators asserted to form a regular
-sequence.  The assertion is checked for monomial generators (pairwise
-disjoint supports are necessary and sufficient), for one polynomial
-generator (a nonzero form is regular on the domain S) and for two (they
-must be coprime); otherwise linearly dependent generators are rejected
-and the rest is recorded as a caller assertion.
+carries homogeneous generators proven on construction to be a regular
+sequence: S is Cohen-Macaulay, so forms f_1..f_c are one iff
+ht(f_1..f_c) = c.  Degree by degree, the pivots of the Macaulay matrix
+(the products u*f_i) are the degrevlex leaders in(I)_D.  A rank below the
+complete-intersection count refutes the sequence; leaders that no c - 1
+variables meet prove it, as ht I = ht in(I) <= c (Krull).
 
 The splitting tests read only the live part of the colon (I^[q] : I),
 the terms with every exponent below q, and both classes give it in closed
@@ -35,7 +35,7 @@ from .errors import (
     RingMismatchError,
     UnsupportedIdealClassError,
 )
-from .modlinalg import rank
+from .modlinalg import pivots
 from .polyring import (
     DEFAULT_MAX_MONOMIALS,
     Polynomial,
@@ -43,6 +43,7 @@ from .polyring import (
     mono_degree,
     mono_divides,
     mono_lcm,
+    mono_mul,
     mono_sorted,
     mono_str,
 )
@@ -160,6 +161,8 @@ class MonomialIdeal:
         walk = self._walk(max_monomials)
         if bound is not None:
             return list(islice(walk, max(bound + 1, 0)))
+        if self.is_unit():
+            raise UnsupportedIdealClassError("S/I is zero for the unit ideal")
         if not self.is_artinian():
             raise NonArtinianError(f"{self!r} is not artinian")
         return list(takewhile(bool, walk))
@@ -185,39 +188,32 @@ class MonomialIdeal:
         return len(self.staircase(max_monomials=max_monomials))
 
 
-def _coprime(f, g, max_monomials=DEFAULT_MAX_MONOMIALS):
-    """True when the homogeneous f, g (degrees d1, d2) have no common factor
-    of positive degree.
+def _has_cover(supports, k, chosen=0):
+    """True when k variables besides the bitmask `chosen` meet every support bitmask."""
+    miss = next((s for s in supports if not s & chosen), 0)
+    return not miss or k > 0 and any(
+        _has_cover(supports, k - 1, chosen | 1 << v) for v in range(miss.bit_length()) if miss >> v & 1
+    )
 
-    Coprime f, g have only the Koszul syzygy (g, -f), of degree d1 + d2, so
-    in degree d1 + d2 - 1 the products u*f (deg u = d2 - 1) and v*g
-    (deg v = d1 - 1) are linearly independent.  A common factor h of
-    degree k >= 1 gives the syzygy (g/h, -f/h) in degree d1 + d2 - k, and
-    its multiples by monomials reach degree d1 + d2 - 1.  So one rank
-    decides.
-    """
-    ring = f.ring
-    factors = [(f, g.degree() - 1), (g, f.degree() - 1)]
-    count = sum(bounded_count(ring.nvars, d) for _, d in factors)
-    if count > max_monomials:
-        raise ResourceGuardError(
-            f"regular-sequence check over {count} products exceeds guard {max_monomials}"
-        )
-    zero = MonomialIdeal.zero(ring)
-    products = [
-        a.mul_monomial(u).terms
-        for a, d in factors
-        for u in zero.staircase(d, max_monomials=max_monomials)[d]
-    ]
-    return rank(products, ring.p) == count
+
+def _multipliers(ring, max_monomials):
+    """[None] for degree 0, then the reversed monomials of each degree d >= 1, walked lazily."""
+    yield [None]
+    for level in islice(MonomialIdeal.zero(ring)._walk(max_monomials), 1, None):
+        yield [u[::-1] for u in level]
 
 
 class CIIdeal:
-    """Homogeneous ideal generated by an (asserted) regular sequence."""
+    """Homogeneous ideal generated by a regular sequence."""
 
-    __slots__ = ("ring", "gens", "regular_sequence_verified")
+    __slots__ = ("ring", "gens")
 
     def __init__(self, ring, gens, max_monomials=DEFAULT_MAX_MONOMIALS):
+        """Proves the regular sequence (see the module docstring) or raises.  Rows
+        u*f_i are keyed by reversed exponent tuples, so their `pivots` are
+        degrevlex leaders, as is the least key of each f_i, tested first.
+        `max_monomials` bounds each degree's rows times the columns they can
+        reach, checked before the rows are formed."""
         gens = tuple(gens)
         if not gens:
             raise UnsupportedIdealClassError("a complete intersection needs generators")
@@ -225,36 +221,44 @@ class CIIdeal:
             raise UnsupportedIdealClassError(
                 f"{len(gens)} generators exceed the {ring.nvars} variables"
             )
+        degrees = []
         for f in gens:
             if not isinstance(f, Polynomial) or f.ring != ring:
                 raise RingMismatchError("generators must be polynomials over the ring")
-            if f.homogeneous_degree() is None or f.degree() < 1:
+            degrees.append(f.homogeneous_degree() or 0)  # 0 when not homogeneous
+            if degrees[-1] < 1:
                 raise UnsupportedIdealClassError(
                     f"generator {f} must be homogeneous of degree >= 1"
                 )
         self.ring = ring
         self.gens = gens
-        if all(f.is_monomial() for f in gens):
-            if not pairwise_disjoint_supports(f.single_monomial() for f in gens):
-                raise UnsupportedIdealClassError(
-                    "monomial generators with overlapping supports are "
-                    "not a regular sequence"
+        reversed_terms = [{m[::-1]: a for m, a in f.terms.items()} for f in gens]
+        supports = {sum(1 << v for v, e in enumerate(min(t)) if e) for t in reversed_terms}
+        walk = _multipliers(ring, max_monomials)
+        multipliers = []  # index k: the monomials of degree k, with None for 1
+        for D in count(min(degrees)):
+            if not _has_cover(sorted(supports, key=int.bit_count), len(gens) - 1):
+                return
+            counts = [bounded_count(ring.nvars, D - d) for d in degrees]
+            dim = bounded_count(ring.nvars, D)
+            cells = sum(counts) * min(dim, sum(k * len(t) for k, t in zip(counts, reversed_terms)))
+            if cells > max_monomials:
+                raise ResourceGuardError(
+                    f"regular-sequence check in degree {D}: {cells} matrix cells exceed guard {max_monomials}"
                 )
-            self.regular_sequence_verified = True
-        else:
-            # a regular sequence is linearly independent over F_p; one
-            # nonzero form is regular on the domain S, and two form a
-            # regular sequence exactly when they are coprime; for three or
-            # more the hypothesis is recorded, not verified
-            if rank([f.terms for f in gens], ring.p) < len(gens):
+            multipliers.append(next(walk))
+            leaders = pivots([
+                {mono_mul(m, u): a for m, a in terms.items()} if u else terms
+                for d, terms in zip(degrees, reversed_terms)
+                for u in (multipliers[D - d] if D >= d else ())
+            ], ring.p)
+            expected = dim - self.hilbert_function(D)
+            if len(leaders) < expected:
                 raise UnsupportedIdealClassError(
-                    "generators linearly dependent over F_p are not a regular sequence"
+                    f"not a regular sequence: in degree {D} the ideal has dimension "
+                    f"{len(leaders)}, below the {expected} of a complete intersection"
                 )
-            if len(gens) == 2 and not _coprime(*gens, max_monomials=max_monomials):
-                raise UnsupportedIdealClassError(
-                    "generators with a common factor are not a regular sequence"
-                )
-            self.regular_sequence_verified = len(gens) <= 2
+            supports.update(sum(1 << v for v, e in enumerate(m) if e) for m in leaders)
 
     def product(self, max_monomials=DEFAULT_MAX_MONOMIALS):
         """f_1 * ... * f_t; `max_monomials` bounds the term pairs multiplied,
@@ -272,13 +276,12 @@ class CIIdeal:
 
     def hilbert_function(self, d):
         """dim_k (S/I)_d via inclusion-exclusion over the regular sequence."""
-        n = self.ring.nvars - 1
         degs = [f.degree() for f in self.gens]
         total = 0
         for mask in range(1 << len(degs)):
             shift = sum(degs[i] for i in range(len(degs)) if mask >> i & 1)
             sign = -1 if bin(mask).count("1") % 2 else 1
-            total += sign * bounded_count(n + 1, d - shift)
+            total += sign * bounded_count(self.ring.nvars, d - shift)
         return total
 
     def __repr__(self):
@@ -302,17 +305,13 @@ def build_ideal(ring, polys, max_monomials=DEFAULT_MAX_MONOMIALS):
     from them.
 
     Every generator a single term (zero generators are dropped) gives a
-    MonomialIdeal; anything else a CIIdeal, whose regular-sequence
-    hypothesis is checked for one and two generators (`max_monomials`
-    bounds the check for two) and otherwise a caller assertion.  Returns
+    MonomialIdeal; anything else a CIIdeal, whose generators are proven to
+    be a regular sequence (`max_monomials` bounds the check).  Returns
     (ideal, warnings).
     """
     if all(len(f.terms) <= 1 for f in polys):
         return MonomialIdeal(ring, [next(iter(f.terms)) for f in polys if f.terms]), []
-    ideal = CIIdeal(ring, polys, max_monomials=max_monomials)
-    if ideal.regular_sequence_verified:
-        return ideal, []
-    return ideal, ["regular-sequence assertion recorded for polynomial generators"]
+    return CIIdeal(ring, polys, max_monomials=max_monomials), []
 
 
 def regular_sequence_degrees(ideal):

@@ -1,14 +1,15 @@
-"""Exact rank over F_p of sparse vectors.
+"""Exact rank and pivots over F_p of sparse vectors.
 
 Vectors are dicts from comparable keys to coefficients.  `rank` reads the
 rank off the matrix itself when it can and eliminates only when it must:
 it ranks the shorter side (the transpose when the vectors have fewer keys
-than there are vectors, since rank M = rank M^T), returns the number of
-vectors at once when they are already in echelon form (pairwise distinct
-least keys, each with a coefficient nonzero mod p), and otherwise feeds
-them to `Span`, an incrementally reduced row space.  Every matrix
-frobcalc ranks is sparse -- a Koszul block of at most a few dozen columns,
-the degree pieces of a two-generator ideal -- so a dict per row beats
+than there are vectors, since rank M = rank M^T) and counts its `pivots`.
+Those are the least keys at once when the vectors are already in echelon
+form (pairwise distinct least keys, each with a coefficient nonzero mod
+p); otherwise the vectors go to `Span`, an incrementally reduced row
+space.  Every matrix frobcalc reduces is sparse -- a Koszul block of at
+most a few dozen columns, or one degree of the products u*f_i that decide
+whether `ci` generators are a regular sequence -- so a dict per row beats
 dense arrays, and the arithmetic is Python's exact integers.  The strand
 maps of `koszul.strand_check` are ranked from their column targets and
 come here only if the left map is not already in echelon form.
@@ -68,14 +69,26 @@ class Span:
         return len(self.rows)
 
 
+def pivots(vectors, p):
+    """The pivot keys of the nonempty sparse vectors: the least keys of an
+    echelon basis of their span.  Vectors whose least keys are pairwise
+    distinct, each with a coefficient nonzero mod p, are already in
+    echelon form; otherwise they are reduced in a `Span`."""
+    leads = {min(vec): vec for vec in vectors}
+    if len(leads) == len(vectors) and all(vec[key] % p for key, vec in leads.items()):
+        return leads.keys()
+    span = Span(p)
+    for vec in vectors:
+        span.add(vec)
+    return span.rows.keys()
+
+
 def rank(vectors, p):
     """Dimension over F_p of the span of the sparse vectors.
 
     Empty vectors are dropped.  When the rest have fewer keys than there
-    are vectors, their transpose is ranked instead.  Vectors whose least
-    keys are pairwise distinct, each with a coefficient nonzero mod p, are
-    triangular and so independent: their number is the rank.  Otherwise
-    they are reduced one by one in a `Span`."""
+    are vectors, their transpose is ranked instead; either way the rank is
+    the number of `pivots`."""
     vectors = [vec for vec in vectors if vec]
     keys = set().union(*vectors)
     if len(keys) < len(vectors):
@@ -84,10 +97,4 @@ def rank(vectors, p):
             for key, c in vec.items():
                 columns[key][i] = c
         vectors = list(columns.values())
-    leads = {min(vec): vec for vec in vectors}
-    if len(leads) == len(vectors) and all(vec[key] % p for key, vec in leads.items()):
-        return len(vectors)
-    span = Span(p)
-    for vec in vectors:
-        span.add(vec)
-    return span.rank
+    return len(pivots(vectors, p))

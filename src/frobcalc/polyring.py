@@ -234,10 +234,6 @@ class Polynomial:
     def monomial(cls, ring, mono, coeff=1):
         return cls(ring, {tuple(mono): coeff})
 
-    @classmethod
-    def variable(cls, ring, i):
-        return cls.monomial(ring, ring.variable_monomial(i))
-
     # -- structure ----------------------------------------------------------
 
     def is_zero(self):

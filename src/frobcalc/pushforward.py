@@ -16,7 +16,7 @@ import itertools
 import math
 from collections import namedtuple
 
-from .errors import NonArtinianError, ResourceGuardError, VerificationError
+from .errors import ResourceGuardError, UnsupportedIdealClassError, VerificationError
 from .ideals import MonomialIdeal, pairwise_disjoint_supports
 from .polyring import (
     DEFAULT_MAX_MONOMIALS,
@@ -37,10 +37,6 @@ class FrobeniusModule:
     def __init__(self, ideal, e, max_monomials=DEFAULT_MAX_MONOMIALS):
         if e < 1:
             raise ValueError("e must be at least 1")
-        if not ideal.is_artinian():
-            raise NonArtinianError(
-                "pushforward modules are tabulated for artinian quotients"
-            )
         self.ideal = ideal
         self.e = e
         self.q = ideal.ring.p**e
@@ -557,11 +553,11 @@ def ci_filtration_check(ring, f_monos, max_monomials=DEFAULT_MAX_MONOMIALS):
     f_monos = [tuple(m) for m in f_monos]
     c = len(f_monos)
     if c == 0 or c > ring.nvars:
-        raise ValueError("need 1 <= c <= #variables monomials")
+        raise UnsupportedIdealClassError("need 1 <= c <= #variables monomials")
     if any(mono_degree(m) < 2 for m in f_monos):
-        raise ValueError("each f_i must lie in m^2 (degree >= 2)")
+        raise UnsupportedIdealClassError("each f_i must lie in m^2 (degree >= 2)")
     if not pairwise_disjoint_supports(f_monos):
-        raise ValueError("supports must be pairwise disjoint (regular sequence)")
+        raise UnsupportedIdealClassError("supports must be pairwise disjoint (regular sequence)")
 
     big = MonomialIdeal(ring, [mono_pow(m, p) for m in f_monos])  # (f_i^p)
     small = MonomialIdeal(ring, f_monos)  # (f_1..f_c)

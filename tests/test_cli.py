@@ -264,7 +264,7 @@ class TestExitCodes:
         payload = run_json(capsys, ["betti", "--char", "2", "--vars", "x,y", "--ideal", "0"])
         assert payload["result"]["betti"] == [{"i": 0, "degree": 0, "value": 1}]
 
-    @pytest.mark.parametrize("subcommand", ["betti", "codepth", "genexp"])
+    @pytest.mark.parametrize("subcommand", ["betti", "codepth", "genexp", "loewy", "decompose"])
     def test_the_unit_ideal_is_named(self, subcommand):
         # the generator 1 has degree 0, but S/I is zero rather than badly
         # presented
@@ -284,7 +284,7 @@ class TestExitCodes:
         # v = x + y, w = y + z the ideal is (uv, uw), which is F-split
         argv = ["fsplit", "--char", "3", "--vars", "x,y,z", "--ideal", "x*y+x*z, x^2+x*y"]
         assert run(argv) == EXIT_UNSUPPORTED
-        assert "common factor" in capsys.readouterr().err
+        assert "error: not a regular sequence: in degree 3" in capsys.readouterr().err
         split = run_json(capsys, ["fsplit", "--char", "3", "--vars", "u,v,w", "--ideal", "u*v, u*w"])
         assert split["result"]["certificate"]["verdict"] is True
 
@@ -297,11 +297,44 @@ class TestExitCodes:
         payload = run_json(capsys, ["fsplit"] + QUADRIC)
         assert payload["notes"] == []
 
-    def test_three_ci_generators_stay_an_assertion(self, capsys):
+    def test_three_ci_generators_are_proven(self, capsys):
         argv = ["fsplit", "--char", "3", "--vars", "x,y,z", "--ideal", "x^2+y*z, y^2+x*z, z^2+x*y"]
-        assert run_json(capsys, argv)["notes"] == [
-            "regular-sequence assertion recorded for polynomial generators",
-        ]
+        assert run_json(capsys, argv)["notes"] == []
+
+    @pytest.mark.parametrize("subcommand", ["fsplit", "flevel"])
+    @pytest.mark.parametrize("ideal", ["x*y, x*z, w^2+v^2", "x*y+x*z, x*y+2*x*z, w^2+v^2"])
+    def test_ci_generators_that_are_not_a_regular_sequence_are_refused(self, subcommand, ideal):
+        # R = k[x,y,z]/(xy, xz) (x) k[v,w]/(v^2 + w^2) is F-split, so
+        # Fedder's complete-intersection colon would give a wrong verdict
+        argv = [subcommand, "--char", "3", "--vars", "x,y,z,v,w", "--ideal", ideal]
+        assert run_captured(argv) == (
+            EXIT_UNSUPPORTED,
+            [],
+            "error: not a regular sequence: in degree 3 the ideal has dimension 14, "
+            "below the 15 of a complete intersection\n",
+        )
+
+    def test_an_undecided_regular_sequence_check_is_a_guard_exit(self, capsys):
+        # proven in degree 4, whose matrix has 18 rows and 15 columns
+        argv = ["fsplit", "--char", "3", "--vars", "x,y,z", "--ideal", "x^2+y*z, y^2+x*z, z^2+x*y"]
+        assert run_captured(argv + ["--max-monomials", "269"]) == (
+            EXIT_GUARD,
+            [],
+            "error: regular-sequence check in degree 4: 270 matrix cells exceed guard 269\n",
+        )
+        assert run_json(capsys, argv + ["--max-monomials", "270"])["notes"] == []
+
+    @pytest.mark.parametrize(
+        "ideal, message",
+        [
+            ("x*y, x^2", "supports must be pairwise disjoint (regular sequence)"),
+            ("x, y^2", "each f_i must lie in m^2 (degree >= 2)"),
+            ("0", "need 1 <= c <= #variables monomials"),
+        ],
+    )
+    def test_filtration_refuses_an_unsupported_ideal(self, ideal, message):
+        argv = ["filtration", "--char", "2", "--vars", "x,y", "--ideal", ideal]
+        assert run_captured(argv) == (EXIT_UNSUPPORTED, [], f"error: {message}\n")
 
     @pytest.mark.parametrize(
         "argv, box",
@@ -797,8 +830,6 @@ def unread_flag_argv(draw):
     mode, flag)."""
     def value(flag):
         kind, _help = FLAGS[flag]
-        if type(kind) is tuple:
-            return draw(st.sampled_from(kind))
         if kind is int:
             return str(draw(st.integers(-3, 3)))
         return draw(st.sampled_from(["", "x", "x,y", "x^2"]))
@@ -991,6 +1022,8 @@ class TestJsonEncoding:
         text = render_text({"a": {"b": [1, 2]}, "c": "x"})
         assert "a:" in text and "b:" in text and "- 1" in text and "c: x" in text
         assert render_text({"a": None, "b": [None, 1]}) == "a: null\nb:\n  - null\n  - 1\n"
+        # booleans read as in JSON too; 1 and 0 stay numbers
+        assert render_text({"a": True, "b": [False, 1, 0]}) == "a: true\nb:\n  - false\n  - 1\n  - 0\n"
 
 
 GOLDEN = Path(__file__).resolve().parent / "golden"

@@ -1,4 +1,6 @@
+import itertools
 import math
+import re
 
 import pytest
 from hypothesis import given, settings
@@ -18,12 +20,14 @@ from frobcalc import (
     MonomialIdeal,
     NonArtinianError,
     PolyRing,
+    Polynomial,
     ResourceGuardError,
     UnsupportedIdealClassError,
     in_bracket_max,
     parse_polynomial,
 )
 from frobcalc.ideals import build_ideal
+from frobcalc.modlinalg import rank
 from frobcalc.polyring import mono_degree, mono_pow
 
 
@@ -234,17 +238,24 @@ class TestCIColon:
         with pytest.raises(UnsupportedIdealClassError):
             CIIdeal(ring5xyz, [parse_polynomial(ring5xyz, t) for t in texts])
 
-    def test_polynomial_generators_are_an_assertion(self, ring5xyz):
-        # two generators are checked (below); three or more stay an assertion
-        I = CIIdeal(
-            ring5xyz,
-            [
-                parse_polynomial(ring5xyz, "x^2 + y*z"),
-                parse_polynomial(ring5xyz, "y^3 + z^3"),
-                parse_polynomial(ring5xyz, "z^4 + x*y^3"),
-            ],
-        )
-        assert not I.regular_sequence_verified
+    def test_a_triple_with_a_common_zero_is_refused(self, ring5xyz):
+        # x^2 + y*z, y^3 + z^3, z^4 + x*y^3 all vanish at (1, -1, 1), so the
+        # height is at most 2
+        texts = ["x^2 + y*z", "y^3 + z^3", "z^4 + x*y^3"]
+        with pytest.raises(
+            UnsupportedIdealClassError,
+            match="not a regular sequence: in degree 7 the ideal has dimension 35, below the 36",
+        ):
+            CIIdeal(ring5xyz, [parse_polynomial(ring5xyz, t) for t in texts])
+
+    def test_a_triple_is_regular_at_p_3_and_not_at_p_2(self):
+        # over F_2 the three forms vanish at (1, 1, 1)
+        texts = ["x^2 + y*z", "y^2 + x*z", "z^2 + x*y"]
+        ring = PolyRing(3, ["x", "y", "z"])
+        assert len(CIIdeal(ring, [parse_polynomial(ring, t) for t in texts]).gens) == 3
+        ring = PolyRing(2, ["x", "y", "z"])
+        with pytest.raises(UnsupportedIdealClassError, match="in degree 3 the ideal has dimension 7, below the 9"):
+            CIIdeal(ring, [parse_polynomial(ring, t) for t in texts])
 
     @pytest.mark.parametrize(
         "texts",
@@ -253,11 +264,18 @@ class TestCIColon:
             ["x*y + z^2", "x^2 + y*z"],
             ["x + y", "y + z"],
             ["x^3 + y^3 + z^3", "x*y*z"],
+            # one form: a nonzerodivisor on the domain S
+            ["x^2 + y*z"],
+            ["x + y"],
+            ["x^3 + y^3 + z^3"],
+            ["x*y*z"],
+            # monomials with disjoint supports
+            ["x^2", "y*z"],
         ],
     )
-    def test_two_coprime_generators_verified(self, ring5xyz, texts):
+    def test_regular_sequences_are_proven(self, ring5xyz, texts):
         I = CIIdeal(ring5xyz, [parse_polynomial(ring5xyz, t) for t in texts])
-        assert I.regular_sequence_verified
+        assert len(I.gens) == len(texts)
 
     @pytest.mark.parametrize(
         "texts",
@@ -272,26 +290,17 @@ class TestCIColon:
         ],
     )
     def test_two_generators_with_common_factor_rejected(self, ring5xyz, texts):
-        with pytest.raises(UnsupportedIdealClassError, match="common factor"):
+        with pytest.raises(UnsupportedIdealClassError, match="not a regular sequence"):
             CIIdeal(ring5xyz, [parse_polynomial(ring5xyz, t) for t in texts])
 
     def test_two_generator_check_is_guarded(self, ring5xyz):
         gens = [parse_polynomial(ring5xyz, t) for t in ["x^4 + y^4", "z^5 + x*y^4"]]
-        # u*f with deg u = 4 and v*g with deg v = 3: 15 + 10 products
-        with pytest.raises(ResourceGuardError):
-            CIIdeal(ring5xyz, gens, max_monomials=24)
-        assert CIIdeal(ring5xyz, gens, max_monomials=25).regular_sequence_verified
-
-    @pytest.mark.parametrize("text", ["x^2 + y*z", "x + y", "x^3 + y^3 + z^3", "x*y*z"])
-    def test_one_generator_verified(self, ring5xyz, text):
-        assert CIIdeal(ring5xyz, [parse_polynomial(ring5xyz, text)]).regular_sequence_verified
-
-    def test_monomial_generators_verified(self, ring5xyz):
-        I = CIIdeal(
-            ring5xyz,
-            [parse_polynomial(ring5xyz, "x^2"), parse_polynomial(ring5xyz, "y*z")],
-        )
-        assert I.regular_sequence_verified
+        # proven in degree 8: u*f with deg u = 4 and v*g with deg v = 3 give
+        # 15 + 10 rows over the 45 monomials of degree 8, and the earlier
+        # degrees have fewer cells
+        with pytest.raises(ResourceGuardError, match="in degree 8: 1125 matrix cells exceed guard 1124"):
+            CIIdeal(ring5xyz, gens, max_monomials=1124)
+        assert len(CIIdeal(ring5xyz, gens, max_monomials=1125).gens) == 2
 
 
 class TestBracketMaxMembership:
@@ -383,7 +392,11 @@ class TestStaircaseOracle:
         bound = data.draw(st.integers(0, mono_degree(I.lcm()) + 2))
         want = [filtered_level(I, d) for d in range(bound + 1)]
         assert I.staircase(bound) == want
-        if I.is_artinian():
+        if I.is_unit():
+            for method in (I.loewy_length, I.staircase):
+                with pytest.raises(UnsupportedIdealClassError, match="S/I is zero for the unit ideal"):
+                    method()
+        elif I.is_artinian():
             ll = filtered_loewy_length(I)
             assert I.loewy_length() == ll
             assert I.staircase() == [filtered_level(I, d) for d in range(ll)]
@@ -450,6 +463,69 @@ class TestCIHilbert:
             assert I.hilbert_function(d) == expected
 
 
+@st.composite
+def form_systems(draw, square):
+    """c <= n nonzero forms of degree 1..3 in n <= 3 variables over F_2 or
+    F_3, each with at most three terms; c = n when `square`."""
+    p = draw(st.sampled_from([2, 3]))
+    n = draw(st.integers(1, 3))
+    ring = PolyRing(p, ["x", "y", "z"][:n])
+    gens = []
+    for _ in range(n if square else draw(st.integers(1, n))):
+        chosen = draw(st.lists(st.sampled_from(monomials_of_degree(ring, draw(st.integers(1, 3)))),
+                               min_size=1, max_size=3, unique=True))
+        coeffs = draw(st.lists(st.integers(1, p - 1), min_size=len(chosen), max_size=len(chosen)))
+        gens.append(Polynomial(ring, dict(zip(chosen, coeffs))))
+    return ring, gens
+
+
+def ideal_dimension(ring, gens, d):
+    """dim_k I_d from the rank of every product u*f_i of degree d, ranked
+    as given, with no leaders and no height."""
+    rows = [f.mul_monomial(u).terms for f in gens for u in monomials_of_degree(ring, d - f.degree())]
+    return rank(rows, ring.p)
+
+
+def refusal_degree(ring, gens):
+    """The degree named by the refusal, or None when the check proves the
+    sequence regular."""
+    try:
+        CIIdeal(ring, gens)
+    except UnsupportedIdealClassError as exc:
+        return int(re.search(r"in degree (\d+)", str(exc)).group(1))
+    return None
+
+
+class TestRegularSequenceOracle:
+    @given(case=form_systems(square=True))
+    @settings(max_examples=150, deadline=None)
+    def test_n_forms_in_n_variables_are_regular_iff_they_contain_a_power_of_m(self, case):
+        # S/I is then artinian, and a complete intersection has its socle in
+        # degree sum(d_i - 1)
+        ring, gens = case
+        top = sum(f.degree() - 1 for f in gens) + 1
+        contains = ideal_dimension(ring, gens, top) == len(monomials_of_degree(ring, top))
+        assert (refusal_degree(ring, gens) is None) == contains
+
+    @given(case=form_systems(square=False))
+    @settings(max_examples=150, deadline=None)
+    def test_the_hilbert_function_agrees_with_the_verdict(self, case):
+        # a complete intersection has Hilbert series prod(1 - t^d_i) / (1 - t)^n
+        ring, gens = case
+        numerator = [1]
+        for f in gens:
+            shifted = [0] * f.degree() + [-a for a in numerator]
+            numerator = [a + b for a, b in itertools.zip_longest(numerator, shifted, fillvalue=0)]
+        refused = refusal_degree(ring, gens)
+        degrees = range(sum(f.degree() for f in gens) + 2) if refused is None else [refused]
+        agree = [
+            len(monomials_of_degree(ring, d)) - ideal_dimension(ring, gens, d)
+            == sum(a * len(monomials_of_degree(ring, d - k)) for k, a in enumerate(numerator))
+            for d in degrees
+        ]
+        assert all(agree) if refused is None else not any(agree)
+
+
 class TestIdealGrammar:
     """The class is read from the generators: all single terms give a
     MonomialIdeal, anything else a CIIdeal."""
@@ -462,7 +538,7 @@ class TestIdealGrammar:
         ring = PolyRing(3, ["x", "y", "z"])
         ideal, warnings = self.build(ring, "x^3+y^3+z^3")
         assert isinstance(ideal, CIIdeal)
-        assert ideal.regular_sequence_verified and warnings == []
+        assert warnings == []
         ideal, _warnings = self.build(ring, "x*y, x+z")
         assert isinstance(ideal, CIIdeal)
 
@@ -474,13 +550,13 @@ class TestIdealGrammar:
         assert warnings == []
         assert self.build(ring, "0")[0] == MonomialIdeal.zero(ring)
 
-    def test_three_polynomial_generators_are_an_assertion(self):
+    def test_three_polynomial_generators_are_proven(self):
         ring = PolyRing(3, ["x", "y", "z"])
         ideal, warnings = self.build(ring, "x^2+y*z, y^2+x*z, z^2+x*y")
-        assert not ideal.regular_sequence_verified
-        assert warnings == ["regular-sequence assertion recorded for polynomial generators"]
+        assert isinstance(ideal, CIIdeal)
+        assert warnings == []
 
     def test_a_polynomial_among_monomials_is_checked_as_a_regular_sequence(self):
         ring = PolyRing(2, ["x", "y"])
-        with pytest.raises(UnsupportedIdealClassError, match="common factor"):
+        with pytest.raises(UnsupportedIdealClassError, match="not a regular sequence"):
             self.build(ring, "x*y, x^2+x*y")

@@ -20,7 +20,7 @@ from frobcalc import (
     veronese_decompose,
 )
 from frobcalc import pushforward
-from frobcalc.errors import ResourceGuardError
+from frobcalc.errors import ResourceGuardError, UnsupportedIdealClassError
 from frobcalc.polyring import (
     bounded_count,
     mono_degree,
@@ -597,12 +597,12 @@ class TestFiltration:
 
     def test_rejects_overlapping_supports(self):
         ring = PolyRing(2, ["x", "y"])
-        with pytest.raises(ValueError):
+        with pytest.raises(UnsupportedIdealClassError):
             ci_filtration_check(ring, [(2, 0), (1, 1)])
 
     def test_rejects_linear(self):
         ring = PolyRing(2, ["x", "y"])
-        with pytest.raises(ValueError):
+        with pytest.raises(UnsupportedIdealClassError):
             ci_filtration_check(ring, [(1, 0)])
 
     def test_shift_bookkeeping(self):
