@@ -46,6 +46,7 @@ from .pushforward import (
     ConicDecomposition,
     CyclicDecomposition,
     FrobeniusModule,
+    Rows,
     alpha,
     ci_filtration_check,
     cyclic_decompose,

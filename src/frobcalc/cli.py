@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import itertools
 import json
 import sys
 import time
@@ -32,6 +33,7 @@ from .levels import DEFAULT_E_MAX, f_level_bounds, generation_exponent
 from .polyring import PolyRing, is_prime, mono_str, parse_polynomial
 from .pushforward import (
     FrobeniusModule,
+    Rows,
     ci_filtration_check,
     cyclic_decompose,
     pn_pushforward,
@@ -66,8 +68,11 @@ def _encode(value, pad):
     """`value` as json.dumps(value, indent=2) writes it at the depth whose
     lines start with `pad`, for the types reports hold: dicts with str
     keys, lists, str, int, bool, None and float.  Integers with
-    |v| >= 2^53 become decimal strings.  Any other type, a subclass of
-    these included, raises TypeError."""
+    |v| >= 2^53 become decimal strings.  A `Rows` table is written as its
+    list of dicts (`Rows.records`) would be, with the same bytes: from one
+    %d template per table, or through those dicts when an entry reaches
+    2^53.  Any other type, a subclass of these included, raises
+    TypeError."""
     kind = type(value)
     if kind is dict:
         if not value:
@@ -100,6 +105,8 @@ def _encode(value, pad):
                 parts.append(_encode(item, inner))
         sep = ",\n" + inner
         return f"[\n{inner}{sep.join(parts)}\n{pad}]"
+    if kind is Rows:
+        return _encode_rows(value, pad)
     if value is None:
         return "null"
     if value is True:
@@ -120,6 +127,29 @@ def _encode(value, pad):
     if kind is float:
         return repr(value)
     raise TypeError(f"cannot serialize {kind.__name__}")
+
+
+def _encode_rows(table, pad):
+    """`_encode(table.records(), pad)` without the dicts: every row goes
+    through one template with a %d per entry."""
+    rows = table.rows
+    if not rows:
+        return "[]"
+    if max(map(abs, itertools.chain.from_iterable(rows))) >= JSON_INT_LIMIT:
+        return _encode(table.records(), pad)
+    inner = pad + "  "
+    field = inner + "  "
+    fields = []
+    for name, width in table.layout:
+        key = _encode_str(name).replace("%", "%%")
+        if width == 1:
+            fields.append(f"{key}: %d")
+        else:
+            entries = (",\n" + field + "  ").join(["%d"] * width)
+            fields.append(f"{key}: [\n{field}  {entries}\n{field}]")
+    template = "{\n" + field + (",\n" + field).join(fields) + "\n" + inner + "}"
+    sep = ",\n" + inner
+    return f"[\n{inner}{sep.join(map(template.__mod__, rows))}\n{pad}]"
 
 
 def emit_json(envelope):
@@ -353,8 +383,6 @@ def _dispatch(args):
     if "--p" in own:
         _need_prime(args.p, "--p")
     if name == "alpha":
-        if not (1 <= args.n):
-            raise ParseError("need n >= 1")
         twists = pn_pushforward(args.n, args.p, 1, args.l, **guard).twists
         table = {str(-t): m for t, m in twists.items()}
         echo = {"n": args.n, "p": args.p, "l": args.l}

@@ -161,8 +161,7 @@ class MonomialIdeal:
         walk = self._walk(max_monomials)
         if bound is not None:
             return list(islice(walk, max(bound + 1, 0)))
-        if self.is_unit():
-            raise UnsupportedIdealClassError("S/I is zero for the unit ideal")
+        require_proper(self)
         if not self.is_artinian():
             raise NonArtinianError(f"{self!r} is not artinian")
         return list(takewhile(bool, walk))
@@ -290,6 +289,13 @@ class CIIdeal:
 
 # ---------------------------------------------------------------------------
 # operations
+
+def require_proper(ideal):
+    """Refuse the unit ideal: S/I is zero, so no question about it has an
+    answer worth reporting."""
+    if isinstance(ideal, MonomialIdeal) and ideal.is_unit():
+        raise UnsupportedIdealClassError("S/I is zero for the unit ideal")
+
 
 def in_bracket_max(f, q):
     """Membership of f in m^[q] = (x_0^q, ..., x_n^q).  A monomial ideal, so

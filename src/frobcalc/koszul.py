@@ -49,7 +49,7 @@ from itertools import chain, combinations
 from operator import eq, lt
 
 from .errors import ResourceGuardError, UnsupportedIdealClassError
-from .ideals import MonomialIdeal, pairwise_disjoint_supports
+from .ideals import MonomialIdeal, pairwise_disjoint_supports, require_proper
 from .modlinalg import rank
 from .polyring import DEFAULT_MAX_MONOMIALS, PolyRing, check_degree_bound, mono_degree
 
@@ -207,8 +207,7 @@ def codepth(I, max_monomials=DEFAULT_MAX_MONOMIALS):
     """
     if not isinstance(I, MonomialIdeal):
         raise UnsupportedIdealClassError("codepth is computed for monomial ideals")
-    if I.is_unit():
-        raise UnsupportedIdealClassError("S/I is zero for the unit ideal")
+    require_proper(I)
     if any(mono_degree(g) < 2 for g in I.gens):
         raise UnsupportedIdealClassError(
             "codepth needs I inside m^2; reduce linear generators first"
@@ -307,8 +306,7 @@ def betti_table(I, degree_bound=None, max_monomials=DEFAULT_MAX_MONOMIALS):
     check_degree_bound(degree_bound)
     if I.is_zero():
         return {(0, 0): 1}
-    if I.is_unit():
-        raise UnsupportedIdealClassError("S/I is zero for the unit ideal")
+    require_proper(I)
     top = I.lcm()
     box = math.prod(e + 1 for e in top)
     if box > max_monomials:

@@ -17,7 +17,7 @@ import math
 from collections import namedtuple
 
 from .errors import ResourceGuardError, UnsupportedIdealClassError, VerificationError
-from .ideals import MonomialIdeal, pairwise_disjoint_supports
+from .ideals import MonomialIdeal, pairwise_disjoint_supports, require_proper
 from .polyring import (
     DEFAULT_MAX_MONOMIALS,
     bounded_count,
@@ -106,20 +106,6 @@ class CyclicDecomposition(
         }
 
 
-def _annihilator_of_generator(module, u):
-    """Monomial ideal of elements acting as zero on the cyclic generator u:
-    all w with w^q * u inside I, a Frobenius root of the colon (I : u)
-    (Blickle-Mustata-Smith 2008).  In closed form it is generated by
-    ceil((g - u)^+ / q), entrywise, over the generators g of I.  This is
-    exact: w^q * u lies in I exactly when some g <= q*w + u, i.e. when
-    w_i >= (g_i - u_i) / q for every i."""
-    q = module.q
-    return MonomialIdeal(
-        module.ring,
-        [tuple(-(min(u_i - g_i, 0) // q) for g_i, u_i in zip(g, u)) for g in module.ideal.gens],
-    )
-
-
 def cyclic_decompose(module):
     """Split the pushforward by exponent residues mod q.
 
@@ -128,14 +114,28 @@ def cyclic_decompose(module):
     standard u with every exponent below q span the cyclic submodule
     generated by u, and these classes partition the basis.  u is the
     least-degree member of its class, so it comes first in basis order and
-    the pieces come out in the order of their generators."""
+    the pieces come out in the order of their generators.
+
+    The annihilator of the piece of u is all w with w^q * u inside I, a
+    Frobenius root of the colon (I : u) (Blickle-Mustata-Smith 2008).  In
+    closed form it is generated by ceil((g - u)^+ / q), entrywise, over the
+    generators g of I.  This is exact: w^q * u lies in I exactly when some
+    g <= q*w + u, i.e. when w_i >= (g_i - u_i) / q for every i.  Pieces
+    share few distinct roots, so each is built once, keyed by its raw
+    generators."""
     q = module.q
+    ring, gens = module.ring, module.ideal.gens
     classes = {}
     for w in module.basis:
         classes.setdefault(tuple(x % q for x in w), []).append(w)
+    roots = {}
     pieces = []
     for members in classes.values():
         u = members[0]
+        raw = tuple(tuple(-(min(u_i - g_i, 0) // q) for g_i, u_i in zip(g, u)) for g in gens)
+        annihilator = roots.get(raw)
+        if annihilator is None:
+            annihilator = roots[raw] = MonomialIdeal(ring, raw)
         gen_degree = mono_degree(u)
         common = math.gcd(gen_degree, q)
         rel = {}
@@ -146,7 +146,7 @@ def cyclic_decompose(module):
             CyclicPiece(
                 generator=u,
                 basis=tuple(members),
-                annihilator=_annihilator_of_generator(module, u),
+                annihilator=annihilator,
                 relative_hilbert=tuple(rel.get(t, 0) for t in range(max(rel) + 1)),
                 degree_offset=(gen_degree // common, q // common),
             )
@@ -308,6 +308,26 @@ def pn_pushforward(n, p, e, l=0, max_monomials=DEFAULT_MAX_MONOMIALS):
 # ---------------------------------------------------------------------------
 # the Veronese decomposition for k[x, y] into strand modules
 
+class Rows(namedtuple("Rows", "layout rows")):
+    """A table of integer rows that a report writes as a list of objects.
+    `layout` holds one (name, width) pair per field, width >= 1: the field
+    takes the next `width` entries of a row, as the entry itself at width
+    1 and as a list of them otherwise.  `rows` holds flat int tuples."""
+
+    __slots__ = ()
+
+    def records(self):
+        """The list of dicts the table stands for."""
+        records = []
+        for row in self.rows:
+            record, at = {}, 0
+            for name, width in self.layout:
+                record[name] = row[at] if width == 1 else list(row[at : at + width])
+                at += width
+            records.append(record)
+        return records
+
+
 class ConicDecomposition(
     namedtuple(
         "ConicDecomposition",
@@ -328,7 +348,9 @@ class ConicDecomposition(
     alternatives counted as a Gaussian binomial coefficient.
     `multiplicities` maps j to its count, `pieces` lists the quadruples
     (u, v, j, start S-degree), and `hs_bound` is the S-degree bound of the
-    verification."""
+    verification.  The payload hands the quadruples on as one `Rows` table,
+    which the report writes as objects {"residues": [u, v], "class": j,
+    "start_degree": start} from a single row template."""
 
     __slots__ = ()
 
@@ -339,10 +361,7 @@ class ConicDecomposition(
             "e": self.e,
             "q": self.q,
             "multiplicities": {str(j): m for j, m in sorted(self.multiplicities.items())},
-            "pieces": [
-                {"residues": [u, v], "class": j, "start_degree": start}
-                for u, v, j, start in self.pieces
-            ],
+            "pieces": Rows((("residues", 2), ("class", 1), ("start_degree", 1)), self.pieces),
             "hilbert_series_verified": True,
             "hilbert_series_bound": self.hs_bound,
             "hilbert_solve_unique": self.hs_solve_unique,
@@ -473,8 +492,10 @@ def _class_multiset_count(count, total, ell):
     a count x (ell-1) box, i.e. the coefficient of x^(total-count) in the
     Gaussian binomial [count+ell-1 choose ell-1]_x.  That polynomial is
     the product over i = 1..ell-1 of (1 - x^(count+i)) / (1 - x^i), formed
-    here as a power series truncated at degree total-count."""
-    top = total - count
+    here as a power series truncated at degree total-count.  The
+    polynomial has degree count*(ell-1) and is palindromic, so the series
+    stops at the nearer end."""
+    top = min(total - count, count * ell - total)
     if top < 0:
         return 0
     coeffs = [1] + [0] * top
@@ -554,13 +575,14 @@ def ci_filtration_check(ring, f_monos, max_monomials=DEFAULT_MAX_MONOMIALS):
     c = len(f_monos)
     if c == 0 or c > ring.nvars:
         raise UnsupportedIdealClassError("need 1 <= c <= #variables monomials")
+    small = MonomialIdeal(ring, f_monos)  # (f_1..f_c)
+    require_proper(small)
     if any(mono_degree(m) < 2 for m in f_monos):
         raise UnsupportedIdealClassError("each f_i must lie in m^2 (degree >= 2)")
     if not pairwise_disjoint_supports(f_monos):
         raise UnsupportedIdealClassError("supports must be pairwise disjoint (regular sequence)")
 
     big = MonomialIdeal(ring, [mono_pow(m, p) for m in f_monos])  # (f_i^p)
-    small = MonomialIdeal(ring, f_monos)  # (f_1..f_c)
     artinian = big.is_artinian()
     window = None if artinian else p * sum(mono_degree(m) for m in f_monos) + 2
     levels = big.staircase(window, max_monomials=max_monomials)

@@ -50,7 +50,13 @@ from .errors import (
     UnsupportedIdealClassError,
     VerificationError,
 )
-from .ideals import CIIdeal, MonomialIdeal, in_bracket_max, regular_sequence_degrees
+from .ideals import (
+    CIIdeal,
+    MonomialIdeal,
+    in_bracket_max,
+    regular_sequence_degrees,
+    require_proper,
+)
 from .polyring import (
     DEFAULT_MAX_MONOMIALS,
     Polynomial,
@@ -222,13 +228,15 @@ class _ColonTable(namedtuple("_ColonTable", "e q nvars live")):
 
 def _colon_table(ideal, e, j=0, max_monomials=DEFAULT_MAX_MONOMIALS, gens=None):
     """The colon table at e, after the checks in their fixed order: e >= 1,
-    q <= MAX_Q, j >= 0, then the colon-term guard.  `gens` stands in for
-    colon generators known without forming them."""
+    q <= MAX_Q, j >= 0, an ideal other than the unit ideal, then the
+    colon-term guard.  `gens` stands in for colon generators known without
+    forming them."""
     q = _frobenius_q(ideal.ring, e)
     if q > MAX_Q:
         raise ResourceGuardError(f"q = {q} exceeds the guard {MAX_Q}")
     if j < 0:
         raise ValueError("twist j must be nonnegative")
+    require_proper(ideal)
     if gens is None:
         gens = colon_generators(ideal, e, max_monomials)
     live = [(g, t) for g in gens for t in mono_sorted(m for m in g.terms if max(m) < q)]
@@ -337,6 +345,7 @@ def _ci_degree(ideal, name):
     """d, the sum of the generator degrees of a complete intersection: a
     CIIdeal, or a monomial ideal whose generators form a regular sequence
     (`ideals.regular_sequence_degrees`)."""
+    require_proper(ideal)
     degrees = regular_sequence_degrees(ideal)
     if degrees is None:
         raise UnsupportedIdealClassError(f"{name} needs a complete intersection")

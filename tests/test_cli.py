@@ -35,7 +35,7 @@ from frobcalc.cli import (
     run,
 )
 from frobcalc.levels import DEFAULT_E_MAX
-from frobcalc.pushforward import veronese_decompose
+from frobcalc.pushforward import ConicDecomposition, Rows, veronese_decompose
 
 QUADRIC = ["--char", "3", "--vars", "x0,x1,x2,x3", "--ideal", "x0*x1 + x2*x3"]
 TWELVE = ["--char", "2", "--vars", "x,y", "--ideal", "x^4, x^2*y^2, y^4"]
@@ -160,7 +160,7 @@ class TestSubcommands:
         parser = build_parser()
         assert parser.parse_args(["flevel"]).emax == DEFAULT_E_MAX
         report = run_json(capsys, ["veronese", "--ell", "2", "--p", "3"])["result"]
-        assert report == veronese_decompose(2, 3, 1).payload()
+        assert report == json.loads(emit_json(veronese_decompose(2, 3, 1).payload()))
 
 
 @st.composite
@@ -264,11 +264,14 @@ class TestExitCodes:
         payload = run_json(capsys, ["betti", "--char", "2", "--vars", "x,y", "--ideal", "0"])
         assert payload["result"]["betti"] == [{"i": 0, "degree": 0, "value": 1}]
 
-    @pytest.mark.parametrize("subcommand", ["betti", "codepth", "genexp", "loewy", "decompose"])
+    @pytest.mark.parametrize("subcommand", [name for name, (_help, takes_ideal, _own) in SUBCOMMANDS.items()
+                                            if takes_ideal])
     def test_the_unit_ideal_is_named(self, subcommand):
         # the generator 1 has degree 0, but S/I is zero rather than badly
-        # presented
+        # presented, and no splitting verdict or bound on it means anything
         argv = [subcommand, "--char", "2", "--vars", "x,y", "--ideal", "1"]
+        if subcommand == "summand":
+            argv += ["--j", "0"]
         assert run_captured(argv) == (EXIT_UNSUPPORTED, [], "error: S/I is zero for the unit ideal\n")
 
     def test_linearly_dependent_ci_generators_are_unsupported(self, capsys):
@@ -572,9 +575,10 @@ class TestExitCodes:
 
     @pytest.mark.parametrize("n", ["0", "-1", "-2"])
     def test_pn_needs_a_positive_dimension(self, n):
-        # projective n-space needs n >= 1, whether or not an alpha count is reached
-        for l in ("0", "1"):
-            argv = ["pn", "--n", n, "--p", "2", "--l", l]
+        # projective n-space needs n >= 1, whether or not an alpha count is
+        # reached; pn and alpha both say so in the library's words
+        for subcommand, l in itertools.product(("pn", "alpha"), ("0", "1")):
+            argv = [subcommand, "--n", n, "--p", "2", "--l", l]
             assert run_captured(argv) == (EXIT_USAGE, [], "error: n must be at least 1\n")
 
     @pytest.mark.parametrize(
@@ -1026,6 +1030,88 @@ class TestJsonEncoding:
         assert render_text({"a": True, "b": [False, 1, 0]}) == "a: true\nb:\n  - false\n  - 1\n  - 0\n"
 
 
+def row_records(layout, rows):
+    """Oracle for a `Rows` table: the list of dicts it stands for, built
+    field by field."""
+    records = []
+    for row in rows:
+        entries = iter(row)
+        records.append({
+            name: next(entries) if width == 1 else [next(entries) for _ in range(width)]
+            for name, width in layout
+        })
+    return records
+
+
+def old_veronese_payload(dec):
+    """`ConicDecomposition.payload()` with the pieces as the list of dicts
+    it held before they became a `Rows` table."""
+    payload = dec.payload()
+    payload["pieces"] = [
+        {"residues": [u, v], "class": j, "start_degree": start} for u, v, j, start in dec.pieces
+    ]
+    return payload
+
+
+@st.composite
+def row_tables(draw):
+    """A `Rows` table with distinct field names (escapes and % included),
+    widths 1-3 and integers up to and past 2^53."""
+    names = draw(st.lists(TRICKY_TEXT | st.sampled_from(["%d", "%", "a%%s"]), min_size=1, max_size=4,
+                          unique=True))
+    layout = tuple((name, draw(st.integers(1, 3))) for name in names)
+    width = sum(w for _name, w in layout)
+    value = st.integers(-(2**20), 2**20) | st.sampled_from(BOUNDARY_INTS)
+    rows = draw(st.lists(st.tuples(*[value] * width), max_size=5))
+    return Rows(layout, rows)
+
+
+class TestRowTables:
+    @pytest.mark.parametrize("ell", range(1, 8))
+    @pytest.mark.parametrize("p,e", [(p, e) for p in (2, 3, 5, 7) for e in (1, 2) if p**e <= 49])
+    def test_veronese_pieces_match_the_dicts(self, ell, p, e):
+        dec = veronese_decompose(ell, p, e)
+        new, old = dec.payload(), old_veronese_payload(dec)
+        for wrap in (lambda x: x, lambda x: {"result": x}, lambda x: [{"a": [x]}]):
+            assert emit_json(wrap(new)) == emit_json(wrap(old)) == oracle_emit(wrap(old))
+        # text mode renders the JSON report, so it follows
+        assert render_text(json.loads(emit_json(new))) == render_text(old)
+        assert emit_json(new["pieces"]) == emit_json(row_records(new["pieces"].layout, dec.pieces))
+
+    @given(table=row_tables())
+    @settings(max_examples=200, deadline=None)
+    def test_any_table_matches_the_dicts(self, table):
+        records = row_records(table.layout, table.rows)
+        assert table.records() == records
+        assert emit_json({"t": [table]}) == oracle_emit({"t": [records]})
+
+    def test_an_empty_table_is_an_empty_list(self):
+        table = Rows((("residues", 2), ("class", 1)), [])
+        assert emit_json(table) == "[]\n"
+        assert emit_json({"pieces": table}) == '{\n  "pieces": []\n}\n'
+
+    @pytest.mark.parametrize("big", [2**53, -(2**53)])
+    def test_an_entry_at_two_to_the_53_falls_back_to_strings(self, big):
+        table = Rows((("residues", 2), ("class", 1)), [(0, 1, 2), (3, big, 5)])
+        out = emit_json({"pieces": table})
+        assert out == oracle_emit({"pieces": row_records(table.layout, table.rows)})
+        assert json.loads(out)["pieces"][1] == {"residues": [3, str(big)], "class": 5}
+
+    def test_a_value_past_the_digit_limit_is_a_guard_exit(self, monkeypatch):
+        def decompose(ell, p, e, **_guard):
+            pieces = [(0, 0, 0, 0), (1, 0, 1, 10**4999)]
+            return ConicDecomposition(ell, p, e, p**e, {0: 1, 1: 1}, pieces, 0, True, [], True)
+
+        monkeypatch.setattr("frobcalc.cli.veronese_decompose", decompose)
+        for mode in (["--json"], []):
+            code, lines, err = run_captured(["veronese", "--ell", "2", "--p", "2"] + mode)
+            assert (code, lines) == (EXIT_GUARD, [])
+            assert err == (
+                f"error: a report integer of {(10**4999).bit_length()} bits exceeds the interpreter's "
+                f"limit of {sys.get_int_max_str_digits()} decimal digits\n"
+            )
+
+
 GOLDEN = Path(__file__).resolve().parent / "golden"
 DECOMPOSE_FRACTIONAL = [
     "decompose", "--char", "3", "--vars", "x,y,z", "--ideal", "x^5, y^5, z^5, x^2*y^2"
@@ -1038,6 +1124,8 @@ M2_EIGHT_VARS = ["--char", "2", "--vars", ",".join(EIGHT_NAMES), "--ideal",
                            for i, a in enumerate(EIGHT_NAMES) for b in EIGHT_NAMES[i:]), "--json"]
 GOLDEN_REPORTS = {
     "veronese_ell2_p3_e2.json": ["veronese", "--ell", "2", "--p", "3", "-e", "2", "--json"],
+    # the text rendering of a row table
+    "veronese_ell2_p2_e1.txt": ["veronese", "--ell", "2", "--p", "2", "-e", "1"],
     # every certificate appears twice: in the result and in the envelope
     # the default twist range of the quadric ends at j = 2
     "twists_quadric_jmax2.json": ["twists"] + QUADRIC + ["--json"],

@@ -16,6 +16,7 @@ from frobcalc import (
     is_f_split,
     parse_polynomial,
 )
+from frobcalc.errors import UnsupportedIdealClassError
 
 
 def mi(ring, *gens):
@@ -74,6 +75,11 @@ class TestFLevelBounds:
         # with no split test run, nothing certifies lower = 2
         with pytest.raises(ValueError):
             f_level_bounds(mi(ring2, (1, 1)), e_max=0)
+
+    def test_rejects_the_unit_ideal(self, ring2):
+        # S/I = 0 is no ring to bound a level of, although (S : S) = S splits
+        with pytest.raises(UnsupportedIdealClassError, match="S/I is zero for the unit ideal"):
+            f_level_bounds(mi(ring2, (0, 0)))
 
     def test_exact_one_iff_split_on_corpus(self):
         for I, _ci in corpus_ideals(p=2):

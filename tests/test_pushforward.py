@@ -29,7 +29,6 @@ from frobcalc.polyring import (
     mono_pow,
 )
 from frobcalc.pushforward import (
-    _annihilator_of_generator,
     _class_multiset_count,
     _group_series,
     _start_groups,
@@ -169,6 +168,21 @@ class TestCyclicDecompose:
                         assert M.basis[t] in members
 
 
+def root_generators(module, u):
+    """ceil((g - u)^+ / q), entrywise, for each generator g of I: the raw
+    generators of the Frobenius root of (I : u) that annihilates the piece
+    of u."""
+    q = module.q
+    return tuple(tuple(-(min(u_i - g_i, 0) // q) for g_i, u_i in zip(g, u)) for g in module.ideal.gens)
+
+
+def _annihilator_of_generator(module, u):
+    """The annihilator of the piece of u built on its own, as
+    `cyclic_decompose` did before it shared one ideal per distinct root;
+    kept as an oracle."""
+    return MonomialIdeal(module.ring, root_generators(module, u))
+
+
 def scanned_annihilator(module, u):
     """The degree-by-degree scan that the closed-form annihilator replaced,
     kept as an oracle: the minimal w with w^q * u in I, degree by degree,
@@ -256,6 +270,12 @@ class TestOrbitOracle:
         assert [(p.generator, p.basis, p.relative_hilbert) for p in dec.pieces] == orbits
         for piece in dec.pieces:
             assert piece.annihilator == scanned_annihilator(M, piece.generator)
+            assert piece.annihilator == _annihilator_of_generator(M, piece.generator)
+        # one ideal object per distinct root, shared by the pieces with that root
+        shared = {}
+        for piece in dec.pieces:
+            assert shared.setdefault(root_generators(M, piece.generator), piece.annihilator) is piece.annihilator
+        assert len({id(p.annihilator) for p in dec.pieces}) == len(shared)
         assert len(dec.pieces) == pushforward_min_generators(M.ideal, M.e)
 
 
@@ -496,15 +516,19 @@ class TestVeroneseDecompose:
         assert not dec.hs_solve_unique
         assert dec.ambiguity_notes
 
-    @pytest.mark.parametrize("ell", range(1, 7))
+    @pytest.mark.parametrize("ell", range(1, 8))
     def test_multiset_count_matches_enumeration(self, ell):
+        # top = total - count runs from below 0, through both halves of the
+        # palindromic Gaussian binomial of degree count*(ell-1), to ell past it
         for count in range(9):
             weights = Counter(
                 sum(j + 1 for j in classes)
                 for classes in itertools.combinations_with_replacement(range(ell), count)
             )
-            for total in range(count * ell + 2):
+            for total in range(count * ell + ell + 1):
                 assert _class_multiset_count(count, total, ell) == weights[total], (count, total)
+                if total - count > count * (ell - 1):
+                    assert weights[total] == 0
 
 
 @st.composite
@@ -604,6 +628,13 @@ class TestFiltration:
         ring = PolyRing(2, ["x", "y"])
         with pytest.raises(UnsupportedIdealClassError):
             ci_filtration_check(ring, [(1, 0)])
+
+    def test_rejects_the_unit_ideal(self):
+        # 1 among the generators makes S/I zero, whatever the others are
+        ring = PolyRing(2, ["x", "y"])
+        for gens in ([(0, 0)], [(0, 0), (2, 0)]):
+            with pytest.raises(UnsupportedIdealClassError, match="S/I is zero for the unit ideal"):
+                ci_filtration_check(ring, gens)
 
     def test_shift_bookkeeping(self):
         ring = PolyRing(2, ["x", "y"])

@@ -193,12 +193,21 @@ class TestTwistSpectrum:
         assert spectrum.band_consistent
         assert {j: c.verdict for j, c in spectrum.entries.items()} == {0: True, 1: False}
 
-    @pytest.mark.parametrize("gens", [[(2, 0), (1, 1)], [(0, 0)], []])
+    @pytest.mark.parametrize("gens", [[(2, 0), (1, 1)], []])
     def test_requires_complete_intersection(self, ring2, gens):
-        # overlapping supports, the unit ideal, the zero ideal
+        # overlapping supports, the zero ideal
         for run in (twist_spectrum, witness_from_proof):
             with pytest.raises(UnsupportedIdealClassError, match="needs a complete intersection"):
                 run(mi(ring2, *gens), 1)
+
+    def test_the_unit_ideal_is_refused(self, ring2):
+        # S/I = 0: the splitting tests and the twist band say nothing about it
+        unit = mi(ring2, (0, 0))
+        for run in (twist_spectrum, witness_from_proof, is_f_split):
+            with pytest.raises(UnsupportedIdealClassError, match="S/I is zero for the unit ideal"):
+                run(unit, 1)
+        with pytest.raises(UnsupportedIdealClassError, match="S/I is zero for the unit ideal"):
+            graded_summand_test(unit, 0, 1)
 
     def test_every_true_certificate_reverifies(self):
         _ring, I = quadric()
