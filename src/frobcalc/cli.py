@@ -1,8 +1,8 @@
 """Command-line front end.
 
-One subcommand per library operation; reports are JSON envelopes with
-certificates, and text output is a rendering of the same payload (never a
-separate code path).  Exit codes: 0 success, 1 usage error, 2 unsupported
+One subcommand per library operation.  Each report is one envelope dict
+with certificates, written as JSON (`emit_json`) or as text
+(`render_text`).  Exit codes: 0 success, 1 usage error, 2 unsupported
 ideal class / input, 3 resource guard exceeded, 4 internal verification
 failure.
 """
@@ -12,9 +12,9 @@ from __future__ import annotations
 import argparse
 import functools
 import itertools
-import json
 import sys
 import time
+from json.encoder import encode_basestring_ascii as _encode_str
 
 from . import __version__
 from .errors import (
@@ -59,9 +59,6 @@ class _Parser(argparse.ArgumentParser):
 
 class _UsageError(Exception):
     pass
-
-
-_encode_str = json.encoder.encode_basestring_ascii
 
 
 def _encode(value, pad):
@@ -157,33 +154,42 @@ def emit_json(envelope):
     return _encode(envelope, "") + "\n"
 
 
-def _scalar_text(value):
-    # JSON null and booleans read as in JSON, not as Python's None, True, False
-    return json.dumps(value) if value is None or isinstance(value, bool) else value
+def _text_scalar(value):
+    # a str as itself, any other scalar as `_encode` writes it, unquoted
+    if type(value) is str:
+        return value
+    if type(value) is int and -JSON_INT_LIMIT < value < JSON_INT_LIMIT:
+        return repr(value)
+    return _encode(value, "").strip('"')
 
 
-def render_text(value, indent=0):
-    """Human-readable rendering of the JSON payload (same data source)."""
-    pad = "  " * indent
+def _text_lines(value, pad, lines):
+    # key + ":" raises TypeError on a key that is not a str, as `_encode` does
+    keyed = type(value) is dict
+    entries = [(key + ":", item) for key, item in value.items()] if keyed else [("-", item) for item in value]
+    for label, item in entries:
+        if type(item) is Rows:
+            item = item.records()
+        if type(item) not in (dict, list):
+            lines.append(f"{pad}{label} {_text_scalar(item)}")
+        elif item:
+            lines.append(pad + label)
+            _text_lines(item, pad + "  ", lines)
+        else:
+            lines.append(pad + label + (" (none)" if keyed else ""))
+
+
+def render_text(value):
+    """The payload as indented text: a line per dict entry and "-" per list
+    item, integers as digits, null, true and false as in JSON.  It takes,
+    and refuses, what `emit_json` does; a `Rows` table as its records."""
+    if type(value) is Rows:
+        value = value.records()
+    if type(value) not in (dict, list):
+        return _text_scalar(value) + "\n"
     lines = []
-    if isinstance(value, dict):
-        for k, v in value.items():
-            if isinstance(v, (dict, list)) and v:
-                lines.append(f"{pad}{k}:")
-                lines.extend(render_text(v, indent + 1))
-            else:
-                shown = _scalar_text(v) if not isinstance(v, (dict, list)) else "(none)"
-                lines.append(f"{pad}{k}: {shown}")
-    elif isinstance(value, list):
-        for item in value:
-            if isinstance(item, (dict, list)):
-                lines.append(f"{pad}-")
-                lines.extend(render_text(item, indent + 1))
-            else:
-                lines.append(f"{pad}- {_scalar_text(item)}")
-    else:
-        lines.append(f"{pad}{_scalar_text(value)}")
-    return lines if indent else "\n".join(lines) + "\n"
+    _text_lines(value, "", lines)
+    return "\n".join(lines) + "\n"
 
 
 # ---------------------------------------------------------------------------
@@ -270,8 +276,7 @@ def _parse_ideal_args(args, guard):
         raise ParseError("need --char, --vars and --ideal")
     ring = PolyRing(args.char, [v.strip() for v in args.vars.split(",")])
     polys = [parse_polynomial(ring, chunk) for chunk in args.ideal.split(",")]
-    ideal, warnings = build_ideal(ring, polys, **guard)
-    return ring, ideal, warnings
+    return ring, build_ideal(ring, polys, **guard)
 
 
 def _need_monomial(ideal):
@@ -313,7 +318,7 @@ def build_parser():
 
 
 def _dispatch(args):
-    """Returns (input echo, result payload, certificates, warnings); the
+    """Returns (input echo, result payload, certificates); the
     certificates are the SplitCertificate payloads the result holds."""
     guard = {}
     if args.max_monomials is not None:
@@ -325,60 +330,60 @@ def _dispatch(args):
         row = {str(i): b for i, b in enumerate(betti_power_row(d, j, **guard))}
         degrees = {"0": 0} | {str(i): j + i - 1 for i in range(1, d + 1)}
         echo = {"formula_nvars": d, "formula_power": j}
-        return echo, {"betti": row, "generator_degrees": degrees}, [], []
+        return echo, {"betti": row, "generator_degrees": degrees}, []
 
     _help, takes_ideal, own = SUBCOMMANDS[name]
     if takes_ideal:
-        ring, ideal, warnings = _parse_ideal_args(args, guard)
+        ring, ideal = _parse_ideal_args(args, guard)
         ci = isinstance(ideal, CIIdeal)
         shown = [str(g) if ci else mono_str(ring, g) for g in ideal.gens]
         echo = {"char": ring.p, "vars": list(ring.variables), "ideal": shown}
         if name == "betti":
             table = betti_table(_need_monomial(ideal), args.degree_bound, **guard)
             rows = [{"i": i, "degree": d, "value": v} for (i, d), v in sorted(table.items())]
-            return echo | {"degree_bound": args.degree_bound}, {"betti": rows}, [], warnings
+            return echo | {"degree_bound": args.degree_bound}, {"betti": rows}, []
         echo["class"] = "ci" if ci else "monomial"
         if name == "fsplit":
             cert = is_f_split(ideal, args.e, **guard).payload(ring)
-            return echo | {"e": args.e}, {"certificate": cert}, [cert], warnings
+            return echo | {"e": args.e}, {"certificate": cert}, [cert]
         if name == "summand":
             cert = graded_summand_test(ideal, args.j, args.e, **guard).payload(ring)
-            return echo | {"e": args.e, "j": args.j}, {"certificate": cert}, [cert], warnings
+            return echo | {"e": args.e, "j": args.j}, {"certificate": cert}, [cert]
         if name == "twists":
             payload = twist_spectrum(ideal, args.e, **guard).payload(ring)
             certs = list(payload["entries"].values())
-            return echo | {"e": args.e}, payload, certs, warnings
+            return echo | {"e": args.e}, payload, certs
         if name == "witness":
             payload = witness_from_proof(ideal, args.e, **guard).payload(ring)
             certs = [factor["certificate"] for factor in payload["factors"]]
-            return echo | {"e": args.e}, payload, certs, warnings
+            return echo | {"e": args.e}, payload, certs
         if name == "codepth":
             value = codepth(_need_monomial(ideal), **guard)
-            return echo, {"codepth": value, "depth": ring.nvars - value}, [], warnings
+            return echo, {"codepth": value, "depth": ring.nvars - value}, []
         if name == "genexp":
             value = generation_exponent(_need_monomial(ideal), **guard)
-            return echo, {"generation_exponent": value}, [], warnings
+            return echo, {"generation_exponent": value}, []
         if name == "decompose":
             module = FrobeniusModule(_need_monomial(ideal), args.e, **guard)
             decomposition = cyclic_decompose(module)
-            return echo | {"e": args.e}, decomposition.payload(ring), [], warnings
+            return echo | {"e": args.e}, decomposition.payload(ring), []
         if name == "filtration":
             monomial = _need_monomial(ideal)
             report = ci_filtration_check(ring, list(monomial.gens), **guard)
-            return echo, report.payload(ring), [], warnings
+            return echo, report.payload(ring), []
         if name == "flevel":
             payload = f_level_bounds(ideal, e_max=args.emax, **guard).payload(ring)
             certs = list(payload["split_tests"].values())
-            return echo | {"emax": args.emax}, payload, certs, warnings
+            return echo | {"emax": args.emax}, payload, certs
         if name == "loewy":
             value = _need_monomial(ideal).loewy_length(**guard)
-            return echo, {"loewy_length": value}, [], warnings
+            return echo, {"loewy_length": value}, []
 
     if name == "strand":
         _need_prime(args.char, "--char")
         report = strand_check(args.ell, args.j, args.steps, args.char, **guard)
         echo = {"ell": args.ell, "j": args.j, "steps": args.steps, "char": args.char}
-        return echo, report.payload(), [], []
+        return echo, report.payload(), []
 
     if "--p" in own:
         _need_prime(args.p, "--p")
@@ -386,17 +391,17 @@ def _dispatch(args):
         twists = pn_pushforward(args.n, args.p, 1, args.l, **guard).twists
         table = {str(-t): m for t, m in twists.items()}
         echo = {"n": args.n, "p": args.p, "l": args.l}
-        return echo, {"alpha": table, "sum": sum(table.values())}, [], []
+        return echo, {"alpha": table, "sum": sum(table.values())}, []
 
     if name == "pn":
         report = pn_pushforward(args.n, args.p, args.e, args.l, **guard)
         echo = {"n": args.n, "p": args.p, "e": args.e, "l": args.l}
-        return echo, report.payload(), [], []
+        return echo, report.payload(), []
 
     if name == "veronese":
         report = veronese_decompose(args.ell, args.p, args.e, **guard)
         echo = {"ell": args.ell, "p": args.p, "e": args.e}
-        return echo, report.payload(), [], []
+        return echo, report.payload(), []
 
     raise AssertionError(f"unhandled subcommand {name}")
 
@@ -411,23 +416,18 @@ def run(argv):
             # usage line; any token before it is one the top level refuses
             owner = parser if argv.index(args.subcommand) else args.parser
             owner.error(f"unrecognized arguments: {' '.join(unknown)}")
-    except _UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    start = time.perf_counter()
-    try:
-        echo, result, certificates, warnings = _dispatch(args)
-        elapsed = time.perf_counter() - start
-        report = emit_json({
+        start = time.perf_counter()
+        echo, result, certificates = _dispatch(args)
+        envelope = {
             "tool": {"name": "frobcalc", "version": __version__},
             "subcommand": args.subcommand,
             "input": echo,
             "result": result,
             "certificates": certificates,
-            "notes": warnings,
-            "timing_seconds": round(elapsed, 6),
-        })
-    except (ParseError, RingMismatchError, ExponentOverflowError, ValueError) as exc:
+            "timing_seconds": round(time.perf_counter() - start, 6),
+        }
+        report = emit_json(envelope) if args.json else render_text(envelope)
+    except (_UsageError, ParseError, RingMismatchError, ExponentOverflowError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except (UnsupportedIdealClassError, NonArtinianError, NotFSplitError) as exc:
@@ -439,7 +439,7 @@ def run(argv):
     except VerificationError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VERIFICATION
-    sys.stdout.write(report if args.json else render_text(json.loads(report)))
+    sys.stdout.write(report)
     return EXIT_OK
 
 

@@ -312,12 +312,11 @@ def build_ideal(ring, polys, max_monomials=DEFAULT_MAX_MONOMIALS):
 
     Every generator a single term (zero generators are dropped) gives a
     MonomialIdeal; anything else a CIIdeal, whose generators are proven to
-    be a regular sequence (`max_monomials` bounds the check).  Returns
-    (ideal, warnings).
+    be a regular sequence (`max_monomials` bounds the check).
     """
     if all(len(f.terms) <= 1 for f in polys):
-        return MonomialIdeal(ring, [next(iter(f.terms)) for f in polys if f.terms]), []
-    return CIIdeal(ring, polys, max_monomials=max_monomials), []
+        return MonomialIdeal(ring, [next(iter(f.terms)) for f in polys if f.terms])
+    return CIIdeal(ring, polys, max_monomials=max_monomials)
 
 
 def regular_sequence_degrees(ideal):

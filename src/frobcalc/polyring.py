@@ -239,10 +239,6 @@ class Polynomial:
     def is_zero(self):
         return not self.terms
 
-    def is_monomial(self):
-        """Single term with coefficient 1 (a pure monomial)."""
-        return len(self.terms) == 1 and next(iter(self.terms.values())) == 1
-
     def single_monomial(self):
         if len(self.terms) != 1:
             raise ValueError("not a single-term polynomial")

@@ -308,13 +308,16 @@ def pn_pushforward(n, p, e, l=0, max_monomials=DEFAULT_MAX_MONOMIALS):
 # ---------------------------------------------------------------------------
 # the Veronese decomposition for k[x, y] into strand modules
 
-class Rows(namedtuple("Rows", "layout rows")):
+class Rows:
     """A table of integer rows that a report writes as a list of objects.
     `layout` holds one (name, width) pair per field, width >= 1: the field
     takes the next `width` entries of a row, as the entry itself at width
     1 and as a list of them otherwise.  `rows` holds flat int tuples."""
 
-    __slots__ = ()
+    __slots__ = ("layout", "rows")
+
+    def __init__(self, layout, rows):
+        self.layout, self.rows = layout, rows
 
     def records(self):
         """The list of dicts the table stands for."""
@@ -348,13 +351,14 @@ class ConicDecomposition(
     alternatives counted as a Gaussian binomial coefficient.
     `multiplicities` maps j to its count, `pieces` lists the quadruples
     (u, v, j, start S-degree), and `hs_bound` is the S-degree bound of the
-    verification.  The payload hands the quadruples on as one `Rows` table,
-    which the report writes as objects {"residues": [u, v], "class": j,
-    "start_degree": start} from a single row template."""
+    verification."""
 
     __slots__ = ()
 
     def payload(self):
+        """The report's result.  Its `pieces`, objects {"residues": [u, v],
+        "class": j, "start_degree": start}, form a `Rows` table: the one
+        non-JSON value of any payload, which json.dumps refuses."""
         return {
             "ell": self.ell,
             "p": self.p,

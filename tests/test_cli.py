@@ -34,11 +34,13 @@ from frobcalc.cli import (
     render_text,
     run,
 )
+from frobcalc.errors import ResourceGuardError
 from frobcalc.levels import DEFAULT_E_MAX
 from frobcalc.pushforward import ConicDecomposition, Rows, veronese_decompose
 
 QUADRIC = ["--char", "3", "--vars", "x0,x1,x2,x3", "--ideal", "x0*x1 + x2*x3"]
 TWELVE = ["--char", "2", "--vars", "x,y", "--ideal", "x^4, x^2*y^2, y^4"]
+ENVELOPE_KEYS = ["tool", "subcommand", "input", "result", "certificates", "timing_seconds"]
 
 
 def run_json(capsys, argv):
@@ -293,16 +295,16 @@ class TestExitCodes:
 
     def test_two_coprime_ci_generators_are_verified(self, capsys):
         payload = run_json(capsys, ["fsplit", "--char", "3", "--vars", "x,y,z", "--ideal", "x*y+z^2, x^2+y*z"])
-        assert payload["notes"] == []
+        assert list(payload) == ENVELOPE_KEYS
 
     def test_one_ci_generator_is_verified(self, capsys):
         # a nonzero form is a nonzerodivisor on the domain S
         payload = run_json(capsys, ["fsplit"] + QUADRIC)
-        assert payload["notes"] == []
+        assert list(payload) == ENVELOPE_KEYS
 
     def test_three_ci_generators_are_proven(self, capsys):
         argv = ["fsplit", "--char", "3", "--vars", "x,y,z", "--ideal", "x^2+y*z, y^2+x*z, z^2+x*y"]
-        assert run_json(capsys, argv)["notes"] == []
+        assert list(run_json(capsys, argv)) == ENVELOPE_KEYS
 
     @pytest.mark.parametrize("subcommand", ["fsplit", "flevel"])
     @pytest.mark.parametrize("ideal", ["x*y, x*z, w^2+v^2", "x*y+x*z, x*y+2*x*z, w^2+v^2"])
@@ -325,7 +327,7 @@ class TestExitCodes:
             [],
             "error: regular-sequence check in degree 4: 270 matrix cells exceed guard 269\n",
         )
-        assert run_json(capsys, argv + ["--max-monomials", "270"])["notes"] == []
+        assert list(run_json(capsys, argv + ["--max-monomials", "270"])) == ENVELOPE_KEYS
 
     @pytest.mark.parametrize(
         "ideal, message",
@@ -920,6 +922,12 @@ def oracle_emit(value):
     return json.dumps(jsonable(value), indent=2) + "\n"
 
 
+def reference_text(payload):
+    """Oracle for `render_text`: the text of the payload's JSON report read
+    back, which is how text mode once printed every report."""
+    return render_text(json.loads(emit_json(payload)))
+
+
 BOUNDARY_INTS = [
     sign * magnitude
     for sign in (1, -1)
@@ -1021,6 +1029,18 @@ class TestJsonEncoding:
                       namedtuple("Pair", "x y")(1, 2)]:
             with pytest.raises(TypeError):
                 emit_json({"a": [value]})
+            with pytest.raises(TypeError):
+                render_text({"a": [value]})
+            with pytest.raises(TypeError):
+                render_text({"a": value})
+
+    @pytest.mark.parametrize("value", [{1, 2}, object(), Fraction(3, 2), {(1, 2): 3}])
+    def test_text_mode_refuses_what_json_refuses(self, value):
+        for payload in (value, [value], {"a": value}):
+            with pytest.raises(TypeError):
+                emit_json(payload)
+            with pytest.raises(TypeError):
+                render_text(payload)
 
     def test_render_text_covers_payload(self):
         text = render_text({"a": {"b": [1, 2]}, "c": "x"})
@@ -1028,6 +1048,10 @@ class TestJsonEncoding:
         assert render_text({"a": None, "b": [None, 1]}) == "a: null\nb:\n  - null\n  - 1\n"
         # booleans read as in JSON too; 1 and 0 stay numbers
         assert render_text({"a": True, "b": [False, 1, 0]}) == "a: true\nb:\n  - false\n  - 1\n  - 0\n"
+        # an empty container is "(none)" under a key and a bare "-" in a list
+        assert render_text({"a": [], "b": [[], {}, [1]], "c": {}}) == "a: (none)\nb:\n  -\n  -\n  -\n    - 1\nc: (none)\n"
+        assert render_text([]) == render_text({}) == "\n"
+        assert render_text("x") == "x\n"
 
 
 def row_records(layout, rows):
@@ -1066,6 +1090,23 @@ def row_tables(draw):
     return Rows(layout, rows)
 
 
+# the payloads the emit_json fuzz tests draw, and payloads holding row tables
+TEXT_PAYLOADS = PAYLOADS | TestJsonEncoding.json_values | st.recursive(
+    SCALARS | row_tables(),
+    lambda children: st.lists(children, max_size=3) | st.dictionaries(TRICKY_TEXT, children, max_size=3),
+    max_leaves=8,
+)
+
+
+class TestTextRendering:
+    @given(payload=TEXT_PAYLOADS)
+    @settings(max_examples=300, deadline=None)
+    def test_text_matches_the_text_of_the_json_report(self, payload):
+        """Integers past 2^53 print as digits, as their JSON strings did;
+        a table prints as its records."""
+        assert render_text(payload) == reference_text(payload)
+
+
 class TestRowTables:
     @pytest.mark.parametrize("ell", range(1, 8))
     @pytest.mark.parametrize("p,e", [(p, e) for p in (2, 3, 5, 7) for e in (1, 2) if p**e <= 49])
@@ -1074,8 +1115,7 @@ class TestRowTables:
         new, old = dec.payload(), old_veronese_payload(dec)
         for wrap in (lambda x: x, lambda x: {"result": x}, lambda x: [{"a": [x]}]):
             assert emit_json(wrap(new)) == emit_json(wrap(old)) == oracle_emit(wrap(old))
-        # text mode renders the JSON report, so it follows
-        assert render_text(json.loads(emit_json(new))) == render_text(old)
+        assert render_text(new) == reference_text(new) == render_text(old)
         assert emit_json(new["pieces"]) == emit_json(row_records(new["pieces"].layout, dec.pieces))
 
     @given(table=row_tables())
@@ -1089,6 +1129,13 @@ class TestRowTables:
         table = Rows((("residues", 2), ("class", 1)), [])
         assert emit_json(table) == "[]\n"
         assert emit_json({"pieces": table}) == '{\n  "pieces": []\n}\n'
+        assert render_text({"pieces": table}) == "pieces: (none)\n"
+
+    def test_a_payload_with_a_table_is_not_json(self):
+        # emit_json writes the table; json.dumps refuses it rather than
+        # writing it as some other shape
+        with pytest.raises(TypeError, match="Rows"):
+            json.dumps(veronese_decompose(2, 2, 1).payload())
 
     @pytest.mark.parametrize("big", [2**53, -(2**53)])
     def test_an_entry_at_two_to_the_53_falls_back_to_strings(self, big):
@@ -1102,14 +1149,19 @@ class TestRowTables:
             pieces = [(0, 0, 0, 0), (1, 0, 1, 10**4999)]
             return ConicDecomposition(ell, p, e, p**e, {0: 1, 1: 1}, pieces, 0, True, [], True)
 
+        message = (
+            f"a report integer of {(10**4999).bit_length()} bits exceeds the interpreter's "
+            f"limit of {sys.get_int_max_str_digits()} decimal digits"
+        )
+        for write in (emit_json, render_text):
+            with pytest.raises(ResourceGuardError) as raised:
+                write(decompose(2, 2, 1).payload())
+            assert str(raised.value) == message
         monkeypatch.setattr("frobcalc.cli.veronese_decompose", decompose)
+        # text mode as well as --json
         for mode in (["--json"], []):
             code, lines, err = run_captured(["veronese", "--ell", "2", "--p", "2"] + mode)
-            assert (code, lines) == (EXIT_GUARD, [])
-            assert err == (
-                f"error: a report integer of {(10**4999).bit_length()} bits exceeds the interpreter's "
-                f"limit of {sys.get_int_max_str_digits()} decimal digits\n"
-            )
+            assert (code, lines, err) == (EXIT_GUARD, [], f"error: {message}\n")
 
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
@@ -1126,6 +1178,12 @@ GOLDEN_REPORTS = {
     "veronese_ell2_p3_e2.json": ["veronese", "--ell", "2", "--p", "3", "-e", "2", "--json"],
     # the text rendering of a row table
     "veronese_ell2_p2_e1.txt": ["veronese", "--ell", "2", "--p", "2", "-e", "1"],
+    # text mode prints integers past 2^53 as their digits, booleans as in
+    # JSON, and nested certificate dicts
+    "alpha_big_l.txt": ["alpha", "--n", "1", "--p", "2", "--l", "100000000000000000000"],
+    "fsplit_cubic_p7_e4.txt": ["fsplit", "--char", "7", "--vars", "x,y,z", "--ideal", "x^3+y^3+z^3",
+                               "-e", "4"],
+    "twists_quadric_jmax2.txt": ["twists"] + QUADRIC,
     # every certificate appears twice: in the result and in the envelope
     # the default twist range of the quadric ends at j = 2
     "twists_quadric_jmax2.json": ["twists"] + QUADRIC + ["--json"],
@@ -1213,6 +1271,17 @@ ONE_PER_SUBCOMMAND = [
     ["pn", "--n", "2", "--p", "3", "-e", "2"],
     ["veronese", "--ell", "3", "--p", "2", "-e", "1"],
 ]
+
+
+@pytest.mark.parametrize("argv", ONE_PER_SUBCOMMAND, ids=lambda argv: argv[0])
+def test_text_mode_renders_the_json_report(capsys, argv):
+    """Each subcommand's text is that of its JSON report read back, timing
+    aside."""
+    assert run(argv + ["--json"]) == EXIT_OK
+    report = json.loads(capsys.readouterr().out)
+    assert run(argv) == EXIT_OK
+    text = capsys.readouterr().out
+    assert TIMING_LINE.sub("", text) == TIMING_LINE.sub("", reference_text(report))
 
 
 def collect_certificates(result):

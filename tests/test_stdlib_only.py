@@ -1,5 +1,5 @@
 """frobcalc runs on the standard library alone, and its start-up imports
-only what the CLI uses."""
+only what the CLI uses, in JSON and in text mode alike."""
 
 import json
 import os
@@ -18,8 +18,10 @@ SCRIPT = """
 import json, sys
 sys.modules["numpy"] = None
 from frobcalc.cli import run
-codes = [run(argv + ["--json"]) for argv in json.loads(sys.argv[1])]
-print(json.dumps({"codes": codes, "modules": sorted(sys.modules)}))
+argvs = json.loads(sys.argv[1])
+codes = [run(argv + ["--json"]) for argv in argvs]
+text_codes = [run(argv) for argv in argvs]
+print(json.dumps({"codes": codes, "text_codes": text_codes, "modules": sorted(sys.modules)}))
 """
 
 ARGVS = [
@@ -62,6 +64,10 @@ def fresh_run():
 
 def test_subcommands_run_without_numpy(fresh_run):
     assert fresh_run["codes"] == [0] * len(ARGVS)
+
+
+def test_text_mode_exits_as_json_mode(fresh_run):
+    assert fresh_run["text_codes"] == fresh_run["codes"]
 
 
 def test_startup_imports_no_record_or_fraction_machinery(fresh_run):
