@@ -1,7 +1,7 @@
 """Command-line front end.
 
-One subcommand per library operation.  Each report is one envelope dict
-with certificates, written as JSON (`emit_json`) or as text
+One subcommand per library operation.  Each report is one envelope dict,
+written as JSON (`emit_json`) or as text
 (`render_text`).  Exit codes: 0 success, 1 usage error, 2 unsupported
 ideal class / input, 3 resource guard exceeded, 4 internal verification
 failure.
@@ -251,9 +251,13 @@ INPUT_MODES = {
 }
 
 
-def _given(args, flag):
+def _dest(flag):
     # argparse stores --a-b under a_b and -e under e
-    return getattr(args, flag.lstrip("-").replace("-", "_"), None) is not None
+    return flag.lstrip("-").replace("-", "_")
+
+
+def _given(args, flag):
+    return getattr(args, _dest(flag), None) is not None
 
 
 def _input_mode(args):
@@ -318,90 +322,75 @@ def build_parser():
 
 
 def _dispatch(args):
-    """Returns (input echo, result payload, certificates); the
-    certificates are the SplitCertificate payloads the result holds."""
+    """Returns (input echo, result payload).  The echo is the ideal, for a
+    subcommand that takes one, then each of the subcommand's own flags that
+    the input mode reads, in table order."""
     guard = {}
     if args.max_monomials is not None:
         guard["max_monomials"] = args.max_monomials
 
     name = args.subcommand
-    if _input_mode(args) == "formula mode":
+    _help, takes_ideal, own = SUBCOMMANDS[name]
+    mode = _input_mode(args)
+    # the active mode's unread flags and the switches of every other mode
+    skipped = {flag for other, (switches, unread) in INPUT_MODES.items()
+               for flag in (unread if other == mode else switches)}
+    echo = {_dest(flag): getattr(args, _dest(flag)) for flag in own if flag not in skipped}
+    if mode == "formula mode":
         d, j = args.formula_nvars, args.formula_power
         row = {str(i): b for i, b in enumerate(betti_power_row(d, j, **guard))}
         degrees = {"0": 0} | {str(i): j + i - 1 for i in range(1, d + 1)}
-        echo = {"formula_nvars": d, "formula_power": j}
-        return echo, {"betti": row, "generator_degrees": degrees}, []
+        return echo, {"betti": row, "generator_degrees": degrees}
 
-    _help, takes_ideal, own = SUBCOMMANDS[name]
     if takes_ideal:
         ring, ideal = _parse_ideal_args(args, guard)
         ci = isinstance(ideal, CIIdeal)
         shown = [str(g) if ci else mono_str(ring, g) for g in ideal.gens]
-        echo = {"char": ring.p, "vars": list(ring.variables), "ideal": shown}
+        echo = {"char": ring.p, "vars": list(ring.variables), "ideal": shown,
+                "class": "ci" if ci else "monomial"} | echo
         if name == "betti":
             table = betti_table(_need_monomial(ideal), args.degree_bound, **guard)
             rows = [{"i": i, "degree": d, "value": v} for (i, d), v in sorted(table.items())]
-            return echo | {"degree_bound": args.degree_bound}, {"betti": rows}, []
-        echo["class"] = "ci" if ci else "monomial"
+            return echo, {"betti": rows}
         if name == "fsplit":
-            cert = is_f_split(ideal, args.e, **guard).payload(ring)
-            return echo | {"e": args.e}, {"certificate": cert}, [cert]
+            return echo, {"certificate": is_f_split(ideal, args.e, **guard).payload(ring)}
         if name == "summand":
-            cert = graded_summand_test(ideal, args.j, args.e, **guard).payload(ring)
-            return echo | {"e": args.e, "j": args.j}, {"certificate": cert}, [cert]
+            cert = graded_summand_test(ideal, args.j, args.e, **guard)
+            return echo, {"certificate": cert.payload(ring)}
         if name == "twists":
-            payload = twist_spectrum(ideal, args.e, **guard).payload(ring)
-            certs = list(payload["entries"].values())
-            return echo | {"e": args.e}, payload, certs
+            return echo, twist_spectrum(ideal, args.e, **guard).payload(ring)
         if name == "witness":
-            payload = witness_from_proof(ideal, args.e, **guard).payload(ring)
-            certs = [factor["certificate"] for factor in payload["factors"]]
-            return echo | {"e": args.e}, payload, certs
+            return echo, witness_from_proof(ideal, args.e, **guard).payload(ring)
         if name == "codepth":
             value = codepth(_need_monomial(ideal), **guard)
-            return echo, {"codepth": value, "depth": ring.nvars - value}, []
+            return echo, {"codepth": value, "depth": ring.nvars - value}
         if name == "genexp":
-            value = generation_exponent(_need_monomial(ideal), **guard)
-            return echo, {"generation_exponent": value}, []
+            return echo, {"generation_exponent": generation_exponent(_need_monomial(ideal), **guard)}
         if name == "decompose":
             module = FrobeniusModule(_need_monomial(ideal), args.e, **guard)
-            decomposition = cyclic_decompose(module)
-            return echo | {"e": args.e}, decomposition.payload(ring), []
+            return echo, cyclic_decompose(module).payload(ring)
         if name == "filtration":
-            monomial = _need_monomial(ideal)
-            report = ci_filtration_check(ring, list(monomial.gens), **guard)
-            return echo, report.payload(ring), []
+            report = ci_filtration_check(ring, list(_need_monomial(ideal).gens), **guard)
+            return echo, report.payload(ring)
         if name == "flevel":
-            payload = f_level_bounds(ideal, e_max=args.emax, **guard).payload(ring)
-            certs = list(payload["split_tests"].values())
-            return echo | {"emax": args.emax}, payload, certs
+            return echo, f_level_bounds(ideal, e_max=args.emax, **guard).payload(ring)
         if name == "loewy":
-            value = _need_monomial(ideal).loewy_length(**guard)
-            return echo, {"loewy_length": value}, []
+            return echo, {"loewy_length": _need_monomial(ideal).loewy_length(**guard)}
 
     if name == "strand":
         _need_prime(args.char, "--char")
-        report = strand_check(args.ell, args.j, args.steps, args.char, **guard)
-        echo = {"ell": args.ell, "j": args.j, "steps": args.steps, "char": args.char}
-        return echo, report.payload(), []
+        return echo, strand_check(args.ell, args.j, args.steps, args.char, **guard).payload()
 
     if "--p" in own:
         _need_prime(args.p, "--p")
     if name == "alpha":
         twists = pn_pushforward(args.n, args.p, 1, args.l, **guard).twists
         table = {str(-t): m for t, m in twists.items()}
-        echo = {"n": args.n, "p": args.p, "l": args.l}
-        return echo, {"alpha": table, "sum": sum(table.values())}, []
-
+        return echo, {"alpha": table, "sum": sum(table.values())}
     if name == "pn":
-        report = pn_pushforward(args.n, args.p, args.e, args.l, **guard)
-        echo = {"n": args.n, "p": args.p, "e": args.e, "l": args.l}
-        return echo, report.payload(), []
-
+        return echo, pn_pushforward(args.n, args.p, args.e, args.l, **guard).payload()
     if name == "veronese":
-        report = veronese_decompose(args.ell, args.p, args.e, **guard)
-        echo = {"ell": args.ell, "p": args.p, "e": args.e}
-        return echo, report.payload(), []
+        return echo, veronese_decompose(args.ell, args.p, args.e, **guard).payload()
 
     raise AssertionError(f"unhandled subcommand {name}")
 
@@ -417,13 +406,12 @@ def run(argv):
             owner = parser if argv.index(args.subcommand) else args.parser
             owner.error(f"unrecognized arguments: {' '.join(unknown)}")
         start = time.perf_counter()
-        echo, result, certificates = _dispatch(args)
+        echo, result = _dispatch(args)
         envelope = {
             "tool": {"name": "frobcalc", "version": __version__},
             "subcommand": args.subcommand,
             "input": echo,
             "result": result,
-            "certificates": certificates,
             "timing_seconds": round(time.perf_counter() - start, 6),
         }
         report = emit_json(envelope) if args.json else render_text(envelope)

@@ -190,6 +190,16 @@ def bounded_count(nparts, total, cap=None):
     return count
 
 
+def capped_power(p, e, cap):
+    """(p^k, k) for k the least exponent <= e with p^k > cap, or (p^e, e)
+    when there is none.  A power of p far past `cap` is never formed, so a
+    huge e costs as little as a small one; k < e means p^e > p^k > cap."""
+    q, k = 1, 0
+    while k < e and q <= cap:
+        q, k = q * p, k + 1
+    return q, k
+
+
 def check_degree_bound(degree_bound):
     """Refuse a negative degree bound; None means no bound."""
     if degree_bound is not None and degree_bound < 0:

@@ -21,6 +21,7 @@ from .ideals import MonomialIdeal, pairwise_disjoint_supports, require_proper
 from .polyring import (
     DEFAULT_MAX_MONOMIALS,
     bounded_count,
+    capped_power,
     mono_degree,
     mono_mul,
     mono_pow,
@@ -403,11 +404,13 @@ def veronese_decompose(ell, p, e, max_monomials=DEFAULT_MAX_MONOMIALS):
     most q^2 * ell triples; `max_monomials` guards both counts."""
     if ell < 1 or e < 1:
         raise ValueError("need ell >= 1 and e >= 1")
-    q = p**e
+    # past max_monomials, q already fails the first guard: form no more of p^e
+    q, k = capped_power(p, e, max_monomials)
     bound = 12 * ell * q
     if bound + 1 > max_monomials:
+        degrees = bound + 1 if k == e else f"12 * {ell} * {p}^{e} + 1"
         raise ResourceGuardError(
-            f"Hilbert-series check over {bound + 1} degrees exceeds guard {max_monomials}"
+            f"Hilbert-series check over {degrees} degrees exceeds guard {max_monomials}"
         )
     if q * q * ell > max_monomials:
         raise ResourceGuardError(

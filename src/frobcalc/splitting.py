@@ -61,6 +61,7 @@ from .polyring import (
     DEFAULT_MAX_MONOMIALS,
     Polynomial,
     bounded_count,
+    capped_power,
     drl_key,
     mono_degree,
     mono_mul,
@@ -143,10 +144,15 @@ class SplitCertificate(
 
 
 def _frobenius_q(ring, e):
-    """q = p^e for an exponent e >= 1."""
+    """q = p^e for an exponent e >= 1, refused past MAX_Q.  The powers of p
+    are formed only until one passes the guard (`capped_power`); a q that
+    was not formed is named as p^e."""
     if e < 1:
         raise ValueError("e must be at least 1")
-    return ring.p**e
+    q, k = capped_power(ring.p, e, MAX_Q)
+    if q > MAX_Q:
+        raise ResourceGuardError(f"q = {q if k == e else f'{ring.p}^{e}'} exceeds the guard {MAX_Q}")
+    return q
 
 
 def colon_generators(ideal, e, max_monomials=DEFAULT_MAX_MONOMIALS):
@@ -232,8 +238,6 @@ def _colon_table(ideal, e, j=0, max_monomials=DEFAULT_MAX_MONOMIALS, gens=None):
     colon-term guard.  `gens` stands in for colon generators known without
     forming them."""
     q = _frobenius_q(ideal.ring, e)
-    if q > MAX_Q:
-        raise ResourceGuardError(f"q = {q} exceeds the guard {MAX_Q}")
     if j < 0:
         raise ValueError("twist j must be nonnegative")
     require_proper(ideal)
@@ -317,7 +321,7 @@ def k_summand_test(ideal, e, max_monomials=DEFAULT_MAX_MONOMIALS):
 
 
 class TwistSpectrum(
-    namedtuple("TwistSpectrum", "e q degree entries band hypotheses band_consistent warnings")
+    namedtuple("TwistSpectrum", "e q degree entries band hypotheses band_consistent")
 ):
     """Graded-summand certificates for the twists R(-j),
     j = 0..max(n - d, 0) + 1.
@@ -337,7 +341,6 @@ class TwistSpectrum(
             "band": list(self.band) if self.band is not None else None,
             "hypotheses": self.hypotheses,
             "band_consistent": self.band_consistent,
-            "warnings": self.warnings,
         }
 
 
@@ -366,15 +369,9 @@ def twist_spectrum(ideal, e, max_monomials=DEFAULT_MAX_MONOMIALS):
     assertion.
     """
     d = _ci_degree(ideal, "twist_spectrum")
-    ring = ideal.ring
-    n = ring.nvars - 1
-    q = _frobenius_q(ring, e)
-    warnings = []
-    if q <= n - d:
-        warnings.append(
-            f"q = {q} <= n - d = {n - d}: the band prediction needs q > n - d"
-        )
+    n = ideal.ring.nvars - 1
     table = _colon_table(ideal, e, max_monomials=max_monomials)
+    q = table.q
     entries = {j: table.certificate(j) for j in range(max(n - d, 0) + 2)}
     hypotheses = {
         "degree_at_most_n": d <= n,
@@ -396,7 +393,6 @@ def twist_spectrum(ideal, e, max_monomials=DEFAULT_MAX_MONOMIALS):
         band=band,
         hypotheses=hypotheses,
         band_consistent=band_consistent,
-        warnings=warnings,
     )
 
 

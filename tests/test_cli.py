@@ -40,7 +40,7 @@ from frobcalc.pushforward import ConicDecomposition, Rows, veronese_decompose
 
 QUADRIC = ["--char", "3", "--vars", "x0,x1,x2,x3", "--ideal", "x0*x1 + x2*x3"]
 TWELVE = ["--char", "2", "--vars", "x,y", "--ideal", "x^4, x^2*y^2, y^4"]
-ENVELOPE_KEYS = ["tool", "subcommand", "input", "result", "certificates", "timing_seconds"]
+ENVELOPE_KEYS = ["tool", "subcommand", "input", "result", "timing_seconds"]
 
 
 def run_json(capsys, argv):
@@ -597,6 +597,25 @@ class TestExitCodes:
         # q = 2^17 is over MAX_Q: the guard speaks before the negative twist
         argv = ["summand", "--char", "2", "--vars", "x,y", "--ideal", "x*y", "-e", "17", "--j", "-1"]
         assert run_captured(argv) == (EXIT_GUARD, [], "error: q = 131072 exceeds the guard 65536\n")
+
+    @pytest.mark.parametrize(
+        "argv,message",
+        [
+            (["fsplit"], "q = 3^3000000 exceeds the guard 65536"),
+            (["summand", "--j", "0"], "q = 3^3000000 exceeds the guard 65536"),
+            (["twists"], "q = 3^3000000 exceeds the guard 65536"),
+            (["witness"], "q = 3^3000000 exceeds the guard 65536"),
+            (["veronese", "--ell", "2", "--p", "3"],
+             "Hilbert-series check over 12 * 2 * 3^3000000 + 1 degrees exceeds guard 10000000"),
+        ],
+        ids=["fsplit", "summand", "twists", "witness", "veronese"],
+    )
+    def test_a_huge_exponent_is_refused_without_forming_q(self, argv, message):
+        # q is never formed, so the refusal is instant and names q as p^e
+        cubic = [] if argv[0] == "veronese" else ["--char", "3", "--vars", "x,y,z", "--ideal", "x^3+y^3+z^3"]
+        start = time.perf_counter()
+        assert run_captured(argv + cubic + ["-e", "3000000"]) == (EXIT_GUARD, [], f"error: {message}\n")
+        assert time.perf_counter() - start < 1
 
     def test_flevel_checks_q_at_every_exponent(self):
         # not split at e = 1, so e = 2..17 come from empty colon tables; q = 2^17 is still refused
@@ -1184,7 +1203,6 @@ GOLDEN_REPORTS = {
     "fsplit_cubic_p7_e4.txt": ["fsplit", "--char", "7", "--vars", "x,y,z", "--ideal", "x^3+y^3+z^3",
                                "-e", "4"],
     "twists_quadric_jmax2.txt": ["twists"] + QUADRIC,
-    # every certificate appears twice: in the result and in the envelope
     # the default twist range of the quadric ends at j = 2
     "twists_quadric_jmax2.json": ["twists"] + QUADRIC + ["--json"],
     # the echoed --l and the alpha keys beyond 2^53 become strings
@@ -1284,42 +1302,34 @@ def test_text_mode_renders_the_json_report(capsys, argv):
     assert TIMING_LINE.sub("", text) == TIMING_LINE.sub("", reference_text(report))
 
 
-def collect_certificates(result):
-    """Oracle for the envelope's certificates: every object of a result
-    payload with a verdict and a kind field, in document order."""
-    found = []
-
-    def walk(value):
-        if isinstance(value, dict):
-            if "verdict" in value and "kind" in value:
-                found.append(value)
-            for item in value.values():
-                walk(item)
-        elif isinstance(value, list):
-            for item in value:
-                walk(item)
-
-    walk(result)
-    return found
+def echo_rule(argv):
+    """The input keys a report echoes: char, vars, ideal and class for a
+    subcommand that takes an ideal, then each of its own flags that the
+    input mode reads, under its argparse name, in table order."""
+    name = argv[0]
+    _help, takes_ideal, own = SUBCOMMANDS[name]
+    active = [mode for mode, (switches, _unread) in INPUT_MODES.items() if switches[0] in argv]
+    read = [flag for flag in own
+            if all(flag not in (unread if mode in active else switches)
+                   for mode, (switches, unread) in INPUT_MODES.items())]
+    ideal = ["char", "vars", "ideal", "class"] if takes_ideal and not active else []
+    return ideal + [flag.lstrip("-").replace("-", "_") for flag in read]
 
 
 @pytest.mark.parametrize(
     "argv",
-    [[a for a in argv if a != "--json"] for _, argv in sorted(GOLDEN_REPORTS.items())] + ONE_PER_SUBCOMMAND,
+    ONE_PER_SUBCOMMAND + [["betti", "--formula-nvars", "3", "--formula-power", "2"]],
     ids=lambda argv: argv[0],
 )
-def test_envelope_certificates_are_those_of_the_result(capsys, argv):
-    """Each subcommand returns the certificates its result holds, and no
-    others."""
+def test_input_echo_follows_the_subcommand_table(capsys, argv):
     payload = run_json(capsys, argv)
-    assert payload["certificates"] == collect_certificates(payload["result"])
+    assert list(payload["input"]) == echo_rule(argv)
 
 
 class TestCertificateReverification:
-    def test_envelope_collects_certificates(self, capsys):
+    def test_twists_entries_hold_the_certificates(self, capsys):
         payload = run_json(capsys, ["twists"] + QUADRIC)
-        certs = payload["certificates"]
-        assert len(certs) == 3
+        certs = list(payload["result"]["entries"].values())
         assert [c["verdict"] for c in certs] == [True, True, False]
 
     def test_json_witness_reverifies_offline(self, capsys):

@@ -16,6 +16,7 @@ from frobcalc.polyring import (
     DEFAULT_MAX_MONOMIALS,
     PRIME_TEST_LIMIT,
     bounded_count,
+    capped_power,
     drl_key,
     mono_sorted,
     parse_polynomial,
@@ -352,6 +353,14 @@ class TestMonomialEnumeration:
                 got = walked_level(ring5xyz, d, cap=cap)
                 assert got == monomials_of_degree(ring5xyz, d, cap=cap)
                 assert bounded_count(3, d, cap) == len(got)
+
+    @pytest.mark.parametrize(
+        "p,e,cap,expected",
+        [(3, 2, 100, (9, 2)), (2, 17, 2**16, (2**17, 17)), (2, 18, 2**16, (2**17, 17)),
+         (3, 10**9, 100, (243, 5)), (2, 0, 0, (1, 0))],
+    )
+    def test_capped_power_stops_at_the_first_power_past_the_cap(self, p, e, cap, expected):
+        assert capped_power(p, e, cap) == expected
 
 
 class TestParsing:

@@ -553,21 +553,25 @@ def disjoint_filtration(draw):
 
 
 def step_dims_by_chain_scan(ring, f_monos, degree_bound):
-    """Companion to `ci_filtration_check`: each standard monomial of
-    S/(f^p) through the bound goes to the last lexicographic f^a dividing
-    it, found by scanning the chain from the end."""
+    """Companion to `ci_filtration_check`: each standard monomial w of
+    S/(f^p) through the bound goes to the lexicographically last a in
+    {0..p-1}^c with f^a dividing w, at chain index sum a_i p^(c-1-i).  The
+    dividing a are down-closed, so a greedy search finds it: the largest
+    a_1 with f_1^a_1 | w, then the largest a_2 with f_1^a_1 f_2^a_2 | w,
+    and so on."""
     p = ring.p
-    chain = []
-    for a in itertools.product(range(p), repeat=len(f_monos)):
-        g = ring.unit_monomial()
-        for m, k in zip(f_monos, a):
-            g = mono_mul(g, mono_pow(m, k))
-        chain.append(g)
     big = MonomialIdeal(ring, [mono_pow(m, p) for m in f_monos])
-    dims = [[0] * (degree_bound + 1) for _ in chain]
+    dims = [[0] * (degree_bound + 1) for _ in range(p ** len(f_monos))]
     for d, level in enumerate(big.staircase(degree_bound)):
         for w in level:
-            t = next(t for t in reversed(range(len(chain))) if mono_divides(chain[t], w))
+            g = ring.unit_monomial()
+            t = 0
+            for m in f_monos:
+                a = 0
+                while a + 1 < p and mono_divides(mono_mul(g, mono_pow(m, a + 1)), w):
+                    a += 1
+                g = mono_mul(g, mono_pow(m, a))
+                t = t * p + a
             dims[t][d] += 1
     return dims
 

@@ -549,6 +549,19 @@ class TestOneColonTable:
             for e in (2, 3):
                 assert splitting.not_split_certificate(I, e) == is_f_split(I, e)
 
+    @pytest.mark.parametrize(
+        "test",
+        [colon_generators, k_summand_test, splitting.not_split_certificate],
+        ids=lambda test: test.__name__,
+    )
+    def test_a_huge_exponent_is_refused_without_forming_q(self, test):
+        # 3^3000000 has over a million digits: only 3^1..3^11 are formed
+        twelve = mi(PolyRing(3, ["x", "y"]), (4, 0), (2, 2), (0, 4))
+        with pytest.raises(ResourceGuardError, match=r"^q = 3\^3000000 exceeds the guard 65536$"):
+            test(twelve, 3_000_000)
+        with pytest.raises(ResourceGuardError, match="^q = 177147 exceeds the guard 65536$"):
+            test(twelve, 11)
+
     def test_not_split_certificate_keeps_the_q_guard(self):
         twelve = mi(PolyRing(2, ["x", "y"]), (4, 0), (2, 2), (0, 4))
         assert splitting.not_split_certificate(twelve, 16).q == 2**16
