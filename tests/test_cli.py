@@ -1318,7 +1318,8 @@ def echo_rule(argv):
 
 @pytest.mark.parametrize(
     "argv",
-    ONE_PER_SUBCOMMAND + [["betti", "--formula-nvars", "3", "--formula-power", "2"]],
+    [[a for a in argv if a != "--json"] for _, argv in sorted(GOLDEN_REPORTS.items())] + ONE_PER_SUBCOMMAND
+    + [["betti", "--formula-nvars", "3", "--formula-power", "2"]],
     ids=lambda argv: argv[0],
 )
 def test_input_echo_follows_the_subcommand_table(capsys, argv):
@@ -1327,7 +1328,8 @@ def test_input_echo_follows_the_subcommand_table(capsys, argv):
 
 
 class TestCertificateReverification:
-    def test_twists_entries_hold_the_certificates(self, capsys):
+    def test_envelope_collects_certificates(self, capsys):
+        # the certificates sit once, in the result's entries
         payload = run_json(capsys, ["twists"] + QUADRIC)
         certs = list(payload["result"]["entries"].values())
         assert [c["verdict"] for c in certs] == [True, True, False]
