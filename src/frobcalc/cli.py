@@ -297,7 +297,8 @@ def _need_prime(p, flag):
 @functools.cache
 def build_parser():
     """The argument parser; built once per process, since parsing leaves it
-    unchanged."""
+    unchanged.  `parser.subcommands` maps each subcommand to its own
+    parser."""
     parser = _Parser(prog="frobcalc", description=__doc__)
     parser.add_argument("--version", action="version", version=f"frobcalc {__version__}")
     common = _Parser(add_help=False)
@@ -311,8 +312,9 @@ def build_parser():
         "matrix cells per degree of the regular-sequence check",
     )
     subs = parser.add_subparsers(dest="subcommand", required=True, parser_class=_Parser)
+    parser.subcommands = {}
     for name, (helptext, takes_ideal, own) in SUBCOMMANDS.items():
-        sub = subs.add_parser(name, help=helptext, parents=[common])
+        sub = parser.subcommands[name] = subs.add_parser(name, help=helptext, parents=[common])
         sub.set_defaults(parser=sub)
         for flag, default in ((IDEAL_FLAGS | own) if takes_ideal else own).items():
             kind, flag_help = FLAGS[flag]
@@ -395,15 +397,28 @@ def _dispatch(args):
     raise AssertionError(f"unhandled subcommand {name}")
 
 
-def run(argv):
-    """Parse, dispatch, and print a report; returns the exit code."""
+def _parse(argv):
+    """(namespace, unrecognized tokens, the parser that refuses them).
+
+    An argv that starts with a subcommand goes to that subcommand's parser
+    alone, into a namespace with `subcommand` set: the top-level parser
+    would hand it every token after the name all the same, after a scan of
+    its own.  Any other argv, `-h`, `--version`, an empty one or a flag
+    before the subcommand, goes to the top-level parser, which refuses
+    whatever it does not recognize."""
     parser = build_parser()
+    sub = parser.subcommands.get(argv[0]) if argv else None
+    if sub is None:
+        return *parser.parse_known_args(argv), parser
+    return *sub.parse_known_args(argv[1:], argparse.Namespace(subcommand=argv[0])), sub
+
+
+def run(argv):
+    """Parse (`_parse`), dispatch, and print a report; returns the exit
+    code."""
     try:
-        args, unknown = parser.parse_known_args(argv)
+        args, unknown, owner = _parse(argv)
         if unknown:
-            # a flag after the subcommand is refused with the subcommand's
-            # usage line; any token before it is one the top level refuses
-            owner = parser if argv.index(args.subcommand) else args.parser
             owner.error(f"unrecognized arguments: {' '.join(unknown)}")
         start = time.perf_counter()
         echo, result = _dispatch(args)

@@ -26,7 +26,7 @@ the basis read from it.
 
 from __future__ import annotations
 
-from itertools import count, islice, takewhile
+from itertools import count, groupby, islice, takewhile
 
 from .errors import (
     NonArtinianError,
@@ -62,12 +62,14 @@ def pairwise_disjoint_supports(monos):
 
 
 def _minimalize(monos):
-    """Drop every monomial divisible by another; canonical descending order."""
-    uniq = set(monos)
+    """Drop every monomial divisible by another; canonical descending order.
+    The distinct monomials are taken one degree at a time, and each is
+    tested only against the generators kept at lower degrees: distinct
+    monomials of one degree never divide each other."""
     kept = []
-    for m in sorted(uniq, key=mono_degree):
-        if not any(mono_divides(g, m) for g in kept):
-            kept.append(m)
+    for _d, level in groupby(sorted(set(monos), key=mono_degree), mono_degree):
+        lower = tuple(kept)
+        kept.extend(m for m in level if not any(mono_divides(g, m) for g in lower))
     return tuple(mono_sorted(kept))
 
 

@@ -19,6 +19,10 @@ resolutions", 1999): k generators give at most 2^k such points.
 
 `betti_table` reads the graded Betti table by the first route that
 applies, after the box guard:
+- generators with pairwise disjoint supports, a monomial regular
+  sequence, whose Koszul complex resolves S/I (Tate, "Homology of
+  Noetherian rings and local rings", 1957): beta_{i,d}(S/I) is the number
+  of i-sets of generators whose degrees sum to d;
 - a stable ideal (Eliahou-Kervaire, "Minimal resolutions of some monomial
   ideals", 1990) in closed form, beta_{i+1, i+j}(S/I) the sum over the
   degree-j generators u of C(m(u) - 1, i), m(u) the last variable of u;
@@ -27,7 +31,7 @@ applies, after the box guard:
 - the blocks b = u + 1_T of the box, u running over the ideal's staircase
   and T over the variable sets containing supp u (`_box_sum`).
 The walks are each other's test oracle, and both are the oracle of the
-closed form.  `codepth` (embedding dimension minus depth, the top
+closed forms.  `codepth` (embedding dimension minus depth, the top
 nonvanishing homological degree) is N for an artinian quotient
 (Auslander-Buchsbaum: depth 0), the number of generators for a monomial
 regular sequence (the Koszul complex on it resolves S/I), and the top row
@@ -51,7 +55,7 @@ from operator import eq, lt
 from .errors import ResourceGuardError, UnsupportedIdealClassError
 from .ideals import MonomialIdeal, pairwise_disjoint_supports, require_proper
 from .modlinalg import rank
-from .polyring import DEFAULT_MAX_MONOMIALS, PolyRing, check_degree_bound, mono_degree
+from .polyring import DEFAULT_MAX_MONOMIALS, PolyRing, check_degree_bound, count_str, mono_degree
 
 
 # ---------------------------------------------------------------------------
@@ -263,6 +267,21 @@ def _stable_order(I):
     return J if order != sorted(order) and _is_stable(J) else None
 
 
+def _koszul_table(I, bound):
+    """Nonzero ranks {(i, d): beta_{i,d}(S/I)} with d <= bound for
+    generators with pairwise disjoint supports, a regular sequence: their
+    Koszul complex resolves S/I (Tate 1957), so beta_{i,d} is the number
+    of i-sets of generators whose degrees sum to d.  One generator at a
+    time, each set either leaves it out or takes it."""
+    table = {(0, 0): 1}
+    for g in I.gens:
+        j = mono_degree(g)
+        for (i, d), count in list(table.items()):
+            if d + j <= bound:
+                table[(i + 1, d + j)] = table.get((i + 1, d + j), 0) + count
+    return table
+
+
 def _eliahou_kervaire(I, bound):
     """Nonzero ranks {(i, d): beta_{i,d}(S/I)} with d <= bound for a stable
     I: beta_{i+1, i+j} is the sum over the generators u of degree j of
@@ -286,13 +305,15 @@ def betti_table(I, degree_bound=None, max_monomials=DEFAULT_MAX_MONOMIALS):
     lies past |L| (Taylor).  With k minimal generators in N variables and
     a box [0, L] of prod(L_v + 1) points, the table comes from the first
     route that applies:
+    - when the generators have pairwise disjoint supports, a regular
+      sequence, the count of generator sets by degree (`_koszul_table`);
     - when k^2 N <= max_monomials and I is stable in the given variable
       order or the one `_stable_order` tries next, the Eliahou-Kervaire
       formula (`_eliahou_kervaire`);
     - when 2^k is below the box count, the blocks at the lcm-lattice
       points (`_lattice_sum`);
     - otherwise the blocks over the box's staircase (`_box_sum`).
-    All three give the same table.  Row i = 1 lists every generator of I
+    All four give the same table.  Row i = 1 lists every generator of I
     whatever the bound.
 
     `max_monomials` bounds the number of points of the box, checked first
@@ -313,8 +334,9 @@ def betti_table(I, degree_bound=None, max_monomials=DEFAULT_MAX_MONOMIALS):
         raise ResourceGuardError(f"multidegree box of {box} points exceeds guard {max_monomials}")
     bound = mono_degree(top) if degree_bound is None else min(degree_bound, mono_degree(top))
     k = len(I.gens)
-    stable = k * k * I.ring.nvars <= max_monomials and _stable_order(I)
-    if stable:
+    if pairwise_disjoint_supports(I.gens):
+        betti = _koszul_table(I, bound)
+    elif stable := (k * k * I.ring.nvars <= max_monomials and _stable_order(I)):
         betti = _eliahou_kervaire(stable, bound)
     else:
         walk = _lattice_sum if 2**k < box else _box_sum
@@ -355,7 +377,7 @@ def betti_power_row(d, j, max_monomials=DEFAULT_MAX_MONOMIALS):
     work = d * d * (min(2 * (d + j), d * (d + j).bit_length()) // 64 + 1)
     if work > max_monomials:
         raise ResourceGuardError(
-            f"the Betti row may need {work} word operations, over the guard {max_monomials}"
+            f"the Betti row may need {count_str(work)} word operations, over the guard {max_monomials}"
         )
     return row + [betti_power_formula(d, j, i) for i in range(1, d + 1)]
 
@@ -398,7 +420,7 @@ def strand_check(ell, j, steps=6, char=2, max_monomials=DEFAULT_MAX_MONOMIALS):
     b2 = j
     columns = b1 * (steps + 1) + (b1 + b2) * ell * steps * (steps + 1) // 2
     if columns > max_monomials:
-        raise ResourceGuardError(f"strand maps with {columns} columns exceed guard {max_monomials}")
+        raise ResourceGuardError(f"strand maps with {count_str(columns)} columns exceed guard {max_monomials}")
     c1, c2 = 1, p - 1                           # the left map's two coefficients
     rows = []
     exact = alt_zero = True

@@ -200,6 +200,15 @@ def capped_power(p, e, cap):
     return q, k
 
 
+def count_str(n):
+    """A count for a guard message: its decimal digits, or its size when it
+    has more digits than the interpreter will print."""
+    try:
+        return str(n)
+    except ValueError:
+        return f"at least 2^{n.bit_length() - 1}"
+
+
 def check_degree_bound(degree_bound):
     """Refuse a negative degree bound; None means no bound."""
     if degree_bound is not None and degree_bound < 0:
@@ -437,26 +446,27 @@ def truncated_lucas_power(f, e, max_monomials=DEFAULT_MAX_MONOMIALS):
 # coefficient and '*'-separated powers `x^k`; whitespace insignificant.
 
 _TOKEN_RE = re.compile(
-    r"\s*(?:(?P<num>\d+)|(?P<name>[A-Za-z_][A-Za-z_0-9]*)|(?P<op>[-+*^]))"
+    r"\s*(?:(?P<num>\d+)|(?P<word>[A-Za-z_][A-Za-z_0-9]*|[-+*^])|(?P<bad>\S))"
 )
 
 
 def _tokenize(text):
+    """The tokens of the stripped text in one scan: numbers as ints, names
+    and the operators + - * ^ as strings.  The `bad` group matches any
+    other character, so the matches cover the text and the first one it
+    takes is refused, quoted from the whitespace before it."""
     text = text.strip()
-    pos = 0
     tokens = []
-    while pos < len(text):
-        m = _TOKEN_RE.match(text, pos)
-        if not m or m.end() == pos:
+    for m in _TOKEN_RE.finditer(text):
+        num, word, bad = m.groups()
+        if bad is not None:
+            pos = m.start()
             raise ParseError(f"unexpected character at {text[pos:pos + 10]!r}")
-        if m.lastgroup == "num":
-            tokens.append(("num", int(m.group("num"))))
-        elif m.lastgroup == "name":
-            tokens.append(("name", m.group("name")))
-        else:
-            tokens.append(("op", m.group("op")))
-        pos = m.end()
+        tokens.append(word if num is None else int(num))
     return tokens
+
+
+_OPS = frozenset("+-*^")
 
 
 def parse_polynomial(ring, text):
@@ -470,45 +480,40 @@ def parse_polynomial(ring, text):
     p = ring.p
     sign = 1
     while i < n:
-        # optional leading sign for this term
-        while i < n and tokens[i] == ("op", "+") or i < n and tokens[i] == ("op", "-"):
-            if tokens[i][1] == "-":
+        # optional leading signs for this term
+        while i < n and tokens[i] in ("+", "-"):
+            if tokens[i] == "-":
                 sign = -sign
             i += 1
         if i >= n:
             raise ParseError("trailing sign without a term")
         coeff = 1
         mono = [0] * ring.nvars
-        saw_factor = False
         while True:
             if i >= n:
                 raise ParseError("expected a factor after '*'")
-            kind, val = tokens[i]
-            if kind == "num":
-                coeff = coeff * val
-                i += 1
-            elif kind == "name":
-                v = ring.var_index(val)
+            tok = tokens[i]
+            i += 1
+            if type(tok) is int:
+                coeff = coeff * tok
+            elif tok in _OPS:
+                raise ParseError(f"unexpected {tok!r} inside term")
+            else:
+                v = ring.var_index(tok)
                 exp = 1
-                i += 1
-                if i < n and tokens[i] == ("op", "^"):
+                if i < n and tokens[i] == "^":
                     i += 1
-                    if i >= n or tokens[i][0] != "num":
-                        raise ParseError(f"expected exponent after {val}^")
-                    exp = tokens[i][1]
+                    if i >= n or type(tokens[i]) is not int:
+                        raise ParseError(f"expected exponent after {tok}^")
+                    exp = tokens[i]
                     i += 1
                 if exp >= EXPONENT_LIMIT:
                     raise ExponentOverflowError(f"exponent {exp} exceeds 2^31")
                 mono[v] += exp
-            else:
-                raise ParseError(f"unexpected {val!r} inside term")
-            saw_factor = True
-            if i < n and tokens[i] == ("op", "*"):
+            if i < n and tokens[i] == "*":
                 i += 1
                 continue
             break
-        if not saw_factor:
-            raise ParseError("empty term")
         m = tuple(mono)
         c = (terms.get(m, 0) + sign * coeff) % p
         if c:
@@ -517,10 +522,10 @@ def parse_polynomial(ring, text):
             terms.pop(m, None)
         sign = 1
         if i < n:
-            kind, val = tokens[i]
-            if kind != "op" or val not in "+-":
-                raise ParseError(f"expected '+' between terms, got {val!r}")
-            sign = -1 if val == "-" else 1
+            tok = tokens[i]
+            if tok not in ("+", "-"):
+                raise ParseError(f"expected '+' between terms, got {tok!r}")
+            sign = -1 if tok == "-" else 1
             i += 1
             if i >= n:
                 raise ParseError("trailing operator")

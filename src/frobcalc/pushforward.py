@@ -22,6 +22,7 @@ from .polyring import (
     DEFAULT_MAX_MONOMIALS,
     bounded_count,
     capped_power,
+    count_str,
     mono_degree,
     mono_mul,
     mono_pow,
@@ -274,7 +275,7 @@ def pn_pushforward(n, p, e, l=0, max_monomials=DEFAULT_MAX_MONOMIALS):
         work += more
         if work > max_monomials:
             raise ResourceGuardError(
-                f"twist counts may need {work} word operations, over the guard {max_monomials}"
+                f"twist counts may need {count_str(work)} word operations, over the guard {max_monomials}"
             )
 
     by_list = 3 * (top + 1) * _words(p, n + 1)
@@ -408,13 +409,13 @@ def veronese_decompose(ell, p, e, max_monomials=DEFAULT_MAX_MONOMIALS):
     q, k = capped_power(p, e, max_monomials)
     bound = 12 * ell * q
     if bound + 1 > max_monomials:
-        degrees = bound + 1 if k == e else f"12 * {ell} * {p}^{e} + 1"
+        degrees = count_str(bound + 1) if k == e else f"12 * {ell} * {p}^{e} + 1"
         raise ResourceGuardError(
             f"Hilbert-series check over {degrees} degrees exceeds guard {max_monomials}"
         )
     if q * q * ell > max_monomials:
         raise ResourceGuardError(
-            f"{q * q * ell} candidate pieces (q^2 * ell) exceed guard {max_monomials}"
+            f"{count_str(q * q * ell)} candidate pieces (q^2 * ell) exceed guard {max_monomials}"
         )
     admissible, mult, groups = _start_groups(ell, q)
     pieces = [

@@ -29,6 +29,7 @@ from frobcalc.cli import (
     JSON_INT_LIMIT,
     REQUIRED,
     SUBCOMMANDS,
+    _parse,
     build_parser,
     emit_json,
     render_text,
@@ -574,6 +575,24 @@ class TestExitCodes:
             "error: a report integer of 16000 bits exceeds the interpreter's "
             f"limit of {sys.get_int_max_str_digits()} decimal digits\n"
         )
+
+    @pytest.mark.parametrize("argv, message", [
+        (["veronese", "--ell", "9" * 4299, "--p", "2"],
+         "Hilbert-series check over at least 2^14285 degrees exceeds guard 10000000"),
+        (["pn", "--n", "9" * 4299, "--p", "2"],
+         "twist counts may need at least 2^28557 word operations, over the guard 10000000"),
+        (["alpha", "--n", "9" * 4299, "--p", "2"],
+         "twist counts may need at least 2^28557 word operations, over the guard 10000000"),
+        (["strand", "--ell", "9" * 4299, "--j", "1"],
+         "strand maps with at least 2^14286 columns exceed guard 10000000"),
+        (["strand", "--ell", "3", "--j", "1", "--steps", "9" * 4299],
+         "strand maps with at least 2^28564 columns exceed guard 10000000"),
+        (["betti", "--formula-nvars", "9" * 4299, "--formula-power", "2"],
+         "the Betti row may need at least 2^42837 word operations, over the guard 10000000"),
+    ], ids=["veronese", "pn", "alpha", "strand-ell", "strand-steps", "betti"])
+    def test_a_count_past_the_digit_limit_is_named_by_its_size(self, argv, message):
+        # each count has more than the interpreter's 4300 digits
+        assert run_captured(argv) == (EXIT_GUARD, [], f"error: {message}\n")
 
     @pytest.mark.parametrize("n", ["0", "-1", "-2"])
     def test_pn_needs_a_positive_dimension(self, n):
@@ -1325,6 +1344,50 @@ def echo_rule(argv):
 def test_input_echo_follows_the_subcommand_table(capsys, argv):
     payload = run_json(capsys, argv)
     assert list(payload["input"]) == echo_rule(argv)
+
+
+def top_level_parse(argv):
+    """The parse every argv took before subcommand parsers were called
+    directly: the top-level parser on the whole argv, with unrecognized
+    tokens refused by the subcommand's parser when the subcommand comes
+    first."""
+    parser = build_parser()
+    args, unknown = parser.parse_known_args(argv)
+    return args, unknown, parser if argv.index(args.subcommand) else args.parser
+
+
+def parse_outcome(parse, argv):
+    """((vars(namespace), unrecognized tokens) or how the parse ended,
+    stdout, stderr), with the unrecognized tokens refused as `run` does."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            args, unknown, owner = parse(argv)
+            if unknown:
+                owner.error(f"unrecognized arguments: {' '.join(unknown)}")
+            ended = (vars(args), unknown)
+        except SystemExit as exc:
+            ended = ("exit", exc.code)
+        except Exception as exc:
+            ended = (type(exc), str(exc))
+    return ended, out.getvalue(), err.getvalue()
+
+
+UNKNOWN_FLAG = ["fsplit", "--char", "3", "--vars", "x,y", "--ideal", "x^2", "--exponent", "6"]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [argv for _, argv in sorted(GOLDEN_REPORTS.items())] + ONE_PER_SUBCOMMAND
+    + [UNKNOWN_FLAG, ["--bogus"] + UNKNOWN_FLAG[:-2], ["-h"], ["fsplit", "-h"], ["--version"], [],
+       ["betti", "--version"], ["--json", "codepth"] + QUADRIC, ["nosuch", "--json"]],
+    ids=lambda argv: " ".join(argv[:2]) or "empty",
+)
+def test_run_parses_as_the_top_level_parser_does(argv, monkeypatch):
+    assert parse_outcome(_parse, argv) == parse_outcome(top_level_parse, argv)
+    direct = run_captured(argv)
+    monkeypatch.setattr("frobcalc.cli._parse", top_level_parse)
+    assert run_captured(argv) == direct
 
 
 class TestCertificateReverification:

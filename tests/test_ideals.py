@@ -26,9 +26,9 @@ from frobcalc import (
     in_bracket_max,
     parse_polynomial,
 )
-from frobcalc.ideals import build_ideal
+from frobcalc.ideals import _minimalize, build_ideal
 from frobcalc.modlinalg import rank
-from frobcalc.polyring import mono_degree, mono_pow
+from frobcalc.polyring import mono_degree, mono_divides, mono_pow, mono_sorted
 
 
 def mi(ring, *gens):
@@ -122,6 +122,15 @@ class TestMonomialIdealBasics:
         outside = parse_polynomial(ring2, "x*y + x^2")
         assert all(I.contains_monomial(m) for m in inside.terms)
         assert not all(I.contains_monomial(m) for m in outside.terms)
+
+    @given(st.integers(1, 4).flatmap(
+        lambda n: st.lists(st.tuples(*[st.integers(0, 3)] * n), max_size=12)))
+    @settings(max_examples=300, deadline=None)
+    def test_minimalize_matches_the_pairwise_test(self, monos):
+        # repeats and mixed degrees: a monomial stays unless another,
+        # distinct one divides it
+        pairwise = {m for m in monos if not any(g != m and mono_divides(g, m) for g in monos)}
+        assert _minimalize(monos) == tuple(mono_sorted(pairwise))
 
 
 class TestBracketPowers:

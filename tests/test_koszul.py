@@ -29,6 +29,7 @@ from frobcalc.koszul import (
     _box_sum,
     _eliahou_kervaire,
     _is_stable,
+    _koszul_table,
     _lattice_sum,
     betti_power_row,
     koszul_block,
@@ -310,11 +311,12 @@ class TestStaircaseWalk:
             assert _lattice_sum(I, bound) == _box_sum(I, bound), bound
 
     def test_walk_follows_the_smaller_count(self, monkeypatch):
-        # neither ideal is stable, so betti walks: the four squares give 2^4
-        # lattice points against a box of 3^4, the six squarefree quadrics
-        # in four variables 2^6 against a box of 2^4
+        # neither ideal is a regular sequence or stable, so betti walks: the
+        # four squares and x*y give 2^5 lattice points against a box of 3^4,
+        # the six squarefree quadrics in four variables 2^6 against a box
+        # of 2^4
         ring = PolyRing(2, ["x", "y", "z", "w"])
-        squares = MonomialIdeal(ring, [(2, 0, 0, 0), (0, 2, 0, 0), (0, 0, 2, 0), (0, 0, 0, 2)])
+        squares_and_xy = MonomialIdeal(ring, [(2, 0, 0, 0), (0, 2, 0, 0), (0, 0, 2, 0), (0, 0, 0, 2), (1, 1, 0, 0)])
         edges = MonomialIdeal(ring, [m for m in monomials_of_degree(ring, 2) if max(m) == 1])
         walked = []
 
@@ -326,7 +328,7 @@ class TestStaircaseWalk:
 
         monkeypatch.setattr("frobcalc.koszul._lattice_sum", spy(_lattice_sum))
         monkeypatch.setattr("frobcalc.koszul._box_sum", spy(_box_sum))
-        assert max(i for i, _d in betti_table(squares)) == 4
+        assert max(i for i, _d in betti_table(squares_and_xy)) == 4
         assert max(i for i, _d in betti_table(edges)) == 3
         assert walked == ["_lattice_sum", "_box_sum"]
 
@@ -540,6 +542,37 @@ class TestClosedFormCodepth:
             assert codepth(I) == max(i for i, _d in walked_table(I)) == I.ring.nvars, I
 
 
+@st.composite
+def monomial_regular_sequences(draw):
+    """Monomials on pairwise disjoint sets of variables, exponents 1-3, in
+    1-4 variables over F_2 or F_3; some variables may be left out."""
+    p = draw(st.sampled_from([2, 3]))
+    nvars = draw(st.integers(1, 4))
+    ring = PolyRing(p, ["x", "y", "z", "w"][:nvars])
+    # each variable goes to one of four generators or to none (-1)
+    owner = draw(st.lists(st.integers(-1, 3), min_size=nvars, max_size=nvars))
+    gens = []
+    for g in sorted(set(owner) - {-1}):
+        gens.append(tuple(draw(st.integers(1, 3)) if o == g else 0 for o in owner))
+    return MonomialIdeal(ring, gens)
+
+
+class TestKoszulTable:
+    @given(I=monomial_regular_sequences())
+    @settings(max_examples=200, deadline=None)
+    def test_matches_both_walks_at_every_bound(self, I):
+        for bound in range(mono_degree(I.lcm()) + 1):
+            assert _koszul_table(I, bound) == _lattice_sum(I, bound) == _box_sum(I, bound), bound
+
+    def test_counts_generator_sets_by_degree(self):
+        # x^2, y^3, z w: the sets {}, {x^2}, {y^3}, {zw}, {x^2, y^3},
+        # {x^2, zw}, {y^3, zw} and all three, of degrees 0, 2, 3, 2, 5, 4, 5, 7
+        ring = PolyRing(2, ["x", "y", "z", "w"])
+        I = mi(ring, (2, 0, 0, 0), (0, 3, 0, 0), (0, 0, 1, 1))
+        assert _koszul_table(I, 7) == {(0, 0): 1, (1, 2): 2, (1, 3): 1, (2, 4): 1, (2, 5): 2, (3, 7): 1}
+        assert _koszul_table(I, 4) == {(0, 0): 1, (1, 2): 2, (1, 3): 1, (2, 4): 1}
+
+
 class TestWalkSpy:
     """Inputs a theorem answers never enter either Koszul walk."""
 
@@ -560,6 +593,7 @@ class TestWalkSpy:
         for I, ci in corpus_ideals(p=3):
             if ci is not None:
                 assert codepth(I) == ci
+                assert max(i for i, _d in betti_table(I)) == ci
                 assert generation_exponent(I) == (2 if ci >= 3 else 1)
 
     @pytest.mark.parametrize("subcommand, vars_, ideal, result", [

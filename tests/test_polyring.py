@@ -1,5 +1,6 @@
 import itertools
 import math
+import re
 
 import pytest
 from conftest import frobenius, monomials_of_degree, naive_power
@@ -14,6 +15,7 @@ from frobcalc.errors import (
 )
 from frobcalc.polyring import (
     DEFAULT_MAX_MONOMIALS,
+    EXPONENT_LIMIT,
     PRIME_TEST_LIMIT,
     bounded_count,
     capped_power,
@@ -393,6 +395,123 @@ class TestParsing:
     def test_constant_and_zero(self, ring2):
         assert poly(ring2, "1") == Polynomial.one(ring2)
         assert poly(ring2, "0").is_zero()
+
+
+# The match-per-token tokenizer and the tuple-token parser that the one-scan
+# versions replaced, kept as their oracle.
+_ORACLE_TOKEN_RE = re.compile(
+    r"\s*(?:(?P<num>\d+)|(?P<name>[A-Za-z_][A-Za-z_0-9]*)|(?P<op>[-+*^]))"
+)
+
+
+def oracle_tokenize(text):
+    text = text.strip()
+    pos = 0
+    tokens = []
+    while pos < len(text):
+        m = _ORACLE_TOKEN_RE.match(text, pos)
+        if not m or m.end() == pos:
+            raise ParseError(f"unexpected character at {text[pos:pos + 10]!r}")
+        if m.lastgroup == "num":
+            tokens.append(("num", int(m.group("num"))))
+        elif m.lastgroup == "name":
+            tokens.append(("name", m.group("name")))
+        else:
+            tokens.append(("op", m.group("op")))
+        pos = m.end()
+    return tokens
+
+
+def oracle_parse_polynomial(ring, text):
+    tokens = oracle_tokenize(text)
+    if not tokens:
+        raise ParseError("empty polynomial")
+    terms = {}
+    i = 0
+    n = len(tokens)
+    p = ring.p
+    sign = 1
+    while i < n:
+        while i < n and tokens[i] == ("op", "+") or i < n and tokens[i] == ("op", "-"):
+            if tokens[i][1] == "-":
+                sign = -sign
+            i += 1
+        if i >= n:
+            raise ParseError("trailing sign without a term")
+        coeff = 1
+        mono = [0] * ring.nvars
+        saw_factor = False
+        while True:
+            if i >= n:
+                raise ParseError("expected a factor after '*'")
+            kind, val = tokens[i]
+            if kind == "num":
+                coeff = coeff * val
+                i += 1
+            elif kind == "name":
+                v = ring.var_index(val)
+                exp = 1
+                i += 1
+                if i < n and tokens[i] == ("op", "^"):
+                    i += 1
+                    if i >= n or tokens[i][0] != "num":
+                        raise ParseError(f"expected exponent after {val}^")
+                    exp = tokens[i][1]
+                    i += 1
+                if exp >= EXPONENT_LIMIT:
+                    raise ExponentOverflowError(f"exponent {exp} exceeds 2^31")
+                mono[v] += exp
+            else:
+                raise ParseError(f"unexpected {val!r} inside term")
+            saw_factor = True
+            if i < n and tokens[i] == ("op", "*"):
+                i += 1
+                continue
+            break
+        if not saw_factor:
+            raise ParseError("empty term")
+        m = tuple(mono)
+        c = (terms.get(m, 0) + sign * coeff) % p
+        if c:
+            terms[m] = c
+        else:
+            terms.pop(m, None)
+        sign = 1
+        if i < n:
+            kind, val = tokens[i]
+            if kind != "op" or val not in "+-":
+                raise ParseError(f"expected '+' between terms, got {val!r}")
+            sign = -1 if val == "-" else 1
+            i += 1
+            if i >= n:
+                raise ParseError("trailing operator")
+    return Polynomial(ring, terms)
+
+
+def parse_outcome(parse, ring, text):
+    """The term map, or the exception's type and message."""
+    try:
+        return parse(ring, text).terms
+    except Exception as exc:
+        return type(exc), str(exc)
+
+
+# known and unknown names, digits and 11-digit numbers (past 2^31 as an
+# exponent), the operators, whitespace, and characters outside the grammar
+_PIECES = ["x", "y", "w", "x_1", "0", "1", "3", "7", "12345678901", "^", "*", "+", "-",
+           " ", "\t", "$", ",", "("]
+
+
+class TestParserOracle:
+    @given(st.lists(st.sampled_from(_PIECES), max_size=12).map("".join))
+    @settings(max_examples=400, deadline=None)
+    def test_matches_the_tuple_token_parser(self, text):
+        ring = PolyRing(5, ["x", "y"])
+        assert parse_outcome(parse_polynomial, ring, text) == parse_outcome(oracle_parse_polynomial, ring, text)
+
+    @pytest.mark.parametrize("text", ["x $", "  x^2 +\t(y)", "3*x^12345678901", "x y", "3^2", "x^", "-", "x--y"])
+    def test_matches_on_hand_picked_texts(self, ring2, text):
+        assert parse_outcome(parse_polynomial, ring2, text) == parse_outcome(oracle_parse_polynomial, ring2, text)
 
 
 def test_sorted_terms_descending(ring2):
