@@ -4,13 +4,17 @@ For a monomial ideal I the Koszul complex K on the images of the variables
 satisfies H_i(K)_b = dim_k Tor_i^S(S/I, k)_b, the multigraded Betti numbers
 of S/I over S, so one computation gives the Koszul homology, the codepth
 and the graded Betti table.  K is Z^n-graded and splits into blocks:
-e_J (x) u has multidegree u + 1_J, and the block at b is spanned by the
-subsets J of supp b with x^(b - 1_J) outside I.  It is the relative chain
-complex of the simplex on supp b modulo the upper Koszul simplicial
-complex K^b(I) (Miller-Sturmfels, Combinatorial Commutative Algebra,
-ch. 1), with at most 2^n cells, and its homology ranks are cell counts
-minus ranks over F_p.  The block at b is empty unless x^(b - 1_supp b) is
-standard.
+e_J (x) u has multidegree u + 1_J, and the block at b is fixed by b and
+the generators that divide x^b: x^(b - 1_J) lies in I exactly when J lies
+in a facet A_g = {v in supp b : g_v < b_v} of a generator g <= b.  The
+cells, the J whose e_J (x) x^(b - 1_J) survives in R, are the subsets of
+supp b in no facet, kept as bitmasks over the positions of supp b.  The
+facets span the upper Koszul simplicial complex K^b(I) (Miller-Sturmfels,
+Combinatorial Commutative Algebra, ch. 1); the block is the relative chain
+complex of the simplex on supp b modulo it, one test per mask of the
+2^|supp b|, and its homology ranks are cell counts minus ranks over F_p.
+The block is empty when supp b is itself a facet, and a full simplex,
+which is exact, when b != 0 and no generator divides x^b.
 
 Every nonzero block lies in the box [0, L] below the lcm L of the
 generators (Taylor bound), and more narrowly on the lcm lattice, the lcms
@@ -61,77 +65,56 @@ from .polyring import DEFAULT_MAX_MONOMIALS, PolyRing, check_degree_bound, count
 # ---------------------------------------------------------------------------
 # Koszul homology
 
-def koszul_block(b, standard):
-    """Cells of the block of K at multidegree b: chains[i] lists the
-    i-subsets J of supp b, as sorted tuples of variables, with x^(b - 1_J)
-    in `standard`, any container that holds the exponent tuples of the
-    standard monomials below b (a staircase set, or `_Standard`).
-    """
+def block_cells(b, gens):
+    """Cells of the block of K at multidegree b, ascending, as bitmasks J
+    over the positions of supp b (bit t for its t-th variable).
+
+    x^(b - 1_J) lies in I exactly when J lies in a facet
+    A_g = {v in supp b : g_v < b_v} of a generator g <= b, so the cells are
+    the masks that meet the complement of every facet: none when supp b is
+    itself a facet."""
     support = [v for v, e in enumerate(b) if e]
-    chains = []
-    for i in range(len(support) + 1):
-        cells = []
-        for J in combinations(support, i):
-            u = list(b)
-            for v in J:
-                u[v] -= 1
-            if tuple(u) in standard:
-                cells.append(J)
-        chains.append(cells)
-    return chains
+    full = (1 << len(support)) - 1
+    outside = {full ^ sum(1 << t for t, v in enumerate(support) if g[v] < b[v])
+               for g in gens if all(map(int.__le__, g, b))}
+    return [] if 0 in outside else [J for J in range(full + 1) if all(map(J.__and__, outside))]
 
 
-def block_differential(chains, i):
-    """d_i on a block, as columns {J: {J minus j_t: (-1)^t}} for J in
-    chains[i]; faces outside chains[i-1] have x^(b - 1_face) in I and
-    vanish in R."""
-    below = set(chains[i - 1])
+def block_boundary(cells):
+    """d on a block, as columns {J: {J minus its t-th set bit: (-1)^t}};
+    faces that are not cells have x^(b - 1_face) in I and vanish in R."""
+    live = set(cells)
     columns = {}
-    for J in chains[i]:
+    for J in cells:
         col = {}
-        for t in range(len(J)):
-            face = J[:t] + J[t + 1 :]
-            if face in below:
-                col[face] = (-1) ** t
+        rest, sign = J, 1
+        while rest:
+            face = J ^ (rest & -rest)
+            if face in live:
+                col[face] = sign
+            rest &= rest - 1
+            sign = -sign
         columns[J] = col
     return columns
 
 
-def _block_homology(chains, p):
-    """Ranks of H_i of one block over F_p, for i = 0..len(chains)-1."""
-    top = len(chains)
-    ranks = [0] * (top + 1)
-    for i in range(1, top):
-        if chains[i] and chains[i - 1]:
-            ranks[i] = rank(block_differential(chains, i).values(), p)
-    return [len(chains[i]) - ranks[i] - ranks[i + 1] for i in range(top)]
-
-
-class _Standard:
-    """Membership container of the standard monomials of I: u is in it when
-    no generator divides x^u, decided against the generators once per u.
-    The test is `mono_divides` written with `map`, since the lattice walk
-    spends much of its time here."""
-
-    __slots__ = ("gens", "memo")
-
-    def __init__(self, gens):
-        self.gens = gens
-        self.memo = {}
-
-    def __contains__(self, u):
-        hit = self.memo.get(u)
-        if hit is None:
-            hit = self.memo[u] = not any(all(map(int.__le__, g, u)) for g in self.gens)
-        return hit
-
-
-def _add_block(table, b, standard, p):
-    """Add the homology ranks of the block at b to table[(i, |b|)]."""
-    d = sum(b)
-    for i, h in enumerate(_block_homology(koszul_block(b, standard), p)):
-        if h:
-            table[(i, d)] = table.get((i, d), 0) + h
+def block_homology(b, gens, p):
+    """Ranks of H_i over F_p of the block of K at b, i = 0..|supp b|: cell
+    counts minus the ranks of d_i and d_(i+1).  [] when b != 0 and no
+    generator divides x^b, the one case where the empty set is a cell:
+    every mask is then a cell, and the full simplex is exact."""
+    cells = block_cells(b, gens)
+    if cells[:1] == [0] and any(b):
+        return []
+    width = len(b) - b.count(0)
+    columns = [[] for _ in range(width + 1)]
+    for J, col in block_boundary(cells).items():
+        columns[J.bit_count()].append(col)
+    ranks = [0] * (width + 2)
+    for i in range(1, width + 1):
+        if columns[i] and columns[i - 1]:
+            ranks[i] = rank(columns[i], p)
+    return [len(columns[i]) - ranks[i] - ranks[i + 1] for i in range(width + 1)]
 
 
 def _lattice_sum(I, bound):
@@ -140,17 +123,17 @@ def _lattice_sum(I, bound):
 
     The lattice is {0} closed under lcm with each generator; a point past
     the bound only has points past it above it, so it is dropped as it
-    appears.  The block at b is empty unless x^(b - 1_supp b) is standard,
-    and x^b is never standard for b != 0, so no full simplex is visited."""
+    appears.  Some generator divides x^b at every point b != 0, so no full
+    simplex is visited."""
     p = I.ring.p
     points = {I.ring.unit_monomial()}
     for g in I.gens:
         points |= {m for m in (tuple(map(max, b, g)) for b in points) if sum(m) <= bound}
-    standard = _Standard(I.gens)
     table = {}
     for b in points:
-        if tuple(e - 1 if e else 0 for e in b) in standard:
-            _add_block(table, b, standard, p)
+        for i, h in enumerate(block_homology(b, I.gens, p)):
+            if h:
+                table[(i, sum(b))] = table.get((i, sum(b)), 0) + h
     return table
 
 
@@ -161,12 +144,10 @@ def _box_sum(I, bound):
     containing supp u.
 
     Every nonzero block is among these: the block at b is empty unless
-    u = b - 1_supp b is standard, b -> (u, T) is a bijection, and b <= L
-    means u_v < L_v on supp u and L_v >= 1 on the rest of T.  When x^b
-    itself is standard and b != 0, every J in supp b is a cell: the block
-    is the full simplex, which is exact, and is skipped.  The standard
-    monomials inside the box are those of I plus a wall x_v^(L_v + 1) for
-    every variable with no pure-power generator."""
+    u = b - 1_supp b is standard, for otherwise supp b is a facet, b -> (u, T)
+    is a bijection, and b <= L means u_v < L_v on supp u and L_v >= 1 on the
+    rest of T.  The standard monomials inside the box are those of I plus a
+    wall x_v^(L_v + 1) for every variable with no pure-power generator."""
     top = I.lcm()
     p = I.ring.p
     n = I.ring.nvars
@@ -175,7 +156,6 @@ def _box_sum(I, bound):
     boxed = MonomialIdeal(I.ring, I.gens + tuple(walls)) if walls else I
     levels = boxed.staircase(bound, max_monomials=math.inf)
     table = {}
-    standard = set(chain.from_iterable(levels))
     for du, level in enumerate(levels):
         for u in level:
             support = [v for v, e in enumerate(u) if e]
@@ -187,10 +167,9 @@ def _box_sum(I, bound):
                     b = list(u)
                     for v in chain(support, extra):
                         b[v] += 1
-                    b = tuple(b)
-                    if b in standard and (du or k):
-                        continue
-                    _add_block(table, b, standard, p)
+                    for i, h in enumerate(block_homology(b, I.gens, p)):
+                        if h:
+                            table[(i, sum(b))] = table.get((i, sum(b)), 0) + h
     return table
 
 
@@ -319,7 +298,7 @@ def betti_table(I, degree_bound=None, max_monomials=DEFAULT_MAX_MONOMIALS):
     `max_monomials` bounds the number of points of the box, checked first
     for every route, so the route never decides whether a table is
     refused.  It bounds every standard monomial the box walk keeps, the at
-    most 2^k < box lattice points, and the 2^|supp b| <= box subsets of
+    most 2^k < box lattice points, and the 2^|supp b| <= box masks of
     each block, so no per-degree count is applied.  The k^2 N test is a
     choice by cost, like 2^k < box: the stability test takes at most that
     many steps.

@@ -77,12 +77,10 @@ def f_level_bounds(ideal, e_max=DEFAULT_E_MAX, max_monomials=DEFAULT_MAX_MONOMIA
         return BoundReport(1, 1, 1, "certified", provenance, certs, [])
     certs.update((e, not_split_certificate(ideal, e)) for e in range(2, e_max + 1))
     provenance = [("no splitting witness", 2, f"split tests failed for e <= {e_max}")]
-    notes = [f"lower bound 2 is certified for the tested range e <= {e_max}"]
+    notes = ["lower bound 2 holds at every e: a splitting at any e restricts to one at e = 1"]
     p = ideal.ring.p
     uppers = []
     if isinstance(ideal, MonomialIdeal):
-        if len(ideal.gens) == 1:
-            notes.append("hypersurface: the e = 1 test is decisive")
         if ideal.is_artinian():
             ll = ideal.loewy_length(max_monomials=max_monomials)
             uppers.append(("artinian Loewy-length bound", ll, f"loewy_length = {ll}"))

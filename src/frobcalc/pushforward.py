@@ -12,8 +12,10 @@ determines everything, and it keeps every exponent's residue mod q.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
+import sys
 from collections import namedtuple
 
 from .errors import ResourceGuardError, UnsupportedIdealClassError, VerificationError
@@ -30,19 +32,38 @@ from .polyring import (
 )
 
 
+@functools.cache
+def _digit_ceiling(digits):
+    """10^digits, the least integer with more than `digits` decimal digits."""
+    return 10**digits
+
+
 class FrobeniusModule:
     """The e-th Frobenius pushforward of an artinian monomial quotient on
-    its staircase basis, least degree first."""
+    its staircase basis, least degree first.
+
+    q = p^e is refused when it has more decimal digits than the interpreter
+    prints (the default limit when it sets none): every quotient but k has
+    a piece generated by a variable, whose degree offset 1/q no report could
+    print.  The powers of p stop at the first past the limit
+    (`capped_power`), and the refusal waits for the staircase walk, which
+    refuses a quotient that is not artinian first."""
 
     __slots__ = ("ideal", "e", "q", "basis")
 
     def __init__(self, ideal, e, max_monomials=DEFAULT_MAX_MONOMIALS):
         if e < 1:
             raise ValueError("e must be at least 1")
+        digits = sys.get_int_max_str_digits() or sys.int_info.default_max_str_digits
+        q, _k = capped_power(ideal.ring.p, e, _digit_ceiling(digits) - 1)
+        levels = ideal.staircase(max_monomials=max_monomials)
+        if q >= _digit_ceiling(digits):
+            raise ResourceGuardError(
+                f"q = {ideal.ring.p}^{count_str(e)} has more than {digits} decimal digits, the most a report prints"
+            )
         self.ideal = ideal
         self.e = e
-        self.q = ideal.ring.p**e
-        levels = ideal.staircase(max_monomials=max_monomials)
+        self.q = q
         self.basis = tuple(u for level in levels for u in reversed(level))
 
     @property

@@ -3,7 +3,7 @@ import itertools
 import pytest
 
 from frobcalc import MonomialIdeal, Polynomial, PolyRing
-from frobcalc.koszul import block_differential, koszul_block
+from frobcalc.koszul import block_boundary, block_cells
 from frobcalc.polyring import mono_sorted
 
 
@@ -127,19 +127,33 @@ def corpus_ideals(p=2):
     return out
 
 
+def membership_cells(b, standard):
+    """Oracle for `koszul.block_cells`: the masks J over the positions of
+    supp b, ascending, with x^(b - 1_J) in `standard`, any container of the
+    exponent tuples of the standard monomials below b, listed by forming
+    b - 1_J for every subset J."""
+    support = [v for v, e in enumerate(b) if e]
+    cells = []
+    for J in range(1 << len(support)):
+        u = list(b)
+        for t, v in enumerate(support):
+            u[v] -= J >> t & 1
+        if tuple(u) in standard:
+            cells.append(J)
+    return cells
+
+
 def assert_blocks_square_to_zero(I, degree_bound):
     """d_(i-1) d_i = 0 over F_p on the block of the Koszul complex at every
-    multidegree b with |b| <= degree_bound."""
+    multidegree b with |b| <= degree_bound, with the cells and boundary
+    the Koszul walks use."""
     p = I.ring.p
-    standard = {u for level in I.staircase(degree_bound) for u in level}
     for d in range(degree_bound + 1):
         for b in monomials_of_degree(I.ring, d):
-            chains = koszul_block(b, standard)
-            for i in range(2, len(chains)):
-                lower = block_differential(chains, i - 1)
-                for J, col in block_differential(chains, i).items():
-                    image = {}
-                    for face, c in col.items():
-                        for edge, c2 in lower[face].items():
-                            image[edge] = (image.get(edge, 0) + c * c2) % p
-                    assert not any(image.values()), (b, J)
+            columns = block_boundary(block_cells(b, I.gens))
+            for J, col in columns.items():
+                image = {}
+                for face, c in col.items():
+                    for edge, c2 in columns[face].items():
+                        image[edge] = (image.get(edge, 0) + c * c2) % p
+                assert not any(image.values()), (b, J)

@@ -594,6 +594,29 @@ class TestExitCodes:
         # each count has more than the interpreter's 4300 digits
         assert run_captured(argv) == (EXIT_GUARD, [], f"error: {message}\n")
 
+    @pytest.mark.parametrize("e", [str(10**12), "9" * 4299], ids=["10^12", "4299-digits"])
+    def test_decompose_refuses_an_unprintable_q_before_forming_it(self, e):
+        # 2^(10^12) alone would take about 125 GB; the powers of 2 stop at
+        # the first past the digit limit
+        argv = ["decompose", "--char", "2", "--vars", "x,y", "--ideal", "x^2,y^2", "-e", e]
+        start = time.perf_counter()
+        code, lines, err = run_captured(argv)
+        assert time.perf_counter() - start < 1.0
+        assert (code, lines) == (EXIT_GUARD, [])
+        limit = sys.get_int_max_str_digits()
+        assert err == f"error: q = 2^{e} has more than {limit} decimal digits, the most a report prints\n"
+
+    def test_decompose_keeps_every_printable_q(self):
+        # 2^17 prints; S/I = k, whose only degree offset is 0/1, is refused
+        # with the rest once q passes the limit, and a quotient that is not
+        # artinian is refused as such first
+        base = ["decompose", "--json", "--char", "2", "--vars", "x,y"]
+        code, lines, _err = run_captured(base + ["--ideal", "x^2,y^2", "-e", "17"])
+        assert code == EXIT_OK
+        assert '"den": 131072' in "\n".join(lines)
+        assert run_captured(base + ["--ideal", "x,y", "-e", "100000"])[0] == EXIT_GUARD
+        assert run_captured(base + ["--ideal", "x*y", "-e", "100000"])[0] == EXIT_UNSUPPORTED
+
     @pytest.mark.parametrize("n", ["0", "-1", "-2"])
     def test_pn_needs_a_positive_dimension(self, n):
         # projective n-space needs n >= 1, whether or not an alpha count is

@@ -3,13 +3,13 @@ import math
 import random
 from collections import Counter
 from functools import reduce
-from itertools import chain, combinations
+from itertools import chain, combinations, product
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import assert_blocks_square_to_zero, corpus_ideals, monomials_of_degree
+from conftest import assert_blocks_square_to_zero, corpus_ideals, membership_cells, monomials_of_degree
 
 from frobcalc import (
     MonomialIdeal,
@@ -25,14 +25,15 @@ from frobcalc import (
 from frobcalc.cli import run
 from frobcalc.koszul import (
     StrandCheck,
-    _block_homology,
     _box_sum,
     _eliahou_kervaire,
     _is_stable,
     _koszul_table,
     _lattice_sum,
     betti_power_row,
-    koszul_block,
+    block_boundary,
+    block_cells,
+    block_homology,
 )
 from frobcalc.modlinalg import Span, rank
 from frobcalc.polyring import mono_degree, mono_divides, mono_lcm
@@ -65,7 +66,7 @@ def koszul_homology(I, degree_bound):
                     b = tuple(b)
                     if b in standard and (du or k):
                         continue
-                    for i, h in enumerate(_block_homology(koszul_block(b, standard), p)):
+                    for i, h in enumerate(block_homology(b, I.gens, p)):
                         if h:
                             table[(i, base + k)] = table.get((i, base + k), 0) + h
     return table
@@ -251,7 +252,7 @@ def all_monomials_blocks(I, degree_bound):
         standard.update(m for m in monos if not I.contains_monomial(m))
         for b in monos:
             if tuple(e - 1 if e else 0 for e in b) in standard:
-                yield b, _block_homology(koszul_block(b, standard), ring.p)
+                yield b, block_homology(b, I.gens, ring.p)
 
 
 def all_monomials_homology(I, degree_bound):
@@ -282,6 +283,62 @@ def small_monomial_ideals(draw):
     for support in draw(st.lists(degree, max_size=5 - len(gens))):
         gens.append(tuple(support.count(v) for v in range(nvars)))
     return MonomialIdeal(ring, gens)
+
+
+def lcm_box(I):
+    """Every b in the box [0, L] below the lcm L of the generators."""
+    return product(*(range(e + 1) for e in I.lcm()))
+
+
+def lcm_lattice(I):
+    """The lcms of the sets of generators, 0 for the empty set."""
+    points = {I.ring.unit_monomial()}
+    for g in I.gens:
+        points |= {mono_lcm(b, g) for b in points}
+    return points
+
+
+class TestFacetCells:
+    @given(I=small_monomial_ideals())
+    @settings(max_examples=150, deadline=None)
+    def test_match_the_membership_cells_across_the_box(self, I):
+        # every b of the box, x^b standard or not, on the lcm lattice or off
+        # it: the facet cells are the subsets J with x^(b - 1_J) standard
+        standard = {u for u in lcm_box(I) if not I.contains_monomial(u)}
+        for b in lcm_box(I):
+            assert block_cells(b, I.gens) == membership_cells(b, standard), b
+
+    def test_the_box_holds_every_kind_of_point(self):
+        # (x^2, xy): x and y are standard and off the lattice, with a full
+        # simplex each; x^2, xy and x^2 y are the lattice points past 1
+        ring = PolyRing(3, ["x", "y"])
+        I = mi(ring, (2, 0), (1, 1))
+        standard = {u for u in lcm_box(I) if not I.contains_monomial(u)}
+        assert standard == {(0, 0), (1, 0), (0, 1)}
+        assert lcm_lattice(I) == {(0, 0), (2, 0), (1, 1), (2, 1)}
+        cells = {b: block_cells(b, I.gens) for b in lcm_box(I)}
+        assert cells == {b: membership_cells(b, standard) for b in lcm_box(I)}
+        assert cells[(1, 0)] == [0, 1]            # full simplex on {x}
+        assert cells[(0, 1)] == [0, 1]            # full simplex on {y}
+        assert cells[(2, 0)] == [1]               # {x}: x^2 / x = x
+        assert cells[(1, 1)] == [1, 2, 3]         # all but the empty set
+        assert cells[(2, 1)] == [3]               # x^2 y / (x y) = x only
+        assert block_homology((1, 0), I.gens, 3) == []
+        assert block_homology((2, 1), I.gens, 3) == [0, 0, 1]
+        assert block_homology((0, 0), I.gens, 3) == [1]
+
+    def test_supp_b_a_facet_leaves_no_cell(self):
+        # x^3 y^2 divided by x y is x^2 y, a multiple of x^2: supp b is the
+        # facet of x^2, and the old prefilter's x^(b - 1_supp b) lies in I
+        I = mi(PolyRing(2, ["x", "y"]), (2, 0), (0, 3))
+        assert block_cells((3, 2), I.gens) == []
+        assert block_homology((3, 2), I.gens, 2) == [0, 0, 0]
+
+    def test_boundary_signs(self):
+        # on the full simplex of {x, y}: d{x, y} = {y} - {x}, d{x} = d{y} = 1
+        assert block_boundary([0, 1, 2, 3]) == {0: {}, 1: {0: 1}, 2: {0: 1}, 3: {2: 1, 1: -1}}
+        # faces that are not cells drop out
+        assert block_boundary([1, 3]) == {1: {}, 3: {1: -1}}
 
 
 class TestStaircaseWalk:
@@ -699,6 +756,11 @@ class TestDifferentialSquaresToZero:
         ring = PolyRing(3, ["x", "y", "z"])
         I = MonomialIdeal(ring, [(2, 0, 0), (0, 2, 0), (1, 0, 1)])
         self._check(I, degree_bound=7)
+
+    @given(I=small_monomial_ideals())
+    @settings(max_examples=60, deadline=None)
+    def test_random_ideals_past_the_box(self, I):
+        self._check(I, degree_bound=mono_degree(I.lcm()) + 1)
 
     @staticmethod
     def _check(I, degree_bound):
