@@ -308,7 +308,8 @@ def build_parser():
         type=int,
         default=None,
         help="resource guard, checked before the work it counts: term pairs multiplied "
-        "for f^(q-1) mod m^[q], staircase candidates, lcm-box points, word operations, "
+        "for f^(q-1) mod m^[q] (f's product included), staircase candidates in total, "
+        "filtration table cells, lcm-box points, word operations, "
         "matrix cells per degree of the regular-sequence check",
     )
     subs = parser.add_subparsers(dest="subcommand", required=True, parser_class=_Parser)

@@ -26,6 +26,7 @@ the basis read from it.
 
 from __future__ import annotations
 
+import math
 from itertools import count, groupby, islice, takewhile
 
 from .errors import (
@@ -117,8 +118,9 @@ class MonomialIdeal:
 
     def _walk(self, max_monomials):
         """Yield the standard monomials of degree 0, 1, 2, ..., one list per
-        degree, largest first in degrevlex; degree d is guarded (the
-        candidates it is formed from counted) just before it is formed.
+        degree, largest first in degrevlex; just before degree d is formed
+        its candidates are added to a running total, which `max_monomials`
+        bounds, so a long thin staircase is charged for every degree.
 
         Degree d comes from degree d - 1: each standard s is extended by x_v
         for every v at or before the first variable of supp s (every v when
@@ -134,25 +136,25 @@ class MonomialIdeal:
             for v, e in enumerate(g):
                 cuts.setdefault((v, e), []).append(g)
         level = [] if self.is_unit() else [self.ring.unit_monomial()]
-        candidates = len(level)
+        total = len(level)
         for d in count():
-            if candidates > max_monomials:
+            if total > max_monomials:
                 raise ResourceGuardError(
-                    f"enumeration of {candidates} monomials exceeds guard {max_monomials}"
+                    f"enumeration of {total} monomials exceeds guard {max_monomials}"
                 )
             if d:
-                frontier, candidates = [], 0
+                frontier = []
                 for s in level:
                     for v in range(n):
                         m = s[:v] + (s[v] + 1,) + s[v + 1 :]
                         if not any(mono_divides(g, m) for g in cuts.get((v, m[v]), ())):
                             frontier.append(m)
-                            candidates += v + 1
+                            total += v + 1
                         if s[v]:
                             break
                 level = frontier
             else:
-                candidates = n * len(level)
+                total += n * len(level)
             yield level
 
     def staircase(self, bound=None, max_monomials=DEFAULT_MAX_MONOMIALS):
@@ -197,10 +199,13 @@ def _has_cover(supports, k, chosen=0):
     )
 
 
-def _multipliers(ring, max_monomials):
-    """[None] for degree 0, then the reversed monomials of each degree d >= 1, walked lazily."""
+def _multipliers(ring):
+    """[None] for degree 0, then the reversed monomials of each degree d >= 1,
+    walked lazily and unguarded: the cell guard of each degree of the
+    regular-sequence check is checked first and is never below the
+    degree's multiplier count."""
     yield [None]
-    for level in islice(MonomialIdeal.zero(ring)._walk(max_monomials), 1, None):
+    for level in islice(MonomialIdeal.zero(ring)._walk(math.inf), 1, None):
         yield [u[::-1] for u in level]
 
 
@@ -235,7 +240,7 @@ class CIIdeal:
         self.gens = gens
         reversed_terms = [{m[::-1]: a for m, a in f.terms.items()} for f in gens]
         supports = {sum(1 << v for v, e in enumerate(min(t)) if e) for t in reversed_terms}
-        walk = _multipliers(ring, max_monomials)
+        walk = _multipliers(ring)
         multipliers = []  # index k: the monomials of degree k, with None for 1
         for D in count(min(degrees)):
             if not _has_cover(sorted(supports, key=int.bit_count), len(gens) - 1):
@@ -260,20 +265,6 @@ class CIIdeal:
                     f"{len(leaders)}, below the {expected} of a complete intersection"
                 )
             supports.update(sum(1 << v for v, e in enumerate(m) if e) for m in leaders)
-
-    def product(self, max_monomials=DEFAULT_MAX_MONOMIALS):
-        """f_1 * ... * f_t; `max_monomials` bounds the term pairs multiplied,
-        summed over the products, checked before each product is formed."""
-        out = Polynomial.one(self.ring)
-        pairs = 0
-        for f in self.gens:
-            pairs += len(out.terms) * len(f.terms)
-            if pairs > max_monomials:
-                raise ResourceGuardError(
-                    f"the product of the generators takes {pairs} term products, over the guard {max_monomials}"
-                )
-            out = out * f
-        return out
 
     def hilbert_function(self, d):
         """dim_k (S/I)_d via inclusion-exclusion over the regular sequence."""

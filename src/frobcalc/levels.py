@@ -9,7 +9,7 @@ applies, the report says "unknown" (the quantity is known to be finite).
 
 Only the splitting test at e = 1 is run: a splitting at any e restricts
 to one at e = 1, so once that test fails the certificate at each e >= 2
-comes from an empty colon table (`splitting.not_split_certificate`).
+is written without forming the colon (`splitting.not_split_certificate`).
 """
 
 from __future__ import annotations

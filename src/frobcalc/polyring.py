@@ -361,16 +361,18 @@ class Polynomial:
         return f"Polynomial({self})"
 
 
-def truncated_lucas_power(f, e, max_monomials=DEFAULT_MAX_MONOMIALS):
-    """f^(q-1) mod m^[q], q = p^e: the terms of f^(q-1), with their
-    coefficients, whose exponents are all below q.
+def truncated_lucas_power(factors, e, max_monomials=DEFAULT_MAX_MONOMIALS):
+    """f^(q-1) mod m^[q], q = p^e, for f the product of the polynomials
+    `factors` (at least one, over one ring): the terms of f^(q-1), with
+    their coefficients, whose exponents are all below q.
 
-    Since q-1 = (p-1)(1 + p + ... + p^(e-1)), f^(q-1) is the product of
-    the Frobenius powers (f^(p-1))^[p^i] for i < e.  Every term with an
-    exponent >= q is dropped as soon as it is formed, while f^(p-1) is
-    formed and while the factors are multiplied: exponents only grow, so
-    no later product can bring it back, and every term kept gets its full
-    coefficient.
+    f itself is formed mod m^[q]: the first factor's terms below q, times
+    each further factor.  Since q-1 = (p-1)(1 + p + ... + p^(e-1)),
+    f^(q-1) is the product of the Frobenius powers (f^(p-1))^[p^i] for
+    i < e.  Every term with an exponent >= q is dropped as soon as it is
+    formed, while f, then f^(p-1), is formed and while the factors are
+    multiplied: exponents only grow, so no later product can bring it
+    back, and every term kept gets its full coefficient.
 
     The factors are multiplied from i = e-1 down to 0.  After k of them
     the product is (f^(p^k-1) mod m^[p^k])^[p^(e-k)], so the loop stops
@@ -385,13 +387,14 @@ def truncated_lucas_power(f, e, max_monomials=DEFAULT_MAX_MONOMIALS):
     no carry crosses slots.  Coefficients are reduced mod p once per
     product, and the monomials unpacked once at the end.
 
-    `max_monomials` bounds the term pairs multiplied, summed over the
-    products: each product of a by b terms adds |a|*|b| to the running
-    count, checked before the product is formed.
+    `max_monomials` bounds the term pairs multiplied, summed over every
+    product on the way, f's included: each product of a by b terms adds
+    |a|*|b| to one running count, checked before the product is formed.
+    A single factor costs nothing before f^(p-1).
     """
     if e < 0:
         raise ValueError("e must be nonnegative")
-    ring = f.ring
+    ring = factors[0].ring
     p = ring.p
     q = p**e
     w = q.bit_length() + 1
@@ -402,6 +405,9 @@ def truncated_lucas_power(f, e, max_monomials=DEFAULT_MAX_MONOMIALS):
         return ((1 << (w - 1)) - c) * ones
 
     off = below(q)
+
+    def live(g):
+        return [(sum(x << (w * v) for v, x in enumerate(m)), c) for m, c in g.terms.items() if max(m) < q]
 
     pairs = 0
 
@@ -420,14 +426,12 @@ def truncated_lucas_power(f, e, max_monomials=DEFAULT_MAX_MONOMIALS):
                     product[m] = product.get(m, 0) + c1 * c2
         return {m: r for m, c in product.items() if (r := c % p)}
 
-    f_terms = [
-        (sum(x << (w * v) for v, x in enumerate(m)), c)
-        for m, c in f.terms.items()
-        if max(m) < q
-    ]
+    f = dict(live(factors[0]))
+    for g in factors[1:]:
+        f = times(f, live(g))
     base = {0: 1}
     for _ in range(p - 1):
-        base = times(base, f_terms)
+        base = times(base, f.items())
     terms = {0: 1}
     for i in range(e - 1, -1, -1):
         if not terms:

@@ -487,11 +487,22 @@ def veronese_decompose(ell, p, e, max_monomials=DEFAULT_MAX_MONOMIALS):
 
 
 def _start_groups(ell, q):
-    """The classes j with q*j + r = 0 mod ell for each residue r of u + v;
-    the number of pieces of each class; and, per start S-degree q*j + u + v,
+    """The classes j with q*j + r = 0 mod ell, ascending, for each residue
+    r of u + v mod ell (u + v <= 2q - 2, so r < min(ell, 2q - 1)); the
+    number of pieces of each class; and, per start S-degree q*j + u + v,
     the [count, sum of j+1] of its pieces.  The last two depend on u + v
-    only, which takes the value s for min(s, 2q-2-s) + 1 pairs (u, v)."""
-    admissible = [[j for j in range(ell) if (q * j + r) % ell == 0] for r in range(ell)]
+    only, which takes the value s for min(s, 2q-2-s) + 1 pairs (u, v).
+
+    With g = gcd(q, ell) the congruence has a solution only when g | r,
+    and then its solutions are j = -(r/g) * (q/g)^(-1) mod ell/g: g
+    classes, each found in closed form."""
+    g = math.gcd(q, ell)
+    step = ell // g
+    inverse = pow(q // g, -1, step)
+    admissible = [
+        [] if r % g else list(range(-(r // g) * inverse % step, ell, step))
+        for r in range(min(ell, 2 * q - 1))
+    ]
     mult = {}
     groups = {}
     for s in range(2 * q - 1):
@@ -519,18 +530,20 @@ def _class_multiset_count(count, total, ell):
     """Number of multisets of `count` classes in 0..ell-1 whose
     (j+1)-weights sum to `total`: the partitions of total-count that fit in
     a count x (ell-1) box, i.e. the coefficient of x^(total-count) in the
-    Gaussian binomial [count+ell-1 choose ell-1]_x.  That polynomial is
-    the product over i = 1..ell-1 of (1 - x^(count+i)) / (1 - x^i), formed
-    here as a power series truncated at degree total-count.  The
-    polynomial has degree count*(ell-1) and is palindromic, so the series
-    stops at the nearer end."""
+    Gaussian binomial [count+ell-1 choose ell-1]_x = [count+ell-1 choose
+    count]_x.  With k the smaller of count and ell-1 and h the larger,
+    that polynomial is the product over i = 1..k of
+    (1 - x^(h+i)) / (1 - x^i), formed here as a power series truncated at
+    degree total-count.  The polynomial has degree count*(ell-1) and is
+    palindromic, so the series stops at the nearer end."""
     top = min(total - count, count * ell - total)
     if top < 0:
         return 0
+    k, h = (count, ell - 1) if count < ell else (ell - 1, count)
     coeffs = [1] + [0] * top
-    for i in range(1, ell):
-        for d in range(top, count + i - 1, -1):  # times 1 - x^(count+i)
-            coeffs[d] -= coeffs[d - count - i]
+    for i in range(1, k + 1):
+        for d in range(top, h + i - 1, -1):  # times 1 - x^(h+i)
+            coeffs[d] -= coeffs[d - h - i]
         for d in range(i, top + 1):  # divided by 1 - x^i
             coeffs[d] += coeffs[d - i]
     return coeffs[top]
@@ -598,7 +611,11 @@ def ci_filtration_check(ring, f_monos, max_monomials=DEFAULT_MAX_MONOMIALS):
     index sum_i k_i(w) p^(c-1-i) of the lexicographic chain.
 
     An artinian R' is read through its whole staircase, so the report is
-    complete; otherwise the dims stop at degree p * sum_i deg f_i + 2."""
+    complete; otherwise the dims stop at degree p * sum_i deg f_i + 2.
+    `max_monomials` bounds each staircase walk and then the p^c * (D + 1)
+    cells of the step table, D the last degree read, checked before the
+    chain is formed.  The chain monomials are standard monomials of the
+    walk, so p^c never exceeds the guard that walk passed."""
     p = ring.p
     f_monos = [tuple(m) for m in f_monos]
     c = len(f_monos)
@@ -616,6 +633,12 @@ def ci_filtration_check(ring, f_monos, max_monomials=DEFAULT_MAX_MONOMIALS):
     window = None if artinian else p * sum(mono_degree(m) for m in f_monos) + 2
     levels = big.staircase(window, max_monomials=max_monomials)
     degree_bound = len(levels) - 1
+    cells = p**c * (degree_bound + 1)
+    if cells > max_monomials:
+        raise ResourceGuardError(
+            f"filtration table of {p}^{c} steps by {degree_bound + 1} degrees, "
+            f"{cells} cells, exceeds guard {max_monomials}"
+        )
 
     exponent_tuples = list(itertools.product(range(p), repeat=c))
     chain = []

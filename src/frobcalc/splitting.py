@@ -170,11 +170,11 @@ def colon_generators(ideal, e, max_monomials=DEFAULT_MAX_MONOMIALS):
     the zero and the unit ideal).  Nothing is enumerated.
 
     For a complete intersection the only generator returned is
-    f^(q-1) mod m^[q] (`truncated_lucas_power`): the generators f_i^q of
-    I^[q] and the terms of f^(q-1) inside m^[q] have no live term.
-    `max_monomials` bounds the term pairs multiplied on the way, once for
-    the product of the generators and once for `truncated_lucas_power`,
-    each checked before a product is formed."""
+    f^(q-1) mod m^[q], f = f_1...f_c, formed from the generators by
+    `truncated_lucas_power`: the generators f_i^q of I^[q] and the terms
+    of f^(q-1) inside m^[q] have no live term.  `max_monomials` bounds
+    the term pairs multiplied on the way, f's product included, as one
+    count checked before each product is formed."""
     ring = ideal.ring
     q = _frobenius_q(ring, e)
     if isinstance(ideal, MonomialIdeal):
@@ -182,7 +182,7 @@ def colon_generators(ideal, e, max_monomials=DEFAULT_MAX_MONOMIALS):
             return []
         return [Polynomial.monomial(ring, tuple((q - 1) * x for x in ideal.lcm()))]
     if isinstance(ideal, CIIdeal):
-        return [truncated_lucas_power(ideal.product(max_monomials), e, max_monomials)]
+        return [truncated_lucas_power(ideal.gens, e, max_monomials)]
     raise UnsupportedIdealClassError(f"unsupported ideal class {type(ideal).__name__}")
 
 
@@ -232,17 +232,15 @@ class _ColonTable(namedtuple("_ColonTable", "e q nvars live")):
                                 search_count=bounded_count(self.nvars, q * j, q - 1))
 
 
-def _colon_table(ideal, e, j=0, max_monomials=DEFAULT_MAX_MONOMIALS, gens=None):
+def _colon_table(ideal, e, j=0, max_monomials=DEFAULT_MAX_MONOMIALS):
     """The colon table at e, after the checks in their fixed order: e >= 1,
     q <= MAX_Q, j >= 0, an ideal other than the unit ideal, then the
-    colon-term guard.  `gens` stands in for colon generators known without
-    forming them."""
+    colon-term guard."""
     q = _frobenius_q(ideal.ring, e)
     if j < 0:
         raise ValueError("twist j must be nonnegative")
     require_proper(ideal)
-    if gens is None:
-        gens = colon_generators(ideal, e, max_monomials)
+    gens = colon_generators(ideal, e, max_monomials)
     live = [(g, t) for g in gens for t in mono_sorted(m for m in g.terms if max(m) < q)]
     return _ColonTable(e, q, ideal.ring.nvars, live)
 
@@ -268,12 +266,15 @@ def is_f_split(ideal, e, max_monomials=DEFAULT_MAX_MONOMIALS):
 
 
 def not_split_certificate(ideal, e):
-    """`is_f_split(ideal, e)` for a quotient not F-split at e = 1, from an
-    empty colon table: f^(p-1) in m^[p] puts f^(q-1) = f^(q/p-1) *
+    """`is_f_split(ideal, e)` for a quotient not F-split at e = 1, written
+    without a colon table: f^(p-1) in m^[p] puts f^(q-1) = f^(q/p-1) *
     (f^(p-1))^[q/p] in m^[q], and a monomial colon has a live term exactly
-    when I is squarefree, at every e (`colon_generators`).  Only e and
-    q <= MAX_Q are checked."""
-    return _colon_table(ideal, e, gens=[]).certificate(0)
+    when I is squarefree, at every e (`colon_generators`).  Only e,
+    q <= MAX_Q and a proper ideal are checked; the search space ruled out
+    is the one monomial of degree 0."""
+    q = _frobenius_q(ideal.ring, e)
+    require_proper(ideal)
+    return SplitCertificate(False, q, e, 0, search_degree=0, search_count=1)
 
 
 def _socle_witness_ok(ideal, u, q):

@@ -398,15 +398,15 @@ class TestExitCodes:
         assert err.endswith("\nerror: unrecognized arguments: --bogus\n")
 
     def test_loewy_of_twelve_squares_fits_below_its_widest_degree(self, capsys):
-        # degree 9 holds C(20, 11) = 167960 monomials of S; the walk forms at
-        # most 1716 candidates in any degree, one per variable up to the
-        # first of each squarefree standard monomial
+        # degree 9 holds C(20, 11) = 167960 monomials of S; the walk forms
+        # one candidate per variable up to the first of each squarefree
+        # standard monomial, at most 1716 in any degree and 2^13 - 1 in all
         names = [f"x{v}" for v in range(12)]
         argv = ["loewy", "--char", "2", "--vars", ",".join(names),
                 "--ideal", ", ".join(f"{x}^2" for x in names)]
-        payload = run_json(capsys, argv + ["--max-monomials", "1716"])
+        payload = run_json(capsys, argv + ["--max-monomials", "8191"])
         assert payload["result"] == {"loewy_length": 13}
-        assert run(argv + ["--max-monomials", "1715"]) == EXIT_GUARD
+        assert run(argv + ["--max-monomials", "8190"]) == EXIT_GUARD
 
     def test_codepth_of_m2_in_nine_variables_fits_the_default_guard(self, capsys):
         # box 3^9 = 19683 points; a walk over every monomial of each degree
@@ -431,27 +431,33 @@ class TestExitCodes:
         ],
     )
     def test_guard_pins_at_every_threshold(self, argv, nvars, top):
-        # every degree 0..top is guarded by the candidates the walk forms
-        # for it, over I for loewy and decompose and over I^[p] for
-        # filtration (whose later walk of I forms fewer); the first degree
-        # over the guard is the one reported
-        ring = PolyRing(int(argv[2]), argv[4].split(","))
+        # every degree 0..top is guarded by the running total of the
+        # candidates the walk forms, over I for loewy and decompose and over
+        # I^[p] for filtration (whose later walk of I forms fewer); the
+        # first total over the guard is the one reported.  The filtration
+        # then charges its table, p^c steps by the degrees it read: the
+        # Loewy length top when artinian, else the band 0..top
+        p = int(argv[2])
+        ring = PolyRing(p, argv[4].split(","))
         I = MonomialIdeal(ring, [parse_polynomial(ring, g).single_monomial() for g in argv[6].split(",")])
-        walked = bracket(I, ring.p) if argv[0] == "filtration" else I
+        walked = bracket(I, p) if argv[0] == "filtration" else I
         assert ring.nvars == nvars
-        counts = walk_candidates(walked, top)
-        for count in counts:
-            for guard in (count - 1, count):
-                over = [c for c in counts if c > guard]
+        totals = list(itertools.accumulate(walk_candidates(walked, top)))
+        degrees = top if walked.is_artinian() else top + 1
+        cells = p ** len(I.gens) * degrees if argv[0] == "filtration" else 0
+        for threshold in totals + [cells]:
+            for guard in (threshold - 1, threshold):
+                over = [t for t in totals if t > guard]
                 code, lines, err = run_captured(argv + ["--json", "--max-monomials", str(guard)])
                 if over:
-                    assert (code, lines, err) == (
-                        EXIT_GUARD,
-                        [],
-                        f"error: enumeration of {over[0]} monomials exceeds guard {guard}\n",
-                    )
+                    message = f"enumeration of {over[0]} monomials exceeds guard {guard}"
+                elif cells > guard:
+                    message = (f"filtration table of {p}^{len(I.gens)} steps by {degrees} degrees, "
+                               f"{cells} cells, exceeds guard {guard}")
                 else:
                     assert (code, err) == (EXIT_OK, "")
+                    continue
+                assert (code, lines, err) == (EXIT_GUARD, [], f"error: {message}\n")
 
     def test_veronese_guards_its_hilbert_series_check(self, capsys):
         # 12 * 2 * 3 + 1 degrees are checked; the 3^2 * 2 pieces fit either guard

@@ -3,7 +3,7 @@ import math
 import re
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from conftest import (
@@ -29,6 +29,7 @@ from frobcalc import (
 from frobcalc.ideals import _minimalize, build_ideal
 from frobcalc.modlinalg import rank
 from frobcalc.polyring import mono_degree, mono_divides, mono_pow, mono_sorted
+from frobcalc.splitting import colon_generators
 
 
 def mi(ring, *gens):
@@ -53,7 +54,8 @@ def ci_colon(ideal, e):
     exact colon, f^(q-1) in full, of which the splitting tests read only
     f^(q-1) mod m^[q]."""
     q = ideal.ring.p**e
-    return [naive_power(ideal.product(), q - 1)] + [frobenius(g, e) for g in ideal.gens]
+    f = math.prod(ideal.gens, start=Polynomial.one(ideal.ring))
+    return [naive_power(f, q - 1)] + [frobenius(g, e) for g in ideal.gens]
 
 
 def max_bracket_ideal(ring, q):
@@ -226,6 +228,30 @@ class TestCIColon:
         gens = ci_colon(I, 1)
         assert gens[0] == f * f
         assert gens[1] == parse_polynomial(ring, "x0^3*x1^3 + x2^3*x3^3")
+
+    @given(data=st.data())
+    @settings(max_examples=40, deadline=None)
+    def test_live_colon_of_two_or_three_generators(self, data):
+        # the product of the generators, truncated below q as it is formed,
+        # gives the live terms of the full f^(q-1)
+        p = data.draw(st.sampled_from([2, 3, 5]))
+        n = data.draw(st.integers(2, 3))
+        ring = PolyRing(p, ["x", "y", "z"][:n])
+        gens = []
+        for _ in range(data.draw(st.integers(2, n))):
+            chosen = data.draw(st.lists(st.sampled_from(monomials_of_degree(ring, data.draw(st.integers(1, 2)))),
+                                        min_size=1, max_size=3, unique=True))
+            coeffs = data.draw(st.lists(st.integers(1, p - 1), min_size=len(chosen), max_size=len(chosen)))
+            gens.append(Polynomial(ring, dict(zip(chosen, coeffs))))
+        try:
+            I = CIIdeal(ring, gens)
+        except UnsupportedIdealClassError:
+            assume(False)
+        e = data.draw(st.sampled_from([k for k in (1, 2, 3, 4) if p**k <= 27]))
+        q = p**e
+        full = ci_colon(I, e)[0]
+        live = {m: c for m, c in full.terms.items() if max(m) < q}
+        assert colon_generators(I, e) == [Polynomial(ring, live)]
 
     def test_rejects_overlapping_monomial_supports(self, ring2):
         with pytest.raises(UnsupportedIdealClassError):
@@ -425,13 +451,16 @@ class TestStaircaseOracle:
         I = mi(ring2, (2, 0), (0, 2))  # the staircase is empty from degree 3 on
         # 1; x, y from 1; x^2 from x and x*y, y^2 from y; x^2*y from x*y
         assert walk_candidates(I, 5) == [1, 2, 3, 1, 0, 0]
+        # the guard bounds their running total, 1, 3, 6, 7, 7, 7
         with pytest.raises(ResourceGuardError, match="enumeration of 3 monomials exceeds guard 2"):
             I.staircase(5, max_monomials=2)
-        assert I.staircase(5, max_monomials=3)[3:] == [[], [], []]
+        with pytest.raises(ResourceGuardError, match="enumeration of 6 monomials exceeds guard 5"):
+            I.staircase(5, max_monomials=5)
+        assert I.staircase(5, max_monomials=7)[3:] == [[], [], []]
         # the default walk stops at the Loewy length, whose degree is guarded
-        with pytest.raises(ResourceGuardError, match="enumeration of 3 monomials exceeds guard 2"):
-            I.loewy_length(max_monomials=2)
-        assert I.loewy_length(max_monomials=3) == 3
+        with pytest.raises(ResourceGuardError, match="enumeration of 7 monomials exceeds guard 6"):
+            I.loewy_length(max_monomials=6)
+        assert I.loewy_length(max_monomials=7) == 3
 
     def test_guard_fires_at_the_first_degree_over_it(self):
         for I, _ci in corpus_ideals():
@@ -439,8 +468,10 @@ class TestStaircaseOracle:
             # never more than every monomial of the degree
             n = I.ring.nvars
             assert all(c <= math.comb(d + n - 1, n - 1) for d, c in enumerate(counts))
-            for guard in sorted({c - 1 for c in counts} | set(counts)):
-                over = [c for c in counts if c > guard]
+            # the guard bounds the running total of the candidates
+            totals = list(itertools.accumulate(counts))
+            for guard in sorted({t - 1 for t in totals} | set(totals)):
+                over = [t for t in totals if t > guard]
                 if over:
                     with pytest.raises(ResourceGuardError, match=f"^enumeration of {over[0]} "):
                         I.staircase(6, max_monomials=guard)

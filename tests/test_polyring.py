@@ -195,7 +195,7 @@ class TestPowers:
         # f^(q-1) mod m^[q] at q = 1 is f^0 = 1, the zero polynomial's too
         for f in (poly(ring2, "x + y"), Polynomial.zero(ring2)):
             assert naive_power(f, 0) == Polynomial.one(ring2)
-            assert truncated_lucas_power(f, 0) == Polynomial.one(ring2)
+            assert truncated_lucas_power([f], 0) == Polynomial.one(ring2)
 
     @pytest.mark.parametrize("p", [2, 3, 5])
     @given(data=st.data())
@@ -256,7 +256,7 @@ class TestTruncatedLucasPower:
         ring = PolyRing(p, [f"x{i}" for i in range(data.draw(st.integers(1, 4)))])
         f = data.draw(homogeneous_polys(ring, data.draw(st.integers(1, 3))))
         q = p**e
-        assert truncated_lucas_power(f, e).terms == live_terms(naive_power(f, q - 1), q)
+        assert truncated_lucas_power([f], e).terms == live_terms(naive_power(f, q - 1), q)
 
     @given(data=st.data())
     @settings(max_examples=120, deadline=None)
@@ -268,14 +268,14 @@ class TestTruncatedLucasPower:
         base = len(naive_power(f, p - 1).terms)
         e = data.draw(st.sampled_from([k for k in range(7, 0, -1) if p**k <= 128 and base**k <= 50000]))
         q = p**e
-        assert truncated_lucas_power(f, e).terms == live_terms(full_lucas_power(f, e), q)
+        assert truncated_lucas_power([f], e).terms == live_terms(full_lucas_power(f, e), q)
 
     @pytest.mark.parametrize("e", range(8))
     def test_slot_width_jumps_at_powers_of_two(self, e):
         # q = 2^e: the slot width q.bit_length() + 1 grows at every e
         ring = PolyRing(2, ["x0", "x1", "x2", "x3"])
         f = poly(ring, "x0*x1 + x2*x3 + x0*x2 + x1^2")
-        got = truncated_lucas_power(f, e).terms
+        got = truncated_lucas_power([f], e).terms
         assert got == live_terms(full_lucas_power(f, e), 2**e)
         assert got
 
@@ -284,20 +284,20 @@ class TestTruncatedLucasPower:
         # f^(p-1) in m^[p] puts every f^(q-1) in m^[q]
         f = poly(PolyRing(p, ["x", "y", "z"]), "x^3 + y^3 + z^3")
         for e in range(1, 9):
-            assert truncated_lucas_power(f, e).is_zero(), e
+            assert truncated_lucas_power([f], e).is_zero(), e
 
     def test_fermat_cubic_keeps_only_the_corner(self, ring5xyz):
         # at p = 5 the corner coefficient of f^624 vanishes by Lucas' theorem
-        assert truncated_lucas_power(poly(ring5xyz, "x^3 + y^3 + z^3"), 4).is_zero()
+        assert truncated_lucas_power([poly(ring5xyz, "x^3 + y^3 + z^3")], 4).is_zero()
         ring = PolyRing(7, ["x", "y", "z"])
-        g = truncated_lucas_power(poly(ring, "x^3 + y^3 + z^3"), 4)
+        g = truncated_lucas_power([poly(ring, "x^3 + y^3 + z^3")], 4)
         assert list(g.terms) == [(2400, 2400, 2400)]
 
     def test_fermat_cubic_corner_at_p7_e5(self):
         # one corner per factor: 90^5 = (-1)^5 mod 7, 90 = 6!/(2!)^3 the
         # coefficient of (x*y*z)^6 in f^6
         f = poly(PolyRing(7, ["x", "y", "z"]), "x^3 + y^3 + z^3")
-        assert truncated_lucas_power(f, 5).terms == {(16806, 16806, 16806): 6}
+        assert truncated_lucas_power([f], 5).terms == {(16806, 16806, 16806): 6}
 
 
 class TestCommutativityAssociativity:
@@ -345,8 +345,9 @@ class TestMonomialEnumeration:
         assert all(a > b for a, b in zip(keys, keys[1:]))
 
     def test_resource_guard(self, ring2):
-        # the walk stops at degree 100, the first with over 100 monomials
-        with pytest.raises(ResourceGuardError, match="^enumeration of 101 monomials exceeds guard 100$"):
+        # degree d takes d + 1 candidates, so the walk stops at degree 13,
+        # where the running total 1 + 2 + ... + 14 = 105 first passes 100
+        with pytest.raises(ResourceGuardError, match="^enumeration of 105 monomials exceeds guard 100$"):
             walked_level(ring2, 10**8, max_monomials=100)
 
     def test_bounded_count_matches_enumeration(self, ring5xyz):

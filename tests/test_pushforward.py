@@ -476,6 +476,18 @@ class TestVeroneseOracle:
         assert _group_series(groups, ell, q, dec.hs_bound) == recon
         assert recon == [d + 1 if d % ell == 0 else 0 for d in range(dec.hs_bound + 1)]
 
+    @pytest.mark.parametrize("ell,p,e", [(25, 2, 1), (20, 7, 1), (26, 5, 2), (24, 2, 3), (27, 3, 2), (18, 3, 1),
+                                         (16, 2, 2), (50, 5, 2)])
+    def test_closed_form_classes_past_the_residues_of_u_plus_v(self, ell, p, e):
+        # gcd(q, ell) = 1 for the first three, > 1 for the rest; ell > 2q - 1
+        # but for (26, 5, 2), so only the residues u + v takes are solved
+        q = p**e
+        admissible, mult, groups = _start_groups(ell, q)
+        assert admissible == [[j for j in range(ell) if (q * j + r) % ell == 0] for r in range(min(ell, 2 * q - 1))]
+        dec = veronese_decompose(ell, p, e)
+        pieces, oracle_mult, oracle_groups, _recon = veronese_by_triples(ell, q, dec.hs_bound)
+        assert (dec.pieces, dec.multiplicities, mult, groups) == (pieces, oracle_mult, oracle_mult, oracle_groups)
+
 
 class TestVeroneseDecompose:
     def test_index_one_is_free(self):

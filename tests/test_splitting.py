@@ -368,11 +368,16 @@ class TestColonGuard:
             colon_generators(quadric, 16, max_monomials=2**17 - 1)
 
     def test_generator_product_guarded(self):
+        # one count: the product of the generators takes 3*3 pairs and
+        # keeps x^2*y*z, x*y^2*z, x*y*z^2 below q = 3; f^2 takes 3 + 9 more
+        # and keeps nothing below q, so the Frobenius factor costs no pair
         ring = PolyRing(3, ["x", "y", "z"])
         pair = ci(ring, "x^2 + y^2 + z^2", "x*y + y*z + x*z")
-        assert len(pair.product(12).terms) == 9
-        with pytest.raises(ResourceGuardError, match="generators takes 12 term products"):
-            colon_generators(pair, 1, max_monomials=11)
+        assert colon_generators(pair, 1, max_monomials=21)[0].is_zero()
+        with pytest.raises(ResourceGuardError, match="takes at least 9 term products, over the guard 8$"):
+            colon_generators(pair, 1, max_monomials=8)
+        with pytest.raises(ResourceGuardError, match="takes at least 21 term products, over the guard 20$"):
+            colon_generators(pair, 1, max_monomials=20)
 
 
 def oracle_colon_generators(ideal, e):
