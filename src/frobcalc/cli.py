@@ -218,28 +218,29 @@ FLAGS = {
 # the flags of every subcommand that takes an ideal, read before its own
 IDEAL_FLAGS = {"--char": None, "--vars": None, "--ideal": None}
 
-# every subcommand: its help text, whether it takes an ideal, and each of
-# its own flags with its default or REQUIRED
+# every subcommand: its help text, the ideal class it takes ("any",
+# "monomial", or None for no ideal), and each of its own flags with its
+# default or REQUIRED
 SUBCOMMANDS = {
-    "fsplit": ("Frobenius splitting test", True, {"-e": 1}),
-    "summand": ("graded summand test for one twist", True, {"-e": 1, "--j": REQUIRED}),
-    "twists": ("summand tests across a twist range", True, {"-e": 1}),
-    "witness": ("maximal escape monomial and its twist factors", True, {"-e": 1}),
-    "codepth": ("top nonvanishing Koszul homology degree", True, {}),
-    "genexp": ("least e with p^e above the codepth", True, {}),
-    "decompose": ("cyclic decomposition of a pushforward module", True, {"-e": 1}),
-    "filtration": ("p^c-step filtration check for a regular sequence", True, {}),
-    "flevel": ("bound report for the pushforward level", True, {"--emax": DEFAULT_E_MAX}),
-    "loewy": ("Loewy length of an artinian monomial quotient", True, {}),
-    "betti": ("graded Betti table, or the power formula", True,
+    "fsplit": ("Frobenius splitting test", "any", {"-e": 1}),
+    "summand": ("graded summand test for one twist", "any", {"-e": 1, "--j": REQUIRED}),
+    "twists": ("summand tests across a twist range", "any", {"-e": 1}),
+    "witness": ("maximal escape monomial and its twist factors", "any", {"-e": 1}),
+    "codepth": ("top nonvanishing Koszul homology degree", "monomial", {}),
+    "genexp": ("least e with p^e above the codepth", "monomial", {}),
+    "decompose": ("cyclic decomposition of a pushforward module", "monomial", {"-e": 1}),
+    "filtration": ("p^c-step filtration check for a regular sequence", "monomial", {}),
+    "flevel": ("bound report for the pushforward level", "any", {"--emax": DEFAULT_E_MAX}),
+    "loewy": ("Loewy length of an artinian monomial quotient", "monomial", {}),
+    "betti": ("graded Betti table, or the power formula", "monomial",
               {"--degree-bound": None, "--formula-nvars": None, "--formula-power": None}),
-    "strand": ("strand exact-sequence verification", False,
+    "strand": ("strand exact-sequence verification", None,
                {"--ell": REQUIRED, "--j": REQUIRED, "--steps": 6, "--char": 2}),
-    "alpha": ("twist multiplicities on projective space", False,
+    "alpha": ("twist multiplicities on projective space", None,
               {"--n": REQUIRED, "--p": REQUIRED, "--l": 0}),
-    "pn": ("iterated pushforward of a line bundle on P^n", False,
+    "pn": ("iterated pushforward of a line bundle on P^n", None,
            {"--n": REQUIRED, "--p": REQUIRED, "-e": 1, "--l": 0}),
-    "veronese": ("strand decomposition of a Veronese pushforward", False,
+    "veronese": ("strand decomposition of a Veronese pushforward", None,
                  {"--ell": REQUIRED, "--p": REQUIRED, "-e": 1}),
 }
 
@@ -283,12 +284,6 @@ def _parse_ideal_args(args, guard):
     return ring, build_ideal(ring, polys, **guard)
 
 
-def _need_monomial(ideal):
-    if not isinstance(ideal, MonomialIdeal):
-        raise UnsupportedIdealClassError("this subcommand needs a monomial ideal")
-    return ideal
-
-
 def _need_prime(p, flag):
     if not is_prime(p):
         raise ParseError(f"{flag} must be a prime: got {p}")
@@ -314,10 +309,10 @@ def build_parser():
     )
     subs = parser.add_subparsers(dest="subcommand", required=True, parser_class=_Parser)
     parser.subcommands = {}
-    for name, (helptext, takes_ideal, own) in SUBCOMMANDS.items():
+    for name, (helptext, ideal_class, own) in SUBCOMMANDS.items():
         sub = parser.subcommands[name] = subs.add_parser(name, help=helptext, parents=[common])
         sub.set_defaults(parser=sub)
-        for flag, default in ((IDEAL_FLAGS | own) if takes_ideal else own).items():
+        for flag, default in ((IDEAL_FLAGS | own) if ideal_class else own).items():
             kind, flag_help = FLAGS[flag]
             spec = {"required": True} if default == REQUIRED else {"default": default}
             sub.add_argument(flag, type=kind, help=flag_help, **spec)
@@ -327,13 +322,14 @@ def build_parser():
 def _dispatch(args):
     """Returns (input echo, result payload).  The echo is the ideal, for a
     subcommand that takes one, then each of the subcommand's own flags that
-    the input mode reads, in table order."""
+    the input mode reads, in table order.  An ideal outside the class the
+    subcommand's row declares is refused as soon as it is read."""
     guard = {}
     if args.max_monomials is not None:
         guard["max_monomials"] = args.max_monomials
 
     name = args.subcommand
-    _help, takes_ideal, own = SUBCOMMANDS[name]
+    _help, ideal_class, own = SUBCOMMANDS[name]
     mode = _input_mode(args)
     # the active mode's unread flags and the switches of every other mode
     skipped = {flag for other, (switches, unread) in INPUT_MODES.items()
@@ -345,14 +341,16 @@ def _dispatch(args):
         degrees = {"0": 0} | {str(i): j + i - 1 for i in range(1, d + 1)}
         return echo, {"betti": row, "generator_degrees": degrees}
 
-    if takes_ideal:
+    if ideal_class:
         ring, ideal = _parse_ideal_args(args, guard)
+        if ideal_class == "monomial" and not isinstance(ideal, MonomialIdeal):
+            raise UnsupportedIdealClassError("this subcommand needs a monomial ideal")
         ci = isinstance(ideal, CIIdeal)
         shown = [str(g) if ci else mono_str(ring, g) for g in ideal.gens]
         echo = {"char": ring.p, "vars": list(ring.variables), "ideal": shown,
                 "class": "ci" if ci else "monomial"} | echo
         if name == "betti":
-            table = betti_table(_need_monomial(ideal), args.degree_bound, **guard)
+            table = betti_table(ideal, args.degree_bound, **guard)
             rows = [{"i": i, "degree": d, "value": v} for (i, d), v in sorted(table.items())]
             return echo, {"betti": rows}
         if name == "fsplit":
@@ -365,20 +363,20 @@ def _dispatch(args):
         if name == "witness":
             return echo, witness_from_proof(ideal, args.e, **guard).payload(ring)
         if name == "codepth":
-            value = codepth(_need_monomial(ideal), **guard)
+            value = codepth(ideal, **guard)
             return echo, {"codepth": value, "depth": ring.nvars - value}
         if name == "genexp":
-            return echo, {"generation_exponent": generation_exponent(_need_monomial(ideal), **guard)}
+            return echo, {"generation_exponent": generation_exponent(ideal, **guard)}
         if name == "decompose":
-            module = FrobeniusModule(_need_monomial(ideal), args.e, **guard)
+            module = FrobeniusModule(ideal, args.e, **guard)
             return echo, cyclic_decompose(module).payload(ring)
         if name == "filtration":
-            report = ci_filtration_check(ring, list(_need_monomial(ideal).gens), **guard)
+            report = ci_filtration_check(ring, list(ideal.gens), **guard)
             return echo, report.payload(ring)
         if name == "flevel":
             return echo, f_level_bounds(ideal, e_max=args.emax, **guard).payload(ring)
         if name == "loewy":
-            return echo, {"loewy_length": _need_monomial(ideal).loewy_length(**guard)}
+            return echo, {"loewy_length": ideal.loewy_length(**guard)}
 
     if name == "strand":
         _need_prime(args.char, "--char")
@@ -447,8 +445,8 @@ def run(argv):
     return EXIT_OK
 
 
-def main(argv=None):
-    return run(sys.argv[1:] if argv is None else argv)
+def main():
+    return run(sys.argv[1:])
 
 
 if __name__ == "__main__":

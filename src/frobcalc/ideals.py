@@ -301,14 +301,15 @@ def in_bracket_max(f, q):
 
 def build_ideal(ring, polys, max_monomials=DEFAULT_MAX_MONOMIALS):
     """Assemble an ideal object from parsed generators; the class is read
-    from them.
+    from them once the zero generators are dropped.
 
-    Every generator a single term (zero generators are dropped) gives a
-    MonomialIdeal; anything else a CIIdeal, whose generators are proven to
-    be a regular sequence (`max_monomials` bounds the check).
+    Every generator a single term gives a MonomialIdeal; anything else a
+    CIIdeal, whose generators are proven to be a regular sequence
+    (`max_monomials` bounds the check).
     """
-    if all(len(f.terms) <= 1 for f in polys):
-        return MonomialIdeal(ring, [next(iter(f.terms)) for f in polys if f.terms])
+    polys = [f for f in polys if f.terms]
+    if all(len(f.terms) == 1 for f in polys):
+        return MonomialIdeal(ring, [next(iter(f.terms)) for f in polys])
     return CIIdeal(ring, polys, max_monomials=max_monomials)
 
 

@@ -310,7 +310,7 @@ def betti_table(I, degree_bound=None, max_monomials=DEFAULT_MAX_MONOMIALS):
     top = I.lcm()
     box = math.prod(e + 1 for e in top)
     if box > max_monomials:
-        raise ResourceGuardError(f"multidegree box of {box} points exceeds guard {max_monomials}")
+        raise ResourceGuardError(f"multidegree box of {count_str(box)} points exceeds guard {max_monomials}")
     bound = mono_degree(top) if degree_bound is None else min(degree_bound, mono_degree(top))
     k = len(I.gens)
     if pairwise_disjoint_supports(I.gens):
@@ -383,9 +383,13 @@ def strand_check(ell, j, steps=6, char=2, max_monomials=DEFAULT_MAX_MONOMIALS):
     y mu_t - x mu_{t+1}.  Exactness is checked by graded rank computations
     in every S-degree m = j + ell*s for s = 0..steps, over F_char: the
     composite vanishes, the left map is injective, the right map is
-    surjective, and the ranks fill the middle dimension.  Both ranks are
-    read from the column targets; `rank` decides only a left map that is
-    not already in echelon form.
+    surjective, and the ranks fill the middle dimension.  The left map's
+    coefficients are 1 and p - 1, which sum to 0 mod p and neither of
+    which is 0, so the composite vanishes exactly when every left column's
+    two targets coincide.  Both ranks are read from the column targets;
+    `rank` decides only a left map that is not already in echelon form,
+    which no (ell, j) reaches: the `first` keys are distinct and below
+    their `second` keys.
 
     `max_monomials` bounds the columns of both maps over all the degrees,
     the sum over s of b1*(k+1) + b2*k with k = ell*s, checked first.
@@ -400,7 +404,6 @@ def strand_check(ell, j, steps=6, char=2, max_monomials=DEFAULT_MAX_MONOMIALS):
     columns = b1 * (steps + 1) + (b1 + b2) * ell * steps * (steps + 1) // 2
     if columns > max_monomials:
         raise ResourceGuardError(f"strand maps with {count_str(columns)} columns exceed guard {max_monomials}")
-    c1, c2 = 1, p - 1                           # the left map's two coefficients
     rows = []
     exact = alt_zero = True
     for s in range(steps + 1):
@@ -417,20 +420,17 @@ def strand_check(ell, j, steps=6, char=2, max_monomials=DEFAULT_MAX_MONOMIALS):
         # middle columns first = (r, a) and second = (r+1, a+1)
         first = [r * (k + 1) + k - a for r in range(b2) for a in range(k)]
         second = [(r + 1) * (k + 1) + k - a - 1 for r in range(b2) for a in range(k)]
-        # a column's image: its two coefficients add where the targets
-        # coincide, and each stands alone elsewhere
-        coincide = sum(map(eq, map(target.__getitem__, first), map(target.__getitem__, second)))
-        composite_zero = (coincide == 0 or (c1 + c2) % p == 0) and (
-            coincide == len(first) or c1 % p == c2 % p == 0
-        )
+        # a column's image: its coefficients 1 and p - 1 cancel where the
+        # targets coincide, and each stands alone elsewhere
+        composite_zero = all(map(eq, map(target.__getitem__, first), map(target.__getitem__, second)))
         # unit columns span one row per distinct target; left columns whose
-        # least keys, all `first` with coefficient c1, are pairwise distinct
+        # least keys, all `first` with coefficient 1, are pairwise distinct
         # are in echelon form, the exit `rank` takes first
         rank_b = len(set(target))
-        if all(map(lt, first, second)) and c1 % p and len(set(first)) == len(first):
+        if all(map(lt, first, second)) and len(set(first)) == len(first):
             rank_a = len(first)
         else:
-            rank_a = rank([{u: c1, v: c2} for u, v in zip(first, second)], p)
+            rank_a = rank([{u: 1, v: p - 1} for u, v in zip(first, second)], p)
         ok = composite_zero and rank_a == dim_left and rank_b == dim_right and rank_a + rank_b == dim_mid
         alt = dim_left - dim_mid + dim_right
         exact = exact and ok

@@ -18,7 +18,7 @@ from collections import namedtuple
 
 from .ideals import MonomialIdeal, regular_sequence_degrees
 from .koszul import codepth as koszul_codepth
-from .polyring import DEFAULT_MAX_MONOMIALS
+from .polyring import DEFAULT_MAX_MONOMIALS, capped_power
 from .splitting import is_f_split, not_split_certificate
 
 DEFAULT_E_MAX = 4
@@ -101,10 +101,4 @@ def generation_exponent(I, max_monomials=DEFAULT_MAX_MONOMIALS):
     """Least e >= 1 with p^e > codepth(S/I); pushforwards beyond this
     exponent generate everything of full support."""
     c = koszul_codepth(I, max_monomials=max_monomials)
-    p = I.ring.p
-    e = 1
-    power = p
-    while power <= c:
-        power *= p
-        e += 1
-    return e
+    return max(capped_power(I.ring.p, c + 1, c)[1], 1)

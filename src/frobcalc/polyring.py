@@ -153,10 +153,10 @@ def drl_key(m):
     return (sum(m), tuple(-e for e in reversed(m)))
 
 
-def mono_sorted(monos, reverse=True):
-    """Deterministic order; reverse=True gives largest-first (the default order
-    in which generator lists and enumerations are presented)."""
-    return sorted(monos, key=drl_key, reverse=reverse)
+def mono_sorted(monos):
+    """Largest first in degrevlex: the order in which generator lists and
+    enumerations are presented."""
+    return sorted(monos, key=drl_key, reverse=True)
 
 
 def mono_str(ring, m):
@@ -250,8 +250,8 @@ class Polynomial:
         return cls(ring, {ring.unit_monomial(): 1})
 
     @classmethod
-    def monomial(cls, ring, mono, coeff=1):
-        return cls(ring, {tuple(mono): coeff})
+    def monomial(cls, ring, mono):
+        return cls(ring, {tuple(mono): 1})
 
     # -- structure ----------------------------------------------------------
 
@@ -300,16 +300,6 @@ class Polynomial:
         out.ring = self.ring
         out.terms = terms
         return out
-
-    def __neg__(self):
-        p = self.ring.p
-        out = Polynomial.__new__(Polynomial)
-        out.ring = self.ring
-        out.terms = {m: p - c for m, c in self.terms.items()}
-        return out
-
-    def __sub__(self, other):
-        return self + (-other)
 
     def __mul__(self, other):
         self._check_ring(other)

@@ -610,9 +610,13 @@ def ci_filtration_check(ring, f_monos, max_monomials=DEFAULT_MAX_MONOMIALS):
     k_i(w) < p as w is standard, so the last dividing a is (k_i(w))_i, at
     index sum_i k_i(w) p^(c-1-i) of the lexicographic chain.
 
+    Each step is compared with HF(S/(f)) shifted by deg f^a, read from
+    the Hilbert series of a regular sequence, prod_i (1 - t^(deg f_i)) /
+    (1 - t)^N: one multiplication per f_i, then N prefix sums.
+
     An artinian R' is read through its whole staircase, so the report is
     complete; otherwise the dims stop at degree p * sum_i deg f_i + 2.
-    `max_monomials` bounds each staircase walk and then the p^c * (D + 1)
+    `max_monomials` bounds the staircase walk and then the p^c * (D + 1)
     cells of the step table, D the last degree read, checked before the
     chain is formed.  The chain monomials are standard monomials of the
     walk, so p^c never exceeds the guard that walk passed."""
@@ -658,7 +662,13 @@ def ci_filtration_check(ring, f_monos, max_monomials=DEFAULT_MAX_MONOMIALS):
                 t = t * p + min(w[v] // k for v, k in support)
             step_dims[t][d] += 1
 
-    small_hf = [len(level) for level in small.staircase(degree_bound, max_monomials=max_monomials)]
+    # HF(S/(f)) in degrees 0..D: the coefficients of prod(1 - t^d_i) / (1 - t)^N
+    small_hf = [1] + [0] * degree_bound
+    for d_i in map(mono_degree, f_monos):
+        for d in range(degree_bound, d_i - 1, -1):
+            small_hf[d] -= small_hf[d - d_i]
+    for _ in range(ring.nvars):
+        small_hf = list(itertools.accumulate(small_hf))
     steps = []
     all_match = True
     for a, g, dims in zip(exponent_tuples, chain, step_dims):

@@ -157,8 +157,9 @@ def _frobenius_q(ring, e):
 
 def colon_generators(ideal, e, max_monomials=DEFAULT_MAX_MONOMIALS):
     """Generators of (I^[q] : I), q = p^e, for the supported ideal classes,
-    in a deterministic order, as polynomials, up to generators and terms
-    with no live term (an exponent >= q): no test reads those.
+    in a deterministic order, as polynomials whose terms are all live
+    (every exponent below q): no test reads a term with an exponent >= q,
+    so none is returned, and the tests read the terms as they are.
 
     For a monomial ideal with minimal generators G, a live monomial t
     (every exponent below q) has t*g in I^[q] exactly when q*h <= t + g
@@ -240,8 +241,7 @@ def _colon_table(ideal, e, j=0, max_monomials=DEFAULT_MAX_MONOMIALS):
     if j < 0:
         raise ValueError("twist j must be nonnegative")
     require_proper(ideal)
-    gens = colon_generators(ideal, e, max_monomials)
-    live = [(g, t) for g in gens for t in mono_sorted(m for m in g.terms if max(m) < q)]
+    live = [(g, t) for g in colon_generators(ideal, e, max_monomials) for t in mono_sorted(g.terms)]
     return _ColonTable(e, q, ideal.ring.nvars, live)
 
 

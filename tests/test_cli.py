@@ -23,6 +23,7 @@ from frobcalc.cli import (
     EXIT_OK,
     EXIT_UNSUPPORTED,
     EXIT_USAGE,
+    EXIT_VERIFICATION,
     FLAGS,
     IDEAL_FLAGS,
     INPUT_MODES,
@@ -35,12 +36,16 @@ from frobcalc.cli import (
     render_text,
     run,
 )
-from frobcalc.errors import ResourceGuardError
+from frobcalc.errors import ResourceGuardError, VerificationError
 from frobcalc.levels import DEFAULT_E_MAX
 from frobcalc.pushforward import ConicDecomposition, Rows, veronese_decompose
 
 QUADRIC = ["--char", "3", "--vars", "x0,x1,x2,x3", "--ideal", "x0*x1 + x2*x3"]
 TWELVE = ["--char", "2", "--vars", "x,y", "--ideal", "x^4, x^2*y^2, y^4"]
+# 519 pure powers x_i^(2^30) and x0*x1 in 520 variables: an lcm box of
+# (2^30 + 1)^519 points, more than 4300 digits
+HUGE_BOX = ["--char", "2", "--vars", ",".join(f"x{i}" for i in range(520)),
+            "--ideal", ", ".join([f"x{i}^1073741824" for i in range(519)] + ["x0*x1"])]
 ENVELOPE_KEYS = ["tool", "subcommand", "input", "result", "timing_seconds"]
 
 
@@ -198,6 +203,38 @@ class TestExitCodes:
         # codepth needs a monomial ideal
         argv = ["codepth", "--char", "2", "--vars", "x,y", "--ideal", "x^2 + x*y"]
         assert run(argv) == EXIT_UNSUPPORTED
+
+    @pytest.mark.parametrize("subcommand", ["fsplit", "twists"])
+    @pytest.mark.parametrize("char, ideal", [
+        ("2", "x^2+y*z, 2*x*y"),
+        ("2", "x^2+y*z, 0"),
+        ("2", "0, x^2+y*z, 0"),
+        ("2", "3*x^2+3*y*z"),
+        ("3", "x^2+y*z, 0"),
+        ("3", "2*x^2+2*y*z"),
+    ])
+    def test_zero_generators_and_unit_multiples_give_the_same_result(self, capsys, subcommand, char, ideal):
+        # zero generators are dropped before the class is read, and a unit
+        # multiple c*f has the colon generator c^(q-1) f^(q-1) = f^(q-1)
+        base = [subcommand, "--char", char, "--vars", "x,y,z", "--ideal"]
+        expected = run_json(capsys, base + ["x^2+y*z"])["result"]
+        assert run_json(capsys, base + [ideal])["result"] == expected
+
+    def test_a_failed_verification_exits_4(self, monkeypatch):
+        def fsplit(ideal, e, **_guard):
+            raise VerificationError("the certificate does not recheck")
+
+        monkeypatch.setattr("frobcalc.cli.is_f_split", fsplit)
+        for mode in (["--json"], []):
+            assert run_captured(["fsplit"] + QUADRIC + mode) == (
+                EXIT_VERIFICATION, [], "error: the certificate does not recheck\n"
+            )
+
+    @pytest.mark.parametrize("flag", ["--formula-nvars", "--formula-power"])
+    @pytest.mark.parametrize("ideal", [[], TWELVE], ids=["alone", "with-an-ideal"])
+    def test_formula_mode_given_in_part_is_a_usage_error(self, flag, ideal):
+        message = "error: formula mode needs both --formula-nvars and --formula-power\n"
+        assert run_captured(["betti", flag, "2"] + ideal) == (EXIT_USAGE, [], message)
 
     @pytest.mark.parametrize(
         "argv,message",
@@ -595,7 +632,11 @@ class TestExitCodes:
          "strand maps with at least 2^28564 columns exceed guard 10000000"),
         (["betti", "--formula-nvars", "9" * 4299, "--formula-power", "2"],
          "the Betti row may need at least 2^42837 word operations, over the guard 10000000"),
-    ], ids=["veronese", "pn", "alpha", "strand-ell", "strand-steps", "betti"])
+        (["betti"] + HUGE_BOX, "multidegree box of at least 2^15570 points exceeds guard 10000000"),
+        (["codepth"] + HUGE_BOX, "multidegree box of at least 2^15570 points exceeds guard 10000000"),
+        (["genexp"] + HUGE_BOX, "multidegree box of at least 2^15570 points exceeds guard 10000000"),
+    ], ids=["veronese", "pn", "alpha", "strand-ell", "strand-steps", "betti", "betti-box", "codepth-box",
+            "genexp-box"])
     def test_a_count_past_the_digit_limit_is_named_by_its_size(self, argv, message):
         # each count has more than the interpreter's 4300 digits
         assert run_captured(argv) == (EXIT_GUARD, [], f"error: {message}\n")

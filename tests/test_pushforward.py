@@ -635,6 +635,17 @@ class TestFiltration:
         dims = step_dims_by_chain_scan(ring, gens, report.degree_bound)
         assert [step.dims for step in report.steps] == dims
 
+    @given(data=st.data())
+    @settings(max_examples=100, deadline=None)
+    def test_expected_dims_match_a_walk_of_the_small_quotient(self, data):
+        # the expected side is HF(S/(f)) from its Hilbert series; a walk of
+        # the staircase of (f_1..f_c) must give the same counts
+        ring, gens, report = data.draw(disjoint_filtration())
+        levels = MonomialIdeal(ring, gens).staircase(report.degree_bound)
+        hf = [len(level) for level in levels] + [0] * (report.degree_bound + 1 - len(levels))
+        for step in report.steps:
+            assert step.expected == [0] * step.shift + hf[: report.degree_bound + 1 - step.shift]
+
     def test_rejects_overlapping_supports(self):
         ring = PolyRing(2, ["x", "y"])
         with pytest.raises(UnsupportedIdealClassError):

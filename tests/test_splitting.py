@@ -132,6 +132,13 @@ class TestKSummand:
         with pytest.raises(ValueError, match="e must be at least 1"):
             k_summand_test(mi(ring2, (4, 0), (2, 2), (0, 4)), e)
 
+    def test_guard_bounds_the_staircase_walk(self, ring2):
+        # the walk of (x^4, x^2*y^2, y^4) charges 17 candidates in total
+        twelve = mi(ring2, (4, 0), (2, 2), (0, 4))
+        assert k_summand_test(twelve, 1, max_monomials=17) == k_summand_test(twelve, 1)
+        with pytest.raises(ResourceGuardError, match="^enumeration of 17 monomials exceeds guard 16$"):
+            k_summand_test(twelve, 1, max_monomials=16)
+
 
 class TestGradedSummand:
     def test_j_zero_reduces_to_fsplit(self):
@@ -325,6 +332,45 @@ class TestCertificates:
             verdict=False, q=2, e=1, j=0, kind="socle", search_degree=1, search_count=3
         )
         assert not cert.verify(I)
+
+    @pytest.mark.parametrize("tamper", [
+        {"witness_monomial": None},
+        {"colon_generator": None},
+        # x0^3 lies in m^[3]
+        {"colon_generator": "x0^3"},
+        # 1 is no term of s * f^2
+        {"witness_term": (0, 0, 0, 0)},
+        # x0^3*x1^2 is a term of x0 * f^2, but not below q = 3
+        {"witness_monomial": (1, 0, 0, 0), "witness_term": (3, 2, 0, 0)},
+        # s = 1 has degree 0, not q * j = 3
+        {"j": 1},
+    ], ids=["no-s", "no-colon", "colon-in-bracket", "term-not-in-product", "term-not-below-q",
+            "degree-not-qj"])
+    def test_each_tampered_positive_certificate_fails(self, tamper):
+        ring, I = quadric()
+        cert = is_f_split(I, 1)
+        assert cert.verdict and cert.witness_monomial == (0, 0, 0, 0) and cert.verify(I)
+        if isinstance(tamper.get("colon_generator"), str):
+            tamper = {"colon_generator": parse_polynomial(ring, tamper["colon_generator"])}
+        assert not cert._replace(**tamper).verify(I)
+
+    def test_positive_socle_certificate_verifies(self, ring2):
+        I = mi(ring2, (2, 0), (1, 1), (0, 2))
+        cert = k_summand_test(I, 1)
+        assert cert.verdict and cert.kind == "socle"
+        assert cert.verify(I)
+        # u = 1 is standard and x^2 * 1, y^2 * 1 lie in I as well
+        assert cert._replace(witness_monomial=(0, 0)).verify(I)
+
+    @pytest.mark.parametrize("gens, u", [
+        (((2, 0), (1, 1), (0, 2)), None),
+        (((2, 0), (1, 1), (0, 2)), (1, 1)),  # in I
+        (((4, 0), (0, 4)), (2, 0)),  # an exponent not below q = 2
+        (((4, 0), (0, 4)), (1, 1)),  # x^2 * x*y = x^3*y is not in I
+    ], ids=["no-u", "u-in-I", "u-not-below-q", "u-times-xq-not-in-I"])
+    def test_each_tampered_socle_certificate_fails(self, ring2, gens, u):
+        cert = SplitCertificate(True, 2, 1, 0, kind="socle", witness_monomial=u)
+        assert not cert.verify(mi(ring2, *gens))
 
 
 class TestColonGuard:
