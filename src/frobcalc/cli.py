@@ -30,7 +30,7 @@ from .errors import (
 from .ideals import CIIdeal, MonomialIdeal, build_ideal
 from .koszul import betti_power_row, betti_table, codepth, strand_check
 from .levels import DEFAULT_E_MAX, f_level_bounds, generation_exponent
-from .polyring import PolyRing, is_prime, mono_str, parse_polynomial
+from .polyring import PolyRing, is_prime, mono_str, parse_monomials, parse_polynomial
 from .pushforward import (
     FrobeniusModule,
     Rows,
@@ -132,7 +132,7 @@ def _encode_rows(table, pad):
     rows = table.rows
     if not rows:
         return "[]"
-    if max(map(abs, itertools.chain.from_iterable(rows))) >= JSON_INT_LIMIT:
+    if not _fits_template(rows):
         return _encode(table.records(), pad)
     inner = pad + "  "
     field = inner + "  "
@@ -149,6 +149,12 @@ def _encode_rows(table, pad):
     return f"[\n{inner}{sep.join(map(template.__mod__, rows))}\n{pad}]"
 
 
+def _fits_template(rows):
+    """True when every entry is below 2^53 in size, so that %d writes it
+    as a report writes an integer."""
+    return max(map(abs, itertools.chain.from_iterable(rows))) < JSON_INT_LIMIT
+
+
 def emit_json(envelope):
     """Serialize the report envelope; field order is insertion order."""
     return _encode(envelope, "") + "\n"
@@ -163,12 +169,28 @@ def _text_scalar(value):
     return _encode(value, "").strip('"')
 
 
+def _text_rows(table, pad):
+    """The lines `_text_lines` writes for `table.records()` at `pad`, one
+    block per row from one template with a %d per entry."""
+    field = pad + "  "
+    fields = []
+    for name, width in table.layout:
+        key = name.replace("%", "%%")
+        fields.append(f"{field}{key}: %d" if width == 1 else f"{field}{key}:" + f"\n{field}  - %d" * width)
+    template = pad + "-\n" + "\n".join(fields)
+    return map(template.__mod__, table.rows)
+
+
 def _text_lines(value, pad, lines):
     # key + ":" raises TypeError on a key that is not a str, as `_encode` does
     keyed = type(value) is dict
     entries = [(key + ":", item) for key, item in value.items()] if keyed else [("-", item) for item in value]
     for label, item in entries:
         if type(item) is Rows:
+            if item.rows and _fits_template(item.rows):
+                lines.append(pad + label)
+                lines.extend(_text_rows(item, pad + "  "))
+                continue
             item = item.records()
         if type(item) not in (dict, list):
             lines.append(f"{pad}{label} {_text_scalar(item)}")
@@ -277,9 +299,16 @@ def _input_mode(args):
 
 
 def _parse_ideal_args(args, guard):
+    """(ring, ideal) from --char, --vars and --ideal.  A list of bare
+    monomials goes straight to a MonomialIdeal (`parse_monomials`); any
+    other text through the polynomial grammar and `build_ideal`, which
+    read such a list as the same ideal."""
     if None in (args.char, args.vars, args.ideal):
         raise ParseError("need --char, --vars and --ideal")
     ring = PolyRing(args.char, [v.strip() for v in args.vars.split(",")])
+    monos = parse_monomials(ring, args.ideal)
+    if monos is not None:
+        return ring, MonomialIdeal(ring, monos)
     polys = [parse_polynomial(ring, chunk) for chunk in args.ideal.split(",")]
     return ring, build_ideal(ring, polys, **guard)
 

@@ -28,6 +28,7 @@ from __future__ import annotations
 
 import math
 from itertools import count, groupby, islice, takewhile
+from operator import le
 
 from .errors import (
     NonArtinianError,
@@ -42,7 +43,6 @@ from .polyring import (
     Polynomial,
     bounded_count,
     mono_degree,
-    mono_divides,
     mono_lcm,
     mono_mul,
     mono_sorted,
@@ -70,7 +70,7 @@ def _minimalize(monos):
     kept = []
     for _d, level in groupby(sorted(set(monos), key=mono_degree), mono_degree):
         lower = tuple(kept)
-        kept.extend(m for m in level if not any(mono_divides(g, m) for g in lower))
+        kept.extend(m for m in level if not any(all(map(le, g, m)) for g in lower))
     return tuple(mono_sorted(kept))
 
 
@@ -98,7 +98,7 @@ class MonomialIdeal:
         return len(self.gens) == 1 and not any(self.gens[0])
 
     def contains_monomial(self, m):
-        return any(mono_divides(g, m) for g in self.gens)
+        return any(all(map(le, g, m)) for g in self.gens)
 
     def __eq__(self, other):
         return (
@@ -147,7 +147,7 @@ class MonomialIdeal:
                 for s in level:
                     for v in range(n):
                         m = s[:v] + (s[v] + 1,) + s[v + 1 :]
-                        if not any(mono_divides(g, m) for g in cuts.get((v, m[v]), ())):
+                        if not any(all(map(le, g, m)) for g in cuts.get((v, m[v]), ())):
                             frontier.append(m)
                             total += v + 1
                         if s[v]:

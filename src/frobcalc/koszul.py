@@ -31,15 +31,17 @@ applies, after the box guard:
   ideals", 1990) in closed form, beta_{i+1, i+j}(S/I) the sum over the
   degree-j generators u of C(m(u) - 1, i), m(u) the last variable of u;
 - the blocks at the lattice points when 2^k is below the box's
-  prod(L_v + 1) points (`_lattice_sum`);
+  prod(L_v + 1) points (`_lattice_points`);
 - the blocks b = u + 1_T of the box, u running over the ideal's staircase
-  and T over the variable sets containing supp u (`_box_sum`).
+  and T over the variable sets containing supp u (`_box_points`).
 The walks are each other's test oracle, and both are the oracle of the
 closed forms.  `codepth` (embedding dimension minus depth, the top
 nonvanishing homological degree) is N for an artinian quotient
 (Auslander-Buchsbaum: depth 0), the number of generators for a monomial
 regular sequence (the Koszul complex on it resolves S/I), and the top row
-of the table otherwise.
+of the table otherwise, read alone: from the last variables of a stable
+ideal's generators, or from the blocks of the same walk taken widest
+first, since the block at b has cells only in degrees <= |supp b|.
 
 `strand_check` verifies the degree-class strands of the linear resolution
 of m^j in k[x, y] degree by degree.  Its maps are ranked from their column
@@ -54,7 +56,7 @@ from __future__ import annotations
 import math
 from collections import Counter, namedtuple
 from itertools import chain, combinations
-from operator import eq, lt
+from operator import eq, le, lt
 
 from .errors import ResourceGuardError, UnsupportedIdealClassError
 from .ideals import MonomialIdeal, pairwise_disjoint_supports, require_proper
@@ -76,7 +78,7 @@ def block_cells(b, gens):
     support = [v for v, e in enumerate(b) if e]
     full = (1 << len(support)) - 1
     outside = {full ^ sum(1 << t for t, v in enumerate(support) if g[v] < b[v])
-               for g in gens if all(map(int.__le__, g, b))}
+               for g in gens if all(map(le, g, b))}
     return [] if 0 in outside else [J for J in range(full + 1) if all(map(J.__and__, outside))]
 
 
@@ -117,31 +119,23 @@ def block_homology(b, gens, p):
     return [len(columns[i]) - ranks[i] - ranks[i + 1] for i in range(width + 1)]
 
 
-def _lattice_sum(I, bound):
-    """Nonzero ranks {(i, d): dim H_i(K^R)_d} summed over the blocks at the
-    points b of the lcm lattice of I with |b| <= bound.
+def _lattice_points(I, bound):
+    """The points b of the lcm lattice of I with |b| <= bound.
 
     The lattice is {0} closed under lcm with each generator; a point past
     the bound only has points past it above it, so it is dropped as it
     appears.  Some generator divides x^b at every point b != 0, so no full
     simplex is visited."""
-    p = I.ring.p
     points = {I.ring.unit_monomial()}
     for g in I.gens:
         points |= {m for m in (tuple(map(max, b, g)) for b in points) if sum(m) <= bound}
-    table = {}
-    for b in points:
-        for i, h in enumerate(block_homology(b, I.gens, p)):
-            if h:
-                table[(i, sum(b))] = table.get((i, sum(b)), 0) + h
-    return table
+    return points
 
 
-def _box_sum(I, bound):
-    """Nonzero ranks {(i, d): dim H_i(K^R)_d} summed over the blocks
-    b = u + 1_T <= L = lcm(I) with |b| = d <= bound, where u runs over the
-    standard monomials of I inside the box and T over the variable sets
-    containing supp u.
+def _box_points(I, bound):
+    """The points b = u + 1_T <= L = lcm(I) with |b| <= bound, where u runs
+    over the standard monomials of I inside the box and T over the
+    variable sets containing supp u.
 
     Every nonzero block is among these: the block at b is empty unless
     u = b - 1_supp b is standard, for otherwise supp b is a facet, b -> (u, T)
@@ -149,13 +143,11 @@ def _box_sum(I, bound):
     rest of T.  The standard monomials inside the box are those of I plus a
     wall x_v^(L_v + 1) for every variable with no pure-power generator."""
     top = I.lcm()
-    p = I.ring.p
     n = I.ring.nvars
     powers = {v for g in I.gens for v, e in enumerate(g) if e == mono_degree(g)}
     walls = [tuple(e + 1 if w == v else 0 for w in range(n)) for v, e in enumerate(top) if v not in powers]
     boxed = MonomialIdeal(I.ring, I.gens + tuple(walls)) if walls else I
     levels = boxed.staircase(bound, max_monomials=math.inf)
-    table = {}
     for du, level in enumerate(levels):
         for u in level:
             support = [v for v, e in enumerate(u) if e]
@@ -167,10 +159,40 @@ def _box_sum(I, bound):
                     b = list(u)
                     for v in chain(support, extra):
                         b[v] += 1
-                    for i, h in enumerate(block_homology(b, I.gens, p)):
-                        if h:
-                            table[(i, sum(b))] = table.get((i, sum(b)), 0) + h
+                    yield tuple(b)
+
+
+def _block_sum(I, points):
+    """Nonzero ranks {(i, d): dim H_i(K^R)_d} summed over the blocks at the
+    points."""
+    p = I.ring.p
+    table = {}
+    for b in points:
+        d = sum(b)
+        for i, h in enumerate(block_homology(b, I.gens, p)):
+            if h:
+                table[(i, d)] = table.get((i, d), 0) + h
     return table
+
+
+def _lattice_sum(I, bound):
+    """`_block_sum` over the lcm-lattice points with |b| <= bound."""
+    return _block_sum(I, _lattice_points(I, bound))
+
+
+def _box_sum(I, bound):
+    """`_block_sum` over the box points with |b| <= bound."""
+    return _block_sum(I, _box_points(I, bound))
+
+
+def _lcm_box(I, max_monomials):
+    """(L, prod(L_v + 1)): the lcm of the generators and the number of
+    points of the box [0, L], refused past `max_monomials`."""
+    top = I.lcm()
+    box = math.prod(e + 1 for e in top)
+    if box > max_monomials:
+        raise ResourceGuardError(f"multidegree box of {count_str(box)} points exceeds guard {max_monomials}")
+    return top, box
 
 
 def codepth(I, max_monomials=DEFAULT_MAX_MONOMIALS):
@@ -178,15 +200,21 @@ def codepth(I, max_monomials=DEFAULT_MAX_MONOMIALS):
 
     Requires I inside the square of the maximal ideal (a minimal
     presentation); callers must pre-reduce linear forms.  Then the codepth
-    is pd_S(S/I), read by the first route that applies:
+    is pd_S(S/I), the top row of `betti_table`, read by the first route
+    that applies:
     - N when S/I is artinian: its depth is 0 (Auslander-Buchsbaum);
     - the number of generators when they have pairwise disjoint supports:
       they form a regular sequence, resolved by their Koszul complex;
-    - otherwise the top row of `betti_table`, which is complete: every
-      nonzero block lies in the lcm box.
+    - after the box guard of `betti_table`, for an ideal `_stable_order`
+      finds stable, one more than the largest `_last_variable` of its
+      generators, the top row of the Eliahou-Kervaire table;
+    - otherwise the blocks at the points of the walk `betti_table` picks,
+      widest support first.  The block at b has cells only in degrees
+      <= |supp b|, and row 1 holds every generator, so the walk starts
+      from row 1 and stops once no block left is wider than the best row.
 
     `max_monomials` bounds the points of the lcm box, as in `betti_table`;
-    the two closed forms enumerate nothing and answer before it.
+    the two closed forms before it enumerate nothing and answer first.
     """
     if not isinstance(I, MonomialIdeal):
         raise UnsupportedIdealClassError("codepth is computed for monomial ideals")
@@ -199,7 +227,17 @@ def codepth(I, max_monomials=DEFAULT_MAX_MONOMIALS):
         return I.ring.nvars
     if pairwise_disjoint_supports(I.gens):
         return len(I.gens)
-    return max(i for i, _d in betti_table(I, max_monomials=max_monomials))
+    top, box = _lcm_box(I, max_monomials)
+    if stable := _stable_order(I, max_monomials):
+        return 1 + max(map(_last_variable, stable.gens))
+    walk = _lattice_points if 2 ** len(I.gens) < box else _box_points
+    best = 1
+    for width, b in sorted(((len(b) - b.count(0), b) for b in walk(I, mono_degree(top))), reverse=True):
+        if width <= best:
+            break
+        homology = block_homology(b, I.gens, I.ring.p)
+        best = max(best, max((i for i, h in enumerate(homology) if h), default=0))
+    return best
 
 
 def _last_variable(u):
@@ -228,12 +266,15 @@ def _is_stable(I):
     return True
 
 
-def _stable_order(I):
+def _stable_order(I, max_monomials):
     """I when it is stable, else I with its variables ordered by their
     exponent sums over the generators of each degree, lowest degree first,
     larger sums first and ties in the given order, when that is stable,
     else None.  The Betti table does not see the order.  The sums take
-    k N steps, and each stability test at most k^2 N."""
+    k N steps, and each stability test at most k^2 N: None, with nothing
+    tested, when k^2 N is over `max_monomials`, a choice by cost."""
+    if len(I.gens) ** 2 * I.ring.nvars > max_monomials:
+        return None
     if _is_stable(I):
         return I
     groups = {}
@@ -307,18 +348,14 @@ def betti_table(I, degree_bound=None, max_monomials=DEFAULT_MAX_MONOMIALS):
     if I.is_zero():
         return {(0, 0): 1}
     require_proper(I)
-    top = I.lcm()
-    box = math.prod(e + 1 for e in top)
-    if box > max_monomials:
-        raise ResourceGuardError(f"multidegree box of {count_str(box)} points exceeds guard {max_monomials}")
+    top, box = _lcm_box(I, max_monomials)
     bound = mono_degree(top) if degree_bound is None else min(degree_bound, mono_degree(top))
-    k = len(I.gens)
     if pairwise_disjoint_supports(I.gens):
         betti = _koszul_table(I, bound)
-    elif stable := (k * k * I.ring.nvars <= max_monomials and _stable_order(I)):
+    elif stable := _stable_order(I, max_monomials):
         betti = _eliahou_kervaire(stable, bound)
     else:
-        walk = _lattice_sum if 2**k < box else _box_sum
+        walk = _lattice_sum if 2 ** len(I.gens) < box else _box_sum
         betti = walk(I, bound)
     betti.update(Counter((1, mono_degree(g)) for g in I.gens))
     return dict(sorted(betti.items()))

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import math
 import re
+from operator import add, le
 
 from .errors import (
     ExponentOverflowError,
@@ -61,7 +62,8 @@ def is_prime(n):
     return True
 
 
-_NAME_RE = re.compile(r"^[A-Za-z_][A-Za-z_0-9]*$")
+_NAME = r"[A-Za-z_][A-Za-z_0-9]*"
+_NAME_RE = re.compile(_NAME)
 
 
 class PolyRing:
@@ -76,7 +78,7 @@ class PolyRing:
         if not variables:
             raise ParseError("at least one variable is required")
         for name in variables:
-            if not _NAME_RE.match(name):
+            if not _NAME_RE.fullmatch(name):
                 raise ParseError(f"invalid variable name {name!r}")
         if len(set(variables)) != len(variables):
             raise ParseError("variable names must be distinct")
@@ -124,10 +126,10 @@ def mono_degree(m):
 
 
 def mono_mul(a, b):
-    out = tuple(x + y for x, y in zip(a, b))
-    for e in out:
-        if e >= EXPONENT_LIMIT:
-            raise ExponentOverflowError(f"exponent {e} exceeds 2^31")
+    out = tuple(map(add, a, b))
+    if max(out) >= EXPONENT_LIMIT:
+        e = next(e for e in out if e >= EXPONENT_LIMIT)
+        raise ExponentOverflowError(f"exponent {e} exceeds 2^31")
     return out
 
 
@@ -141,11 +143,11 @@ def mono_pow(m, k):
 
 def mono_divides(a, b):
     """True when a | b, i.e. a's exponents are <= b's componentwise."""
-    return all(x <= y for x, y in zip(a, b))
+    return all(map(le, a, b))
 
 
 def mono_lcm(a, b):
-    return tuple(max(x, y) for x, y in zip(a, b))
+    return tuple(map(max, a, b))
 
 
 def drl_key(m):
@@ -155,8 +157,9 @@ def drl_key(m):
 
 def mono_sorted(monos):
     """Largest first in degrevlex: the order in which generator lists and
-    enumerations are presented."""
-    return sorted(monos, key=drl_key, reverse=True)
+    enumerations are presented: ascending under (-degree, reversed
+    exponents), the order of `drl_key` descending."""
+    return sorted(monos, key=lambda m: (-sum(m), m[::-1]))
 
 
 def mono_str(ring, m):
@@ -439,9 +442,7 @@ def truncated_lucas_power(factors, e, max_monomials=DEFAULT_MAX_MONOMIALS):
 # text grammar: terms joined by '+' (or '-'), term = optional integer
 # coefficient and '*'-separated powers `x^k`; whitespace insignificant.
 
-_TOKEN_RE = re.compile(
-    r"\s*(?:(?P<num>\d+)|(?P<word>[A-Za-z_][A-Za-z_0-9]*|[-+*^])|(?P<bad>\S))"
-)
+_TOKEN_RE = re.compile(rf"\s*(?:(?P<num>\d+)|(?P<word>{_NAME}|[-+*^])|(?P<bad>\S))")
 
 
 def _tokenize(text):
@@ -524,3 +525,40 @@ def parse_polynomial(ring, text):
             if i >= n:
                 raise ParseError("trailing operator")
     return Polynomial(ring, terms)
+
+
+# a comma-separated list of bare monomials, exponents of at most ten
+# digits: powers x^k each followed by '*' or ',' but the last, so no
+# generator is empty
+_POWER = rf"\s*{_NAME}(?:\s*\^\s*\d{{1,10}})?\s*"
+_BARE_MONOMIALS_RE = re.compile(rf"{_POWER}(?:[*,]{_POWER})*")
+_POWER_RE = re.compile(rf"({_NAME})(?:\s*\^\s*(\d+))?")
+
+
+def parse_monomials(ring, text):
+    """The exponent tuples of the comma-separated generators in `text` when
+    each is a bare monomial, names joined by '*', each with an optional
+    '^' and digits, whitespace where the polynomial grammar allows it;
+    None for any other text.
+
+    One regex match decides, then each generator is read one match per
+    factor.  None also when a name is not a variable of the ring, an
+    exponent is written with more than ten digits, or an exponent or a sum
+    of them reaches 2^31, so that every error, coefficient, constant and
+    sign is left to `parse_polynomial`.  Where this reader gives tuples,
+    that one gives the same monomials, one per generator."""
+    if not _BARE_MONOMIALS_RE.fullmatch(text):
+        return None
+    index = ring._index
+    monos = []
+    for chunk in text.split(","):
+        mono = [0] * len(index)
+        for name, exp in _POWER_RE.findall(chunk):
+            v = index.get(name)
+            if v is None:
+                return None
+            mono[v] += int(exp) if exp else 1
+        if max(mono) >= EXPONENT_LIMIT:
+            return None
+        monos.append(tuple(mono))
+    return monos

@@ -17,6 +17,7 @@ import itertools
 import math
 import sys
 from collections import namedtuple
+from operator import floordiv
 
 from .errors import ResourceGuardError, UnsupportedIdealClassError, VerificationError
 from .ideals import MonomialIdeal, pairwise_disjoint_supports, require_proper
@@ -653,13 +654,13 @@ def ci_filtration_check(ring, f_monos, max_monomials=DEFAULT_MAX_MONOMIALS):
         chain.append(g)
     # w lies in the tail submodule generated by chain[t:] exactly when its
     # last dividing generator has index >= t
-    supports = [[(v, k) for v, k in enumerate(m) if k] for m in f_monos]
+    supports = [([v for v, k in enumerate(m) if k], [k for k in m if k]) for m in f_monos]
     step_dims = [[0] * (degree_bound + 1) for _ in chain]
     for d, level in enumerate(levels):
         for w in level:
             t = 0
-            for support in supports:
-                t = t * p + min(w[v] // k for v, k in support)
+            for support, exponents in supports:
+                t = t * p + min(map(floordiv, map(w.__getitem__, support), exponents))
             step_dims[t][d] += 1
 
     # HF(S/(f)) in degrees 0..D: the coefficients of prod(1 - t^d_i) / (1 - t)^N

@@ -1,3 +1,4 @@
+import argparse
 import contextlib
 import io
 import itertools
@@ -17,7 +18,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import bracket, walk_candidates
-from frobcalc import MonomialIdeal, PolyRing, parse_polynomial, pushforward
+from frobcalc import MonomialIdeal, PolyRing, build_ideal, parse_polynomial, pushforward
 from frobcalc.cli import (
     EXIT_GUARD,
     EXIT_OK,
@@ -31,6 +32,7 @@ from frobcalc.cli import (
     REQUIRED,
     SUBCOMMANDS,
     _parse,
+    _parse_ideal_args,
     build_parser,
     emit_json,
     render_text,
@@ -385,6 +387,9 @@ class TestExitCodes:
             # (x^2 y, y^3) in x, y, z, neither artinian, nor a regular
             # sequence, nor stable: (2 + 1) * (3 + 1) * (0 + 1) points
             (["codepth", "--char", "2", "--vars", "x,y,z", "--ideal", "x^2*y,y^3"], 12),
+            # four generators and (2 + 1) * (0 + 1) * (1 + 1) * (1 + 1) points,
+            # 12 <= 2^4: the box walk's side
+            (["codepth", "--char", "2", "--vars", "a,b,c,d", "--ideal", "d*c, d*a, c*a, a^2"], 12),
             (["betti", "--char", "2", "--vars", "x,y,z", "--ideal", "x^2"], 3),
             # the row cut does not shrink the box
             (["betti", "--char", "2", "--vars", "x,y,z", "--ideal", "x^2,y^3", "--degree-bound", "2"], 12),
@@ -935,6 +940,48 @@ class TestGrammarFuzz:
         code, _out, err = run_captured(argv)
         assert code in range(5), argv
         assert "Traceback" not in err
+
+
+@st.composite
+def near_monomial_lists(draw):
+    """--ideal texts near a list of bare monomials in x, y, z: whitespace,
+    repeated and unknown names, x^0, exponents and sums at 2^31, exponents
+    past ten digits, empty generators, trailing commas, and now and then a
+    coefficient, a constant or a sign."""
+    space = st.sampled_from(["", "", " ", "\t", "\n ", "\u00a0"])
+    name = st.sampled_from(["x", "y", "z"] * 3 + ["w", "xy", "_"])
+    exponent = st.sampled_from(["", "", "", "^0", "^1", "^2", " ^ 3", "^00000000002", "^000000000001",
+                                "^1073741824", "^2147483647", "^2147483648", "^" + "9" * 12])
+    factor = st.tuples(space, name, exponent, space).map("".join)
+    generator = st.lists(factor, min_size=1, max_size=3).map("*".join)
+    stray = st.sampled_from([""] * 12 + ["2*", "+", "-", "1", "0", "x + ", "*", "^2"])
+    gens = draw(st.lists(st.tuples(stray, generator).map("".join), min_size=1, max_size=4))
+    if draw(st.sampled_from([False] * 9 + [True])):
+        gens.insert(draw(st.integers(0, len(gens))), draw(space))
+    return ",".join(gens) + draw(st.sampled_from(["", "", "", ",", " , "]))
+
+
+def ideal_or_error(read):
+    """The class and generators of the ideal `read()` returns, or the type
+    and message of what it raises."""
+    try:
+        ideal = read()
+    except Exception as exc:
+        return type(exc), str(exc)
+    return type(ideal), ideal.gens
+
+
+class TestIdealReaders:
+    @given(text=near_monomial_lists(), p=st.sampled_from([2, 3]))
+    @settings(max_examples=300, deadline=None)
+    def test_bare_monomials_read_as_the_polynomial_grammar_reads_them(self, text, p):
+        args = argparse.Namespace(char=p, vars="x, y,z", ideal=text)
+        ring = PolyRing(p, ["x", "y", "z"])
+
+        def general():
+            return build_ideal(ring, [parse_polynomial(ring, chunk) for chunk in text.split(",")])
+
+        assert ideal_or_error(lambda: _parse_ideal_args(args, {})[1]) == ideal_or_error(general)
 
 
 @st.composite

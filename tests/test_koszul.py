@@ -6,7 +6,7 @@ from functools import reduce
 from itertools import chain, combinations, product
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from conftest import assert_blocks_square_to_zero, corpus_ideals, membership_cells, monomials_of_degree
@@ -25,10 +25,12 @@ from frobcalc import (
 from frobcalc.cli import run
 from frobcalc.koszul import (
     StrandCheck,
+    _box_points,
     _box_sum,
     _eliahou_kervaire,
     _is_stable,
     _koszul_table,
+    _lattice_points,
     _lattice_sum,
     betti_power_row,
     block_boundary,
@@ -389,6 +391,46 @@ class TestStaircaseWalk:
         assert max(i for i, _d in betti_table(edges)) == 3
         assert walked == ["_lattice_sum", "_box_sum"]
 
+    def test_codepth_walks_what_betti_walks(self, monkeypatch):
+        # (x^2 y, x y^2) has 2^2 lattice points against a box of 3^2, the
+        # six squarefree quadrics in four variables 2^6 against 2^4; neither
+        # is artinian, a regular sequence or stable
+        lattice = MonomialIdeal(PolyRing(2, ["x", "y"]), [(2, 1), (1, 2)])
+        ring = PolyRing(2, ["x", "y", "z", "w"])
+        edges = MonomialIdeal(ring, [m for m in monomials_of_degree(ring, 2) if max(m) == 1])
+        walked = []
+
+        def spy(walk):
+            def spied(I, bound):
+                walked.append(walk.__name__)
+                return walk(I, bound)
+            return spied
+
+        monkeypatch.setattr("frobcalc.koszul._lattice_points", spy(_lattice_points))
+        monkeypatch.setattr("frobcalc.koszul._box_points", spy(_box_points))
+        assert codepth(lattice) == 2
+        assert codepth(edges) == 3
+        assert walked == ["_lattice_points", "_box_points"]
+
+    def test_codepth_stops_once_no_block_is_wider_than_its_row(self, monkeypatch):
+        # the squarefree quadrics in four variables: the one block of width
+        # 4, at x y z w, has H_3; every block left is at most as wide, so
+        # none is read, where the table reads every point of the box
+        ring = PolyRing(2, ["x", "y", "z", "w"])
+        edges = MonomialIdeal(ring, [m for m in monomials_of_degree(ring, 2) if max(m) == 1])
+        read = []
+
+        def recorded(b, gens, p):
+            read.append(b)
+            return block_homology(b, gens, p)
+
+        monkeypatch.setattr("frobcalc.koszul.block_homology", recorded)
+        assert codepth(edges) == 3
+        assert read == [(1, 1, 1, 1)]
+        read.clear()
+        assert max(i for i, _d in betti_table(edges)) == 3
+        assert len(read) == len(set(_box_points(edges, 4))) > 1
+
     def test_guard_counts_the_lcm_box(self, ring2):
         # codepth of (x^2 y, x y^2), neither artinian, nor a regular
         # sequence, nor stable, walks its lcm box, (2 + 1) * (2 + 1)
@@ -638,8 +680,8 @@ class TestWalkSpy:
         def refuse(I, bound):
             raise AssertionError(f"walked {I!r}")
 
-        monkeypatch.setattr("frobcalc.koszul._lattice_sum", refuse)
-        monkeypatch.setattr("frobcalc.koszul._box_sum", refuse)
+        for walk in ("_lattice_sum", "_box_sum", "_lattice_points", "_box_points"):
+            monkeypatch.setattr(f"frobcalc.koszul.{walk}", refuse)
 
     @pytest.mark.parametrize("d, j", [(2, 2), (3, 3), (4, 2), (6, 2), (3, 5)])
     def test_powers_of_the_maximal_ideal(self, d, j):
@@ -740,6 +782,88 @@ class TestCodepth:
         full = koszul_homology(I, mono_degree(I.lcm()) + 2)
         assert full == betti_table(I)
         assert max(i for (i, _d) in full) == codepth(I) == expected
+
+
+def lattice_side(I):
+    """True when `betti_table` walks the lcm lattice of I, False when it
+    walks the box, where neither closed form applies."""
+    return 2 ** len(I.gens) < math.prod(e + 1 for e in I.lcm())
+
+
+@st.composite
+def walked_ideals(draw, side, nvars=(2, 4)):
+    """Generators of degree 2-4 over F_2, F_3 or F_5 on one side of the
+    choice between the walks: "lattice", 2-4 random generators in 2-4
+    variables, or "box", at least N of the squarefree quadrics and up to
+    two more of degree 2 or 3 in N = 3 or 4 variables, their count at
+    least log2 of the box count."""
+    p = draw(st.sampled_from([2, 3, 5]))
+    n = draw(st.integers(*nvars) if side == "lattice" else st.integers(max(nvars[0], 3), nvars[1]))
+    ring = PolyRing(p, [f"x{v}" for v in range(n)])
+
+    def monomials(degree):
+        return st.lists(st.integers(0, n - 1), min_size=degree, max_size=degree).map(
+            lambda support: tuple(support.count(v) for v in range(n))
+        )
+
+    if side == "lattice":
+        gens = draw(st.lists(st.integers(2, 4).flatmap(monomials), min_size=2, max_size=4))
+    else:
+        pool = [m for m in monomials_of_degree(ring, 2) if max(m) == 1]
+        pool += draw(st.lists(st.integers(2, 3).flatmap(monomials), max_size=2))
+        gens = draw(st.lists(st.sampled_from(pool), min_size=n, unique=True))
+    I = MonomialIdeal(ring, gens)
+    assume(lattice_side(I) == (side == "lattice"))
+    return I
+
+
+def permuted(I, order):
+    """I with its variables written in the given order."""
+    ring = PolyRing(I.ring.p, [I.ring.variables[v] for v in order])
+    return MonomialIdeal(ring, [tuple(g[v] for v in order) for g in I.gens])
+
+
+def disjoint_sum(I, J):
+    """I + J in the variables of I followed by those of J, renamed apart."""
+    n, m = I.ring.nvars, J.ring.nvars
+    ring = PolyRing(I.ring.p, [f"x{v}" for v in range(n + m)])
+    return MonomialIdeal(ring, [g + (0,) * m for g in I.gens] + [(0,) * n + h for h in J.gens])
+
+
+def convolved(s, t):
+    """The Betti table of a tensor product of resolutions: entries of s
+    and t multiplied, homological degrees and internal degrees added."""
+    out = Counter()
+    for (i, d), a in s.items():
+        for (j, e), b in t.items():
+            out[(i + j, d + e)] += a * b
+    return dict(out)
+
+
+class TestMetamorphicRelations:
+    """Relations between the invariants of related ideals, on ideals drawn
+    on both sides of the choice between the walks."""
+
+    @pytest.mark.parametrize("side", ["lattice", "box"])
+    @given(data=st.data())
+    @settings(max_examples=100, deadline=None)
+    def test_permuting_the_variables_changes_nothing(self, side, data):
+        I = data.draw(walked_ideals(side))
+        J = permuted(I, data.draw(st.permutations(range(I.ring.nvars))))
+        table = betti_table(I)
+        assert betti_table(J) == table
+        assert codepth(J) == codepth(I) == max(i for i, _d in table)
+
+    @pytest.mark.parametrize("sides", [("lattice", "lattice"), ("lattice", "box"), ("box", "box")])
+    @given(data=st.data())
+    @settings(max_examples=40, deadline=None)
+    def test_ideals_in_disjoint_variables(self, sides, data):
+        # S/(I + J) is the tensor product of S_A/I and S_B/J: resolutions
+        # tensor, so Betti tables convolve and projective dimensions add
+        I, J = (data.draw(walked_ideals(side, nvars=(2, 3))) for side in sides)
+        both = disjoint_sum(I, J)
+        assert betti_table(both) == convolved(betti_table(I), betti_table(J))
+        assert codepth(both) == codepth(I) + codepth(J)
 
 
 class TestDifferentialSquaresToZero:

@@ -21,6 +21,7 @@ from frobcalc.polyring import (
     capped_power,
     drl_key,
     mono_sorted,
+    parse_monomials,
     parse_polynomial,
     truncated_lucas_power,
 )
@@ -127,6 +128,12 @@ class TestPrimality:
     def test_ring_rejects_duplicate_vars(self):
         with pytest.raises(ParseError):
             PolyRing(2, ["x", "x"])
+
+    @pytest.mark.parametrize("name", ["x\n", "x ", " x", "x\ny", "2x", ""])
+    def test_ring_rejects_a_name_the_grammar_cannot_read(self, name):
+        # a name must match whole: `$` alone would let a final newline in
+        with pytest.raises(ParseError, match="invalid variable name"):
+            PolyRing(2, [name])
 
 
 class TestAddition:
@@ -389,6 +396,24 @@ class TestParsing:
         for text in ("2*", "x*", "x^2*y*"):
             with pytest.raises(ParseError):
                 poly(ring2, text)
+
+    @pytest.mark.parametrize("text, monos", [
+        ("x*y, z^2", [(1, 1, 0), (0, 0, 2)]),
+        (" x ^ 2 * x ,\ty\n", [(3, 0, 0), (0, 1, 0)]),
+        ("x^0,z", [(0, 0, 0), (0, 0, 1)]),
+        ("x^2147483647", [(2**31 - 1, 0, 0)]),
+        ("x^0000000002", [(2, 0, 0)]),
+        # left to the polynomial grammar
+        ("x,,y", None), ("x,", None), ("", None), ("2*x", None), ("x + y", None), ("-x", None),
+        ("1", None), ("0", None), ("w", None), ("x y", None), ("x^2y", None),
+        ("x^2147483648", None), ("x^1073741824*x^1073741824", None), ("x^00000000002", None),
+    ])
+    def test_bare_monomial_reader(self, ring5xyz, text, monos):
+        assert parse_monomials(ring5xyz, text) == monos
+        if monos is not None:
+            assert [poly(ring5xyz, chunk) for chunk in text.split(",")] == [
+                Polynomial.monomial(ring5xyz, m) for m in monos
+            ]
 
     def test_minus_folds_into_coefficient(self, ring5xyz):
         assert poly(ring5xyz, "x - y") == poly(ring5xyz, "x + 4*y")
