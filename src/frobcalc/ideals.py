@@ -162,13 +162,17 @@ class MonomialIdeal:
         k-basis of S/I in degrees 0..bound, as per-degree lists, largest
         first.  With no bound the walk stops at the first empty degree, the
         Loewy length, so for artinian I the lists hold the whole basis."""
-        walk = self._walk(max_monomials)
         if bound is not None:
-            return list(islice(walk, max(bound + 1, 0)))
+            return list(islice(self._walk(max_monomials), max(bound + 1, 0)))
+        return list(self._artinian_walk(max_monomials))
+
+    def _artinian_walk(self, max_monomials):
+        """The walk's nonempty degrees, refused for the unit ideal and for a
+        quotient that is not artinian, whose walk never ends."""
         require_proper(self)
         if not self.is_artinian():
             raise NonArtinianError(f"{self!r} is not artinian")
-        return list(takewhile(bool, walk))
+        return takewhile(bool, self._walk(max_monomials))
 
     def lcm(self):
         """lcm of the generators; the unit monomial for the zero ideal."""
@@ -187,8 +191,9 @@ class MonomialIdeal:
         return all(covered)
 
     def loewy_length(self, max_monomials=DEFAULT_MAX_MONOMIALS):
-        """Least n with every degree-n monomial in the ideal (m^n subset I)."""
-        return len(self.staircase(max_monomials=max_monomials))
+        """Least n with every degree-n monomial in the ideal (m^n subset I):
+        the walk's degrees are counted as they pass, none kept."""
+        return sum(1 for _level in self._artinian_walk(max_monomials))
 
 
 def _has_cover(supports, k, chosen=0):

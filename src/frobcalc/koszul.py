@@ -27,20 +27,23 @@ applies, after the box guard:
   sequence, whose Koszul complex resolves S/I (Tate, "Homology of
   Noetherian rings and local rings", 1957): beta_{i,d}(S/I) is the number
   of i-sets of generators whose degrees sum to d;
-- a stable ideal (Eliahou-Kervaire, "Minimal resolutions of some monomial
-  ideals", 1990) in closed form, beta_{i+1, i+j}(S/I) the sum over the
-  degree-j generators u of C(m(u) - 1, i), m(u) the last variable of u;
-- the blocks at the lattice points when 2^k is below the box's
-  prod(L_v + 1) points (`_lattice_points`);
-- the blocks b = u + 1_T of the box, u running over the ideal's staircase
-  and T over the variable sets containing supp u (`_box_points`).
+- an ideal stable in the ring's variable order or in one other
+  (Eliahou-Kervaire, "Minimal resolutions of some monomial ideals", 1990)
+  in closed form, beta_{i+1, i+j}(S/I) the sum over the degree-j
+  generators u of C(m(u) - 1, i), m(u) the last variable of u; the order
+  is a tuple of variable indices, read on the ideal as it is
+  (`_stable_order`);
+- the blocks at the points of one walk (`_walk_points`): the lattice
+  (`_lattice_points`) when 2^k is below the box's prod(L_v + 1) points,
+  else the box, b = u + 1_T with u a standard monomial inside the box and
+  T a variable set containing supp u (`_box_points`).
 The walks are each other's test oracle, and both are the oracle of the
 closed forms.  `codepth` (embedding dimension minus depth, the top
 nonvanishing homological degree) is N for an artinian quotient
 (Auslander-Buchsbaum: depth 0), the number of generators for a monomial
 regular sequence (the Koszul complex on it resolves S/I), and the top row
 of the table otherwise, read alone: from the last variables of a stable
-ideal's generators, or from the blocks of the same walk taken widest
+ideal's generators, or from the blocks at the same points taken widest
 first, since the block at b has cells only in degrees <= |supp b|.
 
 `strand_check` verifies the degree-class strands of the linear resolution
@@ -61,7 +64,7 @@ from operator import eq, le, lt
 from .errors import ResourceGuardError, UnsupportedIdealClassError
 from .ideals import MonomialIdeal, pairwise_disjoint_supports, require_proper
 from .modlinalg import rank
-from .polyring import DEFAULT_MAX_MONOMIALS, PolyRing, check_degree_bound, count_str, mono_degree
+from .polyring import DEFAULT_MAX_MONOMIALS, check_degree_bound, count_str, mono_degree
 
 
 # ---------------------------------------------------------------------------
@@ -140,19 +143,15 @@ def _box_points(I, bound):
     Every nonzero block is among these: the block at b is empty unless
     u = b - 1_supp b is standard, for otherwise supp b is a facet, b -> (u, T)
     is a bijection, and b <= L means u_v < L_v on supp u and L_v >= 1 on the
-    rest of T.  The standard monomials inside the box are those of I plus a
-    wall x_v^(L_v + 1) for every variable with no pure-power generator."""
+    rest of T.  Those u are the standard monomials of I plus a wall
+    x_v^max(L_v, 1) for every variable."""
     top = I.lcm()
     n = I.ring.nvars
-    powers = {v for g in I.gens for v, e in enumerate(g) if e == mono_degree(g)}
-    walls = [tuple(e + 1 if w == v else 0 for w in range(n)) for v, e in enumerate(top) if v not in powers]
-    boxed = MonomialIdeal(I.ring, I.gens + tuple(walls)) if walls else I
-    levels = boxed.staircase(bound, max_monomials=math.inf)
+    walls = [tuple(max(e, 1) if w == v else 0 for w in range(n)) for v, e in enumerate(top)]
+    levels = MonomialIdeal(I.ring, I.gens + tuple(walls)).staircase(bound, max_monomials=math.inf)
     for du, level in enumerate(levels):
         for u in level:
             support = [v for v, e in enumerate(u) if e]
-            if any(u[v] >= top[v] for v in support):
-                continue
             extras = [v for v, e in enumerate(u) if not e and top[v]]
             for k in range(min(len(extras), bound - du - len(support)) + 1):
                 for extra in combinations(extras, k):
@@ -160,6 +159,13 @@ def _box_points(I, bound):
                     for v in chain(support, extra):
                         b[v] += 1
                     yield tuple(b)
+
+
+def _walk_points(I, box, bound):
+    """The points with |b| <= bound that the Koszul routes walk: the lcm
+    lattice, at most 2^k points for k generators, when 2^k is below the
+    box's `box` points, else the box; a choice by cost."""
+    return _lattice_points(I, bound) if 2 ** len(I.gens) < box else _box_points(I, bound)
 
 
 def _block_sum(I, points):
@@ -173,16 +179,6 @@ def _block_sum(I, points):
             if h:
                 table[(i, d)] = table.get((i, d), 0) + h
     return table
-
-
-def _lattice_sum(I, bound):
-    """`_block_sum` over the lcm-lattice points with |b| <= bound."""
-    return _block_sum(I, _lattice_points(I, bound))
-
-
-def _box_sum(I, bound):
-    """`_block_sum` over the box points with |b| <= bound."""
-    return _block_sum(I, _box_points(I, bound))
 
 
 def _lcm_box(I, max_monomials):
@@ -205,11 +201,12 @@ def codepth(I, max_monomials=DEFAULT_MAX_MONOMIALS):
     - N when S/I is artinian: its depth is 0 (Auslander-Buchsbaum);
     - the number of generators when they have pairwise disjoint supports:
       they form a regular sequence, resolved by their Koszul complex;
-    - after the box guard of `betti_table`, for an ideal `_stable_order`
-      finds stable, one more than the largest `_last_variable` of its
-      generators, the top row of the Eliahou-Kervaire table;
-    - otherwise the blocks at the points of the walk `betti_table` picks,
-      widest support first.  The block at b has cells only in degrees
+    - after the box guard of `betti_table`, for an ideal stable in the
+      order `_stable_order` finds, one more than the largest
+      `_last_variable` of its generators, the top row of the
+      Eliahou-Kervaire table;
+    - otherwise the blocks at the `_walk_points` of `betti_table`, widest
+      support first.  The block at b has cells only in degrees
       <= |supp b|, and row 1 holds every generator, so the walk starts
       from row 1 and stops once no block left is wider than the best row.
 
@@ -228,11 +225,11 @@ def codepth(I, max_monomials=DEFAULT_MAX_MONOMIALS):
     if pairwise_disjoint_supports(I.gens):
         return len(I.gens)
     top, box = _lcm_box(I, max_monomials)
-    if stable := _stable_order(I, max_monomials):
-        return 1 + max(map(_last_variable, stable.gens))
-    walk = _lattice_points if 2 ** len(I.gens) < box else _box_points
+    if order := _stable_order(I, max_monomials):
+        return 1 + max(_last_variable(u, order) for u in I.gens)
     best = 1
-    for width, b in sorted(((len(b) - b.count(0), b) for b in walk(I, mono_degree(top))), reverse=True):
+    points = _walk_points(I, box, mono_degree(top))
+    for width, b in sorted(((len(b) - b.count(0), b) for b in points), reverse=True):
         if width <= best:
             break
         homology = block_homology(b, I.gens, I.ring.p)
@@ -240,23 +237,25 @@ def codepth(I, max_monomials=DEFAULT_MAX_MONOMIALS):
     return best
 
 
-def _last_variable(u):
-    """m(u) - 1: the index of the last variable dividing x^u, u != 0."""
-    return max(v for v, e in enumerate(u) if e)
+def _last_variable(u, order):
+    """m(u) - 1: the position in `order` of the last variable dividing x^u,
+    u != 0, for `order` the variable indices, first to last."""
+    return max(i for i, v in enumerate(order) if u[v])
 
 
-def _is_stable(I):
-    """True when I is stable in the ring's variable order: x_v u / x_m
-    lies in I for every minimal generator u, m = `_last_variable(u)` and
-    every v < m.  Testing the generators suffices (Eliahou-Kervaire 1990).
+def _is_stable(I, order):
+    """True when I is stable in `order`: x_v u / x_m lies in I for every
+    minimal generator u, x_m its last variable in `order` and every x_v
+    before it.  Testing the generators suffices (Eliahou-Kervaire 1990).
     Each test is a set lookup when x_v u / x_m is itself a generator, as
     for every power of the maximal ideal, and a scan of the generators
     otherwise: at most k^2 N divisibility tests for k generators in N
     variables."""
     gens = set(I.gens)
     for u in I.gens:
-        m = _last_variable(u)
-        for v in range(m):
+        last = _last_variable(u, order)
+        m = order[last]
+        for v in order[:last]:
             w = list(u)
             w[v] += 1
             w[m] -= 1
@@ -267,24 +266,25 @@ def _is_stable(I):
 
 
 def _stable_order(I, max_monomials):
-    """I when it is stable, else I with its variables ordered by their
-    exponent sums over the generators of each degree, lowest degree first,
-    larger sums first and ties in the given order, when that is stable,
-    else None.  The Betti table does not see the order.  The sums take
-    k N steps, and each stability test at most k^2 N: None, with nothing
-    tested, when k^2 N is over `max_monomials`, a choice by cost."""
-    if len(I.gens) ** 2 * I.ring.nvars > max_monomials:
+    """A variable order, as indices first to last, in which I is stable, or
+    None: the ring's order, else the variables by their exponent sums over
+    the generators of each degree, lowest degree first, larger sums first
+    and ties in the ring's order.  The Betti table does not see the order.
+    The sums take k N steps, and each stability test at most k^2 N: None,
+    with nothing tested, when k^2 N is over `max_monomials`, a choice by
+    cost."""
+    n = I.ring.nvars
+    if len(I.gens) ** 2 * n > max_monomials:
         return None
-    if _is_stable(I):
-        return I
+    given = tuple(range(n))
+    if _is_stable(I, given):
+        return given
     groups = {}
     for g in I.gens:
         groups.setdefault(mono_degree(g), []).append(g)
-    sums = [[-sum(g[v] for g in groups[d]) for d in sorted(groups)] for v in range(I.ring.nvars)]
-    order = sorted(range(I.ring.nvars), key=sums.__getitem__)
-    ring = PolyRing(I.ring.p, [I.ring.variables[v] for v in order])
-    J = MonomialIdeal(ring, [tuple(g[v] for v in order) for g in I.gens])
-    return J if order != sorted(order) and _is_stable(J) else None
+    sums = [[-sum(g[v] for g in groups[d]) for d in sorted(groups)] for v in given]
+    order = tuple(sorted(given, key=sums.__getitem__))
+    return order if order != given and _is_stable(I, order) else None
 
 
 def _koszul_table(I, bound):
@@ -302,15 +302,15 @@ def _koszul_table(I, bound):
     return table
 
 
-def _eliahou_kervaire(I, bound):
-    """Nonzero ranks {(i, d): beta_{i,d}(S/I)} with d <= bound for a stable
-    I: beta_{i+1, i+j} is the sum over the generators u of degree j of
-    C(m(u) - 1, i), where m(u) - 1 = `_last_variable(u)`.  The formula
-    holds over every field."""
+def _eliahou_kervaire(I, order, bound):
+    """Nonzero ranks {(i, d): beta_{i,d}(S/I)} with d <= bound for I stable
+    in `order`: beta_{i+1, i+j} is the sum over the generators u of degree
+    j of C(m(u) - 1, i), where m(u) - 1 = `_last_variable(u, order)`.  The
+    formula holds over every field."""
     table = {(0, 0): 1}
     for u in I.gens:
         j = mono_degree(u)
-        m = _last_variable(u)
+        m = _last_variable(u, order)
         for i in range(min(m, bound - j) + 1):
             table[(i + 1, i + j)] = table.get((i + 1, i + j), 0) + math.comb(m, i)
     return table
@@ -327,12 +327,11 @@ def betti_table(I, degree_bound=None, max_monomials=DEFAULT_MAX_MONOMIALS):
     route that applies:
     - when the generators have pairwise disjoint supports, a regular
       sequence, the count of generator sets by degree (`_koszul_table`);
-    - when k^2 N <= max_monomials and I is stable in the given variable
-      order or the one `_stable_order` tries next, the Eliahou-Kervaire
-      formula (`_eliahou_kervaire`);
-    - when 2^k is below the box count, the blocks at the lcm-lattice
-      points (`_lattice_sum`);
-    - otherwise the blocks over the box's staircase (`_box_sum`).
+    - when `_stable_order` finds an order in which I is stable, the
+      Eliahou-Kervaire formula (`_eliahou_kervaire`);
+    - otherwise the blocks at the `_walk_points`, the lcm-lattice points
+      when 2^k is below the box count, else the box's staircase
+      (`_block_sum`).
     All four give the same table.  Row i = 1 lists every generator of I
     whatever the bound.
 
@@ -340,9 +339,9 @@ def betti_table(I, degree_bound=None, max_monomials=DEFAULT_MAX_MONOMIALS):
     for every route, so the route never decides whether a table is
     refused.  It bounds every standard monomial the box walk keeps, the at
     most 2^k < box lattice points, and the 2^|supp b| <= box masks of
-    each block, so no per-degree count is applied.  The k^2 N test is a
-    choice by cost, like 2^k < box: the stability test takes at most that
-    many steps.
+    each block, so no per-degree count is applied.  The k^2 N test of
+    `_stable_order` is a choice by cost, like 2^k < box: the stability
+    test takes at most that many steps.
     """
     check_degree_bound(degree_bound)
     if I.is_zero():
@@ -352,11 +351,10 @@ def betti_table(I, degree_bound=None, max_monomials=DEFAULT_MAX_MONOMIALS):
     bound = mono_degree(top) if degree_bound is None else min(degree_bound, mono_degree(top))
     if pairwise_disjoint_supports(I.gens):
         betti = _koszul_table(I, bound)
-    elif stable := _stable_order(I, max_monomials):
-        betti = _eliahou_kervaire(stable, bound)
+    elif order := _stable_order(I, max_monomials):
+        betti = _eliahou_kervaire(I, order, bound)
     else:
-        walk = _lattice_sum if 2 ** len(I.gens) < box else _box_sum
-        betti = walk(I, bound)
+        betti = _block_sum(I, _walk_points(I, box, bound))
     betti.update(Counter((1, mono_degree(g)) for g in I.gens))
     return dict(sorted(betti.items()))
 

@@ -1,6 +1,7 @@
 import itertools
 import math
 import re
+import tracemalloc
 
 import pytest
 from hypothesis import assume, given, settings
@@ -368,6 +369,18 @@ class TestHilbertAndLoewy:
         assert mi(ring2, (2, 0), (1, 1), (0, 2)).loewy_length() == 2
         assert mi(ring2, (4, 0), (2, 2), (0, 4)).loewy_length() == 5
         assert MonomialIdeal(PolyRing(2, ["x"]), [(1,)]).loewy_length() == 1
+
+    def test_loewy_keeps_no_degree_it_has_counted(self, ring2):
+        # x^150, y^150 has 22,500 standard monomials, about 1.5 MB kept;
+        # counted as they pass, at most two degrees of 150 are alive
+        I = mi(ring2, (150, 0), (0, 150))
+        tracemalloc.start()
+        try:
+            assert I.loewy_length() == 299
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 200_000
 
     def test_loewy_requires_artinian(self, ring2):
         with pytest.raises(NonArtinianError):

@@ -25,13 +25,13 @@ from frobcalc import (
 from frobcalc.cli import run
 from frobcalc.koszul import (
     StrandCheck,
+    _block_sum,
     _box_points,
-    _box_sum,
     _eliahou_kervaire,
     _is_stable,
     _koszul_table,
     _lattice_points,
-    _lattice_sum,
+    _walk_points,
     betti_power_row,
     block_boundary,
     block_cells,
@@ -300,6 +300,17 @@ def lcm_lattice(I):
     return points
 
 
+def walk_tables(I, bound):
+    """The block sums of the lattice walk and of the box walk, in that
+    order."""
+    return [_block_sum(I, walk(I, bound)) for walk in (_lattice_points, _box_points)]
+
+
+def in_order(I):
+    """The ring's variable order, as `_stable_order` returns one."""
+    return tuple(range(I.ring.nvars))
+
+
 class TestFacetCells:
     @given(I=small_monomial_ideals())
     @settings(max_examples=150, deadline=None)
@@ -367,7 +378,18 @@ class TestStaircaseWalk:
     def test_lattice_and_box_walks_agree(self, I):
         # each walk is the other's oracle, at every bound either may get
         for bound in sorted({0, 1, 2, mono_degree(I.lcm()), past_the_box(I)}):
-            assert _lattice_sum(I, bound) == _box_sum(I, bound), bound
+            lattice, box = walk_tables(I, bound)
+            assert lattice == box, bound
+
+    @given(I=small_monomial_ideals())
+    @settings(max_examples=150, deadline=None)
+    def test_box_points_are_those_of_their_definition(self, I):
+        # every b <= L with |b| <= bound whose x^(b - 1_supp b) is
+        # standard, listed once each
+        for bound in sorted({0, 1, 2, mono_degree(I.lcm())}):
+            expected = [b for b in lcm_box(I)
+                        if sum(b) <= bound and not I.contains_monomial(tuple(e - 1 if e else 0 for e in b))]
+            assert sorted(_box_points(I, bound)) == expected, bound
 
     def test_walk_follows_the_smaller_count(self, monkeypatch):
         # neither ideal is a regular sequence or stable, so betti walks: the
@@ -385,11 +407,13 @@ class TestStaircaseWalk:
                 return walk(I, bound)
             return spied
 
-        monkeypatch.setattr("frobcalc.koszul._lattice_sum", spy(_lattice_sum))
-        monkeypatch.setattr("frobcalc.koszul._box_sum", spy(_box_sum))
+        monkeypatch.setattr("frobcalc.koszul._lattice_points", spy(_lattice_points))
+        monkeypatch.setattr("frobcalc.koszul._box_points", spy(_box_points))
         assert max(i for i, _d in betti_table(squares_and_xy)) == 4
         assert max(i for i, _d in betti_table(edges)) == 3
-        assert walked == ["_lattice_sum", "_box_sum"]
+        assert walked == ["_lattice_points", "_box_points"] == [
+            "_lattice_points" if lattice_side(I) else "_box_points" for I in (squares_and_xy, edges)
+        ]
 
     def test_codepth_walks_what_betti_walks(self, monkeypatch):
         # (x^2 y, x y^2) has 2^2 lattice points against a box of 3^2, the
@@ -450,8 +474,7 @@ def walked_table(I, bound=None):
     """The Betti table of the walk `betti_table` takes when it does not
     read a closed form, row 1 cut at the bound as the walks cut it."""
     bound = mono_degree(I.lcm()) if bound is None else bound
-    walk = _lattice_sum if 2 ** len(I.gens) < math.prod(e + 1 for e in I.lcm()) else _box_sum
-    return walk(I, bound)
+    return _block_sum(I, _walk_points(I, math.prod(e + 1 for e in I.lcm()), bound))
 
 
 def borel_closure(ring, monos):
@@ -503,16 +526,16 @@ class TestEliahouKervaire:
     @given(I=borel_fixed_ideals())
     @settings(max_examples=200, deadline=None)
     def test_matches_both_walks_on_borel_fixed_ideals(self, I):
-        assert _is_stable(I)
+        assert _is_stable(I, in_order(I))
         for bound in sorted({0, 1, 2, 3, mono_degree(I.lcm())}):
-            table = _eliahou_kervaire(I, bound)
-            assert table == _lattice_sum(I, bound) == _box_sum(I, bound), bound
+            table = _eliahou_kervaire(I, in_order(I), bound)
+            assert [table, table] == walk_tables(I, bound), bound
 
     @given(I=small_monomial_ideals())
     @settings(max_examples=150, deadline=None)
     def test_stability_test_reads_the_generators_only(self, I):
         if not I.is_zero() and not I.is_unit():
-            assert _is_stable(I) == stable_by_definition(I)
+            assert _is_stable(I, in_order(I)) == stable_by_definition(I)
 
     @given(I=small_monomial_ideals())
     @settings(max_examples=150, deadline=None)
@@ -538,11 +561,13 @@ class TestEliahouKervaire:
 
     def test_stability_follows_the_variable_order(self):
         # (x^2, x y) is stable in the order x, y; in the order y, x the
-        # move x y -> y^2 leaves it.  The table does not depend on the order
+        # move x y -> y^2 leaves it, whether the order is given as a
+        # permutation or as a ring.  The table does not depend on the order
         xy = PolyRing(2, ["x", "y"])
         yx = PolyRing(2, ["y", "x"])
-        assert _is_stable(MonomialIdeal(xy, [(2, 0), (1, 1)]))
-        assert not _is_stable(MonomialIdeal(yx, [(0, 2), (1, 1)]))
+        assert _is_stable(MonomialIdeal(xy, [(2, 0), (1, 1)]), (0, 1))
+        assert not _is_stable(MonomialIdeal(xy, [(2, 0), (1, 1)]), (1, 0))
+        assert not _is_stable(MonomialIdeal(yx, [(0, 2), (1, 1)]), (0, 1))
         assert betti_table(MonomialIdeal(xy, [(2, 0), (1, 1)])) == betti_table(
             MonomialIdeal(yx, [(0, 2), (1, 1)])
         )
@@ -578,39 +603,67 @@ class TestStableVariableOrder:
 
         bounds = sorted({0, 1, 2, mono_degree(I.lcm())})
         with pytest.MonkeyPatch.context() as patch:
-            patch.setattr("frobcalc.koszul._lattice_sum", refuse)
-            patch.setattr("frobcalc.koszul._box_sum", refuse)
+            patch.setattr("frobcalc.koszul._lattice_points", refuse)
+            patch.setattr("frobcalc.koszul._box_points", refuse)
             tables = [betti_table(I, bound) for bound in bounds]
         for bound, table in zip(bounds, tables):
-            for walk in (_lattice_sum, _box_sum):
-                walked = walk(I, bound)
+            for name, walked in zip(("lattice", "box"), walk_tables(I, bound)):
                 walked.update(Counter((1, mono_degree(g)) for g in I.gens))
-                assert table == walked, (walk.__name__, bound)
+                assert table == walked, (name, bound)
+
+    def assert_builds_nothing(self, I):
+        # the order is a permutation read on I as it is: neither a ring nor
+        # an ideal is built to test it
+        built = []
+
+        def spy(cls):
+            init = cls.__init__
+
+            def spied(self, *args, **kwargs):
+                built.append(cls.__name__)
+                init(self, *args, **kwargs)
+            return spied
+
+        with pytest.MonkeyPatch.context() as patch:
+            for cls in (PolyRing, MonomialIdeal):
+                patch.setattr(cls, "__init__", spy(cls))
+            betti_table(I)
+            if min(map(mono_degree, I.gens)) >= 2:
+                codepth(I)
+        assert built == []
 
     def test_stable_once_y_comes_first(self):
         # (y^2, x y) is not stable in the order x, y: x y -> x^2 leaves it
         I = MonomialIdeal(PolyRing(2, ["x", "y"]), [(0, 2), (1, 1)])
-        assert not _is_stable(I)
+        assert not _is_stable(I, (0, 1))
         self.assert_formula_matches_both_walks(I)
+
+    def test_the_stable_route_builds_no_ring_or_ideal(self):
+        self.assert_builds_nothing(MonomialIdeal(PolyRing(2, ["x", "y"]), [(0, 2), (1, 1)]))
 
     def test_the_given_order_is_tried_first(self):
         # (x^2, x y, y^3) is stable as given, but y has the larger exponent
-        # sum, 4 against 3, and (y^2, x y, x^3) with y first is not stable
+        # sum, 4 against 3, and with y first the move x y -> y^2 leaves it
         I = MonomialIdeal(PolyRing(3, ["x", "y"]), [(2, 0), (1, 1), (0, 3)])
-        assert not _is_stable(MonomialIdeal(PolyRing(3, ["y", "x"]), [(0, 2), (1, 1), (3, 0)]))
+        assert not _is_stable(I, (1, 0))
         self.assert_formula_matches_both_walks(I)
 
     def test_degrees_are_compared_lowest_first(self):
         # (x^3, x^2 y^3, x y^4, y^5) written y, x: the total exponent sums,
         # 12 for y against 6 for x, would keep y first, which is not stable
         I = MonomialIdeal(PolyRing(2, ["y", "x"]), [(0, 3), (3, 2), (4, 1), (5, 0)])
-        assert not _is_stable(I)
+        assert not _is_stable(I, (0, 1))
         self.assert_formula_matches_both_walks(I)
 
     @given(I=permuted_lex_ideals())
     @settings(max_examples=150, deadline=None)
     def test_lex_segment_ideals_in_any_order(self, I):
         self.assert_formula_matches_both_walks(I)
+
+    @given(I=permuted_lex_ideals())
+    @settings(max_examples=50, deadline=None)
+    def test_lex_segment_ideals_build_no_ring_or_ideal(self, I):
+        self.assert_builds_nothing(I)
 
 
 def random_artinian_ideal(rng):
@@ -661,7 +714,8 @@ class TestKoszulTable:
     @settings(max_examples=200, deadline=None)
     def test_matches_both_walks_at_every_bound(self, I):
         for bound in range(mono_degree(I.lcm()) + 1):
-            assert _koszul_table(I, bound) == _lattice_sum(I, bound) == _box_sum(I, bound), bound
+            table = _koszul_table(I, bound)
+            assert [table, table] == walk_tables(I, bound), bound
 
     def test_counts_generator_sets_by_degree(self):
         # x^2, y^3, z w: the sets {}, {x^2}, {y^3}, {zw}, {x^2, y^3},
@@ -677,10 +731,10 @@ class TestWalkSpy:
 
     @pytest.fixture(autouse=True)
     def no_walk(self, monkeypatch):
-        def refuse(I, bound):
+        def refuse(I, *bounds):
             raise AssertionError(f"walked {I!r}")
 
-        for walk in ("_lattice_sum", "_box_sum", "_lattice_points", "_box_points"):
+        for walk in ("_walk_points", "_lattice_points", "_box_points"):
             monkeypatch.setattr(f"frobcalc.koszul.{walk}", refuse)
 
     @pytest.mark.parametrize("d, j", [(2, 2), (3, 3), (4, 2), (6, 2), (3, 5)])
