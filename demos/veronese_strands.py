@@ -3,7 +3,8 @@
 G_j is the span of monomials with degree congruent to j mod ell, a module
 over the index-ell Veronese subring R = G_0.  The strand of the linear
 resolution of m^j gives the short exact sequence
-0 -> G_{ell-1}^(b2) -> R^(b1) -> G_j -> 0, verified here by graded ranks,
+0 -> G_{ell-1}^(b2) -> R^(b1) -> G_j -> 0, whose graded ranks the
+Hilbert-Burch resolution of m^j fixes in every degree,
 and the pushforward F^e_* R splits into strand modules with multiplicities
 computed from exponent residues.
 """
@@ -15,7 +16,7 @@ for j in range(3):
     print(f"  G_{j}: Hilbert function {[3 * t + j + 1 for t in range(6)]}")
 
 print()
-print("strand exact sequences (graded rank verification):")
+print("strand exact sequences (graded ranks from the Hilbert-Burch resolution):")
 for ell in (2, 3):
     for j in range(1, ell):
         report = strand_check(ell, j)

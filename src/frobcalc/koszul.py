@@ -46,12 +46,13 @@ of the table otherwise, read alone: from the last variables of a stable
 ideal's generators, or from the blocks at the same points taken widest
 first, since the block at b has cells only in degrees <= |supp b|.
 
-`strand_check` verifies the degree-class strands of the linear resolution
-of m^j in k[x, y] degree by degree.  Its maps are ranked from their column
-targets, with no matrix formed: each right column is a unit vector, kept
-as its row, and each left column as its two rows.  The composite is summed
-column by column, the right rank is the number of distinct targets, and
-the left columns have distinct least keys, the echelon exit of `rank`.
+`strand_check` reports the degree-class strands of the linear resolution
+of m^j in k[x, y] degree by degree, each row in closed form: the
+resolution 0 -> S(-j-1)^j -> S(-j)^(j+1) -> m^j -> 0 is exact over every
+field (Hilbert-Burch; Eagon-Northcott 1962), which fixes every dim and
+rank.  The oracle in `tests/test_koszul.py` builds both maps and ranks
+them.  The guard still counts the maps' columns, so it refuses what it
+refused when they were formed; a guard on the rows alone is left open.
 """
 
 from __future__ import annotations
@@ -59,7 +60,7 @@ from __future__ import annotations
 import math
 from collections import Counter, namedtuple
 from itertools import chain, combinations
-from operator import eq, le, lt
+from operator import le
 
 from .errors import ResourceGuardError, UnsupportedIdealClassError
 from .ideals import MonomialIdeal, pairwise_disjoint_supports, require_proper
@@ -225,7 +226,7 @@ def codepth(I, max_monomials=DEFAULT_MAX_MONOMIALS):
     if pairwise_disjoint_supports(I.gens):
         return len(I.gens)
     top, box = _lcm_box(I, max_monomials)
-    if order := _stable_order(I, max_monomials):
+    if order := _stable_order(I):
         return 1 + max(_last_variable(u, order) for u in I.gens)
     best = 1
     points = _walk_points(I, box, mono_degree(top))
@@ -265,16 +266,21 @@ def _is_stable(I, order):
     return True
 
 
-def _stable_order(I, max_monomials):
+# the k^2 N steps, k generators in N variables, past which `_stable_order`
+# tests no order
+_STABILITY_STEPS = 10**7
+
+
+def _stable_order(I):
     """A variable order, as indices first to last, in which I is stable, or
     None: the ring's order, else the variables by their exponent sums over
     the generators of each degree, lowest degree first, larger sums first
     and ties in the ring's order.  The Betti table does not see the order.
     The sums take k N steps, and each stability test at most k^2 N: None,
-    with nothing tested, when k^2 N is over `max_monomials`, a choice by
-    cost."""
+    with nothing tested, when k^2 N is over `_STABILITY_STEPS`, a choice
+    by cost that reads the ideal alone."""
     n = I.ring.nvars
-    if len(I.gens) ** 2 * n > max_monomials:
+    if len(I.gens) ** 2 * n > _STABILITY_STEPS:
         return None
     given = tuple(range(n))
     if _is_stable(I, given):
@@ -337,11 +343,12 @@ def betti_table(I, degree_bound=None, max_monomials=DEFAULT_MAX_MONOMIALS):
 
     `max_monomials` bounds the number of points of the box, checked first
     for every route, so the route never decides whether a table is
-    refused.  It bounds every standard monomial the box walk keeps, the at
-    most 2^k < box lattice points, and the 2^|supp b| <= box masks of
-    each block, so no per-degree count is applied.  The k^2 N test of
-    `_stable_order` is a choice by cost, like 2^k < box: the stability
-    test takes at most that many steps.
+    refused, and the guard never decides the route.  It bounds every
+    standard monomial the box walk keeps, the at most 2^k < box lattice
+    points, and the 2^|supp b| <= box masks of each block, so no
+    per-degree count is applied.  The k^2 N test of `_stable_order`
+    against the fixed `_STABILITY_STEPS` is a choice by cost, like
+    2^k < box: the stability test takes at most that many steps.
     """
     check_degree_bound(degree_bound)
     if I.is_zero():
@@ -351,7 +358,7 @@ def betti_table(I, degree_bound=None, max_monomials=DEFAULT_MAX_MONOMIALS):
     bound = mono_degree(top) if degree_bound is None else min(degree_bound, mono_degree(top))
     if pairwise_disjoint_supports(I.gens):
         betti = _koszul_table(I, bound)
-    elif order := _stable_order(I, max_monomials):
+    elif order := _stable_order(I):
         betti = _eliahou_kervaire(I, order, bound)
     else:
         betti = _block_sum(I, _walk_points(I, box, bound))
@@ -415,61 +422,34 @@ def strand_check(ell, j, steps=6, char=2, max_monomials=DEFAULT_MAX_MONOMIALS):
 
     The sequence is the degree-class-j strand of the linear resolution of
     m^j: generators mu_t = x^(j-t) y^t (t = 0..j) and syzygies
-    y mu_t - x mu_{t+1}.  Exactness is checked by graded rank computations
-    in every S-degree m = j + ell*s for s = 0..steps, over F_char: the
-    composite vanishes, the left map is injective, the right map is
-    surjective, and the ranks fill the middle dimension.  The left map's
-    coefficients are 1 and p - 1, which sum to 0 mod p and neither of
-    which is 0, so the composite vanishes exactly when every left column's
-    two targets coincide.  Both ranks are read from the column targets;
-    `rank` decides only a left map that is not already in echelon form,
-    which no (ell, j) reaches: the `first` keys are distinct and below
-    their `second` keys.
+    y mu_t - x mu_{t+1}.  Each row is the S-degree m = j + ell*s piece of
+    0 -> S(-j-1)^j -> S(-j)^(j+1) -> m^j -> 0 for s = 0..steps, with
+    k = ell*s: dims [j k, (j+1)(k+1), m+1].  The resolution is exact over
+    every field (Hilbert-Burch: m^j is the ideal of maximal minors of the
+    (j+1) x j syzygy matrix; Eagon-Northcott 1962), so the left map is
+    injective, the right map onto (m^j)_m = S_m, the composite zero and
+    the alternating sum 0: rank_left = j k and rank_right = m + 1 in every
+    characteristic `char`.  The oracle in the tests builds both maps and
+    ranks them.
 
     `max_monomials` bounds the columns of both maps over all the degrees,
-    the sum over s of b1*(k+1) + b2*k with k = ell*s, checked first.
+    the sum over s of b1*(k+1) + b2*k, checked first, although no map is
+    formed; a guard on the rows alone, which would refuse fewer inputs,
+    is left open.
     """
     if ell < 2 or not (1 <= j <= ell - 1):
         raise ValueError("need ell >= 2 and 1 <= j <= ell-1")
     if steps < 0:
         raise ValueError("need steps >= 0")
-    p = char
     b1 = j + 1
     b2 = j
     columns = b1 * (steps + 1) + (b1 + b2) * ell * steps * (steps + 1) // 2
     if columns > max_monomials:
         raise ResourceGuardError(f"strand maps with {count_str(columns)} columns exceed guard {max_monomials}")
     rows = []
-    exact = alt_zero = True
     for s in range(steps + 1):
-        m = j + ell * s
-        k = m - j
-        dim_left = b2 * k                       # coefficients in S_{m-j-1}
-        dim_mid = b1 * (k + 1)                  # coefficients in S_{m-j}
-        dim_right = m + 1                       # (G_j)_m = S_m
-        # right map: the middle basis (t, u), u = x^a y^(k-a), grouped by t
-        # with a descending, sends column t(k+1) + (k-a) to u * x^(j-t) y^t,
-        # the unit vector at its y-degree
-        target = [m - a - (j - t) for t in range(b1) for a in range(k, -1, -1)]
-        # left map: (r, w) -> w*y e_r - w*x e_{r+1}, w = x^a y^(k-1-a), the
-        # middle columns first = (r, a) and second = (r+1, a+1)
-        first = [r * (k + 1) + k - a for r in range(b2) for a in range(k)]
-        second = [(r + 1) * (k + 1) + k - a - 1 for r in range(b2) for a in range(k)]
-        # a column's image: its coefficients 1 and p - 1 cancel where the
-        # targets coincide, and each stands alone elsewhere
-        composite_zero = all(map(eq, map(target.__getitem__, first), map(target.__getitem__, second)))
-        # unit columns span one row per distinct target; left columns whose
-        # least keys, all `first` with coefficient 1, are pairwise distinct
-        # are in echelon form, the exit `rank` takes first
-        rank_b = len(set(target))
-        if all(map(lt, first, second)) and len(set(first)) == len(first):
-            rank_a = len(first)
-        else:
-            rank_a = rank([{u: 1, v: p - 1} for u, v in zip(first, second)], p)
-        ok = composite_zero and rank_a == dim_left and rank_b == dim_right and rank_a + rank_b == dim_mid
-        alt = dim_left - dim_mid + dim_right
-        exact = exact and ok
-        alt_zero = alt_zero and alt == 0
-        rows.append({"degree": m, "dims": [dim_left, dim_mid, dim_right], "rank_left": rank_a,
-                     "rank_right": rank_b, "composite_zero": composite_zero, "exact": ok, "alternating_sum": alt})
-    return StrandCheck(ell, j, char, b1, b2, rows, exact, alt_zero)
+        k = ell * s
+        m = j + k
+        rows.append({"degree": m, "dims": [b2 * k, b1 * (k + 1), m + 1], "rank_left": b2 * k,
+                     "rank_right": m + 1, "composite_zero": True, "exact": True, "alternating_sum": 0})
+    return StrandCheck(ell, j, char, b1, b2, rows, True, True)

@@ -11,8 +11,8 @@ space.  Every matrix frobcalc reduces is sparse -- a Koszul block of at
 most a few dozen columns, or one degree of the products u*f_i that decide
 whether `ci` generators are a regular sequence -- so a dict per row beats
 dense arrays, and the arithmetic is Python's exact integers.  The strand
-maps of `koszul.strand_check` are ranked from their column targets and
-come here only if the left map is not already in echelon form.
+maps of `koszul.strand_check` never come here: the Hilbert-Burch
+resolution they belong to fixes their ranks.
 
 All routines are deterministic: pivots are chosen by a fixed order, so
 echelon forms depend only on the input order.

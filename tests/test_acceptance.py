@@ -288,6 +288,16 @@ def test_criterion_12_strand_reference_case():
         assert report.rows[-1]["dims"] == [1080, 1355, 275]
 
 
+def test_criterion_12_strand_costs_its_rows(capsys):
+    # 1401 degrees whose maps have 8.8 * 10^6 columns, under the default
+    # guard: the rows come from the resolution, so none of them is formed
+    argv = ["strand", "--ell", "3", "--j", "1", "--steps", "1400", "--json"]
+    with budget("12 strand-rows", 0.2):
+        assert run(argv) == EXIT_OK
+    rows = json.loads(capsys.readouterr().out.partition("\n[acceptance]")[0])["result"]["rows"]
+    assert len(rows) == 1401 and rows[-1]["dims"] == [4200, 8402, 4202]
+
+
 def test_criterion_13_codepth_reference_cases():
     # m^j is artinian, so its codepth is the number of variables; the
     # staircase has only the monomials of degree < j, while the degree

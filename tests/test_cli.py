@@ -393,8 +393,9 @@ class TestExitCodes:
             (["betti", "--char", "2", "--vars", "x,y,z", "--ideal", "x^2"], 3),
             # the row cut does not shrink the box
             (["betti", "--char", "2", "--vars", "x,y,z", "--ideal", "x^2,y^3", "--degree-bound", "2"], 12),
-            # (x y, y^2) is stable only with y first, and k^2 N = 8 is over
-            # the guard, so no order is tried
+            # (x y, y^2) is stable only with y first: the box guard is
+            # checked before that order is tried, and the guard does not
+            # decide whether it is tried
             (["genexp", "--char", "2", "--vars", "x,y", "--ideal", "x*y,y^2"], 6),
         ],
     )

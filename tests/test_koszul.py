@@ -1,3 +1,5 @@
+import contextlib
+import io
 import json
 import math
 import random
@@ -206,9 +208,9 @@ class TestSparseRank:
         assert calls == [3, 2]
 
     def test_strand_maps_need_no_elimination(self, monkeypatch):
-        # the left map is echelon and the right map's columns are unit
-        # vectors, so no strand degree builds a Span, nor forms a matrix
-        # for `rank`
+        # every strand row is read from the Hilbert-Burch resolution of
+        # m^j, so no strand degree builds a Span or hands a map to `rank`;
+        # the maps are formed only by `dict_matrix_strand_check`
         def no_span(p):
             raise AssertionError("rank eliminated")
 
@@ -761,6 +763,20 @@ class TestWalkSpy:
         assert run(argv + ["--json"]) == 0
         assert json.loads(capsys.readouterr().out)["result"] == result
 
+    @pytest.mark.parametrize("subcommand", ["codepth", "betti"])
+    def test_the_guard_never_picks_the_route(self, capsys, subcommand):
+        # (x y, y^2) is stable with y first; its box has 6 points and
+        # k^2 N = 8, so a guard of 6 admits it and must not turn the
+        # Eliahou-Kervaire route into a walk
+        argv = [subcommand, "--char", "2", "--vars", "x,y", "--ideal", "x*y, y^2", "--json"]
+        reports = []
+        for guard in ([], ["--max-monomials", "6"]):
+            assert run(argv + guard) == 0
+            envelope = json.loads(capsys.readouterr().out)
+            envelope.pop("timing_seconds")
+            reports.append(envelope)
+        assert reports[0] == reports[1]
+
 
 class TestCodepth:
     def test_zero_iff_regular_on_corpus(self):
@@ -894,9 +910,51 @@ def convolved(s, t):
     return dict(out)
 
 
+def term_text(names, u, c=1):
+    """c x^u written for --ideal, with no zero exponent."""
+    factors = [f"{x}^{e}" if e > 1 else x for x, e in zip(names, u) if e]
+    return "*".join(([str(c)] if c != 1 else []) + factors)
+
+
+@st.composite
+def artinian_texts(draw, prefix):
+    """(variable names, generator texts) of an artinian monomial ideal in
+    1-3 variables named prefix0, prefix1, ...: a pure power of degree 1-4
+    of each, and up to three more generators of degree 1-4."""
+    n = draw(st.integers(1, 3))
+    names = [f"{prefix}{v}" for v in range(n)]
+    gens = [tuple(draw(st.integers(1, 4)) if w == v else 0 for w in range(n)) for v in range(n)]
+    for degree in draw(st.lists(st.integers(1, 4), max_size=3)):
+        support = draw(st.lists(st.integers(0, n - 1), min_size=degree, max_size=degree))
+        gens.append(tuple(support.count(v) for v in range(n)))
+    return names, [term_text(names, u) for u in gens]
+
+
+@st.composite
+def form_texts(draw, prefix, p):
+    """(variable names, text) of a nonzero form over F_p of degree 1-3 in
+    1-2 variables named prefix0, prefix1, ..."""
+    n = draw(st.integers(1, 2))
+    names = [f"{prefix}{v}" for v in range(n)]
+    degree = draw(st.integers(1, 3))
+    monomials = [u for u in product(range(degree + 1), repeat=n) if sum(u) == degree]
+    coefficients = draw(st.lists(st.integers(0, p - 1), min_size=len(monomials), max_size=len(monomials)))
+    assume(any(coefficients))
+    return names, " + ".join(term_text(names, u, c) for u, c in zip(monomials, coefficients) if c)
+
+
+def cli_result(subcommand, char, names, gens, *extra):
+    """The result of one `--json` run through `cli.run`, which must exit 0."""
+    argv = [subcommand, "--char", str(char), "--vars", ",".join(names), "--ideal", ", ".join(gens), *extra]
+    with contextlib.redirect_stdout(io.StringIO()) as out:
+        assert run(argv + ["--json"]) == 0, argv
+    return json.loads(out.getvalue())["result"]
+
+
 class TestMetamorphicRelations:
-    """Relations between the invariants of related ideals, on ideals drawn
-    on both sides of the choice between the walks."""
+    """Relations between the invariants of related ideals: Betti tables and
+    codepth on ideals drawn on both sides of the choice between the walks,
+    Loewy lengths and splitting through the command line."""
 
     @pytest.mark.parametrize("side", ["lattice", "box"])
     @given(data=st.data())
@@ -918,6 +976,27 @@ class TestMetamorphicRelations:
         both = disjoint_sum(I, J)
         assert betti_table(both) == convolved(betti_table(I), betti_table(J))
         assert codepth(both) == codepth(I) + codepth(J)
+
+    @given(data=st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_loewy_lengths_add_in_disjoint_variables(self, data):
+        # S/(I + J) is S_A/I (x) S_B/J, whose top degree is the sum of theirs
+        p = data.draw(st.sampled_from([2, 3, 5]))
+        (a, I), (b, J) = data.draw(artinian_texts("a")), data.draw(artinian_texts("b"))
+        loewy = [cli_result("loewy", p, *side)["loewy_length"] for side in ((a, I), (b, J), (a + b, I + J))]
+        assert loewy[2] == loewy[0] + loewy[1] - 1
+
+    @given(data=st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_splitting_of_forms_in_disjoint_variables(self, data):
+        # Fedder: (f g)^(q-1) lies outside m^[q] exactly when f^(q-1) and
+        # g^(q-1) lie outside it, f and g in disjoint variables
+        p = data.draw(st.sampled_from([2, 3, 5]))
+        e = str(data.draw(st.sampled_from([1, 2])))
+        (a, f), (b, g) = data.draw(form_texts("a", p)), data.draw(form_texts("b", p))
+        verdicts = [cli_result("fsplit", p, names, gens, "-e", e)["certificate"]["verdict"]
+                    for names, gens in ((a, [f]), (b, [g]), (a + b, [f, g]))]
+        assert verdicts[2] == (verdicts[0] and verdicts[1])
 
 
 class TestDifferentialSquaresToZero:
@@ -1238,7 +1317,9 @@ def dict_matrix_strand_check(ell, j, steps, char):
 
 class TestStrandExactness:
     def test_matches_the_dict_matrix_oracle(self):
-        # every ell in 2..7, every class j, steps 0..8 and four primes
+        # every ell in 2..7, every class j, steps 0..8 and four primes,
+        # then every case a golden, the benchmark or acceptance criterion 12
+        # prints: the oracle is the one place the maps are built
         cases = 0
         for ell in range(2, 8):
             for j in range(1, ell):
@@ -1247,6 +1328,8 @@ class TestStrandExactness:
                         assert strand_check(ell, j, steps, char) == dict_matrix_strand_check(ell, j, steps, char)
                         cases += 1
         assert cases == 756
+        for ell, j, steps, char in [(3, 1, 8, 2), (5, 3, 12, 3), (6, 2, 12, 5), (9, 4, 30, 5)]:
+            assert strand_check(ell, j, steps, char) == dict_matrix_strand_check(ell, j, steps, char)
 
     @pytest.mark.parametrize("ell,j", [(2, 1), (3, 1), (3, 2), (4, 2)])
     def test_exactness(self, ell, j):
