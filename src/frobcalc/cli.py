@@ -231,7 +231,7 @@ FLAGS = {
     "--formula-nvars": (int, "closed form: number of variables"),
     "--formula-power": (int, "closed form: power of the maximal ideal"),
     "--ell": (int, "Veronese index"),
-    "--steps": (int, "strand degrees to check"),
+    "--steps": (int, "strand degrees to report"),
     "--n": (int, "dimension of projective space"),
     "--p": (int, "prime characteristic"),
     "--l": (int, "line bundle twist"),
@@ -256,7 +256,7 @@ SUBCOMMANDS = {
     "loewy": ("Loewy length of an artinian monomial quotient", "monomial", {}),
     "betti": ("graded Betti table, or the power formula", "monomial",
               {"--degree-bound": None, "--formula-nvars": None, "--formula-power": None}),
-    "strand": ("strand exact-sequence verification", None,
+    "strand": ("strand exact-sequence ranks (Hilbert-Burch)", None,
                {"--ell": REQUIRED, "--j": REQUIRED, "--steps": 6, "--char": 2}),
     "alpha": ("twist multiplicities on projective space", None,
               {"--n": REQUIRED, "--p": REQUIRED, "--l": 0}),

@@ -249,10 +249,13 @@ def _is_stable(I, order):
     minimal generator u, x_m its last variable in `order` and every x_v
     before it.  Testing the generators suffices (Eliahou-Kervaire 1990).
     Each test is a set lookup when x_v u / x_m is itself a generator, as
-    for every power of the maximal ideal, and a scan of the generators
-    otherwise: at most k^2 N divisibility tests for k generators in N
-    variables."""
+    for every power of the maximal ideal, and a scan of the k generators
+    otherwise.  False, a choice by cost that reads the ideal alone, before
+    a scan would pass `_STABILITY_STEPS` divisibility tests; at most
+    k (N - 1) scans are needed in N variables, so with k^2 N within that
+    budget the test always decides."""
     gens = set(I.gens)
+    scans = _STABILITY_STEPS // len(I.gens)
     for u in I.gens:
         last = _last_variable(u, order)
         m = order[last]
@@ -261,13 +264,14 @@ def _is_stable(I, order):
             w[v] += 1
             w[m] -= 1
             w = tuple(w)
-            if w not in gens and not I.contains_monomial(w):
-                return False
+            if w not in gens:
+                scans -= 1
+                if scans < 0 or not I.contains_monomial(w):
+                    return False
     return True
 
 
-# the k^2 N steps, k generators in N variables, past which `_stable_order`
-# tests no order
+# the divisibility tests past which `_is_stable` gives up on an order
 _STABILITY_STEPS = 10**7
 
 
@@ -276,12 +280,9 @@ def _stable_order(I):
     None: the ring's order, else the variables by their exponent sums over
     the generators of each degree, lowest degree first, larger sums first
     and ties in the ring's order.  The Betti table does not see the order.
-    The sums take k N steps, and each stability test at most k^2 N: None,
-    with nothing tested, when k^2 N is over `_STABILITY_STEPS`, a choice
-    by cost that reads the ideal alone."""
+    The sums take k N steps, and each `_is_stable` test at most
+    `_STABILITY_STEPS` divisibility tests."""
     n = I.ring.nvars
-    if len(I.gens) ** 2 * n > _STABILITY_STEPS:
-        return None
     given = tuple(range(n))
     if _is_stable(I, given):
         return given
@@ -346,9 +347,8 @@ def betti_table(I, degree_bound=None, max_monomials=DEFAULT_MAX_MONOMIALS):
     refused, and the guard never decides the route.  It bounds every
     standard monomial the box walk keeps, the at most 2^k < box lattice
     points, and the 2^|supp b| <= box masks of each block, so no
-    per-degree count is applied.  The k^2 N test of `_stable_order`
-    against the fixed `_STABILITY_STEPS` is a choice by cost, like
-    2^k < box: the stability test takes at most that many steps.
+    per-degree count is applied.  The fixed `_STABILITY_STEPS` budget of
+    each stability test is a choice by cost, like 2^k < box.
     """
     check_degree_bound(degree_bound)
     if I.is_zero():

@@ -777,6 +777,17 @@ class TestWalkSpy:
             reports.append(envelope)
         assert reports[0] == reports[1]
 
+    @pytest.mark.parametrize("guard", [10**7, 2 * 10**7])
+    def test_a_stable_ideal_past_k2n_is_tested(self, guard):
+        # y m^2999 in x, y is stable with y first: 3000 generators, so
+        # k^2 N = 1.8 * 10^7 is past the stability budget, yet the test
+        # needs one scan and 3000 set lookups.  Its box has 9.0 * 10^6
+        # points, whose walk takes minutes.
+        ring = PolyRing(2, ["x", "y"])
+        I = MonomialIdeal(ring, [(2999 - b, b + 1) for b in range(3000)])
+        assert betti_table(I, max_monomials=guard) == {(0, 0): 1, (1, 3000): 3000, (2, 3001): 2999}
+        assert codepth(I, max_monomials=guard) == 2
+
 
 class TestCodepth:
     def test_zero_iff_regular_on_corpus(self):

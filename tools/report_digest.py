@@ -1,14 +1,14 @@
 """Digest every report the benchmark's queries print, to compare checkouts.
 
 Usage:
-  python3 tools/report_digest.py [--root CHECKOUT] [--strand-steps N] SEED...
+  python3 tools/report_digest.py [--root CHECKOUT] SEED...
 
-For each seed, the query argvs of the three benchmark workloads are drawn
-as `bench/run.py` draws them, from random.Random(f"{workload}:{seed}"),
-and a fixed `strand` grid is added: ell = 2..12, every class j, steps
-0..N (default 20) and char 2, 3, 5 and 7; a negative N leaves it out.
-Each argv runs in process through `frobcalc.cli.run`, once with `--json`
-and once in text mode, and prints one line:
+For each seed, the query argvs of every benchmark workload are drawn as
+`bench/run.py` draws them, from random.Random(f"{workload}:{seed}"), and
+a fixed `strand` grid is added: ell = 2..12, every class j, steps 0..20
+and char 2, 3, 5 and 7.  Each argv runs in process through
+`frobcalc.cli.run`, once with `--json` and once in text mode, and prints
+one line:
 
   label [mode] <tab> exit code <tab> sha256(stdout) <tab> sha256(stderr)
 
@@ -35,28 +35,29 @@ from pathlib import Path
 
 # the timing field of a report, in JSON and in text mode
 TIMING = re.compile(r',\n  "timing_seconds": .*|\ntiming_seconds: .*')
-WORKLOAD_NAMES = ("ci_split", "monomial_homology", "pushforward_modules")
 STRAND_ELLS = range(2, 13)
+STRAND_STEPS = range(21)
 STRAND_CHARS = (2, 3, 5, 7)
 
 
-def strand_grid(max_steps):
+def strand_grid():
     """(label, argv) for every strand case of the fixed grid."""
     for ell in STRAND_ELLS:
         for j in range(1, ell):
-            for steps in range(max_steps + 1):
+            for steps in STRAND_STEPS:
                 for char in STRAND_CHARS:
                     argv = ["strand", "--ell", str(ell), "--j", str(j), "--steps", str(steps), "--char", str(char)]
                     yield f"strand ell={ell} j={j} steps={steps} char={char}", argv
 
 
-def cases(workloads, seeds, max_steps):
-    """(label, argv) for every query of every seed, then the strand grid."""
+def cases(workloads, seeds):
+    """(label, argv) for every query of every seed of every workload in
+    `workloads`, {name: draw(rng)}, then the strand grid."""
     for seed in seeds:
-        for name in WORKLOAD_NAMES:
-            for i, query in enumerate(workloads[name](random.Random(f"{name}:{seed}"))):
+        for name, draw in workloads.items():
+            for i, query in enumerate(draw(random.Random(f"{name}:{seed}"))):
                 yield f"{name}:{seed}#{i} {query.label}", query.argv
-    yield from strand_grid(max_steps)
+    yield from strand_grid()
 
 
 def digest(run, argv):
@@ -76,18 +77,17 @@ def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("seeds", type=int, nargs="+")
     parser.add_argument("--root", type=Path, default=Path(__file__).resolve().parent.parent)
-    parser.add_argument("--strand-steps", type=int, default=20)
     args = parser.parse_args(argv)
 
-    root = args.root.resolve()
-    sys.path[:0] = [str(root / "src"), str(root / "bench")]
-    import frobcalc.cli
-    from workloads import WORKLOADS
+    # the benchmark's runner imports the CLI from its own checkout's src/
+    bench = args.root.resolve() / "bench"
+    if not (bench / "run.py").is_file():
+        sys.exit(f"error: no benchmark runner under {bench}")
+    sys.path.insert(0, str(bench))
+    import run as bench_run
 
-    if Path(frobcalc.cli.__file__).resolve().parent != root / "src" / "frobcalc":
-        sys.exit(f"error: imported frobcalc from {frobcalc.cli.__file__}, not {root / 'src'}")
-    run = frobcalc.cli.run
-    for label, query in cases(WORKLOADS, args.seeds, args.strand_steps):
+    run = bench_run.load_cli().run
+    for label, query in cases(bench_run.WORKLOADS, args.seeds):
         for mode, extra in (("json", ["--json"]), ("text", [])):
             code, out, err = digest(run, query + extra)
             print(f"{label} [{mode}]\t{code}\t{out}\t{err}")
