@@ -5,6 +5,11 @@ between R and its Frobenius: the chain of submodules generated by the
 products f^a (exponents a in {0..p-1}^c, lexicographic) has p^c steps and
 every subquotient matches the pushforward of R = S/(f_1..f_c) in Hilbert
 series.  That is the mechanism capping the level at p^c.
+
+The subquotient dims printed come from that theorem (Kunz 1969): step a
+is HF(S/(f)) shifted by deg f^a, read from the Koszul counts of the
+sequence.  The tests compare them with a walk of the staircase of
+S/(f_1^p, ..., f_c^p).
 """
 
 from frobcalc import PolyRing, ci_filtration_check

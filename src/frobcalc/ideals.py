@@ -62,6 +62,28 @@ def pairwise_disjoint_supports(monos):
     return True
 
 
+def koszul_counts(degrees, bound):
+    """Nonzero counts {(i, d): the number of i-sets of `degrees` summing to
+    d} with d <= bound.  For a regular sequence of forms of these degrees
+    the Koszul complex resolves S/(f) (Tate, "Homology of Noetherian rings
+    and local rings", 1957), so the counts are its graded Betti numbers
+    beta_{i,d}.  One degree at a time, each set either leaves it out or
+    takes it."""
+    table = {(0, 0): 1}
+    for j in degrees:
+        for (i, d), number in list(table.items()):
+            if d + j <= bound:
+                table[(i + 1, d + j)] = table.get((i + 1, d + j), 0) + number
+    return table
+
+
+def koszul_hilbert(nvars, counts, d):
+    """dim_k (S/(f))_d for a regular sequence in `nvars` variables whose
+    `koszul_counts` reach degree d: the alternating sum over the Koszul
+    complex, sum of (-1)^i beta_{i,e} dim S_(d - e)."""
+    return sum((-1) ** i * number * bounded_count(nvars, d - e) for (i, e), number in counts.items())
+
+
 def _minimalize(monos):
     """Drop every monomial divisible by another; canonical descending order.
     The distinct monomials are taken one degree at a time, and each is
@@ -272,14 +294,8 @@ class CIIdeal:
             supports.update(sum(1 << v for v, e in enumerate(m) if e) for m in leaders)
 
     def hilbert_function(self, d):
-        """dim_k (S/I)_d via inclusion-exclusion over the regular sequence."""
-        degs = [f.degree() for f in self.gens]
-        total = 0
-        for mask in range(1 << len(degs)):
-            shift = sum(degs[i] for i in range(len(degs)) if mask >> i & 1)
-            sign = -1 if bin(mask).count("1") % 2 else 1
-            total += sign * bounded_count(self.ring.nvars, d - shift)
-        return total
+        """dim_k (S/I)_d from the Koszul counts of the regular sequence."""
+        return koszul_hilbert(self.ring.nvars, koszul_counts([f.degree() for f in self.gens], d), d)
 
     def __repr__(self):
         return f"CIIdeal({', '.join(str(f) for f in self.gens)})"

@@ -24,9 +24,10 @@ resolutions", 1999): k generators give at most 2^k such points.
 `betti_table` reads the graded Betti table by the first route that
 applies, after the box guard:
 - generators with pairwise disjoint supports, a monomial regular
-  sequence, whose Koszul complex resolves S/I (Tate, "Homology of
-  Noetherian rings and local rings", 1957): beta_{i,d}(S/I) is the number
-  of i-sets of generators whose degrees sum to d;
+  sequence, whose Koszul complex resolves S/I (Tate 1957): beta_{i,d}(S/I)
+  is the number of i-sets of generators whose degrees sum to d, the
+  counts `ideals.koszul_counts` shares with the Hilbert function of a
+  complete intersection and with the filtration steps;
 - an ideal stable in the ring's variable order or in one other
   (Eliahou-Kervaire, "Minimal resolutions of some monomial ideals", 1990)
   in closed form, beta_{i+1, i+j}(S/I) the sum over the degree-j
@@ -63,7 +64,7 @@ from itertools import chain, combinations
 from operator import le
 
 from .errors import ResourceGuardError, UnsupportedIdealClassError
-from .ideals import MonomialIdeal, pairwise_disjoint_supports, require_proper
+from .ideals import MonomialIdeal, koszul_counts, pairwise_disjoint_supports, require_proper
 from .modlinalg import rank
 from .polyring import DEFAULT_MAX_MONOMIALS, check_degree_bound, count_str, mono_degree
 
@@ -294,21 +295,6 @@ def _stable_order(I):
     return order if order != given and _is_stable(I, order) else None
 
 
-def _koszul_table(I, bound):
-    """Nonzero ranks {(i, d): beta_{i,d}(S/I)} with d <= bound for
-    generators with pairwise disjoint supports, a regular sequence: their
-    Koszul complex resolves S/I (Tate 1957), so beta_{i,d} is the number
-    of i-sets of generators whose degrees sum to d.  One generator at a
-    time, each set either leaves it out or takes it."""
-    table = {(0, 0): 1}
-    for g in I.gens:
-        j = mono_degree(g)
-        for (i, d), count in list(table.items()):
-            if d + j <= bound:
-                table[(i + 1, d + j)] = table.get((i + 1, d + j), 0) + count
-    return table
-
-
 def _eliahou_kervaire(I, order, bound):
     """Nonzero ranks {(i, d): beta_{i,d}(S/I)} with d <= bound for I stable
     in `order`: beta_{i+1, i+j} is the sum over the generators u of degree
@@ -333,7 +319,8 @@ def betti_table(I, degree_bound=None, max_monomials=DEFAULT_MAX_MONOMIALS):
     a box [0, L] of prod(L_v + 1) points, the table comes from the first
     route that applies:
     - when the generators have pairwise disjoint supports, a regular
-      sequence, the count of generator sets by degree (`_koszul_table`);
+      sequence, the count of generator sets by degree (`koszul_counts`,
+      shared with `CIIdeal.hilbert_function` and `ci_filtration_check`);
     - when `_stable_order` finds an order in which I is stable, the
       Eliahou-Kervaire formula (`_eliahou_kervaire`);
     - otherwise the blocks at the `_walk_points`, the lcm-lattice points
@@ -357,7 +344,7 @@ def betti_table(I, degree_bound=None, max_monomials=DEFAULT_MAX_MONOMIALS):
     top, box = _lcm_box(I, max_monomials)
     bound = mono_degree(top) if degree_bound is None else min(degree_bound, mono_degree(top))
     if pairwise_disjoint_supports(I.gens):
-        betti = _koszul_table(I, bound)
+        betti = koszul_counts([mono_degree(g) for g in I.gens], bound)
     elif order := _stable_order(I):
         betti = _eliahou_kervaire(I, order, bound)
     else:

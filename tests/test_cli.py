@@ -17,7 +17,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import bracket, walk_candidates
+from conftest import walk_candidates
 from frobcalc import MonomialIdeal, PolyRing, build_ideal, parse_polynomial, pushforward
 from frobcalc.cli import (
     EXIT_GUARD,
@@ -207,7 +207,7 @@ class TestExitCodes:
         argv = ["codepth", "--char", "2", "--vars", "x,y", "--ideal", "x^2 + x*y"]
         assert run(argv) == EXIT_UNSUPPORTED
 
-    @pytest.mark.parametrize("subcommand", ["fsplit", "twists"])
+    @pytest.mark.parametrize("subcommand", ["fsplit", "twists", "summand --j 1", "witness", "flevel"])
     @pytest.mark.parametrize("char, ideal", [
         ("2", "x^2+y*z, 2*x*y"),
         ("2", "x^2+y*z, 0"),
@@ -219,7 +219,7 @@ class TestExitCodes:
     def test_zero_generators_and_unit_multiples_give_the_same_result(self, capsys, subcommand, char, ideal):
         # zero generators are dropped before the class is read, and a unit
         # multiple c*f has the colon generator c^(q-1) f^(q-1) = f^(q-1)
-        base = [subcommand, "--char", char, "--vars", "x,y,z", "--ideal"]
+        base = subcommand.split() + ["--char", char, "--vars", "x,y,z", "--ideal"]
         expected = run_json(capsys, base + ["x^2+y*z"])["result"]
         assert run_json(capsys, base + [ideal])["result"] == expected
 
@@ -467,7 +467,7 @@ class TestExitCodes:
             (["loewy", "--char", "2", "--vars", "x,y,z", "--ideal", "x^3, y^3, z^3"], 3, 7),
             (["decompose"] + TWELVE, 2, 5),
             # (x^6, y^6) has Loewy length 11; (x^4, y^4) in three variables
-            # is not artinian, so the default band 2 * 4 + 2 is walked
+            # is not artinian, so the default band 2 * 4 + 2 is read
             (["filtration", "--char", "3", "--vars", "x,y", "--ideal", "x^2, y^2"], 2, 11),
             (["filtration", "--char", "2", "--vars", "x,y,z", "--ideal", "x^2, y^2"], 3, 10),
             # socle degree 3 + 2 + 2, so the walk runs through degree 8
@@ -475,20 +475,20 @@ class TestExitCodes:
         ],
     )
     def test_guard_pins_at_every_threshold(self, argv, nvars, top):
-        # every degree 0..top is guarded by the running total of the
-        # candidates the walk forms, over I for loewy and decompose and over
-        # I^[p] for filtration (whose later walk of I forms fewer); the
-        # first total over the guard is the one reported.  The filtration
-        # then charges its table, p^c steps by the degrees it read: the
-        # Loewy length top when artinian, else the band 0..top
+        # for loewy and decompose every degree 0..top is guarded by the
+        # running total of the candidates the walk of I forms; the first
+        # total over the guard is the one reported.  The filtration walks
+        # nothing: its one guard is its table, p^c steps by the degrees it
+        # reads, the Loewy length top of I^[p] when artinian, else the band
+        # 0..top
         p = int(argv[2])
         ring = PolyRing(p, argv[4].split(","))
         I = MonomialIdeal(ring, [parse_polynomial(ring, g).single_monomial() for g in argv[6].split(",")])
-        walked = bracket(I, p) if argv[0] == "filtration" else I
         assert ring.nvars == nvars
-        totals = list(itertools.accumulate(walk_candidates(walked, top)))
-        degrees = top if walked.is_artinian() else top + 1
-        cells = p ** len(I.gens) * degrees if argv[0] == "filtration" else 0
+        filtration = argv[0] == "filtration"
+        totals = [] if filtration else list(itertools.accumulate(walk_candidates(I, top)))
+        degrees = top if I.is_artinian() else top + 1
+        cells = p ** len(I.gens) * degrees if filtration else 0
         for threshold in totals + [cells]:
             for guard in (threshold - 1, threshold):
                 over = [t for t in totals if t > guard]
@@ -502,6 +502,14 @@ class TestExitCodes:
                     assert (code, err) == (EXIT_OK, "")
                     continue
                 assert (code, lines, err) == (EXIT_GUARD, [], f"error: {message}\n")
+
+    def test_filtration_charges_its_table_before_it_forms_a_power(self):
+        # x^(2p) would pass the exponent limit 2^31, but the table of p steps
+        # by the 2p degrees of S/(x^(2p)) is refused before any power of x
+        argv = ["filtration", "--char", "2147483647", "--vars", "x", "--ideal", "x^2"]
+        message = ("error: filtration table of 2147483647^1 steps by 4294967294 degrees, "
+                   "9223372028264841218 cells, exceeds guard 10000000\n")
+        assert run_captured(argv) == (EXIT_GUARD, [], message)
 
     def test_veronese_guards_its_hilbert_series_check(self, capsys):
         # 12 * 2 * 3 + 1 degrees are checked; the 3^2 * 2 pieces fit either guard

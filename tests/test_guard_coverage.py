@@ -29,8 +29,8 @@ def run_quietly(argv):
         # 1500; the running total of the candidates passes 10^5 in degree 446
         ("staircase exponent", ["loewy", "--char", "2", "--vars", "x,y", "--ideal", "x^1500, y^1500",
                                 "--max-monomials", "100000"], 0.5),
-        # 83^2 steps by 331 degrees: 2280259 cells, formed only after the
-        # staircase walk of 83^2 * 4 monomials has passed the guard
+        # 83^2 steps by 331 degrees: 2280259 cells, refused before the
+        # chain is formed; no staircase is walked
         ("filtration p", ["filtration", "--char", "83", "--vars", "x,y", "--ideal", "x^2, y^2",
                           "--max-monomials", "100000"], 0.5),
     ],

@@ -27,7 +27,7 @@ from frobcalc import (
     in_bracket_max,
     parse_polynomial,
 )
-from frobcalc.ideals import _minimalize, build_ideal
+from frobcalc.ideals import _minimalize, build_ideal, koszul_counts, koszul_hilbert
 from frobcalc.modlinalg import rank
 from frobcalc.polyring import mono_degree, mono_divides, mono_pow, mono_sorted
 from frobcalc.splitting import colon_generators
@@ -506,7 +506,38 @@ class TestPushforwardGenerators:
             assert pushforward_min_generators(I, 1) >= I.ring.nvars
 
 
+def inclusion_exclusion_hilbert(nvars, degrees, d):
+    """dim_k (S/(f))_d for a regular sequence of forms of these degrees in
+    `nvars` variables, by inclusion-exclusion over every subset of the
+    generators: the oracle of the Koszul counts."""
+    total = 0
+    for mask in range(1 << len(degrees)):
+        shift = sum(degrees[i] for i in range(len(degrees)) if mask >> i & 1)
+        sign = -1 if bin(mask).count("1") % 2 else 1
+        total += sign * (math.comb(d - shift + nvars - 1, nvars - 1) if d >= shift else 0)
+    return total
+
+
 class TestCIHilbert:
+    @given(degrees=st.lists(st.integers(1, 4), min_size=1, max_size=5), extra=st.integers(0, 1))
+    @settings(max_examples=100, deadline=None)
+    def test_koszul_counts_agree_with_inclusion_exclusion_and_the_walk(self, degrees, extra):
+        # every N >= c against the oracle; the pure powers x_i^d_i in c or
+        # c + 1 variables, a CIIdeal, also against their staircase
+        c = len(degrees)
+        counts = koszul_counts(degrees, 30)
+        for n in range(c, c + 4):
+            assert [koszul_hilbert(n, counts, d) for d in range(31)] == [
+                inclusion_exclusion_hilbert(n, degrees, d) for d in range(31)
+            ]
+        n = c + extra
+        ring = PolyRing(2, [f"x{v}" for v in range(n)])
+        powers = [tuple(d if v == i else 0 for v in range(n)) for i, d in enumerate(degrees)]
+        I = CIIdeal(ring, [Polynomial(ring, {m: 1}) for m in powers])
+        levels = MonomialIdeal(ring, powers).staircase(30)
+        walked = [len(level) for level in levels] + [0] * (31 - len(levels))
+        assert [I.hilbert_function(d) for d in range(31)] == walked
+
     def test_hypersurface(self):
         ring = PolyRing(3, ["x", "y", "z"])
         I = CIIdeal(ring, [parse_polynomial(ring, "x^3 + y^3 + z^3")])

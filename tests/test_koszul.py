@@ -25,13 +25,13 @@ from frobcalc import (
     strand_check,
 )
 from frobcalc.cli import run
+from frobcalc.ideals import koszul_counts
 from frobcalc.koszul import (
     StrandCheck,
     _block_sum,
     _box_points,
     _eliahou_kervaire,
     _is_stable,
-    _koszul_table,
     _lattice_points,
     _walk_points,
     betti_power_row,
@@ -716,16 +716,15 @@ class TestKoszulTable:
     @settings(max_examples=200, deadline=None)
     def test_matches_both_walks_at_every_bound(self, I):
         for bound in range(mono_degree(I.lcm()) + 1):
-            table = _koszul_table(I, bound)
+            table = koszul_counts([mono_degree(g) for g in I.gens], bound)
             assert [table, table] == walk_tables(I, bound), bound
 
     def test_counts_generator_sets_by_degree(self):
         # x^2, y^3, z w: the sets {}, {x^2}, {y^3}, {zw}, {x^2, y^3},
         # {x^2, zw}, {y^3, zw} and all three, of degrees 0, 2, 3, 2, 5, 4, 5, 7
-        ring = PolyRing(2, ["x", "y", "z", "w"])
-        I = mi(ring, (2, 0, 0, 0), (0, 3, 0, 0), (0, 0, 1, 1))
-        assert _koszul_table(I, 7) == {(0, 0): 1, (1, 2): 2, (1, 3): 1, (2, 4): 1, (2, 5): 2, (3, 7): 1}
-        assert _koszul_table(I, 4) == {(0, 0): 1, (1, 2): 2, (1, 3): 1, (2, 4): 1}
+        degrees = [mono_degree(g) for g in ((2, 0, 0, 0), (0, 3, 0, 0), (0, 0, 1, 1))]
+        assert koszul_counts(degrees, 7) == {(0, 0): 1, (1, 2): 2, (1, 3): 1, (2, 4): 1, (2, 5): 2, (3, 7): 1}
+        assert koszul_counts(degrees, 4) == {(0, 0): 1, (1, 2): 2, (1, 3): 1, (2, 4): 1}
 
 
 class TestWalkSpy:

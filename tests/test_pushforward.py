@@ -1,5 +1,6 @@
 import itertools
 import math
+import tracemalloc
 from collections import Counter
 from fractions import Fraction
 
@@ -559,9 +560,12 @@ def disjoint_filtration(draw):
         gens.append(tuple(exps))
     ring = PolyRing(p, [f"x{v}" for v in range(n)])
     try:
-        return ring, gens, ci_filtration_check(ring, gens, max_monomials=2000)
+        report = ci_filtration_check(ring, gens, max_monomials=2000)
+        # the oracles walk S/(f^p) in Python: hold that walk to the guard too
+        MonomialIdeal(ring, [mono_pow(m, p) for m in gens]).staircase(report.degree_bound, max_monomials=2000)
     except ResourceGuardError:
         return draw(st.nothing())
+    return ring, gens, report
 
 
 def step_dims_by_chain_scan(ring, f_monos, degree_bound):
@@ -638,13 +642,29 @@ class TestFiltration:
     @given(data=st.data())
     @settings(max_examples=100, deadline=None)
     def test_expected_dims_match_a_walk_of_the_small_quotient(self, data):
-        # the expected side is HF(S/(f)) from its Hilbert series; a walk of
-        # the staircase of (f_1..f_c) must give the same counts
+        # the step dims are HF(S/(f)) from its Koszul counts, shifted; a
+        # walk of the staircase of (f_1..f_c) must give the same counts
         ring, gens, report = data.draw(disjoint_filtration())
         levels = MonomialIdeal(ring, gens).staircase(report.degree_bound)
         hf = [len(level) for level in levels] + [0] * (report.degree_bound + 1 - len(levels))
         for step in report.steps:
-            assert step.expected == [0] * step.shift + hf[: report.degree_bound + 1 - step.shift]
+            assert step.dims == [0] * step.shift + hf[: report.degree_bound + 1 - step.shift]
+
+    def test_the_step_table_holds_each_shift_once(self):
+        # x^2, y^2, z^2 at p = 13: 2197 steps by 76 degrees, but the dims
+        # depend on the shift alone, and there are 37 shifts.  One list per
+        # shift peaks near 0.6 MiB, one list per step near 2 MiB, and a
+        # walk of the 26^3 standard monomials of S/(f^p) near 4.7 MiB
+        ring = PolyRing(13, ["x", "y", "z"])
+        tracemalloc.start()
+        try:
+            report = ci_filtration_check(ring, [(2, 0, 0), (0, 2, 0), (0, 0, 2)])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert (len(report.steps), report.degree_bound) == (13**3, 75)
+        assert len({id(step.dims) for step in report.steps}) == 37
+        assert peak < 1.5 * 2**20
 
     def test_rejects_overlapping_supports(self):
         ring = PolyRing(2, ["x", "y"])

@@ -1,5 +1,6 @@
 """Smoke test of tools/report_digest.py, the byte-identity check between
-two checkouts: one seed and the strand grid, from a fresh process."""
+two checkouts: one seed and the strand and filtration grids, from a fresh
+process."""
 
 import hashlib
 import re
@@ -27,11 +28,14 @@ def test_one_seed_digests_every_report():
     assert all(len(fields) == 4 and DIGEST.fullmatch(fields[2]) and DIGEST.fullmatch(fields[3])
                for fields in lines)
     # every query once in JSON and once in text mode: every workload, then
-    # 66 (ell, j) pairs, steps 0..20 and four primes
+    # 66 (ell, j) pairs, steps 0..20 and four primes, then seven ideals,
+    # with and without a free variable, at four primes
     runs = Counter(fields[0].rpartition(" [")[0] for fields in lines)
     assert set(runs.values()) == {2}
-    assert {run.partition(":")[0] for run in runs if not run.startswith("strand ")} == set(WORKLOADS)
+    grids = ("strand ", "filtration ")
+    assert {run.partition(":")[0] for run in runs if not run.startswith(grids)} == set(WORKLOADS)
     assert sum(run.startswith("strand ") for run in runs) == 66 * 21 * 4
+    assert sum(run.startswith("filtration ") for run in runs) == 7 * 2 * 4
     # the digest is that of the report as tests/golden holds it
     digests = {fields[0]: fields[1:] for fields in lines}
     golden = (ROOT / "tests" / "golden" / "strand_ell3_j1_steps8_p2.json").read_bytes()

@@ -5,8 +5,10 @@ Usage:
 
 For each seed, the query argvs of every benchmark workload are drawn as
 `bench/run.py` draws them, from random.Random(f"{workload}:{seed}"), and
-a fixed `strand` grid is added: ell = 2..12, every class j, steps 0..20
-and char 2, 3, 5 and 7.  Each argv runs in process through
+two fixed grids are added: `strand` at ell = 2..12, every class j, steps
+0..20 and char 2, 3, 5 and 7, and `filtration` on seven monomial regular
+sequences, each in its own variables and again with a free variable t,
+at char 2, 3, 5 and 7.  Each argv runs in process through
 `frobcalc.cli.run`, once with `--json` and once in text mode, and prints
 one line:
 
@@ -37,7 +39,17 @@ from pathlib import Path
 TIMING = re.compile(r',\n  "timing_seconds": .*|\ntiming_seconds: .*')
 STRAND_ELLS = range(2, 13)
 STRAND_STEPS = range(21)
-STRAND_CHARS = (2, 3, 5, 7)
+GRID_CHARS = (2, 3, 5, 7)
+# (variables, ideal): artinian or not, pure powers and mixed monomials
+FILTRATION_IDEALS = (
+    ("x", "x^2"),
+    ("x,y", "x^2,y^2"),
+    ("x,y", "x^2,y^3"),
+    ("x,y,z", "x^2,y^2,z^2"),
+    ("x,y,z,w", "x^2,y^2,z*w"),
+    ("x,y,z", "x*y,z^2"),
+    ("x,y,z", "x^2*y,z^3"),
+)
 
 
 def strand_grid():
@@ -45,19 +57,29 @@ def strand_grid():
     for ell in STRAND_ELLS:
         for j in range(1, ell):
             for steps in STRAND_STEPS:
-                for char in STRAND_CHARS:
+                for char in GRID_CHARS:
                     argv = ["strand", "--ell", str(ell), "--j", str(j), "--steps", str(steps), "--char", str(char)]
                     yield f"strand ell={ell} j={j} steps={steps} char={char}", argv
 
 
+def filtration_grid():
+    """(label, argv) for every filtration case of the fixed grid."""
+    for names, ideal in FILTRATION_IDEALS:
+        for variables in (names, names + ",t"):
+            for char in GRID_CHARS:
+                argv = ["filtration", "--char", str(char), "--vars", variables, "--ideal", ideal]
+                yield f"filtration vars={variables} ideal={ideal} char={char}", argv
+
+
 def cases(workloads, seeds):
     """(label, argv) for every query of every seed of every workload in
-    `workloads`, {name: draw(rng)}, then the strand grid."""
+    `workloads`, {name: draw(rng)}, then the strand and filtration grids."""
     for seed in seeds:
         for name, draw in workloads.items():
             for i, query in enumerate(draw(random.Random(f"{name}:{seed}"))):
                 yield f"{name}:{seed}#{i} {query.label}", query.argv
     yield from strand_grid()
+    yield from filtration_grid()
 
 
 def digest(run, argv):
